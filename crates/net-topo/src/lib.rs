@@ -16,7 +16,6 @@
 //! * [`select`] — the decentralized node-selection procedure that keeps only
 //!   forwarders closer (in ETX) to the destination, producing the paper's
 //!   topology graph `G(V, E)`.
-//! * [`probe`] — link-quality measurement by probing, as ETX prescribes.
 //!
 //! # Examples
 //!
@@ -39,7 +38,6 @@ pub mod etx;
 pub mod geom;
 pub mod graph;
 pub mod phy;
-pub mod probe;
 pub mod select;
 pub mod topologies;
 

@@ -43,7 +43,7 @@ use serde::{Deserialize, Serialize};
 /// output change in a way that invalidates cached analyses. The
 /// incremental cache (`--cache`) stores this and discards entries
 /// recorded under a different version.
-pub const RULES_VERSION: u32 = 3;
+pub const RULES_VERSION: u32 = 4;
 
 /// How a finding affects the exit status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -336,9 +336,10 @@ pub const HOT_ENTRIES: [HotEntry; 21] = [
     entry("crates/drift/src/core.rs", Some("EventQueue"), "schedule"),
     entry("crates/drift/src/arena.rs", Some("Arena"), "alloc"),
     entry("crates/drift/src/arena.rs", Some("Arena"), "free"),
-    // omnc: the multi-session dispatch — N coupled sessions drive one
-    // simulator, so everything it reaches is per-packet hot.
-    entry("crates/omnc/src/multi.rs", None, "run_multi_session"),
+    // omnc: the runner's execution core — every entry point, single
+    // session or N coupled ones, drives its one simulator, so everything
+    // it reaches is per-packet hot.
+    entry("crates/omnc/src/runner.rs", None, "execute"),
     // simplex-lp: the pivot engine.
     entry("crates/simplex-lp/src/solver.rs", Some("Tableau"), "pivot"),
     entry("crates/simplex-lp/src/solver.rs", None, "solve"),

@@ -50,7 +50,6 @@
 #![warn(missing_docs)]
 
 mod algorithm;
-pub mod diagnostics;
 pub mod distributed;
 mod error;
 pub mod flow;

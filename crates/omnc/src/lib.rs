@@ -29,12 +29,14 @@
 //!
 //! Protocol implementations live in [`proto`]: OMNC itself plus the paper's
 //! three comparison points — MORE (SIGCOMM'07), oldMORE (its min-cost
-//! precursor) and single-path ETX routing. [`runner`] wires a protocol to a
-//! topology and executes one unicast session end-to-end; [`metrics`]
-//! computes the paper's evaluation metrics (throughput gain, node/path
-//! utility ratios); [`scenario`] holds the paper's experiment
-//! configurations; [`multi`] runs N concurrent sessions coupled on one
-//! shared mesh (joint rate control, shared queues and channel).
+//! precursor) and single-path ETX routing. [`runner`] is the one execution
+//! core that wires a protocol to a topology and runs it on Drift: a single
+//! unicast session on the sub-topology of its participants, and K sessions
+//! coupled on one shared mesh (joint rate control, shared queues and
+//! channel), are two projections of the same run; [`multi`] holds the
+//! coupled run's outcome records. [`metrics`] computes the paper's
+//! evaluation metrics (throughput gain, node/path utility ratios) and
+//! [`scenario`] holds the paper's experiment configurations.
 //!
 //! ## Quickstart
 //!
@@ -54,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod metrics;
 pub mod msg;
 pub mod multi;
@@ -64,6 +65,7 @@ pub mod scenario;
 pub mod session;
 pub mod trace;
 pub mod wire;
+mod world;
 
 pub use drift;
 pub use gf256;

@@ -1,53 +1,19 @@
-//! Multi-session workloads: N concurrent unicast sessions sharing one mesh.
+//! Multi-session workloads: the outcome records of K concurrent unicast
+//! sessions coupled on one shared mesh.
 //!
-//! The single-session runner ([`crate::runner`]) evaluates each session on
-//! its own sub-topology, one simulator per session — the paper's Fig. 2/3
-//! methodology, where sessions are independent experiments. This module is
-//! the *coupled* counterpart: every session's behaviors are installed on the
-//! **same** simulator over the **full** topology, so sessions contend for
-//! the same per-receiver channel capacity, share transmit queues at common
-//! forwarders, and (under OMNC) are rate-controlled *jointly* by the
-//! coupled mUnicast program of Sec. 4.3 rather than per session in
-//! isolation.
-//!
-//! Coordinates are original topology ids throughout — there is no
-//! sub-topology re-indexing, so traces and timelines need no remapping.
-//!
-//! Protocol wiring per session `k`:
-//!
-//! * **OMNC** — one forwarder selection per session, a joint
-//!   [`MUnicast`] solved with shared congestion prices
-//!   ([`MUnicast::solve_distributed`]); the MAC enforces the *summed*
-//!   per-node broadcast rates while each session's source/relays pace at
-//!   their own share.
-//! * **MORE / oldMORE** — per-session credits and ETX distances on the full
-//!   topology; all sessions share one max-min fair MAC, reproducing the
-//!   uncontrolled congestion the paper reports for MORE under load.
-//! * **ETX** — per-session best paths; the unicast interference cliques are
-//!   built from the union of next hops (first session wins at a shared
-//!   forwarder — an approximation that only coarsens the interference
-//!   model, never misroutes, since routing follows each behavior's own
-//!   unicast destinations).
+//! The run itself is [`crate::runner`]'s one execution core —
+//! [`run_multi_session`] and [`run_multi_cell`] are defined there and
+//! re-exported here — simulating the **whole** mesh with every session's
+//! roles installed on the same engine, so sessions contend for the same
+//! per-receiver channel capacity and share transmit queues at common
+//! forwarders. A single-session run is the same core on the world induced
+//! by that session's participants.
 
-use std::collections::BTreeMap;
-
-use drift::{MacModel, Simulator, TraceEvent};
-use net_topo::etx;
-use net_topo::graph::{NodeId, Topology};
-use net_topo::select::{select_forwarders, Selection};
-use omnc_opt::municast::MUnicast;
-use omnc_opt::RateControlParams;
+use net_topo::graph::NodeId;
 use serde::{Deserialize, Serialize};
 
-use crate::msg::Msg;
-use crate::proto::credits::{more_credits, oldmore_credits, CreditPlan};
-use crate::proto::etx_routing::{EtxDestination, EtxForwarder};
-use crate::proto::more::{MoreDestination, MoreRelay, MoreSource};
-use crate::proto::omnc::{OmncDestination, OmncRelay, OmncSource};
-use crate::runner::{Protocol, Role, RunOptions};
-use crate::scenario::Scenario;
-use crate::session::{SessionConfig, SessionLedger};
-use crate::trace::{Absorbed, SessionTrace, TraceRecord};
+use crate::runner::Protocol;
+pub use crate::runner::{run_multi_cell, run_multi_session};
 
 /// Everything measured from one session of a multi-session run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -122,421 +88,14 @@ impl MultiSessionOutcome {
     }
 }
 
-/// A deterministic per-session identifier for packet tags and traces,
-/// derived the same way the single-session cells derive their session
-/// seeds so session `k` is comparable across the two runners.
-fn session_id(seed: u64, k: u64) -> u64 {
-    seed.wrapping_add(k.wrapping_mul(7919)) ^ 0xC0DE
-}
-
-fn scoped(scope: &str, k: usize) -> String {
-    if scope.is_empty() {
-        format!("s{k}")
-    } else {
-        format!("{scope}/s{k}")
-    }
-}
-
-/// Runs `endpoints.len()` concurrent unicast sessions of `protocol` on one
-/// shared simulator over `topology`. Deterministic in `seed`.
-///
-/// With `options.trace_capacity` set, the second return value holds one
-/// [`SessionTrace`] per session: the shared MAC trace split by packet-tag
-/// session id (untagged events — `TxComplete`, queue samples — carry no
-/// session and are omitted), merged with that session's absorption log.
-///
-/// # Panics
-///
-/// Panics if `endpoints` is empty, any `src == dst`, or any destination is
-/// unreachable from its source.
-pub fn run_multi_session(
-    topology: &Topology,
-    endpoints: &[(NodeId, NodeId)],
-    protocol: Protocol,
-    cfg: &SessionConfig,
-    seed: u64,
-    options: &RunOptions,
-) -> (MultiSessionOutcome, Option<Vec<SessionTrace>>) {
-    assert!(!endpoints.is_empty(), "at least one session is required");
-    for &(src, dst) in endpoints {
-        assert_ne!(src, dst, "sessions need distinct endpoints");
-    }
-    let n = topology.len();
-    let k_count = endpoints.len();
-    let ids: Vec<u64> = (0..k_count as u64).map(|k| session_id(seed, k)).collect();
-    let verify = cfg.payload_block_size == cfg.wire_block_size;
-    let ledgers: Vec<_> = (0..k_count).map(|_| SessionLedger::shared()).collect();
-    options.flight.record(
-        0.0,
-        "multi/start",
-        &format!("protocol={} sessions={k_count} nodes={n}", protocol.name()),
-    );
-
-    // Per-session behavior maps (original ids) and predicted throughputs.
-    let mut roles: Vec<BTreeMap<NodeId, Role>> = (0..k_count).map(|_| BTreeMap::new()).collect();
-    let mut predicted: Vec<Option<f64>> = vec![None; k_count];
-    let mac;
-
-    match protocol {
-        Protocol::Omnc => {
-            let selections: Vec<Selection> = endpoints
-                .iter()
-                .map(|&(src, dst)| select_forwarders(topology, src, dst))
-                .collect();
-            let mu = MUnicast::from_selections(topology, &selections, cfg.capacity);
-            let sol = mu.solve_distributed(&RateControlParams::default());
-            options.flight.record(
-                0.0,
-                "multi/rates",
-                &format!("total_predicted={:.1}", sol.total()),
-            );
-            // The MAC enforces the summed per-node rates; each session's
-            // roles pace at their own share.
-            let mut mac_rates = vec![0.0; n];
-            for (k, s) in mu.sessions().iter().enumerate() {
-                let (src, dst) = endpoints[k];
-                let mut rates = vec![0.0; n];
-                for i in 0..s.node_count() {
-                    // Recovered rates may carry -1e-12 style noise.
-                    rates[s.node_id(i).index()] = sol.b[k][i].max(0.0);
-                }
-                rates[dst.index()] = 0.0; // the destination only listens
-                                          // Role construction is setup, once per (session, node);
-                                          // ledger handles are shared-ownership by design.
-                for &orig in selections[k].nodes() {
-                    let rate = rates[orig.index()];
-                    let role = if orig == src {
-                        // lint: allow(clone-in-hot-loop) -- setup-time shared handle
-                        Role::OmncSrc(OmncSource::new(*cfg, ledgers[k].clone(), ids[k], rate))
-                    } else if orig == dst {
-                        Role::OmncDst(OmncDestination::new(
-                            *cfg,
-                            ledgers[k].clone(), // lint: allow(clone-in-hot-loop) -- setup-time shared handle
-                            ids[k],
-                            verify,
-                        ))
-                    } else {
-                        Role::OmncRelay(OmncRelay::new(*cfg, rate))
-                    };
-                    roles[k].insert(orig, role);
-                }
-                for (total, rate) in mac_rates.iter_mut().zip(&rates) {
-                    *total += rate;
-                }
-                predicted[k] = Some(sol.gamma[k]);
-            }
-            mac = MacModel::rate_limited(mac_rates, cfg.capacity);
-        }
-        Protocol::More | Protocol::OldMore => {
-            for (k, &(src, dst)) in endpoints.iter().enumerate() {
-                let selection = select_forwarders(topology, src, dst);
-                let plan: CreditPlan = if protocol == Protocol::More {
-                    more_credits(&selection)
-                } else {
-                    oldmore_credits(&selection)
-                };
-                let dist: Vec<f64> = (0..n)
-                    .map(|v| {
-                        selection
-                            .dist_to_dst(NodeId::new(v))
-                            .unwrap_or(f64::INFINITY)
-                    })
-                    .collect();
-                // Setup only: one role per (session, node) before t=0.
-                for &orig in selection.nodes() {
-                    let role = if orig == src {
-                        // lint: allow(clone-in-hot-loop) -- setup-time shared handle
-                        Role::MoreSrc(MoreSource::new(*cfg, ledgers[k].clone(), ids[k]))
-                    } else if orig == dst {
-                        Role::MoreDst(MoreDestination::new(
-                            *cfg,
-                            ledgers[k].clone(), // lint: allow(clone-in-hot-loop) -- setup-time shared handle
-                            ids[k],
-                            verify,
-                        ))
-                    } else {
-                        Role::MoreRelay(MoreRelay::new(
-                            *cfg,
-                            plan.tx_credit[orig.index()],
-                            dist[orig.index()],
-                            dist.clone(), // lint: allow(clone-in-hot-loop) -- each relay owns its distance table
-                        ))
-                    };
-                    roles[k].insert(orig, role);
-                }
-            }
-            mac = MacModel::fair_share(cfg.capacity);
-        }
-        Protocol::EtxRouting => {
-            let mut next_hop = vec![usize::MAX; n];
-            for (k, &(src, dst)) in endpoints.iter().enumerate() {
-                let path = etx::best_path(topology, src, dst)
-                    .expect("session endpoints must be connected");
-                for w in path.windows(2) {
-                    let u = w[0].index();
-                    if next_hop[u] == usize::MAX {
-                        next_hop[u] = w[1].index();
-                    }
-                    let fwd = if w[0] == src {
-                        EtxForwarder::source(*cfg, w[1], dst)
-                    } else {
-                        EtxForwarder::relay(*cfg, w[1])
-                    };
-                    roles[k].insert(w[0], Role::EtxFwd(fwd.with_session(ids[k], src)));
-                }
-                roles[k].insert(dst, Role::EtxDst(EtxDestination::new()));
-            }
-            mac = MacModel::unicast_clique(cfg.capacity, next_hop);
-        }
-    }
-
-    // ---- One simulator, every session's behaviors installed on it.
-    let mut sim: Simulator<Msg, Role> = Simulator::new(topology, mac, seed);
-    if let Some(capacity) = options.trace_capacity {
-        sim.enable_trace(capacity);
-    }
-    sim.attach_profiler(options.profiler.clone());
-    sim.attach_telemetry(&options.registry);
-    if options.timeline.is_enabled() {
-        let labels: Vec<u64> = (0..n as u64).collect();
-        sim.attach_timeline(&options.timeline, &options.timeline_scope, &labels);
-    }
-    for (k, role_map) in roles.into_iter().enumerate() {
-        let scope = scoped(&options.timeline_scope, k);
-        for (orig, mut role) in role_map {
-            role.set_profiler(&options.profiler);
-            role.set_timeline(&options.timeline, &scope);
-            sim.set_session_behavior(k, orig, role);
-        }
-    }
-    if let Some((victim, at)) = options.fault {
-        sim.schedule_kill(victim, at);
-    }
-    options.flight.record(
-        0.0,
-        "sim/start",
-        &format!("protocol={} sessions={k_count}", protocol.name()),
-    );
-    sim.run_until(cfg.duration);
-    options
-        .flight
-        .record(cfg.duration, "sim/done", protocol.name());
-
-    // ---- Collect per-session metrics.
-    let airtime_shares = sim.airtime_shares();
-    let mut sessions = Vec::with_capacity(k_count);
-    let mut mac_packets = 0u64;
-    for (k, &(src, dst)) in endpoints.iter().enumerate() {
-        let stats = sim.session_stats(k);
-        let (partial_rank, delivered_blocks) = match sim.session_behavior(k, dst) {
-            Some(Role::OmncDst(d)) => (d.state().partial_rank(), 0),
-            Some(Role::MoreDst(d)) => (d.state().partial_rank(), 0),
-            Some(Role::EtxDst(d)) => (0, d.blocks_delivered),
-            _ => (0, 0),
-        };
-        let throughput = if protocol == Protocol::EtxRouting {
-            delivered_blocks as f64 * cfg.wire_block_size as f64 / cfg.duration
-        } else {
-            let partial_bytes = partial_rank as f64 * cfg.wire_block_size as f64;
-            ledgers[k].throughput(cfg.generation_app_bytes(), cfg.duration)
-                + partial_bytes / cfg.duration
-        };
-        // Goodput dynamics and cross-session aggregates, per session scope.
-        if options.timeline.is_enabled() {
-            let scope = scoped(&options.timeline_scope, k);
-            if let Some(state) = match sim.session_behavior(k, dst) {
-                Some(Role::OmncDst(d)) => Some(d.state()),
-                Some(Role::MoreDst(d)) => Some(d.state()),
-                _ => None,
-            } {
-                let goodput = options.timeline.series(&format!("{scope}/goodput"));
-                for a in state.absorptions.iter().filter(|a| a.innovative) {
-                    goodput.record(a.at, 1.0);
-                }
-            }
-            options
-                .timeline
-                .series(&format!("{scope}/airtime_share"))
-                .record(cfg.duration, airtime_shares.get(k).copied().unwrap_or(0.0));
-            options
-                .timeline
-                .series(&format!("{scope}/queue_wait"))
-                .record(cfg.duration, stats.queue_wait);
-        }
-        let (innovative, redundant) = if protocol == Protocol::EtxRouting {
-            (delivered_blocks, 0)
-        } else {
-            ledgers[k].packet_counts()
-        };
-        let generations_decoded = if protocol == Protocol::EtxRouting {
-            0
-        } else {
-            ledgers[k].generations_decoded()
-        };
-        mac_packets += stats.packets_sent + stats.packets_delivered + stats.packets_lost;
-        sessions.push(SessionSummary {
-            session: k as u64,
-            src,
-            dst,
-            throughput,
-            predicted_throughput: predicted[k],
-            generations_decoded,
-            packet_counts: (innovative, redundant),
-            packets_sent: stats.packets_sent,
-            packets_delivered: stats.packets_delivered,
-            packets_lost: stats.packets_lost,
-            airtime_share: airtime_shares.get(k).copied().unwrap_or(0.0),
-            queue_wait: stats.queue_wait,
-        });
-    }
-
-    let queue_averages: Vec<f64> = topology
-        .nodes()
-        .filter(|&v| sim.stats(v).packets_sent > 0)
-        .map(|v| sim.queue_average(v))
-        .collect();
-
-    let traces = options
-        .trace_capacity
-        .map(|_| split_traces(&sim, protocol, cfg, seed, endpoints, &ids, &sessions));
-
-    let total_throughput = sessions.iter().map(|s| s.throughput).sum();
-    let sessions_completed = sessions.iter().filter(|s| s.completed()).count();
-    options.flight.record(
-        cfg.duration,
-        "multi/collect",
-        &format!("total={total_throughput:.1} completed={sessions_completed}"),
-    );
-    let outcome = MultiSessionOutcome {
-        protocol,
-        sessions,
-        total_throughput,
-        sessions_completed,
-        queue_averages,
-        mac_packets,
-    };
-    (outcome, traces)
-}
-
-/// Splits the shared MAC trace into per-session [`SessionTrace`]s by packet
-/// tag, merging each with that session's absorption log. Node ids are
-/// already original-topology coordinates, so nothing is remapped.
-fn split_traces(
-    sim: &Simulator<Msg, Role>,
-    protocol: Protocol,
-    cfg: &SessionConfig,
-    seed: u64,
-    endpoints: &[(NodeId, NodeId)],
-    ids: &[u64],
-    sessions: &[SessionSummary],
-) -> Vec<SessionTrace> {
-    let id_to_k: BTreeMap<u64, usize> = ids.iter().enumerate().map(|(k, &id)| (id, k)).collect();
-    let mut mac: Vec<Vec<TraceRecord>> = vec![Vec::new(); ids.len()];
-    for e in sim.trace().events() {
-        let tag = match *e {
-            TraceEvent::TxStart { tag, .. }
-            | TraceEvent::Delivered { tag, .. }
-            | TraceEvent::Lost { tag, .. } => tag,
-            // TxComplete and queue samples carry no tag; they belong to the
-            // shared channel, not to any one session.
-            _ => None,
-        };
-        let Some(t) = tag else { continue };
-        let Some(&k) = id_to_k.get(&t.session) else {
-            continue;
-        };
-        mac[k].push(TraceRecord::Mac(*e));
-    }
-    let dropped = sim.trace().dropped();
-    endpoints
-        .iter()
-        .enumerate()
-        .map(|(k, &(src, dst))| {
-            let absorptions: Vec<Absorbed> = match sim.session_behavior(k, dst) {
-                Some(Role::OmncDst(d)) => d.state().absorptions.clone(),
-                Some(Role::MoreDst(d)) => d.state().absorptions.clone(),
-                _ => Vec::new(),
-            };
-            let s = &sessions[k];
-            let mac_records = std::mem::take(&mut mac[k]);
-            let mut records = Vec::with_capacity(mac_records.len() + absorptions.len() + 2);
-            records.push(TraceRecord::SessionStart {
-                session: ids[k],
-                protocol,
-                src,
-                dst,
-                seed,
-                duration: cfg.duration,
-            });
-            // Merge the two time-ordered streams, MAC first on ties (the
-            // absorption of a delivery happens causally after the MAC event).
-            let mut mac_it = mac_records.into_iter().peekable();
-            let mut dec_it = absorptions
-                .into_iter()
-                .map(TraceRecord::Absorbed)
-                .peekable();
-            while let (Some(m), Some(d)) = (mac_it.peek(), dec_it.peek()) {
-                let tm = m.at().unwrap_or(0.0);
-                let td = d.at().unwrap_or(0.0);
-                if tm <= td {
-                    records.extend(mac_it.next());
-                } else {
-                    records.extend(dec_it.next());
-                }
-            }
-            records.extend(mac_it);
-            records.extend(dec_it);
-            records.push(TraceRecord::SessionEnd {
-                session: ids[k],
-                throughput: s.throughput,
-                generations_decoded: s.generations_decoded,
-                innovative: s.packet_counts.0,
-                redundant: s.packet_counts.1,
-                final_rank: s.generations_decoded * cfg.generation_blocks as u64
-                    + match sim.session_behavior(k, dst) {
-                        Some(Role::OmncDst(d)) => d.state().partial_rank() as u64,
-                        Some(Role::MoreDst(d)) => d.state().partial_rank() as u64,
-                        _ => 0,
-                    },
-                dropped_mac_events: dropped,
-            });
-            SessionTrace {
-                records,
-                dropped_mac_events: dropped,
-            }
-        })
-        .collect()
-}
-
-/// Runs the whole multi-session workload of `scenario` under `protocol`:
-/// one shared topology, all `scenario.sessions` endpoint pairs concurrent
-/// on one simulator. The multi-session analogue of
-/// [`crate::runner::run_cell`].
-///
-/// # Panics
-///
-/// Panics if the scenario cannot draw all its sessions (disconnected
-/// deployment or unsatisfiable hop bounds).
-pub fn run_multi_cell(
-    scenario: &Scenario,
-    protocol: Protocol,
-    options: &RunOptions,
-) -> (MultiSessionOutcome, Option<Vec<SessionTrace>>) {
-    let (topology, endpoints) = scenario.build_multi();
-    run_multi_session(
-        &topology,
-        &endpoints,
-        protocol,
-        &scenario.session,
-        scenario.seed,
-        options,
-    )
-}
-
 #[cfg(test)]
 mod tests {
+    use drift::TraceEvent;
+
     use super::*;
+    use crate::runner::{session_id, RunOptions};
     use crate::scenario::Scenario;
+    use crate::trace::TraceRecord;
 
     fn tiny_scenario(sessions: usize) -> Scenario {
         let mut s = Scenario::small_test();

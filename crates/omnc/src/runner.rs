@@ -1,24 +1,48 @@
-//! End-to-end session execution: wire a protocol to a topology, run it on
-//! Drift, and collect the paper's evaluation metrics.
+//! The one execution core: plan sessions on a topology, wire a protocol's
+//! roles onto one Drift simulator, run it, and project the paper's
+//! evaluation metrics.
+//!
+//! Every entry point — [`run_session`] and its variants, the sweep cells
+//! [`run_cell`]/[`run_cell_on`], the ablation hook [`run_omnc_with_rates`],
+//! the coupled [`run_multi_session`]/[`run_multi_cell`] — is a thin
+//! projection of the same private run. A single session is the `K = 1`
+//! case of `K` coupled sessions; two pieces of data differ, each chosen in
+//! one place:
+//!
+//! * the **world** ([`crate::world`]) — single-session entries simulate only
+//!   the session's participants (the paper's Fig. 2/3 methodology: sessions
+//!   are independent experiments), coupled entries the whole mesh, where
+//!   sessions contend for channel capacity and share queues (Sec. 4.3);
+//! * the OMNC **rate source** ([`omnc_rates`]) — the single-session
+//!   portfolio for one session, the joint mUnicast solver for two or more,
+//!   or the ablation bench's own vector.
+//!
+//! Node ids, seeds and per-node RNG streams are the same in either world,
+//! so one coupled session on the induced world is bit-identical to the
+//! single-session entry (held by the tests here and `tests/end_to_end.rs`).
 
 use std::collections::BTreeMap;
 
-use drift::{Behavior, Ctx, MacModel, PacketTag, Simulator, TraceEvent};
+use drift::{Behavior, Ctx, MacModel, Simulator};
 use net_topo::etx;
 use net_topo::graph::{Link, NodeId, Topology};
 use net_topo::select::{disjoint_path_count, select_forwarders, Selection};
-use omnc_opt::{default_portfolio, run_best, run_best_traced, SUnicast};
+use omnc_opt::municast::MUnicast;
+use omnc_opt::{default_portfolio, run_best, run_best_traced, RateControlParams, SUnicast};
 use serde::{Deserialize, Serialize};
 use telemetry::{FlightRecorder, Profiler, Registry, TimeSeries};
 
 use crate::msg::Msg;
-use crate::proto::credits::{more_credits, oldmore_credits, CreditPlan};
+use crate::multi::{MultiSessionOutcome, SessionSummary};
+use crate::proto::common::CodedDestination;
+use crate::proto::credits::{more_credits, oldmore_credits};
 use crate::proto::etx_routing::{EtxDestination, EtxForwarder};
 use crate::proto::more::{MoreDestination, MoreRelay, MoreSource};
 use crate::proto::omnc::{OmncDestination, OmncRelay, OmncSource};
 use crate::scenario::Scenario;
-use crate::session::{SessionConfig, SessionLedger};
+use crate::session::{SessionConfig, SessionLedger, SessionShared};
 use crate::trace::{Absorbed, SessionTrace, TraceRecord};
+use crate::world::{Extent, World};
 
 /// The protocols under evaluation (Sec. 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -92,12 +116,34 @@ impl SessionOutcome {
     }
 }
 
-/// One behavior enum so the simulator stays fully typed and final protocol
-/// state can be read back without downcasting. Shared with the
-/// multi-session runner ([`crate::multi`]), which wires one `Role` per
-/// (session, node) pair.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum Role {
+/// Declares [`Role`]: one behavior enum over every protocol's node logic, so
+/// the simulator stays fully typed and final protocol state can be read
+/// back without downcasting. The core wires one `Role` per (session, node).
+macro_rules! roles {
+    ($($variant:ident($behavior:ty),)*) => {
+        #[allow(clippy::large_enum_variant)]
+        enum Role {
+            $($variant($behavior),)*
+        }
+
+        impl Behavior<Msg> for Role {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+                match self { $(Role::$variant(b) => b.on_start(ctx),)* }
+            }
+            fn on_receive(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: &Msg) {
+                match self { $(Role::$variant(b) => b.on_receive(ctx, from, msg),)* }
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
+                match self { $(Role::$variant(b) => b.on_timer(ctx, token),)* }
+            }
+            fn on_unicast_result(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, msg: &Msg, ok: bool) {
+                match self { $(Role::$variant(b) => b.on_unicast_result(ctx, to, msg, ok),)* }
+            }
+        }
+    };
+}
+
+roles! {
     OmncSrc(OmncSource),
     OmncRelay(OmncRelay),
     OmncDst(OmncDestination),
@@ -108,61 +154,10 @@ pub(crate) enum Role {
     EtxDst(EtxDestination),
 }
 
-impl Behavior<Msg> for Role {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        match self {
-            Role::OmncSrc(b) => b.on_start(ctx),
-            Role::OmncRelay(b) => b.on_start(ctx),
-            Role::OmncDst(b) => b.on_start(ctx),
-            Role::MoreSrc(b) => b.on_start(ctx),
-            Role::MoreRelay(b) => b.on_start(ctx),
-            Role::MoreDst(b) => b.on_start(ctx),
-            Role::EtxFwd(b) => b.on_start(ctx),
-            Role::EtxDst(b) => b.on_start(ctx),
-        }
-    }
-    fn on_receive(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: &Msg) {
-        match self {
-            Role::OmncSrc(b) => b.on_receive(ctx, from, msg),
-            Role::OmncRelay(b) => b.on_receive(ctx, from, msg),
-            Role::OmncDst(b) => b.on_receive(ctx, from, msg),
-            Role::MoreSrc(b) => b.on_receive(ctx, from, msg),
-            Role::MoreRelay(b) => b.on_receive(ctx, from, msg),
-            Role::MoreDst(b) => b.on_receive(ctx, from, msg),
-            Role::EtxFwd(b) => b.on_receive(ctx, from, msg),
-            Role::EtxDst(b) => b.on_receive(ctx, from, msg),
-        }
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
-        match self {
-            Role::OmncSrc(b) => b.on_timer(ctx, token),
-            Role::OmncRelay(b) => b.on_timer(ctx, token),
-            Role::OmncDst(b) => b.on_timer(ctx, token),
-            Role::MoreSrc(b) => b.on_timer(ctx, token),
-            Role::MoreRelay(b) => b.on_timer(ctx, token),
-            Role::MoreDst(b) => b.on_timer(ctx, token),
-            Role::EtxFwd(b) => b.on_timer(ctx, token),
-            Role::EtxDst(b) => b.on_timer(ctx, token),
-        }
-    }
-    fn on_unicast_result(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, msg: &Msg, ok: bool) {
-        match self {
-            Role::OmncSrc(b) => b.on_unicast_result(ctx, to, msg, ok),
-            Role::OmncRelay(b) => b.on_unicast_result(ctx, to, msg, ok),
-            Role::OmncDst(b) => b.on_unicast_result(ctx, to, msg, ok),
-            Role::MoreSrc(b) => b.on_unicast_result(ctx, to, msg, ok),
-            Role::MoreRelay(b) => b.on_unicast_result(ctx, to, msg, ok),
-            Role::MoreDst(b) => b.on_unicast_result(ctx, to, msg, ok),
-            Role::EtxFwd(b) => b.on_unicast_result(ctx, to, msg, ok),
-            Role::EtxDst(b) => b.on_unicast_result(ctx, to, msg, ok),
-        }
-    }
-}
-
 impl Role {
     /// Attaches the session profiler to whatever coder this role carries
     /// (ETX forwards raw blocks, so those roles have nothing to profile).
-    pub(crate) fn set_profiler(&mut self, profiler: &Profiler) {
+    fn set_profiler(&mut self, profiler: &Profiler) {
         match self {
             Role::OmncSrc(b) => b.set_profiler(profiler.clone()),
             Role::OmncRelay(b) => b.set_profiler(profiler.clone()),
@@ -176,52 +171,35 @@ impl Role {
 
     /// Attaches the timeline recorder to the role's decoder, if it has one
     /// (only destinations sample rank progress).
-    pub(crate) fn set_timeline(&mut self, timeline: &TimeSeries, scope: &str) {
+    fn set_timeline(&mut self, timeline: &TimeSeries, scope: &str) {
         match self {
             Role::OmncDst(b) => b.set_timeline(timeline.clone(), scope),
             Role::MoreDst(b) => b.set_timeline(timeline.clone(), scope),
             _ => {}
         }
     }
-}
 
-/// The session sub-topology: selected nodes re-indexed densely, keeping
-/// *every* original link between them (interference needs sideways links,
-/// not only the flow DAG).
-struct SubTopology {
-    topo: Topology,
-    /// local → original id.
-    to_orig: Vec<NodeId>,
-    /// original → local id.
-    to_local: BTreeMap<NodeId, usize>,
-}
+    /// The decoder-side state of a coded destination.
+    fn decoded(&self) -> Option<&CodedDestination> {
+        match self {
+            Role::OmncDst(b) => Some(b.state()),
+            Role::MoreDst(b) => Some(b.state()),
+            _ => None,
+        }
+    }
 
-fn sub_topology(full: &Topology, nodes: &[NodeId]) -> SubTopology {
-    let to_orig: Vec<NodeId> = nodes.to_vec();
-    let to_local: BTreeMap<NodeId, usize> =
-        to_orig.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let links: Vec<Link> = full
-        .links()
-        .filter_map(|l| {
-            let from = *to_local.get(&l.from)?;
-            let to = *to_local.get(&l.to)?;
-            Some(Link {
-                from: NodeId::new(from),
-                to: NodeId::new(to),
-                p: l.p,
-            })
-        })
-        .collect();
-    let topo = Topology::from_links(to_orig.len().max(2), links)
-        .expect("selected nodes always include linked src and dst");
-    SubTopology {
-        topo,
-        to_orig,
-        to_local,
+    /// Innovative packets this coded relay or destination heard, per
+    /// transmitter (world ids).
+    fn heard(&self) -> Option<&BTreeMap<NodeId, u64>> {
+        match self {
+            Role::OmncRelay(b) => Some(&b.received_from),
+            Role::MoreRelay(b) => Some(&b.received_from),
+            _ => self.decoded().map(|d| &d.received_from),
+        }
     }
 }
 
-/// Optional knobs for a session run (see [`run_session_traced`]).
+/// Optional knobs for a run (see [`run_session_traced`]).
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Crash-stop fault `(node, at)`: kills `node` (topology id) at
@@ -310,12 +288,40 @@ pub fn run_session_traced(
     seed: u64,
     options: &RunOptions,
 ) -> (SessionOutcome, Option<SessionTrace>) {
-    match protocol {
-        Protocol::EtxRouting => run_etx(topology, src, dst, cfg, seed, options),
-        Protocol::Omnc | Protocol::More | Protocol::OldMore => {
-            run_coded_inner(topology, src, dst, protocol, cfg, seed, None, options)
-        }
-    }
+    let job = Job {
+        topology,
+        endpoints: &[(src, dst)],
+        protocol,
+        cfg,
+        seed,
+        options,
+    };
+    run_single(job, None)
+}
+
+/// Runs an OMNC session with a caller-supplied broadcast-rate vector
+/// (indexed like the sUnicast instance). Used by ablation benches to
+/// compare rate sources (distributed algorithm vs exact LP vs uniform).
+pub fn run_omnc_with_rates<F>(
+    topology: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    cfg: &SessionConfig,
+    seed: u64,
+    rate_source: F,
+) -> SessionOutcome
+where
+    F: FnOnce(&SUnicast) -> Vec<f64>,
+{
+    let job = Job {
+        topology,
+        endpoints: &[(src, dst)],
+        protocol: Protocol::Omnc,
+        cfg,
+        seed,
+        options: &RunOptions::default(),
+    };
+    run_single(job, Some(Box::new(rate_source))).0
 }
 
 /// Runs one *cell* of a sweep or campaign: session `session` of `scenario`
@@ -338,31 +344,11 @@ pub fn run_cell(
     session: u64,
     options: &RunOptions,
 ) -> (SessionOutcome, Option<SessionTrace>) {
-    // The breadcrumb lands before the panic-prone session build, so a
-    // flight dump from a doomed cell still names what was being built.
-    options.flight.record(
-        0.0,
-        "cell/start",
-        &format!("protocol={} session={session}", protocol.name()),
-    );
-    let (topology, src, dst) = scenario.build_session(session);
-    options.flight.record(
-        0.0,
-        "cell/session",
-        &format!(
-            "nodes={} src={} dst={}",
-            topology.len(),
-            src.index(),
-            dst.index()
-        ),
-    );
-    run_session_traced(
-        &topology,
-        src,
-        dst,
+    run_cell_on(
+        &scenario.build_topology(),
+        scenario,
         protocol,
-        &scenario.session,
-        scenario.session_seed(session),
+        session,
         options,
     )
 }
@@ -381,12 +367,24 @@ pub fn run_cell_on(
     session: u64,
     options: &RunOptions,
 ) -> (SessionOutcome, Option<SessionTrace>) {
+    // The breadcrumb lands before the panic-prone endpoint draw, so a
+    // flight dump from a doomed cell still names what was being built.
     options.flight.record(
         0.0,
         "cell/start",
         &format!("protocol={} session={session}", protocol.name()),
     );
-    let (_, src, dst) = scenario.build_session(session);
+    let (src, dst) = scenario.session_endpoints(topology, session);
+    options.flight.record(
+        0.0,
+        "cell/session",
+        &format!(
+            "nodes={} src={} dst={}",
+            topology.len(),
+            src.index(),
+            dst.index()
+        ),
+    );
     run_session_traced(
         topology,
         src,
@@ -398,315 +396,354 @@ pub fn run_cell_on(
     )
 }
 
-/// Wires the run's timeline recorder into the simulator. Queue and link
-/// series are labelled with *original*-topology node ids, so names stay
-/// meaningful after the sub-topology re-indexing.
-fn attach_sim_timeline(sim: &mut Simulator<Msg, Role>, sub: &SubTopology, options: &RunOptions) {
-    if !options.timeline.is_enabled() {
-        return;
-    }
-    let labels: Vec<u64> = sub.to_orig.iter().map(|v| v.index() as u64).collect();
-    sim.attach_timeline(&options.timeline, &options.timeline_scope, &labels);
-}
-
-fn run_etx(
+/// Runs `endpoints.len()` concurrent unicast sessions of `protocol` on one
+/// shared simulator over the whole of `topology`, so they contend for
+/// per-receiver channel capacity and share transmit queues at common
+/// forwarders. Deterministic in `seed`.
+///
+/// Under OMNC, two or more sessions are rate-controlled jointly by the
+/// coupled mUnicast program of Sec. 4.3 ([`MUnicast::solve_distributed`])
+/// and the MAC enforces the summed per-node rates; a single session uses
+/// the single-session portfolio ([`run_best`]) exactly as [`run_session`]
+/// does. MORE/oldMORE sessions share one max-min fair MAC; ETX builds its
+/// unicast interference cliques from the union of next hops.
+///
+/// With `options.trace_capacity` set, the second return value holds one
+/// [`SessionTrace`] per session: the shared MAC trace split by packet-tag
+/// session id (untagged events — `TxComplete`, queue samples — belong to
+/// the shared channel and are omitted), merged with that session's
+/// absorption log.
+///
+/// # Panics
+///
+/// Panics if `endpoints` is empty, any `src == dst`, or any destination is
+/// unreachable from its source.
+pub fn run_multi_session(
     topology: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    cfg: &SessionConfig,
-    seed: u64,
-    options: &RunOptions,
-) -> (SessionOutcome, Option<SessionTrace>) {
-    let path = etx::best_path(topology, src, dst).expect("session endpoints must be connected");
-    let sub = sub_topology(topology, &path);
-    let local = |v: NodeId| NodeId::new(sub.to_local[&v]);
-    let session_seed = seed ^ 0xC0DE;
-
-    // The paper's unicast MAC model: link-clique interference (the
-    // "sufficient condition" of Sec. 3.2), strictly tighter than the
-    // broadcast model the coded protocols enjoy.
-    let mut next_hop = vec![usize::MAX; sub.to_orig.len()];
-    for w in path.windows(2) {
-        next_hop[sub.to_local[&w[0]]] = sub.to_local[&w[1]];
-    }
-    let mut sim: Simulator<Msg, Role> = Simulator::new(
-        &sub.topo,
-        MacModel::unicast_clique(cfg.capacity, next_hop),
-        seed,
-    );
-    if let Some(capacity) = options.trace_capacity {
-        sim.enable_trace(capacity);
-    }
-    sim.attach_profiler(options.profiler.clone());
-    sim.attach_telemetry(&options.registry);
-    attach_sim_timeline(&mut sim, &sub, options);
-    for w in path.windows(2) {
-        let fwd = if w[0] == src {
-            EtxForwarder::source(*cfg, local(w[1]), local(dst))
-        } else {
-            EtxForwarder::relay(*cfg, local(w[1]))
-        };
-        // Blocks are never re-encoded, so the end-to-end origin (the
-        // session source) is every hop's tag origin.
-        sim.set_behavior(
-            local(w[0]),
-            Role::EtxFwd(fwd.with_session(session_seed, local(src))),
-        );
-    }
-    sim.set_behavior(local(dst), Role::EtxDst(EtxDestination::new()));
-    if let Some((victim, at)) = options.fault {
-        if let Some(&l) = sub.to_local.get(&victim) {
-            sim.schedule_kill(NodeId::new(l), at);
-        }
-    }
-    options.flight.record(
-        0.0,
-        "sim/start",
-        &format!("protocol=ETX hops={}", path.len().saturating_sub(1)),
-    );
-    sim.run_until(cfg.duration);
-    options
-        .flight
-        .record(cfg.duration, "sim/done", "protocol=ETX");
-
-    let delivered = match sim.behavior(local(dst)) {
-        Some(Role::EtxDst(d)) => d.blocks_delivered,
-        _ => 0,
-    };
-    let queue_averages: Vec<f64> = sub
-        .topo
-        .nodes()
-        .filter(|&v| sim.stats(v).packets_sent > 0)
-        .map(|v| sim.queue_average(v))
-        .collect();
-    let throughput = delivered as f64 * cfg.wire_block_size as f64 / cfg.duration;
-    let trace = options.trace_capacity.map(|_| {
-        assemble_trace(
-            &sim,
-            &sub,
-            TraceRecord::SessionStart {
-                session: session_seed,
-                protocol: Protocol::EtxRouting,
-                src,
-                dst,
-                seed,
-                duration: cfg.duration,
-            },
-            Vec::new(),
-            TraceRecord::SessionEnd {
-                session: session_seed,
-                throughput,
-                generations_decoded: 0,
-                innovative: 0,
-                redundant: 0,
-                final_rank: 0,
-                dropped_mac_events: sim.trace().dropped(),
-            },
-        )
-    });
-    let outcome = SessionOutcome {
-        protocol: Protocol::EtxRouting,
-        throughput,
-        queue_averages,
-        node_utility: 1.0, // the single path uses every node it selected
-        path_utility: 1.0,
-        rc_iterations: None,
-        predicted_throughput: None,
-        generations_decoded: 0,
-        packet_counts: (0, 0),
-        verification_failures: 0,
-    };
-    (outcome, trace)
-}
-
-/// Runs an OMNC session with a caller-supplied broadcast-rate vector
-/// (indexed like the sUnicast instance). Used by ablation benches to
-/// compare rate sources (distributed algorithm vs exact LP vs uniform).
-pub fn run_omnc_with_rates<F>(
-    topology: &Topology,
-    src: NodeId,
-    dst: NodeId,
-    cfg: &SessionConfig,
-    seed: u64,
-    rate_source: F,
-) -> SessionOutcome
-where
-    F: FnOnce(&SUnicast) -> Vec<f64>,
-{
-    let selection = select_forwarders(topology, src, dst);
-    let problem = SUnicast::from_selection(topology, &selection, cfg.capacity);
-    let b = rate_source(&problem);
-    assert_eq!(
-        b.len(),
-        problem.node_count(),
-        "rate vector must cover the instance"
-    );
-    let options = RunOptions::default();
-    run_coded_inner(
-        topology,
-        src,
-        dst,
-        Protocol::Omnc,
-        cfg,
-        seed,
-        Some(b),
-        &options,
-    )
-    .0
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_coded_inner(
-    topology: &Topology,
-    src: NodeId,
-    dst: NodeId,
+    endpoints: &[(NodeId, NodeId)],
     protocol: Protocol,
     cfg: &SessionConfig,
     seed: u64,
-    rates_override: Option<Vec<f64>>,
     options: &RunOptions,
-) -> (SessionOutcome, Option<SessionTrace>) {
-    let selection = select_forwarders(topology, src, dst);
+) -> (MultiSessionOutcome, Option<Vec<SessionTrace>>) {
+    let job = Job {
+        topology,
+        endpoints,
+        protocol,
+        cfg,
+        seed,
+        options,
+    };
+    run_coupled(job, Extent::WholeMesh)
+}
+
+/// Runs the whole multi-session workload of `scenario` under `protocol`:
+/// one shared topology, all `scenario.sessions` endpoint pairs concurrent
+/// on one simulator. The multi-session analogue of [`run_cell`].
+///
+/// # Panics
+///
+/// Panics if the scenario cannot draw all its sessions (disconnected
+/// deployment or unsatisfiable hop bounds).
+pub fn run_multi_cell(
+    scenario: &Scenario,
+    protocol: Protocol,
+    options: &RunOptions,
+) -> (MultiSessionOutcome, Option<Vec<SessionTrace>>) {
+    let (topology, endpoints) = scenario.build_multi();
+    run_multi_session(
+        &topology,
+        &endpoints,
+        protocol,
+        &scenario.session,
+        scenario.seed,
+        options,
+    )
+}
+
+// ---- The execution core: every entry point above projects one `Run`.
+
+/// What every entry point hands the core: a mesh and the sessions to run
+/// on it.
+#[derive(Clone, Copy)]
+struct Job<'a> {
+    topology: &'a Topology,
+    endpoints: &'a [(NodeId, NodeId)],
+    protocol: Protocol,
+    cfg: &'a SessionConfig,
+    seed: u64,
+    options: &'a RunOptions,
+}
+
+/// A caller-supplied OMNC rate source (the ablation bench).
+type RateSource<'f> = Box<dyn FnOnce(&SUnicast) -> Vec<f64> + 'f>;
+
+/// OMNC's allocation: per session, one broadcast rate per selected node
+/// (indexed like [`Selection::nodes`]) and the throughput it predicts.
+struct Rates {
+    b: Vec<Vec<f64>>,
+    predicted: Vec<f64>,
+    rc_iterations: Option<usize>,
+}
+
+/// The one place the OMNC rate source is chosen: a caller's closure (the
+/// ablation bench), the single-session portfolio for one session, the
+/// joint mUnicast solver for two or more. `scope` names the optimizer's
+/// timeline series.
+fn omnc_rates(
+    job: Job<'_>,
+    selections: &[Selection],
+    scope: &str,
+    given: Option<RateSource<'_>>,
+) -> Rates {
+    let capacity = job.cfg.capacity;
+    let [selection] = selections else {
+        assert!(given.is_none(), "caller-supplied rates cover one session");
+        let joint = MUnicast::from_selections(job.topology, selections, capacity);
+        let solution = joint.solve_distributed(&RateControlParams::default());
+        return Rates {
+            b: solution.b,
+            predicted: solution.gamma,
+            rc_iterations: None,
+        };
+    };
+    let problem = SUnicast::from_selection(job.topology, selection, capacity);
+    if let Some(source) = given {
+        let b = source(&problem);
+        assert_eq!(
+            b.len(),
+            problem.node_count(),
+            "rate vector must cover the instance"
+        );
+        let shares: Vec<f64> = b.iter().map(|v| v / capacity).collect();
+        let (supported, _) = omnc_opt::flow::supported_rate(&problem, &shares);
+        return Rates {
+            b: vec![b],
+            predicted: vec![supported * capacity],
+            rc_iterations: None,
+        };
+    }
+    // Tracing only records — `run_best_traced` deploys the exact rates
+    // `run_best` would — so the plain path stays untouched when the
+    // timeline is disabled.
+    let allocation = if job.options.timeline.is_enabled() {
+        let (allocation, trace) = run_best_traced(&problem, &default_portfolio());
+        trace.record_timeline(&job.options.timeline, scope);
+        allocation
+    } else {
+        run_best(&problem, &default_portfolio())
+    };
+    Rates {
+        b: vec![allocation.broadcast_rates().to_vec()],
+        predicted: vec![allocation.throughput()],
+        rc_iterations: Some(allocation.iterations()),
+    }
+}
+
+/// A deterministic per-session identifier for packet tags and traces:
+/// session `k` of a coupled run carries the id the single-session cell `k`
+/// of the same scenario would (`Scenario::session_seed(k) ^ 0xC0DE`).
+pub(crate) fn session_id(seed: u64, k: u64) -> u64 {
+    seed.wrapping_add(k.wrapping_mul(7919)) ^ 0xC0DE
+}
+
+fn series_name(scope: &str, tail: &str) -> String {
+    if scope.is_empty() {
+        tail.to_owned()
+    } else {
+        format!("{scope}/{tail}")
+    }
+}
+
+/// A finished run: the engine with every session's final protocol state.
+struct Run<'a> {
+    job: Job<'a>,
+    world: World<'a>,
+    /// Each coded session's forwarder DAG `(nodes, links)` in original
+    /// coordinates: what of its plan the Fig. 4 utilities need.
+    dags: Vec<(Vec<NodeId>, Vec<Link>)>,
+    sim: Simulator<Msg, Role>,
+    ids: Vec<u64>,
+    ledgers: Vec<SessionShared>,
+    scopes: Vec<String>,
+    predicted: Vec<Option<f64>>,
+    rc_iterations: Option<usize>,
+}
+
+/// Plans every session on the full topology, builds the world, every
+/// role and the MAC, and runs the one simulator to `cfg.duration`.
+/// `scope_of(options.timeline_scope, k)` names session `k`'s timeline
+/// series.
+fn execute<'a>(
+    job: Job<'a>,
+    extent: Extent,
+    scope_of: fn(&str, usize) -> String,
+    rate_source: Option<RateSource<'_>>,
+) -> Run<'a> {
+    let Job {
+        topology,
+        endpoints,
+        protocol,
+        cfg,
+        seed,
+        options,
+    } = job;
+    assert!(!endpoints.is_empty(), "at least one session is required");
+    for &(src, dst) in endpoints {
+        assert_ne!(src, dst, "sessions need distinct endpoints");
+    }
+    let sessions = endpoints.len();
+    let ids: Vec<u64> = (0..sessions as u64).map(|k| session_id(seed, k)).collect();
+    let ledgers: Vec<SessionShared> = (0..sessions).map(|_| SessionLedger::shared()).collect();
+    let scopes: Vec<String> = (0..sessions)
+        .map(|k| scope_of(&options.timeline_scope, k))
+        .collect();
+    let verify = cfg.payload_block_size == cfg.wire_block_size;
+
+    // Each session is planned on the full topology: a forwarder selection
+    // (Sec. 3.1) under the coded protocols, the best path under ETX.
+    let (mut selections, mut paths) = (Vec::new(), Vec::new());
+    for &(src, dst) in endpoints {
+        if protocol == Protocol::EtxRouting {
+            let path = etx::best_path(topology, src, dst);
+            paths.push(path.expect("session endpoints must be connected"));
+        } else {
+            selections.push(select_forwarders(topology, src, dst));
+        }
+    }
+    let participants = (selections.iter().flat_map(Selection::nodes))
+        .chain(paths.iter().flatten())
+        .copied();
+    let world = World::new(topology, extent, participants);
+    let n = world.topo.len();
     options.flight.record(
         0.0,
         "select/done",
-        &format!(
-            "protocol={} forwarders={}",
-            protocol.name(),
-            selection.nodes().len()
-        ),
+        &format!("protocol={} sessions={sessions} nodes={n}", protocol.name()),
     );
-    let sub = sub_topology(topology, selection.nodes());
-    let local = |v: NodeId| NodeId::new(sub.to_local[&v]);
-    let ledger = SessionLedger::shared();
-    let session_seed = seed ^ 0xC0DE;
-    let verify = cfg.payload_block_size == cfg.wire_block_size;
+    let rates =
+        (protocol == Protocol::Omnc).then(|| omnc_rates(job, &selections, &scopes[0], rate_source));
 
-    // Protocol-specific setup.
-    let mut rc_iterations = None;
-    let mut predicted = None;
-    let mac;
-    let mut roles: BTreeMap<NodeId, Role> = BTreeMap::new(); // by original id
-
-    match protocol {
-        Protocol::Omnc => {
-            let problem = SUnicast::from_selection(topology, &selection, cfg.capacity);
-            let inst_rates = match rates_override {
-                Some(b) => {
-                    let (supported, _) = omnc_opt::flow::supported_rate(
-                        &problem,
-                        &b.iter().map(|v| v / cfg.capacity).collect::<Vec<_>>(),
-                    );
-                    predicted = Some(supported * cfg.capacity);
-                    b
-                }
-                None => {
-                    // Tracing only records — `run_best_traced` deploys the
-                    // exact rates `run_best` would — so the plain path stays
-                    // untouched when the timeline is disabled.
-                    let allocation = if options.timeline.is_enabled() {
-                        let (allocation, trace) = run_best_traced(&problem, &default_portfolio());
-                        trace.record_timeline(&options.timeline, &options.timeline_scope);
-                        allocation
-                    } else {
-                        run_best(&problem, &default_portfolio())
-                    };
-                    rc_iterations = Some(allocation.iterations());
-                    predicted = Some(allocation.throughput());
-                    allocation.broadcast_rates().to_vec()
-                }
-            };
-            // Map optimizer rates (instance-local) to sub-topology nodes.
-            let mut rates = vec![0.0; sub.to_orig.len()];
-            for (sub_local, &orig) in sub.to_orig.iter().enumerate() {
-                if let Some(inst_idx) = problem.local_index(orig) {
-                    // Simplex solutions may carry -1e-12 style noise.
-                    rates[sub_local] = inst_rates[inst_idx].max(0.0);
-                }
-            }
-            rates[local(dst).index()] = 0.0; // the destination only listens
-            for &orig in selection.nodes() {
-                let role = if orig == src {
-                    Role::OmncSrc(OmncSource::new(
-                        *cfg,
-                        ledger.clone(),
-                        session_seed,
-                        rates[local(orig).index()],
-                    ))
-                } else if orig == dst {
-                    Role::OmncDst(OmncDestination::new(
-                        *cfg,
-                        ledger.clone(),
-                        session_seed,
-                        verify,
-                    ))
-                } else {
-                    Role::OmncRelay(OmncRelay::new(*cfg, rates[local(orig).index()]))
-                };
-                roles.insert(orig, role);
-            }
-            mac = MacModel::rate_limited(rates, cfg.capacity);
-        }
-        Protocol::More | Protocol::OldMore => {
-            let plan: CreditPlan = if protocol == Protocol::More {
-                more_credits(&selection)
-            } else {
-                oldmore_credits(&selection)
-            };
-            let dist: Vec<f64> = sub
-                .to_orig
-                .iter()
+    // Every role is built here, once per (session, node), in world
+    // coordinates. Roles are staged, and each plan is released as soon as
+    // its roles exist, so the mesh-sized `Selection`s are gone before the
+    // engine allocates its per-session tables. The MAC's inputs accumulate
+    // alongside: OMNC's summed per-node rates (each role paces at its own
+    // session's share) and ETX's next hops (the first session wins at a
+    // shared forwarder, which only coarsens the interference model: routing
+    // follows each role's own unicast destinations).
+    let mut roles: Vec<(usize, NodeId, Role)> = Vec::new();
+    let mut stage = |k: usize, orig: NodeId, mut role: Role| {
+        role.set_profiler(&options.profiler);
+        role.set_timeline(&options.timeline, &scopes[k]);
+        roles.push((k, world.at(orig), role));
+    };
+    let mut mac_rates = vec![0.0; n];
+    let mut next_hop = vec![usize::MAX; n];
+    let dag = |s: &Selection| (s.nodes().to_vec(), s.subgraph().links().collect());
+    let dags = selections.iter().map(dag).collect();
+    for (k, selection) in selections.into_iter().enumerate() {
+        let (src, dst) = endpoints[k];
+        let more = rates.is_none().then(|| {
+            let dist: Vec<f64> = (world.to_orig.iter())
                 .map(|&v| selection.dist_to_dst(v).unwrap_or(f64::INFINITY))
                 .collect();
-            for &orig in selection.nodes() {
-                let role = if orig == src {
-                    Role::MoreSrc(MoreSource::new(*cfg, ledger.clone(), session_seed))
-                } else if orig == dst {
-                    Role::MoreDst(MoreDestination::new(
-                        *cfg,
-                        ledger.clone(),
-                        session_seed,
-                        verify,
-                    ))
-                } else {
-                    Role::MoreRelay(MoreRelay::new(
-                        *cfg,
-                        plan.tx_credit[orig.index()],
-                        dist[local(orig).index()],
-                        dist.clone(),
-                    ))
-                };
-                roles.insert(orig, role);
+            if protocol == Protocol::More {
+                (more_credits(&selection), dist)
+            } else {
+                (oldmore_credits(&selection), dist)
             }
-            mac = MacModel::fair_share(cfg.capacity);
+        });
+        for (i, &orig) in selection.nodes().iter().enumerate() {
+            // Solver output may carry -1e-12 style noise, and the
+            // destination only listens.
+            let rate = match &rates {
+                Some(rates) if orig != dst => rates.b[k][i].max(0.0),
+                _ => 0.0,
+            };
+            mac_rates[world.at(orig).index()] += rate;
+            // lint: allow(clone-in-hot-loop) -- setup-time shared handle
+            let ledger = || ledgers[k].clone();
+            let role = match &more {
+                None if orig == src => Role::OmncSrc(OmncSource::new(*cfg, ledger(), ids[k], rate)),
+                None if orig == dst => {
+                    Role::OmncDst(OmncDestination::new(*cfg, ledger(), ids[k], verify))
+                }
+                None => Role::OmncRelay(OmncRelay::new(*cfg, rate)),
+                Some(_) if orig == src => Role::MoreSrc(MoreSource::new(*cfg, ledger(), ids[k])),
+                Some(_) if orig == dst => {
+                    Role::MoreDst(MoreDestination::new(*cfg, ledger(), ids[k], verify))
+                }
+                Some((plan, dist)) => Role::MoreRelay(MoreRelay::new(
+                    *cfg,
+                    plan.tx_credit[orig.index()],
+                    dist[world.at(orig).index()],
+                    dist.clone(), // lint: allow(clone-in-hot-loop) -- each relay owns its distance table
+                )),
+            };
+            stage(k, orig, role);
         }
-        Protocol::EtxRouting => unreachable!("handled by run_etx"),
     }
+    for (k, path) in paths.iter().enumerate() {
+        let (src, dst) = endpoints[k];
+        for w in path.windows(2) {
+            let hop = &mut next_hop[world.at(w[0]).index()];
+            if *hop == usize::MAX {
+                *hop = world.at(w[1]).index();
+            }
+            let fwd = if w[0] == src {
+                EtxForwarder::source(*cfg, world.at(w[1]), world.at(dst))
+            } else {
+                EtxForwarder::relay(*cfg, world.at(w[1]))
+            };
+            // Blocks are never re-encoded, so the end-to-end origin (the
+            // session source) is every hop's tag origin.
+            let fwd = fwd.with_session(ids[k], world.at(src));
+            stage(k, w[0], Role::EtxFwd(fwd));
+        }
+        stage(k, dst, Role::EtxDst(EtxDestination::new()));
+    }
+    let mac = match protocol {
+        Protocol::Omnc => MacModel::rate_limited(mac_rates, cfg.capacity),
+        Protocol::More | Protocol::OldMore => MacModel::fair_share(cfg.capacity),
+        // The paper's unicast MAC model: link-clique interference (the
+        // "sufficient condition" of Sec. 3.2), strictly tighter than the
+        // broadcast model the coded protocols enjoy.
+        Protocol::EtxRouting => MacModel::unicast_clique(cfg.capacity, next_hop),
+    };
 
-    let mut sim: Simulator<Msg, Role> = Simulator::new(&sub.topo, mac, seed);
+    let mut sim: Simulator<Msg, Role> = Simulator::new(&world.topo, mac, seed);
     if let Some(capacity) = options.trace_capacity {
         sim.enable_trace(capacity);
     }
     sim.attach_profiler(options.profiler.clone());
     sim.attach_telemetry(&options.registry);
-    attach_sim_timeline(&mut sim, &sub, options);
-    for (orig, mut role) in roles {
-        role.set_profiler(&options.profiler);
-        role.set_timeline(&options.timeline, &options.timeline_scope);
-        sim.set_behavior(local(orig), role);
+    if options.timeline.is_enabled() {
+        // Queue and link series are labelled with original node ids.
+        let labels: Vec<u64> = world.to_orig.iter().map(|v| v.index() as u64).collect();
+        sim.attach_timeline(&options.timeline, &options.timeline_scope, &labels);
     }
-    if let Some((victim, at)) = options.fault {
-        if let Some(&l) = sub.to_local.get(&victim) {
-            sim.schedule_kill(NodeId::new(l), at);
+    for (k, node, role) in roles {
+        sim.set_session_behavior(k, node, role);
+    }
+    if let Some((victim, when)) = options.fault {
+        if let Some(v) = world.local(victim) {
+            sim.schedule_kill(v, when);
         }
     }
+    let (predicted, rc_iterations) = match rates {
+        Some(rates) => (
+            rates.predicted.into_iter().map(Some).collect(),
+            rates.rc_iterations,
+        ),
+        None => (vec![None; sessions], None),
+    };
     options.flight.record(
         0.0,
         "sim/start",
         &format!(
-            "protocol={} rc_iterations={:?}",
-            protocol.name(),
-            rc_iterations
+            "protocol={} sessions={sessions} rc_iterations={rc_iterations:?}",
+            protocol.name()
         ),
     );
     sim.run_until(cfg.duration);
@@ -714,271 +751,273 @@ fn run_coded_inner(
         .flight
         .record(cfg.duration, "sim/done", protocol.name());
 
-    // ---- Collect metrics.
-    // Credit the partially-decoded final generation: at reduced session
-    // lengths the whole-generation quantization would otherwise bias the
-    // throughput down by up to one generation (the paper's 800-second
-    // sessions amortize this).
-    let partial_rank = match sim.behavior(local(dst)) {
-        Some(Role::OmncDst(d)) => d.state().partial_rank(),
-        Some(Role::MoreDst(d)) => d.state().partial_rank(),
-        _ => 0,
+    let run = Run {
+        job,
+        world,
+        dags,
+        sim,
+        ids,
+        ledgers,
+        scopes,
+        predicted,
+        rc_iterations,
     };
     // Goodput dynamics: one sample per innovative absorption, at its
     // simulated arrival time, so windows show delivery rate over time.
     if options.timeline.is_enabled() {
-        let dest_state = match sim.behavior(local(dst)) {
-            Some(Role::OmncDst(d)) => Some(d.state()),
-            Some(Role::MoreDst(d)) => Some(d.state()),
-            _ => None,
-        };
-        if let Some(state) = dest_state {
-            let name = if options.timeline_scope.is_empty() {
-                "goodput".to_owned()
-            } else {
-                format!("{}/goodput", options.timeline_scope)
+        for (k, scope) in run.scopes.iter().enumerate() {
+            let Some(decoded) = run.decoded(k) else {
+                continue;
             };
-            let goodput = options.timeline.series(&name);
-            for a in state.absorptions.iter().filter(|a| a.innovative) {
+            let goodput = options.timeline.series(&series_name(scope, "goodput"));
+            for a in decoded.absorptions.iter().filter(|a| a.innovative) {
                 goodput.record(a.at, 1.0);
             }
         }
     }
-    let partial_bytes = partial_rank as f64 * cfg.wire_block_size as f64;
-    let throughput =
-        ledger.throughput(cfg.generation_app_bytes(), cfg.duration) + partial_bytes / cfg.duration;
-    let queue_averages: Vec<f64> = sub
-        .topo
-        .nodes()
-        .filter(|&v| sim.stats(v).packets_sent > 0)
-        .map(|v| sim.queue_average(v))
-        .collect();
+    run
+}
 
-    // Node utility: transmitting nodes over selected candidates (the
-    // destination, a pure listener, is excluded from both).
-    let candidates = selection.nodes().iter().filter(|&&v| v != dst).count();
-    let transmitting = selection
-        .nodes()
-        .iter()
-        .filter(|&&v| v != dst && sim.stats(local(v)).packets_sent > 0)
-        .count();
-    let node_utility = if candidates > 0 {
-        transmitting as f64 / candidates as f64
-    } else {
-        0.0
-    };
+impl Run<'_> {
+    fn role(&self, k: usize, v: NodeId) -> Option<&Role> {
+        self.sim.session_behavior(k, self.world.at(v))
+    }
 
-    // Path utility: paths of the selection DAG all of whose links were
-    // exercised (the transmitter sent and the receiver heard at least one
-    // of its packets), over all DAG paths.
-    let mut received_from: BTreeMap<NodeId, BTreeMap<NodeId, u64>> = BTreeMap::new();
-    let mut verification_failures = 0;
-    for &orig in selection.nodes() {
-        match sim.behavior(local(orig)) {
-            Some(Role::OmncRelay(r)) => {
-                received_from.insert(orig, remap_keys(&r.received_from, &sub.to_orig));
-            }
-            Some(Role::MoreRelay(r)) => {
-                received_from.insert(orig, remap_keys(&r.received_from, &sub.to_orig));
-            }
-            Some(Role::OmncDst(d)) => {
-                received_from.insert(orig, remap_keys(&d.state().received_from, &sub.to_orig));
-                verification_failures = d.state().verification_failures;
-            }
-            Some(Role::MoreDst(d)) => {
-                received_from.insert(orig, remap_keys(&d.state().received_from, &sub.to_orig));
-                verification_failures = d.state().verification_failures;
-            }
-            _ => {}
+    /// Session `k`'s decoder-side state (coded protocols only).
+    fn decoded(&self, k: usize) -> Option<&CodedDestination> {
+        self.role(k, self.job.endpoints[k].1)?.decoded()
+    }
+
+    /// What each session delivered end to end and took from the channel.
+    /// ETX has no coded packets, so its `packet_counts` are `(0, 0)`.
+    fn summaries(&self) -> Vec<SessionSummary> {
+        let airtime_shares = self.sim.airtime_shares();
+        let summary = |k| self.summary(k, airtime_shares.get(k).copied().unwrap_or(0.0));
+        (0..self.job.endpoints.len()).map(summary).collect()
+    }
+
+    fn summary(&self, k: usize, airtime_share: f64) -> SessionSummary {
+        let cfg = self.job.cfg;
+        let (src, dst) = self.job.endpoints[k];
+        let stats = self.sim.session_stats(k);
+        let ledger = &self.ledgers[k];
+        let throughput = if let Some(Role::EtxDst(d)) = self.role(k, dst) {
+            d.blocks_delivered as f64 * cfg.wire_block_size as f64 / cfg.duration
+        } else {
+            // Credit the partially-decoded final generation: at reduced
+            // session lengths the whole-generation quantization would
+            // otherwise bias the throughput down by up to one generation
+            // (the paper's 800-second sessions amortize this).
+            let partial_rank = self.decoded(k).map_or(0, |d| d.partial_rank());
+            let partial_bytes = partial_rank as f64 * cfg.wire_block_size as f64;
+            ledger.throughput(cfg.generation_app_bytes(), cfg.duration)
+                + partial_bytes / cfg.duration
+        };
+        SessionSummary {
+            session: k as u64,
+            src,
+            dst,
+            throughput,
+            predicted_throughput: self.predicted[k],
+            generations_decoded: ledger.generations_decoded(),
+            packet_counts: ledger.packet_counts(),
+            packets_sent: stats.packets_sent,
+            packets_delivered: stats.packets_delivered,
+            packets_lost: stats.packets_lost,
+            airtime_share,
+            queue_wait: stats.queue_wait,
         }
     }
-    let used_links: Vec<Link> = selection
-        .subgraph()
-        .links()
-        .filter(|l| {
-            received_from
-                .get(&l.to)
-                .and_then(|m| m.get(&l.from))
-                .copied()
-                .unwrap_or(0)
-                > 0
-        })
-        .collect();
-    let total_paths = selection.disjoint_paths();
-    let used_paths = if used_links.is_empty() {
-        0
-    } else {
-        let used_dag =
-            Topology::from_links(topology.len(), used_links).expect("used links are valid");
-        disjoint_path_count(&used_dag, src, dst)
-    };
-    let path_utility = if total_paths > 0 {
-        used_paths as f64 / total_paths as f64
-    } else {
-        0.0
-    };
 
-    let (innovative, redundant) = ledger.packet_counts();
-    let generations_decoded = ledger.generations_decoded();
-    let trace = options.trace_capacity.map(|_| {
-        let absorptions: Vec<Absorbed> = match sim.behavior(local(dst)) {
-            Some(Role::OmncDst(d)) => d.state().absorptions.clone(),
-            Some(Role::MoreDst(d)) => d.state().absorptions.clone(),
-            _ => Vec::new(),
+    /// Time-averaged queue size of every world node that transmitted (the
+    /// Fig. 3 population).
+    fn queue_averages(&self) -> Vec<f64> {
+        (self.world.topo.nodes())
+            .filter(|&v| self.sim.stats(v).packets_sent > 0)
+            .map(|v| self.sim.queue_average(v))
+            .collect()
+    }
+
+    /// Session `k`'s Fig. 4 node and path utility ratios.
+    fn utilities(&self, k: usize) -> (f64, f64) {
+        let Some((nodes, links)) = self.dags.get(k) else {
+            return (1.0, 1.0); // ETX: the single path uses every node it selected
         };
-        assemble_trace(
-            &sim,
-            &sub,
-            TraceRecord::SessionStart {
-                session: session_seed,
+        let (src, dst) = self.job.endpoints[k];
+        let ratio = |used: usize, all: usize| {
+            if all > 0 {
+                used as f64 / all as f64
+            } else {
+                0.0
+            }
+        };
+
+        // Node utility: transmitting nodes over selected candidates (the
+        // destination, a pure listener, is excluded from both).
+        let candidates = nodes.iter().filter(|&&v| v != dst);
+        let sent = |v: &&NodeId| self.sim.stats(self.world.at(**v)).packets_sent > 0;
+        let node_utility = ratio(candidates.clone().filter(sent).count(), candidates.count());
+
+        // Path utility: node-disjoint paths of the DAG all of whose links
+        // were exercised (the transmitter sent and the receiver heard at
+        // least one of its packets), over all its node-disjoint paths.
+        let paths = |links: Vec<Link>| {
+            if links.is_empty() {
+                return 0;
+            }
+            let dag =
+                Topology::from_links(self.job.topology.len(), links).expect("DAG links are valid");
+            disjoint_path_count(&dag, src, dst)
+        };
+        let heard = |l: &&Link| {
+            (self.role(k, l.to).and_then(Role::heard))
+                .and_then(|heard| heard.get(&self.world.at(l.from)))
+                .is_some_and(|&packets| packets > 0)
+        };
+        let used = links.iter().filter(heard).copied().collect();
+        (node_utility, ratio(paths(used), paths(links.clone())))
+    }
+
+    /// One [`SessionTrace`] per session: the engine's MAC trace split by
+    /// packet-tag session id, node ids mapped back to the original
+    /// topology, each merged with that session's absorption log. Untagged
+    /// events (`TxComplete`, queue samples) go to session `untagged_to`, or
+    /// nowhere.
+    fn traces(&self, untagged_to: Option<usize>, sessions: &[SessionSummary]) -> Vec<SessionTrace> {
+        let Job { protocol, cfg, .. } = self.job;
+        let by_id: BTreeMap<u64, usize> = (self.ids.iter().enumerate())
+            .map(|(k, &id)| (id, k))
+            .collect();
+        let mut mac: Vec<Vec<TraceRecord>> = vec![Vec::new(); sessions.len()];
+        for e in self.sim.trace().events() {
+            let k = match e.tag() {
+                Some(tag) => by_id.get(&tag.session).copied(),
+                None => untagged_to,
+            };
+            if let Some(k) = k {
+                mac[k].push(TraceRecord::Mac(self.world.event_to_orig(*e)));
+            }
+        }
+        let dropped_mac_events = self.sim.trace().dropped();
+        let trace = |(mac, s): (Vec<TraceRecord>, &SessionSummary)| {
+            let k = s.session as usize;
+            let decoded = self.decoded(k);
+            let dec = decoded.map_or(&[][..], |d| &d.absorptions).iter().map(|a| {
+                TraceRecord::Absorbed(Absorbed {
+                    node: self.world.orig(a.node),
+                    from: self.world.orig(a.from),
+                    tag: self.world.tag_to_orig(a.tag),
+                    ..*a
+                })
+            });
+            let mut records = vec![TraceRecord::SessionStart {
+                session: self.ids[k],
                 protocol,
-                src,
-                dst,
-                seed,
+                src: s.src,
+                dst: s.dst,
+                seed: self.job.seed,
                 duration: cfg.duration,
-            },
-            absorptions,
-            TraceRecord::SessionEnd {
-                session: session_seed,
-                throughput,
-                generations_decoded,
-                innovative,
-                redundant,
-                final_rank: generations_decoded * cfg.generation_blocks as u64
-                    + partial_rank as u64,
-                dropped_mac_events: sim.trace().dropped(),
-            },
-        )
-    });
-    options.flight.record(
-        cfg.duration,
-        "collect/done",
-        &format!("throughput={throughput:.1} decoded={generations_decoded}"),
-    );
+            }];
+            // Both streams are time-ordered; the stable sort merges them, MAC
+            // first on ties (the absorption of a delivery happens causally
+            // after the MAC event).
+            records.extend(mac);
+            records.extend(dec);
+            records[1..].sort_by(|a, b| a.at().unwrap_or(0.0).total_cmp(&b.at().unwrap_or(0.0)));
+            records.push(TraceRecord::SessionEnd {
+                session: self.ids[k],
+                throughput: s.throughput,
+                generations_decoded: s.generations_decoded,
+                innovative: s.packet_counts.0,
+                redundant: s.packet_counts.1,
+                final_rank: s.generations_decoded * cfg.generation_blocks as u64
+                    + decoded.map_or(0, |d| d.partial_rank()) as u64,
+                dropped_mac_events,
+            });
+            SessionTrace {
+                records,
+                dropped_mac_events,
+            }
+        };
+        mac.into_iter().zip(sessions).map(trace).collect()
+    }
+}
+
+/// The single-session projection: the participants' world, the Fig. 3/4
+/// per-session metrics, and a trace that keeps the channel's untagged events.
+fn run_single(
+    job: Job<'_>,
+    rate_source: Option<RateSource<'_>>,
+) -> (SessionOutcome, Option<SessionTrace>) {
+    let scope_of = |scope: &str, _| scope.to_owned();
+    let run = execute(job, Extent::Participants, scope_of, rate_source);
+    let session = run.summaries().remove(0);
+    let (node_utility, path_utility) = run.utilities(0);
     let outcome = SessionOutcome {
-        protocol,
-        throughput,
-        queue_averages,
+        protocol: job.protocol,
+        throughput: session.throughput,
+        queue_averages: run.queue_averages(),
         node_utility,
         path_utility,
-        rc_iterations,
-        predicted_throughput: predicted,
-        generations_decoded,
-        packet_counts: (innovative, redundant),
-        verification_failures,
+        rc_iterations: run.rc_iterations,
+        predicted_throughput: session.predicted_throughput,
+        generations_decoded: session.generations_decoded,
+        packet_counts: session.packet_counts,
+        verification_failures: run.decoded(0).map_or(0, |d| d.verification_failures),
     };
+    job.options.flight.record(
+        job.cfg.duration,
+        "collect/done",
+        &format!("throughput={:.1}", outcome.throughput),
+    );
+    let traced = job.options.trace_capacity.is_some();
+    let trace = traced.then(|| run.traces(Some(0), &[session]).remove(0));
     (outcome, trace)
 }
 
-/// Builds the session's [`SessionTrace`] from the simulator's MAC trace and
-/// the destination's absorption log, remapping every node id (including tag
-/// origins) from sub-topology coordinates back to the original topology and
-/// merging the two time-ordered streams.
-fn assemble_trace(
-    sim: &Simulator<Msg, Role>,
-    sub: &SubTopology,
-    start: TraceRecord,
-    absorptions: Vec<Absorbed>,
-    end: TraceRecord,
-) -> SessionTrace {
-    let mac: Vec<TraceRecord> = sim
-        .trace()
-        .events()
-        .iter()
-        .map(|e| TraceRecord::Mac(remap_event(e, &sub.to_orig)))
-        .collect();
-    let dec: Vec<TraceRecord> = absorptions
-        .into_iter()
-        .map(|a| {
-            TraceRecord::Absorbed(Absorbed {
-                node: sub.to_orig[a.node.index()],
-                from: sub.to_orig[a.from.index()],
-                tag: remap_tag(a.tag, &sub.to_orig),
-                ..a
-            })
-        })
-        .collect();
-    // Both streams are time-ordered; merge them, MAC first on ties (the
-    // absorption of a delivery happens causally after the MAC event).
-    let mut records = Vec::with_capacity(mac.len() + dec.len() + 2);
-    records.push(start);
-    let (mut i, mut j) = (0, 0);
-    while i < mac.len() && j < dec.len() {
-        let tm = mac[i].at().unwrap_or(0.0);
-        let td = dec[j].at().unwrap_or(0.0);
-        if tm <= td {
-            records.push(mac[i].clone());
-            i += 1;
-        } else {
-            records.push(dec[j].clone());
-            j += 1;
+/// Timeline scope of session `k` of a coupled run.
+fn session_scope(scope: &str, k: usize) -> String {
+    series_name(scope, &format!("s{k}"))
+}
+
+/// The coupled projection: per-session summaries, world-wide queue
+/// averages, and traces holding only each session's own tagged events.
+fn run_coupled(job: Job<'_>, extent: Extent) -> (MultiSessionOutcome, Option<Vec<SessionTrace>>) {
+    let run = execute(job, extent, session_scope, None);
+    let Job { cfg, options, .. } = job;
+    let mut sessions = run.summaries();
+    for (k, s) in sessions.iter_mut().enumerate() {
+        // A delivered block is the coupled summaries' unit of progress for
+        // ETX (`SessionSummary::completed`, `SessionEnd.innovative`).
+        if let Some(Role::EtxDst(d)) = run.role(k, s.dst) {
+            s.packet_counts = (d.blocks_delivered, 0);
+        }
+        if options.timeline.is_enabled() {
+            let series = |tail| options.timeline.series(&series_name(&run.scopes[k], tail));
+            series("airtime_share").record(cfg.duration, s.airtime_share);
+            series("queue_wait").record(cfg.duration, s.queue_wait);
         }
     }
-    records.extend_from_slice(&mac[i..]);
-    records.extend_from_slice(&dec[j..]);
-    records.push(end);
-    SessionTrace {
-        records,
-        dropped_mac_events: sim.trace().dropped(),
-    }
-}
-
-/// Remaps a MAC event's node ids from sub-topology to original coordinates.
-fn remap_event(e: &TraceEvent, to_orig: &[NodeId]) -> TraceEvent {
-    let m = |v: NodeId| to_orig[v.index()];
-    match *e {
-        TraceEvent::TxStart {
-            at,
-            node,
-            wire_len,
-            rate,
-            tag,
-        } => TraceEvent::TxStart {
-            at,
-            node: m(node),
-            wire_len,
-            rate,
-            tag: remap_tag(tag, to_orig),
-        },
-        TraceEvent::TxComplete { at, node } => TraceEvent::TxComplete { at, node: m(node) },
-        TraceEvent::Delivered { at, from, to, tag } => TraceEvent::Delivered {
-            at,
-            from: m(from),
-            to: m(to),
-            tag: remap_tag(tag, to_orig),
-        },
-        TraceEvent::Lost { at, from, to, tag } => TraceEvent::Lost {
-            at,
-            from: m(from),
-            to: m(to),
-            tag: remap_tag(tag, to_orig),
-        },
-        TraceEvent::Queue { at, node, len } => TraceEvent::Queue {
-            at,
-            node: m(node),
-            len,
-        },
-    }
-}
-
-/// Remaps a tag's coding origin from sub-topology to original coordinates.
-fn remap_tag(tag: Option<PacketTag>, to_orig: &[NodeId]) -> Option<PacketTag> {
-    tag.map(|t| PacketTag {
-        origin: to_orig[t.origin.index()],
-        ..t
-    })
-}
-
-/// Translates an innovative-reception map keyed by sub-topology ids back to
-/// original topology ids.
-fn remap_keys(map: &BTreeMap<NodeId, u64>, to_orig: &[NodeId]) -> BTreeMap<NodeId, u64> {
-    map.iter().map(|(&k, &v)| (to_orig[k.index()], v)).collect()
-}
-
-/// Re-exported selection entry point for binaries that need the raw
-/// selection (e.g. utility-ratio baselines).
-pub fn selection_for(topology: &Topology, src: NodeId, dst: NodeId) -> Selection {
-    select_forwarders(topology, src, dst)
+    let traced = options.trace_capacity.is_some();
+    let traces = traced.then(|| run.traces(None, &sessions));
+    let total_throughput = sessions.iter().map(|s| s.throughput).sum();
+    let sessions_completed = sessions.iter().filter(|s| s.completed()).count();
+    options.flight.record(
+        cfg.duration,
+        "collect/done",
+        &format!("throughput={total_throughput:.1} completed={sessions_completed}"),
+    );
+    let outcome = MultiSessionOutcome {
+        protocol: job.protocol,
+        total_throughput,
+        sessions_completed,
+        queue_averages: run.queue_averages(),
+        mac_packets: (sessions.iter())
+            .map(|s| s.packets_sent + s.packets_delivered + s.packets_lost)
+            .sum(),
+        sessions,
+    };
+    (outcome, traces)
 }
 
 #[cfg(test)]
@@ -1237,6 +1276,82 @@ mod tests {
         let (reused, _) = run_cell_on(&topo, &scenario, Protocol::Omnc, 1, &options);
         assert_eq!(reused.throughput, cell.throughput);
         assert_eq!(reused.packet_counts, cell.packet_counts);
+    }
+
+    #[test]
+    fn one_coupled_session_on_the_induced_world_is_the_single_session_run() {
+        let (topo, s, d) = small_world();
+        let cfg = SessionConfig::tiny();
+        let options = RunOptions {
+            trace_capacity: Some(500_000),
+            ..RunOptions::default()
+        };
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for protocol in Protocol::ALL {
+            let name = protocol.name();
+            let (single, single_trace) =
+                run_session_traced(&topo, s, d, protocol, &cfg, 3, &options);
+            let job = Job {
+                topology: &topo,
+                endpoints: &[(s, d)],
+                protocol,
+                cfg: &cfg,
+                seed: 3,
+                options: &options,
+            };
+            let (coupled, coupled_traces) = run_coupled(job, Extent::Participants);
+            assert_eq!(coupled.sessions.len(), 1);
+            let summary = &coupled.sessions[0];
+            assert!(single.throughput > 0.0, "{name}");
+            assert_eq!(coupled.protocol, single.protocol);
+            assert_eq!((summary.src, summary.dst), (s, d));
+            assert_eq!(
+                summary.throughput.to_bits(),
+                single.throughput.to_bits(),
+                "{name}"
+            );
+            assert_eq!(
+                coupled.total_throughput.to_bits(),
+                single.throughput.to_bits()
+            );
+            assert_eq!(
+                summary.predicted_throughput.map(f64::to_bits),
+                single.predicted_throughput.map(f64::to_bits),
+                "{name}"
+            );
+            assert_eq!(summary.generations_decoded, single.generations_decoded);
+            assert_eq!(
+                bits(&coupled.queue_averages),
+                bits(&single.queue_averages),
+                "{name}"
+            );
+
+            // The two residual differences between the projections, by name:
+            // coupled ETX counts delivered blocks as innovative packets, and
+            // coupled traces drop the channel's untagged events.
+            let mut expected: Vec<TraceRecord> = single_trace
+                .expect("tracing was enabled")
+                .records
+                .into_iter()
+                .filter(|r| !matches!(r, TraceRecord::Mac(e) if e.tag().is_none()))
+                .collect();
+            if protocol == Protocol::EtxRouting {
+                assert_eq!(single.packet_counts, (0, 0));
+                assert!(summary.packet_counts.0 > 0 && summary.packet_counts.1 == 0);
+                if let Some(TraceRecord::SessionEnd { innovative, .. }) = expected.last_mut() {
+                    *innovative = summary.packet_counts.0;
+                }
+            } else {
+                assert_eq!(summary.packet_counts, single.packet_counts, "{name}");
+            }
+            let coupled_trace = coupled_traces.expect("tracing was enabled").remove(0);
+            assert!(coupled_trace.mac_events().count() > 0, "{name}");
+            assert_eq!(
+                serde_json::to_string(&expected).unwrap(),
+                serde_json::to_string(&coupled_trace.records).unwrap(),
+                "{name}: record streams diverged"
+            );
+        }
     }
 
     #[test]

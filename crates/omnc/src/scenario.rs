@@ -97,30 +97,42 @@ impl Scenario {
         dep.topology_with_phy(&self.phy())
     }
 
-    /// Draws the `k`-th session: topology plus a source/destination pair
-    /// satisfying the hop constraint.
+    /// Draws the endpoints of the `k`-th session on `topology` (the result
+    /// of [`Scenario::build_topology`]): a source/destination pair
+    /// satisfying the hop constraint, deterministic in the scenario seed
+    /// and `k`.
     ///
     /// # Panics
     ///
     /// Panics if no valid pair exists after many tries (practically
     /// impossible at the configured scales).
+    pub fn session_endpoints(&self, topology: &Topology, k: u64) -> (NodeId, NodeId) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed ^ (k.wrapping_mul(0x51ab)));
+        random_session(topology, &mut rng, self.hops, 50_000)
+            .expect("a connected density-6 deployment always has mid-length sessions")
+    }
+
+    /// Draws the `k`-th session: topology plus its
+    /// [`Scenario::session_endpoints`].
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Scenario::session_endpoints`].
     pub fn build_session(&self, k: u64) -> (Topology, NodeId, NodeId) {
         let topo = self.build_topology();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed ^ (k.wrapping_mul(0x51ab)));
-        let (s, d) = random_session(&topo, &mut rng, self.hops, 50_000)
-            .expect("a connected density-6 deployment always has mid-length sessions");
+        let (s, d) = self.session_endpoints(&topo, k);
         (topo, s, d)
     }
 
     /// Builds the shared topology once and draws *all* session endpoint
     /// pairs for a multi-session workload. Each pair uses the same
-    /// derivation as [`Scenario::build_session`], so session `k` of the
+    /// derivation as [`Scenario::session_endpoints`], so session `k` of the
     /// concurrent workload has exactly the endpoints its single-session
-    /// cell would — the two runners stay comparable.
+    /// cell would.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`Scenario::build_session`].
+    /// Same conditions as [`Scenario::session_endpoints`].
     pub fn build_multi(&self) -> (Topology, Vec<(NodeId, NodeId)>) {
         let topo = self.build_topology();
         let endpoints = random_sessions(&topo, self.sessions, self.hops, 50_000, |k| {
@@ -201,6 +213,7 @@ mod tests {
             let (single_topo, ss, sd) = s.build_session(k as u64);
             assert_eq!(topo, single_topo);
             assert_eq!((src, dst), (ss, sd), "session {k}");
+            assert_eq!((src, dst), s.session_endpoints(&topo, k as u64));
         }
     }
 

@@ -5,7 +5,8 @@
 //! cargo run --release -p omnc --example mesh_unicast
 //! ```
 
-use omnc::runner::{run_session, selection_for, Protocol};
+use omnc::net_topo::select::select_forwarders;
+use omnc::runner::{run_session, Protocol};
 use omnc::scenario::Scenario;
 
 fn main() {
@@ -14,7 +15,7 @@ fn main() {
     scenario.hops = (4, 8);
 
     let (topology, src, dst) = scenario.build_session(3);
-    let selection = selection_for(&topology, src, dst);
+    let selection = select_forwarders(&topology, src, dst);
     println!(
         "mesh: {} nodes (density {:.0}), avg link quality {:.2} [{:?}]",
         topology.len(),

@@ -3,7 +3,11 @@
 //! PHY, node selection, rate control, Drift, and the RLNC codec with
 //! payload verification.
 
-use omnc::runner::{run_session, Protocol};
+use omnc::multi::run_multi_session;
+use omnc::net_topo::etx;
+use omnc::net_topo::graph::{Link, NodeId, Topology};
+use omnc::net_topo::select::select_forwarders;
+use omnc::runner::{run_session, Protocol, RunOptions};
 use omnc::scenario::Scenario;
 use omnc::session::SessionConfig;
 
@@ -100,5 +104,66 @@ fn high_quality_links_speed_up_every_protocol() {
             out_h.throughput,
             out_l.throughput
         );
+    }
+}
+
+#[test]
+fn one_coupled_session_on_the_induced_topology_equals_the_single_session_run() {
+    // `run_session` simulates the sub-topology induced by the session's
+    // participants; `run_multi_session` simulates whatever mesh it is given.
+    // Handing it that induced sub-topology must reproduce the single run
+    // bit for bit, or the two projections of the runner have drifted apart.
+    // (OMNC is covered in-crate: its rate source is not reachable from here.)
+    let scenario = Scenario::small_test();
+    for k in 0..scenario.sessions as u64 {
+        let (topology, src, dst) = scenario.build_session(k);
+        for protocol in [Protocol::More, Protocol::OldMore, Protocol::EtxRouting] {
+            let participants: Vec<NodeId> = if protocol == Protocol::EtxRouting {
+                etx::best_path(&topology, src, dst).expect("sessions are connected")
+            } else {
+                select_forwarders(&topology, src, dst).nodes().to_vec()
+            };
+            let local = |v: NodeId| participants.iter().position(|&p| p == v).map(NodeId::new);
+            let links: Vec<Link> = topology
+                .links()
+                .filter_map(|l| {
+                    Some(Link {
+                        from: local(l.from)?,
+                        to: local(l.to)?,
+                        p: l.p,
+                    })
+                })
+                .collect();
+            let induced = Topology::from_links(participants.len(), links).unwrap();
+            let endpoints = [(local(src).unwrap(), local(dst).unwrap())];
+
+            let single = run_session(&topology, src, dst, protocol, &scenario.session, k);
+            let (coupled, _) = run_multi_session(
+                &induced,
+                &endpoints,
+                protocol,
+                &scenario.session,
+                k,
+                &RunOptions::default(),
+            );
+            let name = protocol.name();
+            let summary = &coupled.sessions[0];
+            assert!(single.throughput > 0.0, "{name} session {k}");
+            assert_eq!(
+                summary.throughput.to_bits(),
+                single.throughput.to_bits(),
+                "{name} session {k}"
+            );
+            assert_eq!(summary.generations_decoded, single.generations_decoded);
+            if protocol != Protocol::EtxRouting {
+                assert_eq!(summary.packet_counts, single.packet_counts, "{name}");
+            }
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&coupled.queue_averages),
+                bits(&single.queue_averages),
+                "{name} session {k}"
+            );
+        }
     }
 }
