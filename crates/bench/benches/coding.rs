@@ -3,9 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use omnc::gf256::{product, slice, wide};
-use omnc::rlnc::{
-    Decoder, Encoder, Generation, GenerationConfig, GenerationId, Kernel, SystematicEncoder,
-};
+use omnc::rlnc::{Encoder, Generation, GenerationConfig, GenerationId, Kernel};
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
@@ -23,40 +21,6 @@ fn bench_kernels(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("product", size), &size, |b, _| {
             b.iter(|| product::mul_add_assign(black_box(&mut dst), black_box(&src), 0x57))
-        });
-    }
-    group.finish();
-}
-
-/// Systematic pre-coding: on a loss-free path the decoder does no
-/// elimination work at all; compare full-generation decode cost.
-fn bench_systematic(c: &mut Criterion) {
-    let cfg = GenerationConfig::new(40, 1024).expect("valid");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let mut data = vec![0u8; cfg.payload_len()];
-    rng.fill(&mut data[..]);
-    let generation = Generation::from_bytes(GenerationId::new(0), cfg, &data).expect("sized");
-
-    let random: Vec<_> = {
-        let enc = Encoder::new(&generation);
-        (0..40).map(|_| enc.emit(&mut rng)).collect()
-    };
-    let systematic: Vec<_> = {
-        let mut enc = SystematicEncoder::new(&generation);
-        (0..40).map(|_| enc.emit(&mut rng)).collect()
-    };
-
-    let mut group = c.benchmark_group("decode_40x1024_lossfree");
-    group.throughput(Throughput::Bytes(cfg.payload_len() as u64));
-    for (name, packets) in [("random", &random), ("systematic", &systematic)] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), packets, |b, ps| {
-            b.iter(|| {
-                let mut dec = Decoder::new(GenerationId::new(0), cfg);
-                for p in ps.iter() {
-                    let _ = dec.absorb(black_box(p));
-                }
-                black_box(dec.recover())
-            })
         });
     }
     group.finish();
@@ -87,5 +51,5 @@ fn bench_encoding(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels, bench_encoding, bench_systematic);
+criterion_group!(benches, bench_kernels, bench_encoding);
 criterion_main!(benches);

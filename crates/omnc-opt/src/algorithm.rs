@@ -16,16 +16,18 @@
 //! coordinated by the subgradient update of `λ` (eq. (8)) under the
 //! diminishing step size `θ(t) = A/(B + C·t)`.
 //!
-//! This module is the *centralized* driver used by protocols and benches;
-//! [`crate::distributed`] runs the identical arithmetic through per-node
-//! message passing and is tested to produce the same iterates.
+//! This module is the *centralized* driver used by protocols and benches,
+//! for one session or for the `K` coupled sessions of [`crate::municast`];
+//! [`crate::distributed`] runs the identical single-session arithmetic
+//! through per-node message passing and is tested to produce the same
+//! iterates.
 
 use net_topo::dijkstra;
 use net_topo::graph::{Link, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 
 use crate::flow;
-use crate::instance::SUnicast;
+use crate::instance::{Coupling, SUnicast};
 use crate::step::StepSize;
 
 /// Tunable parameters of the rate-control algorithm.
@@ -46,9 +48,10 @@ pub struct RateControlParams {
     pub utility_weight: f64,
     /// Hard cap on iterations.
     pub max_iterations: usize,
-    /// Convergence threshold: the run stops once the recovered broadcast
-    /// vector moves less than `tolerance` (in capacity-normalized units)
-    /// over a full check window.
+    /// Convergence threshold: the run stops once the end-to-end rate the
+    /// recovered broadcast vectors support (summed over sessions) moves less
+    /// than `tolerance` (in capacity-normalized units) over a full check
+    /// window.
     pub tolerance: f64,
     /// Iterations between convergence checks.
     pub check_window: usize,
@@ -238,16 +241,7 @@ impl RateAllocation {
 ///
 /// Panics if `portfolio` is empty or contains invalid parameters.
 pub fn run_best(problem: &SUnicast, portfolio: &[RateControlParams]) -> RateAllocation {
-    assert!(!portfolio.is_empty(), "portfolio must not be empty");
-    portfolio
-        .iter()
-        .map(|params| RateControl::with_params(problem, *params).run())
-        .max_by(|a, b| {
-            a.throughput()
-                .partial_cmp(&b.throughput())
-                .expect("throughputs are finite")
-        })
-        .expect("non-empty portfolio")
+    best_of(problem, portfolio, false).0
 }
 
 /// [`run_best`] with per-iteration tracing enabled on every candidate,
@@ -265,13 +259,21 @@ pub fn run_best_traced(
     problem: &SUnicast,
     portfolio: &[RateControlParams],
 ) -> (RateAllocation, Trace) {
+    best_of(problem, portfolio, true)
+}
+
+fn best_of(
+    problem: &SUnicast,
+    portfolio: &[RateControlParams],
+    record_trace: bool,
+) -> (RateAllocation, Trace) {
     assert!(!portfolio.is_empty(), "portfolio must not be empty");
     portfolio
         .iter()
         .map(|params| {
-            RateControl::with_params(problem, *params)
-                .with_trace()
-                .run_traced()
+            let mut control = RateControl::with_params(problem, *params);
+            control.record_trace = record_trace;
+            control.run_traced()
         })
         .max_by(|(a, _), (b, _)| {
             a.throughput()
@@ -299,20 +301,31 @@ pub fn default_portfolio() -> Vec<RateControlParams> {
     ]
 }
 
-/// Centralized driver for the Table 1 algorithm on one sUnicast instance.
+/// Centralized driver for the Table 1 algorithm over `K ≥ 1` sessions that
+/// share one channel.
+///
+/// Routing (SUB1), the proximal rate update and the multipliers λ are per
+/// session; the congestion prices β are per receiver and shared, which is
+/// all Sec. 4.3's multiple-unicast extension adds. The sessions and the
+/// MAC rows that couple them are the only things that differ between one
+/// session on its own ([`RateControl::new`], [`RateControl::with_params`])
+/// and [`crate::municast::MUnicast::solve_distributed`].
 #[derive(Debug, Clone)]
 pub struct RateControl<'a> {
-    problem: &'a SUnicast,
+    sessions: &'a [SUnicast],
+    coupling: &'a Coupling,
     params: RateControlParams,
-    /// Shortest-path scaffold: the instance's links as a `Topology` over
-    /// local indices, rebuilt once (costs change every iteration, the
-    /// structure does not).
-    scaffold: Topology,
+    /// Shortest-path scaffold per session: the instance's links as a
+    /// `Topology` over local indices, rebuilt once (costs change every
+    /// iteration, the structure does not).
+    scaffolds: Vec<Topology>,
     record_trace: bool,
     profiler: telemetry::Profiler,
 }
 
-/// Internal iterate state, all in capacity-normalized units.
+/// Internal iterate state, all in capacity-normalized units. The first six
+/// fields are indexed `[session][local node or link]`, `beta` and `load`
+/// by site.
 ///
 /// Primal recovery uses *tail averaging*: the running averages restart when
 /// the window doubles (`t ≥ 2·window_start`), so the final average always
@@ -322,14 +335,29 @@ pub struct RateControl<'a> {
 /// cites (any convex combination with vanishing per-iterate weight works).
 #[derive(Debug, Clone)]
 struct State {
-    lambda: Vec<f64>,
+    lambda: Vec<Vec<f64>>,
+    b: Vec<Vec<f64>>,
+    b_avg: Vec<Vec<f64>>,
+    x_avg: Vec<Vec<f64>>,
+    /// SUB1's flow of the current iteration: `γ_t` on the links of the
+    /// session's shortest path, zero elsewhere.
+    x_step: Vec<Vec<f64>>,
+    /// SUB1's injected flow `γ_t` per session.
+    gamma_step: Vec<f64>,
     beta: Vec<f64>,
-    b: Vec<f64>,
-    b_avg: Vec<f64>,
-    x_avg: Vec<f64>,
+    /// The summed rate of all sessions at every site under the current `b`.
+    load: Vec<f64>,
     /// First iteration of the current averaging window.
     window_start: usize,
     t: usize,
+}
+
+/// A recovery candidate made feasible: per-session broadcast vectors after
+/// the joint MAC rescale, and the end-to-end rate each one supports.
+struct Candidate {
+    total: f64,
+    rates: Vec<f64>,
+    b: Vec<Vec<f64>>,
 }
 
 impl<'a> RateControl<'a> {
@@ -344,6 +372,20 @@ impl<'a> RateControl<'a> {
     ///
     /// Panics if any parameter is non-positive.
     pub fn with_params(problem: &'a SUnicast, params: RateControlParams) -> Self {
+        RateControl::coupled(std::slice::from_ref(problem), problem.coupling(), params)
+    }
+
+    /// Prepares a joint run of `sessions` (all of one capacity) under
+    /// `coupling`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any parameter is non-positive.
+    pub(crate) fn coupled(
+        sessions: &'a [SUnicast],
+        coupling: &'a Coupling,
+        params: RateControlParams,
+    ) -> Self {
         assert!(params.proximal_c > 0.0, "proximal_c must be positive");
         assert!(
             params.utility_weight > 0.0,
@@ -352,20 +394,26 @@ impl<'a> RateControl<'a> {
         assert!(params.max_iterations > 0, "max_iterations must be positive");
         assert!(params.tolerance > 0.0, "tolerance must be positive");
         assert!(params.check_window > 0, "check_window must be positive");
-        let links = problem
-            .links()
-            .map(|(_, l)| Link {
-                from: NodeId::new(l.from),
-                to: NodeId::new(l.to),
-                p: l.p,
+        let scaffolds = sessions
+            .iter()
+            .map(|problem| {
+                let links = problem
+                    .links()
+                    .map(|(_, l)| Link {
+                        from: NodeId::new(l.from),
+                        to: NodeId::new(l.to),
+                        p: l.p,
+                    })
+                    .collect();
+                Topology::from_links(problem.node_count().max(2), links)
+                    .expect("instance links form a valid graph")
             })
             .collect();
-        let scaffold = Topology::from_links(problem.node_count().max(2), links)
-            .expect("instance links form a valid graph");
         RateControl {
-            problem,
+            sessions,
+            coupling,
             params,
-            scaffold,
+            scaffolds,
             record_trace: false,
             profiler: telemetry::Profiler::disabled(),
         }
@@ -401,36 +449,18 @@ impl<'a> RateControl<'a> {
     /// Runs to convergence, also returning the iteration trace (empty unless
     /// [`RateControl::with_trace`] was called).
     pub fn run_traced(&self) -> (RateAllocation, Trace) {
+        let (mut allocations, trace) = self.run_sessions();
+        // The public constructors take exactly one session.
+        (allocations.remove(0), trace)
+    }
+
+    /// Runs to convergence and returns one feasible allocation per session,
+    /// in session order. A trace of `K` sessions concatenates their rate
+    /// vectors and reports joint scalars (total `γ_t`, total recovered
+    /// rate, the sum of the sessions' Lagrangians).
+    pub(crate) fn run_sessions(&self) -> (Vec<RateAllocation>, Trace) {
         let _run = self.profiler.span("opt.run");
-        let n = self.problem.node_count();
-        let m = self.problem.link_count();
-        // Informed dual initialization: λ starts proportional to the ETX
-        // link cost (1/p), scaled so the initial shortest-path cost is the
-        // utility weight (γ_1 ≈ capacity). Diminishing steps converge from
-        // any initialization (Sec. 3.3); starting from routing-aware prices
-        // spares the algorithm relearning that lossy links are expensive.
-        let sp0 = dijkstra::shortest_paths(&self.scaffold, NodeId::new(self.problem.src()), |l| {
-            1.0 / l.p
-        });
-        let etx_best = sp0
-            .cost(NodeId::new(self.problem.dst()))
-            .unwrap_or(1.0)
-            .max(1e-9);
-        let lambda0: Vec<f64> = self
-            .problem
-            .links()
-            .map(|(_, l)| self.params.utility_weight / (l.p * etx_best))
-            .collect();
-        let mut st = State {
-            lambda: lambda0,
-            beta: vec![0.0; n],
-            // "Set elements in b, x to small positive numbers" (Table 1).
-            b: vec![0.05; n],
-            b_avg: vec![0.0; n],
-            x_avg: vec![0.0; m],
-            window_start: 1,
-            t: 0,
-        };
+        let mut st = self.initial_state();
         let mut trace = Trace::default();
         let mut last_rate = f64::NEG_INFINITY;
         let mut converged = false;
@@ -439,9 +469,9 @@ impl<'a> RateControl<'a> {
             st.t += 1;
             self.iterate(&mut st, &mut trace);
             if st.t.is_multiple_of(self.params.check_window) {
-                // Stopping rule: the end-to-end rate supported by the
-                // recovered broadcast vector has stabilized.
-                let rate = self.supported_rate_of(&st);
+                // Stopping rule: the total end-to-end rate supported by the
+                // recovered broadcast vectors has stabilized.
+                let rate = self.preview(&st).total;
                 if (rate - last_rate).abs() < self.params.tolerance {
                     converged = true;
                     break;
@@ -453,115 +483,151 @@ impl<'a> RateControl<'a> {
         (self.finish(&st, converged), trace)
     }
 
+    /// Table 1, step 1.
+    fn initial_state(&self) -> State {
+        // Informed dual initialization: λ starts proportional to the ETX
+        // link cost (1/p), scaled so the initial shortest-path cost is the
+        // utility weight (γ_1 ≈ capacity). Diminishing steps converge from
+        // any initialization (Sec. 3.3); starting from routing-aware prices
+        // spares the algorithm relearning that lossy links are expensive.
+        let lambda0 = |(problem, scaffold): (&SUnicast, &Topology)| -> Vec<f64> {
+            let src = NodeId::new(problem.src());
+            let sp0 = dijkstra::shortest_paths(scaffold, src, |l| 1.0 / l.p);
+            let etx_best = sp0
+                .cost(NodeId::new(problem.dst()))
+                .unwrap_or(1.0)
+                .max(1e-9);
+            problem
+                .links()
+                .map(|(_, l)| self.params.utility_weight / (l.p * etx_best))
+                .collect()
+        };
+        let sized = |len: fn(&SUnicast) -> usize, fill: f64| -> Vec<Vec<f64>> {
+            self.sessions.iter().map(|p| vec![fill; len(p)]).collect()
+        };
+        State {
+            lambda: self
+                .sessions
+                .iter()
+                .zip(&self.scaffolds)
+                .map(lambda0)
+                .collect(),
+            // "Set elements in b, x to small positive numbers" (Table 1).
+            b: sized(SUnicast::node_count, 0.05),
+            b_avg: sized(SUnicast::node_count, 0.0),
+            x_avg: sized(SUnicast::link_count, 0.0),
+            x_step: sized(SUnicast::link_count, 0.0),
+            gamma_step: vec![0.0; self.sessions.len()],
+            beta: vec![0.0; self.coupling.site_count()],
+            load: vec![0.0; self.coupling.site_count()],
+            window_start: 1,
+            t: 0,
+        }
+    }
+
     /// One full iteration of Table 1 (steps 3–5) on normalized state.
     fn iterate(&self, st: &mut State, trace: &mut Trace) {
         let _iterate = self.profiler.span("iterate");
-        let problem = self.problem;
-        let n = problem.node_count();
         let theta = self.params.step.at(st.t);
-
-        // ---- Step 3, SUB1: shortest path under λ, inject γ = U'⁻¹(p_min).
-        let (x_step, gamma_t) = {
-            let _sub1 = self.profiler.span("sub1.shortest_path");
-            let lambda = &st.lambda;
-            let sp = dijkstra::shortest_paths(&self.scaffold, NodeId::new(problem.src()), |l| {
-                // Cost of a link is its multiplier; identify the link index by
-                // endpoints (the scaffold preserves insertion order but not ids,
-                // so we keep a lookup through the instance).
-                self.link_index(l.from.index(), l.to.index())
-                    .map(|e| lambda[e])
-                    .unwrap_or(f64::INFINITY)
-            });
-            let mut x_step = vec![0.0; problem.link_count()];
-            let gamma_t;
-            if let Some(path) = sp.path_to(NodeId::new(problem.dst())) {
-                let p_min: f64 = sp.cost(NodeId::new(problem.dst())).expect("path exists");
-                // U(γ) = w·ln γ ⇒ γ = w / p_min, clamped to the capacity.
-                gamma_t = if p_min <= 1e-12 {
-                    1.0
-                } else {
-                    (self.params.utility_weight / p_min).min(1.0)
-                };
-                for w in path.windows(2) {
-                    let e = self
-                        .link_index(w[0].index(), w[1].index())
-                        .expect("path follows instance links");
-                    x_step[e] = gamma_t;
-                }
-            } else {
-                gamma_t = 0.0;
-            }
-            // Primal recovery (13): averaging over the current tail window;
-            // restart once the window has doubled so early transients fade.
-            if st.t >= 2 * st.window_start && st.t > 4 {
-                st.window_start = st.t;
-            }
-            let span = (st.t - st.window_start + 1) as f64;
-            for (avg, inst) in st.x_avg.iter_mut().zip(&x_step) {
-                *avg += (inst - *avg) / span;
-            }
-            (x_step, gamma_t)
-        };
+        // Primal recovery (13), (18) averages over the current tail window;
+        // restart once the window has doubled so early transients fade.
+        if st.t >= 2 * st.window_start && st.t > 4 {
+            st.window_start = st.t;
+        }
         let span = (st.t - st.window_start + 1) as f64;
+
+        {
+            // ---- Step 3, SUB1: shortest path under λ, inject γ = U'⁻¹(p_min).
+            let _sub1 = self.profiler.span("sub1.shortest_path");
+            for (k, problem) in self.sessions.iter().enumerate() {
+                let lambda = &st.lambda[k];
+                let sp =
+                    dijkstra::shortest_paths(&self.scaffolds[k], NodeId::new(problem.src()), |l| {
+                        // Cost of a link is its multiplier; identify the link index by
+                        // endpoints (the scaffold preserves insertion order but not ids,
+                        // so we keep a lookup through the instance).
+                        link_index(problem, l.from.index(), l.to.index())
+                            .map(|e| lambda[e])
+                            .unwrap_or(f64::INFINITY)
+                    });
+                let x_step = &mut st.x_step[k];
+                x_step.fill(0.0);
+                st.gamma_step[k] = if let Some(path) = sp.path_to(NodeId::new(problem.dst())) {
+                    let p_min: f64 = sp.cost(NodeId::new(problem.dst())).expect("path exists");
+                    // U(γ) = w·ln γ ⇒ γ = w / p_min, clamped to the capacity.
+                    let gamma_t = if p_min <= 1e-12 {
+                        1.0
+                    } else {
+                        (self.params.utility_weight / p_min).min(1.0)
+                    };
+                    for w in path.windows(2) {
+                        let e = link_index(problem, w[0].index(), w[1].index())
+                            .expect("path follows instance links");
+                        x_step[e] = gamma_t;
+                    }
+                    gamma_t
+                } else {
+                    0.0
+                };
+                for (avg, inst) in st.x_avg[k].iter_mut().zip(x_step.iter()) {
+                    *avg += (inst - *avg) / span;
+                }
+            }
+        }
 
         {
             // ---- Step 4, SUB2: proximal update of b, congestion prices β.
             let _sub2 = self.profiler.span("sub2.proximal");
-            // w_i = Σ_j λ_ij p_ij over outgoing links (eq. after (14)).
-            let mut w = vec![0.0; n];
-            for (id, link) in problem.links() {
-                w[link.from] += st.lambda[id.index()] * link.p;
-            }
-            let mut b_new = st.b.clone();
-            for i in 0..n {
-                // β_S ≡ 0: eq. (4) constrains receivers i ∈ V \ S only.
-                let price: f64 = st.beta[i]
-                    + problem
-                        .neighbors(i)
-                        .iter()
-                        .map(|&j| st.beta[j])
-                        .sum::<f64>();
-                let grad = w[i] - price;
-                // Loose bounds 0 ≤ b_i ≤ C keep iterates bounded (Sec. 3.3).
-                b_new[i] = (st.b[i] + grad / (2.0 * self.params.proximal_c)).clamp(0.0, 1.0);
-            }
-            st.b = b_new;
-            // Congestion price update (15) from the instantaneous load.
-            for i in 0..n {
-                if i == problem.src() {
-                    continue; // no MAC constraint row at the source
+            for (k, problem) in self.sessions.iter().enumerate() {
+                // w_i = Σ_j λ_ij p_ij over outgoing links (eq. after (14)).
+                let mut w = vec![0.0; problem.node_count()];
+                for (id, link) in problem.links() {
+                    w[link.from] += st.lambda[k][id.index()] * link.p;
                 }
-                let load: f64 =
-                    st.b[i] + problem.neighbors(i).iter().map(|&j| st.b[j]).sum::<f64>();
-                st.beta[i] = (st.beta[i] + theta * (load - 1.0)).max(0.0);
+                for ((b, &g), w) in st.b[k].iter_mut().zip(self.coupling.sites(k)).zip(&w) {
+                    // A transmitter pays the price of every row it loads;
+                    // sites without a row keep β ≡ 0.
+                    let grad = w - self.coupling.around(g, &st.beta);
+                    // Loose bounds 0 ≤ b_i ≤ C keep iterates bounded (Sec. 3.3).
+                    *b = (*b + grad / (2.0 * self.params.proximal_c)).clamp(0.0, 1.0);
+                }
+                for (avg, inst) in st.b_avg[k].iter_mut().zip(&st.b[k]) {
+                    *avg += (inst - *avg) / span;
+                }
             }
-            // Primal recovery (18) for b, over the same tail window.
-            for (avg, inst) in st.b_avg.iter_mut().zip(&st.b) {
-                *avg += (inst - *avg) / span;
+            // Congestion price update (15) from the joint instantaneous load.
+            self.coupling.site_loads(&st.b, &mut st.load);
+            for &g in self.coupling.rows() {
+                let load = self.coupling.around(g, &st.load);
+                st.beta[g] = (st.beta[g] + theta * (load - 1.0)).max(0.0);
             }
         }
 
         {
             // ---- Step 5: multiplier update (8): λ ← [λ − θ(b_i·p_ij − x_ij)]⁺.
             let _dual = self.profiler.span("dual_update");
-            for (id, link) in problem.links() {
-                let e = id.index();
-                let slack = st.b[link.from] * link.p - x_step[e];
-                st.lambda[e] = (st.lambda[e] - theta * slack).max(0.0);
+            for (k, problem) in self.sessions.iter().enumerate() {
+                for (id, link) in problem.links() {
+                    let e = id.index();
+                    let slack = st.b[k][link.from] * link.p - st.x_step[k][e];
+                    st.lambda[k][e] = (st.lambda[k][e] - theta * slack).max(0.0);
+                }
             }
         }
 
         if self.record_trace {
-            let cap = problem.capacity();
-            trace.b_instant.push(st.b.iter().map(|v| v * cap).collect());
+            let cap = self.sessions[0].capacity();
+            let absolute = |b: &[Vec<f64>]| b.iter().flatten().map(|v| v * cap).collect();
+            let preview = self.preview(st);
+            trace.b_instant.push(absolute(&st.b));
+            trace.b_recovered.push(absolute(&st.b_avg));
+            trace.b_allocated.push(absolute(&preview.b));
             trace
-                .b_recovered
-                .push(st.b_avg.iter().map(|v| v * cap).collect());
-            trace.b_allocated.push(self.allocation_preview(st, cap));
-            trace.gamma_step.push(gamma_t * cap);
+                .gamma_step
+                .push(st.gamma_step.iter().sum::<f64>() * cap);
             trace
                 .records
-                .push(self.record_iteration(st, theta, gamma_t, &x_step, cap));
+                .push(self.record_iteration(st, theta, &preview, cap));
         }
     }
 
@@ -570,58 +636,58 @@ impl<'a> RateControl<'a> {
         &self,
         st: &State,
         theta: f64,
-        gamma_t: f64,
-        x_step: &[f64],
+        preview: &Candidate,
         cap: f64,
     ) -> IterationRecord {
-        let problem = self.problem;
         let w_util = self.params.utility_weight;
-        let mut dual = w_util * gamma_t.max(1e-12).ln();
+        let mut dual = 0.0;
         let mut max_violation = 0.0f64;
-        for (id, link) in problem.links() {
-            let e = id.index();
-            let slack = st.b[link.from] * link.p - x_step[e];
-            dual += st.lambda[e] * slack;
-            max_violation = max_violation.max(-slack);
-        }
-        for i in 0..problem.node_count() {
-            if i == problem.src() {
-                continue;
+        for (k, problem) in self.sessions.iter().enumerate() {
+            dual += w_util * st.gamma_step[k].max(1e-12).ln();
+            for (id, link) in problem.links() {
+                let e = id.index();
+                let slack = st.b[k][link.from] * link.p - st.x_step[k][e];
+                dual += st.lambda[k][e] * slack;
+                max_violation = max_violation.max(-slack);
             }
-            let load: f64 = st.b[i] + problem.neighbors(i).iter().map(|&j| st.b[j]).sum::<f64>();
-            max_violation = max_violation.max(load - 1.0);
         }
-        let recovered = self.supported_rate_of(st);
+        for &g in self.coupling.rows() {
+            max_violation = max_violation.max(self.coupling.around(g, &st.load) - 1.0);
+        }
+        let recovered_utility: f64 = preview
+            .rates
+            .iter()
+            .map(|rate| w_util * rate.max(1e-12).ln())
+            .sum();
         IterationRecord {
             iter: st.t as u64,
             step_size: theta,
-            gamma: gamma_t * cap,
+            gamma: st.gamma_step.iter().sum::<f64>() * cap,
             dual_value: dual,
             max_violation,
-            recovered_rate: recovered * cap,
-            recovery_gap: dual - w_util * recovered.max(1e-12).ln(),
+            recovered_rate: preview.total * cap,
+            recovery_gap: dual - recovered_utility,
         }
     }
 
-    /// Converts the recovered normalized iterates into a feasible absolute
-    /// allocation.
+    /// Converts the recovered normalized iterates into feasible absolute
+    /// allocations, one per session.
     ///
     /// Two primal-recovery candidates are formed, both made feasible by
     /// rescaling onto the MAC region (the paper notes feasible schedules are
     /// generated "by rescaling the broadcast rate"):
     ///
-    /// 1. the averaged broadcast vector `b̄` of eq. (18);
-    /// 2. the broadcast vector implied by the averaged *flows* `x̄` of
+    /// 1. the averaged broadcast vectors `b̄` of eq. (18);
+    /// 2. the broadcast vectors implied by the averaged *flows* `x̄` of
     ///    eq. (13) — "a multipath routing scheme that appropriately assigns
     ///    rate to all links" — with `b_i = max_j x̄_ij / p_ij` (coupling (5)
     ///    tight).
     ///
-    /// The candidate supporting the larger end-to-end max flow wins; both
-    /// are feasible, so this only improves the allocation.
-    fn finish(&self, st: &State, converged: bool) -> RateAllocation {
+    /// The candidate supporting the larger total end-to-end max flow wins;
+    /// both are feasible, so this only improves the allocation.
+    fn finish(&self, st: &State, converged: bool) -> Vec<RateAllocation> {
         let _recovery = self.profiler.span("primal_recovery");
-        let problem = self.problem;
-        let (rate_norm, b_norm) = match self.params.recovery {
+        let chosen = match self.params.recovery {
             Recovery::AveragedB => self.rescaled(&st.b_avg),
             Recovery::FlowDerived => self.rescaled(&self.b_from_flows(&st.x_avg)),
             Recovery::LastIterate => self.rescaled(&st.b),
@@ -630,99 +696,113 @@ impl<'a> RateControl<'a> {
                 // Third candidate: the elementwise union of the two
                 // recoveries — often best when b̄ funds relays the flow
                 // average missed.
-                let union: Vec<f64> = st
+                let union: Vec<Vec<f64>> = st
                     .b_avg
                     .iter()
                     .zip(&from_flows)
-                    .map(|(a, b)| a.max(*b))
+                    .map(|(avg, flows)| avg.iter().zip(flows).map(|(a, b)| a.max(*b)).collect())
                     .collect();
-                let (rate_a, b_a) = self.rescaled(&st.b_avg);
-                let (rate_b, b_b) = self.rescaled(&from_flows);
-                let (rate_c, b_c) = self.rescaled(&union);
-                let mut best = (rate_a, b_a);
-                for cand in [(rate_b, b_b), (rate_c, b_c)] {
-                    if cand.0 > best.0 {
+                let mut best = self.rescaled(&st.b_avg);
+                for cand in [self.rescaled(&from_flows), self.rescaled(&union)] {
+                    if cand.total > best.total {
                         best = cand;
                     }
                 }
                 best
             }
         };
-        let (_, x_norm) = flow::supported_rate(problem, &b_norm);
 
-        let cap = problem.capacity();
-        RateAllocation {
-            b: b_norm.iter().map(|v| v * cap).collect(),
-            x: x_norm.iter().map(|v| v * cap).collect(),
-            throughput: rate_norm * cap,
-            iterations: st.t,
-            converged,
-        }
+        let cap = self.sessions[0].capacity();
+        self.sessions
+            .iter()
+            .zip(chosen.b.iter().zip(&chosen.rates))
+            .map(|(problem, (b_norm, rate_norm))| {
+                let (_, x_norm) = flow::supported_rate(problem, b_norm);
+                RateAllocation {
+                    b: b_norm.iter().map(|v| v * cap).collect(),
+                    x: x_norm.iter().map(|v| v * cap).collect(),
+                    throughput: rate_norm * cap,
+                    iterations: st.t,
+                    converged,
+                }
+            })
+            .collect()
     }
 
-    /// The minimal broadcast vector that supports flow vector `x` through
+    /// The minimal broadcast vectors that support flow vectors `x` through
     /// constraint (5).
-    fn b_from_flows(&self, x: &[f64]) -> Vec<f64> {
-        let problem = self.problem;
-        let mut b = vec![0.0f64; problem.node_count()];
-        for (id, link) in problem.links() {
-            b[link.from] = b[link.from].max(x[id.index()] / link.p);
-        }
-        b
+    fn b_from_flows(&self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
+        self.sessions
+            .iter()
+            .zip(x)
+            .map(|(problem, x)| {
+                let mut b = vec![0.0f64; problem.node_count()];
+                for (id, link) in problem.links() {
+                    b[link.from] = b[link.from].max(x[id.index()] / link.p);
+                }
+                b
+            })
+            .collect()
     }
 
-    /// Rescales `b` onto the boundary of the MAC region and returns its
-    /// supported rate. The paper generates feasible schedules "by rescaling
-    /// the broadcast rate"; scaling *up* to the first binding neighborhood
-    /// constraint keeps the optimizer's proportions while leaving no
-    /// capacity idle (the LP optimum itself saturates its bottleneck).
-    fn rescaled(&self, b: &[f64]) -> (f64, Vec<f64>) {
-        let problem = self.problem;
+    /// Rescales the sessions' `b` jointly onto the boundary of the MAC
+    /// region and returns the rates they then support. The paper generates
+    /// feasible schedules "by rescaling the broadcast rate"; scaling *up* to
+    /// the first binding neighborhood constraint keeps the optimizer's
+    /// proportions while leaving no capacity idle (the LP optimum itself
+    /// saturates its bottleneck).
+    fn rescaled(&self, b: &[Vec<f64>]) -> Candidate {
+        let mut load = vec![0.0; self.coupling.site_count()];
+        self.coupling.site_loads(b, &mut load);
         let mut worst_load = 0.0f64;
-        for i in 0..problem.node_count() {
-            if i == problem.src() {
-                continue;
-            }
-            let load: f64 = b[i] + problem.neighbors(i).iter().map(|&j| b[j]).sum::<f64>();
-            worst_load = worst_load.max(load);
+        for &g in self.coupling.rows() {
+            worst_load = worst_load.max(self.coupling.around(g, &load));
         }
         let scale = if worst_load > 1e-12 {
             1.0 / worst_load
         } else {
             1.0
         };
-        let b_norm: Vec<f64> = b.iter().map(|v| (v * scale).clamp(0.0, 1.0)).collect();
-        let (rate, _) = flow::supported_rate(problem, &b_norm);
-        (rate, b_norm)
-    }
-
-    /// The normalized end-to-end rate the current recovered state supports
-    /// (best of the two recovery candidates); used by the stopping rule.
-    fn supported_rate_of(&self, st: &State) -> f64 {
-        let _recovery = self.profiler.span("primal_recovery");
-        let (rate_a, _) = self.rescaled(&st.b_avg);
-        let (rate_b, _) = self.rescaled(&self.b_from_flows(&st.x_avg));
-        rate_a.max(rate_b)
-    }
-
-    /// The rates the protocol would deploy if the run stopped now (best
-    /// recovery candidate, MAC-rescaled), in absolute units — recorded for
-    /// convergence plots.
-    fn allocation_preview(&self, st: &State, cap: f64) -> Vec<f64> {
-        let (rate_a, b_a) = self.rescaled(&st.b_avg);
-        let (rate_b, b_b) = self.rescaled(&self.b_from_flows(&st.x_avg));
-        let chosen = if rate_a >= rate_b { b_a } else { b_b };
-        chosen.iter().map(|v| v * cap).collect()
-    }
-
-    fn link_index(&self, from: usize, to: usize) -> Option<usize> {
-        // Linear scan over the transmitter's out-links; instances are sparse.
-        self.problem
-            .out_links(from)
+        let b: Vec<Vec<f64>> = b
             .iter()
-            .find(|l| self.problem.link(**l).to == to)
-            .map(|l| l.index())
+            .map(|b| b.iter().map(|v| (v * scale).clamp(0.0, 1.0)).collect())
+            .collect();
+        let rates: Vec<f64> = self
+            .sessions
+            .iter()
+            .zip(&b)
+            .map(|(problem, b)| flow::supported_rate(problem, b).0)
+            .collect();
+        Candidate {
+            total: rates.iter().sum(),
+            rates,
+            b,
+        }
     }
+
+    /// What the protocol would deploy if the run stopped now: the better of
+    /// the two recovery candidates (`b̄` on ties), MAC-rescaled. Its total
+    /// rate drives the stopping rule; traces record it for convergence
+    /// plots.
+    fn preview(&self, st: &State) -> Candidate {
+        let _recovery = self.profiler.span("primal_recovery");
+        let averaged = self.rescaled(&st.b_avg);
+        let from_flows = self.rescaled(&self.b_from_flows(&st.x_avg));
+        if averaged.total >= from_flows.total {
+            averaged
+        } else {
+            from_flows
+        }
+    }
+}
+
+fn link_index(problem: &SUnicast, from: usize, to: usize) -> Option<usize> {
+    // Linear scan over the transmitter's out-links; instances are sparse.
+    problem
+        .out_links(from)
+        .iter()
+        .find(|l| problem.link(**l).to == to)
+        .map(|l| l.index())
 }
 
 #[cfg(test)]

@@ -27,6 +27,95 @@ pub struct InstanceLink {
     pub p: f64,
 }
 
+/// The broadcast-MAC coupling of eq. (4) over `K ≥ 1` sessions: which
+/// receivers own a row — and with it a congestion price β — and which
+/// `(session, node)` pairs load and pay each one.
+///
+/// Nodes are named by *site*: the physical node a session-local node sits
+/// on (the local index itself for one session, the topology id on a shared
+/// mesh). Row `g` reads
+///
+/// ```text
+///   Σ_k b_g^k  +  Σ_{j ∈ N(g)}  Σ_k b_j^k   ≤   C
+/// ```
+///
+/// and exists for every site that is a non-source node of at least one
+/// session: eq. (4) constrains receivers, so a site that only ever
+/// originates traffic has none, and neither has a site no session selected.
+/// The rate-control engine, both exact LPs and the feasibility check read
+/// their rows from here.
+#[derive(Debug, Clone)]
+pub(crate) struct Coupling {
+    /// `site[k][i]`: the site of local node `i` of session `k`.
+    site: Vec<Vec<usize>>,
+    /// In-range sites of every site. The order is the summation order of
+    /// every row and price, so it is part of the arithmetic.
+    neighbors: Vec<Vec<usize>>,
+    /// Sites that own a row, ascending.
+    rows: Vec<usize>,
+}
+
+impl Coupling {
+    /// Couples sessions whose local nodes sit on `site[k][i]` and whose
+    /// sources are the local indices `sources[k]`, over the interference
+    /// neighborhoods `neighbors` (indexed by site).
+    pub(crate) fn new(
+        site: Vec<Vec<usize>>,
+        sources: &[usize],
+        neighbors: Vec<Vec<usize>>,
+    ) -> Self {
+        let mut receives = vec![false; neighbors.len()];
+        for (sites, &src) in site.iter().zip(sources) {
+            for (i, &g) in sites.iter().enumerate() {
+                receives[g] |= i != src;
+            }
+        }
+        let rows = (0..neighbors.len()).filter(|&g| receives[g]).collect();
+        Coupling {
+            site,
+            neighbors,
+            rows,
+        }
+    }
+
+    /// Number of sites (the length of every per-site vector).
+    pub(crate) fn site_count(&self) -> usize {
+        self.neighbors.len()
+    }
+
+    /// The sites of session `k`'s local nodes.
+    pub(crate) fn sites(&self, k: usize) -> &[usize] {
+        &self.site[k]
+    }
+
+    /// In-range sites of site `g`, excluding `g`.
+    pub(crate) fn neighbors(&self, g: usize) -> &[usize] {
+        &self.neighbors[g]
+    }
+
+    /// The receivers that own a row, ascending.
+    pub(crate) fn rows(&self) -> &[usize] {
+        &self.rows
+    }
+
+    /// Sums the per-site quantity `v` over `g` and its neighborhood: a
+    /// row's load when `v` holds site loads, the price a transmitter at
+    /// `g` pays when `v` holds β.
+    pub(crate) fn around(&self, g: usize, v: &[f64]) -> f64 {
+        v[g] + self.neighbors[g].iter().map(|&j| v[j]).sum::<f64>()
+    }
+
+    /// The summed rate of all sessions at every site, into `load`.
+    pub(crate) fn site_loads(&self, b: &[Vec<f64>], load: &mut [f64]) {
+        load.fill(0.0);
+        for (sites, b) in self.site.iter().zip(b) {
+            for (&g, rate) in sites.iter().zip(b) {
+                load[g] += rate;
+            }
+        }
+    }
+}
+
 /// A self-contained sUnicast instance over compact local node indices.
 ///
 /// Nodes of the forwarder selection are re-indexed `0..n` (the mapping back
@@ -44,8 +133,10 @@ pub struct SUnicast {
     links: Vec<InstanceLink>,
     out: Vec<Vec<LinkId>>,
     inn: Vec<Vec<LinkId>>,
-    /// Interference neighborhood per local node (excluding the node itself).
-    neighbors: Vec<Vec<usize>>,
+    /// This session alone on the channel: sites are the local indices, the
+    /// neighborhoods are the selected nodes in range, every node but the
+    /// source owns a row.
+    coupling: Coupling,
 }
 
 impl SUnicast {
@@ -88,17 +179,19 @@ impl SUnicast {
                     .collect()
             })
             .collect();
+        let src = local[&selection.src()];
+        let coupling = Coupling::new(vec![(0..nodes.len()).collect()], &[src], neighbors);
 
         SUnicast {
             capacity,
-            src: local[&selection.src()],
+            src,
             dst: local[&selection.dst()],
             nodes,
             local,
             links,
             out,
             inn,
-            neighbors,
+            coupling,
         }
     }
 
@@ -168,7 +261,12 @@ impl SUnicast {
     /// Interference neighborhood of local node `i` (selected nodes within
     /// range, excluding `i`).
     pub fn neighbors(&self, i: usize) -> &[usize] {
-        &self.neighbors[i]
+        self.coupling.neighbors(i)
+    }
+
+    /// The MAC coupling of this session alone on the channel.
+    pub(crate) fn coupling(&self) -> &Coupling {
+        &self.coupling
     }
 
     /// The flow-conservation supply `σ(i)` of eq. (2) for a unit throughput:
@@ -219,11 +317,8 @@ impl SUnicast {
             }
         }
         // (4) broadcast MAC.
-        for i in 0..self.node_count() {
-            if i == self.src {
-                continue;
-            }
-            let load: f64 = b[i] + self.neighbors[i].iter().map(|&j| b[j]).sum::<f64>();
+        for &i in self.coupling.rows() {
+            let load = self.coupling.around(i, b);
             if load > self.capacity + eps {
                 return Some(format!("MAC constraint at node {i}: load {load}"));
             }

@@ -17,12 +17,22 @@
 //! * [`SUnicast`] — the problem instance, built from a forwarder selection;
 //! * [`lp`] — the exact LP solution via the `omnc-simplex-lp` substrate,
 //!   used as the reference optimum;
-//! * [`RateControl`] — the centralized driver of the paper's Table 1
-//!   algorithm (Lagrangian decomposition, subgradient updates with
-//!   diminishing step sizes, proximal regularization and primal recovery);
+//! * [`RateControl`] — the one engine for the paper's Table 1 algorithm
+//!   (Lagrangian decomposition, subgradient updates with diminishing step
+//!   sizes, proximal regularization, stopping rule and primal recovery),
+//!   written over `K ≥ 1` sessions and one MAC coupling: the rows of
+//!   eq. (4), i.e. which receivers own a congestion price β and which
+//!   `(session, node)` pairs load and pay it. Routing, rates and λ are per
+//!   session; β is shared. A single session is `K = 1`;
+//! * [`municast`] — the multiple-unicast problem of Sec. 4.3: `K`
+//!   sessions on one mesh, its exact joint LP, and
+//!   [`municast::MUnicast::solve_distributed`], which is [`RateControl`]
+//!   over those sessions and rows — bit-identical to the single-session
+//!   driver when `K = 1`;
 //! * [`distributed`] — the same algorithm realized as per-node state
 //!   machines exchanging messages with neighbors only, demonstrating that
-//!   every update in Table 1 is local;
+//!   every update in Table 1 is local (the reference the engine is tested
+//!   against);
 //! * [`flow`] — a max-flow helper that converts a broadcast-rate vector
 //!   into the end-to-end information rate it can support.
 //!

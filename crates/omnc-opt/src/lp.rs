@@ -55,10 +55,7 @@ pub fn build_lp(problem: &SUnicast) -> LpProblem {
     }
 
     // (4) broadcast MAC: b_i + Σ_{j∈N(i)} b_j ≤ C for every i ≠ S.
-    for i in 0..n {
-        if i == problem.src() {
-            continue;
-        }
+    for &i in problem.coupling().rows() {
         let mut coeffs = vec![(var_b(problem, i), 1.0)];
         for &j in problem.neighbors(i) {
             coeffs.push((var_b(problem, j), 1.0));

@@ -8,23 +8,26 @@
 //! `b_i^k`, and the MAC constraint (4) couples the session totals —
 //!
 //! ```text
-//!   Σ_k b_i^k  +  Σ_{j ∈ N(i)}  Σ_k b_j^k   ≤   C      ∀ i ∉ sources
+//!   Σ_k b_i^k  +  Σ_{j ∈ N(i)}  Σ_k b_j^k   ≤   C
 //! ```
 //!
-//! while flow conservation (2) and the loss coupling (5) hold per session.
-//! The objective maximizes the sum of session throughputs (optionally
-//! weighted), and the same Lagrangian machinery applies: per-session λ and
-//! SUB1 shortest paths, *shared* congestion prices β coordinating SUB2
-//! across sessions.
+//! with one such row for every node `i` that receives in some session, i.e.
+//! is a non-source node of at least one ([`MUnicast::mac_rows`]); flow
+//! conservation (2) and the loss coupling (5) hold per session. The
+//! objective maximizes the sum of session throughputs.
+//!
+//! There is no second solver here: [`MUnicast::solve_distributed`] hands
+//! its sessions and those rows to [`RateControl`], which shares the
+//! congestion prices β per receiver, and [`MUnicast::solve_exact`] writes
+//! the same rows into the LP oracle.
 
 use net_topo::graph::{NodeId, Topology};
 use net_topo::select::Selection;
 use simplex_lp::{LpProblem, Relation};
 
 use crate::error::OptError;
-use crate::instance::SUnicast;
-use crate::step::StepSize;
-use crate::RateControlParams;
+use crate::instance::{Coupling, SUnicast};
+use crate::{RateControl, RateControlParams};
 
 /// A multiple-unicast problem: per-session instances over a common
 /// topology, coupled through the shared interference neighborhoods.
@@ -32,16 +35,12 @@ use crate::RateControlParams;
 pub struct MUnicast {
     capacity: f64,
     sessions: Vec<SUnicast>,
-    /// Global node count of the underlying topology.
-    nodes: usize,
-    /// Interference neighborhoods over *global* node ids.
-    neighbors: Vec<Vec<usize>>,
-    /// Global ids of nodes that act as a source in at least one session
-    /// (the MAC rows are per receiver, i.e. every other participating node).
-    source_ids: Vec<usize>,
+    /// The shared MAC rows; its sites are the topology's node ids.
+    coupling: Coupling,
 }
 
-/// The exact LP optimum of a multi-unicast instance.
+/// A per-session allocation of a multi-unicast instance (the LP optimum or
+/// the distributed solution).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MUnicastSolution {
     /// Per-session throughputs γ_k.
@@ -67,17 +66,19 @@ impl MUnicast {
             .iter()
             .map(|sel| SUnicast::from_selection(topology, sel, capacity))
             .collect();
+        let site = sessions
+            .iter()
+            .map(|s| (0..s.node_count()).map(|i| s.node_id(i).index()).collect())
+            .collect();
+        let sources: Vec<usize> = sessions.iter().map(SUnicast::src).collect();
         let neighbors = topology
             .nodes()
             .map(|v| topology.neighbors(v).iter().map(|w| w.index()).collect())
             .collect();
-        let source_ids = selections.iter().map(|sel| sel.src().index()).collect();
         MUnicast {
             capacity,
             sessions,
-            nodes: topology.len(),
-            neighbors,
-            source_ids,
+            coupling: Coupling::new(site, &sources, neighbors),
         }
     }
 
@@ -94,6 +95,15 @@ impl MUnicast {
     /// Number of sessions.
     pub fn session_count(&self) -> usize {
         self.sessions.len()
+    }
+
+    /// The shared MAC rows of eq. (4), as `(receiver, in-range nodes)` in
+    /// topology ids: the summed rates of all sessions at the receiver and
+    /// at the nodes in range of it must fit in the capacity. A node owns a
+    /// row when it is a non-source node of at least one session.
+    pub fn mac_rows(&self) -> impl Iterator<Item = (usize, &[usize])> + '_ {
+        let rows = self.coupling.rows().iter();
+        rows.map(|&g| (g, self.coupling.neighbors(g)))
     }
 
     /// Solves the coupled LP exactly: `max Σ_k γ_k` under per-session flow
@@ -147,32 +157,16 @@ impl MUnicast {
             }
         }
 
-        // Shared MAC rows over global node ids: for every global node g that
-        // participates anywhere (and is not a pure source of every session
-        // it serves), the summed session rates in N(g) ∪ {g} fit in C.
-        for g in 0..self.nodes {
+        // Shared MAC rows: the summed session rates at the receiver and in
+        // range of it fit in C.
+        for (g, in_range) in self.mac_rows() {
             let mut coeffs: Vec<(usize, f64)> = Vec::new();
             for (k, s) in self.sessions.iter().enumerate() {
-                let mut add = |global: usize| {
-                    if let Some(local) = s.local_index(NodeId::new(global)) {
+                for &node in std::iter::once(&g).chain(in_range) {
+                    if let Some(local) = s.local_index(NodeId::new(node)) {
                         coeffs.push((var_b(k, local), 1.0));
                     }
-                };
-                add(g);
-                for &nb in &self.neighbors[g] {
-                    add(nb);
                 }
-            }
-            // Skip rows for nodes that hear nobody, and for pure sources
-            // (eq. (4) constrains receivers; a source that also relays or
-            // receives for another session still gets its row).
-            let is_pure_source = self.source_ids.contains(&g)
-                && self.sessions.iter().all(|s| {
-                    s.local_index(NodeId::new(g))
-                        .is_none_or(|local| local == s.src())
-                });
-            if coeffs.is_empty() || is_pure_source {
-                continue;
             }
             lp.push_constraint(&coeffs, Relation::Le, self.capacity);
         }
@@ -195,211 +189,30 @@ impl MUnicast {
         })
     }
 
-    /// Distributed solution: the Table 1 machinery extended with *shared*
-    /// congestion prices. Each iteration runs SUB1 per session (shortest
-    /// path under the session's λ), then a joint SUB2 where every node's
-    /// price reflects the summed load of all sessions. Returns per-session
-    /// feasible broadcast vectors (instance-local indexing) and the
-    /// supported throughputs.
+    /// Distributed solution: the Table 1 algorithm ([`RateControl`]) run
+    /// over all sessions with *shared* congestion prices — SUB1 per session
+    /// (shortest path under the session's λ), then a joint SUB2 where every
+    /// receiver's price reflects the summed load of all sessions. Stopping
+    /// rule and primal recovery are the engine's, read for the total rate.
+    /// Returns per-session feasible broadcast vectors (instance-local
+    /// indexing) and the supported throughputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any parameter is non-positive.
     pub fn solve_distributed(&self, params: &RateControlParams) -> MUnicastSolution {
-        let k_count = self.sessions.len();
-        // Per-session state mirrors the single-session driver.
-        struct S {
-            lambda: Vec<f64>,
-            b: Vec<f64>,
-            b_avg: Vec<f64>,
-            x_avg: Vec<f64>,
-        }
-        let mut st: Vec<S> = self
-            .sessions
-            .iter()
-            .map(|s| {
-                // Informed dual initialization, as in the single-session
-                // driver: λ ∝ ETX link cost, normalized by the best-path
-                // ETX so the initial shortest-path cost is ~utility_weight.
-                let mut dist = vec![f64::INFINITY; s.node_count()];
-                dist[s.dst()] = 0.0;
-                for _ in 0..s.node_count() {
-                    let mut changed = false;
-                    for u in 0..s.node_count() {
-                        for l in s.out_links(u) {
-                            let link = s.link(*l);
-                            let cand = dist[link.to] + 1.0 / link.p;
-                            if cand < dist[u] {
-                                dist[u] = cand;
-                                changed = true;
-                            }
-                        }
-                    }
-                    if !changed {
-                        break;
-                    }
-                }
-                let etx_best = dist[s.src()].max(1e-9);
-                S {
-                    lambda: s
-                        .links()
-                        .map(|(_, l)| params.utility_weight / (l.p * etx_best))
-                        .collect(),
-                    b: vec![0.05; s.node_count()],
-                    b_avg: vec![0.0; s.node_count()],
-                    x_avg: vec![0.0; s.link_count()],
-                }
-            })
-            .collect();
-        // Shared congestion prices over *global* node ids.
-        let mut beta = vec![0.0f64; self.nodes];
-        let mut window_start = 1usize;
-
-        let scaffolds: Vec<Topology> = self
-            .sessions
-            .iter()
-            .map(|s| {
-                let links = s
-                    .links()
-                    .map(|(_, l)| net_topo::graph::Link {
-                        from: NodeId::new(l.from),
-                        to: NodeId::new(l.to),
-                        p: l.p,
-                    })
-                    .collect();
-                Topology::from_links(s.node_count().max(2), links)
-                    .expect("instance links form a valid graph")
-            })
-            .collect();
-
-        for t in 1..=params.max_iterations {
-            let theta = match params.step {
-                StepSize::Diminishing { a, b, c } => a / (b + c * t as f64),
-                StepSize::Constant(v) => v,
-            };
-            if t >= 2 * window_start && t > 4 {
-                window_start = t;
-            }
-            let span = (t - window_start + 1) as f64;
-
-            // Global load per node accumulates across sessions this round.
-            let mut load = vec![0.0f64; self.nodes];
-
-            for (k, s) in self.sessions.iter().enumerate() {
-                // SUB1 for session k.
-                let lambda = &st[k].lambda;
-                let sp =
-                    net_topo::dijkstra::shortest_paths(&scaffolds[k], NodeId::new(s.src()), |l| {
-                        s.out_links(l.from.index())
-                            .iter()
-                            .find(|id| s.link(**id).to == l.to.index())
-                            .map(|id| lambda[id.index()])
-                            .unwrap_or(f64::INFINITY)
-                    });
-                let mut x_step = vec![0.0; s.link_count()];
-                if let Some(path) = sp.path_to(NodeId::new(s.dst())) {
-                    let p_min = sp.cost(NodeId::new(s.dst())).expect("path exists");
-                    let gamma_t = if p_min <= 1e-12 {
-                        1.0
-                    } else {
-                        (params.utility_weight / p_min).min(1.0)
-                    };
-                    for w in path.windows(2) {
-                        let e = s
-                            .out_links(w[0].index())
-                            .iter()
-                            .find(|id| s.link(**id).to == w[1].index())
-                            .expect("path follows links")
-                            .index();
-                        x_step[e] = gamma_t;
-                    }
-                }
-                for (avg, inst) in st[k].x_avg.iter_mut().zip(&x_step) {
-                    *avg += (inst - *avg) / span;
-                }
-
-                // SUB2 primal update with *shared* prices.
-                let mut w_i = vec![0.0; s.node_count()];
-                for (id, link) in s.links() {
-                    w_i[link.from] += st[k].lambda[id.index()] * link.p;
-                }
-                #[allow(clippy::needless_range_loop)] // i indexes three arrays
-                for i in 0..s.node_count() {
-                    let g = s.node_id(i).index();
-                    let price: f64 =
-                        beta[g] + self.neighbors[g].iter().map(|&nb| beta[nb]).sum::<f64>();
-                    st[k].b[i] =
-                        (st[k].b[i] + (w_i[i] - price) / (2.0 * params.proximal_c)).clamp(0.0, 1.0);
-                }
-                for (avg, inst) in {
-                    let S { b_avg, b, .. } = &mut st[k];
-                    b_avg.iter_mut().zip(b.iter())
-                } {
-                    *avg += (inst - *avg) / span;
-                }
-                // λ update.
-                for (id, link) in s.links() {
-                    let slack = st[k].b[link.from] * link.p - x_step[id.index()];
-                    st[k].lambda[id.index()] = (st[k].lambda[id.index()] - theta * slack).max(0.0);
-                }
-                // Contribute to the global load.
-                for i in 0..s.node_count() {
-                    load[s.node_id(i).index()] += st[k].b[i];
-                }
-            }
-
-            // Shared β update from the joint load.
-            for g in 0..self.nodes {
-                let total: f64 =
-                    load[g] + self.neighbors[g].iter().map(|&nb| load[nb]).sum::<f64>();
-                if total > 0.0 || beta[g] > 0.0 {
-                    beta[g] = (beta[g] + theta * (total - 1.0)).max(0.0);
-                }
-            }
-        }
-
-        // Recover: per session, the union of the averaged broadcast rates
-        // and the rates implied by the averaged flows (constraint (5)) —
-        // the same two-candidate recovery the single-session driver uses —
-        // then a *joint* MAC rescale and per-session max flow.
-        let recovered: Vec<Vec<f64>> = self
-            .sessions
-            .iter()
-            .enumerate()
-            .map(|(k, s)| {
-                let mut from_flows = vec![0.0f64; s.node_count()];
-                for (id, link) in s.links() {
-                    from_flows[link.from] =
-                        from_flows[link.from].max(st[k].x_avg[id.index()] / link.p);
-                }
-                st[k]
-                    .b_avg
-                    .iter()
-                    .zip(&from_flows)
-                    .map(|(a, b)| a.max(*b))
-                    .collect()
-            })
-            .collect();
-        let mut load = vec![0.0f64; self.nodes];
-        for (k, s) in self.sessions.iter().enumerate() {
-            for i in 0..s.node_count() {
-                load[s.node_id(i).index()] += recovered[k][i];
-            }
-        }
-        let mut worst = 0.0f64;
-        for g in 0..self.nodes {
-            let total: f64 = load[g] + self.neighbors[g].iter().map(|&nb| load[nb]).sum::<f64>();
-            worst = worst.max(total);
-        }
-        let scale = if worst > 1e-12 { 1.0 / worst } else { 1.0 };
-        let mut gamma = Vec::with_capacity(k_count);
-        let mut b_out = Vec::with_capacity(k_count);
-        for (k, s) in self.sessions.iter().enumerate() {
-            let b: Vec<f64> = recovered[k]
+        let (allocations, _) = self.rate_control(params).run_sessions();
+        MUnicastSolution {
+            gamma: allocations.iter().map(|a| a.throughput()).collect(),
+            b: allocations
                 .iter()
-                .map(|v| (v * scale).clamp(0.0, 1.0))
-                .collect();
-            let (rate, _) = crate::flow::supported_rate(s, &b);
-            gamma.push(rate * self.capacity);
-            b_out.push(b.iter().map(|v| v * self.capacity).collect());
+                .map(|a| a.broadcast_rates().to_vec())
+                .collect(),
         }
-        MUnicastSolution { gamma, b: b_out }
+    }
+
+    fn rate_control(&self, params: &RateControlParams) -> RateControl<'_> {
+        RateControl::coupled(&self.sessions, &self.coupling, *params)
     }
 }
 
@@ -492,21 +305,140 @@ mod tests {
             ..Default::default()
         };
         let dist = mu.solve_distributed(&params);
-        // Rebuild global loads and verify every neighborhood fits in C.
+        // Rebuild global loads and verify every row of eq. (4) fits in C.
         let mut load = vec![0.0f64; topo.len()];
         for (k, s) in mu.sessions().iter().enumerate() {
             for i in 0..s.node_count() {
                 load[s.node_id(i).index()] += dist.b[k][i];
             }
         }
-        for v in topo.nodes() {
-            let total: f64 = load[v.index()]
-                + topo
-                    .neighbors(v)
-                    .iter()
-                    .map(|w| load[w.index()])
-                    .sum::<f64>();
-            assert!(total <= mu.capacity() + 1e-6, "{v}: load {total}");
+        assert!(mu.mac_rows().count() > 0);
+        for (g, in_range) in mu.mac_rows() {
+            let total: f64 = load[g] + in_range.iter().map(|&j| load[j]).sum::<f64>();
+            assert!(total <= mu.capacity() + 1e-6, "node {g}: load {total}");
+        }
+    }
+
+    #[test]
+    fn mac_rows_are_the_receivers_with_their_neighborhoods() {
+        let (topo, sels) = two_sessions(9);
+        let mu = MUnicast::from_selections(&topo, &sels, 1.0);
+        // The two sessions swap endpoints, so each source is the other's
+        // destination: every selected node receives in some session.
+        let mut expect: Vec<usize> = sels
+            .iter()
+            .flat_map(|sel| sel.nodes().iter().map(|v| v.index()))
+            .collect();
+        expect.sort_unstable();
+        expect.dedup();
+        let rows: Vec<usize> = mu.mac_rows().map(|(g, _)| g).collect();
+        assert_eq!(rows, expect);
+        for (g, in_range) in mu.mac_rows() {
+            let want: Vec<usize> = topo
+                .neighbors(NodeId::new(g))
+                .iter()
+                .map(|w| w.index())
+                .collect();
+            assert_eq!(in_range, want);
+        }
+        // One session alone: its source only originates, so it owns no row.
+        let alone = MUnicast::from_selections(&topo, &sels[..1], 1.0);
+        let rows: Vec<usize> = alone.mac_rows().map(|(g, _)| g).collect();
+        assert_eq!(rows.len(), sels[0].nodes().len() - 1);
+        assert!(!rows.contains(&sels[0].src().index()));
+    }
+
+    #[test]
+    fn invalid_params_fail_like_the_single_session_driver() {
+        let (topo, sels) = two_sessions(3);
+        let mu = MUnicast::from_selections(&topo, &sels, 1.0);
+        let ok = RateControlParams::default();
+        let cases = [
+            RateControlParams {
+                proximal_c: 0.0,
+                ..ok
+            },
+            RateControlParams {
+                utility_weight: 0.0,
+                ..ok
+            },
+            RateControlParams {
+                max_iterations: 0,
+                ..ok
+            },
+            RateControlParams {
+                tolerance: 0.0,
+                ..ok
+            },
+            RateControlParams {
+                check_window: 0,
+                ..ok
+            },
+        ];
+        let message = |run: &dyn Fn()| -> String {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("invalid parameters must be rejected");
+            err.downcast_ref::<&str>()
+                .map(|m| (*m).to_owned())
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .expect("panic carries a message")
+        };
+        for params in cases {
+            let joint = message(&|| drop(mu.solve_distributed(&params)));
+            let single = message(&|| drop(RateControl::with_params(&mu.sessions()[0], params)));
+            assert_eq!(joint, single);
+            assert!(joint.ends_with("must be positive"), "{joint}");
+        }
+    }
+
+    #[test]
+    fn stopping_rule_is_honoured_for_coupled_sessions() {
+        let (topo, sels) = two_sessions(7);
+        let mu = MUnicast::from_selections(&topo, &sels, 1.0);
+        let params = RateControlParams::default();
+        let (stopped, _) = mu.rate_control(&params).run_sessions();
+        assert_eq!(stopped.len(), 2);
+        assert!(stopped[0].converged());
+        assert!(stopped[0].iterations() < params.max_iterations);
+        assert_eq!(stopped[0].iterations() % params.check_window, 0);
+        assert_eq!(stopped[0].iterations(), stopped[1].iterations());
+
+        let never = RateControlParams {
+            tolerance: f64::MIN_POSITIVE,
+            ..params
+        };
+        let (capped, _) = mu.rate_control(&never).run_sessions();
+        assert!(!capped[0].converged());
+        assert_eq!(capped[0].iterations(), never.max_iterations);
+    }
+
+    #[test]
+    fn one_session_is_the_single_session_driver_bit_for_bit() {
+        let phy = Phy::paper_lossy();
+        for seed in 0..5 {
+            let topo = Deployment::random(30, 6.0, &phy, 100 + seed).into_topology();
+            let (s, d) = topo.farthest_pair();
+            let sel = select_forwarders(&topo, s, d);
+            let problem = SUnicast::from_selection(&topo, &sel, 1e5);
+            let mu = MUnicast::from_selections(&topo, std::slice::from_ref(&sel), 1e5);
+            for params in crate::default_portfolio() {
+                let single = RateControl::with_params(&problem, params).run();
+                let joint = mu.solve_distributed(&params);
+                assert_eq!(
+                    joint.gamma[0].to_bits(),
+                    single.throughput().to_bits(),
+                    "seed {seed}"
+                );
+                let bits = |b: &[f64]| b.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&joint.b[0]),
+                    bits(single.broadcast_rates()),
+                    "seed {seed}"
+                );
+                let (alone, _) = mu.rate_control(&params).run_sessions();
+                assert_eq!(alone[0].iterations(), single.iterations(), "seed {seed}");
+                assert_eq!(bits(alone[0].link_rates()), bits(single.link_rates()));
+            }
         }
     }
 

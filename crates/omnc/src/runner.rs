@@ -488,8 +488,11 @@ struct Rates {
 
 /// The one place the OMNC rate source is chosen: a caller's closure (the
 /// ablation bench), the single-session portfolio for one session, the
-/// joint mUnicast solver for two or more. `scope` names the optimizer's
-/// timeline series.
+/// joint mUnicast solve for two or more. Both solves are the same
+/// `omnc_opt::RateControl` engine — the portfolio runs it on one session
+/// per parameter set, the joint solve runs it once over all sessions with
+/// shared congestion prices, under the default parameters' stopping rule
+/// and recovery. `scope` names the optimizer's timeline series.
 fn omnc_rates(
     job: Job<'_>,
     selections: &[Selection],

@@ -40,8 +40,6 @@ mod generation;
 mod kernel;
 mod packet;
 mod recoder;
-mod stream;
-mod systematic;
 
 pub use batch::BatchDecoder;
 pub use decoder::{Absorption, Decoder, DecoderMetrics};
@@ -51,5 +49,3 @@ pub use generation::{Generation, GenerationConfig};
 pub use kernel::Kernel;
 pub use packet::{CodedPacket, GenerationId};
 pub use recoder::Recoder;
-pub use stream::{StreamAssembler, StreamChunker};
-pub use systematic::SystematicEncoder;
