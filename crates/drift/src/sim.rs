@@ -597,11 +597,6 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
         self.session_behavior(0, node)
     }
 
-    /// Mutable access to a node's behavior between runs. Session 0.
-    pub fn behavior_mut(&mut self, node: NodeId) -> Option<&mut B> {
-        self.session_behavior_mut(0, node)
-    }
-
     /// Read access to the behavior of `session` at `node`.
     pub fn session_behavior(&self, session: usize, node: NodeId) -> Option<&B> {
         self.behaviors.get(session)?.get(node.index())?.as_ref()

@@ -149,13 +149,6 @@ impl Selection {
     pub fn path_count(&self) -> u128 {
         count_paths(&self.subgraph, self.src, self.dst)
     }
-
-    /// Maximum node-disjoint source→destination paths in the forwarder DAG
-    /// (the paper's "total number of available paths after the node
-    /// selection procedure", Fig. 4).
-    pub fn disjoint_paths(&self) -> usize {
-        disjoint_path_count(&self.subgraph, self.src, self.dst)
-    }
 }
 
 /// Maximum number of *node-disjoint* `src → dst` paths in a DAG — the

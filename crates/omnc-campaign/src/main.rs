@@ -4,14 +4,14 @@
 //! omnc-campaign run    --spec campaign.json --out out/ --jobs 4
 //! omnc-campaign resume --spec campaign.json --out out/ --jobs 4
 //! omnc-campaign status --spec campaign.json --out out/
-//! omnc-campaign bench  --spec campaign.json --out out/ --jobs 4 --record BENCH.json
+//! omnc-campaign bench  --spec campaign.json --out out/ --jobs 4
 //! ```
 //!
 //! `run` executes the whole matrix from scratch; `resume` keeps the
 //! journal and re-runs only cells without a durable result; `status`
 //! reports completion without running anything; `bench` times the same
 //! campaign at `--jobs 1` and `--jobs N`, checks the merged artifacts
-//! are byte-identical, and writes a `BENCH_<date>.json`-style record.
+//! are byte-identical, and prints the timings.
 //!
 //! Exit codes: 0 success, 1 failed cells or I/O trouble, 2 usage error.
 
@@ -38,7 +38,7 @@ USAGE:
     omnc-campaign resume --spec <file> --out <dir> [--jobs N] [--count-allocs]
                          [--serve ADDR] [--log-level quiet|info|debug]
     omnc-campaign status --spec <file> --out <dir>
-    omnc-campaign bench  --spec <file> --out <dir> [--jobs N] [--record <file>]
+    omnc-campaign bench  --spec <file> --out <dir> [--jobs N]
                          [--count-allocs]
 
 Campaign specs are JSON matrices of scenario variants x protocols x
@@ -73,7 +73,6 @@ struct CliArgs {
     out: PathBuf,
     jobs: usize,
     log: Logger,
-    record: Option<PathBuf>,
     serve: Option<String>,
 }
 
@@ -82,7 +81,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     let mut out: Option<PathBuf> = None;
     let mut jobs = 1usize;
     let mut level = LogLevel::default();
-    let mut record: Option<PathBuf> = None;
     let mut serve: Option<String> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -107,7 +105,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                 level = LogLevel::parse(&v)
                     .ok_or_else(|| format!("unknown --log-level {v:?} (quiet|info|debug)"))?;
             }
-            "--record" => record = Some(PathBuf::from(value("--record")?)),
             "--serve" => serve = Some(value("--serve")?),
             "--count-allocs" => set_alloc_counting(true),
             other => return Err(format!("unknown flag {other:?}")),
@@ -123,7 +120,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         out: out.ok_or("--out is required")?,
         jobs,
         log: Logger::new(level),
-        record,
         serve,
     })
 }
@@ -193,7 +189,7 @@ fn status(cli: &CliArgs) -> Result<i32, String> {
 }
 
 /// Times the campaign serially and at `--jobs N`, asserts the merged
-/// outcomes are byte-identical, and records the figures.
+/// outcomes are byte-identical, and prints the figures.
 fn bench(cli: &CliArgs) -> Result<i32, String> {
     let cells = cli.spec.cells().len();
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
@@ -238,8 +234,7 @@ fn bench(cli: &CliArgs) -> Result<i32, String> {
     metrics.insert("campaign/parallel_s".into(), parallel_s);
     if host_cpus > 1 {
         // On a single-core host --jobs N cannot beat --jobs 1, so the
-        // ratio is scheduling noise (~0.99x), not a speedup; recording
-        // it would poison any later regression comparison.
+        // ratio is scheduling noise (~0.99x), not a speedup.
         let speedup = serial_s / parallel_s.max(1e-9);
         metrics.insert("campaign/speedup".into(), speedup);
         cli.log.info(&format!(
@@ -263,25 +258,5 @@ fn bench(cli: &CliArgs) -> Result<i32, String> {
         println!("{name:>24} {value:>12.3}");
     }
 
-    if let Some(path) = &cli.record {
-        let record = BenchRecord {
-            bench: format!("campaign-{}", cli.spec.name),
-            seed: 0,
-            metrics,
-        };
-        let json = serde_json::to_string(&record).map_err(|e| e.to_string())?;
-        std::fs::write(path, json + "\n")
-            .map_err(|e| format!("cannot write --record {}: {e}", path.display()))?;
-        cli.log.info(&format!("bench record -> {}", path.display()));
-    }
     Ok(0)
-}
-
-/// Same shape as the `perf_smoke` record, so the `BENCH_<date>.json`
-/// trajectory stays uniform.
-#[derive(serde::Serialize)]
-struct BenchRecord {
-    bench: String,
-    seed: u64,
-    metrics: BTreeMap<String, f64>,
 }

@@ -446,15 +446,6 @@ impl RuleTable {
             .unwrap_or_else(|| panic!("rule {} missing from table", rule.name()))
     }
 
-    /// Mutable access, for tests and CLI overrides.
-    pub fn config_mut(&mut self, rule: Rule) -> &mut RuleConfig {
-        self.configs
-            .iter_mut()
-            .find(|(r, _)| *r == rule)
-            .map(|(_, c)| c)
-            .unwrap_or_else(|| panic!("rule {} missing from table", rule.name()))
-    }
-
     /// Iterates `(rule, config)` pairs in reporting order.
     pub fn iter(&self) -> impl Iterator<Item = (Rule, &RuleConfig)> {
         self.configs.iter().map(|(r, c)| (*r, c))

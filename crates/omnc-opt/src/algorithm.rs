@@ -204,11 +204,6 @@ impl RateAllocation {
         &self.b
     }
 
-    /// Information rate routed over link `e`.
-    pub fn link_rate(&self, e: crate::LinkId) -> f64 {
-        self.x[e.index()]
-    }
-
     /// The full link-rate vector.
     pub fn link_rates(&self) -> &[f64] {
         &self.x

@@ -92,11 +92,6 @@ impl MUnicast {
         &self.sessions
     }
 
-    /// Number of sessions.
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// The shared MAC rows of eq. (4), as `(receiver, in-range nodes)` in
     /// topology ids: the summed rates of all sessions at the receiver and
     /// at the nodes in range of it must fit in the capacity. A node owns a

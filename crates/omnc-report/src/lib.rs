@@ -664,9 +664,10 @@ pub fn lower_is_better(metric: &str) -> bool {
 /// zero baseline (e.g. empty queues) tolerates noise. Metrics present in
 /// the baseline but missing from `current` are a *distinct* condition —
 /// usually a schema change or a shorter run, not a numeric slide — so
-/// they are not folded into the regression list; surface them with
-/// [`missing_metrics`]. New metrics in `current` are ignored (the
-/// baseline only ratchets what it knows).
+/// they are not folded into the regression list; [`gate_report`] gives
+/// them a `"missing"` verdict, which the CLI prints as a warning and
+/// fails on only under `--strict`. New metrics in `current` are ignored
+/// (the baseline only ratchets what it knows).
 pub fn compare(
     baseline: &BTreeMap<String, f64>,
     current: &BTreeMap<String, f64>,
@@ -691,22 +692,6 @@ pub fn compare(
         }
     }
     regressions
-}
-
-/// Metric keys present in `baseline` but absent from `current`.
-///
-/// The CLI prints these as warnings and fails the gate on them only
-/// under `--strict`, so a deliberate schema change does not masquerade
-/// as a performance slide.
-pub fn missing_metrics(
-    baseline: &BTreeMap<String, f64>,
-    current: &BTreeMap<String, f64>,
-) -> Vec<String> {
-    baseline
-        .keys()
-        .filter(|metric| !current.contains_key(*metric))
-        .cloned()
-        .collect()
 }
 
 // -------------------------------------------------------------- gate report
@@ -1071,246 +1056,6 @@ pub fn render_timeline_summary(summary: &TimelineSummary) -> String {
             out,
             "settling: {} within 10% of peak after iteration {:.0}",
             m.series, m.epoch
-        );
-    }
-    out
-}
-
-// ------------------------------------------------------------------- trend
-
-/// One point of the BENCH trajectory: the record a bench binary appends
-/// per run (`scripts/bench.sh` → `results/bench/trajectory.jsonl`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TrajectoryRecord {
-    /// The bench that produced the record (`perf-smoke`, `campaign-bench`).
-    pub bench: String,
-    /// Master seed of the run.
-    pub seed: u64,
-    /// Flat `name → value` metrics, as in a committed BENCH file.
-    pub metrics: BTreeMap<String, f64>,
-    /// Epoch marker: `Some(true)` means this record starts a fresh
-    /// trend epoch for its bench — [`analyze_trends`] drops the bench's
-    /// accumulated histories before ingesting this record's metrics.
-    /// Written by `scripts/bench.sh --regen` after an *intentional*
-    /// workload change, so the drift fit never straddles two different
-    /// workloads. Older records predate the field; the deserializer
-    /// maps a missing field to `None` (no reset).
-    pub reset: Option<bool>,
-}
-
-/// Parses a JSONL trajectory (blank lines skipped), keeping file order —
-/// the trajectory's line order *is* its time axis.
-///
-/// # Errors
-///
-/// Fails on I/O errors or any line that is not a valid record.
-pub fn parse_trajectory<R: BufRead>(reader: R) -> io::Result<Vec<TrajectoryRecord>> {
-    let mut records = Vec::new();
-    for (n, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record: TrajectoryRecord = serde_json::from_str(&line).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("line {}: {e}", n + 1))
-        })?;
-        records.push(record);
-    }
-    Ok(records)
-}
-
-/// Histories shorter than this many points are reported but never gated:
-/// two or three bench runs cannot separate drift from wall-clock noise.
-pub const TREND_MIN_POINTS: usize = 4;
-
-/// The across-PRs history of one `(bench, metric)` pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricTrend {
-    /// The bench the metric belongs to.
-    pub bench: String,
-    /// The metric key inside the bench's records.
-    pub metric: String,
-    /// The metric's values in trajectory order.
-    pub values: Vec<f64>,
-    /// Least-squares slope per trajectory step.
-    pub slope: f64,
-    /// Relative drift over the whole history:
-    /// `slope * (n-1) / |mean|` — the fitted total change as a fraction
-    /// of the typical value, signed in the metric's own units.
-    pub drift: f64,
-    /// The split index maximizing the prefix/suffix mean gap (the most
-    /// likely single changepoint), when the history has one.
-    pub changepoint: Option<usize>,
-    /// `"ok"`, `"regressed"`, or `"missing"` (dropped from the bench's
-    /// latest record).
-    pub status: String,
-}
-
-fn mean_of(values: &[f64]) -> f64 {
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
-fn least_squares_slope(values: &[f64]) -> f64 {
-    let n = values.len() as f64;
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let x_mean = (n - 1.0) / 2.0;
-    let y_mean = mean_of(values);
-    let (num, den) = values
-        .iter()
-        .enumerate()
-        .fold((0.0, 0.0), |(num, den), (i, &y)| {
-            let dx = i as f64 - x_mean;
-            (num + dx * (y - y_mean), den + dx * dx)
-        });
-    num / den
-}
-
-fn changepoint_of(values: &[f64]) -> Option<usize> {
-    if values.len() < 3 {
-        return None;
-    }
-    (1..values.len()).max_by(|&a, &b| {
-        let gap = |k: usize| (mean_of(&values[..k]) - mean_of(&values[k..])).abs();
-        gap(a).partial_cmp(&gap(b)).expect("finite means")
-    })
-}
-
-/// Reduces a trajectory to one [`MetricTrend`] per `(bench, metric)`
-/// pair, in deterministic key order.
-///
-/// A trend is `"regressed"` when its fitted [`MetricTrend::drift`] moves
-/// in the metric's bad direction ([`lower_is_better`]) by more than
-/// `threshold`, *and* the history has at least `min_points` points —
-/// short histories are always `"ok"`. A metric with history that is
-/// absent from its bench's latest record is `"missing"` (a schema change
-/// or a silently dropped bench — gate it with `--strict`).
-///
-/// A record with [`TrajectoryRecord::reset`] set starts a fresh epoch
-/// for its bench: earlier history is dropped and the fit runs over the
-/// reset record and everything after it. Pre-reset records stay in the
-/// committed trajectory as the permanent record of the old workload —
-/// they just no longer feed the slope of the new one.
-#[must_use]
-pub fn analyze_trends(
-    records: &[TrajectoryRecord],
-    threshold: f64,
-    min_points: usize,
-) -> Vec<MetricTrend> {
-    let mut histories: BTreeMap<(String, String), Vec<f64>> = BTreeMap::new();
-    let mut latest: BTreeMap<&str, &TrajectoryRecord> = BTreeMap::new();
-    for record in records {
-        if record.reset.unwrap_or(false) {
-            histories.retain(|(bench, _), _| *bench != record.bench);
-        }
-        for (metric, &value) in &record.metrics {
-            histories
-                .entry((record.bench.clone(), metric.clone()))
-                .or_default()
-                .push(value);
-        }
-        latest.insert(record.bench.as_str(), record);
-    }
-    histories
-        .into_iter()
-        .map(|((bench, metric), values)| {
-            let in_latest = latest
-                .get(bench.as_str())
-                .is_some_and(|r| r.metrics.contains_key(&metric));
-            let slope = least_squares_slope(&values);
-            let mean = mean_of(&values);
-            let drift = slope * (values.len() as f64 - 1.0) / mean.abs().max(1e-12);
-            let bad = if lower_is_better(&metric) {
-                drift > threshold
-            } else {
-                drift < -threshold
-            };
-            let status = if !in_latest {
-                "missing"
-            } else if bad && values.len() >= min_points {
-                "regressed"
-            } else {
-                "ok"
-            };
-            MetricTrend {
-                changepoint: changepoint_of(&values),
-                status: status.to_string(),
-                bench,
-                metric,
-                values,
-                slope,
-                drift,
-            }
-        })
-        .collect()
-}
-
-/// Builds the machine-readable gate report for a trend run — the same
-/// [`GateReport`] schema `compare` and `profile compare` emit, so CI
-/// consumes all three gates identically. Verdict keys are
-/// `"<bench>/<metric>"`, `baseline` is the history's first value and
-/// `current` its latest.
-#[must_use]
-pub fn trend_gate_report(trends: &[MetricTrend], threshold: f64, strict: bool) -> GateReport {
-    let mut regressed = 0usize;
-    let mut missing = 0usize;
-    let verdicts: Vec<MetricVerdict> = trends
-        .iter()
-        .map(|t| {
-            match t.status.as_str() {
-                "regressed" => regressed += 1,
-                "missing" => missing += 1,
-                _ => {}
-            }
-            MetricVerdict {
-                metric: format!("{}/{}", t.bench, t.metric),
-                baseline: t.values.first().copied().unwrap_or(0.0),
-                current: t.values.last().copied().unwrap_or(0.0),
-                status: t.status.clone(),
-            }
-        })
-        .collect();
-    GateReport {
-        gate: "trend".into(),
-        metric: "drift".into(),
-        threshold,
-        strict,
-        passed: regressed == 0 && (!strict || missing == 0),
-        regressed,
-        missing,
-        verdicts,
-    }
-}
-
-/// Renders metric trends as one line per `(bench, metric)`: history
-/// sparkline, endpoints, fitted drift, changepoint, status.
-pub fn render_trends(trends: &[MetricTrend]) -> String {
-    let mut out = String::new();
-    let width = trends
-        .iter()
-        .map(|t| t.bench.len() + t.metric.len() + 1)
-        .max()
-        .unwrap_or(0);
-    for t in trends {
-        let cells: Vec<Option<f64>> = t.values.iter().map(|&v| Some(v)).collect();
-        let change = t
-            .changepoint
-            .map_or(String::new(), |k| format!("  shift@{k}"));
-        let flag = match t.status.as_str() {
-            "regressed" => "  REGRESSED",
-            "missing" => "  MISSING",
-            _ => "",
-        };
-        let _ = writeln!(
-            out,
-            "{:<width$}  n={:<2} |{}| {:.4} -> {:.4}  drift {:+.1}%{change}{flag}",
-            format!("{}/{}", t.bench, t.metric),
-            t.values.len(),
-            spark_row(&cells),
-            t.values.first().copied().unwrap_or(0.0),
-            t.values.last().copied().unwrap_or(0.0),
-            t.drift * 100.0,
         );
     }
     out
@@ -1901,12 +1646,17 @@ mod tests {
         let mut missing = report.metrics.clone();
         missing.remove("omnc/0/final_rank");
         assert!(compare(&report.metrics, &missing, 0.15).is_empty());
-        assert_eq!(
-            missing_metrics(&report.metrics, &missing),
-            vec!["omnc/0/final_rank".to_string()]
-        );
+        let gate = gate_report(&report.metrics, &missing, 0.15, false);
+        let absent: Vec<&str> = gate
+            .verdicts
+            .iter()
+            .filter(|v| v.status == "missing")
+            .map(|v| v.metric.as_str())
+            .collect();
+        assert_eq!(absent, ["omnc/0/final_rank"]);
         // New metrics in the current run are neither regressed nor missing.
-        assert!(missing_metrics(&missing, &report.metrics).is_empty());
+        let gate = gate_report(&missing, &report.metrics, 0.15, true);
+        assert!(gate.passed && gate.missing == 0);
     }
 
     /// Satellite: the runner's dropped-MAC-event count must surface as an
@@ -2153,183 +1903,6 @@ mod tests {
             lines.count(),
             report.series("omnc/s0/rank/g0").unwrap().buckets.len()
         );
-    }
-
-    fn trajectory(values: &[(&str, &[f64])], points: usize) -> Vec<TrajectoryRecord> {
-        (0..points)
-            .map(|i| TrajectoryRecord {
-                bench: "perf-smoke".into(),
-                seed: 2008,
-                metrics: values
-                    .iter()
-                    .map(|(name, history)| ((*name).to_string(), history[i]))
-                    .collect(),
-                reset: None,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn trend_gates_sustained_drift_but_not_short_or_flat_histories() {
-        // A monotone 20% throughput decay over 5 points is a regression.
-        let decaying: &[f64] = &[100.0, 95.0, 90.0, 85.0, 80.0];
-        let steady: &[f64] = &[50.0, 50.5, 49.5, 50.0, 50.2];
-        let records = trajectory(
-            &[
-                ("opt/iterations_per_s", decaying),
-                ("sim/events_per_s", steady),
-            ],
-            5,
-        );
-        let trends = analyze_trends(&records, 0.1, TREND_MIN_POINTS);
-        assert_eq!(trends.len(), 2);
-        let decay = trends
-            .iter()
-            .find(|t| t.metric == "opt/iterations_per_s")
-            .unwrap();
-        assert_eq!(decay.status, "regressed");
-        assert!(decay.drift < -0.1, "{decay:?}");
-        let flat = trends
-            .iter()
-            .find(|t| t.metric == "sim/events_per_s")
-            .unwrap();
-        assert_eq!(flat.status, "ok");
-
-        let gate = trend_gate_report(&trends, 0.1, false);
-        assert_eq!(gate.gate, "trend");
-        assert_eq!(gate.metric, "drift");
-        assert!(!gate.passed);
-        assert_eq!(gate.regressed, 1);
-        assert_eq!(gate.verdicts[0].metric, "perf-smoke/opt/iterations_per_s");
-        assert_eq!(gate.verdicts[0].baseline, 100.0);
-        assert_eq!(gate.verdicts[0].current, 80.0);
-
-        // The same decay over only 3 points is below min_points: never gated.
-        let short = analyze_trends(
-            &trajectory(&[("opt/iterations_per_s", &decaying[..3])], 3),
-            0.1,
-            TREND_MIN_POINTS,
-        );
-        assert_eq!(short[0].status, "ok");
-        assert!(trend_gate_report(&short, 0.1, true).passed);
-
-        // A lower-is-better metric regresses in the other direction.
-        let queue_up: &[f64] = &[2.0, 2.5, 3.0, 3.5, 4.0];
-        let up = analyze_trends(
-            &trajectory(&[("sim/mean_queue", queue_up)], 5),
-            0.1,
-            TREND_MIN_POINTS,
-        );
-        assert_eq!(up[0].status, "regressed");
-        assert!(up[0].drift > 0.1, "{:?}", up[0]);
-    }
-
-    #[test]
-    fn trend_flags_metrics_dropped_from_the_latest_record() {
-        let mut records = trajectory(&[("opt/iterations_per_s", &[100.0, 101.0, 99.0])], 3);
-        records.push(TrajectoryRecord {
-            bench: "perf-smoke".into(),
-            seed: 2008,
-            metrics: [("sim/events_per_s".to_string(), 7.0)]
-                .into_iter()
-                .collect(),
-            reset: None,
-        });
-        let trends = analyze_trends(&records, 0.1, TREND_MIN_POINTS);
-        let dropped = trends
-            .iter()
-            .find(|t| t.metric == "opt/iterations_per_s")
-            .unwrap();
-        assert_eq!(dropped.status, "missing");
-        let gate = trend_gate_report(&trends, 0.1, false);
-        assert!(gate.passed, "missing only gates under --strict");
-        assert_eq!(gate.missing, 1);
-        assert!(!trend_gate_report(&trends, 0.1, true).passed);
-    }
-
-    #[test]
-    fn trend_reset_record_starts_a_fresh_epoch() {
-        // A 40% throughput collapse over six points: regressed as one
-        // history, ok once the workload change is marked as an epoch
-        // reset at the collapse point.
-        let mut records = trajectory(&[("sim/events_per_s", &[100.0, 98.0, 99.0])], 3);
-        let make = |value: f64, reset: Option<bool>| TrajectoryRecord {
-            bench: "perf-smoke".into(),
-            seed: 2008,
-            metrics: [("sim/events_per_s".to_string(), value)]
-                .into_iter()
-                .collect(),
-            reset,
-        };
-        records.extend([60.0, 59.0, 61.0].map(|v| make(v, None)));
-        let unbroken = analyze_trends(&records, 0.15, TREND_MIN_POINTS);
-        assert_eq!(unbroken[0].status, "regressed", "{:?}", unbroken[0]);
-
-        records[3].reset = Some(true);
-        let epoched = analyze_trends(&records, 0.15, TREND_MIN_POINTS);
-        assert_eq!(epoched[0].status, "ok", "{:?}", epoched[0]);
-        assert_eq!(epoched[0].values, vec![60.0, 59.0, 61.0]);
-
-        // The reset is bench-scoped: other benches keep their history.
-        let mut mixed = records.clone();
-        for (i, r) in mixed.iter_mut().enumerate() {
-            r.bench = "campaign-bench".into();
-            r.reset = None;
-            r.metrics = [("campaign/serial_s".to_string(), 1.0 + i as f64 * 0.01)]
-                .into_iter()
-                .collect();
-        }
-        let both: Vec<TrajectoryRecord> = records
-            .iter()
-            .cloned()
-            .chain(mixed.iter().cloned())
-            .collect();
-        let trends = analyze_trends(&both, 0.15, TREND_MIN_POINTS);
-        let other = trends
-            .iter()
-            .find(|t| t.bench == "campaign-bench")
-            .expect("campaign history survives the perf-smoke reset");
-        assert_eq!(other.values.len(), 6);
-
-        // Records that predate the field still parse (reset -> None).
-        let legacy = r#"{"bench":"perf-smoke","seed":2008,"metrics":[["sim/events_per_s",7.0]]}"#;
-        let parsed = parse_trajectory(format!("{legacy}\n").as_bytes()).expect("parses");
-        assert_eq!(parsed[0].reset, None);
-    }
-
-    #[test]
-    fn trend_locates_a_level_shift() {
-        let stepped: &[f64] = &[10.0, 10.1, 9.9, 10.0, 14.0, 14.1, 13.9, 14.0];
-        let trends = analyze_trends(
-            &trajectory(&[("sim/events_per_s", stepped)], 8),
-            0.5,
-            TREND_MIN_POINTS,
-        );
-        assert_eq!(trends[0].changepoint, Some(4), "{:?}", trends[0]);
-        let text = render_trends(&trends);
-        assert!(text.contains("shift@4"), "{text}");
-        assert!(text.contains("perf-smoke/sim/events_per_s"), "{text}");
-    }
-
-    #[test]
-    fn trajectory_parses_committed_bench_record_shape() {
-        // The exact line shape `scripts/bench.sh` appends (metrics as
-        // key/value pair arrays, the vendored BTreeMap encoding).
-        let record = TrajectoryRecord {
-            bench: "perf-smoke".into(),
-            seed: 2008,
-            metrics: [("opt/iterations_per_s".to_string(), 602052.97)]
-                .into_iter()
-                .collect(),
-            reset: None,
-        };
-        let line = serde_json::to_string(&record).expect("serializes");
-        let text = format!("{line}\n\n{line}\n");
-        let parsed = parse_trajectory(text.as_bytes()).expect("parses");
-        assert_eq!(parsed, vec![record.clone(), record]);
-
-        let err = parse_trajectory("{broken\n".as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("line 1"), "{err}");
     }
 
     #[test]

@@ -8,14 +8,12 @@
 //! omnc-report profile run.profile.json --top 10
 //! omnc-report profile compare --baseline PROFILE_baseline.json --current run.profile.json
 //! omnc-report timeline run.timeline.json --filter queue
-//! omnc-report trend --trajectory results/bench/trajectory.jsonl --strict
 //! ```
 //!
 //! `analyze` prints ASCII tables to stdout; `timeline` charts the
-//! windowed dynamics series a run records; `compare`, `profile compare`
-//! and `trend` exit nonzero when any metric (span, history) regressed
-//! beyond the threshold, all three emitting the same `--json` gate
-//! schema.
+//! windowed dynamics series a run records; `compare` and `profile
+//! compare` exit nonzero when any metric (span) regressed beyond the
+//! threshold, both emitting the same `--json` gate schema.
 
 #![forbid(unsafe_code)]
 
@@ -23,11 +21,10 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Write};
 
 use omnc_report::{
-    analyze, analyze_trends, compare, compare_profiles, gate_report, missing_metrics, parse_flight,
-    parse_opt, parse_trace, parse_trajectory, profile_gate_report, render_ascii, render_csv,
-    render_flight, render_profile, render_progress, render_timeline, render_timeline_summary,
-    render_trends, summarize_timeline, timeline_csv, trend_gate_report, GateReport, ProfileMetric,
-    ProfileReport, ProgressSnapshot, Report, TimelineReport, TREND_MIN_POINTS,
+    analyze, compare_profiles, gate_report, parse_flight, parse_opt, parse_trace,
+    profile_gate_report, render_ascii, render_csv, render_flight, render_profile, render_progress,
+    render_timeline, render_timeline_summary, summarize_timeline, timeline_csv, GateReport,
+    ProfileMetric, ProfileReport, ProgressSnapshot, Report, TimelineReport,
 };
 
 fn main() {
@@ -37,7 +34,6 @@ fn main() {
         Some("compare") => run_compare(&argv[1..]),
         Some("profile") => run_profile(&argv[1..]),
         Some("timeline") => run_timeline(&argv[1..]),
-        Some("trend") => run_trend(&argv[1..]),
         Some("live") => run_live(&argv[1..]),
         Some("flight") => run_flight(&argv[1..]),
         Some("--help" | "-h") | None => {
@@ -69,8 +65,6 @@ USAGE:
                                 [--json <OUT>]
     omnc-report timeline <PATH> [--filter <S>] [--csv <OUT>] [--json <OUT>]
                                 [--quiet]
-    omnc-report trend [--trajectory <PATH>] [--threshold <T>]
-                      [--min-points <N>] [--strict] [--json <OUT>]
     omnc-report live <ADDR> [--watch] [--interval <SECS>] [--series]
     omnc-report flight <PATH>
 
@@ -119,17 +113,6 @@ TIMELINE:
                         queue peaks, rate-control settling) as JSON
     --quiet             suppress the sparkline charts
 
-TREND:
-    --trajectory <PATH> BENCH trajectory JSONL, one record per bench run
-                        [default: results/bench/trajectory.jsonl]
-    --threshold <T>     relative drift tolerance over a full history
-                        [default: 0.15]
-    --min-points <N>    shorter histories are never gated  [default: 4]
-    --strict            metrics dropped from a bench's latest record
-                        fail the gate instead of only warning
-    --json <OUT>        write a machine-readable gate report (per-history
-                        verdicts) to <OUT> ('-' = stdout)
-
 LIVE:
     <ADDR>              observer address printed by a `--serve` run
                         (e.g. 127.0.0.1:9100)
@@ -144,8 +127,7 @@ FLIGHT:
                         panicked campaign cell, or the --flight-recorder
                         path of omnc-sim)
 
-compare / profile compare / trend exit 0 when nothing regressed,
-1 otherwise."
+compare / profile compare exit 0 when nothing regressed, 1 otherwise."
     );
 }
 
@@ -329,30 +311,27 @@ fn run_compare(args: &[String]) -> Result<i32, String> {
     let baseline = load_report(&baseline_path.ok_or("compare requires --baseline")?)?;
     let current = load_report(&current_path.ok_or("compare requires --current")?)?;
     let gate = gate_report(&baseline.metrics, &current.metrics, threshold, strict);
-    let missing = missing_metrics(&baseline.metrics, &current.metrics);
-    for metric in &missing {
-        println!("warning: metric '{metric}' missing from current report");
+    for v in gate.verdicts.iter().filter(|v| v.status == "missing") {
+        println!("warning: metric '{}' missing from current report", v.metric);
     }
-    let regressions = compare(&baseline.metrics, &current.metrics, threshold);
-    if !regressions.is_empty() {
+    let compared = gate.verdicts.len() - gate.missing;
+    if gate.regressed > 0 {
         println!(
-            "REGRESSION: {} of {} metrics beyond {:.0}% tolerance",
-            regressions.len(),
-            baseline.metrics.len() - missing.len(),
+            "REGRESSION: {} of {compared} metrics beyond {:.0}% tolerance",
+            gate.regressed,
             threshold * 100.0
         );
         println!("{:>34} {:>14} {:>14}", "metric", "baseline", "current");
-        for r in &regressions {
-            println!("{:>34} {:>14.3} {:>14.3}", r.metric, r.baseline, r.current);
+        for v in gate.verdicts.iter().filter(|v| v.status == "regressed") {
+            println!("{:>34} {:>14.3} {:>14.3}", v.metric, v.baseline, v.current);
         }
     } else {
         println!(
-            "OK: {} metrics within {:.0}% of baseline",
-            baseline.metrics.len() - missing.len(),
+            "OK: {compared} metrics within {:.0}% of baseline",
             threshold * 100.0
         );
-        if strict && !missing.is_empty() {
-            println!("STRICT: {} baseline metric(s) missing", missing.len());
+        if strict && gate.missing > 0 {
+            println!("STRICT: {} baseline metric(s) missing", gate.missing);
         }
     }
     finish_gate(&gate, json_out.as_deref())
@@ -492,70 +471,6 @@ fn run_timeline(args: &[String]) -> Result<i32, String> {
     Ok(0)
 }
 
-fn run_trend(args: &[String]) -> Result<i32, String> {
-    let mut trajectory_path = "results/bench/trajectory.jsonl".to_string();
-    let mut threshold = 0.15;
-    let mut min_points = TREND_MIN_POINTS;
-    let mut strict = false;
-    let mut json_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--trajectory" => trajectory_path = next_value(&mut it, "--trajectory")?.clone(),
-            "--threshold" => {
-                let v = next_value(&mut it, "--threshold")?;
-                threshold = v
-                    .parse()
-                    .map_err(|_| format!("could not parse threshold '{v}'"))?;
-            }
-            "--min-points" => {
-                let v = next_value(&mut it, "--min-points")?;
-                min_points = v
-                    .parse()
-                    .map_err(|_| format!("could not parse --min-points '{v}'"))?;
-            }
-            "--strict" => strict = true,
-            "--json" => json_out = Some(next_value(&mut it, "--json")?.clone()),
-            other => return Err(format!("unknown flag '{other}' (try --help)")),
-        }
-    }
-    let records = parse_trajectory(reader_for(&trajectory_path)?)
-        .map_err(|e| format!("parsing '{trajectory_path}': {e}"))?;
-    if records.is_empty() {
-        return Err(format!("'{trajectory_path}' holds no trajectory records"));
-    }
-    let trends = analyze_trends(&records, threshold, min_points);
-    let gate = trend_gate_report(&trends, threshold, strict);
-    print!("{}", render_trends(&trends));
-    for v in &gate.verdicts {
-        if v.status == "missing" {
-            println!(
-                "warning: metric '{}' missing from its bench's latest record",
-                v.metric
-            );
-        }
-    }
-    if gate.regressed > 0 {
-        println!(
-            "REGRESSION: {} of {} metric histories drifting beyond {:.0}% tolerance",
-            gate.regressed,
-            gate.verdicts.len(),
-            threshold * 100.0
-        );
-    } else {
-        println!(
-            "OK: {} metric histories within {:.0}% drift over {} bench runs",
-            gate.verdicts.len(),
-            threshold * 100.0,
-            records.len()
-        );
-        if strict && gate.missing > 0 {
-            println!("STRICT: {} tracked metric(s) missing", gate.missing);
-        }
-    }
-    finish_gate(&gate, json_out.as_deref())
-}
-
 fn load_timeline(path: &str) -> Result<TimelineReport, String> {
     let mut text = String::new();
     reader_for(path)?
@@ -580,9 +495,9 @@ fn load_report(path: &str) -> Result<Report, String> {
     serde_json::from_str(&text).map_err(|e| format!("parsing '{path}': {e}"))
 }
 
-/// The shared tail of every gate command (`compare`, `profile compare`,
-/// `trend`): optionally writes the machine-readable [`GateReport`] —
-/// one schema for all three gates — and derives the exit code from its
+/// The shared tail of both gate commands (`compare`, `profile
+/// compare`): optionally writes the machine-readable [`GateReport`] —
+/// one schema for both gates — and derives the exit code from its
 /// `passed` verdict.
 fn finish_gate(gate: &GateReport, json_out: Option<&str>) -> Result<i32, String> {
     if let Some(path) = json_out {

@@ -18,8 +18,8 @@
 //!   peak-RSS records.
 //!
 //! Costs: with counting **off** (the default) every allocator call pays
-//! one relaxed atomic load on top of `System` — below measurement noise
-//! in `perf_smoke` (<5% on every throughput figure). With counting on,
+//! one relaxed atomic load on top of `System` (the repo benchmark in
+//! `benchmark/` times its end-to-end runs that way). With counting on,
 //! each call additionally bumps a handful of thread-local `Cell`s.
 //!
 //! Determinism: the counters are plain event counts, so a seeded
@@ -459,7 +459,7 @@ mod tests {
     #[test]
     fn proc_status_parser_reads_rss_and_hwm() {
         let text =
-            "Name:\tperf_smoke\nVmPeak:\t  999999 kB\nVmHWM:\t   51200 kB\nVmRSS:\t   40960 kB\n";
+            "Name:\tomnc-sim\nVmPeak:\t  999999 kB\nVmHWM:\t   51200 kB\nVmRSS:\t   40960 kB\n";
         let rss = parse_proc_status(text).expect("both fields present");
         assert_eq!(rss.vm_rss_bytes, 40960 * 1024);
         assert_eq!(rss.vm_hwm_bytes, 51200 * 1024);

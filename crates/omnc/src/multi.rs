@@ -71,8 +71,8 @@ pub struct MultiSessionOutcome {
     /// whole shared mesh (the Fig. 3 population, here under coupled load).
     pub queue_averages: Vec<f64>,
     /// Total MAC-level packet events the engine processed (transmissions
-    /// plus per-receiver deliveries and losses) — the numerator of the
-    /// `sim/multi_packets_per_s` bench metric.
+    /// plus per-receiver deliveries and losses) — the op count behind
+    /// `footprint`'s `alloc/multi_dispatch/*_per_op` figures.
     pub mac_packets: u64,
 }
 

@@ -154,11 +154,6 @@ impl EtxDestination {
     pub fn new() -> Self {
         EtxDestination::default()
     }
-
-    /// Delivered application bytes given the configured block size.
-    pub fn bytes_delivered(&self, cfg: &SessionConfig) -> f64 {
-        self.blocks_delivered as f64 * cfg.wire_block_size as f64
-    }
 }
 
 impl Behavior<Msg> for EtxDestination {

@@ -48,12 +48,6 @@ impl GenerationConfig {
     pub fn payload_len(&self) -> usize {
         self.blocks * self.block_size
     }
-
-    /// Bytes a coded packet of this generation occupies on the wire
-    /// (coefficients + payload + header).
-    pub fn packet_wire_len(&self) -> usize {
-        16 + self.blocks + self.block_size
-    }
 }
 
 impl Default for GenerationConfig {

@@ -14,10 +14,13 @@
 # bench-style --jobs 1 vs --jobs 2 byte-compare below proves coupled
 # cells schedule as deterministically as classic ones.
 #
+# Last, the 16-cell bench campaign (crates/omnc-campaign/specs/bench.json)
+# runs at --jobs 1 vs --jobs 4 under the same byte-compare; its timings
+# are printed, not gated.
+#
 # After an intentional model or scenario change, regenerate the
 # baselines with `scripts/campaign.sh --regen` and commit the result.
-# The flags here must stay in lockstep with the "campaign-smoke" job in
-# .github/workflows/ci.yml.
+# Artifacts left behind for upload: campaign-out/, campaign-multi-out/.
 set -eu
 cd "$(dirname "$0")/.."
 cargo build --release -p omnc-campaign -p omnc-report
@@ -31,6 +34,9 @@ rm -rf "$multi_out"
 # any merged artifact differs by a byte: the multi-cell determinism gate.
 ./target/release/omnc-campaign bench \
   --spec crates/omnc-campaign/specs/multi-smoke.json --out "$multi_out" --jobs 2
+rm -rf campaign-bench
+./target/release/omnc-campaign bench \
+  --spec crates/omnc-campaign/specs/bench.json --out campaign-bench --jobs 4
 if [ "${1:-}" = "--regen" ]; then
   cp "$out/report.json" CAMPAIGN_baseline.json
   cp "$multi_out/jobs1/report.json" CAMPAIGN_MULTI_baseline.json

@@ -13,9 +13,8 @@
 #    flight-*.jsonl black box, and `omnc-report flight` must render it
 #    with the recorded panic.
 #
-# The flags here must stay in lockstep with the "campaign-smoke" job in
-# .github/workflows/ci.yml. Artifacts left behind for upload:
-# observe_run.log, flight-out/flight-*.jsonl, flight.txt.
+# Artifacts left behind for upload: observe_run.log,
+# flight-out/flight-*.jsonl, flight.txt.
 set -eu
 cd "$(dirname "$0")/.."
 cargo build --release -p omnc-campaign -p omnc-report
