@@ -3,8 +3,8 @@
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md's experiment index) and prints the paper's reference
 //! numbers next to the measured ones. The default scale is reduced so the
-//! whole suite runs in minutes; `--full` (or `OMNC_FULL=1`) restores the
-//! paper's 300-node / 300-session / 800-second scale.
+//! whole suite runs in minutes; `--full` restores the paper's 300-node /
+//! 300-session / 800-second scale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,9 +51,7 @@ impl Options {
     /// Parses an explicit argument slice (testable).
     pub fn from_slice(args: &[String]) -> Self {
         let mut opts = Options {
-            full: std::env::var("OMNC_FULL")
-                .map(|v| v == "1")
-                .unwrap_or(false),
+            full: false,
             sessions: None,
             nodes: None,
             quality: Quality::Lossy,
@@ -270,7 +268,7 @@ mod tests {
     #[test]
     fn defaults_are_reduced_lossy() {
         let o = Options::from_slice(&[]);
-        assert!(!o.full || std::env::var("OMNC_FULL").is_ok());
+        assert!(!o.full);
         assert_eq!(o.quality, Quality::Lossy);
         assert_eq!(o.scenario().nodes, Scenario::reduced(Quality::Lossy).nodes);
     }

@@ -602,14 +602,6 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
         self.behaviors.get(session)?.get(node.index())?.as_ref()
     }
 
-    /// Mutable access to the behavior of `session` at `node`.
-    pub fn session_behavior_mut(&mut self, session: usize, node: NodeId) -> Option<&mut B> {
-        self.behaviors
-            .get_mut(session)?
-            .get_mut(node.index())?
-            .as_mut()
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.core.now

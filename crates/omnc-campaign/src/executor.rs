@@ -12,19 +12,12 @@
 //! I/O stays single-threaded. Only whole cells run on workers — the
 //! simulation crates underneath remain single-threaded and
 //! deterministic, which is why scheduling order cannot affect results.
-//!
-//! Every completion carries the worker index and wall-clock start/finish
-//! offsets (seconds since the pool started). That utilization telemetry
-//! feeds the live `/progress` board and the `workers.json` artifact; it
-//! is host-dependent by nature, which is exactly why it rides in the
-//! completion record and never inside the item results themselves.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::thread;
-use std::time::Instant;
 
 /// Why an item failed: every attempt panicked.
 #[derive(Debug, Clone)]
@@ -44,17 +37,11 @@ pub type ItemResult<T> = Result<(T, u32), ItemError>;
 pub struct Completion<T> {
     /// Index of the item in the caller's list.
     pub item: usize,
-    /// Worker thread (0-based) that ran the final attempt.
-    pub worker: usize,
-    /// Wall seconds from pool start to the first attempt's start.
-    pub started_s: f64,
-    /// Wall seconds from pool start to the last attempt's end.
-    pub finished_s: f64,
     /// The item's value (with attempt count) or its terminal error.
     pub result: ItemResult<T>,
 }
 
-/// Runs `run(item, worker)` for `item` in `0..items` across `jobs`
+/// Runs `run(item)` for `item` in `0..items` across `jobs`
 /// worker threads and feeds every completed item to `on_done` on the
 /// calling thread, in completion order. Panics inside `run` are caught
 /// and retried up to `retries` extra times; a still-panicking item
@@ -62,11 +49,10 @@ pub struct Completion<T> {
 pub fn run_parallel<T, F, D>(items: usize, jobs: usize, retries: u32, run: F, mut on_done: D)
 where
     T: Send,
-    F: Fn(usize, usize) -> T + Sync,
+    F: Fn(usize) -> T + Sync,
     D: FnMut(Completion<T>),
 {
     let jobs = jobs.clamp(1, items.max(1));
-    let epoch = Instant::now();
     let deques: Vec<Mutex<VecDeque<usize>>> = (0..jobs)
         .map(|w| Mutex::new((w..items).step_by(jobs).collect()))
         .collect();
@@ -78,16 +64,8 @@ where
             let run = &run;
             scope.spawn(move || {
                 while let Some(item) = next_item(deques, w) {
-                    let started_s = epoch.elapsed().as_secs_f64();
-                    let result = run_with_retry(run, item, w, retries);
-                    let done = Completion {
-                        item,
-                        worker: w,
-                        started_s,
-                        finished_s: epoch.elapsed().as_secs_f64(),
-                        result,
-                    };
-                    if tx.send(done).is_err() {
+                    let result = run_with_retry(run, item, retries);
+                    if tx.send(Completion { item, result }).is_err() {
                         break; // receiver gone: nothing left to report to
                     }
                 }
@@ -121,16 +99,11 @@ fn lock<'a>(m: &'a Mutex<VecDeque<usize>>) -> std::sync::MutexGuard<'a, VecDeque
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn run_with_retry<T, F: Fn(usize, usize) -> T>(
-    run: &F,
-    item: usize,
-    worker: usize,
-    retries: u32,
-) -> ItemResult<T> {
+fn run_with_retry<T, F: Fn(usize) -> T>(run: &F, item: usize, retries: u32) -> ItemResult<T> {
     let mut attempts = 0;
     loop {
         attempts += 1;
-        match catch_unwind(AssertUnwindSafe(|| run(item, worker))) {
+        match catch_unwind(AssertUnwindSafe(|| run(item))) {
             Ok(value) => return Ok((value, attempts)),
             Err(payload) => {
                 if attempts > retries {
@@ -168,13 +141,11 @@ mod tests {
                 23,
                 jobs,
                 0,
-                |i, _w| i * 2,
+                |i| i * 2,
                 |done: Completion<usize>| {
                     let (v, attempts) = done.result.expect("no panics");
                     assert_eq!(v, done.item * 2);
                     assert_eq!(attempts, 1);
-                    assert!(done.worker < jobs, "worker index in range");
-                    assert!(done.finished_s >= done.started_s, "monotone attempt window");
                     seen[done.item] += 1;
                 },
             );
@@ -191,7 +162,7 @@ mod tests {
             6,
             3,
             2,
-            |i, _w| {
+            |i| {
                 calls.fetch_add(1, Ordering::Relaxed);
                 assert!(i != 4, "cell 4 always dies");
                 i
@@ -219,7 +190,7 @@ mod tests {
             1,
             1,
             3,
-            |i, _w| {
+            |i| {
                 // Fails twice, then succeeds.
                 assert!(calls.fetch_add(1, Ordering::Relaxed) >= 2, "warming up");
                 i
@@ -234,31 +205,9 @@ mod tests {
 
     #[test]
     fn zero_items_and_oversized_job_counts_are_fine() {
-        run_parallel(0, 8, 0, |i, _w| i, |_done| unreachable!("no items"));
+        run_parallel(0, 8, 0, |i| i, |_done| unreachable!("no items"));
         let mut n = 0;
-        run_parallel(2, 64, 0, |i, _w| i, |_done| n += 1);
+        run_parallel(2, 64, 0, |i| i, |_done| n += 1);
         assert_eq!(n, 2);
-    }
-
-    #[test]
-    fn completions_carry_the_final_attempts_worker() {
-        // Single worker: every completion must name worker 0 and report
-        // windows relative to the same pool epoch.
-        let mut finishes = Vec::new();
-        run_parallel(
-            3,
-            1,
-            0,
-            |i, w| {
-                assert_eq!(w, 0);
-                i
-            },
-            |done: Completion<usize>| {
-                assert_eq!(done.worker, 0);
-                finishes.push(done.finished_s);
-            },
-        );
-        assert_eq!(finishes.len(), 3);
-        assert!(finishes.windows(2).all(|w| w[0] <= w[1]));
     }
 }

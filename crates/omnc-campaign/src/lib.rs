@@ -20,17 +20,11 @@
 //! RSS depends on the host, the allocator, and worker scheduling, so
 //! per-cell and campaign-wide peak RSS go to a separate `memory.json`
 //! and are *never* part of the five byte-compared artifacts above.
-//! Worker-utilization telemetry follows the same split: per-worker
-//! busy/idle windows are wall-clock and scheduling dependent, so they
-//! go to `workers.json` (a plain `TimelineReport`, renderable with
-//! `omnc-report timeline`) and to the live `/series` endpoint — never
-//! into the byte-compared `timeline.json`.
 //!
 //! With `--serve ADDR` the campaign additionally runs the telemetry
 //! [`Observer`] thread: `/metrics` exposes campaign counters in the
 //! Prometheus text format, `/progress` the live [`ProgressBoard`]
-//! (cells done/total, per-worker state, ETA), `/series` the live
-//! worker-utilization windows. Serving is strictly read-only, so every
+//! (cells done/total, ETA). Serving is strictly read-only, so every
 //! merged artifact stays byte-identical with it on. Each cell attempt
 //! also arms a panic-safe [`FlightRecorder`]: a cell that dies beyond
 //! its retry budget leaves `flight-<cell>.jsonl` — the last breadcrumbs
@@ -48,7 +42,7 @@ use std::io;
 use std::path::Path;
 
 use telemetry::{
-    FlightRecorder, Logger, Observer, ObserverHandles, Profiler, ProgressBoard, Registry,
+    Counter, FlightRecorder, Logger, Observer, ObserverHandles, Profiler, ProgressBoard, Registry,
     TimeSeries,
 };
 
@@ -71,8 +65,8 @@ pub struct CampaignOptions {
     pub resume: bool,
     /// Progress logger.
     pub log: Logger,
-    /// Bind address for the live observer (`/metrics`, `/progress`,
-    /// `/series`), e.g. `127.0.0.1:9464`. `None` disables serving.
+    /// Bind address for the live observer (`/metrics`, `/progress`),
+    /// e.g. `127.0.0.1:9464`. `None` disables serving.
     pub serve: Option<String>,
 }
 
@@ -224,6 +218,62 @@ fn aggregate_outcome(out: &omnc::multi::MultiSessionOutcome) -> SessionOutcome {
     }
 }
 
+/// A campaign's live observability plane: the `campaign.cells.*`
+/// instruments behind `/metrics` and the board behind `/progress`, served
+/// by an [`Observer`] thread for as long as this value lives. Everything
+/// here is read-only over the run — the observer snapshots, it never
+/// writes into the cells — so merged artifacts cannot depend on whether
+/// it is on. Without a bind address every handle is a free no-op.
+#[derive(Debug)]
+pub struct LivePlane {
+    /// `campaign.cells.completed`: cells persisted by this invocation.
+    pub completed: Counter,
+    /// `campaign.cells.failed`: cells that exhausted their retries.
+    pub failed: Counter,
+    /// Done/total/ETA over this invocation's pending cells.
+    pub board: ProgressBoard,
+    observer: Option<Observer>,
+}
+
+impl LivePlane {
+    /// Sets up the plane for a campaign of `total` cells of which
+    /// `pending` run now, and serves it on `serve` (port 0 picks a free
+    /// port) if given.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the address cannot be bound.
+    pub fn start(
+        serve: Option<&str>,
+        name: &str,
+        total: usize,
+        pending: usize,
+    ) -> io::Result<LivePlane> {
+        let (registry, board) = match serve {
+            Some(_) => (Registry::new(), ProgressBoard::enabled(name, pending)),
+            None => (Registry::disabled(), ProgressBoard::disabled()),
+        };
+        registry.gauge("campaign.cells.total").set(total as f64);
+        let skipped = total - pending;
+        registry.gauge("campaign.cells.skipped").set(skipped as f64);
+        let handles = ObserverHandles {
+            registry: registry.clone(),
+            progress: board.clone(),
+        };
+        Ok(LivePlane {
+            completed: registry.counter("campaign.cells.completed"),
+            failed: registry.counter("campaign.cells.failed"),
+            board,
+            observer: (serve.map(|addr| Observer::serve(addr, handles))).transpose()?,
+        })
+    }
+
+    /// Where the observer listens, when serving.
+    pub fn addr(&self) -> Option<std::net::SocketAddr> {
+        self.observer.as_ref().map(Observer::local_addr)
+    }
+}
+
 /// Runs (or resumes) `spec` into `out_dir`: executes every cell not yet
 /// journaled, then — if the whole matrix is complete — rewrites the
 /// merged artifacts. Failed cells leave every other cell's results
@@ -268,61 +318,25 @@ pub fn run_campaign(
             .info(&format!("resume: {skipped} cells already journaled"));
     }
 
-    // The live observability plane. Everything below is read-only over
-    // the run: the observer thread snapshots, it never writes into the
-    // cells, so merged artifacts cannot depend on whether it is on.
-    let effective_jobs = options.jobs.clamp(1, pending.len().max(1));
-    let live_registry = if options.serve.is_some() {
-        Registry::new()
-    } else {
-        Registry::disabled()
-    };
-    let cells_total = live_registry.gauge("campaign.cells.total");
-    let cells_skipped = live_registry.gauge("campaign.cells.skipped");
-    let cells_completed = live_registry.counter("campaign.cells.completed");
-    let cells_failed = live_registry.counter("campaign.cells.failed");
-    cells_total.set(cells.len() as f64);
-    cells_skipped.set(skipped as f64);
-    // Per-worker busy/idle windows: wall-clock + scheduling dependent,
-    // so they feed `/series` and `workers.json`, never `timeline.json`.
-    let workers_timeline = TimeSeries::enabled(1.0, 256);
-    let board = if options.serve.is_some() {
-        ProgressBoard::enabled(&spec.name, pending.len(), effective_jobs)
-    } else {
-        ProgressBoard::disabled()
-    };
-    let _observer = match &options.serve {
-        Some(addr) => {
-            let observer = Observer::serve(
-                addr,
-                ObserverHandles {
-                    registry: live_registry.clone(),
-                    timeline: workers_timeline.clone(),
-                    progress: board.clone(),
-                },
-            )?;
-            options.log.info(&format!(
-                "observer serving /metrics /progress /series on http://{}",
-                observer.local_addr()
-            ));
-            Some(observer)
-        }
-        None => None,
-    };
+    let serve = options.serve.as_deref();
+    let live = LivePlane::start(serve, &spec.name, cells.len(), pending.len())?;
+    if let Some(addr) = live.addr() {
+        options.log.info(&format!(
+            "observer serving /metrics /progress on http://{addr}"
+        ));
+    }
 
     let trace_capacity = spec.trace_capacity();
     let mut failures: Vec<CellFailure> = Vec::new();
     let mut io_error: Option<io::Error> = None;
     let mut done = 0usize;
     let mut memory_cells: Vec<CellMemory> = Vec::new();
-    let mut last_finish_s = vec![0.0f64; effective_jobs];
     executor::run_parallel(
         pending.len(),
         options.jobs,
         spec.retries(),
-        |i, worker| {
+        |i| {
             let cell = &cells[pending[i]];
-            board.cell_started(worker, &cell.key);
             // Every attempt gets a fresh black box armed to this thread:
             // if the cell panics, the hook dumps the ring before the
             // executor's catch_unwind sees anything.
@@ -332,15 +346,7 @@ pub fn run_campaign(
         },
         |completion| {
             let cell = &cells[pending[completion.item]];
-            board.cell_finished(completion.worker, completion.result.is_ok());
-            if let Some(prev) = last_finish_s.get_mut(completion.worker) {
-                let idle = (completion.started_s - *prev).max(0.0);
-                let busy = (completion.finished_s - completion.started_s).max(0.0);
-                let worker = format!("w{:02}", completion.worker);
-                workers_timeline.record(&format!("{worker}/idle_s"), *prev, idle);
-                workers_timeline.record(&format!("{worker}/busy_s"), completion.started_s, busy);
-                *prev = completion.finished_s;
-            }
+            live.board.cell_finished(completion.result.is_ok());
             match completion.result {
                 Ok((cell_result, attempts)) => {
                     let persisted = write_cell(out_dir, &cell_result).and_then(|()| {
@@ -359,7 +365,7 @@ pub fn run_campaign(
                     // A retried-then-successful attempt may have left a
                     // stale black box; the cell ended well, drop it.
                     let _ = std::fs::remove_file(flight_path(out_dir, &cell.key));
-                    cells_completed.inc();
+                    live.completed.inc();
                     done += 1;
                     if let Some(rss) = telemetry::sample_rss() {
                         memory_cells.push(CellMemory {
@@ -384,7 +390,7 @@ pub fn run_campaign(
                         e.message,
                         flight_path(out_dir, &cell.key).display()
                     ));
-                    cells_failed.inc();
+                    live.failed.inc();
                     failures.push(CellFailure {
                         key: cell.key.clone(),
                         attempts: e.attempts,
@@ -398,16 +404,6 @@ pub fn run_campaign(
         return Err(e);
     }
     failures.sort_by(|a, b| a.key.cmp(&b.key));
-
-    // Worker-utilization artifact: same host-dependence argument as
-    // memory.json. Only written when this invocation actually ran cells,
-    // so a no-op resume cannot clobber the original run's telemetry.
-    if !pending.is_empty() {
-        let report = workers_timeline.snapshot();
-        let json = serde_json::to_string(&report)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        std::fs::write(out_dir.join("workers.json"), json + "\n")?;
-    }
 
     // Host-dependent memory figures go to their own artifact so the five
     // byte-compared ones stay deterministic (see module docs).

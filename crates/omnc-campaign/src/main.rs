@@ -46,9 +46,9 @@ session indices; see EXPERIMENTS.md for the schema. `resume` re-runs
 only cells the checkpoint journal does not already cover; merged
 artifacts are byte-identical for any --jobs and across resumes.
 `--serve ADDR` (e.g. 127.0.0.1:9100) starts a read-only observer
-thread serving /metrics (Prometheus text), /progress (JSON with ETA
-and per-worker state), and /series (worker timelines) for the life of
-the run; serving never changes any artifact byte. Each cell runs under
+thread serving /metrics (Prometheus text) and /progress (JSON with
+done/total and ETA) for the life of the run; serving never changes any
+artifact byte. Each cell runs under
 a flight recorder: a panicking cell dumps its last breadcrumbs to
 <out>/flight-<cell>.jsonl before the retry machinery takes over.
 `--count-allocs` enables allocation counting, adding alloc columns to

@@ -4,10 +4,12 @@
 //! retried and isolated without poisoning the rest of the matrix.
 
 use std::fs;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 
 use omnc_campaign::spec::CampaignSpec;
-use omnc_campaign::{run_campaign, CampaignOptions};
+use omnc_campaign::{run_campaign, CampaignOptions, LivePlane};
 use telemetry::{LogLevel, Logger};
 
 const ARTIFACTS: [&str; 5] = [
@@ -164,15 +166,34 @@ fn serving_the_observer_never_changes_an_artifact_byte() {
     for ((name, left), right) in ARTIFACTS.iter().zip(&a).zip(&b) {
         assert_eq!(left, right, "{name} differs with the observer serving");
     }
-    // Worker-utilization telemetry rides in its own artifact (it is
-    // host-dependent, like memory.json), present with or without serving.
-    for dir in [&plain_dir, &served_dir] {
-        let workers = fs::read_to_string(dir.join("workers.json")).expect("workers.json");
-        assert!(workers.contains("w00/busy_s"), "{workers}");
-    }
 
     let _ = fs::remove_dir_all(plain_dir);
     let _ = fs::remove_dir_all(served_dir);
+}
+
+#[test]
+fn live_plane_serves_campaign_totals_over_http() {
+    // The scrape half of the observer smoke, in process: no campaign to
+    // race, the plane stays up for as long as the test holds it.
+    let live = LivePlane::start(Some("127.0.0.1:0"), "smoke", 8, 5).expect("bind a free port");
+    let addr = live.addr().expect("serving");
+    live.board.cell_finished(true);
+    live.completed.inc();
+    let get = |path: &str| {
+        let mut stream = TcpStream::connect(addr).expect("connect to the observer");
+        write!(stream, "GET {path} HTTP/1.0\r\n\r\n").expect("send request");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read response");
+        assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
+        response
+    };
+    let progress = get("/progress");
+    assert!(progress.contains("\"total\":5"), "{progress}");
+    assert!(progress.contains("\"completed\":1"), "{progress}");
+    let metrics = get("/metrics");
+    assert!(metrics.contains("campaign_cells_total 8"), "{metrics}");
+    assert!(metrics.contains("campaign_cells_skipped 3"), "{metrics}");
+    assert!(metrics.contains("campaign_cells_completed 1"), "{metrics}");
 }
 
 #[test]

@@ -9,15 +9,14 @@
 //!
 //! Analysis runs in two phases (ISSUE 8):
 //!
-//! * **Phase A (per file, cacheable)** — [`analyze_file`] lexes one file
+//! * **Phase A (per file)** — [`analyze_file`] lexes one file
 //!   and produces a [`FileAnalysis`]: extracted symbols, *local* findings
 //!   (rules applied by their static path scopes, exactly as before), and
 //!   *potential* findings (violations of propagating rules computed
 //!   regardless of path scope, held back until phase B proves the code
 //!   hot). This phase depends only on the file's bytes and the rule
-//!   table, which is what makes the `--cache` keyed on content hash +
-//!   [`crate::rules::RULES_VERSION`] sound.
-//! * **Phase B (cross-file, always recomputed)** — [`assemble_findings`]
+//!   table.
+//! * **Phase B (cross-file)** — [`assemble_findings`]
 //!   builds the call graph over the simulation crates, BFS-propagates
 //!   hot-path obligations from [`crate::rules::HOT_ENTRIES`], releases
 //!   the potential findings that landed inside a hot function, and
@@ -26,7 +25,6 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::cache::{self, CacheEntry, CacheFile};
 use crate::callgraph;
 use crate::findings::{Finding, Report};
 use crate::lexer::{clean, CleanFile};
@@ -53,7 +51,7 @@ pub fn analyze_source(rel_path: &str, source: &str, table: &RuleTable) -> Vec<Fi
     analyze_file(rel_path, source, table).local
 }
 
-/// Phase A: the full cacheable per-file analysis.
+/// Phase A: the full per-file analysis.
 pub fn analyze_file(rel_path: &str, source: &str, table: &RuleTable) -> FileAnalysis {
     let file = clean(source);
     let in_test = test_line_mask(&file);
@@ -118,7 +116,6 @@ fn run_line_checks(
         };
         check_patterns(&line.code, &mut emit);
         check_hash_iteration(&line.code, &hash_bindings, &mut emit);
-        check_indexing(&line.code, &mut emit);
         check_float_eq(&line.code, &mut emit);
         check_unsafe(file, idx, &mut emit);
         check_lossy_cast(&line.code, &mut emit);
@@ -131,7 +128,7 @@ fn run_line_checks(
 
 /// Substring rules: each hit of a pattern outside tests is one finding.
 fn check_patterns(code: &str, emit: &mut impl FnMut(Rule, String)) {
-    const PATTERNS: [(Rule, &str, &str); 19] = [
+    const PATTERNS: [(Rule, &str, &str); 17] = [
         (Rule::WallClock, "Instant::now", "wall-clock read"),
         (Rule::WallClock, "SystemTime", "wall-clock read"),
         (Rule::NondetRng, "thread_rng", "entropy-seeded RNG"),
@@ -142,8 +139,6 @@ fn check_patterns(code: &str, emit: &mut impl FnMut(Rule, String)) {
         (Rule::EnvDep, "env::args", "environment read"),
         (Rule::EnvDep, "env::vars", "environment read"),
         (Rule::Unwrap, ".unwrap()", "unchecked unwrap in hot path"),
-        (Rule::Panic, ".expect(", "potential panic in hot path"),
-        (Rule::Panic, "panic!", "explicit panic in hot path"),
         (Rule::Concurrency, "thread::spawn", "thread creation"),
         (Rule::Concurrency, "thread::scope", "thread creation"),
         (Rule::Concurrency, "thread::Builder", "thread creation"),
@@ -156,7 +151,6 @@ fn check_patterns(code: &str, emit: &mut impl FnMut(Rule, String)) {
             "zero-capacity Vec (allocates on first push) in hot path",
         ),
     ];
-    const PANIC_MACROS: [&str; 3] = ["unreachable!", "todo!", "unimplemented!"];
     for (rule, pat, what) in PATTERNS {
         // Patterns that begin with an identifier char need a non-identifier
         // char before the match so e.g. `MySystemTimer` does not trip
@@ -168,13 +162,6 @@ fn check_patterns(code: &str, emit: &mut impl FnMut(Rule, String)) {
                 continue;
             }
             emit(rule, format!("{what}: `{pat}` is banned here"));
-        }
-    }
-    for pat in PANIC_MACROS {
-        for pos in find_all(code, pat) {
-            if ident_boundary_before(code, pos) {
-                emit(Rule::Panic, format!("panicking macro `{pat}` in hot path"));
-            }
         }
     }
 }
@@ -244,25 +231,6 @@ fn check_hash_iteration(code: &str, bindings: &[String], emit: &mut impl FnMut(R
                     format!("hash-order iteration: `for .. in {name}`"),
                 );
             }
-        }
-    }
-}
-
-/// Slice/array indexing heuristic: `[` directly after an identifier,
-/// `)` or `]`. Attributes (`#[...]`) and macro brackets (`vec![`) have
-/// non-identifier characters before the bracket and do not match.
-fn check_indexing(code: &str, emit: &mut impl FnMut(Rule, String)) {
-    let bytes = code.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != b'[' || i == 0 {
-            continue;
-        }
-        let prev = bytes[i - 1];
-        if prev.is_ascii_alphanumeric() || prev == b'_' || prev == b')' || prev == b']' {
-            emit(
-                Rule::Index,
-                "unchecked indexing in hot path (prefer `get`)".to_owned(),
-            );
         }
     }
 }
@@ -815,31 +783,10 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 ///
 /// Returns an I/O error if the tree cannot be read.
 pub fn check_workspace(root: &Path, table: &RuleTable) -> io::Result<Report> {
-    check_workspace_cached(root, table, None)
-}
-
-/// [`check_workspace`] with an optional incremental cache file. Phase-A
-/// results for files whose content hash matches the cache are replayed
-/// without re-analysis; phase B always runs. The cache is rewritten
-/// after the walk. Hit/miss counts land in the report.
-///
-/// # Errors
-///
-/// Returns an I/O error if the tree cannot be read. Cache *read* errors
-/// degrade to a cold run; cache *write* errors are reported but do not
-/// fail the check.
-pub fn check_workspace_cached(
-    root: &Path,
-    table: &RuleTable,
-    cache_path: Option<&Path>,
-) -> io::Result<Report> {
     let crates = root.join("crates");
     let mut files = Vec::new();
     collect_rust_files(&crates, &mut files)?;
     files.sort();
-
-    let old_cache = cache_path.and_then(cache::load);
-    let mut new_cache = CacheFile::new();
 
     let mut report = Report::default();
     let mut analyses: Vec<(String, FileAnalysis)> = Vec::new();
@@ -850,28 +797,7 @@ pub fn check_workspace_cached(
             .to_string_lossy()
             .replace('\\', "/");
         let source = std::fs::read_to_string(path)?;
-        let hash = cache::fnv1a64(source.as_bytes());
-        let analysis = match old_cache.as_ref().and_then(|c| c.lookup(&rel, hash)) {
-            Some(entry) => {
-                report.cache_hits += 1;
-                FileAnalysis {
-                    symbols: entry.symbols.clone(),
-                    local: entry.local.clone(),
-                    potential: entry.potential.clone(),
-                }
-            }
-            None => {
-                report.cache_misses += 1;
-                analyze_file(&rel, &source, table)
-            }
-        };
-        new_cache.entries.push(CacheEntry {
-            path: rel.clone(),
-            hash,
-            symbols: analysis.symbols.clone(),
-            local: analysis.local.clone(),
-            potential: analysis.potential.clone(),
-        });
+        let analysis = analyze_file(&rel, &source, table);
         if rel.ends_with("src/lib.rs") || rel.ends_with("src/main.rs") {
             report
                 .findings
@@ -882,12 +808,6 @@ pub fn check_workspace_cached(
     }
     report.findings.extend(assemble_findings(&analyses));
     report.finish();
-
-    if let Some(cp) = cache_path {
-        if let Err(e) = cache::save(cp, &new_cache) {
-            eprintln!("omnc-lint: writing cache {}: {e}", cp.display());
-        }
-    }
     Ok(report)
 }
 
@@ -975,22 +895,14 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_deny_and_expect_warn_in_hot_path() {
-        let src = "fn f(x: Option<u32>) { let a = x.unwrap(); let b = x.expect(\"b\"); }\n";
+    fn unwrap_denied_in_hot_path_only() {
+        // `.expect(` states its reason and indexing is bounds-checked:
+        // neither is a finding.
+        let src = "fn f(x: Option<u32>, v: &[u8]) { x.unwrap(); x.expect(\"b\"); v[0]; }\n";
         let fs = lint(HOT_PATH, src);
-        assert_eq!(fs.len(), 2);
-        let unwrap = fs.iter().find(|f| f.rule == "unwrap").unwrap();
-        assert_eq!(unwrap.severity, Severity::Deny);
-        let expect = fs.iter().find(|f| f.rule == "panic").unwrap();
-        assert_eq!(expect.severity, Severity::Warn);
-    }
-
-    #[test]
-    fn indexing_warned_in_hot_path_only() {
-        let src = "fn f(v: &[u8]) -> u8 { v[0] }\n";
-        let fs = lint(HOT_PATH, src);
-        assert_eq!(fs.len(), 1);
-        assert_eq!(fs[0].severity, Severity::Warn);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert_eq!(fs[0].rule, "unwrap");
+        assert_eq!(fs[0].severity, Severity::Deny);
         assert!(lint("crates/omnc/src/runner.rs", src).is_empty());
     }
 

@@ -3,8 +3,7 @@
 //! JSONL output reuses the `omnc-telemetry` sink conventions (one
 //! serde-serialized object per line via [`telemetry::EventSink`]) so
 //! findings can be post-processed with the same tooling as simulation
-//! traces. Findings also serialize into the incremental lint cache
-//! (`crate::cache`), so they derive `Deserialize` as well.
+//! traces, and read back with serde.
 
 use serde::{Deserialize, Serialize};
 use telemetry::EventSink;
@@ -93,10 +92,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of files analyzed.
     pub files_checked: usize,
-    /// Incremental-cache hits (files whose analysis was reused).
-    pub cache_hits: usize,
-    /// Incremental-cache misses (files analyzed from scratch).
-    pub cache_misses: usize,
 }
 
 impl Report {
@@ -166,7 +161,7 @@ mod tests {
         r.findings.push(Finding::new(
             "a.rs",
             9,
-            Rule::Index,
+            Rule::FloatEq,
             Severity::Warn,
             "y".into(),
             "",
@@ -215,7 +210,7 @@ mod tests {
         assert_eq!(back, f);
 
         // A chain-free finding survives the round trip too.
-        let plain = Finding::new("a.rs", 1, Rule::Panic, Severity::Warn, "m".into(), "s");
+        let plain = Finding::new("a.rs", 1, Rule::FloatEq, Severity::Warn, "m".into(), "s");
         let text = serde_json::to_string(&plain).unwrap();
         let back: Finding = serde_json::from_str(&text).unwrap();
         assert_eq!(back, plain);

@@ -367,17 +367,17 @@ mod tests {
 
     #[test]
     fn standalone_directive_attaches_to_next_code_line() {
-        let f = clean("// lint: allow(unwrap, panic): checked above\nfoo();\n");
+        let f = clean("// lint: allow(unwrap, hot-alloc): checked above\nfoo();\n");
         assert!(f.is_allowed(1, "unwrap"));
-        assert!(f.is_allowed(1, "panic"));
+        assert!(f.is_allowed(1, "hot-alloc"));
         assert!(!f.is_allowed(0, "unwrap"));
     }
 
     #[test]
     fn file_directive_covers_every_line() {
-        let f = clean("// lint: allow-file(index)\na[0];\nb[1];\n");
-        assert!(f.is_allowed(1, "index"));
-        assert!(f.is_allowed(2, "index"));
+        let f = clean("// lint: allow-file(float-eq)\na[0];\nb[1];\n");
+        assert!(f.is_allowed(1, "float-eq"));
+        assert!(f.is_allowed(2, "float-eq"));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * **(D) determinism** — no `Instant::now`/`SystemTime`, no entropy-seeded
 //!   RNGs, no environment reads, no `HashMap`/`HashSet` iteration in the sim
 //!   crates;
-//! * **(P) panic-freedom** — no `.unwrap()` (deny) and flagged
-//!   `.expect(`/`panic!`/indexing (warn) in designated hot-path modules;
+//! * **(P) panic-freedom** — no `.unwrap()` and no direct heap
+//!   allocation in designated hot-path modules;
 //! * **(U) unsafe audit** — every crate root carries
 //!   `#![forbid(unsafe_code)]` or SAFETY-documents each allow;
 //! * **(F) float hygiene** — no `==`/`!=` against float literals in the
@@ -30,9 +30,8 @@
 //! hot-alloc, unchecked-arith, clone-in-hot-loop) apply transitively to
 //! everything reachable from the registered hot entry points
 //! ([`rules::HOT_ENTRIES`]), with a blame chain rendered on each finding.
-//! Per-file results are cacheable ([`cache`], `--cache PATH`) keyed on
-//! content hash + [`rules::RULES_VERSION`]; findings export as JSONL or
-//! SARIF 2.1.0 ([`sarif`], `--format sarif` / `--sarif PATH`).
+//! Findings export as JSONL or SARIF 2.1.0 ([`sarif`], `--format sarif` /
+//! `--sarif PATH`).
 //!
 //! The semantic half, [`scenario`], checks scenario/topology inputs:
 //! reception probabilities in `[0, 1]`, connectivity, interference-clique
@@ -45,7 +44,6 @@
 #![forbid(unsafe_code)]
 
 pub mod analyzer;
-pub mod cache;
 pub mod callgraph;
 pub mod findings;
 pub mod lexer;
@@ -55,9 +53,8 @@ pub mod scenario;
 pub mod symbols;
 
 pub use analyzer::{
-    analyze_file, analyze_source, check_workspace, check_workspace_cached, find_workspace_root,
-    FileAnalysis,
+    analyze_file, analyze_source, check_workspace, find_workspace_root, FileAnalysis,
 };
 pub use findings::{Finding, Report};
-pub use rules::{Rule, RuleTable, Severity, HOT_ENTRIES, RULES_VERSION};
+pub use rules::{Rule, RuleTable, Severity, HOT_ENTRIES};
 pub use scenario::{check_scenario_file, check_scenario_str, ScenarioSpec};

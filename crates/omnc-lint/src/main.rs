@@ -1,8 +1,8 @@
 //! `omnc-lint` — workspace static analysis and scenario validation CLI.
 //!
 //! ```text
-//! omnc-lint check [--root DIR] [--cache PATH] [--format text|sarif]
-//!                 [--sarif PATH] [--only PATH]... [--json PATH|-] [--quiet]
+//! omnc-lint check [--root DIR] [--format text|sarif] [--sarif PATH]
+//!                 [--only PATH]... [--json PATH|-] [--quiet]
 //! omnc-lint check-scenario FILE... [--json PATH|-] [--quiet]
 //! omnc-lint rules
 //! ```
@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use omnc_lint::{
-    check_scenario_file, check_workspace_cached, find_workspace_root, sarif, Report, RuleTable,
+    check_scenario_file, check_workspace, find_workspace_root, sarif, Report, RuleTable,
 };
 use telemetry::EventSink;
 
@@ -28,8 +28,6 @@ struct Options {
     positional: Vec<PathBuf>,
     /// `--root DIR` override for `check`.
     root: Option<PathBuf>,
-    /// `--cache PATH` incremental analysis cache for `check`.
-    cache: Option<PathBuf>,
     /// `--format text|sarif` stdout format for `check`.
     format: Format,
     /// `--sarif PATH` additionally writes a SARIF log to PATH.
@@ -60,9 +58,6 @@ commands:
 options:
   --root DIR     workspace root for `check` (default: nearest ancestor
                  with a [workspace] Cargo.toml)
-  --cache PATH   reuse/update an incremental analysis cache (keyed on
-                 file content hash and the rule-table version; hit/miss
-                 counts go to stderr)
   --format FMT   stdout format for `check`: text (default) or sarif
   --sarif PATH   additionally write a SARIF 2.1.0 log to PATH
   --only PATH    report findings only under this workspace-relative
@@ -78,7 +73,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         command,
         positional: Vec::new(),
         root: None,
-        cache: None,
         format: Format::Text,
         sarif: None,
         only: Vec::new(),
@@ -90,10 +84,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--root" => {
                 let v = it.next().ok_or("--root needs a value")?;
                 opts.root = Some(PathBuf::from(v));
-            }
-            "--cache" => {
-                let v = it.next().ok_or("--cache needs a value")?;
-                opts.cache = Some(PathBuf::from(v));
             }
             "--format" => {
                 let v = it.next().ok_or("--format needs a value")?;
@@ -192,15 +182,8 @@ fn run_check(opts: &Options) -> ExitCode {
         }
     };
     let table = RuleTable::default();
-    match check_workspace_cached(&root, &table, opts.cache.as_deref()) {
+    match check_workspace(&root, &table) {
         Ok(mut report) => {
-            if opts.cache.is_some() {
-                // Stats go to stderr so warm/cold stdout stays byte-identical.
-                eprintln!(
-                    "omnc-lint: cache: {} hit(s), {} miss(es)",
-                    report.cache_hits, report.cache_misses
-                );
-            }
             if !opts.only.is_empty() {
                 report
                     .findings

@@ -7,7 +7,7 @@
 //!   environment reads, and hash-order iteration are banned from the sim
 //!   crates;
 //! * **(P) panic-freedom** — designated hot-path modules must not
-//!   `.unwrap()`, and `.expect(`/`panic!`/indexing are flagged for review;
+//!   `.unwrap()`;
 //! * **(U) unsafe audit** — every workspace crate keeps
 //!   `#![forbid(unsafe_code)]` or documents each allow with a `// SAFETY:`
 //!   comment;
@@ -38,12 +38,6 @@
 //! line or the line above) or per file with `// lint: allow-file(<rule>)`.
 
 use serde::{Deserialize, Serialize};
-
-/// Bumped whenever rule semantics, scopes, or the analyzer's per-file
-/// output change in a way that invalidates cached analyses. The
-/// incremental cache (`--cache`) stores this and discards entries
-/// recorded under a different version.
-pub const RULES_VERSION: u32 = 4;
 
 /// How a finding affects the exit status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -76,10 +70,6 @@ pub enum Rule {
     HashIter,
     /// P: `.unwrap()` in hot-path modules.
     Unwrap,
-    /// P: `.expect(` / `panic!` / `unreachable!` in hot-path modules.
-    Panic,
-    /// P: slice/array indexing in hot-path modules.
-    Index,
     /// U: missing `#![forbid(unsafe_code)]` or undocumented unsafe.
     UnsafeAudit,
     /// F: `==` / `!=` against a float literal.
@@ -103,14 +93,12 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in reporting order.
-    pub const ALL: [Rule; 15] = [
+    pub const ALL: [Rule; 13] = [
         Rule::WallClock,
         Rule::NondetRng,
         Rule::EnvDep,
         Rule::HashIter,
         Rule::Unwrap,
-        Rule::Panic,
-        Rule::Index,
         Rule::UnsafeAudit,
         Rule::FloatEq,
         Rule::Concurrency,
@@ -129,8 +117,6 @@ impl Rule {
             Rule::EnvDep => "env-dep",
             Rule::HashIter => "hash-iter",
             Rule::Unwrap => "unwrap",
-            Rule::Panic => "panic",
-            Rule::Index => "index",
             Rule::UnsafeAudit => "unsafe-audit",
             Rule::FloatEq => "float-eq",
             Rule::Concurrency => "concurrency",
@@ -157,8 +143,6 @@ impl Rule {
             Rule::EnvDep => "process-environment reads (env::var / env::args) in sim crates",
             Rule::HashIter => "iteration over HashMap/HashSet bindings in sim crates",
             Rule::Unwrap => ".unwrap() in hot-path modules or code reachable from hot entries",
-            Rule::Panic => ".expect( / panic! / unreachable! in designated hot-path modules",
-            Rule::Index => "slice/array indexing in designated hot-path modules",
             Rule::UnsafeAudit => "crates must forbid unsafe_code or SAFETY-document each allow",
             Rule::FloatEq => "== / != against float literals in optimizer/LP crates",
             Rule::Concurrency => {
@@ -193,8 +177,6 @@ impl Rule {
                 | Rule::EnvDep
                 | Rule::HashIter
                 | Rule::Unwrap
-                | Rule::Panic
-                | Rule::Index
                 | Rule::HotAlloc
                 | Rule::UncheckedArith
                 | Rule::CloneInHotLoop
@@ -398,8 +380,6 @@ impl Default for RuleTable {
                 (Rule::EnvDep, cfg(Severity::Deny, &sim, vec!["/src/bin/"])),
                 (Rule::HashIter, cfg(Severity::Deny, &sim, vec![])),
                 (Rule::Unwrap, cfg(Severity::Deny, &hot, vec![])),
-                (Rule::Panic, cfg(Severity::Warn, &hot, vec![])),
-                (Rule::Index, cfg(Severity::Warn, &hot, vec![])),
                 (Rule::UnsafeAudit, cfg(Severity::Deny, &Vec::new(), vec![])),
                 (Rule::FloatEq, cfg(Severity::Deny, &float, vec![])),
                 // Two sanctioned concurrency surfaces: the campaign
@@ -553,8 +533,6 @@ mod tests {
     fn propagating_rules_are_the_hot_path_obligations() {
         for rule in [
             Rule::Unwrap,
-            Rule::Panic,
-            Rule::Index,
             Rule::HotAlloc,
             Rule::WallClock,
             Rule::NondetRng,

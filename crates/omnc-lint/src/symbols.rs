@@ -12,16 +12,12 @@
 //! * `use` imports (one brace level deep), for free-function resolution.
 //!
 //! The output feeds `crate::callgraph`, which resolves call sites into an
-//! approximate cross-crate call graph for obligation propagation. The
-//! structures serialize into the incremental lint cache, so symbol
-//! extraction is skipped entirely for unchanged files on warm runs.
-
-use serde::{Deserialize, Serialize};
+//! approximate cross-crate call graph for obligation propagation.
 
 use crate::lexer::CleanFile;
 
 /// One call site inside a function body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallSite {
     /// The called name (last path segment).
     pub callee: String,
@@ -35,7 +31,7 @@ pub struct CallSite {
 }
 
 /// One function (or bodyless trait-method declaration).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FnSym {
     /// The function name.
     pub name: String,
@@ -67,7 +63,7 @@ impl FnSym {
 }
 
 /// One `use` import visible in the file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Import {
     /// The name as visible in this file (the alias, for `as` renames).
     pub name: String,
@@ -76,7 +72,7 @@ pub struct Import {
 }
 
 /// All symbols extracted from one file.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FileSymbols {
     /// Functions in declaration order.
     pub fns: Vec<FnSym>,

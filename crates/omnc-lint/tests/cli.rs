@@ -154,34 +154,6 @@ fn hot_ws_blame_chain_is_rendered_and_denied() {
 }
 
 #[test]
-fn cache_warm_run_is_byte_identical_with_hits() {
-    let ws = fixture_dir().join("hot-ws");
-    let dir = std::env::temp_dir().join(format!("omnc-lint-cli-cache-{}", std::process::id()));
-    let cache = dir.join("cache.json");
-    let ws = ws.to_string_lossy();
-    let cache = cache.to_string_lossy();
-    let args = ["check", "--root", &ws, "--cache", &cache];
-
-    let cold = run(&args);
-    let warm = run(&args);
-    assert_eq!(exit_code(&cold), 1);
-    assert_eq!(exit_code(&warm), 1);
-    // Stats go to stderr; stdout must be byte-identical across runs.
-    assert_eq!(cold.stdout, warm.stdout);
-    let cold_err = String::from_utf8_lossy(&cold.stderr);
-    let warm_err = String::from_utf8_lossy(&warm.stderr);
-    assert!(
-        cold_err.contains("cache: 0 hit(s), 3 miss(es)"),
-        "stderr:\n{cold_err}"
-    );
-    assert!(
-        warm_err.contains("cache: 3 hit(s), 0 miss(es)"),
-        "stderr:\n{warm_err}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn sarif_output_parses_and_carries_the_chain() {
     let ws = fixture_dir().join("hot-ws");
     let out = run(&[
@@ -247,8 +219,6 @@ fn rules_lists_every_rule() {
         "env-dep",
         "hash-iter",
         "unwrap",
-        "panic",
-        "index",
         "unsafe-audit",
         "float-eq",
         "concurrency",

@@ -1,4 +1,4 @@
-// Fixture: panic-freedom rules (unwrap, panic, index).
+// Fixture: the panic-freedom rule (unwrap).
 // Linted under a fake hot-path module path; not compiled.
 
 fn unwrap_positive(x: Option<u32>) -> u32 {
@@ -9,24 +9,16 @@ fn unwrap_allowed(x: Option<u32>) -> u32 {
     x.unwrap() // lint: allow(unwrap) fixture: checked by caller
 }
 
-fn expect_positive(x: Option<u32>) -> u32 {
-    x.expect("fixture") // finding: panic (warn)
+fn expect_is_fine(x: Option<u32>) -> u32 {
+    x.expect("fixture")
 }
 
-fn macro_positive(flag: bool) {
+fn macro_is_fine(flag: bool) {
     if flag {
-        panic!("fixture"); // finding: panic (warn)
+        panic!("fixture");
     }
 }
 
-fn index_positive(v: &[u8]) -> u8 {
-    v[0] // finding: index (warn)
-}
-
-fn index_allowed(v: &[u8]) -> u8 {
-    v[0] // lint: allow(index) fixture: length checked above
-}
-
-fn get_is_fine(v: &[u8]) -> Option<u8> {
-    v.first().copied()
+fn index_is_fine(v: &[u8]) -> u8 {
+    v[0]
 }

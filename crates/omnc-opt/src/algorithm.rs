@@ -193,13 +193,8 @@ impl RateAllocation {
         }
     }
 
-    /// Broadcast rate assigned to local node `i` (absolute units, e.g.
-    /// bytes/second).
-    pub fn broadcast_rate(&self, i: usize) -> f64 {
-        self.b[i]
-    }
-
-    /// The full broadcast-rate vector, indexed by local node.
+    /// The broadcast rate assigned to every local node (absolute units,
+    /// e.g. bytes/second).
     pub fn broadcast_rates(&self) -> &[f64] {
         &self.b
     }
@@ -429,11 +424,6 @@ impl<'a> RateControl<'a> {
     pub fn with_profiler(mut self, profiler: telemetry::Profiler) -> Self {
         self.profiler = profiler;
         self
-    }
-
-    /// The parameters of this run.
-    pub fn params(&self) -> &RateControlParams {
-        &self.params
     }
 
     /// Runs to convergence and returns the recovered feasible allocation.

@@ -21,10 +21,10 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Write};
 
 use omnc_report::{
-    analyze, compare_profiles, gate_report, parse_flight, parse_opt, parse_trace,
-    profile_gate_report, render_ascii, render_csv, render_flight, render_profile, render_progress,
-    render_timeline, render_timeline_summary, summarize_timeline, timeline_csv, GateReport,
-    ProfileMetric, ProfileReport, ProgressSnapshot, Report, TimelineReport,
+    analyze, gate_report, metric_values, parse_flight, parse_opt, parse_trace, render_ascii,
+    render_csv, render_flight, render_profile, render_progress, render_timeline,
+    render_timeline_summary, summarize_timeline, timeline_csv, GateKind, GateReport, ProfileMetric,
+    ProfileReport, ProgressSnapshot, Report, TimelineReport,
 };
 
 fn main() {
@@ -65,7 +65,7 @@ USAGE:
                                 [--json <OUT>]
     omnc-report timeline <PATH> [--filter <S>] [--csv <OUT>] [--json <OUT>]
                                 [--quiet]
-    omnc-report live <ADDR> [--watch] [--interval <SECS>] [--series]
+    omnc-report live <ADDR> [--watch] [--interval <SECS>]
     omnc-report flight <PATH>
 
 ANALYZE:
@@ -119,8 +119,6 @@ LIVE:
     --watch             poll /progress until the run completes (or the
                         observer goes away) instead of one-shot
     --interval <SECS>   polling interval under --watch     [default: 2]
-    --series            also fetch /series and chart the live timeline
-                        windows as sparklines
 
 FLIGHT:
     <PATH>              flight-recorder dump (flight-<cell>.jsonl from a
@@ -164,7 +162,6 @@ fn run_live(args: &[String]) -> Result<i32, String> {
     let mut addr: Option<String> = None;
     let mut watch = false;
     let mut interval_s = 2.0f64;
-    let mut series = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -177,7 +174,6 @@ fn run_live(args: &[String]) -> Result<i32, String> {
                     .filter(|s| *s > 0.0)
                     .ok_or_else(|| format!("could not parse --interval '{v}'"))?;
             }
-            "--series" => series = true,
             other if !other.starts_with("--") && addr.is_none() => addr = Some(other.to_string()),
             other => return Err(format!("unknown flag '{other}' (try --help)")),
         }
@@ -205,12 +201,6 @@ fn run_live(args: &[String]) -> Result<i32, String> {
                 true
             }
         };
-        if series {
-            let body = http_get(&addr, "/series")?;
-            let report: TimelineReport =
-                serde_json::from_str(&body).map_err(|e| format!("parsing /series: {e}"))?;
-            print!("{}", render_timeline(&report, None));
-        }
         polled_once = true;
         if !watch || done {
             return Ok(0);
@@ -310,8 +300,14 @@ fn run_compare(args: &[String]) -> Result<i32, String> {
     }
     let baseline = load_report(&baseline_path.ok_or("compare requires --baseline")?)?;
     let current = load_report(&current_path.ok_or("compare requires --current")?)?;
-    let gate = gate_report(&baseline.metrics, &current.metrics, threshold, strict);
-    for v in gate.verdicts.iter().filter(|v| v.status == "missing") {
+    let gate = gate_report(
+        GateKind::Metrics,
+        metric_values(&baseline.metrics),
+        metric_values(&current.metrics),
+        threshold,
+        strict,
+    );
+    for v in gate.with_status("missing") {
         println!("warning: metric '{}' missing from current report", v.metric);
     }
     let compared = gate.verdicts.len() - gate.missing;
@@ -322,7 +318,7 @@ fn run_compare(args: &[String]) -> Result<i32, String> {
             threshold * 100.0
         );
         println!("{:>34} {:>14} {:>14}", "metric", "baseline", "current");
-        for v in gate.verdicts.iter().filter(|v| v.status == "regressed") {
+        for v in gate.with_status("regressed") {
             println!("{:>34} {:>14.3} {:>14.3}", v.metric, v.baseline, v.current);
         }
     } else {
@@ -399,32 +395,36 @@ fn run_profile_compare(args: &[String]) -> Result<i32, String> {
     }
     let baseline = load_profile(&baseline_path.ok_or("profile compare requires --baseline")?)?;
     let current = load_profile(&current_path.ok_or("profile compare requires --current")?)?;
-    let gate = profile_gate_report(&baseline, &current, threshold, metric, strict);
-    let cmp = compare_profiles(&baseline, &current, threshold, metric);
-    for path in &cmp.missing {
-        println!("warning: span '{path}' missing from current profile");
+    let gate = gate_report(
+        GateKind::Profile(metric),
+        metric.values(&baseline),
+        metric.values(&current),
+        threshold,
+        strict,
+    );
+    for v in gate.with_status("missing") {
+        println!("warning: span '{}' missing from current profile", v.metric);
     }
-    if !cmp.regressions.is_empty() {
+    let compared = gate.verdicts.len() - gate.missing;
+    if gate.regressed > 0 {
         println!(
-            "REGRESSION: {} of {} spans grew beyond {:.0}% tolerance ({})",
-            cmp.regressions.len(),
-            baseline.spans.len() - cmp.missing.len(),
+            "REGRESSION: {} of {compared} spans grew beyond {:.0}% tolerance ({})",
+            gate.regressed,
             threshold * 100.0,
-            metric.name()
+            gate.metric
         );
         println!("{:>12} {:>12}  span", "baseline", "current");
-        for r in &cmp.regressions {
-            println!("{:>12} {:>12}  {}", r.baseline, r.current, r.path);
+        for v in gate.with_status("regressed") {
+            println!("{:>12} {:>12}  {}", v.baseline, v.current, v.metric);
         }
     } else {
         println!(
-            "OK: {} spans within {:.0}% of baseline ({})",
-            baseline.spans.len() - cmp.missing.len(),
+            "OK: {compared} spans within {:.0}% of baseline ({})",
             threshold * 100.0,
-            metric.name()
+            gate.metric
         );
-        if strict && !cmp.missing.is_empty() {
-            println!("STRICT: {} baseline span(s) missing", cmp.missing.len());
+        if strict && gate.missing > 0 {
+            println!("STRICT: {} baseline span(s) missing", gate.missing);
         }
     }
     finish_gate(&gate, json_out.as_deref())

@@ -7,7 +7,7 @@ use std::process::Command;
 
 use omnc::runner::{run_session_traced, Protocol, RunOptions};
 use omnc::scenario::Scenario;
-use omnc_report::{analyze, compare, parse_trace, Report};
+use omnc_report::{analyze, gate_report, metric_values, parse_trace, GateKind, Report};
 
 fn traced_run(fault_fraction: Option<f64>) -> (omnc::runner::SessionOutcome, Report) {
     let scenario = Scenario::small_test();
@@ -56,16 +56,23 @@ fn forwarder_contributions_sum_to_the_destination_rank() {
 fn compare_gate_fails_a_degraded_run_and_passes_a_clean_one() {
     let (_, baseline) = traced_run(None);
     let (_, same) = traced_run(None);
+    let gate = |current: &Report| {
+        let (base, cur) = (
+            metric_values(&baseline.metrics),
+            metric_values(&current.metrics),
+        );
+        gate_report(GateKind::Metrics, base, cur, 0.15, false)
+    };
     assert!(
-        compare(&baseline.metrics, &same.metrics, 0.15).is_empty(),
+        gate(&same).passed,
         "identical seeded runs must pass the gate"
     );
     let (_, degraded) = traced_run(Some(0.1));
-    let regressions = compare(&baseline.metrics, &degraded.metrics, 0.15);
+    let regressions = gate(&degraded);
     assert!(
         regressions
-            .iter()
-            .any(|r| r.metric.ends_with("/throughput")),
+            .with_status("regressed")
+            .any(|v| v.metric.ends_with("/throughput")),
         "killing the source must register as a throughput regression: {regressions:?}"
     );
 }

@@ -1,12 +1,11 @@
 //! The live observability plane: Prometheus-style text exposition over
 //! [`Registry`] snapshots, a shared [`ProgressBoard`] for cells-done /
-//! per-worker state / ETA, and a tiny [`Observer`] thread serving both
-//! (plus the current [`TimeSeries`] windows) over plain HTTP.
+//! ETA, and a tiny [`Observer`] thread serving both over plain HTTP.
 //!
 //! Everything here is *strictly read-only* over the handles it is given:
 //! the observer thread only ever calls `snapshot()` on the registry and
-//! the timeline recorder, so serving has no effect on what a run records
-//! and merged campaign artifacts stay byte-identical with serving on.
+//! the board, so serving has no effect on what a run records and merged
+//! campaign artifacts stay byte-identical with serving on.
 //!
 //! This module is the workspace's one sanctioned network-listener
 //! surface (the omnc-lint `concurrency` rule denies `TcpListener` and
@@ -31,7 +30,6 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::registry::{MetricKind, MetricSnapshot, Registry};
-use crate::timeseries::TimeSeries;
 
 // ---------------------------------------------------------------------------
 // Text exposition
@@ -199,21 +197,6 @@ pub fn throughput_eta(completed: usize, remaining: usize, elapsed_s: f64) -> Opt
     Some((rate, remaining as f64 / rate))
 }
 
-/// One worker's live state in a [`ProgressSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkerProgress {
-    /// Worker index (0-based).
-    pub worker: usize,
-    /// Whether the worker currently holds a cell.
-    pub busy: bool,
-    /// Key of the cell in flight, if any.
-    pub cell: Option<String>,
-    /// Cells this worker has finished so far.
-    pub cells_done: u64,
-    /// Total seconds this worker has spent busy.
-    pub busy_s: f64,
-}
-
 /// A point-in-time JSON-serializable view of a run's progress, served
 /// at `/progress`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -232,16 +215,6 @@ pub struct ProgressSnapshot {
     pub cells_per_s: Option<f64>,
     /// Estimated seconds to finish the remaining units.
     pub eta_s: Option<f64>,
-    /// Per-worker state.
-    pub workers: Vec<WorkerProgress>,
-}
-
-#[derive(Debug)]
-struct WorkerSlot {
-    current: Option<String>,
-    busy_since: Option<Instant>,
-    cells_done: u64,
-    busy_s: f64,
 }
 
 #[derive(Debug)]
@@ -251,10 +224,9 @@ struct BoardCore {
     completed: usize,
     failed: usize,
     started: Instant,
-    workers: Vec<WorkerSlot>,
 }
 
-/// Shared live-progress state: workers report cell start/finish, the
+/// Shared live-progress state: the run reports finished units, the
 /// observer thread snapshots. Follows the crate's enabled/disabled
 /// handle pattern — a disabled board (the `Default`) drops updates
 /// after one branch and snapshots to `None`.
@@ -270,17 +242,9 @@ impl ProgressBoard {
         ProgressBoard { core: None }
     }
 
-    /// A live board for `total` units spread over `workers` workers.
+    /// A live board for `total` units of work.
     #[must_use]
-    pub fn enabled(name: &str, total: usize, workers: usize) -> ProgressBoard {
-        let slots = (0..workers)
-            .map(|_| WorkerSlot {
-                current: None,
-                busy_since: None,
-                cells_done: 0,
-                busy_s: 0.0,
-            })
-            .collect();
+    pub fn enabled(name: &str, total: usize) -> ProgressBoard {
         ProgressBoard {
             core: Some(Arc::new(Mutex::new(BoardCore {
                 name: name.to_owned(),
@@ -288,7 +252,6 @@ impl ProgressBoard {
                 completed: 0,
                 failed: 0,
                 started: Instant::now(),
-                workers: slots,
             }))),
         }
     }
@@ -299,32 +262,15 @@ impl ProgressBoard {
         self.core.is_some()
     }
 
-    /// Worker `worker` began running the cell `key`.
-    pub fn cell_started(&self, worker: usize, key: &str) {
-        let Some(core) = &self.core else { return };
-        let mut core = core.lock();
-        if let Some(slot) = core.workers.get_mut(worker) {
-            slot.current = Some(key.to_owned());
-            slot.busy_since = Some(Instant::now());
-        }
-    }
-
-    /// Worker `worker` finished its current cell (`ok = false` means the
-    /// cell exhausted its retries).
-    pub fn cell_finished(&self, worker: usize, ok: bool) {
+    /// One unit of work finished (`ok = false` means it exhausted its
+    /// retries).
+    pub fn cell_finished(&self, ok: bool) {
         let Some(core) = &self.core else { return };
         let mut core = core.lock();
         if ok {
             core.completed += 1;
         } else {
             core.failed += 1;
-        }
-        if let Some(slot) = core.workers.get_mut(worker) {
-            if let Some(since) = slot.busy_since.take() {
-                slot.busy_s += since.elapsed().as_secs_f64();
-            }
-            slot.current = None;
-            slot.cells_done += 1;
         }
     }
 
@@ -345,21 +291,6 @@ impl ProgressBoard {
             elapsed_s,
             cells_per_s: estimate.map(|(rate, _)| rate),
             eta_s: estimate.map(|(_, eta)| eta),
-            workers: core
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(i, slot)| WorkerProgress {
-                    worker: i,
-                    busy: slot.current.is_some(),
-                    cell: slot.current.clone(),
-                    cells_done: slot.cells_done,
-                    busy_s: slot.busy_s
-                        + slot
-                            .busy_since
-                            .map_or(0.0, |since| since.elapsed().as_secs_f64()),
-                })
-                .collect(),
         })
     }
 }
@@ -373,14 +304,12 @@ impl ProgressBoard {
 pub struct ObserverHandles {
     /// Metrics for `/metrics` (exposition text).
     pub registry: Registry,
-    /// Timeline recorder for `/series` (JSON [`crate::TimelineReport`]).
-    pub timeline: TimeSeries,
     /// Progress board for `/progress` (JSON [`ProgressSnapshot`]).
     pub progress: ProgressBoard,
 }
 
-/// A background thread serving `/metrics`, `/progress`, and `/series`
-/// over HTTP/1.0 from snapshot-only reads of its [`ObserverHandles`].
+/// A background thread serving `/metrics` and `/progress` over HTTP/1.0
+/// from snapshot-only reads of its [`ObserverHandles`].
 ///
 /// Dropping the observer shuts the thread down (a self-connection
 /// unblocks the accept loop) and joins it.
@@ -477,11 +406,6 @@ fn respond(stream: &mut TcpStream, handles: &ObserverHandles) -> std::io::Result
                 Some(snap) => serde_json::to_string(&snap).unwrap_or_else(|_| "{}".to_owned()),
                 None => "{}".to_owned(),
             },
-        ),
-        "/series" => (
-            "200 OK",
-            "application/json",
-            serde_json::to_string(&handles.timeline.snapshot()).unwrap_or_else(|_| "{}".to_owned()),
         ),
         _ => ("404 Not Found", "text/plain", "not found\n".to_owned()),
     };
@@ -592,36 +516,24 @@ mod tests {
     }
 
     #[test]
-    fn progress_board_tracks_workers_and_completion() {
-        let board = ProgressBoard::enabled("smoke", 4, 2);
-        board.cell_started(0, "a/OMNC/0000000000");
-        board.cell_started(1, "a/MORE/0000000000");
+    fn progress_board_tracks_completion() {
+        let board = ProgressBoard::enabled("smoke", 4);
         let snap = board.snapshot().expect("enabled board snapshots");
         assert_eq!((snap.total, snap.completed, snap.failed), (4, 0, 0));
-        assert!(snap.workers[0].busy && snap.workers[1].busy);
-        assert_eq!(snap.workers[0].cell.as_deref(), Some("a/OMNC/0000000000"));
         assert_eq!(snap.cells_per_s, None, "no completions yet");
 
-        board.cell_finished(0, true);
-        board.cell_finished(1, false);
+        board.cell_finished(true);
+        board.cell_finished(false);
         let snap = board.snapshot().expect("snapshot");
         assert_eq!((snap.completed, snap.failed), (1, 1));
-        assert!(!snap.workers[0].busy);
-        assert_eq!(snap.workers[0].cells_done, 1);
         assert!(snap.cells_per_s.is_some() && snap.eta_s.is_some());
-
-        // Out-of-range worker indices are ignored, not a panic.
-        board.cell_started(99, "x");
-        board.cell_finished(99, true);
-        assert_eq!(board.snapshot().expect("snapshot").completed, 2);
     }
 
     #[test]
     fn disabled_board_is_a_noop() {
         let board = ProgressBoard::disabled();
         assert!(!board.is_enabled());
-        board.cell_started(0, "k");
-        board.cell_finished(0, true);
+        board.cell_finished(true);
         assert!(board.snapshot().is_none());
     }
 
@@ -629,15 +541,11 @@ mod tests {
     fn observer_serves_metrics_progress_series_and_404() {
         let registry = Registry::new();
         registry.counter("campaign.cells.completed").add(3);
-        let timeline = TimeSeries::enabled(1.0, 8);
-        timeline.record("w0/busy_s", 0.5, 1.25);
-        let board = ProgressBoard::enabled("smoke", 8, 2);
-        board.cell_started(0, "a/OMNC/0000000000");
+        let board = ProgressBoard::enabled("smoke", 8);
         let observer = Observer::serve(
             "127.0.0.1:0",
             ObserverHandles {
                 registry: registry.clone(),
-                timeline: timeline.clone(),
                 progress: board.clone(),
             },
         )
@@ -658,15 +566,12 @@ mod tests {
         let snap: ProgressSnapshot =
             serde_json::from_str(body_of(&progress)).expect("progress parses");
         assert_eq!((snap.total, snap.completed), (8, 0));
-        assert_eq!(snap.workers.len(), 2);
 
-        let series = http_get(addr, "/series");
-        let report: crate::TimelineReport =
-            serde_json::from_str(body_of(&series)).expect("series parses");
-        assert!(report.series("w0/busy_s").is_some());
-
-        let missing = http_get(addr, "/nope");
-        assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");
+        // Anything else is a 404, the retired `/series` included.
+        for path in ["/series", "/nope"] {
+            let missing = http_get(addr, path);
+            assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");
+        }
 
         drop(observer); // joins the thread; must not hang
     }

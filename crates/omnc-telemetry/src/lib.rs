@@ -5,9 +5,8 @@
 //! * a [`Registry`] of named [`Counter`]s, [`Gauge`]s, and fixed-bucket
 //!   [`Histogram`]s — handles are `Arc`-backed atomics, so the hot path is
 //!   a single relaxed atomic op and never allocates;
-//! * [`ScopedTimer`] / [`Stopwatch`] for wall-clock profiling of hot
-//!   sections (GF(256) kernels, Gaussian elimination, the drift event
-//!   loop), recording elapsed microseconds into a histogram;
+//! * [`Span`], the bare wall-clock reference point instrumented sim code
+//!   holds so its own source stays free of `Instant::now()`;
 //! * an [`EventSink`] that serializes typed events ([`serde::Serialize`])
 //!   as one JSON object per line (JSONL), either to a file or an
 //!   in-memory buffer.
@@ -36,7 +35,7 @@
 //! * the live observability plane — Prometheus-style text exposition
 //!   ([`render_exposition`]), a live [`ProgressBoard`] with the shared
 //!   [`throughput_eta`] estimator, and the read-only [`Observer`]
-//!   thread serving `/metrics`, `/progress`, and `/series` over HTTP;
+//!   thread serving `/metrics` and `/progress` over HTTP;
 //! * a panic-safe [`FlightRecorder`] — a fixed-capacity ring of recent
 //!   events dumped to `flight-<cell>.jsonl` by a chained panic hook
 //!   ([`FlightRecorder::arm`]), the black box for campaign cells.
@@ -64,7 +63,6 @@ pub use alloc::{
 };
 pub use export::{
     render_exposition, throughput_eta, Observer, ObserverHandles, ProgressBoard, ProgressSnapshot,
-    WorkerProgress,
 };
 pub use flightrec::{FlightEvent, FlightGuard, FlightHeader, FlightRecorder};
 pub use log::{LogLevel, Logger};
@@ -74,5 +72,5 @@ pub use profiler::{
 };
 pub use registry::{BucketCount, Counter, Gauge, Histogram, MetricKind, MetricSnapshot, Registry};
 pub use sink::{EventSink, SinkTarget};
-pub use timer::{ScopedTimer, Span, Stopwatch};
+pub use timer::Span;
 pub use timeseries::{Series, TimeSeries, TimelineBucket, TimelineReport, TimelineSeries};

@@ -1,67 +1,6 @@
-//! Wall-clock timers feeding histograms.
+//! The one wall-clock reference point instrumented sim code may hold.
 
-use crate::registry::Histogram;
 use std::time::Instant;
-
-/// A manual start/stop timer: `lap()` records elapsed microseconds into a
-/// histogram and restarts the clock.
-#[derive(Debug)]
-pub struct Stopwatch {
-    histogram: Histogram,
-    started: Instant,
-}
-
-impl Stopwatch {
-    /// Starts timing into `histogram` (units: microseconds).
-    pub fn start(histogram: Histogram) -> Self {
-        Stopwatch {
-            histogram,
-            started: Instant::now(),
-        }
-    }
-
-    /// Records the elapsed time and restarts; returns the lap in µs.
-    pub fn lap(&mut self) -> f64 {
-        let micros = self.started.elapsed().as_secs_f64() * 1e6;
-        self.histogram.observe(micros);
-        self.started = Instant::now();
-        micros
-    }
-
-    /// Restarts the clock without recording.
-    pub fn reset(&mut self) {
-        self.started = Instant::now();
-    }
-}
-
-/// Times a scope: records elapsed microseconds into its histogram on drop.
-///
-/// ```ignore
-/// let _t = ScopedTimer::new(registry.histogram("decode.us", &BOUNDS));
-/// // ... hot section ...
-/// ```
-#[derive(Debug)]
-pub struct ScopedTimer {
-    histogram: Histogram,
-    started: Instant,
-}
-
-impl ScopedTimer {
-    /// Starts timing; the observation is recorded when dropped.
-    pub fn new(histogram: Histogram) -> Self {
-        ScopedTimer {
-            histogram,
-            started: Instant::now(),
-        }
-    }
-}
-
-impl Drop for ScopedTimer {
-    fn drop(&mut self) {
-        self.histogram
-            .observe(self.started.elapsed().as_secs_f64() * 1e6);
-    }
-}
 
 /// A bare wall-clock reference point, for instrumented code that must not
 /// touch `std::time` directly.
@@ -88,34 +27,5 @@ impl Span {
     #[must_use]
     pub fn elapsed_us(&self) -> f64 {
         self.started.elapsed().as_secs_f64() * 1e6
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::registry::Registry;
-
-    #[test]
-    fn scoped_timer_records_on_drop() {
-        let registry = Registry::new();
-        let h = registry.histogram("op.us", &[1e3, 1e6]);
-        {
-            let _t = ScopedTimer::new(h.clone());
-            std::hint::black_box(17u64);
-        }
-        assert_eq!(h.count(), 1);
-        assert!(h.sum() >= 0.0);
-    }
-
-    #[test]
-    fn stopwatch_laps_accumulate() {
-        let registry = Registry::new();
-        let h = registry.histogram("loop.us", &[1e3, 1e6]);
-        let mut watch = Stopwatch::start(h.clone());
-        watch.lap();
-        watch.reset();
-        watch.lap();
-        assert_eq!(h.count(), 2);
     }
 }

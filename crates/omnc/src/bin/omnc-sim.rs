@@ -213,9 +213,8 @@ OPTIONS:
                         and --profile stay byte-identical)
     --serve <ADDR>      serve live observability read-only over HTTP while
                         the run lasts: /metrics (Prometheus text from the
-                        simulator's counters), /progress (JSON with ETA
-                        and per-session state), /series (the --timeline
-                        windows, when enabled). Never changes any output
+                        simulator's counters), /progress (JSON with
+                        done/total and ETA). Never changes any output
                         byte; e.g. --serve 127.0.0.1:9100
     --flight-recorder <PATH> keep a ring of run breadcrumbs and dump them
                         to PATH if the run panics (nothing is written on
@@ -298,20 +297,19 @@ fn main() {
         } else {
             args.sessions * args.protocols.len()
         };
-        ProgressBoard::enabled("omnc-sim", cells, 1)
+        ProgressBoard::enabled("omnc-sim", cells)
     } else {
         ProgressBoard::disabled()
     };
     let _observer = args.serve.as_ref().map(|addr| {
         let handles = ObserverHandles {
             registry: registry.clone(),
-            timeline: timeline.clone(),
             progress: board.clone(),
         };
         match Observer::serve(addr, handles) {
             Ok(observer) => {
                 log.info(&format!(
-                    "observer serving /metrics /progress /series on http://{}",
+                    "observer serving /metrics /progress on http://{}",
                     observer.local_addr()
                 ));
                 observer
@@ -343,7 +341,6 @@ fn main() {
     if args.multi {
         for &protocol in &args.protocols {
             let scope_key = format!("{}/multi", protocol.name().to_ascii_lowercase());
-            board.cell_started(0, &scope_key);
             let _black_box = args
                 .flight_recorder
                 .as_ref()
@@ -354,7 +351,7 @@ fn main() {
                 ..options.clone()
             };
             let (out, traces) = run_multi_cell(&scenario, protocol, &run_options);
-            board.cell_finished(0, true);
+            board.cell_finished(true);
             if let Some(scope) = scope {
                 let d = scope.delta();
                 let rss = sample_rss().map_or(0, |r| r.vm_rss_bytes) / (1024 * 1024);
@@ -444,7 +441,6 @@ fn main() {
                 ));
                 let scope = args.count_allocs.then(omnc::telemetry::AllocScope::start);
                 let scope_key = format!("{}/s{k}", protocol.name().to_ascii_lowercase());
-                board.cell_started(0, &scope_key);
                 let _black_box = args
                     .flight_recorder
                     .as_ref()
@@ -462,7 +458,7 @@ fn main() {
                     seed,
                     &run_options,
                 );
-                board.cell_finished(0, true);
+                board.cell_finished(true);
                 if let Some(scope) = scope {
                     let d = scope.delta();
                     let rss = sample_rss().map_or(0, |r| r.vm_rss_bytes) / (1024 * 1024);

@@ -263,7 +263,8 @@ mod tests {
     #[test]
     fn oldmore_prunes_the_worse_relay() {
         // Asymmetric diamond: relay 1 is on a much better path; min-cost
-        // routes everything through it and prunes relay 2.
+        // routes everything through it and prunes relay 2, which MORE keeps
+        // — the defining difference between the two baselines.
         let t = Topology::from_links(
             4,
             vec![
@@ -302,6 +303,8 @@ mod tests {
             "bad relay pruned: {:?}",
             plan.z
         );
+        let more = more_credits(&sel);
+        assert!(more.is_active(NodeId::new(1), 1e-6) && more.is_active(NodeId::new(2), 1e-6));
     }
 
     #[test]

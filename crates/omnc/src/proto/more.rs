@@ -1,4 +1,4 @@
-//! The MORE baseline (Chachulski et al., SIGCOMM'07) and its oldMORE
+//! The pacing of MORE (Chachulski et al., SIGCOMM'07) and of its oldMORE
 //! precursor — credit-driven coded forwarding *without* rate control.
 //!
 //! The source stays backlogged (it "continuously send\[s\] random linearly
@@ -7,20 +7,20 @@
 //! node and enqueues one re-encoded packet per whole credit. Transmission
 //! rates are whatever the fair-share MAC yields — the protocol is oblivious
 //! to channel congestion, which is exactly the behaviour the OMNC paper's
-//! Fig. 3 exposes (mean queue 22 vs OMNC's 0.63).
+//! Fig. 3 exposes (mean queue 22 vs OMNC's 0.63). The data path itself is
+//! [`crate::proto::common`]'s, the same one OMNC runs.
 //!
-//! oldMORE differs only in where its credits come from (min-cost flow,
-//! pruning lossy paths; see [`crate::proto::credits`]), so both share the
-//! behaviours below.
+//! oldMORE runs these behaviours unchanged: it *is* MORE with different
+//! credits, [`crate::proto::credits::oldmore_credits`] (min-cost flow,
+//! pruning lossy paths).
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use drift::{Behavior, Ctx, PacketTag};
+use drift::{Behavior, Ctx};
 use net_topo::graph::NodeId;
-use rlnc::{GenerationId, Recoder};
 
 use crate::msg::Msg;
-use crate::proto::common::{enqueue_coded, CodedDestination, CodedSource};
+use crate::proto::common::{CodedRelay, CodedSource};
 use crate::session::{SessionConfig, SessionShared};
 
 const TICK: u64 = 0;
@@ -29,31 +29,16 @@ const TICK: u64 = 0;
 /// generation is available, deferring entirely to the MAC for pacing.
 #[derive(Debug)]
 pub struct MoreSource {
-    state: CodedSource,
+    /// The shared source data path.
+    pub source: CodedSource,
 }
 
 impl MoreSource {
     /// Creates the source.
     pub fn new(cfg: SessionConfig, ledger: SessionShared, session_seed: u64) -> Self {
         MoreSource {
-            state: CodedSource::new(cfg, ledger, session_seed),
+            source: CodedSource::new(cfg, ledger, session_seed),
         }
-    }
-
-    /// Coded packets emitted so far.
-    pub fn packets_emitted(&self) -> u64 {
-        self.state.packets_emitted
-    }
-
-    /// Attaches a profiler to the encoding path.
-    pub fn set_profiler(&mut self, profiler: telemetry::Profiler) {
-        self.state.set_profiler(profiler);
-    }
-
-    /// Top-up interval: one minimum-size transmission time; fast enough to
-    /// keep the queue backlogged without flooding the calendar.
-    fn interval(&self) -> f64 {
-        self.state.config().coded_wire_len() as f64 / self.state.config().capacity
     }
 }
 
@@ -63,69 +48,51 @@ impl Behavior<Msg> for MoreSource {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _token: u64) {
-        let now = ctx.now().as_secs();
-        // Keep two packets queued: one in flight, one ready.
-        while ctx.queue_len() < 2 {
-            let cfg = *self.state.config();
-            let origin = ctx.node();
-            match self.state.next_tagged_packet(now, ctx.rng(), origin) {
-                Some((msg, tag)) => enqueue_coded(ctx, &cfg, msg, Some(tag)),
-                None => break, // waiting for the CBR application
-            }
-        }
-        ctx.set_timer(self.interval(), TICK);
+        // Keep two packets queued: one in flight, one ready (or fewer while
+        // waiting for the CBR application).
+        while ctx.queue_len() < 2 && self.source.emit(ctx) {}
+        // Top up every minimum-size transmission time: fast enough to keep
+        // the queue backlogged without flooding the calendar.
+        let cfg = self.source.config();
+        ctx.set_timer(cfg.coded_wire_len() as f64 / cfg.capacity, TICK);
     }
 }
 
-/// MORE/oldMORE relay: credit counter plus re-encoding buffer.
+/// MORE/oldMORE relay: a credit counter pacing the shared relay data path.
 #[derive(Debug)]
 pub struct MoreRelay {
-    cfg: SessionConfig,
+    /// The shared relay data path (buffer, reception counts).
+    pub relay: CodedRelay,
     /// Credit added per reception from upstream.
     tx_credit: f64,
     /// ETX distance of this node (receptions from farther nodes earn
     /// credit).
     my_dist: f64,
-    /// ETX distance per potential upstream, by topology node id.
-    dist: Vec<f64>,
+    /// The session's ETX distance per potential upstream, by topology node
+    /// id; one table shared by all the session's relays.
+    dist: Arc<[f64]>,
     credit: f64,
-    buffer: Recoder,
-    profiler: telemetry::Profiler,
-    /// Session id, learned from the first tagged packet heard on the air.
-    session: Option<u64>,
-    /// Innovative packets received per upstream node.
-    pub innovative_from: BTreeMap<NodeId, u64>,
-    /// All coded packets received per upstream node.
-    pub received_from: BTreeMap<NodeId, u64>,
-    /// Re-encoded packets emitted.
-    pub packets_emitted: u64,
 }
 
 impl MoreRelay {
-    /// Creates a relay with its precomputed credit increment and the ETX
-    /// distance table used to recognize upstream transmitters.
+    /// Creates a relay with its precomputed credit increment and its
+    /// session's ETX distance table, used to recognize upstream
+    /// transmitters.
     ///
     /// # Panics
     ///
     /// Panics if `tx_credit` is negative or not finite.
-    pub fn new(cfg: SessionConfig, tx_credit: f64, my_dist: f64, dist: Vec<f64>) -> Self {
+    pub fn new(cfg: SessionConfig, tx_credit: f64, my_dist: f64, dist: Arc<[f64]>) -> Self {
         assert!(
             tx_credit.is_finite() && tx_credit >= 0.0,
             "tx_credit must be non-negative"
         );
-        let buffer = Recoder::new(GenerationId::new(0), cfg.generation_config());
         MoreRelay {
-            cfg,
+            relay: CodedRelay::new(cfg),
             tx_credit,
             my_dist,
             dist,
             credit: 0.0,
-            buffer,
-            profiler: telemetry::Profiler::disabled(),
-            session: None,
-            innovative_from: BTreeMap::new(),
-            received_from: BTreeMap::new(),
-            packets_emitted: 0,
         }
     }
 
@@ -133,131 +100,35 @@ impl MoreRelay {
     pub fn credit(&self) -> f64 {
         self.credit
     }
-
-    /// The relay's decoding rank.
-    pub fn rank(&self) -> usize {
-        self.buffer.rank()
-    }
-
-    /// Attaches a profiler to the recode/innovation-filter path (survives
-    /// generation advances).
-    pub fn set_profiler(&mut self, profiler: telemetry::Profiler) {
-        self.buffer.set_profiler(profiler.clone());
-        self.profiler = profiler;
-    }
-
-    /// Packet-driven expiry, as in [`crate::proto::omnc::OmncRelay`]: a
-    /// higher-generation packet flushes the buffer, the credit balance and
-    /// any still-queued packets of newer generations survive. Stale packets
-    /// already queued keep draining over the air — with MORE's large queues
-    /// this is a substantial waste, the very congestion cost of Fig. 3.
-    fn advance_generation(&mut self, ctx: &mut Ctx<'_, Msg>, newer: GenerationId) {
-        if newer > self.buffer.generation() {
-            self.buffer = Recoder::new(newer, self.cfg.generation_config());
-            self.buffer.set_profiler(self.profiler.clone());
-            self.credit = 0.0;
-            ctx.retain_queue(|m| m.generation() == Some(newer));
-        }
-    }
 }
 
 impl Behavior<Msg> for MoreRelay {
     fn on_receive(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: &Msg) {
-        if let Some(tag) = ctx.incoming_tag() {
-            self.session.get_or_insert(tag.session);
-        }
-        if let Some(generation) = msg.generation() {
-            self.advance_generation(ctx, generation);
-        }
-        let Msg::Coded(packet) = msg else { return };
-        *self.received_from.entry(from).or_insert(0) += 1;
-        if packet.generation() != self.buffer.generation() {
-            return;
-        }
-        let from_upstream = self
-            .dist
-            .get(from.index())
-            .copied()
-            .unwrap_or(f64::INFINITY)
-            > self.my_dist;
-        if let Ok(result) = self.buffer.absorb(packet) {
-            if result.is_innovative() {
-                *self.innovative_from.entry(from).or_insert(0) += 1;
-            }
+        let generation = self.relay.generation();
+        let buffered = self.relay.receive(ctx, from, msg);
+        if self.relay.generation() != generation {
+            // Credit earned towards an expired generation is void.
+            self.credit = 0.0;
         }
         // MORE: every reception from a farther node earns TX credit,
         // innovative or not (the sender cannot know).
-        if from_upstream && self.tx_credit > 0.0 {
+        let from_dist = self.dist.get(from.index()).copied();
+        let from_upstream = from_dist.unwrap_or(f64::INFINITY) > self.my_dist;
+        if buffered && from_upstream && self.tx_credit > 0.0 {
             self.credit += self.tx_credit;
-            while self.credit >= 1.0 && self.buffer.rank() > 0 {
+            while self.credit >= 1.0 && self.relay.rank() > 0 {
                 self.credit -= 1.0;
-                let packet = {
-                    let rng = ctx.rng();
-                    self.buffer.emit(rng).expect("rank > 0")
-                };
-                // Fresh identity: the relay is the packet's coding origin.
-                let tag = PacketTag {
-                    session: self.session.unwrap_or(0),
-                    generation: packet.generation(),
-                    seq: self.packets_emitted,
-                    origin: ctx.node(),
-                };
-                self.packets_emitted += 1;
-                let cfg = self.cfg;
-                enqueue_coded(ctx, &cfg, Msg::Coded(packet), Some(tag));
+                self.relay.emit(ctx);
             }
         }
-    }
-}
-
-/// MORE destination — identical decoding logic to OMNC's.
-#[derive(Debug)]
-pub struct MoreDestination {
-    state: CodedDestination,
-}
-
-impl MoreDestination {
-    /// Creates the destination.
-    pub fn new(
-        cfg: SessionConfig,
-        ledger: SessionShared,
-        session_seed: u64,
-        verify_payload: bool,
-    ) -> Self {
-        MoreDestination {
-            state: CodedDestination::new(cfg, ledger, session_seed, verify_payload),
-        }
-    }
-
-    /// Access to destination metrics.
-    pub fn state(&self) -> &CodedDestination {
-        &self.state
-    }
-
-    /// Attaches a profiler to the decoding path.
-    pub fn set_profiler(&mut self, profiler: telemetry::Profiler) {
-        self.state.set_profiler(profiler);
-    }
-
-    /// Attaches a timeline recorder to the decoding path (per-generation
-    /// rank-progress series under `scope`).
-    pub fn set_timeline(&mut self, timeline: telemetry::TimeSeries, scope: &str) {
-        self.state.set_timeline(timeline, scope);
-    }
-}
-
-impl Behavior<Msg> for MoreDestination {
-    fn on_receive(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: &Msg) {
-        let now = ctx.now().as_secs();
-        let node = ctx.node();
-        let tag = ctx.incoming_tag();
-        self.state.receive(now, node, from, msg, tag);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::common::testing::drive;
+    use crate::proto::common::CodedDestination;
     use crate::proto::credits::more_credits;
     use crate::session::SessionLedger;
     use drift::{MacModel, Simulator};
@@ -296,7 +167,7 @@ mod tests {
         .unwrap();
         let sel = select_forwarders(&topo, NodeId::new(0), NodeId::new(2));
         let plan = more_credits(&sel);
-        let dist: Vec<f64> = topo
+        let dist: Arc<[f64]> = topo
             .nodes()
             .map(|v| sel.dist_to_dst(v).unwrap_or(f64::INFINITY))
             .collect();
@@ -313,12 +184,12 @@ mod tests {
                 cfg,
                 plan.tx_credit[1],
                 dist[1],
-                dist.clone(),
+                Arc::clone(&dist),
             )),
         );
         sim.set_behavior(
             NodeId::new(2),
-            Box::new(MoreDestination::new(cfg, ledger.clone(), 21, true)),
+            Box::new(CodedDestination::new(cfg, ledger.clone(), 21, true)),
         );
         sim.run_until(cfg.duration);
         assert!(
@@ -330,20 +201,55 @@ mod tests {
     #[test]
     fn credits_accumulate_only_from_upstream() {
         let cfg = SessionConfig::tiny();
-        let _ledger = SessionLedger::shared();
-        // my_dist = 1; node 0 is farther (2.0), node 2 is closer (0.0).
-        let relay = MoreRelay::new(cfg, 0.5, 1.0, vec![2.0, 1.0, 0.0]);
-        assert_eq!(relay.credit(), 0.0);
-        // (Credit arithmetic is driven through on_receive in integration
-        // tests; here we check construction invariants.)
-        assert_eq!(relay.rank(), 0);
+        // my_dist = 1; the feeder (node 0) is farther (2.0) in the first
+        // table and closer (0.5) in the second.
+        let upstream = MoreRelay::new(cfg, 0.75, 1.0, Arc::from([2.0, 1.0]));
+        drive(upstream, &[0, 0, 0], |relay, _| {
+            assert_eq!(relay.credit(), 0.25, "3 x 0.75 earned, 2 spent");
+            assert_eq!(relay.relay.packets_emitted, 2);
+        });
+        let downstream = MoreRelay::new(cfg, 0.75, 1.0, Arc::from([0.5, 1.0]));
+        drive(downstream, &[0, 0, 0], |relay, _| {
+            assert_eq!(relay.credit(), 0.0);
+            assert_eq!(relay.relay.packets_emitted, 0);
+            assert_eq!(relay.relay.rank(), 3, "it still buffers what it hears");
+        });
+    }
+
+    /// Sec. 4's packet-driven expiry through the credit-paced relay: a
+    /// higher-generation packet restarts the buffer, voids the credit
+    /// balance and drops the stale backlog; entries of the new generation
+    /// survive later receptions.
+    #[test]
+    fn generation_expiry_resets_buffer_credit_and_stale_queue() {
+        let cfg = SessionConfig::tiny();
+        // 2.5 credits per reception: 2, 3, 2 emissions for the three
+        // generation-0 packets, leaving a balance of 0.5.
+        let relay = MoreRelay::new(cfg, 2.5, 1.0, Arc::from([2.0, 1.0]));
+        drive(relay, &[0, 0, 0, 1, 0, 1], |relay, queue| {
+            // The expiring reception: the stale backlog goes, and from a
+            // zeroed balance 2.5 credits buy exactly two emissions (a
+            // surviving 0.5 would have bought three).
+            let (before, after) = queue[3];
+            assert!(before > 2, "a stale backlog to drop, got {before}");
+            assert_eq!(after, 2);
+            // A stale packet changes nothing ...
+            assert_eq!(queue[4].0, queue[4].1);
+            // ... and a further generation-1 packet keeps the queued
+            // generation-1 entries and adds its own three.
+            assert_eq!(queue[5].1, queue[5].0 + 3);
+            assert_eq!(relay.credit(), 0.0);
+            let relay = &relay.relay;
+            assert_eq!(relay.generation(), rlnc::GenerationId::new(1));
+            assert_eq!(relay.rank(), 2);
+            assert_eq!(relay.received_from[&NodeId::new(0)], 6);
+            assert_eq!(relay.packets_emitted, 7 + 2 + 3);
+        });
     }
 
     #[test]
     #[should_panic(expected = "tx_credit must be non-negative")]
     fn negative_credit_panics() {
-        let cfg = SessionConfig::tiny();
-        let _ledger = SessionLedger::shared();
-        let _ = MoreRelay::new(cfg, -1.0, 0.0, vec![]);
+        let _ = MoreRelay::new(SessionConfig::tiny(), -1.0, 0.0, Arc::from([]));
     }
 }

@@ -22,6 +22,7 @@
 //! single-session entry (held by the tests here and `tests/end_to_end.rs`).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use drift::{Behavior, Ctx, MacModel, Simulator};
 use net_topo::etx;
@@ -37,8 +38,8 @@ use crate::multi::{MultiSessionOutcome, SessionSummary};
 use crate::proto::common::CodedDestination;
 use crate::proto::credits::{more_credits, oldmore_credits};
 use crate::proto::etx_routing::{EtxDestination, EtxForwarder};
-use crate::proto::more::{MoreDestination, MoreRelay, MoreSource};
-use crate::proto::omnc::{OmncDestination, OmncRelay, OmncSource};
+use crate::proto::more::{MoreRelay, MoreSource};
+use crate::proto::omnc::{OmncRelay, OmncSource};
 use crate::scenario::Scenario;
 use crate::session::{SessionConfig, SessionLedger, SessionShared};
 use crate::trace::{Absorbed, SessionTrace, TraceRecord};
@@ -146,10 +147,9 @@ macro_rules! roles {
 roles! {
     OmncSrc(OmncSource),
     OmncRelay(OmncRelay),
-    OmncDst(OmncDestination),
     MoreSrc(MoreSource),
     MoreRelay(MoreRelay),
-    MoreDst(MoreDestination),
+    CodedDst(CodedDestination),
     EtxFwd(EtxForwarder),
     EtxDst(EtxDestination),
 }
@@ -159,12 +159,13 @@ impl Role {
     /// (ETX forwards raw blocks, so those roles have nothing to profile).
     fn set_profiler(&mut self, profiler: &Profiler) {
         match self {
-            Role::OmncSrc(b) => b.set_profiler(profiler.clone()),
-            Role::OmncRelay(b) => b.set_profiler(profiler.clone()),
-            Role::OmncDst(b) => b.set_profiler(profiler.clone()),
-            Role::MoreSrc(b) => b.set_profiler(profiler.clone()),
-            Role::MoreRelay(b) => b.set_profiler(profiler.clone()),
-            Role::MoreDst(b) => b.set_profiler(profiler.clone()),
+            Role::OmncSrc(OmncSource { source, .. }) | Role::MoreSrc(MoreSource { source }) => {
+                source.set_profiler(profiler.clone());
+            }
+            Role::OmncRelay(OmncRelay { relay, .. }) | Role::MoreRelay(MoreRelay { relay, .. }) => {
+                relay.set_profiler(profiler.clone());
+            }
+            Role::CodedDst(b) => b.set_profiler(profiler.clone()),
             Role::EtxFwd(_) | Role::EtxDst(_) => {}
         }
     }
@@ -172,18 +173,15 @@ impl Role {
     /// Attaches the timeline recorder to the role's decoder, if it has one
     /// (only destinations sample rank progress).
     fn set_timeline(&mut self, timeline: &TimeSeries, scope: &str) {
-        match self {
-            Role::OmncDst(b) => b.set_timeline(timeline.clone(), scope),
-            Role::MoreDst(b) => b.set_timeline(timeline.clone(), scope),
-            _ => {}
+        if let Role::CodedDst(b) = self {
+            b.set_timeline(timeline.clone(), scope);
         }
     }
 
     /// The decoder-side state of a coded destination.
     fn decoded(&self) -> Option<&CodedDestination> {
         match self {
-            Role::OmncDst(b) => Some(b.state()),
-            Role::MoreDst(b) => Some(b.state()),
+            Role::CodedDst(b) => Some(b),
             _ => None,
         }
     }
@@ -192,8 +190,9 @@ impl Role {
     /// transmitter (world ids).
     fn heard(&self) -> Option<&BTreeMap<NodeId, u64>> {
         match self {
-            Role::OmncRelay(b) => Some(&b.received_from),
-            Role::MoreRelay(b) => Some(&b.received_from),
+            Role::OmncRelay(OmncRelay { relay, .. }) | Role::MoreRelay(MoreRelay { relay, .. }) => {
+                Some(&relay.received_from)
+            }
             _ => self.decoded().map(|d| &d.received_from),
         }
     }
@@ -648,7 +647,7 @@ fn execute<'a>(
     for (k, selection) in selections.into_iter().enumerate() {
         let (src, dst) = endpoints[k];
         let more = rates.is_none().then(|| {
-            let dist: Vec<f64> = (world.to_orig.iter())
+            let dist: Arc<[f64]> = (world.to_orig.iter())
                 .map(|&v| selection.dist_to_dst(v).unwrap_or(f64::INFINITY))
                 .collect();
             if protocol == Protocol::More {
@@ -668,20 +667,17 @@ fn execute<'a>(
             // lint: allow(clone-in-hot-loop) -- setup-time shared handle
             let ledger = || ledgers[k].clone();
             let role = match &more {
-                None if orig == src => Role::OmncSrc(OmncSource::new(*cfg, ledger(), ids[k], rate)),
-                None if orig == dst => {
-                    Role::OmncDst(OmncDestination::new(*cfg, ledger(), ids[k], verify))
+                _ if orig == dst => {
+                    Role::CodedDst(CodedDestination::new(*cfg, ledger(), ids[k], verify))
                 }
+                None if orig == src => Role::OmncSrc(OmncSource::new(*cfg, ledger(), ids[k], rate)),
                 None => Role::OmncRelay(OmncRelay::new(*cfg, rate)),
                 Some(_) if orig == src => Role::MoreSrc(MoreSource::new(*cfg, ledger(), ids[k])),
-                Some(_) if orig == dst => {
-                    Role::MoreDst(MoreDestination::new(*cfg, ledger(), ids[k], verify))
-                }
                 Some((plan, dist)) => Role::MoreRelay(MoreRelay::new(
                     *cfg,
                     plan.tx_credit[orig.index()],
                     dist[world.at(orig).index()],
-                    dist.clone(), // lint: allow(clone-in-hot-loop) -- each relay owns its distance table
+                    Arc::clone(dist),
                 )),
             };
             stage(k, orig, role);

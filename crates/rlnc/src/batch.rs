@@ -15,6 +15,9 @@ use crate::generation::GenerationConfig;
 use crate::kernel::Kernel;
 use crate::packet::{CodedPacket, GenerationId};
 
+/// An augmented row `[coefficients | payload]` under elimination.
+type Row = (Vec<u8>, Vec<u8>);
+
 /// A store-then-solve decoder for one generation.
 ///
 /// # Examples
@@ -94,16 +97,12 @@ impl BatchDecoder {
         self.packets.len()
     }
 
-    /// Runs the one-shot Gaussian elimination. Returns the recovered source
-    /// bytes, or `None` if the stored packets do not span the generation.
-    pub fn solve(&self) -> Option<Vec<u8>> {
+    /// Forward elimination of the stored packets to row-echelon form: the
+    /// rows and, per column, the row holding its pivot (`usize::MAX` for a
+    /// column without one).
+    fn eliminate(&self) -> (Vec<Row>, Vec<usize>) {
         let n = self.config.blocks();
-        let m = self.config.block_size();
-        if self.packets.len() < n {
-            return None;
-        }
-        // Augmented rows [coefficients | payload], eliminated in place.
-        let mut rows: Vec<(Vec<u8>, Vec<u8>)> = self
+        let mut rows: Vec<Row> = self
             .packets
             .iter()
             .map(|p| (p.coefficients().to_vec(), p.payload().to_vec()))
@@ -135,6 +134,22 @@ impl BatchDecoder {
             pivot_of_col[col] = next_row;
             next_row += 1;
         }
+        (rows, pivot_of_col)
+    }
+
+    /// Rank of the stored packets, by a full elimination on every call —
+    /// what [`crate::Decoder::rank`] must equal on the same packets.
+    pub fn rank(&self) -> usize {
+        let (_, pivot_of_col) = self.eliminate();
+        pivot_of_col.iter().filter(|&&r| r != usize::MAX).count()
+    }
+
+    /// Runs the one-shot Gaussian elimination. Returns the recovered source
+    /// bytes, or `None` if the stored packets do not span the generation.
+    pub fn solve(&self) -> Option<Vec<u8>> {
+        let n = self.config.blocks();
+        let m = self.config.block_size();
+        let (mut rows, pivot_of_col) = self.eliminate();
         if pivot_of_col.contains(&usize::MAX) {
             return None; // rank deficient
         }

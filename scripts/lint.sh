@@ -13,7 +13,7 @@
 # --changed-only: report findings only for .rs files that differ from the
 # merge base with origin/main (analysis still covers the whole workspace so
 # blame chains stay correct). Any other arguments pass through to
-# `omnc-lint check` (e.g. --cache, --sarif, --json).
+# `omnc-lint check` (e.g. --sarif, --json).
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -7,7 +7,10 @@ use omnc::net_topo::graph::{Link, NodeId, Topology};
 use omnc::net_topo::phy::Phy;
 use omnc::net_topo::select::{count_paths, select_forwarders};
 use omnc::omnc_opt::{lp, SUnicast};
-use omnc::rlnc::{Decoder, Encoder, Generation, GenerationConfig, GenerationId, Recoder};
+use omnc::rlnc::{
+    BatchDecoder, CodedPacket, Decoder, Encoder, Generation, GenerationConfig, GenerationId,
+    Recoder,
+};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -59,65 +62,134 @@ proptest! {
         prop_assert_eq!(dst.recover().expect("complete"), data);
     }
 
-    /// Node selection on random deployments always yields an acyclic
-    /// subgraph whose sUnicast LP is solvable with positive throughput.
+    /// The store-then-solve [`BatchDecoder`] is the progressive decoder's
+    /// oracle: fed the same stream — fresh, duplicated, linearly dependent
+    /// and zero-coefficient packets — both hold the same rank after every
+    /// packet and recover the same bytes.
     #[test]
-    fn selection_yields_solvable_instances(seed in 0u64..500) {
-        let phy = Phy::paper_lossy();
-        let topo = Deployment::random(25, 6.0, &phy, seed).into_topology();
-        let (s, d) = topo.farthest_pair();
-        let sel = select_forwarders(&topo, s, d);
-        prop_assert!(sel.contains(s) && sel.contains(d));
-        prop_assert!(sel.path_count() >= 1);
-        let problem = SUnicast::from_selection(&topo, &sel, 1.0);
-        let exact = lp::solve_exact(&problem).expect("selection instances are solvable");
-        prop_assert!(exact.gamma > 0.0);
-        // One broadcast transmission can be usefully received by several
-        // forwarders at once (the coupling constraint is per-link), so the
-        // true capacity bound is C * sum of the source's out-link delivery
-        // probabilities, not C itself.
-        let broadcast_gain: f64 = problem
-            .out_links(problem.src())
-            .iter()
-            .map(|&e| problem.link(e).p)
-            .sum();
-        prop_assert!(
-            exact.gamma <= broadcast_gain + 1e-6,
-            "throughput cannot exceed the source's broadcast capacity: {} > {}",
-            exact.gamma,
-            broadcast_gain
-        );
-        prop_assert_eq!(
-            problem.feasibility_violation(&exact.b, &exact.x, exact.gamma, 1e-6),
-            None
-        );
+    fn progressive_decoding_agrees_with_the_batch_oracle(
+        blocks in 2usize..10,
+        block_size in 1usize..32,
+        seed in any::<u64>(),
+    ) {
+        let cfg = GenerationConfig::new(blocks, block_size).expect("positive dims");
+        let id = GenerationId::new(3);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut data = vec![0u8; cfg.payload_len()];
+        rng.fill(&mut data[..]);
+        let generation = Generation::from_bytes(id, cfg, &data).expect("sized");
+        let encoder = Encoder::new(&generation);
+        let mut batch = BatchDecoder::new(id, cfg);
+        let mut progressive = Decoder::new(id, cfg);
+        let mut sent: Vec<CodedPacket> = Vec::new();
+        let xor = |a: &[u8], b: &[u8]| a.iter().zip(b).map(|(x, y)| x ^ y).collect();
+        while !progressive.is_complete() {
+            prop_assert!(sent.len() < 10_000, "decode did not finish");
+            let packet = match rng.gen_range(0..4) {
+                0 if !sent.is_empty() => sent[rng.gen_range(0..sent.len())].clone(),
+                // The GF(2^8) sum of two earlier packets (zero if they coincide).
+                1 if !sent.is_empty() => {
+                    let (a, b) = (&sent[rng.gen_range(0..sent.len())], &sent[sent.len() - 1]);
+                    let coefficients = xor(a.coefficients(), b.coefficients());
+                    CodedPacket::new(id, coefficients, xor(a.payload(), b.payload()))
+                        .expect("non-empty")
+                }
+                2 => CodedPacket::new(id, vec![0; blocks], vec![0; block_size]).expect("non-empty"),
+                _ => encoder.emit(&mut rng),
+            };
+            batch.push(packet.clone()).expect("well-formed");
+            progressive.absorb(&packet).expect("well-formed");
+            prop_assert_eq!(progressive.rank(), batch.rank(), "after {} packets", sent.len() + 1);
+            sent.push(packet);
+        }
+        prop_assert_eq!(batch.solve(), progressive.recover());
+        prop_assert_eq!(progressive.recover().expect("complete"), data);
     }
 
-    /// The optimum never improves when every link gets strictly worse.
+    #[test]
+    fn selection_yields_solvable_instances(seed in 0u64..500) {
+        selection_is_solvable(seed);
+    }
+
     #[test]
     fn degrading_links_cannot_raise_the_optimum(
         seed in 0u64..200,
         factor in 0.3f64..0.95,
     ) {
-        let phy = Phy::paper_lossy();
-        let topo = Deployment::random(20, 6.0, &phy, seed).into_topology();
-        let (s, d) = topo.farthest_pair();
-        let sel = select_forwarders(&topo, s, d);
-        let base = lp::solve_exact(&SUnicast::from_selection(&topo, &sel, 1.0))
-            .expect("solvable")
-            .gamma;
-
-        let degraded_links: Vec<Link> = topo
-            .links()
-            .map(|l| Link { p: (l.p * factor).max(1e-3), ..l })
-            .collect();
-        let degraded = Topology::from_links(topo.len(), degraded_links).expect("valid");
-        let sel2 = select_forwarders(&degraded, s, d);
-        let worse = lp::solve_exact(&SUnicast::from_selection(&degraded, &sel2, 1.0))
-            .expect("solvable")
-            .gamma;
-        prop_assert!(worse <= base + 1e-6, "worse links improved γ: {} > {}", worse, base);
+        degrading_cannot_raise_the_optimum(seed, factor);
     }
+}
+
+/// Inputs proptest once shrank a failure of the two properties below to,
+/// re-run on every build.
+#[test]
+fn past_failures_stay_fixed() {
+    selection_is_solvable(25);
+    degrading_cannot_raise_the_optimum(44, 0.8689852849051888);
+    degrading_cannot_raise_the_optimum(41, 0.3);
+}
+
+/// Node selection on the random deployment `seed` yields an acyclic
+/// subgraph whose sUnicast LP is solvable with positive throughput.
+fn selection_is_solvable(seed: u64) {
+    let phy = Phy::paper_lossy();
+    let topo = Deployment::random(25, 6.0, &phy, seed).into_topology();
+    let (s, d) = topo.farthest_pair();
+    let sel = select_forwarders(&topo, s, d);
+    assert!(sel.contains(s) && sel.contains(d), "seed {seed}");
+    assert!(sel.path_count() >= 1, "seed {seed}");
+    let problem = SUnicast::from_selection(&topo, &sel, 1.0);
+    let exact = lp::solve_exact(&problem).expect("selection instances are solvable");
+    assert!(exact.gamma > 0.0, "seed {seed}");
+    // One broadcast transmission can be usefully received by several
+    // forwarders at once (the coupling constraint is per-link), so the
+    // true capacity bound is C * sum of the source's out-link delivery
+    // probabilities, not C itself.
+    let broadcast_gain: f64 = problem
+        .out_links(problem.src())
+        .iter()
+        .map(|&e| problem.link(e).p)
+        .sum();
+    assert!(
+        exact.gamma <= broadcast_gain + 1e-6,
+        "seed {seed}: throughput cannot exceed the source's broadcast capacity: {} > {}",
+        exact.gamma,
+        broadcast_gain
+    );
+    assert_eq!(
+        problem.feasibility_violation(&exact.b, &exact.x, exact.gamma, 1e-6),
+        None,
+        "seed {seed}"
+    );
+}
+
+/// On the random deployment `seed`, the optimum does not improve when
+/// every link's delivery probability is scaled by `factor` < 1.
+fn degrading_cannot_raise_the_optimum(seed: u64, factor: f64) {
+    let phy = Phy::paper_lossy();
+    let topo = Deployment::random(20, 6.0, &phy, seed).into_topology();
+    let (s, d) = topo.farthest_pair();
+    let sel = select_forwarders(&topo, s, d);
+    let base = lp::solve_exact(&SUnicast::from_selection(&topo, &sel, 1.0))
+        .expect("solvable")
+        .gamma;
+
+    let degraded_links: Vec<Link> = topo
+        .links()
+        .map(|l| Link {
+            p: (l.p * factor).max(1e-3),
+            ..l
+        })
+        .collect();
+    let degraded = Topology::from_links(topo.len(), degraded_links).expect("valid");
+    let sel2 = select_forwarders(&degraded, s, d);
+    let worse = lp::solve_exact(&SUnicast::from_selection(&degraded, &sel2, 1.0))
+        .expect("solvable")
+        .gamma;
+    assert!(
+        worse <= base + 1e-6,
+        "seed {seed}, factor {factor}: worse links improved γ: {worse} > {base}"
+    );
 }
 
 /// Non-proptest cross-crate check: DAG path counting is consistent between
