@@ -28,6 +28,10 @@ fn main() {
     let sink = opts.json_sink();
     println!("# Sec. 4 — encode+decode throughput by GF(2^8) kernel");
     println!(
+        "# wide kernel body on this host: {}",
+        omnc::gf256::wide::backend()
+    );
+    println!(
         "{:>10} {:>10} {:>12} {:>12} {:>12} {:>10} {:>10}",
         "blocks", "blocksize", "table MB/s", "wide MB/s", "prod MB/s", "wide/tab", "prod/tab"
     );
@@ -72,13 +76,10 @@ fn main() {
     let (w_lo, w_hi) = range(&wide_speedups);
     let (p_lo, p_hi) = range(&prod_speedups);
     println!();
-    println!("# paper: accelerated coding 3-5x faster than the table baseline (on");
-    println!("# 2008 x86 with SSE2; the ratio is strongly host-dependent).");
+    println!("# paper: accelerated coding 3-5x faster than the table baseline (2008 x86 SIMD).");
     println!(
         "# measured here: wide/table {w_lo:.1}x-{w_hi:.1}x, product/table {p_lo:.1}x-{p_hi:.1}x"
     );
-    println!("# (virtualized/emulated hosts flatten ALU-vs-lookup differences;");
-    println!("#  see EXPERIMENTS.md for the discussion)");
 }
 
 /// Encodes and progressively decodes one generation; returns the payload

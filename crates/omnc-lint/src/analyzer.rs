@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use crate::callgraph;
 use crate::findings::{Finding, Report};
 use crate::lexer::{clean, CleanFile};
-use crate::rules::{Rule, RuleTable, HOT_ENTRIES, SIM_CRATES};
+use crate::rules::{Rule, RuleTable, HOT_ENTRIES, SIM_CRATES, UNSAFE_SURFACES};
 use crate::symbols::{self, FileSymbols};
 
 /// Phase-A output for one file: everything derivable from its bytes.
@@ -117,7 +117,7 @@ fn run_line_checks(
         check_patterns(&line.code, &mut emit);
         check_hash_iteration(&line.code, &hash_bindings, &mut emit);
         check_float_eq(&line.code, &mut emit);
-        check_unsafe(file, idx, &mut emit);
+        check_unsafe(rel_path, file, idx, &mut emit);
         check_lossy_cast(&line.code, &mut emit);
         check_unchecked_arith(&line.code, &mut emit);
         check_atomics(file, idx, &mut emit);
@@ -259,9 +259,10 @@ fn check_float_eq(code: &str, emit: &mut impl FnMut(Rule, String)) {
     }
 }
 
-/// `unsafe` keyword use: must be justified by a `SAFETY:` comment on the
-/// same line or within the three raw lines above.
-fn check_unsafe(file: &CleanFile, idx: usize, emit: &mut impl FnMut(Rule, String)) {
+/// `unsafe` keyword use: only inside [`UNSAFE_SURFACES`], and there
+/// justified by a `SAFETY:` comment on the same line or within the three
+/// raw lines above.
+fn check_unsafe(rel_path: &str, file: &CleanFile, idx: usize, emit: &mut impl FnMut(Rule, String)) {
     let code = &file.lines[idx].code;
     for pos in find_all(code, "unsafe") {
         if !ident_boundary_before(code, pos) || !ident_boundary_after(code, pos + 6) {
@@ -269,7 +270,12 @@ fn check_unsafe(file: &CleanFile, idx: usize, emit: &mut impl FnMut(Rule, String
         }
         let documented = (idx.saturating_sub(3)..=idx)
             .any(|j| file.lines.get(j).is_some_and(|l| l.raw.contains("SAFETY")));
-        if !documented {
+        if !UNSAFE_SURFACES.contains(&rel_path) {
+            emit(
+                Rule::UnsafeAudit,
+                "`unsafe` outside the sanctioned surfaces".to_owned(),
+            );
+        } else if !documented {
             emit(
                 Rule::UnsafeAudit,
                 "`unsafe` without a SAFETY comment".to_owned(),
@@ -925,12 +931,16 @@ mod tests {
     #[test]
     fn unsafe_requires_safety_comment() {
         let bad = "fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-        let fs = lint("crates/omnc-report/src/lib.rs", bad);
+        let fs = lint(crate::rules::SIMD_MODULE, bad);
         assert_eq!(fs.len(), 1);
         assert_eq!(fs[0].rule, "unsafe-audit");
         let good =
             "// SAFETY: p is valid by contract.\nfn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-        assert!(lint("crates/omnc-report/src/lib.rs", good).is_empty());
+        assert!(lint(crate::rules::SIMD_MODULE, good).is_empty());
+        // Outside the sanctioned surfaces no comment redeems it.
+        let fs = lint("crates/omnc-report/src/lib.rs", good);
+        assert_eq!(fs.len(), 1);
+        assert_eq!(fs[0].rule, "unsafe-audit");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   `.unwrap()`;
 //! * **(U) unsafe audit** — every workspace crate keeps
 //!   `#![forbid(unsafe_code)]` or documents each allow with a `// SAFETY:`
-//!   comment;
+//!   comment, and `unsafe` itself appears only in [`UNSAFE_SURFACES`];
 //! * **(F) float hygiene** — `==`/`!=` against float literals in the
 //!   optimizer/LP crates.
 //!
@@ -260,9 +260,17 @@ pub const WIRE_KERNEL_MODULES: [&str; 5] = [
     "crates/gf256/src/",
 ];
 
-/// The workspace's one sanctioned unsafe surface: the counting global
-/// allocator. Its atomics are the subject of `atomics-audit`.
+/// The counting global allocator, one of the two sanctioned unsafe
+/// surfaces. Its atomics are the subject of `atomics-audit`.
 pub const ALLOC_MODULE: &str = "crates/omnc-telemetry/src/alloc.rs";
+
+/// The `std::arch` body of the `gf256::wide` kernel, the other sanctioned
+/// unsafe surface.
+pub const SIMD_MODULE: &str = "crates/gf256/src/avx2.rs";
+
+/// The only modules allowed to contain `unsafe`: anywhere else the
+/// `unsafe-audit` rule denies the keyword even with a `SAFETY:` comment.
+pub const UNSAFE_SURFACES: [&str; 2] = [ALLOC_MODULE, SIMD_MODULE];
 
 /// A registered hot-path entry point for obligation propagation: any
 /// function reachable from one of these in the approximate call graph

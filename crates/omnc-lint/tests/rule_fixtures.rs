@@ -4,6 +4,7 @@
 use std::path::Path;
 
 use omnc_lint::analyzer::audit_crate_root;
+use omnc_lint::rules::SIMD_MODULE;
 use omnc_lint::{analyze_source, Finding, RuleTable, Severity};
 
 fn fixture(name: &str) -> String {
@@ -94,8 +95,12 @@ fn concurrency_fires_everywhere_but_the_sanctioned_modules() {
 fn unsafe_audit_fires_on_blocks_and_crate_roots() {
     let source = fixture("unsafe_audit.rs");
     let table = RuleTable::default();
-    let fs = analyze_source("crates/demo/src/lib.rs", &source, &table);
+    // Inside a sanctioned surface only the undocumented block is flagged;
+    // anywhere else both are.
+    let fs = analyze_source(SIMD_MODULE, &source, &table);
     assert_eq!(count(&fs, "unsafe-audit"), 1, "{fs:#?}");
+    let fs = analyze_source("crates/demo/src/lib.rs", &source, &table);
+    assert_eq!(count(&fs, "unsafe-audit"), 2, "{fs:#?}");
 
     let root = audit_crate_root("crates/demo/src/lib.rs", &source, &table);
     assert!(root.is_some(), "crate root without forbid must be denied");
@@ -120,6 +125,18 @@ fn unsafe_audit_accepts_the_counting_allocator_pattern() {
     assert!(audit_crate_root("crates/demo/src/lib.rs", deny_root, &table).is_none());
     let bare_deny = "#![deny(unsafe_code)]\nmod alloc;\n";
     assert!(audit_crate_root("crates/demo/src/lib.rs", bare_deny, &table).is_some());
+}
+
+#[test]
+fn unsafe_audit_accepts_the_runtime_detected_simd_pattern() {
+    // The gf256 kernel's `std::arch` body: a feature-gated call and
+    // unaligned block loads/stores, each SAFETY-documented. The module is
+    // also a kernel module, so the hygiene rules apply to it and stay quiet.
+    let fs = lint_as(SIMD_MODULE, "unsafe_audit_simd.rs");
+    assert!(fs.is_empty(), "{fs:#?}");
+    // The same code in any other gf256 file is outside the surface.
+    let fs = lint_as("crates/gf256/src/wide.rs", "unsafe_audit_simd.rs");
+    assert_eq!(count(&fs, "unsafe-audit"), 2, "{fs:#?}");
 }
 
 #[test]

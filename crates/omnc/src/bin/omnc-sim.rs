@@ -543,10 +543,13 @@ fn main() {
                 log.error(&format!("writing profile '{path}': {e}"));
                 std::process::exit(2);
             }
+            // The artifact is host-independent; which body its `gf256.wide`
+            // spans ran is not, so it goes to the log.
             log.info(&format!(
-                "profile: {} spans ({} clock) -> {path}",
+                "profile: {} spans ({} clock, gf256.wide body {}) -> {path}",
                 report.spans.len(),
-                report.clock
+                report.clock,
+                omnc::gf256::wide::backend()
             ));
         }
         if let Some(path) = &args.profile_folded {

@@ -234,14 +234,13 @@ impl CodedRelay {
 
 /// The destination of every coded protocol: a progressive decoder per
 /// active generation, completion signalling through the ledger (the
-/// instant ACK) and optional payload verification.
+/// instant ACK) and verification of every recovered generation.
 #[derive(Debug)]
 pub struct CodedDestination {
     cfg: SessionConfig,
     ledger: SessionShared,
     session_seed: u64,
     decoder: Decoder,
-    verify_payload: bool,
     profiler: Profiler,
     timeline: TimeSeries,
     timeline_scope: String,
@@ -263,22 +262,15 @@ impl CodedDestination {
         self.decoder.rank()
     }
 
-    /// Creates the destination state. `verify_payload` additionally checks
-    /// every recovered generation against the deterministic source data
-    /// (used when `payload_block_size` carries real payload).
-    pub fn new(
-        cfg: SessionConfig,
-        ledger: SessionShared,
-        session_seed: u64,
-        verify_payload: bool,
-    ) -> Self {
+    /// Creates the destination state. Every recovered generation is checked
+    /// against the deterministic source data, whatever the payload size.
+    pub fn new(cfg: SessionConfig, ledger: SessionShared, session_seed: u64) -> Self {
         let decoder = Decoder::new(GenerationId::new(0), cfg.generation_config());
         CodedDestination {
             cfg,
             ledger,
             session_seed,
             decoder,
-            verify_payload,
             profiler: Profiler::disabled(),
             timeline: TimeSeries::disabled(),
             timeline_scope: String::new(),
@@ -377,12 +369,9 @@ impl CodedDestination {
             completed,
         });
         if completed {
-            if self.verify_payload {
-                let recovered = self.decoder.recover().expect("complete");
-                let expected = source_data(&self.cfg, self.session_seed, active);
-                if recovered != expected {
-                    self.verification_failures += 1;
-                }
+            let recovered = self.decoder.recover().expect("complete");
+            if recovered != source_data(&self.cfg, self.session_seed, active) {
+                self.verification_failures += 1;
             }
             self.ledger.complete_generation(active, now);
             let next = self.ledger.active_generation();
@@ -549,7 +538,7 @@ mod tests {
         let c = cfg();
         let ledger = SessionLedger::shared();
         let mut src = CodedSource::new(c, ledger.clone(), 9);
-        let mut dst = CodedDestination::new(c, ledger.clone(), 9, true);
+        let mut dst = CodedDestination::new(c, ledger.clone(), 9);
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let mut completions = 0;
         let mut t = 0.0;
@@ -569,11 +558,32 @@ mod tests {
     }
 
     #[test]
+    fn destination_verifies_generations_of_any_payload_size() {
+        // A partial payload (1 of 128 wire bytes) decoded against the wrong
+        // session's source data must be counted, as a full one is.
+        let c = SessionConfig {
+            payload_block_size: 1,
+            ..cfg()
+        };
+        let ledger = SessionLedger::shared();
+        let mut src = CodedSource::new(c, ledger.clone(), 9);
+        let mut dst = CodedDestination::new(c, ledger, 10);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        loop {
+            let (msg, _) = src.next_packet(0.0, &mut rng, SRC).unwrap();
+            if dst.receive(0.0, NodeId::new(1), NodeId::new(0), &msg, None) {
+                break;
+            }
+        }
+        assert_eq!(dst.verification_failures, 1);
+    }
+
+    #[test]
     fn stale_generation_packets_are_ignored() {
         let c = cfg();
         let ledger = SessionLedger::shared();
         let mut src = CodedSource::new(c, ledger.clone(), 9);
-        let mut dst = CodedDestination::new(c, ledger.clone(), 9, false);
+        let mut dst = CodedDestination::new(c, ledger.clone(), 9);
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let (stale, _) = src.next_packet(0.0, &mut rng, SRC).unwrap();
         ledger.complete_generation(GenerationId::new(0), 0.0); // gen 0 expires
@@ -602,7 +612,7 @@ mod tests {
         let c = cfg();
         let ledger = SessionLedger::shared();
         let mut src = CodedSource::new(c, ledger.clone(), 9);
-        let mut dst = CodedDestination::new(c, ledger.clone(), 9, false);
+        let mut dst = CodedDestination::new(c, ledger.clone(), 9);
         let timeline = TimeSeries::enabled(0.25, 64);
         dst.set_timeline(timeline.clone(), "s0");
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
@@ -637,7 +647,7 @@ mod tests {
         let c = cfg();
         let ledger = SessionLedger::shared();
         let mut src = CodedSource::new(c, ledger.clone(), 9);
-        let mut dst = CodedDestination::new(c, ledger, 9, false);
+        let mut dst = CodedDestination::new(c, ledger, 9);
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let me = NodeId::new(2);
         let upstream = NodeId::new(1);

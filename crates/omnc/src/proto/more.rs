@@ -189,7 +189,7 @@ mod tests {
         );
         sim.set_behavior(
             NodeId::new(2),
-            Box::new(CodedDestination::new(cfg, ledger.clone(), 21, true)),
+            Box::new(CodedDestination::new(cfg, ledger.clone(), 21)),
         );
         sim.run_until(cfg.duration);
         assert!(

@@ -166,7 +166,7 @@ mod tests {
         );
         sim.set_behavior(
             NodeId::new(2),
-            Box::new(CodedDestination::new(cfg, ledger.clone(), 77, true)),
+            Box::new(CodedDestination::new(cfg, ledger.clone(), 77)),
         );
         sim.run_until(cfg.duration);
 
@@ -210,7 +210,7 @@ mod tests {
         sim.set_behavior(NodeId::new(1), Box::new(OmncRelay::new(cfg, 0.0)));
         sim.set_behavior(
             NodeId::new(2),
-            Box::new(CodedDestination::new(cfg, ledger.clone(), 1, true)),
+            Box::new(CodedDestination::new(cfg, ledger.clone(), 1)),
         );
         sim.run_until(20.0);
         assert_eq!(sim.stats(NodeId::new(1)).packets_sent, 0);

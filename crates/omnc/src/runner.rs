@@ -600,7 +600,6 @@ fn execute<'a>(
     let scopes: Vec<String> = (0..sessions)
         .map(|k| scope_of(&options.timeline_scope, k))
         .collect();
-    let verify = cfg.payload_block_size == cfg.wire_block_size;
 
     // Each session is planned on the full topology: a forwarder selection
     // (Sec. 3.1) under the coded protocols, the best path under ETX.
@@ -667,9 +666,7 @@ fn execute<'a>(
             // lint: allow(clone-in-hot-loop) -- setup-time shared handle
             let ledger = || ledgers[k].clone();
             let role = match &more {
-                _ if orig == dst => {
-                    Role::CodedDst(CodedDestination::new(*cfg, ledger(), ids[k], verify))
-                }
+                _ if orig == dst => Role::CodedDst(CodedDestination::new(*cfg, ledger(), ids[k])),
                 None if orig == src => Role::OmncSrc(OmncSource::new(*cfg, ledger(), ids[k], rate)),
                 None => Role::OmncRelay(OmncRelay::new(*cfg, rate)),
                 Some(_) if orig == src => Role::MoreSrc(MoreSource::new(*cfg, ledger(), ids[k])),

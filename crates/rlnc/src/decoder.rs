@@ -3,8 +3,10 @@
 //! The decoding matrix `[R | X]` is kept in *reduced row-echelon form* at all
 //! times, so that:
 //!
-//! * an incoming packet's innovation check is a single reduction pass — a
-//!   non-innovative packet reduces to an all-zero row and is discarded;
+//! * an incoming packet's innovation check is a single reduction pass over
+//!   its coefficient vector alone — a non-innovative packet reduces to an
+//!   all-zero vector and is discarded before any payload byte is copied or
+//!   multiplied;
 //! * once `n` independent packets have arrived, the left part is the identity
 //!   and the right part is exactly the original blocks: decoding finishes
 //!   "on the fly" with no final batch inversion.
@@ -123,8 +125,9 @@ pub struct Decoder {
     config: GenerationConfig,
     kernel: Kernel,
     rows: Vec<Row>,
-    /// `pivot_row[c]` is the index into `rows` whose pivot is column `c`.
-    pivot_row: Vec<Option<usize>>,
+    /// The coefficient vector of the packet being absorbed, reduced in
+    /// place; kept so a redundant packet costs no allocation.
+    scratch: Vec<u8>,
     received: u64,
     redundant: u64,
     metrics: Option<DecoderMetrics>,
@@ -146,7 +149,7 @@ impl Decoder {
             config,
             kernel,
             rows: Vec::with_capacity(config.blocks()),
-            pivot_row: vec![None; config.blocks()],
+            scratch: Vec::with_capacity(config.blocks()),
             received: 0,
             redundant: 0,
             metrics: None,
@@ -164,8 +167,12 @@ impl Decoder {
 
     /// Attaches a hierarchical profiler: each absorb opens a `decode`
     /// span with `eliminate` / `rank_update` children and per-kernel
-    /// `gf256.*` leaves. A disabled profiler (the default) keeps the
-    /// hot path branch-only.
+    /// `gf256.*` leaves. Under `eliminate` one leaf is one payload row
+    /// operation of an innovative packet (the coefficient reduction that
+    /// decides innovation is `eliminate`'s self time, so a redundant packet
+    /// opens no leaf); under `rank_update` one leaf covers a row's
+    /// coefficient and payload halves together. A disabled profiler (the
+    /// default) keeps the hot path branch-only.
     pub fn set_profiler(&mut self, profiler: Profiler) {
         self.profiler = profiler;
     }
@@ -283,33 +290,30 @@ impl Decoder {
         self.check(packet)?;
         self.received += 1;
 
-        let mut coeff = packet.coefficients().to_vec();
-        let mut payload = packet.payload().to_vec();
-
-        // Forward reduction against existing pivots.
-        let pivot = {
+        // Coefficients first: they alone decide whether the packet is
+        // innovative, so a redundant one never costs payload work.
+        let (mut coeff, mut payload, pivot) = {
             let _eliminate = profiler.span("eliminate");
-            for col in 0..self.config.blocks() {
-                let c = coeff[col];
-                if c == 0 {
-                    continue;
-                }
-                if let Some(r) = self.pivot_row[col] {
-                    let row = &self.rows[r];
-                    let _kernel = profiler.span(self.kernel.span_name());
-                    // coeff/payload -= c * row  (subtraction == addition in GF(2^8))
-                    self.kernel.mul_add_assign(&mut coeff, &row.coeff, c);
-                    self.kernel.mul_add_assign(&mut payload, &row.payload, c);
-                    debug_assert_eq!(coeff[col], 0);
-                }
-            }
-
-            // Find the new pivot, if any.
-            let Some(pivot) = coeff.iter().position(|&c| c != 0) else {
+            self.scratch.clear();
+            self.scratch.extend_from_slice(packet.coefficients());
+            Self::reduce(self.kernel, &self.rows, &mut self.scratch);
+            let Some(pivot) = self.scratch.iter().position(|&c| c != 0) else {
                 self.redundant += 1;
                 return Ok(Absorption::Redundant);
             };
-            pivot
+            // The same row operations on the payload. Every other row is
+            // zero in a stored row's pivot column, so the reduction's
+            // multiplier for that row is the packet's own coefficient there.
+            let mut payload = packet.payload().to_vec();
+            for row in &self.rows {
+                let c = packet.coefficients()[row.pivot];
+                if c != 0 {
+                    let _kernel = profiler.span(self.kernel.span_name());
+                    // payload -= c * row  (subtraction == addition in GF(2^8))
+                    self.kernel.mul_add_assign(&mut payload, &row.payload, c);
+                }
+            }
+            (self.scratch.clone(), payload, pivot)
         };
 
         let _rank_update = profiler.span("rank_update");
@@ -323,7 +327,6 @@ impl Decoder {
         }
 
         // Back-substitute into existing rows to keep the matrix *reduced*.
-        let new_index = self.rows.len();
         for row in &mut self.rows {
             let c = row.coeff[pivot];
             if c != 0 {
@@ -338,10 +341,23 @@ impl Decoder {
             payload,
             pivot,
         });
-        self.pivot_row[pivot] = Some(new_index);
         Ok(Absorption::Innovative {
             rank: self.rows.len(),
         })
+    }
+
+    /// Reduces the coefficient vector `coeff` against the stored rows, in
+    /// place: all-zero afterwards exactly when it is linearly dependent on
+    /// them. The matrix is *reduced*, so each row's multiplier is `coeff`'s
+    /// entry in that row's pivot column whatever the order of the rows.
+    fn reduce(kernel: Kernel, rows: &[Row], coeff: &mut [u8]) {
+        for row in rows {
+            let c = coeff[row.pivot];
+            if c != 0 {
+                kernel.mul_add_assign(coeff, &row.coeff, c);
+                debug_assert_eq!(coeff[row.pivot], 0);
+            }
+        }
     }
 
     /// Returns `true` if `packet` would be innovative, without mutating the
@@ -352,16 +368,7 @@ impl Decoder {
             return false;
         }
         let mut coeff = packet.coefficients().to_vec();
-        for col in 0..self.config.blocks() {
-            let c = coeff[col];
-            if c == 0 {
-                continue;
-            }
-            if let Some(r) = self.pivot_row[col] {
-                self.kernel
-                    .mul_add_assign(&mut coeff, &self.rows[r].coeff, c);
-            }
-        }
+        Self::reduce(self.kernel, &self.rows, &mut coeff);
         coeff.iter().any(|&c| c != 0)
     }
 
@@ -471,18 +478,32 @@ mod tests {
         let (g, mut rng) = setup(6, 8, 2);
         let enc = Encoder::new(&g);
         let mut dec = Decoder::new(g.id(), g.config());
+        let profiler = Profiler::virtual_clock();
+        dec.set_profiler(profiler.clone());
         // Absorb three packets, replay the same three: all replays redundant.
         let packets: Vec<_> = (0..3).map(|_| enc.emit(&mut rng)).collect();
         for p in &packets {
             dec.absorb(p).unwrap();
         }
         let rank = dec.rank();
+        let stored = dec.rows.clone();
+        let payload_ops = || {
+            let report = profiler.report();
+            let ops = report.span("decode;eliminate;gf256.wide");
+            ops.map_or(0, |s| s.calls)
+        };
+        let payload_ops_before = payload_ops();
         for p in &packets {
             assert_eq!(dec.absorb(p).unwrap(), Absorption::Redundant);
             assert_eq!(dec.rank(), rank);
         }
         assert_eq!(dec.packets_redundant(), 3);
         assert_eq!(dec.packets_received(), 6);
+        // Discarded on their coefficients alone: every stored row is byte
+        // for byte what it was and no payload kernel span was opened.
+        assert_eq!(dec.rows, stored);
+        assert_eq!(payload_ops(), payload_ops_before);
+        assert_eq!(profiler.report().span("decode").map(|s| s.calls), Some(6));
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl<'a> Encoder<'a> {
                 break;
             }
         }
-        self.emit_with_coefficients(&coefficients)
+        self.combine(coefficients)
     }
 
     /// Emits the coded packet for a caller-chosen coefficient row. Mostly
@@ -88,19 +88,23 @@ impl<'a> Encoder<'a> {
     /// Panics if `coefficients.len()` differs from the generation's block
     /// count.
     pub fn emit_with_coefficients(&self, coefficients: &[u8]) -> CodedPacket {
-        let cfg = self.generation.config();
         assert_eq!(
             coefficients.len(),
-            cfg.blocks(),
+            self.generation.config().blocks(),
             "coefficient row length mismatch"
         );
+        self.combine(coefficients.to_vec())
+    }
+
+    /// The coded packet `coefficients · B`; the row moves into the packet.
+    fn combine(&self, coefficients: Vec<u8>) -> CodedPacket {
         let _encode = self.profiler.span("encode");
-        let mut payload = vec![0u8; cfg.block_size()];
-        for (block, &c) in self.generation.blocks().iter().zip(coefficients) {
+        let mut payload = vec![0u8; self.generation.config().block_size()];
+        for (block, &c) in self.generation.blocks().iter().zip(&coefficients) {
             let _kernel = self.profiler.span(self.kernel.span_name());
             self.kernel.mul_add_assign(&mut payload, block, c);
         }
-        CodedPacket::new(self.generation.id(), coefficients.to_vec(), payload)
+        CodedPacket::new(self.generation.id(), coefficients, payload)
             .expect("encoder always produces well-formed packets")
     }
 }

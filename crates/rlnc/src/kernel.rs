@@ -12,8 +12,9 @@ use serde::{Deserialize, Serialize};
 pub enum Kernel {
     /// Byte-at-a-time log/exp table lookups (the paper's baseline).
     Table,
-    /// Wide-word SWAR kernel processing 8 bytes per iteration (the portable
-    /// analogue of the paper's SSE2 acceleration). The default.
+    /// The paper's accelerated kernel: `gf256::wide`, 32 bytes per
+    /// instruction where AVX2 is detected, 8 bytes per `u64` word
+    /// elsewhere. The default.
     #[default]
     Wide,
     /// Per-call full product table: one load per byte after a 32-multiply

@@ -9,7 +9,7 @@ use omnc::net_topo::select::{count_paths, select_forwarders};
 use omnc::omnc_opt::{lp, SUnicast};
 use omnc::rlnc::{
     BatchDecoder, CodedPacket, Decoder, Encoder, Generation, GenerationConfig, GenerationId,
-    Recoder,
+    Kernel, Recoder,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -62,48 +62,13 @@ proptest! {
         prop_assert_eq!(dst.recover().expect("complete"), data);
     }
 
-    /// The store-then-solve [`BatchDecoder`] is the progressive decoder's
-    /// oracle: fed the same stream — fresh, duplicated, linearly dependent
-    /// and zero-coefficient packets — both hold the same rank after every
-    /// packet and recover the same bytes.
     #[test]
     fn progressive_decoding_agrees_with_the_batch_oracle(
         blocks in 2usize..10,
         block_size in 1usize..32,
         seed in any::<u64>(),
     ) {
-        let cfg = GenerationConfig::new(blocks, block_size).expect("positive dims");
-        let id = GenerationId::new(3);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut data = vec![0u8; cfg.payload_len()];
-        rng.fill(&mut data[..]);
-        let generation = Generation::from_bytes(id, cfg, &data).expect("sized");
-        let encoder = Encoder::new(&generation);
-        let mut batch = BatchDecoder::new(id, cfg);
-        let mut progressive = Decoder::new(id, cfg);
-        let mut sent: Vec<CodedPacket> = Vec::new();
-        let xor = |a: &[u8], b: &[u8]| a.iter().zip(b).map(|(x, y)| x ^ y).collect();
-        while !progressive.is_complete() {
-            prop_assert!(sent.len() < 10_000, "decode did not finish");
-            let packet = match rng.gen_range(0..4) {
-                0 if !sent.is_empty() => sent[rng.gen_range(0..sent.len())].clone(),
-                // The GF(2^8) sum of two earlier packets (zero if they coincide).
-                1 if !sent.is_empty() => {
-                    let (a, b) = (&sent[rng.gen_range(0..sent.len())], &sent[sent.len() - 1]);
-                    let coefficients = xor(a.coefficients(), b.coefficients());
-                    CodedPacket::new(id, coefficients, xor(a.payload(), b.payload()))
-                        .expect("non-empty")
-                }
-                2 => CodedPacket::new(id, vec![0; blocks], vec![0; block_size]).expect("non-empty"),
-                _ => encoder.emit(&mut rng),
-            };
-            batch.push(packet.clone()).expect("well-formed");
-            progressive.absorb(&packet).expect("well-formed");
-            prop_assert_eq!(progressive.rank(), batch.rank(), "after {} packets", sent.len() + 1);
-            sent.push(packet);
-        }
-        prop_assert_eq!(batch.solve(), progressive.recover());
-        prop_assert_eq!(progressive.recover().expect("complete"), data);
+        progressive_agrees_with_batch(blocks, block_size, seed);
     }
 
     #[test]
@@ -118,6 +83,57 @@ proptest! {
     ) {
         degrading_cannot_raise_the_optimum(seed, factor);
     }
+}
+
+/// The paper's generation shape: rows long enough for the accelerated
+/// kernel's vector body, which the small random shapes never reach.
+#[test]
+fn progressive_decoding_agrees_with_the_batch_oracle_on_long_rows() {
+    progressive_agrees_with_batch(40, 1024, 2008);
+}
+
+/// The store-then-solve [`BatchDecoder`], on the lookup-table kernel, is the
+/// progressive decoder's oracle: fed the same stream — fresh, duplicated,
+/// linearly dependent and zero-coefficient packets — both hold the same rank
+/// after every packet and recover the same bytes.
+fn progressive_agrees_with_batch(blocks: usize, block_size: usize, seed: u64) {
+    let cfg = GenerationConfig::new(blocks, block_size).expect("positive dims");
+    let id = GenerationId::new(3);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut data = vec![0u8; cfg.payload_len()];
+    rng.fill(&mut data[..]);
+    let generation = Generation::from_bytes(id, cfg, &data).expect("sized");
+    let encoder = Encoder::new(&generation);
+    let mut batch = BatchDecoder::with_kernel(id, cfg, Kernel::Table);
+    let mut progressive = Decoder::new(id, cfg);
+    let mut sent: Vec<CodedPacket> = Vec::new();
+    let xor = |a: &[u8], b: &[u8]| a.iter().zip(b).map(|(x, y)| x ^ y).collect();
+    while !progressive.is_complete() {
+        assert!(sent.len() < 10_000, "decode did not finish");
+        let packet = match rng.gen_range(0..4) {
+            0 if !sent.is_empty() => sent[rng.gen_range(0..sent.len())].clone(),
+            // The GF(2^8) sum of two earlier packets (zero if they coincide).
+            1 if !sent.is_empty() => {
+                let (a, b) = (&sent[rng.gen_range(0..sent.len())], &sent[sent.len() - 1]);
+                let coefficients = xor(a.coefficients(), b.coefficients());
+                CodedPacket::new(id, coefficients, xor(a.payload(), b.payload()))
+                    .expect("non-empty")
+            }
+            2 => CodedPacket::new(id, vec![0; blocks], vec![0; block_size]).expect("non-empty"),
+            _ => encoder.emit(&mut rng),
+        };
+        batch.push(packet.clone()).expect("well-formed");
+        progressive.absorb(&packet).expect("well-formed");
+        assert_eq!(
+            progressive.rank(),
+            batch.rank(),
+            "after {} packets",
+            sent.len() + 1
+        );
+        sent.push(packet);
+    }
+    assert_eq!(batch.solve(), progressive.recover());
+    assert_eq!(progressive.recover().expect("complete"), data);
 }
 
 /// Inputs proptest once shrank a failure of the two properties below to,
