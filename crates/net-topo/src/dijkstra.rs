@@ -1,8 +1,8 @@
 //! Dijkstra shortest paths with pluggable link costs.
 //!
-//! Used twice by the reproduction: with the ETX cost during node selection
-//! (Sec. 4) and with the Lagrange-multiplier cost `λ_ij` inside subproblem
-//! SUB1 of the rate-control algorithm (Sec. 3.3).
+//! Used with the ETX cost: forwards for the routing baseline and the
+//! protocols' credit plans, backwards ([`costs_to`]) for the "distance to
+//! the destination" of node selection (Sec. 4).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -109,35 +109,75 @@ pub fn shortest_paths<F>(topology: &Topology, source: NodeId, cost: F) -> Shorte
 where
     F: Fn(&Link) -> f64,
 {
-    let n = topology.len();
+    let (dist, prev) = grow(topology.len(), source, cost, |u| {
+        topology.out_links(u).iter().map(|l| (l, l.to))
+    });
+    ShortestPaths { source, dist, prev }
+}
+
+/// Cost from every node *to* `dst` (`None` where `dst` is unreachable):
+/// Dijkstra grown from `dst` backwards over each node's in-links, so the
+/// reversed graph is never built. A node's cost is
+/// `min over out-links (v, u) of fl(cost(u) + w(v, u))` — the value the same
+/// search over a reversed copy of the topology settles on, bit for bit,
+/// whatever order that copy lists its links in.
+///
+/// # Panics
+///
+/// Panics if `cost` returns a negative or NaN weight.
+pub fn costs_to<F>(topology: &Topology, dst: NodeId, cost: F) -> Vec<Option<f64>>
+where
+    F: Fn(&Link) -> f64,
+{
+    let (dist, _) = grow(topology.len(), dst, cost, |u| {
+        topology.in_links(u).iter().map(|l| (l, l.from))
+    });
+    dist.into_iter()
+        .map(|d| d.is_finite().then_some(d))
+        .collect()
+}
+
+/// The search itself, from `root` over `links_at(u)`: every link to relax
+/// at `u`, each with the node at its far end.
+fn grow<'t, F, L, I>(
+    n: usize,
+    root: NodeId,
+    cost: F,
+    links_at: L,
+) -> (Vec<f64>, Vec<Option<NodeId>>)
+where
+    F: Fn(&Link) -> f64,
+    L: Fn(NodeId) -> I,
+    I: Iterator<Item = (&'t Link, NodeId)>,
+{
     let mut dist = vec![f64::INFINITY; n];
     let mut prev = vec![None; n];
     let mut heap = BinaryHeap::new();
-    dist[source.index()] = 0.0;
+    dist[root.index()] = 0.0;
     heap.push(HeapEntry {
         cost: 0.0,
-        node: source,
+        node: root,
     });
 
     while let Some(HeapEntry { cost: d, node: u }) = heap.pop() {
         if d > dist[u.index()] {
             continue;
         }
-        for link in topology.out_links(u) {
+        for (link, far) in links_at(u) {
             let w = cost(link);
             assert!(w >= 0.0, "negative or NaN link cost");
             let next = d + w;
-            if next < dist[link.to.index()] {
-                dist[link.to.index()] = next;
-                prev[link.to.index()] = Some(u);
+            if next < dist[far.index()] {
+                dist[far.index()] = next;
+                prev[far.index()] = Some(u);
                 heap.push(HeapEntry {
                     cost: next,
-                    node: link.to,
+                    node: far,
                 });
             }
         }
     }
-    ShortestPaths { source, dist, prev }
+    (dist, prev)
 }
 
 /// All-pairs shortest-path costs by repeated Dijkstra. Quadratic memory;

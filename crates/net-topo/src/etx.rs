@@ -12,14 +12,10 @@ pub fn link_cost(link: &Link) -> f64 {
     1.0 / link.p
 }
 
-/// ETX distance of every node *to* `dst`, computed by running Dijkstra from
-/// `dst` over reversed links. This is the "distance to the destination" each
-/// node computes during node selection.
+/// ETX distance of every node *to* `dst`: the "distance to the destination"
+/// each node computes during node selection.
 pub fn distances_to(topology: &Topology, dst: NodeId) -> Vec<Option<f64>> {
-    // Dijkstra over the reverse graph == distances to dst in the forward one.
-    let reversed = reverse(topology);
-    let sp = dijkstra::shortest_paths(&reversed, dst, link_cost);
-    topology.nodes().map(|v| sp.cost(v)).collect()
+    dijkstra::costs_to(topology, dst, link_cost)
 }
 
 /// The ETX-shortest path from `src` to `dst` (the route that the paper's
@@ -50,18 +46,6 @@ pub fn path_cost(topology: &Topology, path: &[NodeId]) -> Result<f64, TopoError>
         cost += 1.0 / p;
     }
     Ok(cost)
-}
-
-fn reverse(topology: &Topology) -> Topology {
-    let links = topology
-        .links()
-        .map(|l| Link {
-            from: l.to,
-            to: l.from,
-            p: l.p,
-        })
-        .collect();
-    Topology::from_links(topology.len(), links).expect("reversing preserves validity")
 }
 
 #[cfg(test)]
@@ -129,6 +113,73 @@ mod tests {
         let d1 = distances_to(&t, NodeId::new(1));
         assert_eq!(d1[0], Some(1.0));
         assert_eq!(d1[2], Some(2.0)); // 2 → 0 → 1
+    }
+
+    /// `distances_to` as it was before it walked in-links: Dijkstra from
+    /// `dst` over a reversed copy of the whole topology.
+    fn distances_over_reversed_copy(topology: &Topology, dst: NodeId) -> Vec<Option<f64>> {
+        let links = topology
+            .links()
+            .map(|l| Link {
+                from: l.to,
+                to: l.from,
+                p: l.p,
+            })
+            .collect();
+        let reversed = Topology::from_links(topology.len(), links).unwrap();
+        let sp = dijkstra::shortest_paths(&reversed, dst, link_cost);
+        topology.nodes().map(|v| sp.cost(v)).collect()
+    }
+
+    fn assert_same_bits(topology: &Topology, dst: NodeId) {
+        let bits = |d: Vec<Option<f64>>| -> Vec<Option<u64>> {
+            d.into_iter().map(|c| c.map(f64::to_bits)).collect()
+        };
+        assert_eq!(
+            bits(distances_to(topology, dst)),
+            bits(distances_over_reversed_copy(topology, dst)),
+            "dst {dst}"
+        );
+    }
+
+    #[test]
+    fn distances_match_the_reversed_copy_bit_for_bit() {
+        use crate::deploy::Deployment;
+        use crate::phy::Phy;
+
+        let phy = Phy::paper_lossy();
+        for (nodes, seed) in [(120, 7), (120, 8), (1000, 2008)] {
+            let topology = Deployment::random(nodes, 6.0, &phy, seed).into_topology();
+            for dst in [0, 1, nodes / 2, nodes - 1] {
+                assert_same_bits(&topology, NodeId::new(dst));
+            }
+        }
+
+        // Links listed so that every in-list (insertion order: from 3, 2, 1)
+        // runs against the reversed copy's out-list (ascending `from`), with
+        // probabilities whose reciprocals do not add exactly.
+        let link = |from, to, p| Link {
+            from: NodeId::new(from),
+            to: NodeId::new(to),
+            p,
+        };
+        let topology = Topology::from_links(
+            5,
+            vec![
+                link(3, 4, 0.3),
+                link(2, 4, 0.7),
+                link(1, 4, 0.9),
+                link(3, 2, 0.6),
+                link(1, 2, 0.35),
+                link(0, 3, 0.45),
+                link(0, 1, 0.8),
+                link(4, 0, 0.15),
+            ],
+        )
+        .unwrap();
+        for dst in topology.nodes() {
+            assert_same_bits(&topology, dst);
+        }
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //!   transformation `U(γ) = ln γ`, so each iteration sends
 //!   `γ = U'⁻¹(p_min)` units of flow down the current shortest path
 //!   (eqs. (11)–(12)) and the primal is recovered by ergodic averaging
-//!   (eq. (13));
+//!   (eq. (13)). The forwarder selection is a DAG, so the shortest path is
+//!   one relaxation sweep in topological order ([`Routes::sweep`]); a heap
+//!   Dijkstra ([`Routes::dijkstra`]) arbitrates the iterations where two
+//!   equal-cost links meet on that path;
 //! * **SUB2** — broadcast/encoding rate allocation: congestion prices `β_i`
 //!   per receiver (eq. (15)) and a proximal update of the broadcast rates
 //!   `b_i` (eq. (17)), again with primal recovery (eq. (18));
@@ -22,12 +25,13 @@
 //! through per-node message passing and is tested to produce the same
 //! iterates.
 
-use net_topo::dijkstra;
-use net_topo::graph::{Link, NodeId, Topology};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::flow;
-use crate::instance::{Coupling, SUnicast};
+use crate::instance::{Coupling, LinkId, SUnicast};
 use crate::step::StepSize;
 
 /// Tunable parameters of the rate-control algorithm.
@@ -305,10 +309,9 @@ pub struct RateControl<'a> {
     sessions: &'a [SUnicast],
     coupling: &'a Coupling,
     params: RateControlParams,
-    /// Shortest-path scaffold per session: the instance's links as a
-    /// `Topology` over local indices, rebuilt once (costs change every
+    /// SUB1's view of every session's links, built once (costs change every
     /// iteration, the structure does not).
-    scaffolds: Vec<Topology>,
+    routes: Vec<Routes>,
     record_trace: bool,
     profiler: telemetry::Profiler,
 }
@@ -343,11 +346,214 @@ struct State {
 }
 
 /// A recovery candidate made feasible: per-session broadcast vectors after
-/// the joint MAC rescale, and the end-to-end rate each one supports.
+/// the joint MAC rescale, the end-to-end rate each one supports and the
+/// link flows that carry it.
+#[derive(Debug, Clone)]
 struct Candidate {
     total: f64,
     rates: Vec<f64>,
     b: Vec<Vec<f64>>,
+    x: Vec<Vec<f64>>,
+}
+
+/// One session's links as SUB1 walks them: a CSR out-adjacency over local
+/// indices and, the forwarder selection being a DAG (every link runs
+/// strictly downhill in ETX distance, Sec. 4), a topological order.
+#[derive(Debug, Clone)]
+struct Routes {
+    /// The out-links of node `u` are `hops[first[u]..first[u + 1]]`, in
+    /// [`SUnicast::out_links`] order.
+    first: Vec<usize>,
+    /// `(receiver, link index)` of every link.
+    hops: Vec<(usize, usize)>,
+    /// Every node after all its predecessors (Kahn); `None` if the links
+    /// close a cycle.
+    order: Option<Vec<usize>>,
+}
+
+/// Shortest-path buffers shared by all sessions of a run.
+#[derive(Debug, Default)]
+struct Paths {
+    /// Cost from the source; `∞` where unreachable.
+    dist: Vec<f64>,
+    /// The link a node's `dist` was last lowered through (meaningless at
+    /// the source and at unreachable nodes).
+    prev_link: Vec<usize>,
+    heap: BinaryHeap<Settle>,
+}
+
+/// A heap entry of [`Routes::dijkstra`]: cheapest first, the smaller node
+/// index on equal costs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Settle {
+    cost: f64,
+    node: usize,
+}
+
+impl Paths {
+    /// Nothing reached yet but `src`, over `n` nodes.
+    fn reset(&mut self, n: usize, src: usize) {
+        self.dist.clear();
+        self.dist.resize(n, f64::INFINITY);
+        self.prev_link.clear();
+        self.prev_link.resize(n, usize::MAX);
+        self.dist[src] = 0.0;
+    }
+}
+
+impl Eq for Settle {}
+
+impl PartialOrd for Settle {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Settle {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: `BinaryHeap` is a max-heap.
+        other
+            .cost
+            .partial_cmp(&self.cost)
+            .expect("link costs must not be NaN")
+            .then_with(|| other.node.cmp(&self.node))
+    }
+}
+
+impl Routes {
+    fn new(problem: &SUnicast) -> Self {
+        let n = problem.node_count();
+        let mut first = Vec::with_capacity(n + 1);
+        let mut hops = Vec::with_capacity(problem.link_count());
+        let mut unsettled_in = vec![0usize; n];
+        for u in 0..n {
+            first.push(hops.len());
+            for l in problem.out_links(u) {
+                let to = problem.link(*l).to;
+                unsettled_in[to] += 1;
+                hops.push((to, l.index()));
+            }
+        }
+        first.push(hops.len());
+        let mut order: Vec<usize> = (0..n).filter(|&v| unsettled_in[v] == 0).collect();
+        let mut done = 0;
+        while let Some(&u) = order.get(done) {
+            done += 1;
+            for &(to, _) in &hops[first[u]..first[u + 1]] {
+                unsettled_in[to] -= 1;
+                if unsettled_in[to] == 0 {
+                    order.push(to);
+                }
+            }
+        }
+        let order = (order.len() == n).then_some(order);
+        Routes { first, hops, order }
+    }
+
+    fn out(&self, u: usize) -> &[(usize, usize)] {
+        &self.hops[self.first[u]..self.first[u + 1]]
+    }
+
+    /// Shortest paths from `src` under link costs `lambda ≥ 0` by one
+    /// relaxation sweep in topological order (Bellman-Ford on a DAG).
+    /// Every predecessor of a node is final before the node is relaxed
+    /// from, so `dist[v] = min_u fl(dist[u] + λ_uv)` — the recurrence
+    /// Dijkstra settles, hence the same bits. Returns `false`, having done
+    /// nothing, if the links have no topological order.
+    fn sweep(&self, src: usize, lambda: &[f64], paths: &mut Paths) -> bool {
+        let Some(order) = &self.order else {
+            return false;
+        };
+        paths.reset(self.first.len() - 1, src);
+        for &u in order {
+            let d = paths.dist[u];
+            if d.is_infinite() {
+                continue;
+            }
+            for &(to, e) in self.out(u) {
+                let next = d + lambda[e];
+                if next < paths.dist[to] {
+                    paths.dist[to] = next;
+                    paths.prev_link[to] = e;
+                }
+            }
+        }
+        true
+    }
+
+    /// Heap Dijkstra from `src` under `cost(link index)`: any link set, and
+    /// the arbiter of equal-cost paths — a node keeps the predecessor that
+    /// settled first, nodes settle by `(cost, index)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cost` returns a negative or NaN weight.
+    fn dijkstra(&self, src: usize, cost: impl Fn(usize) -> f64, paths: &mut Paths) {
+        paths.reset(self.first.len() - 1, src);
+        paths.heap.clear();
+        paths.heap.push(Settle {
+            cost: 0.0,
+            node: src,
+        });
+        while let Some(Settle { cost: d, node: u }) = paths.heap.pop() {
+            if d > paths.dist[u] {
+                continue;
+            }
+            for &(to, e) in self.out(u) {
+                let w = cost(e);
+                assert!(w >= 0.0, "negative or NaN link cost");
+                let next = d + w;
+                if next < paths.dist[to] {
+                    paths.dist[to] = next;
+                    paths.prev_link[to] = e;
+                    paths.heap.push(Settle {
+                        cost: next,
+                        node: to,
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// `true` if some node on the swept path into `problem.dst()` is reached at
+/// its `dist` through more than one in-link. Which of them Dijkstra keeps
+/// depends on the order it settles nodes in, which a sweep does not know;
+/// everywhere else the last link to lower `dist` is the only candidate, so
+/// the two agree.
+fn tie_on_path(problem: &SUnicast, lambda: &[f64], paths: &Paths) -> bool {
+    let mut v = problem.dst();
+    if paths.dist[v].is_infinite() {
+        return false;
+    }
+    while v != problem.src() {
+        let attaining = problem.in_links(v).iter().filter(|l| {
+            let via = paths.dist[problem.link(**l).from] + lambda[l.index()];
+            // lint: allow(float-eq) -- a tie is two sums with identical bits; anything else orders them
+            via == paths.dist[v]
+        });
+        if attaining.count() > 1 {
+            return true;
+        }
+        v = problem.link(LinkId(paths.prev_link[v])).from;
+    }
+    false
+}
+
+/// What a run allocates besides its iterates, once: the shortest-path and
+/// max-flow buffers, SUB2's `w`, the site loads of a candidate being
+/// rescaled, and the two recovery candidates a stopping-rule check or the
+/// final recovery holds at a time.
+#[derive(Debug)]
+struct Scratch {
+    paths: Paths,
+    w: Vec<f64>,
+    load: Vec<f64>,
+    flow: flow::Scratch,
+    /// Where [`RateControl::preview`] and [`RateControl::finish`] leave
+    /// their winner.
+    best: Candidate,
+    challenger: Candidate,
 }
 
 impl<'a> RateControl<'a> {
@@ -384,26 +590,11 @@ impl<'a> RateControl<'a> {
         assert!(params.max_iterations > 0, "max_iterations must be positive");
         assert!(params.tolerance > 0.0, "tolerance must be positive");
         assert!(params.check_window > 0, "check_window must be positive");
-        let scaffolds = sessions
-            .iter()
-            .map(|problem| {
-                let links = problem
-                    .links()
-                    .map(|(_, l)| Link {
-                        from: NodeId::new(l.from),
-                        to: NodeId::new(l.to),
-                        p: l.p,
-                    })
-                    .collect();
-                Topology::from_links(problem.node_count().max(2), links)
-                    .expect("instance links form a valid graph")
-            })
-            .collect();
         RateControl {
             sessions,
             coupling,
             params,
-            scaffolds,
+            routes: sessions.iter().map(Routes::new).collect(),
             record_trace: false,
             profiler: telemetry::Profiler::disabled(),
         }
@@ -445,18 +636,20 @@ impl<'a> RateControl<'a> {
     /// rate, the sum of the sessions' Lagrangians).
     pub(crate) fn run_sessions(&self) -> (Vec<RateAllocation>, Trace) {
         let _run = self.profiler.span("opt.run");
-        let mut st = self.initial_state();
+        let mut scratch = self.scratch();
+        let mut st = self.initial_state(&mut scratch.paths);
         let mut trace = Trace::default();
         let mut last_rate = f64::NEG_INFINITY;
         let mut converged = false;
 
         while st.t < self.params.max_iterations {
             st.t += 1;
-            self.iterate(&mut st, &mut trace);
+            self.iterate(&mut st, &mut scratch, &mut trace);
             if st.t.is_multiple_of(self.params.check_window) {
                 // Stopping rule: the total end-to-end rate supported by the
                 // recovered broadcast vectors has stabilized.
-                let rate = self.preview(&st).total;
+                self.preview(&st, &mut scratch);
+                let rate = scratch.best.total;
                 if (rate - last_rate).abs() < self.params.tolerance {
                     converged = true;
                     break;
@@ -465,43 +658,58 @@ impl<'a> RateControl<'a> {
             }
         }
 
-        (self.finish(&st, converged), trace)
+        (self.finish(&st, &mut scratch, converged), trace)
+    }
+
+    fn scratch(&self) -> Scratch {
+        let candidate = Candidate {
+            total: 0.0,
+            rates: vec![0.0; self.sessions.len()],
+            b: self.per_session(SUnicast::node_count, 0.0),
+            x: self.per_session(SUnicast::link_count, 0.0),
+        };
+        Scratch {
+            paths: Paths::default(),
+            w: Vec::new(),
+            load: vec![0.0; self.coupling.site_count()],
+            flow: flow::Scratch::default(),
+            best: candidate.clone(),
+            challenger: candidate,
+        }
+    }
+
+    fn per_session(&self, len: fn(&SUnicast) -> usize, fill: f64) -> Vec<Vec<f64>> {
+        self.sessions.iter().map(|p| vec![fill; len(p)]).collect()
     }
 
     /// Table 1, step 1.
-    fn initial_state(&self) -> State {
+    fn initial_state(&self, paths: &mut Paths) -> State {
         // Informed dual initialization: λ starts proportional to the ETX
         // link cost (1/p), scaled so the initial shortest-path cost is the
         // utility weight (γ_1 ≈ capacity). Diminishing steps converge from
         // any initialization (Sec. 3.3); starting from routing-aware prices
         // spares the algorithm relearning that lossy links are expensive.
-        let lambda0 = |(problem, scaffold): (&SUnicast, &Topology)| -> Vec<f64> {
-            let src = NodeId::new(problem.src());
-            let sp0 = dijkstra::shortest_paths(scaffold, src, |l| 1.0 / l.p);
-            let etx_best = sp0
-                .cost(NodeId::new(problem.dst()))
-                .unwrap_or(1.0)
-                .max(1e-9);
+        let mut lambda0 = |(problem, routes): (&SUnicast, &Routes)| -> Vec<f64> {
+            routes.dijkstra(problem.src(), |e| 1.0 / problem.link(LinkId(e)).p, paths);
+            let etx_best = paths.dist[problem.dst()];
+            let etx_best = if etx_best.is_finite() { etx_best } else { 1.0 }.max(1e-9);
             problem
                 .links()
                 .map(|(_, l)| self.params.utility_weight / (l.p * etx_best))
                 .collect()
         };
-        let sized = |len: fn(&SUnicast) -> usize, fill: f64| -> Vec<Vec<f64>> {
-            self.sessions.iter().map(|p| vec![fill; len(p)]).collect()
-        };
         State {
             lambda: self
                 .sessions
                 .iter()
-                .zip(&self.scaffolds)
-                .map(lambda0)
+                .zip(&self.routes)
+                .map(&mut lambda0)
                 .collect(),
             // "Set elements in b, x to small positive numbers" (Table 1).
-            b: sized(SUnicast::node_count, 0.05),
-            b_avg: sized(SUnicast::node_count, 0.0),
-            x_avg: sized(SUnicast::link_count, 0.0),
-            x_step: sized(SUnicast::link_count, 0.0),
+            b: self.per_session(SUnicast::node_count, 0.05),
+            b_avg: self.per_session(SUnicast::node_count, 0.0),
+            x_avg: self.per_session(SUnicast::link_count, 0.0),
+            x_step: self.per_session(SUnicast::link_count, 0.0),
             gamma_step: vec![0.0; self.sessions.len()],
             beta: vec![0.0; self.coupling.site_count()],
             load: vec![0.0; self.coupling.site_count()],
@@ -511,7 +719,7 @@ impl<'a> RateControl<'a> {
     }
 
     /// One full iteration of Table 1 (steps 3–5) on normalized state.
-    fn iterate(&self, st: &mut State, trace: &mut Trace) {
+    fn iterate(&self, st: &mut State, scratch: &mut Scratch, trace: &mut Trace) {
         let _iterate = self.profiler.span("iterate");
         let theta = self.params.step.at(st.t);
         // Primal recovery (13), (18) averages over the current tail window;
@@ -524,31 +732,30 @@ impl<'a> RateControl<'a> {
         {
             // ---- Step 3, SUB1: shortest path under λ, inject γ = U'⁻¹(p_min).
             let _sub1 = self.profiler.span("sub1.shortest_path");
+            let paths = &mut scratch.paths;
             for (k, problem) in self.sessions.iter().enumerate() {
                 let lambda = &st.lambda[k];
-                let sp =
-                    dijkstra::shortest_paths(&self.scaffolds[k], NodeId::new(problem.src()), |l| {
-                        // Cost of a link is its multiplier; identify the link index by
-                        // endpoints (the scaffold preserves insertion order but not ids,
-                        // so we keep a lookup through the instance).
-                        link_index(problem, l.from.index(), l.to.index())
-                            .map(|e| lambda[e])
-                            .unwrap_or(f64::INFINITY)
-                    });
+                let (src, dst) = (problem.src(), problem.dst());
+                let routes = &self.routes[k];
+                if !routes.sweep(src, lambda, paths) || tie_on_path(problem, lambda, paths) {
+                    let _heap = self.profiler.span("heap_fallback");
+                    routes.dijkstra(src, |e| lambda[e], paths);
+                }
                 let x_step = &mut st.x_step[k];
                 x_step.fill(0.0);
-                st.gamma_step[k] = if let Some(path) = sp.path_to(NodeId::new(problem.dst())) {
-                    let p_min: f64 = sp.cost(NodeId::new(problem.dst())).expect("path exists");
+                let p_min = paths.dist[dst];
+                st.gamma_step[k] = if p_min.is_finite() {
                     // U(γ) = w·ln γ ⇒ γ = w / p_min, clamped to the capacity.
                     let gamma_t = if p_min <= 1e-12 {
                         1.0
                     } else {
                         (self.params.utility_weight / p_min).min(1.0)
                     };
-                    for w in path.windows(2) {
-                        let e = link_index(problem, w[0].index(), w[1].index())
-                            .expect("path follows instance links");
+                    let mut v = dst;
+                    while v != src {
+                        let e = paths.prev_link[v];
                         x_step[e] = gamma_t;
+                        v = problem.link(LinkId(e)).from;
                     }
                     gamma_t
                 } else {
@@ -563,13 +770,15 @@ impl<'a> RateControl<'a> {
         {
             // ---- Step 4, SUB2: proximal update of b, congestion prices β.
             let _sub2 = self.profiler.span("sub2.proximal");
+            let w = &mut scratch.w;
             for (k, problem) in self.sessions.iter().enumerate() {
                 // w_i = Σ_j λ_ij p_ij over outgoing links (eq. after (14)).
-                let mut w = vec![0.0; problem.node_count()];
+                w.clear();
+                w.resize(problem.node_count(), 0.0);
                 for (id, link) in problem.links() {
                     w[link.from] += st.lambda[k][id.index()] * link.p;
                 }
-                for ((b, &g), w) in st.b[k].iter_mut().zip(self.coupling.sites(k)).zip(&w) {
+                for ((b, &g), w) in st.b[k].iter_mut().zip(self.coupling.sites(k)).zip(&*w) {
                     // A transmitter pays the price of every row it loads;
                     // sites without a row keep β ≡ 0.
                     let grad = w - self.coupling.around(g, &st.beta);
@@ -603,7 +812,8 @@ impl<'a> RateControl<'a> {
         if self.record_trace {
             let cap = self.sessions[0].capacity();
             let absolute = |b: &[Vec<f64>]| b.iter().flatten().map(|v| v * cap).collect();
-            let preview = self.preview(st);
+            self.preview(st, scratch);
+            let preview = &scratch.best;
             trace.b_instant.push(absolute(&st.b));
             trace.b_recovered.push(absolute(&st.b_avg));
             trace.b_allocated.push(absolute(&preview.b));
@@ -612,7 +822,7 @@ impl<'a> RateControl<'a> {
                 .push(st.gamma_step.iter().sum::<f64>() * cap);
             trace
                 .records
-                .push(self.record_iteration(st, theta, &preview, cap));
+                .push(self.record_iteration(st, theta, preview, cap));
         }
     }
 
@@ -670,131 +880,409 @@ impl<'a> RateControl<'a> {
     ///
     /// The candidate supporting the larger total end-to-end max flow wins;
     /// both are feasible, so this only improves the allocation.
-    fn finish(&self, st: &State, converged: bool) -> Vec<RateAllocation> {
+    fn finish(&self, st: &State, scratch: &mut Scratch, converged: bool) -> Vec<RateAllocation> {
         let _recovery = self.profiler.span("primal_recovery");
-        let chosen = match self.params.recovery {
-            Recovery::AveragedB => self.rescaled(&st.b_avg),
-            Recovery::FlowDerived => self.rescaled(&self.b_from_flows(&st.x_avg)),
-            Recovery::LastIterate => self.rescaled(&st.b),
+        match self.params.recovery {
+            Recovery::AveragedB => {
+                copy_rates(&st.b_avg, &mut scratch.best.b);
+                self.rescale(&mut scratch.best, &mut scratch.load, &mut scratch.flow);
+            }
+            Recovery::FlowDerived => {
+                self.b_from_flows(&st.x_avg, &mut scratch.best.b);
+                self.rescale(&mut scratch.best, &mut scratch.load, &mut scratch.flow);
+            }
+            Recovery::LastIterate => {
+                copy_rates(&st.b, &mut scratch.best.b);
+                self.rescale(&mut scratch.best, &mut scratch.load, &mut scratch.flow);
+            }
             Recovery::Best => {
-                let from_flows = self.b_from_flows(&st.x_avg);
+                self.averaged_or_flows(st, scratch);
                 // Third candidate: the elementwise union of the two
                 // recoveries — often best when b̄ funds relays the flow
                 // average missed.
-                let union: Vec<Vec<f64>> = st
-                    .b_avg
-                    .iter()
-                    .zip(&from_flows)
-                    .map(|(avg, flows)| avg.iter().zip(flows).map(|(a, b)| a.max(*b)).collect())
-                    .collect();
-                let mut best = self.rescaled(&st.b_avg);
-                for cand in [self.rescaled(&from_flows), self.rescaled(&union)] {
-                    if cand.total > best.total {
-                        best = cand;
+                let union = &mut scratch.challenger.b;
+                self.b_from_flows(&st.x_avg, union);
+                for (union, avg) in union.iter_mut().zip(&st.b_avg) {
+                    for (flows, avg) in union.iter_mut().zip(avg) {
+                        *flows = avg.max(*flows);
                     }
                 }
-                best
+                self.challenge(scratch);
             }
-        };
+        }
 
+        let best = &scratch.best;
         let cap = self.sessions[0].capacity();
-        self.sessions
-            .iter()
-            .zip(chosen.b.iter().zip(&chosen.rates))
-            .map(|(problem, (b_norm, rate_norm))| {
-                let (_, x_norm) = flow::supported_rate(problem, b_norm);
-                RateAllocation {
-                    b: b_norm.iter().map(|v| v * cap).collect(),
-                    x: x_norm.iter().map(|v| v * cap).collect(),
-                    throughput: rate_norm * cap,
-                    iterations: st.t,
-                    converged,
-                }
+        let scaled = |v: &[f64]| v.iter().map(|v| v * cap).collect();
+        (best.b.iter().zip(&best.x).zip(&best.rates))
+            .map(|((b_norm, x_norm), rate_norm)| RateAllocation {
+                b: scaled(b_norm),
+                x: scaled(x_norm),
+                throughput: rate_norm * cap,
+                iterations: st.t,
+                converged,
             })
             .collect()
     }
 
     /// The minimal broadcast vectors that support flow vectors `x` through
-    /// constraint (5).
-    fn b_from_flows(&self, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        self.sessions
-            .iter()
-            .zip(x)
-            .map(|(problem, x)| {
-                let mut b = vec![0.0f64; problem.node_count()];
-                for (id, link) in problem.links() {
-                    b[link.from] = b[link.from].max(x[id.index()] / link.p);
-                }
-                b
-            })
-            .collect()
+    /// constraint (5), into `b`.
+    fn b_from_flows(&self, x: &[Vec<f64>], b: &mut [Vec<f64>]) {
+        for ((problem, x), b) in self.sessions.iter().zip(x).zip(b) {
+            b.fill(0.0);
+            for (id, link) in problem.links() {
+                b[link.from] = b[link.from].max(x[id.index()] / link.p);
+            }
+        }
     }
 
-    /// Rescales the sessions' `b` jointly onto the boundary of the MAC
-    /// region and returns the rates they then support. The paper generates
-    /// feasible schedules "by rescaling the broadcast rate"; scaling *up* to
-    /// the first binding neighborhood constraint keeps the optimizer's
-    /// proportions while leaving no capacity idle (the LP optimum itself
-    /// saturates its bottleneck).
-    fn rescaled(&self, b: &[Vec<f64>]) -> Candidate {
-        let mut load = vec![0.0; self.coupling.site_count()];
-        self.coupling.site_loads(b, &mut load);
+    /// Rescales the candidate's `b` jointly onto the boundary of the MAC
+    /// region, in place, and fills in the rates and link flows it then
+    /// supports. The paper generates feasible schedules "by rescaling the
+    /// broadcast rate"; scaling *up* to the first binding neighborhood
+    /// constraint keeps the optimizer's proportions while leaving no
+    /// capacity idle (the LP optimum itself saturates its bottleneck).
+    fn rescale(&self, candidate: &mut Candidate, load: &mut [f64], flow: &mut flow::Scratch) {
+        self.coupling.site_loads(&candidate.b, load);
         let mut worst_load = 0.0f64;
         for &g in self.coupling.rows() {
-            worst_load = worst_load.max(self.coupling.around(g, &load));
+            worst_load = worst_load.max(self.coupling.around(g, load));
         }
         let scale = if worst_load > 1e-12 {
             1.0 / worst_load
         } else {
             1.0
         };
-        let b: Vec<Vec<f64>> = b
-            .iter()
-            .map(|b| b.iter().map(|v| (v * scale).clamp(0.0, 1.0)).collect())
-            .collect();
-        let rates: Vec<f64> = self
-            .sessions
-            .iter()
-            .zip(&b)
-            .map(|(problem, b)| flow::supported_rate(problem, b).0)
-            .collect();
-        Candidate {
-            total: rates.iter().sum(),
-            rates,
-            b,
+        for (k, problem) in self.sessions.iter().enumerate() {
+            let b = &mut candidate.b[k];
+            for v in b.iter_mut() {
+                *v = (*v * scale).clamp(0.0, 1.0);
+            }
+            candidate.rates[k] = flow::supported_rate_in(problem, b, flow);
+            candidate.x[k].copy_from_slice(flow.flows());
         }
+        candidate.total = candidate.rates.iter().sum();
     }
 
-    /// What the protocol would deploy if the run stopped now: the better of
-    /// the two recovery candidates (`b̄` on ties), MAC-rescaled. Its total
-    /// rate drives the stopping rule; traces record it for convergence
-    /// plots.
-    fn preview(&self, st: &State) -> Candidate {
+    /// What the protocol would deploy if the run stopped now, into
+    /// `scratch.best`. Its total rate drives the stopping rule; traces
+    /// record it for convergence plots.
+    fn preview(&self, st: &State, scratch: &mut Scratch) {
         let _recovery = self.profiler.span("primal_recovery");
-        let averaged = self.rescaled(&st.b_avg);
-        let from_flows = self.rescaled(&self.b_from_flows(&st.x_avg));
-        if averaged.total >= from_flows.total {
-            averaged
-        } else {
-            from_flows
+        self.averaged_or_flows(st, scratch);
+    }
+
+    /// Leaves in `scratch.best` the better of the two recovery candidates
+    /// (`b̄` on ties), MAC-rescaled.
+    fn averaged_or_flows(&self, st: &State, scratch: &mut Scratch) {
+        copy_rates(&st.b_avg, &mut scratch.best.b);
+        self.rescale(&mut scratch.best, &mut scratch.load, &mut scratch.flow);
+        self.b_from_flows(&st.x_avg, &mut scratch.challenger.b);
+        self.challenge(scratch);
+    }
+
+    /// Rescales `scratch.challenger` and makes it `scratch.best` if it
+    /// supports strictly more.
+    fn challenge(&self, scratch: &mut Scratch) {
+        self.rescale(
+            &mut scratch.challenger,
+            &mut scratch.load,
+            &mut scratch.flow,
+        );
+        if scratch.challenger.total > scratch.best.total {
+            std::mem::swap(&mut scratch.best, &mut scratch.challenger);
         }
     }
 }
 
-fn link_index(problem: &SUnicast, from: usize, to: usize) -> Option<usize> {
-    // Linear scan over the transmitter's out-links; instances are sparse.
-    problem
-        .out_links(from)
-        .iter()
-        .find(|l| problem.link(**l).to == to)
-        .map(|l| l.index())
+fn copy_rates(from: &[Vec<f64>], to: &mut [Vec<f64>]) {
+    for (to, from) in to.iter_mut().zip(from) {
+        to.copy_from_slice(from);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::tests::diamond;
+    use crate::instance::tests::{diamond, raw_instance};
     use crate::lp::solve_exact;
+    use crate::municast::MUnicast;
+    use net_topo::graph::Topology;
+
+    /// Table 1 as the engine ran it before SUB1 became a sweep over
+    /// [`Routes`]: a heap Dijkstra per session and iteration over a scaffold
+    /// `Topology`, link indices recovered by scanning the transmitter's
+    /// out-list, and every buffer allocated where it is used. The engine
+    /// must reproduce its iterates bit for bit.
+    mod oracle {
+        use net_topo::dijkstra;
+        use net_topo::graph::{Link, NodeId, Topology};
+
+        use super::super::{Candidate, RateControl, State};
+        use crate::flow;
+        use crate::instance::SUnicast;
+
+        pub(super) fn scaffolds(sessions: &[SUnicast]) -> Vec<Topology> {
+            sessions
+                .iter()
+                .map(|problem| {
+                    let links = problem
+                        .links()
+                        .map(|(_, l)| Link {
+                            from: NodeId::new(l.from),
+                            to: NodeId::new(l.to),
+                            p: l.p,
+                        })
+                        .collect();
+                    Topology::from_links(problem.node_count().max(2), links)
+                        .expect("instance links form a valid graph")
+                })
+                .collect()
+        }
+
+        fn link_index(problem: &SUnicast, from: usize, to: usize) -> Option<usize> {
+            problem
+                .out_links(from)
+                .iter()
+                .find(|l| problem.link(**l).to == to)
+                .map(|l| l.index())
+        }
+
+        pub(super) fn lambda0(control: &RateControl<'_>, scaffolds: &[Topology]) -> Vec<Vec<f64>> {
+            (control.sessions.iter().zip(scaffolds))
+                .map(|(problem, scaffold)| {
+                    let src = NodeId::new(problem.src());
+                    let sp0 = dijkstra::shortest_paths(scaffold, src, |l| 1.0 / l.p);
+                    let etx_best = sp0
+                        .cost(NodeId::new(problem.dst()))
+                        .unwrap_or(1.0)
+                        .max(1e-9);
+                    problem
+                        .links()
+                        .map(|(_, l)| control.params.utility_weight / (l.p * etx_best))
+                        .collect()
+                })
+                .collect()
+        }
+
+        /// Steps 3–5 for iteration `st.t`.
+        pub(super) fn iterate(control: &RateControl<'_>, scaffolds: &[Topology], st: &mut State) {
+            let theta = control.params.step.at(st.t);
+            if st.t >= 2 * st.window_start && st.t > 4 {
+                st.window_start = st.t;
+            }
+            let span = (st.t - st.window_start + 1) as f64;
+
+            for (k, problem) in control.sessions.iter().enumerate() {
+                let lambda = &st.lambda[k];
+                let sp = dijkstra::shortest_paths(&scaffolds[k], NodeId::new(problem.src()), |l| {
+                    link_index(problem, l.from.index(), l.to.index())
+                        .map(|e| lambda[e])
+                        .unwrap_or(f64::INFINITY)
+                });
+                let x_step = &mut st.x_step[k];
+                x_step.fill(0.0);
+                st.gamma_step[k] = if let Some(path) = sp.path_to(NodeId::new(problem.dst())) {
+                    let p_min: f64 = sp.cost(NodeId::new(problem.dst())).expect("path exists");
+                    let gamma_t = if p_min <= 1e-12 {
+                        1.0
+                    } else {
+                        (control.params.utility_weight / p_min).min(1.0)
+                    };
+                    for w in path.windows(2) {
+                        let e = link_index(problem, w[0].index(), w[1].index())
+                            .expect("path follows instance links");
+                        x_step[e] = gamma_t;
+                    }
+                    gamma_t
+                } else {
+                    0.0
+                };
+                for (avg, inst) in st.x_avg[k].iter_mut().zip(x_step.iter()) {
+                    *avg += (inst - *avg) / span;
+                }
+            }
+
+            for (k, problem) in control.sessions.iter().enumerate() {
+                let mut w = vec![0.0; problem.node_count()];
+                for (id, link) in problem.links() {
+                    w[link.from] += st.lambda[k][id.index()] * link.p;
+                }
+                for ((b, &g), w) in st.b[k].iter_mut().zip(control.coupling.sites(k)).zip(&w) {
+                    let grad = w - control.coupling.around(g, &st.beta);
+                    *b = (*b + grad / (2.0 * control.params.proximal_c)).clamp(0.0, 1.0);
+                }
+                for (avg, inst) in st.b_avg[k].iter_mut().zip(&st.b[k]) {
+                    *avg += (inst - *avg) / span;
+                }
+            }
+            control.coupling.site_loads(&st.b, &mut st.load);
+            for &g in control.coupling.rows() {
+                let load = control.coupling.around(g, &st.load);
+                st.beta[g] = (st.beta[g] + theta * (load - 1.0)).max(0.0);
+            }
+
+            for (k, problem) in control.sessions.iter().enumerate() {
+                for (id, link) in problem.links() {
+                    let e = id.index();
+                    let slack = st.b[k][link.from] * link.p - st.x_step[k][e];
+                    st.lambda[k][e] = (st.lambda[k][e] - theta * slack).max(0.0);
+                }
+            }
+        }
+
+        fn rescaled(control: &RateControl<'_>, b: &[Vec<f64>]) -> Candidate {
+            let mut load = vec![0.0; control.coupling.site_count()];
+            control.coupling.site_loads(b, &mut load);
+            let mut worst_load = 0.0f64;
+            for &g in control.coupling.rows() {
+                worst_load = worst_load.max(control.coupling.around(g, &load));
+            }
+            let scale = if worst_load > 1e-12 {
+                1.0 / worst_load
+            } else {
+                1.0
+            };
+            let b: Vec<Vec<f64>> = b
+                .iter()
+                .map(|b| b.iter().map(|v| (v * scale).clamp(0.0, 1.0)).collect())
+                .collect();
+            // A fresh max flow per session for the rate, and (as `finish`
+            // did) another for the link flows.
+            let (rates, x): (Vec<f64>, Vec<Vec<f64>>) = (control.sessions.iter().zip(&b))
+                .map(|(problem, b)| {
+                    let rate = flow::supported_rate(problem, b).0;
+                    (rate, flow::supported_rate(problem, b).1)
+                })
+                .unzip();
+            Candidate {
+                total: rates.iter().sum(),
+                rates,
+                b,
+                x,
+            }
+        }
+
+        fn b_from_flows(control: &RateControl<'_>, x: &[Vec<f64>]) -> Vec<Vec<f64>> {
+            (control.sessions.iter().zip(x))
+                .map(|(problem, x)| {
+                    let mut b = vec![0.0f64; problem.node_count()];
+                    for (id, link) in problem.links() {
+                        b[link.from] = b[link.from].max(x[id.index()] / link.p);
+                    }
+                    b
+                })
+                .collect()
+        }
+
+        pub(super) fn preview(control: &RateControl<'_>, st: &State) -> Candidate {
+            let averaged = rescaled(control, &st.b_avg);
+            let from_flows = rescaled(control, &b_from_flows(control, &st.x_avg));
+            if averaged.total >= from_flows.total {
+                averaged
+            } else {
+                from_flows
+            }
+        }
+
+        /// `Recovery::Best`.
+        pub(super) fn recovered(control: &RateControl<'_>, st: &State) -> Candidate {
+            let from_flows = b_from_flows(control, &st.x_avg);
+            let union: Vec<Vec<f64>> = (st.b_avg.iter().zip(&from_flows))
+                .map(|(avg, flows)| avg.iter().zip(flows).map(|(a, b)| a.max(*b)).collect())
+                .collect();
+            let mut best = rescaled(control, &st.b_avg);
+            for cand in [rescaled(control, &from_flows), rescaled(control, &union)] {
+                if cand.total > best.total {
+                    best = cand;
+                }
+            }
+            best
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn nested_bits(v: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        v.iter().map(|v| bits(v)).collect()
+    }
+
+    /// Everything an iteration writes: the path's link set with γ_t on it,
+    /// γ_t, λ, b, the two running averages and β.
+    fn iterate_bits(st: &State) -> [Vec<Vec<u64>>; 7] {
+        [
+            nested_bits(&st.x_step),
+            vec![bits(&st.gamma_step)],
+            nested_bits(&st.lambda),
+            nested_bits(&st.b),
+            nested_bits(&st.x_avg),
+            nested_bits(&st.b_avg),
+            vec![bits(&st.beta)],
+        ]
+    }
+
+    fn assert_same_candidate(ours: &Candidate, theirs: &Candidate, what: &str) {
+        let total = |c: &Candidate| c.total.to_bits();
+        assert_eq!(total(ours), total(theirs), "{what}: total");
+        assert_eq!(bits(&ours.rates), bits(&theirs.rates), "{what}: rates");
+        assert_eq!(nested_bits(&ours.b), nested_bits(&theirs.b), "{what}: b");
+        assert_eq!(nested_bits(&ours.x), nested_bits(&theirs.x), "{what}: x");
+    }
+
+    /// Runs `iterations` of the engine and of the oracle side by side from
+    /// `start` (λ₀ when `None`) and compares every iterate, the previews at
+    /// the stopping-rule checks and the final recovery. Returns how many
+    /// SUB1 calls took the heap path.
+    fn assert_tracks_the_oracle(
+        control: RateControl<'_>,
+        start: Option<Vec<Vec<f64>>>,
+        iterations: usize,
+        what: &str,
+    ) -> u64 {
+        let profiler = telemetry::Profiler::virtual_clock();
+        let control = control.with_profiler(profiler.clone());
+        let scaffolds = oracle::scaffolds(control.sessions);
+        let mut scratch = control.scratch();
+        let mut ours = control.initial_state(&mut scratch.paths);
+        assert_eq!(
+            nested_bits(&ours.lambda),
+            nested_bits(&oracle::lambda0(&control, &scaffolds)),
+            "{what}: λ₀"
+        );
+        if let Some(lambda) = start {
+            ours.lambda = lambda;
+        }
+        let mut theirs = ours.clone();
+        let mut trace = Trace::default();
+        for t in 1..=iterations {
+            ours.t = t;
+            theirs.t = t;
+            control.iterate(&mut ours, &mut scratch, &mut trace);
+            oracle::iterate(&control, &scaffolds, &mut theirs);
+            let at = format!("{what}, iteration {t}");
+            assert_eq!(iterate_bits(&ours), iterate_bits(&theirs), "{at}");
+            if t % control.params.check_window == 0 {
+                control.preview(&ours, &mut scratch);
+                assert_same_candidate(&scratch.best, &oracle::preview(&control, &theirs), &at);
+            }
+        }
+        let allocations = control.finish(&ours, &mut scratch, false);
+        let expect = oracle::recovered(&control, &theirs);
+        assert_same_candidate(&scratch.best, &expect, what);
+        let cap = control.sessions[0].capacity();
+        for (k, allocation) in allocations.iter().enumerate() {
+            let scaled = |v: &[f64]| v.iter().map(|v| (v * cap).to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(allocation.broadcast_rates()), scaled(&expect.b[k]));
+            assert_eq!(bits(allocation.link_rates()), scaled(&expect.x[k]));
+            let rate = expect.rates[k] * cap;
+            assert_eq!(allocation.throughput().to_bits(), rate.to_bits());
+        }
+        let heap = profiler.report();
+        let heap = heap.span("iterate;sub1.shortest_path;heap_fallback");
+        heap.map_or(0, |s| s.calls)
+    }
 
     #[test]
     fn converges_on_the_diamond() {
@@ -998,5 +1486,142 @@ mod tests {
             ratios.iter().all(|&r| r <= 1.0 + 1e-9),
             "cannot beat the optimum"
         );
+    }
+    #[test]
+    fn every_iterate_matches_the_heap_dijkstra_engine_bit_for_bit() {
+        use net_topo::deploy::{random_sessions, Deployment};
+        use net_topo::phy::Phy;
+        use net_topo::select::select_forwarders;
+
+        let phy = Phy::paper_lossy();
+        // The instances of `one_session_is_the_single_session_driver_bit_for_bit`.
+        for seed in 0..5 {
+            let topo = Deployment::random(30, 6.0, &phy, 100 + seed).into_topology();
+            let (s, d) = topo.farthest_pair();
+            let problem = SUnicast::from_selection(&topo, &select_forwarders(&topo, s, d), 1e5);
+            for params in default_portfolio() {
+                let control = RateControl::with_params(&problem, params);
+                assert_tracks_the_oracle(control, None, 200, &format!("30 nodes, seed {seed}"));
+            }
+        }
+
+        let (topo, selections) = crate::municast::tests::two_sessions(7);
+        let joint = MUnicast::from_selections(&topo, &selections, 1.0);
+        let control = joint.rate_control(&RateControlParams::default());
+        assert_tracks_the_oracle(control, None, 200, "two sessions");
+
+        let topo = Deployment::random(120, 6.0, &phy, 21).into_topology();
+        let endpoints = random_sessions(&topo, 4, (3, 10), 500, |k| 2008 + k).expect("drawable");
+        let selections: Vec<_> = endpoints
+            .iter()
+            .map(|&(s, d)| select_forwarders(&topo, s, d))
+            .collect();
+        let joint = MUnicast::from_selections(&topo, &selections, 1e5);
+        assert!(joint.sessions().iter().all(|s| s.node_count() > 4));
+        let control = joint.rate_control(&RateControlParams::default());
+        assert_tracks_the_oracle(control, None, 200, "120-node mesh, 4 sessions");
+    }
+
+    /// Two diamonds in series, `0 → {1, 2} → 3 → {5, 4} → 6`; node 3 lists
+    /// its link to 5 first, so a sweep relaxes 5 before 4 while the heap
+    /// settles 4 before 5.
+    fn diamond_of_diamonds() -> (Topology, SUnicast) {
+        use net_topo::graph::{Link, NodeId};
+        use net_topo::select::select_forwarders;
+
+        let link = |from, to| Link {
+            from: NodeId::new(from),
+            to: NodeId::new(to),
+            p: 0.5,
+        };
+        let links = vec![
+            link(0, 1),
+            link(0, 2),
+            link(1, 3),
+            link(2, 3),
+            link(3, 5),
+            link(3, 4),
+            link(4, 6),
+            link(5, 6),
+        ];
+        let topo = Topology::from_links(7, links).unwrap();
+        let selection = select_forwarders(&topo, NodeId::new(0), NodeId::new(6));
+        let problem = SUnicast::from_selection(&topo, &selection, 1.0);
+        assert_eq!((problem.node_count(), problem.link_count()), (7, 8));
+        (topo, problem)
+    }
+
+    /// λ over [`diamond_of_diamonds`], by `(from, to)`.
+    fn prices(problem: &SUnicast, of: impl Fn(usize, usize) -> f64) -> Vec<Vec<f64>> {
+        vec![problem.links().map(|(_, l)| of(l.from, l.to)).collect()]
+    }
+
+    #[test]
+    fn ties_on_the_path_are_settled_by_the_heap() {
+        let (_topo, problem) = diamond_of_diamonds();
+        let routes = Routes::new(&problem);
+        assert!(routes.order.is_some());
+        let cases = [
+            // λ = 0 on both branches of the second diamond.
+            prices(&problem, |from, to| match (from, to) {
+                (0, 1) => 0.25,
+                (3, _) | (_, 6) => 0.0,
+                _ => 0.5,
+            }),
+            // Equal non-zero sums through the first: 0.5 + 0.5 = 0.25 + 0.75,
+            // where the heap settles node 2 first and the sweep node 1.
+            prices(&problem, |from, to| match (from, to) {
+                (0, 2) => 0.25,
+                (2, 3) => 0.75,
+                (3, 5) | (5, 6) => 0.125,
+                _ => 0.5,
+            }),
+        ];
+        for lambda in cases {
+            // The sweep alone would take the other branch ...
+            let (mut swept, mut settled) = (Paths::default(), Paths::default());
+            assert!(routes.sweep(problem.src(), &lambda[0], &mut swept));
+            routes.dijkstra(problem.src(), |e| lambda[0][e], &mut settled);
+            assert_eq!(bits(&swept.dist), bits(&settled.dist));
+            assert_ne!(swept.prev_link, settled.prev_link);
+            assert!(tie_on_path(&problem, &lambda[0], &swept));
+            // ... so the engine hands the iteration to the heap, and keeps
+            // agreeing with the oracle afterwards.
+            let control = RateControl::new(&problem);
+            let heap = assert_tracks_the_oracle(control, Some(lambda), 50, "tie");
+            assert!(heap >= 1, "the tie must take the heap path");
+        }
+
+        // No tie on the path: no heap, although nodes 4 and 5 tie off it.
+        let lambda = prices(&problem, |from, to| match (from, to) {
+            (0, 1) | (3, 5) => 0.25,
+            _ => 0.5,
+        });
+        let mut swept = Paths::default();
+        assert!(routes.sweep(problem.src(), &lambda[0], &mut swept));
+        assert!(!tie_on_path(&problem, &lambda[0], &swept));
+        let heap = assert_tracks_the_oracle(RateControl::new(&problem), Some(lambda), 1, "no tie");
+        assert_eq!(heap, 0);
+    }
+
+    #[test]
+    fn a_cyclic_instance_has_no_order_and_runs_on_the_heap() {
+        // 1 ⇄ 2 close a cycle on the way from 0 to 3.
+        let links = [
+            (0, 1, 0.5),
+            (0, 2, 0.4),
+            (1, 2, 0.7),
+            (2, 1, 0.6),
+            (1, 3, 0.3),
+            (2, 3, 0.8),
+        ];
+        let problem = raw_instance(4, 0, 3, &links);
+        assert!(Routes::new(&problem).order.is_none());
+        let heap = assert_tracks_the_oracle(RateControl::new(&problem), None, 200, "cyclic");
+        assert_eq!(heap, 200);
+
+        // The same links without the back edge are a DAG again.
+        let dag = raw_instance(4, 0, 3, &[links[0], links[1], links[2], links[4], links[5]]);
+        assert_eq!(Routes::new(&dag).order, Some(vec![0, 1, 2, 3]));
     }
 }

@@ -6,15 +6,51 @@
 //! `S → T` max flow under those capacities. OMNC uses this to translate a
 //! recovered rate vector into its realized throughput, and the protocols use
 //! it when reporting the optimizer's predicted rate.
+//!
+//! The rate-control engine asks for it once per session and recovery
+//! candidate at every stopping-rule check, so there is one Edmonds-Karp
+//! body over a caller-owned scratch: [`max_flow`] and
+//! [`supported_rate`] run it on a fresh scratch, the engine on one it keeps
+//! for the whole run. Either way the BFS visits links in the instance's
+//! `out_links`/`in_links` order and the bottleneck and augmentation
+//! arithmetic is the same, so a reused scratch returns the same flow, bit
+//! for bit, as a fresh one.
+
+use std::collections::VecDeque;
 
 use crate::instance::SUnicast;
+use crate::LinkId;
+
+/// The residual edge a BFS reached a node through.
+#[derive(Debug, Clone, Copy)]
+enum Via {
+    Forward(usize),
+    Backward(usize),
+}
+
+/// Buffers of one max-flow computation, reusable across instances of any
+/// size: every field is resized and overwritten before it is read.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    cap: Vec<f64>,
+    flow: Vec<f64>,
+    prev: Vec<Option<Via>>,
+    visited: Vec<bool>,
+    queue: VecDeque<usize>,
+}
+
+impl Scratch {
+    /// The per-link flows of the last computation.
+    pub(crate) fn flows(&self) -> &[f64] {
+        &self.flow
+    }
+}
 
 /// Computes the `S → T` max flow where link `e` has capacity `cap[e]`.
 /// Returns the flow value and the per-link flows.
 ///
 /// Plain Edmonds-Karp on the instance's link set (with implicit reverse
-/// residual edges); instances are small DAGs so this is more than fast
-/// enough.
+/// residual edges).
 ///
 /// # Panics
 ///
@@ -26,32 +62,75 @@ pub fn max_flow(problem: &SUnicast, cap: &[f64]) -> (f64, Vec<f64>) {
         problem.link_count(),
         "capacity vector length mismatch"
     );
-    for &c in cap {
+    let mut scratch = Scratch {
+        cap: cap.to_vec(),
+        ..Scratch::default()
+    };
+    let value = edmonds_karp(problem, &mut scratch);
+    (value, scratch.flow)
+}
+
+/// The information rate supported by broadcast-rate vector `b`: max flow
+/// with link capacities `b_i · p_ij`.
+///
+/// # Panics
+///
+/// Panics if `b.len() != problem.node_count()`.
+pub fn supported_rate(problem: &SUnicast, b: &[f64]) -> (f64, Vec<f64>) {
+    let mut scratch = Scratch::default();
+    let value = supported_rate_in(problem, b, &mut scratch);
+    (value, scratch.flow)
+}
+
+/// [`supported_rate`] over a caller-owned scratch; the link flows stay in
+/// [`Scratch::flows`].
+pub(crate) fn supported_rate_in(problem: &SUnicast, b: &[f64], scratch: &mut Scratch) -> f64 {
+    assert_eq!(
+        b.len(),
+        problem.node_count(),
+        "broadcast vector length mismatch"
+    );
+    scratch.cap.clear();
+    scratch
+        .cap
+        .extend(problem.links().map(|(_, l)| (b[l.from].max(0.0)) * l.p));
+    edmonds_karp(problem, scratch)
+}
+
+/// Max flow under `scratch.cap`, into `scratch.flow`.
+fn edmonds_karp(problem: &SUnicast, scratch: &mut Scratch) -> f64 {
+    let Scratch {
+        cap,
+        flow,
+        prev,
+        visited,
+        queue,
+    } = scratch;
+    for &c in cap.iter() {
         assert!(c.is_finite() && c >= 0.0, "capacities must be non-negative");
     }
     let n = problem.node_count();
     let s = problem.src();
     let t = problem.dst();
-    let mut flow = vec![0.0f64; problem.link_count()];
+    flow.clear();
+    flow.resize(problem.link_count(), 0.0);
     let scale: f64 = cap.iter().fold(0.0f64, |a, &b| a.max(b));
     // lint: allow(float-eq) -- exact-zero guard before dividing by `scale`
     if scale == 0.0 {
-        return (0.0, flow);
+        return 0.0;
     }
     let eps = scale * 1e-12;
 
     loop {
         // BFS over residual edges: forward when flow < cap, backward when
         // flow > 0.
-        #[derive(Clone, Copy)]
-        enum Via {
-            Forward(usize),
-            Backward(usize),
-        }
-        let mut prev: Vec<Option<Via>> = vec![None; n];
-        let mut visited = vec![false; n];
+        prev.clear();
+        prev.resize(n, None);
+        visited.clear();
+        visited.resize(n, false);
         visited[s] = true;
-        let mut queue = std::collections::VecDeque::from([s]);
+        queue.clear();
+        queue.push_back(s);
         'bfs: while let Some(u) = queue.pop_front() {
             for l in problem.out_links(u) {
                 let e = l.index();
@@ -85,11 +164,11 @@ pub fn max_flow(problem: &SUnicast, cap: &[f64]) -> (f64, Vec<f64>) {
             match prev[v].expect("path exists") {
                 Via::Forward(e) => {
                     bottleneck = bottleneck.min(cap[e] - flow[e]);
-                    v = problem.link(crate::LinkId(e)).from;
+                    v = problem.link(LinkId(e)).from;
                 }
                 Via::Backward(e) => {
                     bottleneck = bottleneck.min(flow[e]);
-                    v = problem.link(crate::LinkId(e)).to;
+                    v = problem.link(LinkId(e)).to;
                 }
             }
         }
@@ -99,17 +178,17 @@ pub fn max_flow(problem: &SUnicast, cap: &[f64]) -> (f64, Vec<f64>) {
             match prev[v].expect("path exists") {
                 Via::Forward(e) => {
                     flow[e] += bottleneck;
-                    v = problem.link(crate::LinkId(e)).from;
+                    v = problem.link(LinkId(e)).from;
                 }
                 Via::Backward(e) => {
                     flow[e] -= bottleneck;
-                    v = problem.link(crate::LinkId(e)).to;
+                    v = problem.link(LinkId(e)).to;
                 }
             }
         }
     }
 
-    let value: f64 = problem
+    problem
         .out_links(s)
         .iter()
         .map(|l| flow[l.index()])
@@ -118,27 +197,7 @@ pub fn max_flow(problem: &SUnicast, cap: &[f64]) -> (f64, Vec<f64>) {
             .in_links(s)
             .iter()
             .map(|l| flow[l.index()])
-            .sum::<f64>();
-    (value, flow)
-}
-
-/// The information rate supported by broadcast-rate vector `b`: max flow
-/// with link capacities `b_i · p_ij`.
-///
-/// # Panics
-///
-/// Panics if `b.len() != problem.node_count()`.
-pub fn supported_rate(problem: &SUnicast, b: &[f64]) -> (f64, Vec<f64>) {
-    assert_eq!(
-        b.len(),
-        problem.node_count(),
-        "broadcast vector length mismatch"
-    );
-    let cap: Vec<f64> = problem
-        .links()
-        .map(|(_, l)| (b[l.from].max(0.0)) * l.p)
-        .collect();
-    max_flow(problem, &cap)
+            .sum::<f64>()
 }
 
 #[cfg(test)]
@@ -191,6 +250,57 @@ mod tests {
         let sol = solve_exact(&p).unwrap();
         let (v, _) = supported_rate(&p, &sol.b);
         assert!(v >= sol.gamma - 1e-6, "flow {v} < γ* {}", sol.gamma);
+    }
+
+    #[test]
+    fn a_reused_scratch_returns_the_bits_of_a_fresh_one() {
+        use net_topo::deploy::Deployment;
+        use net_topo::phy::Phy;
+        use net_topo::select::select_forwarders;
+        use rand::{Rng, SeedableRng};
+
+        let phy = Phy::paper_lossy();
+        // Instances of different sizes, visited large → small → large so a
+        // stale tail of any buffer would be read.
+        let mut problems: Vec<SUnicast> = [(60, 1), (12, 2), (35, 3)]
+            .into_iter()
+            .map(|(nodes, seed)| {
+                let topo = Deployment::random(nodes, 6.0, &phy, seed).into_topology();
+                let (s, d) = topo.farthest_pair();
+                SUnicast::from_selection(&topo, &select_forwarders(&topo, s, d), 1.0)
+            })
+            .collect();
+        let (t, sel) = diamond();
+        problems.push(SUnicast::from_selection(&t, &sel, 1.0));
+        let sizes: Vec<usize> = problems.iter().map(SUnicast::link_count).collect();
+        assert!(sizes[0] > sizes[2] && sizes[2] > sizes[1] && sizes[1] > sizes[3]);
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut scratch = Scratch::default();
+        for round in 0..6 {
+            for p in &problems {
+                let b: Vec<f64> = (0..p.node_count())
+                    // Round 3 starves every link: the all-zero early return.
+                    .map(|_| {
+                        if round == 3 {
+                            0.0
+                        } else {
+                            rng.gen_range(0.0..1.0)
+                        }
+                    })
+                    .collect();
+                let reused = supported_rate_in(p, &b, &mut scratch);
+                let (fresh, flows) = supported_rate(p, &b);
+                assert_eq!(reused.to_bits(), fresh.to_bits(), "round {round}");
+                assert_eq!(bits(scratch.flows()), bits(&flows), "round {round}");
+                // And the public max flow under the same capacities.
+                let cap: Vec<f64> = p.links().map(|(_, l)| b[l.from] * l.p).collect();
+                let (value, flows) = max_flow(p, &cap);
+                assert_eq!(reused.to_bits(), value.to_bits(), "round {round}");
+                assert_eq!(bits(scratch.flows()), bits(&flows), "round {round}");
+            }
+        }
     }
 
     #[test]

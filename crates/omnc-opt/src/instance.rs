@@ -374,6 +374,44 @@ pub(crate) mod tests {
         (t, sel)
     }
 
+    /// An instance over exactly `links` (`(from, to, p)`, local indices),
+    /// which need not be a selection's DAG; every node is in range of the
+    /// nodes it shares a link with.
+    pub(crate) fn raw_instance(
+        n: usize,
+        src: usize,
+        dst: usize,
+        links: &[(usize, usize, f64)],
+    ) -> SUnicast {
+        let nodes: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+        let mut out = vec![Vec::new(); n];
+        let mut inn = vec![Vec::new(); n];
+        let mut neighbors = vec![Vec::new(); n];
+        for (e, &(from, to, _)) in links.iter().enumerate() {
+            out[from].push(LinkId(e));
+            inn[to].push(LinkId(e));
+            neighbors[from].push(to);
+            neighbors[to].push(from);
+        }
+        for list in &mut neighbors {
+            list.sort_unstable();
+            list.dedup();
+        }
+        SUnicast {
+            capacity: 1.0,
+            src,
+            dst,
+            local: nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect(),
+            nodes,
+            links: (links.iter())
+                .map(|&(from, to, p)| InstanceLink { from, to, p })
+                .collect(),
+            out,
+            inn,
+            coupling: Coupling::new(vec![(0..n).collect()], &[src], neighbors),
+        }
+    }
+
     #[test]
     fn instance_reflects_selection() {
         let (t, sel) = diamond();

@@ -47,6 +47,11 @@ pub struct MUnicastSolution {
     pub gamma: Vec<f64>,
     /// Per-session broadcast rates, indexed `[session][instance-local node]`.
     pub b: Vec<Vec<f64>>,
+    /// Iterations the distributed solve took (`0` for the LP optimum).
+    pub iterations: usize,
+    /// `true` if the distributed solve stopped on its tolerance criterion
+    /// rather than the iteration cap (always `true` for the LP optimum).
+    pub converged: bool,
 }
 
 impl MUnicast {
@@ -181,6 +186,8 @@ impl MUnicast {
                         .collect()
                 })
                 .collect(),
+            iterations: 0,
+            converged: true,
         })
     }
 
@@ -196,17 +203,36 @@ impl MUnicast {
     ///
     /// Panics if any parameter is non-positive.
     pub fn solve_distributed(&self, params: &RateControlParams) -> MUnicastSolution {
-        let (allocations, _) = self.rate_control(params).run_sessions();
+        self.solve_distributed_profiled(params, &telemetry::Profiler::disabled())
+    }
+
+    /// [`MUnicast::solve_distributed`] with the engine's spans (`opt.run`
+    /// and below, see [`RateControl::with_profiler`]) recorded on
+    /// `profiler`; the solution is the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any parameter is non-positive.
+    pub fn solve_distributed_profiled(
+        &self,
+        params: &RateControlParams,
+        profiler: &telemetry::Profiler,
+    ) -> MUnicastSolution {
+        let control = self.rate_control(params).with_profiler(profiler.clone());
+        let (allocations, _) = control.run_sessions();
         MUnicastSolution {
             gamma: allocations.iter().map(|a| a.throughput()).collect(),
             b: allocations
                 .iter()
                 .map(|a| a.broadcast_rates().to_vec())
                 .collect(),
+            // One joint run: every session reports the same two.
+            iterations: allocations[0].iterations(),
+            converged: allocations[0].converged(),
         }
     }
 
-    fn rate_control(&self, params: &RateControlParams) -> RateControl<'_> {
+    pub(crate) fn rate_control(&self, params: &RateControlParams) -> RateControl<'_> {
         RateControl::coupled(&self.sessions, &self.coupling, *params)
     }
 }
@@ -219,13 +245,13 @@ impl MUnicastSolution {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use net_topo::deploy::Deployment;
     use net_topo::phy::Phy;
     use net_topo::select::select_forwarders;
 
-    fn two_sessions(seed: u64) -> (Topology, Vec<Selection>) {
+    pub(crate) fn two_sessions(seed: u64) -> (Topology, Vec<Selection>) {
         let phy = Phy::paper_lossy();
         let topo = Deployment::random(40, 6.0, &phy, seed).into_topology();
         let (s1, d1) = topo.farthest_pair();
@@ -405,6 +431,34 @@ mod tests {
         let (capped, _) = mu.rate_control(&never).run_sessions();
         assert!(!capped[0].converged());
         assert_eq!(capped[0].iterations(), never.max_iterations);
+    }
+
+    #[test]
+    fn solutions_say_how_the_solve_ended_and_profiling_changes_nothing() {
+        let (topo, sels) = two_sessions(7);
+        let mu = MUnicast::from_selections(&topo, &sels, 1.0);
+        let params = RateControlParams::default();
+        let plain = mu.solve_distributed(&params);
+        assert!(plain.converged);
+        assert!(plain.iterations > 0 && plain.iterations < params.max_iterations);
+        assert_eq!(plain.iterations % params.check_window, 0);
+
+        let profiler = telemetry::Profiler::virtual_clock();
+        assert_eq!(mu.solve_distributed_profiled(&params, &profiler), plain);
+        let report = profiler.report();
+        let sub1 = report.span("opt.run;iterate;sub1.shortest_path");
+        assert_eq!(sub1.map(|s| s.calls), Some(plain.iterations as u64));
+
+        let capped = RateControlParams {
+            tolerance: f64::MIN_POSITIVE,
+            max_iterations: 60,
+            ..params
+        };
+        let capped = mu.solve_distributed(&capped);
+        assert_eq!((capped.iterations, capped.converged), (60, false));
+
+        let exact = mu.solve_exact().expect("solvable");
+        assert_eq!((exact.iterations, exact.converged), (0, true));
     }
 
     #[test]

@@ -143,6 +143,32 @@ mod tests {
     }
 
     #[test]
+    fn the_joint_solve_is_profiled_and_says_how_long_it_ran() {
+        let scenario = tiny_scenario(2);
+        let plain = run_multi_cell(&scenario, Protocol::Omnc, &RunOptions::default()).0;
+        let options = RunOptions {
+            profiler: telemetry::Profiler::virtual_clock(),
+            flight: telemetry::FlightRecorder::enabled(64),
+            ..RunOptions::default()
+        };
+        let (profiled, _) = run_multi_cell(&scenario, Protocol::Omnc, &options);
+        assert_eq!(
+            plain.total_throughput.to_bits(),
+            profiled.total_throughput.to_bits()
+        );
+
+        let (events, _) = options.flight.snapshot();
+        let start = events.iter().find(|e| e.kind == "sim/start").unwrap();
+        let iterations: u64 = (start.detail.split("rc_iterations=Some(").nth(1))
+            .and_then(|tail| tail.trim_end_matches(')').parse().ok())
+            .unwrap_or_else(|| panic!("no iteration count in '{}'", start.detail));
+        let report = options.profiler.report();
+        assert_eq!(report.span("opt.run").map(|s| s.calls), Some(1));
+        let sub1 = report.span("opt.run;iterate;sub1.shortest_path");
+        assert_eq!(sub1.map(|s| s.calls), Some(iterations));
+    }
+
+    #[test]
     fn traces_split_cleanly_by_session() {
         let scenario = tiny_scenario(2);
         let options = RunOptions {

@@ -502,11 +502,12 @@ fn omnc_rates(
     let [selection] = selections else {
         assert!(given.is_none(), "caller-supplied rates cover one session");
         let joint = MUnicast::from_selections(job.topology, selections, capacity);
-        let solution = joint.solve_distributed(&RateControlParams::default());
+        let solution =
+            joint.solve_distributed_profiled(&RateControlParams::default(), &job.options.profiler);
         return Rates {
             b: solution.b,
             predicted: solution.gamma,
-            rc_iterations: None,
+            rc_iterations: Some(solution.iterations),
         };
     };
     let problem = SUnicast::from_selection(job.topology, selection, capacity);
