@@ -11,9 +11,9 @@
 //! * [`mod@slice`] — log/exp lookup-table kernels (the paper's baseline and
 //!   every other kernel's oracle).
 //! * [`wide`] — the accelerated kernels: a split-nibble `vpshufb` body that
-//!   multiplies 32 bytes per instruction where AVX2 is detected at run time,
-//!   and a portable wide-word (SWAR) body, 8 bytes per `u64`, everywhere
-//!   else, for short rows and for tails.
+//!   multiplies 32 bytes per instruction (16- and 8-byte blocks for a row's
+//!   tail) where AVX2 is detected at run time, and a portable wide-word
+//!   (SWAR) body, 8 bytes per `u64`, everywhere else.
 //! * [`product`] — per-call full product tables (one load per byte).
 //!
 //! # Examples

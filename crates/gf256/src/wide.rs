@@ -7,11 +7,13 @@
 //! reports a 3–5x speedup. [`mul_assign`] and [`mul_add_assign`] have two
 //! bodies and pick one per call from what they can observe:
 //!
-//! * on x86-64 with AVX2 (detected at run time), rows of at least 32 bytes
+//! * on x86-64 with AVX2 (detected at run time), rows of at least 8 bytes
 //!   go through a split-nibble `vpshufb` body that multiplies 32 bytes per
-//!   instruction ([`backend`] reports `"avx2"`);
-//! * everywhere else, for shorter rows and for the tail the vector body
-//!   leaves, each `u64` word holds eight field elements and the
+//!   instruction and finishes the row's tail with one 16-byte and one
+//!   8-byte block of the same tables, so a 40-byte coefficient row is
+//!   32 + 8 bytes of vector work and only the last `len % 8` bytes of any
+//!   row are left, to the table kernel ([`backend`] reports `"avx2"`);
+//! * everywhere else each `u64` word holds eight field elements and the
 //!   Russian-peasant multiply runs on all eight lanes with bit masks ("SIMD
 //!   within a register"; [`backend`] reports `"u64"`).
 //!
@@ -37,8 +39,9 @@ mod vector {
     }
 }
 
-/// The body [`mul_assign`] and [`mul_add_assign`] run for long rows on this
-/// host: `"avx2"` (32 bytes per instruction) or `"u64"` (8 bytes per word).
+/// The body [`mul_assign`] and [`mul_add_assign`] run for rows of 8 bytes
+/// or more on this host: `"avx2"` (32 bytes per instruction) or `"u64"`
+/// (8 bytes per word).
 #[must_use]
 pub fn backend() -> &'static str {
     if vector::detected() {
@@ -103,8 +106,12 @@ pub fn mul_assign(data: &mut [u8], c: u8) {
         0 => data.fill(0),
         1 => {}
         _ => {
-            let done = vector::mul_assign(data, c);
-            mul_assign_u64(&mut data[done..], c);
+            // The vector body covers the whole row or all of it but fewer
+            // than 8 bytes, which the table kernel finishes.
+            match vector::mul_assign(data, c) {
+                0 => mul_assign_u64(data, c),
+                done => crate::slice::mul_assign(&mut data[done..], c),
+            }
         }
     }
 }
@@ -168,8 +175,11 @@ pub fn mul_add_assign(dst: &mut [u8], src: &[u8], c: u8) {
         0 => {}
         1 => add_assign(dst, src),
         _ => {
-            let done = vector::mul_add_assign(dst, src, c);
-            mul_add_assign_u64(&mut dst[done..], &src[done..], c);
+            // As in `mul_assign`: the table kernel finishes a vector row.
+            match vector::mul_add_assign(dst, src, c) {
+                0 => mul_add_assign_u64(dst, src, c),
+                done => crate::slice::mul_add_assign(&mut dst[done..], &src[done..], c),
+            }
         }
     }
 }

@@ -155,60 +155,112 @@ impl Selection {
 /// paper's notion of path diversity (Fig. 4 normalizes by the paths
 /// "available after the node selection procedure"). Computed by unit-
 /// capacity max flow with node splitting (Ford-Fulkerson; the value is at
-/// most the source degree, so a handful of BFS augmentations suffice).
+/// most the source degree, so a handful of BFS augmentations suffice, each
+/// O(V + E) over per-vertex residual adjacency). Parallel links count once.
 pub fn disjoint_path_count(dag: &Topology, src: NodeId, dst: NodeId) -> usize {
     // Node splitting: node v becomes v_in (2v) and v_out (2v+1) joined by a
     // unit edge, except src/dst which are uncapacitated.
     let n = dag.len();
     let idx_in = |v: NodeId| 2 * v.index();
     let idx_out = |v: NodeId| 2 * v.index() + 1;
-    let mut cap: std::collections::BTreeMap<(usize, usize), i32> =
-        std::collections::BTreeMap::new();
+    let mut edges: Vec<(usize, usize, u32)> = Vec::with_capacity(n + dag.link_count());
     for v in dag.nodes() {
-        let c = if v == src || v == dst {
-            i32::MAX / 4
-        } else {
-            1
-        };
-        cap.insert((idx_in(v), idx_out(v)), c);
+        let c = if v == src || v == dst { u32::MAX } else { 1 };
+        edges.push((idx_in(v), idx_out(v), c));
+        let mut targets: Vec<NodeId> = dag.out_links(v).iter().map(|l| l.to).collect();
+        targets.sort_unstable();
+        targets.dedup();
+        edges.extend(targets.into_iter().map(|to| (idx_out(v), idx_in(to), 1)));
     }
-    for l in dag.links() {
-        cap.insert((idx_out(l.from), idx_in(l.to)), 1);
-    }
+    let mut residual = Residual::new(2 * n, &edges);
     let (s, t) = (idx_out(src), idx_in(dst));
-    let mut flow = 0usize;
-    loop {
-        // BFS for an augmenting path in the residual graph.
-        let mut prev = vec![usize::MAX; 2 * n];
-        let mut queue = std::collections::VecDeque::from([s]);
-        prev[s] = s;
-        while let Some(u) = queue.pop_front() {
+    let mut flow = 0;
+    while residual.augment(s, t) {
+        flow += 1;
+    }
+    flow
+}
+
+/// A residual graph: edge `i` of the input is arc `2i` (its capacity left)
+/// paired with arc `2i + 1` (the reverse, holding the flow pushed through
+/// it), and each vertex lists the arcs leaving it in one CSR array.
+struct Residual {
+    head: Vec<usize>,
+    cap: Vec<u32>,
+    /// Arcs leaving vertex `v`: `out_arcs[first[v]..first[v + 1]]`.
+    first: Vec<usize>,
+    out_arcs: Vec<usize>,
+    /// BFS state, kept between augmentations: the arc each vertex was
+    /// reached by (`usize::MAX` while unreached), and the queue.
+    via: Vec<usize>,
+    queue: Vec<usize>,
+}
+
+impl Residual {
+    fn new(vertices: usize, edges: &[(usize, usize, u32)]) -> Self {
+        let mut head = Vec::with_capacity(2 * edges.len());
+        let mut cap = Vec::with_capacity(2 * edges.len());
+        let mut first = vec![0usize; vertices + 1];
+        for &(a, b, c) in edges {
+            head.extend([b, a]);
+            cap.extend([c, 0]);
+            first[a + 1] += 1;
+            first[b + 1] += 1;
+        }
+        for v in 0..vertices {
+            first[v + 1] += first[v];
+        }
+        let mut fill = first.clone();
+        let mut out_arcs = vec![0usize; head.len()];
+        for arc in 0..head.len() {
+            // The tail of an arc is the head of its pair.
+            let from = head[arc ^ 1];
+            out_arcs[fill[from]] = arc;
+            fill[from] += 1;
+        }
+        Residual {
+            head,
+            cap,
+            first,
+            out_arcs,
+            via: vec![usize::MAX; vertices],
+            queue: Vec::with_capacity(vertices),
+        }
+    }
+
+    /// Pushes one unit along a shortest `s → t` path with capacity left;
+    /// `false` when there is none (the flow is maximum).
+    fn augment(&mut self, s: usize, t: usize) -> bool {
+        self.via.fill(usize::MAX);
+        self.queue.clear();
+        self.queue.push(s);
+        self.via[s] = s;
+        let mut next = 0;
+        while let Some(&u) = self.queue.get(next) {
+            next += 1;
             if u == t {
                 break;
             }
-            for (&(a, b), &c) in cap.iter() {
-                if a == u && c > 0 && prev[b] == usize::MAX {
-                    prev[b] = a;
-                    queue.push_back(b);
+            for &arc in &self.out_arcs[self.first[u]..self.first[u + 1]] {
+                let v = self.head[arc];
+                if self.cap[arc] > 0 && self.via[v] == usize::MAX {
+                    self.via[v] = arc;
+                    self.queue.push(v);
                 }
             }
         }
-        if prev[t] == usize::MAX {
-            break;
+        if self.via[t] == usize::MAX {
+            return false;
         }
         let mut v = t;
         while v != s {
-            let u = prev[v];
-            *cap.get_mut(&(u, v)).expect("edge on path") -= 1;
-            *cap.entry((v, u)).or_insert(0) += 1;
-            v = u;
+            let arc = self.via[v];
+            self.cap[arc] -= 1;
+            self.cap[arc ^ 1] += 1;
+            v = self.head[arc ^ 1];
         }
-        flow += 1;
-        if flow > n {
-            break; // defensive: cannot exceed the node count
-        }
+        true
     }
-    flow
 }
 
 /// Counts distinct `src → dst` paths in a DAG by memoized DFS, saturating.
@@ -357,6 +409,128 @@ mod tests {
         assert_eq!(sel.path_count(), 1);
         // Only forward links survive.
         assert_eq!(sel.subgraph().link_count(), 4);
+    }
+
+    /// The O(V·E)-per-BFS body `disjoint_path_count` had before its
+    /// residual adjacency: every BFS pop scans the whole capacity map. The
+    /// max-flow value is unique, so the two must agree exactly.
+    fn disjoint_path_count_oracle(dag: &Topology, src: NodeId, dst: NodeId) -> usize {
+        // Node splitting: node v becomes v_in (2v) and v_out (2v+1) joined by a
+        // unit edge, except src/dst which are uncapacitated.
+        let n = dag.len();
+        let idx_in = |v: NodeId| 2 * v.index();
+        let idx_out = |v: NodeId| 2 * v.index() + 1;
+        let mut cap: std::collections::BTreeMap<(usize, usize), i32> =
+            std::collections::BTreeMap::new();
+        for v in dag.nodes() {
+            let c = if v == src || v == dst {
+                i32::MAX / 4
+            } else {
+                1
+            };
+            cap.insert((idx_in(v), idx_out(v)), c);
+        }
+        for l in dag.links() {
+            cap.insert((idx_out(l.from), idx_in(l.to)), 1);
+        }
+        let (s, t) = (idx_out(src), idx_in(dst));
+        let mut flow = 0usize;
+        loop {
+            // BFS for an augmenting path in the residual graph.
+            let mut prev = vec![usize::MAX; 2 * n];
+            let mut queue = std::collections::VecDeque::from([s]);
+            prev[s] = s;
+            while let Some(u) = queue.pop_front() {
+                if u == t {
+                    break;
+                }
+                for (&(a, b), &c) in cap.iter() {
+                    if a == u && c > 0 && prev[b] == usize::MAX {
+                        prev[b] = a;
+                        queue.push_back(b);
+                    }
+                }
+            }
+            if prev[t] == usize::MAX {
+                break;
+            }
+            let mut v = t;
+            while v != s {
+                let u = prev[v];
+                *cap.get_mut(&(u, v)).expect("edge on path") -= 1;
+                *cap.entry((v, u)).or_insert(0) += 1;
+                v = u;
+            }
+            flow += 1;
+            if flow > n {
+                break; // defensive: cannot exceed the node count
+            }
+        }
+        flow
+    }
+
+    /// Seeded random DAGs (edges only from lower to higher index, some of
+    /// them doubled) between random endpoints.
+    #[test]
+    fn disjoint_paths_equal_the_oracle_on_random_dags() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4d46);
+        for case in 0..300 {
+            let n = rng.gen_range(2..40);
+            let density = rng.gen_range(0.05..0.6);
+            let mut links = Vec::new();
+            for a in 0..n {
+                for b in a + 1..n {
+                    if rng.gen_bool(density) {
+                        let copies = if rng.gen_bool(0.1) { 2 } else { 1 };
+                        for _ in 0..copies {
+                            links.push(Link {
+                                from: NodeId::new(a),
+                                to: NodeId::new(b),
+                                p: 0.5,
+                            });
+                        }
+                    }
+                }
+            }
+            let dag = Topology::from_links(n, links).unwrap();
+            let src = NodeId::new(rng.gen_range(0..n - 1));
+            let dst = NodeId::new(rng.gen_range(src.index() + 1..n));
+            assert_eq!(
+                disjoint_path_count(&dag, src, dst),
+                disjoint_path_count_oracle(&dag, src, dst),
+                "case {case}: {n} nodes, {src} -> {dst}"
+            );
+        }
+    }
+
+    /// The selections Fig. 4's path utility is computed on: every session
+    /// of the `fig2_sweep` scenario (120 nodes, density 6, lossy, 4-10 hops,
+    /// seed 2008, endpoints drawn as `Scenario::build_multi` draws them),
+    /// each whole forwarder DAG and a seeded random half of its links (the
+    /// "links used" numerator).
+    #[test]
+    fn disjoint_paths_equal_the_oracle_on_fig2_sweep_selections() {
+        use crate::deploy::random_sessions;
+        use rand::{Rng, SeedableRng};
+        let seed = 2008u64;
+        let t = Deployment::random(120, 6.0, &Phy::paper_lossy(), seed).into_topology();
+        let sessions =
+            random_sessions(&t, 12, (4, 10), 50_000, |k| seed ^ (k.wrapping_mul(0x51ab))).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut total = 0;
+        for (s, d) in sessions {
+            let sel = select_forwarders(&t, s, d);
+            let all = sel.subgraph();
+            let half: Vec<Link> = all.links().filter(|_| rng.gen_bool(0.5)).collect();
+            let used = Topology::from_links(t.len(), half).unwrap();
+            for dag in [all, &used] {
+                let count = disjoint_path_count(dag, s, d);
+                assert_eq!(count, disjoint_path_count_oracle(dag, s, d), "{s} -> {d}");
+                total += count;
+            }
+        }
+        assert!(total > 12, "the sweep has multipath sessions");
     }
 
     #[test]

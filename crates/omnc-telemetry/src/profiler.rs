@@ -196,12 +196,14 @@ impl Profiler {
     }
 
     /// A profiler whose spans cost one branch and record nothing.
+    #[inline]
     #[must_use]
     pub fn disabled() -> Self {
         Profiler { core: None }
     }
 
     /// Whether spans are being recorded.
+    #[inline]
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.core.is_some()
@@ -212,32 +214,19 @@ impl Profiler {
     /// dropping a parent guard first closes any children it still has
     /// open. `name` must not contain `;` or whitespace (it becomes a
     /// folded-stack path component).
+    ///
+    /// Inlined into callers in every crate, so a disabled profiler costs
+    /// one `None` check here and one in the guard's drop; the bookkeeping
+    /// of an enabled one stays out of line.
+    #[inline]
     #[must_use = "the span closes when the guard drops"]
     pub fn span(&self, name: &str) -> ProfileGuard {
-        let Some(core) = &self.core else {
-            return ProfileGuard {
+        match &self.core {
+            None => ProfileGuard {
                 core: None,
                 depth: 0,
-            };
-        };
-        let mut st = core.lock();
-        let t = st.clock.now();
-        let parent = st.stack.last().map_or(0, |f| f.node);
-        let node = st.child_named(parent, name);
-        // Snapshot the alloc counters *after* any node bookkeeping above,
-        // so the tree's own allocations land in the enclosing span, not
-        // in the one being opened.
-        let (start_allocs, start_alloc_bytes) = crate::alloc::profile_alloc_snapshot();
-        st.stack.push(Frame {
-            node,
-            start: t,
-            start_allocs,
-            start_alloc_bytes,
-        });
-        let depth = st.stack.len();
-        ProfileGuard {
-            core: Some(Arc::clone(core)),
-            depth,
+            },
+            Some(core) => open(core, name),
         }
     }
 
@@ -268,6 +257,31 @@ impl Profiler {
             unit: st.clock.unit().to_string(),
             spans,
         }
+    }
+}
+
+/// The enabled half of [`Profiler::span`]: pushes a frame for `name` and
+/// returns its guard.
+#[inline(never)]
+fn open(core: &Arc<Mutex<State>>, name: &str) -> ProfileGuard {
+    let mut st = core.lock();
+    let t = st.clock.now();
+    let parent = st.stack.last().map_or(0, |f| f.node);
+    let node = st.child_named(parent, name);
+    // Snapshot the alloc counters *after* any node bookkeeping above,
+    // so the tree's own allocations land in the enclosing span, not
+    // in the one being opened.
+    let (start_allocs, start_alloc_bytes) = crate::alloc::profile_alloc_snapshot();
+    st.stack.push(Frame {
+        node,
+        start: t,
+        start_allocs,
+        start_alloc_bytes,
+    });
+    let depth = st.stack.len();
+    ProfileGuard {
+        core: Some(Arc::clone(core)),
+        depth,
     }
 }
 
@@ -311,25 +325,35 @@ pub struct ProfileGuard {
 }
 
 impl Drop for ProfileGuard {
+    /// Inlined like [`Profiler::span`]: a disabled guard is one `None`
+    /// check.
+    #[inline]
     fn drop(&mut self) {
-        let Some(core) = self.core.take() else {
-            return;
-        };
-        let mut st = core.lock();
-        if st.stack.len() < self.depth {
-            // An enclosing guard already closed this frame.
-            return;
+        if let Some(core) = self.core.take() {
+            close(core, self.depth);
         }
-        let t = st.clock.now();
-        let (allocs, alloc_bytes) = crate::alloc::profile_alloc_snapshot();
-        while st.stack.len() >= self.depth {
-            let Some(frame) = st.stack.pop() else { break };
-            let node = &mut st.nodes[frame.node];
-            node.calls += 1;
-            node.total += t.saturating_sub(frame.start);
-            node.allocs += allocs.saturating_sub(frame.start_allocs);
-            node.alloc_bytes += alloc_bytes.saturating_sub(frame.start_alloc_bytes);
-        }
+    }
+}
+
+/// The enabled half of the guard's drop: pops frames down to `depth - 1`,
+/// charging each its calls, ticks and allocations. Takes the guard's handle
+/// so that releasing it stays out of line too.
+#[inline(never)]
+fn close(core: Arc<Mutex<State>>, depth: usize) {
+    let mut st = core.lock();
+    if st.stack.len() < depth {
+        // An enclosing guard already closed this frame.
+        return;
+    }
+    let t = st.clock.now();
+    let (allocs, alloc_bytes) = crate::alloc::profile_alloc_snapshot();
+    while st.stack.len() >= depth {
+        let Some(frame) = st.stack.pop() else { break };
+        let node = &mut st.nodes[frame.node];
+        node.calls += 1;
+        node.total += t.saturating_sub(frame.start);
+        node.allocs += allocs.saturating_sub(frame.start_allocs);
+        node.alloc_bytes += alloc_bytes.saturating_sub(frame.start_alloc_bytes);
     }
 }
 

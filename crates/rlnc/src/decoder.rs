@@ -9,7 +9,17 @@
 //!   multiplied;
 //! * once `n` independent packets have arrived, the left part is the identity
 //!   and the right part is exactly the original blocks: decoding finishes
-//!   "on the fly" with no final batch inversion.
+//!   "on the fly" with no final batch inversion. From then on every packet
+//!   is redundant, and a full decoder says so without reducing it.
+//!
+//! The matrix lives in one packed row arena: row `i` is `n` coefficients
+//! followed by its `m` payload bytes (stride `n + m`), rows in the order
+//! their packets arrived, with the pivot column of each in a side vector.
+//! An innovative packet is reduced into a new row at the arena's end, and
+//! normalisation and back-substitution are one kernel call per row over
+//! the whole packed row. The arena is reserved for all `n` rows when the
+//! first innovative packet arrives (a decoder that never hears one never
+//! allocates), so absorbing allocates nothing after that.
 
 use telemetry::{Counter, Gauge, Histogram, Profiler, Registry, Series, Span};
 
@@ -88,13 +98,6 @@ impl Absorption {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Row {
-    coeff: Vec<u8>,
-    payload: Vec<u8>,
-    pivot: usize,
-}
-
 /// Progressive RLNC decoder for a single generation.
 ///
 /// Also serves as the innovation filter inside relays (see
@@ -124,7 +127,11 @@ pub struct Decoder {
     generation: GenerationId,
     config: GenerationConfig,
     kernel: Kernel,
-    rows: Vec<Row>,
+    /// The matrix `[R | X]`, one packed row (coefficients ‖ payload) per
+    /// innovative packet, in arrival order.
+    rows: Vec<u8>,
+    /// `pivots[i]` is the pivot column of row `i`; its length is the rank.
+    pivots: Vec<usize>,
     /// The coefficient vector of the packet being absorbed, reduced in
     /// place; kept so a redundant packet costs no allocation.
     scratch: Vec<u8>,
@@ -148,8 +155,9 @@ impl Decoder {
             generation,
             config,
             kernel,
-            rows: Vec::with_capacity(config.blocks()),
-            scratch: Vec::with_capacity(config.blocks()),
+            rows: Vec::new(),
+            pivots: Vec::new(),
+            scratch: Vec::new(),
             received: 0,
             redundant: 0,
             metrics: None,
@@ -170,9 +178,10 @@ impl Decoder {
     /// `gf256.*` leaves. Under `eliminate` one leaf is one payload row
     /// operation of an innovative packet (the coefficient reduction that
     /// decides innovation is `eliminate`'s self time, so a redundant packet
-    /// opens no leaf); under `rank_update` one leaf covers a row's
-    /// coefficient and payload halves together. A disabled profiler (the
-    /// default) keeps the hot path branch-only.
+    /// opens no leaf); under `rank_update` one leaf is one operation on a
+    /// whole packed row (the normalisation, then one per back-substituted
+    /// row). A disabled profiler (the default) keeps the hot path
+    /// branch-only.
     pub fn set_profiler(&mut self, profiler: Profiler) {
         self.profiler = profiler;
     }
@@ -214,7 +223,7 @@ impl Decoder {
 
     /// Current rank (number of innovative packets absorbed).
     pub fn rank(&self) -> usize {
-        self.rows.len()
+        self.pivots.len()
     }
 
     /// Remaining innovative packets needed to decode.
@@ -289,73 +298,99 @@ impl Decoder {
     ) -> Result<Absorption, RlncError> {
         self.check(packet)?;
         self.received += 1;
+        let n = self.config.blocks();
+        let stride = self.stride();
 
         // Coefficients first: they alone decide whether the packet is
         // innovative, so a redundant one never costs payload work.
-        let (mut coeff, mut payload, pivot) = {
+        let (pivot, row_start) = {
             let _eliminate = profiler.span("eliminate");
+            if self.is_complete() {
+                // Full rank spans every vector: nothing can be innovative.
+                self.redundant += 1;
+                return Ok(Absorption::Redundant);
+            }
             self.scratch.clear();
             self.scratch.extend_from_slice(packet.coefficients());
-            Self::reduce(self.kernel, &self.rows, &mut self.scratch);
+            Self::reduce(
+                self.kernel,
+                self.rows.chunks_exact(stride).zip(&self.pivots),
+                &mut self.scratch,
+            );
             let Some(pivot) = self.scratch.iter().position(|&c| c != 0) else {
                 self.redundant += 1;
                 return Ok(Absorption::Redundant);
             };
-            // The same row operations on the payload. Every other row is
-            // zero in a stored row's pivot column, so the reduction's
-            // multiplier for that row is the packet's own coefficient there.
-            let mut payload = packet.payload().to_vec();
-            for row in &self.rows {
-                let c = packet.coefficients()[row.pivot];
+            if self.rows.capacity() == 0 {
+                self.rows.reserve_exact(stride.saturating_mul(n));
+                self.pivots.reserve_exact(n);
+            }
+            // The new row, in place at the arena's end: the reduced
+            // coefficients, then the payload under the same row operations.
+            // Every other row is zero in a stored row's pivot column, so the
+            // reduction's multiplier for that row is the packet's own
+            // coefficient there.
+            let row_start = self.rows.len();
+            self.rows.extend_from_slice(&self.scratch);
+            self.rows.extend_from_slice(packet.payload());
+            let (stored, new_row) = self.rows.split_at_mut(row_start);
+            let payload = &mut new_row[n..];
+            for (row, &p) in stored.chunks_exact(stride).zip(&self.pivots) {
+                let c = packet.coefficients()[p];
                 if c != 0 {
                     let _kernel = profiler.span(self.kernel.span_name());
                     // payload -= c * row  (subtraction == addition in GF(2^8))
-                    self.kernel.mul_add_assign(&mut payload, &row.payload, c);
+                    self.kernel.mul_add_assign(payload, &row[n..], c);
                 }
             }
-            (self.scratch.clone(), payload, pivot)
+            (pivot, row_start)
         };
 
         let _rank_update = profiler.span("rank_update");
+        let (stored, new_row) = self.rows.split_at_mut(row_start);
 
         // Normalize the new row.
-        let lead = coeff[pivot];
+        let lead = new_row[pivot];
         {
             let _kernel = profiler.span(self.kernel.span_name());
-            self.kernel.div_assign(&mut coeff, lead);
-            self.kernel.div_assign(&mut payload, lead);
+            self.kernel.div_assign(new_row, lead);
         }
 
         // Back-substitute into existing rows to keep the matrix *reduced*.
-        for row in &mut self.rows {
-            let c = row.coeff[pivot];
+        for row in stored.chunks_exact_mut(stride) {
+            let c = row[pivot];
             if c != 0 {
                 let _kernel = profiler.span(self.kernel.span_name());
-                self.kernel.mul_add_assign(&mut row.coeff, &coeff, c);
-                self.kernel.mul_add_assign(&mut row.payload, &payload, c);
+                self.kernel.mul_add_assign(row, new_row, c);
             }
         }
 
-        self.rows.push(Row {
-            coeff,
-            payload,
-            pivot,
-        });
+        self.pivots.push(pivot);
         Ok(Absorption::Innovative {
-            rank: self.rows.len(),
+            rank: self.pivots.len(),
         })
     }
 
-    /// Reduces the coefficient vector `coeff` against the stored rows, in
-    /// place: all-zero afterwards exactly when it is linearly dependent on
-    /// them. The matrix is *reduced*, so each row's multiplier is `coeff`'s
-    /// entry in that row's pivot column whatever the order of the rows.
-    fn reduce(kernel: Kernel, rows: &[Row], coeff: &mut [u8]) {
-        for row in rows {
-            let c = coeff[row.pivot];
+    /// Bytes per packed row: `n` coefficients and `m` payload bytes.
+    fn stride(&self) -> usize {
+        self.config.blocks() + self.config.block_size()
+    }
+
+    /// Reduces the coefficient vector `coeff` against the stored `(row,
+    /// pivot)` pairs, in place: all-zero afterwards exactly when it is
+    /// linearly dependent on them. The matrix is *reduced*, so each row's
+    /// multiplier is `coeff`'s entry in that row's pivot column whatever the
+    /// order of the rows.
+    fn reduce<'a>(
+        kernel: Kernel,
+        rows: impl Iterator<Item = (&'a [u8], &'a usize)>,
+        coeff: &mut [u8],
+    ) {
+        for (row, &pivot) in rows {
+            let c = coeff[pivot];
             if c != 0 {
-                kernel.mul_add_assign(coeff, &row.coeff, c);
-                debug_assert_eq!(coeff[row.pivot], 0);
+                kernel.mul_add_assign(coeff, &row[..coeff.len()], c);
+                debug_assert_eq!(coeff[pivot], 0);
             }
         }
     }
@@ -368,7 +403,11 @@ impl Decoder {
             return false;
         }
         let mut coeff = packet.coefficients().to_vec();
-        Self::reduce(self.kernel, &self.rows, &mut coeff);
+        Self::reduce(
+            self.kernel,
+            self.packed_rows().zip(&self.pivots),
+            &mut coeff,
+        );
         coeff.iter().any(|&c| c != 0)
     }
 
@@ -376,17 +415,12 @@ impl Decoder {
     /// exposes a block as soon as its matrix row has collapsed to a unit
     /// vector — before the whole generation is complete.
     pub fn decoded_blocks(&self) -> Vec<Option<&[u8]>> {
-        let n = self.config.blocks();
-        let mut out = vec![None; n];
-        for row in &self.rows {
-            let is_unit = row.coeff[row.pivot] == 1
-                && row
-                    .coeff
-                    .iter()
-                    .enumerate()
-                    .all(|(i, &c)| i == row.pivot || c == 0);
+        let mut out = vec![None; self.config.blocks()];
+        for ((coeff, payload), &pivot) in self.rows().zip(&self.pivots) {
+            let is_unit =
+                coeff[pivot] == 1 && coeff.iter().enumerate().all(|(i, &c)| i == pivot || c == 0);
             if is_unit {
-                out[row.pivot] = Some(row.payload.as_slice());
+                out[pivot] = Some(payload);
             }
         }
         out
@@ -400,12 +434,13 @@ impl Decoder {
             return None;
         }
         let mut out = vec![0u8; self.config.payload_len()];
-        for row in &self.rows {
-            debug_assert_eq!(row.coeff[row.pivot], 1);
-            // `pivot < generation_size` and the product is bounded by
-            // `payload_len()`, which already fit in memory as `out`.
-            let start = row.pivot * self.config.block_size(); // lint: allow(unchecked-arith)
-            out[start..start + self.config.block_size()].copy_from_slice(&row.payload);
+        let m = self.config.block_size();
+        for ((coeff, payload), &pivot) in self.rows().zip(&self.pivots) {
+            debug_assert_eq!(coeff[pivot], 1);
+            // `pivot < n`, so block `pivot` lies inside the `n * m` bytes of
+            // `out`.
+            let start = pivot.checked_mul(m).expect("block offset fits in `out`");
+            out[start..][..m].copy_from_slice(payload);
         }
         Some(out)
     }
@@ -413,9 +448,14 @@ impl Decoder {
     /// The stored (coefficient, payload) rows in reduced row-echelon form.
     /// Relays re-encode from exactly these rows.
     pub fn rows(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
-        self.rows
-            .iter()
-            .map(|r| (r.coeff.as_slice(), r.payload.as_slice()))
+        let n = self.config.blocks();
+        self.packed_rows().map(move |row| row.split_at(n))
+    }
+
+    /// The stored rows as packed `coefficients ‖ payload` slices, in the
+    /// same order as [`Decoder::rows`]: what [`crate::Recoder`] combines.
+    pub(crate) fn packed_rows(&self) -> std::slice::ChunksExact<'_, u8> {
+        self.rows.chunks_exact(self.stride())
     }
 
     fn check(&self, packet: &CodedPacket) -> Result<(), RlncError> {
@@ -486,7 +526,7 @@ mod tests {
             dec.absorb(p).unwrap();
         }
         let rank = dec.rank();
-        let stored = dec.rows.clone();
+        let stored = (dec.rows.clone(), dec.pivots.clone());
         let payload_ops = || {
             let report = profiler.report();
             let ops = report.span("decode;eliminate;gf256.wide");
@@ -501,7 +541,7 @@ mod tests {
         assert_eq!(dec.packets_received(), 6);
         // Discarded on their coefficients alone: every stored row is byte
         // for byte what it was and no payload kernel span was opened.
-        assert_eq!(dec.rows, stored);
+        assert_eq!((dec.rows.clone(), dec.pivots.clone()), stored);
         assert_eq!(payload_ops(), payload_ops_before);
         assert_eq!(profiler.report().span("decode").map(|s| s.calls), Some(6));
     }

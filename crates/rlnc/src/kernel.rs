@@ -18,7 +18,9 @@ pub enum Kernel {
     #[default]
     Wide,
     /// Per-call full product table: one load per byte after a 32-multiply
-    /// setup; the fastest variant on many hosts.
+    /// setup. Measured at 0.6-1.6x the table kernel, against `Wide`'s
+    /// ≈ 17x where AVX2 is detected (`results/coding_speed.txt`); kept
+    /// only until the benchmark's probes stop naming it (ROADMAP 6(c)).
     Product,
 }
 

@@ -110,25 +110,27 @@ impl Recoder {
         let profiler = self.buffer.profiler().clone();
         let _recode = profiler.span("recode");
         let cfg = self.buffer.config();
-        let mut coeff_out = vec![0u8; cfg.blocks()];
-        let mut payload_out = vec![0u8; cfg.block_size()];
+        let n = cfg.blocks();
+        // One packed `coefficients ‖ payload` combination, like the rows.
+        let mut packed = vec![0u8; n + cfg.block_size()];
         loop {
             let _kernel = profiler.span(self.kernel.span_name());
-            for (coeff, payload) in self.buffer.rows() {
+            for row in self.buffer.packed_rows() {
                 // Weight for this buffered row; re-drawing per emission makes
                 // packets from different relays independent w.h.p.
                 let w: u8 = rng.gen();
                 if w != 0 {
-                    self.kernel.mul_add_assign(&mut coeff_out, coeff, w);
-                    self.kernel.mul_add_assign(&mut payload_out, payload, w);
+                    self.kernel.mul_add_assign(&mut packed, row, w);
                 }
             }
-            if coeff_out.iter().any(|&c| c != 0) {
+            if packed[..n].iter().any(|&c| c != 0) {
                 break;
             }
         }
+        let coefficients = packed[..n].to_vec();
+        packed.drain(..n);
         Ok(
-            CodedPacket::new(self.buffer.generation(), coeff_out, payload_out)
+            CodedPacket::new(self.buffer.generation(), coefficients, packed)
                 .expect("recoder always produces well-formed packets"),
         )
     }
@@ -144,7 +146,7 @@ mod tests {
     use super::*;
     use crate::encoder::Encoder;
     use crate::generation::Generation;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup() -> (Generation, rand::rngs::StdRng) {
         let cfg = GenerationConfig::new(6, 16).unwrap();
@@ -267,5 +269,66 @@ mod tests {
             v.rank()
         );
         assert_eq!(dst.recover().unwrap(), g.to_bytes());
+    }
+
+    /// FNV-1a, so the pinned constants below depend on the bytes alone, not
+    /// on the toolchain's hasher.
+    fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// Every byte of a seeded source → relay → destination chain: each
+    /// recoded packet (weights drawn per stored row, in row order), each
+    /// absorb outcome of both buffers, the destination's rows in insertion
+    /// order and the recovered generation. The relay emits after every
+    /// source packet, so recodes span every rank from 1 to `n`, and the
+    /// chain keeps going after both buffers are full.
+    fn chain_digest(n: usize, m: usize, seed: u64) -> u64 {
+        let cfg = GenerationConfig::new(n, m).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let data: Vec<u8> = (0..cfg.payload_len()).map(|_| rng.gen()).collect();
+        let g = Generation::from_bytes(GenerationId::new(1), cfg, &data).unwrap();
+        let enc = Encoder::new(&g);
+        let mut relay = Recoder::new(g.id(), cfg);
+        let mut dst = Decoder::new(g.id(), cfg);
+        let mut hash = 0xcbf2_9ce4_8422_2325;
+        for _ in 0..2 * n + 4 {
+            let absorbed = relay.absorb(&enc.emit(&mut rng)).unwrap();
+            let recoded = relay.emit(&mut rng).unwrap();
+            hash = fnv1a(hash, &recoded.to_bytes());
+            let decoded = dst.absorb(&recoded).unwrap();
+            hash = fnv1a(
+                hash,
+                &[
+                    u8::from(absorbed.is_innovative()),
+                    u8::from(decoded.is_innovative()),
+                ],
+            );
+        }
+        for (coeff, payload) in dst.rows() {
+            hash = fnv1a(fnv1a(hash, coeff), payload);
+        }
+        let recovered = dst.recover().expect("the chain decodes");
+        assert_eq!(recovered, data);
+        fnv1a(hash, &recovered)
+    }
+
+    /// Pins the chain's bytes to the values the per-row `Vec` decoder
+    /// produced (taken at the parent of the packed-arena change), for the
+    /// coefficient-only shape, the paper's shape and a row that ends in
+    /// every tail block: a change to weight draws or row order fails here,
+    /// not only in the benchmark's digest.
+    #[test]
+    fn seeded_chain_bytes_are_pinned() {
+        for (n, m, want) in [
+            (40, 1, 10_853_326_413_402_676_270_u64),
+            (40, 1024, 16_326_456_403_294_232_010),
+            (6, 57, 16_765_221_163_158_702_154),
+        ] {
+            assert_eq!(chain_digest(n, m, 25), want, "{n} x {m}");
+        }
     }
 }

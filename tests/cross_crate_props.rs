@@ -8,8 +8,8 @@ use omnc::net_topo::phy::Phy;
 use omnc::net_topo::select::{count_paths, select_forwarders};
 use omnc::omnc_opt::{lp, SUnicast};
 use omnc::rlnc::{
-    BatchDecoder, CodedPacket, Decoder, Encoder, Generation, GenerationConfig, GenerationId,
-    Kernel, Recoder,
+    Absorption, BatchDecoder, CodedPacket, Decoder, Encoder, Generation, GenerationConfig,
+    GenerationId, Kernel, Recoder,
 };
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -85,11 +85,17 @@ proptest! {
     }
 }
 
-/// The paper's generation shape: rows long enough for the accelerated
-/// kernel's vector body, which the small random shapes never reach.
+/// Rows long enough for the accelerated kernel's vector body, which the
+/// small random shapes never reach: the paper's generation shape, the
+/// coefficient-only shape of the figure sweeps (40-byte coefficient rows,
+/// 32 + 8 bytes of vector work; 41-byte packed rows), and one shape per
+/// tail block of the vector body (48 x 9: rows of 32 + 16 and
+/// 32 + 16 + 8 + 1 bytes; 56 x 3: 32 + 16 + 8 and 32 + 16 + 8 + 3).
 #[test]
 fn progressive_decoding_agrees_with_the_batch_oracle_on_long_rows() {
-    progressive_agrees_with_batch(40, 1024, 2008);
+    for (blocks, block_size) in [(40, 1024), (40, 1), (48, 9), (56, 3)] {
+        progressive_agrees_with_batch(blocks, block_size, 2008);
+    }
 }
 
 /// The store-then-solve [`BatchDecoder`], on the lookup-table kernel, is the
@@ -133,6 +139,17 @@ fn progressive_agrees_with_batch(blocks: usize, block_size: usize, seed: u64) {
         sent.push(packet);
     }
     assert_eq!(batch.solve(), progressive.recover());
+    assert_eq!(progressive.recover().expect("complete"), data);
+    // A full decoder keeps hearing packets (relays do, until the next
+    // generation): every one is redundant and changes nothing.
+    for _ in 0..4 {
+        let packet = encoder.emit(&mut rng);
+        assert_eq!(
+            progressive.absorb(&packet).expect("well-formed"),
+            Absorption::Redundant
+        );
+        assert_eq!(progressive.rank(), blocks);
+    }
     assert_eq!(progressive.recover().expect("complete"), data);
 }
 
