@@ -84,6 +84,7 @@ fn main() {
 
 /// Encodes and progressively decodes one generation; returns the payload
 /// throughput in MB/s.
+#[expect(clippy::disallowed_methods, reason = "measures codec throughput")]
 fn run_pipeline(blocks: usize, block_size: usize, kernel: Kernel) -> f64 {
     let cfg = GenerationConfig::new(blocks, block_size).expect("positive dims");
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);

@@ -28,6 +28,7 @@ use rand::{Rng, SeedableRng};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+#[expect(clippy::disallowed_methods, reason = "the binary's argv")]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = Options::from_slice(&args);

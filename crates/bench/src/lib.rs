@@ -43,6 +43,7 @@ pub struct Options {
 impl Options {
     /// Parses `std::env::args` (ignores unknown flags so binaries can add
     /// their own on top).
+    #[expect(clippy::disallowed_methods, reason = "the bench binaries' argv")]
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Options::from_slice(&args)

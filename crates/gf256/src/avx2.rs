@@ -50,16 +50,18 @@ static NIBBLES: Aligned = Aligned(build_nibbles());
 #[repr(align(32))]
 struct Aligned([[u8; BLOCK]; 256]);
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "`c < 256` and `x < 16` by the loop bounds; const fns cannot use try_from"
+)]
 const fn build_nibbles() -> [[u8; BLOCK]; 256] {
     let mut tables = [[0u8; BLOCK]; 256];
     let mut c = 0;
     while c < 256 {
         let mut x = 0;
         while x < 16 {
-            // `c < 256` and `x < 16` by the loop bounds; const fns cannot
-            // use try_from.
-            tables[c][x] = mul_no_table(c as u8, x as u8); // lint: allow(lossy-cast)
-            tables[c][16 + x] = mul_no_table(c as u8, (x as u8) << 4); // lint: allow(lossy-cast)
+            tables[c][x] = mul_no_table(c as u8, x as u8);
+            tables[c][16 + x] = mul_no_table(c as u8, (x as u8) << 4);
             x += 1;
         }
         c += 1;

@@ -29,9 +29,12 @@
 
 // SAFETY: `unsafe_code` is denied crate-wide and allowed back in exactly
 // one private module, `avx2` (the `std::arch` body of `wide`), where every
-// such item carries a SAFETY comment (audited by omnc-lint `unsafe-audit`).
+// such unsafe block carries a SAFETY comment (clippy's
+// `undocumented_unsafe_blocks`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+// Field kernels: a narrowing `as` cast silently corrupts a field element.
+#![deny(clippy::cast_possible_truncation)]
 
 mod arith;
 #[cfg(target_arch = "x86_64")]

@@ -41,13 +41,16 @@ const fn build_exp() -> [u8; 512] {
     exp
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "`i < 255` by the loop bound, and const fns cannot use try_from"
+)]
 const fn build_log() -> [u8; 256] {
     let exp = build_exp();
     let mut log = [0u8; 256];
     let mut i = 0;
     while i < 255 {
-        // `i < 255` by the loop bound, and const fns cannot use try_from.
-        log[exp[i] as usize] = i as u8; // lint: allow(lossy-cast)
+        log[exp[i] as usize] = i as u8;
         i += 1;
     }
     // log[0] is undefined in the field; callers must special-case zero.

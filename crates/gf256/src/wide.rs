@@ -271,8 +271,8 @@ mod tests {
 
     #[test]
     fn unaligned_tails_are_handled() {
-        for len in 0..32 {
-            let src: Vec<u8> = (0..len as u8)
+        for len in 0..32u8 {
+            let src: Vec<u8> = (0..len)
                 .map(|i| i.wrapping_mul(37).wrapping_add(1))
                 .collect();
             let mut a = src.clone();

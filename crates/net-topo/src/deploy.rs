@@ -215,6 +215,19 @@ mod tests {
     }
 
     #[test]
+    fn avg_link_quality_has_the_same_bits_on_every_build() {
+        // Each build gets a freshly seeded link map, so a statistic summed
+        // in hash order would differ in its last bits between builds.
+        let phy = Phy::paper_lossy();
+        let dep = Deployment::random(300, 6.0, &phy, 2008);
+        let first = dep.topology_with_phy(&phy).avg_link_quality().to_bits();
+        for _ in 0..8 {
+            let again = dep.topology_with_phy(&phy).avg_link_quality().to_bits();
+            assert_eq!(again, first);
+        }
+    }
+
+    #[test]
     fn random_session_respects_hop_bounds() {
         let phy = Phy::paper_lossy();
         let t = Deployment::random(120, 6.0, &phy, 3).into_topology();

@@ -284,14 +284,17 @@ impl Topology {
     /// interference neighbors (the paper quotes 0.58 for the lossy setting
     /// and 0.91 for the high-power one). Opportunistic tail links beyond
     /// the range are excluded from the statistic, as the paper's link set
-    /// is the in-range graph.
+    /// is the in-range graph. Summed in node order, so the same topology
+    /// always yields the same bits.
     pub fn avg_link_quality(&self) -> f64 {
         let mut sum = 0.0;
         let mut count = 0usize;
-        for (&(i, j), &p) in &self.prob {
-            if self.neighbors[i].contains(&NodeId(j)) {
-                sum += p;
-                count += 1;
+        for (i, neighbors) in self.neighbors.iter().enumerate() {
+            for j in neighbors {
+                if let Some(&p) = self.prob.get(&(i, j.0)) {
+                    sum += p;
+                    count += 1;
+                }
             }
         }
         if count == 0 {

@@ -1,7 +1,7 @@
 //! The work-stealing cell executor — the workspace's one sanctioned
-//! thread-pool surface (see the `concurrency` rule in `omnc-lint`; the
-//! telemetry observer thread in `omnc-telemetry/src/export.rs` is the
-//! other sanctioned region).
+//! thread-pool surface (`run_parallel` is exempt from clippy's
+//! `disallowed_methods`; the telemetry observer thread in
+//! `omnc-telemetry/src/export.rs` is the other sanctioned region).
 //!
 //! Work items are indices into a caller-owned list. Each worker owns a
 //! deque seeded round-robin; when it drains its own it steals from the
@@ -46,6 +46,10 @@ pub struct Completion<T> {
 /// calling thread, in completion order. Panics inside `run` are caught
 /// and retried up to `retries` extra times; a still-panicking item
 /// becomes an [`ItemError`] without affecting any other item.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the campaign's worker pool runs whole cells"
+)]
 pub fn run_parallel<T, F, D>(items: usize, jobs: usize, retries: u32, run: F, mut on_done: D)
 where
     T: Send,

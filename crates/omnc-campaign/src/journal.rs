@@ -34,6 +34,10 @@ pub struct JournalEntry {
 impl JournalEntry {
     /// The current wall clock as a `wall_ms` stamp.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "journal stamps are never byte-compared"
+    )]
     pub fn now_ms() -> u64 {
         std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)

@@ -56,6 +56,7 @@ the merged span profiles; per-cell RSS samples and campaign peak RSS
 always land in a separate memory.json (host-dependent, so never part
 of the byte-compared artifacts).";
 
+#[expect(clippy::disallowed_methods, reason = "the binary's argv")]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match real_main(&args) {
@@ -190,6 +191,7 @@ fn status(cli: &CliArgs) -> Result<i32, String> {
 
 /// Times the campaign serially and at `--jobs N`, asserts the merged
 /// outcomes are byte-identical, and prints the figures.
+#[expect(clippy::disallowed_methods, reason = "times whole campaigns")]
 fn bench(cli: &CliArgs) -> Result<i32, String> {
     let cells = cli.spec.cells().len();
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);

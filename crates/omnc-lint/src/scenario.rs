@@ -54,11 +54,57 @@ use omnc_opt::municast::MUnicast;
 use omnc_opt::SUnicast;
 use serde::{Deserialize, Serialize};
 
-use crate::findings::{Finding, Report};
-use crate::rules::Severity;
-
 /// Relative tolerance (times capacity) for LP residual checks.
 const RESIDUAL_TOL: f64 = 1e-6;
+
+/// One violated model invariant of a scenario file.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct Finding {
+    /// The scenario file (or other origin label) the finding is about.
+    pub path: String,
+    /// The violated check, one of the `CHECK_*` names.
+    pub rule: &'static str,
+    /// Human-readable explanation.
+    pub message: String,
+}
+
+/// The findings of one or more scenario files.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// Every finding: per file in check-name order, files in input order.
+    pub findings: Vec<Finding>,
+    /// Number of scenario files checked.
+    pub files_checked: usize,
+}
+
+impl Report {
+    /// `true` when no check failed.
+    pub fn is_clean(&self) -> bool {
+        self.findings.is_empty()
+    }
+
+    /// One `path: deny[check] message` line per finding, then a summary.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for f in &self.findings {
+            out.push_str(&format!("{}: deny[{}] {}\n", f.path, f.rule, f.message));
+        }
+        out.push_str(&format!(
+            "{} scenario file(s) checked: {} finding(s)\n",
+            self.files_checked,
+            self.findings.len()
+        ));
+        out
+    }
+
+    fn deny(&mut self, origin: &str, rule: &'static str, message: String) {
+        self.findings.push(Finding {
+            path: origin.to_owned(),
+            rule,
+            message,
+        });
+    }
+}
 
 /// One directed link of a scenario file.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -136,17 +182,16 @@ pub fn check_scenario_str(origin: &str, text: &str) -> Report {
     let spec: ScenarioSpec = match serde_json::from_str(text) {
         Ok(spec) => spec,
         Err(e) => {
-            report.findings.push(Finding::scenario(
+            report.deny(
                 origin,
                 CHECK_STRUCTURE,
-                Severity::Deny,
                 format!("not a valid scenario file: {e}"),
-            ));
+            );
             return report;
         }
     };
     check_spec(origin, &spec, &mut report);
-    report.finish();
+    report.findings.sort_by_key(|f| f.rule);
     report
 }
 
@@ -162,11 +207,7 @@ pub fn check_scenario_file(path: &std::path::Path) -> std::io::Result<Report> {
 
 /// Runs every check on a parsed spec, appending findings to `report`.
 fn check_spec(origin: &str, spec: &ScenarioSpec, report: &mut Report) {
-    let mut deny = |rule: &'static str, message: String| {
-        report
-            .findings
-            .push(Finding::scenario(origin, rule, Severity::Deny, message));
-    };
+    let mut deny = |rule: &'static str, message: String| report.deny(origin, rule, message);
 
     // --- Structure.
     let mut structural_ok = true;
@@ -391,12 +432,7 @@ fn check_capacity_condition(
     let sol = match solve_exact(&problem) {
         Ok(sol) => sol,
         Err(e) => {
-            report.findings.push(Finding::scenario(
-                origin,
-                CHECK_CAPACITY,
-                Severity::Deny,
-                format!("sUnicast LP failed: {e}"),
-            ));
+            report.deny(origin, CHECK_CAPACITY, format!("sUnicast LP failed: {e}"));
             return;
         }
     };
@@ -407,27 +443,25 @@ fn check_capacity_condition(
         .unwrap_or(0.0)
         .max(spec.capacity * RESIDUAL_TOL);
     if sol.gamma < floor {
-        report.findings.push(Finding::scenario(
+        report.deny(
             origin,
             CHECK_CAPACITY,
-            Severity::Deny,
             format!(
                 "capacity condition (4) infeasible: optimal throughput γ* = {:.3} \
                  bytes/s < required {:.3} bytes/s (capacity {})",
                 sol.gamma, floor, spec.capacity
             ),
-        ));
+        );
     }
     // Flow-conservation residuals of the optimum (eq. (2), plus (4)/(5)
     // replayed in absolute units).
     if let Some(violation) = problem.feasibility_violation(&sol.b, &sol.x, sol.gamma, RESIDUAL_TOL)
     {
-        report.findings.push(Finding::scenario(
+        report.deny(
             origin,
             CHECK_FLOW,
-            Severity::Deny,
             format!("LP optimum violates the model constraints: {violation}"),
-        ));
+        );
     }
 }
 
@@ -444,11 +478,7 @@ fn check_joint_capacity_condition(
     topo: &Topology,
     report: &mut Report,
 ) {
-    let mut deny = |rule: &'static str, message: String| {
-        report
-            .findings
-            .push(Finding::scenario(origin, rule, Severity::Deny, message));
-    };
+    let mut deny = |rule: &'static str, message: String| report.deny(origin, rule, message);
     let floor = spec
         .min_throughput
         .unwrap_or(0.0)
@@ -835,7 +865,9 @@ mod tests {
     fn findings_serialize_through_the_sink() {
         let r = check_scenario_str("d.json", &diamond(0.6, 1e6));
         let sink = telemetry::EventSink::in_memory();
-        r.write_jsonl(&sink).unwrap();
+        for f in &r.findings {
+            sink.emit(f).unwrap();
+        }
         assert_eq!(sink.lines().len(), r.findings.len());
         let v: serde_json::Value = serde_json::from_str(&sink.lines()[0]).unwrap();
         assert_eq!(v.get("rule").and_then(|r| r.as_str()), Some(CHECK_CAPACITY));

@@ -521,6 +521,10 @@ impl Routes {
 /// depends on the order it settles nodes in, which a sweep does not know;
 /// everywhere else the last link to lower `dist` is the only candidate, so
 /// the two agree.
+#[expect(
+    clippy::float_cmp,
+    reason = "a tie is two sums with identical bits; anything else orders them"
+)]
 fn tie_on_path(problem: &SUnicast, lambda: &[f64], paths: &Paths) -> bool {
     let mut v = problem.dst();
     if paths.dist[v].is_infinite() {
@@ -529,7 +533,6 @@ fn tie_on_path(problem: &SUnicast, lambda: &[f64], paths: &Paths) -> bool {
     while v != problem.src() {
         let attaining = problem.in_links(v).iter().filter(|l| {
             let via = paths.dist[problem.link(**l).from] + lambda[l.index()];
-            // lint: allow(float-eq) -- a tie is two sums with identical bits; anything else orders them
             via == paths.dist[v]
         });
         if attaining.count() > 1 {

@@ -115,7 +115,6 @@ fn edmonds_karp(problem: &SUnicast, scratch: &mut Scratch) -> f64 {
     flow.clear();
     flow.resize(problem.link_count(), 0.0);
     let scale: f64 = cap.iter().fold(0.0f64, |a, &b| a.max(b));
-    // lint: allow(float-eq) -- exact-zero guard before dividing by `scale`
     if scale == 0.0 {
         return 0.0;
     }

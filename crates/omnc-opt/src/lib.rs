@@ -58,6 +58,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Optimizer numerics compare through tolerances, not bit equality; tests
+// assert bit-exact oracles on purpose.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod algorithm;
 pub mod distributed;

@@ -27,6 +27,7 @@ use omnc_report::{
     ProfileReport, ProgressSnapshot, Report, TimelineReport,
 };
 
+#[expect(clippy::disallowed_methods, reason = "the binary's argv")]
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let code = match argv.first().map(String::as_str) {

@@ -31,8 +31,8 @@ fn traced_run(fault_fraction: Option<f64>) -> (omnc::runner::SessionOutcome, Rep
     let trace = trace.expect("tracing was enabled");
     assert_eq!(trace.dropped_mac_events, 0, "raise trace capacity");
     let mut jsonl = Vec::new();
-    trace.write_jsonl(&mut jsonl).unwrap();
-    let records = parse_trace(std::io::Cursor::new(jsonl)).unwrap();
+    trace.write_jsonl(&mut jsonl).expect("write to memory");
+    let records = parse_trace(std::io::Cursor::new(jsonl)).expect("trace parses");
     (out, analyze(&records, &[]))
 }
 

@@ -39,7 +39,7 @@
 // SAFETY: this module is the workspace's single sanctioned unsafe
 // surface — forwarding the `GlobalAlloc` contract to `std::alloc::System`
 // unchanged. Each unsafe item below carries its own SAFETY comment
-// (enforced by the omnc-lint `unsafe-audit` rule).
+// (clippy's `undocumented_unsafe_blocks` enforces it for blocks).
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};

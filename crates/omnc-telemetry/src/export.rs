@@ -8,9 +8,9 @@
 //! campaign artifacts stay byte-identical with serving on.
 //!
 //! This module is the workspace's one sanctioned network-listener
-//! surface (the omnc-lint `concurrency` rule denies `TcpListener` and
-//! thread creation everywhere else in the telemetry and sim crates,
-//! exactly like the campaign executor sanctions thread pools).
+//! surface (clippy's `disallowed_types`/`disallowed_methods` deny
+//! `TcpListener` and thread creation everywhere else, exactly like the
+//! campaign executor sanctions thread pools).
 //!
 //! The exposition format is the Prometheus text format, producible with
 //! zero dependencies: `# TYPE` comments, `name{label="value"} 1234`
@@ -20,7 +20,9 @@
 //! registry state.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+#[expect(clippy::disallowed_types, reason = "the observer's socket")]
+use std::net::TcpListener;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -244,6 +246,7 @@ impl ProgressBoard {
 
     /// A live board for `total` units of work.
     #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "the ETA is wall time")]
     pub fn enabled(name: &str, total: usize) -> ProgressBoard {
         ProgressBoard {
             core: Some(Arc::new(Mutex::new(BoardCore {
@@ -327,6 +330,11 @@ impl Observer {
     /// # Errors
     ///
     /// Fails if the address cannot be bound or the thread cannot spawn.
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "the observer's socket and its one serving thread"
+    )]
     pub fn serve(addr: &str, handles: ObserverHandles) -> std::io::Result<Observer> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -360,6 +368,7 @@ impl Drop for Observer {
     }
 }
 
+#[expect(clippy::disallowed_types, reason = "the observer's socket")]
 fn serve_loop(listener: &TcpListener, handles: &ObserverHandles, stop: &AtomicBool) {
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {

@@ -42,8 +42,7 @@
 
 // Unsafe is denied crate-wide and allowed back in exactly one module:
 // `alloc`, the counting global-allocator wrapper, where every unsafe
-// item carries a SAFETY comment (audited by the omnc-lint
-// `unsafe-audit` rule).
+// block carries a SAFETY comment (clippy's `undocumented_unsafe_blocks`).
 #![deny(unsafe_code)]
 
 mod alloc;

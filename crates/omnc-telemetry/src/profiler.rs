@@ -6,7 +6,7 @@
 //! discipline as ticks.
 //!
 //! Time comes from a [`Clock`] so the simulation crates never touch
-//! `std::time` themselves (the `omnc-lint` `wall-clock` rule): the
+//! `std::time` themselves (clippy's `disallowed_methods`): the
 //! wall-clock implementation lives here in telemetry, and a
 //! deterministic [`VirtualClock`] (one tick per clock read, i.e. an
 //! event count) keeps seeded runs byte-identical while still producing
@@ -26,8 +26,6 @@
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-// lint: allow(wall-clock) — telemetry is the single crate where wall
-// clocks are permitted; sim crates reach clocks only through these types.
 use std::time::Instant;
 
 /// A monotone tick source for the profiler.
@@ -52,6 +50,7 @@ pub struct WallClock {
 impl WallClock {
     /// A wall clock with its epoch at construction time.
     #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "the sanctioned wall clock")]
     pub fn new() -> Self {
         WallClock {
             epoch: Instant::now(),

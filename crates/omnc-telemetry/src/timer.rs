@@ -5,8 +5,8 @@ use std::time::Instant;
 /// A bare wall-clock reference point, for instrumented code that must not
 /// touch `std::time` directly.
 ///
-/// The simulation crates are held to a no-wall-clock policy (`omnc-lint`'s
-/// `wall-clock` rule): clocks only enter through this telemetry crate, so a
+/// The simulation crates are held to a no-wall-clock policy (clippy's
+/// `disallowed_methods`): clocks only enter through this telemetry crate, so a
 /// decoder or scheduler can profile itself with a `Span` while its own
 /// source stays free of `Instant::now()`.
 #[derive(Debug, Clone, Copy)]
@@ -17,6 +17,7 @@ pub struct Span {
 impl Span {
     /// Captures the current instant.
     #[must_use]
+    #[expect(clippy::disallowed_methods, reason = "the sanctioned wall clock")]
     pub fn begin() -> Self {
         Span {
             started: Instant::now(),

@@ -14,9 +14,9 @@
 //! Like the [`crate::Profiler`], a recorder built with
 //! [`TimeSeries::disabled`] (also `Default`) hands out no-op handles:
 //! instrumented code pays one branch per sample when timelines are off,
-//! and nothing here reads a wall clock — the `omnc-lint` `wall-clock`
-//! rule covers this module exactly like the sim crates, so seeded runs
-//! stay byte-identical.
+//! and nothing here reads a wall clock — clippy's `disallowed_methods`
+//! covers this module with no exemption, exactly like the sim crates, so
+//! seeded runs stay byte-identical.
 //!
 //! Snapshots export as a serializable [`TimelineReport`] (name-sorted
 //! series, index-sorted buckets); campaign aggregation merges reports

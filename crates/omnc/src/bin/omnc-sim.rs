@@ -58,6 +58,7 @@ struct Args {
 }
 
 impl Args {
+    #[expect(clippy::disallowed_methods, reason = "the binary's argv")]
     fn parse() -> Result<Args, String> {
         let mut args = Args {
             nodes: 120,

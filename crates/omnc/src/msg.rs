@@ -1,5 +1,7 @@
 //! The protocol message type shared by all four protocols.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use net_topo::graph::NodeId;
 use rlnc::{CodedPacket, GenerationId};
 

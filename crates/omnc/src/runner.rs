@@ -664,7 +664,6 @@ fn execute<'a>(
                 _ => 0.0,
             };
             mac_rates[world.at(orig).index()] += rate;
-            // lint: allow(clone-in-hot-loop) -- setup-time shared handle
             let ledger = || ledgers[k].clone();
             let role = match &more {
                 _ if orig == dst => Role::CodedDst(CodedDestination::new(*cfg, ledger(), ids[k])),

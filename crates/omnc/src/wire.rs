@@ -6,6 +6,8 @@
 //! configuration correspond to real encodable packets, and so downstream
 //! users can move messages across actual sockets.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use net_topo::graph::NodeId;
 use rlnc::{CodedPacket, GenerationId};
 
@@ -91,7 +93,9 @@ pub fn decode(frame: &[u8]) -> Result<Msg, WireError> {
                 return Err(WireError::Malformed("block body must be 16 bytes"));
             }
             let seq = read_u64(&body[0..8]).ok_or(WireError::Malformed("block seq"))?;
-            let dst = read_u64(&body[8..16]).ok_or(WireError::Malformed("block dst"))? as usize;
+            let dst = read_u64(&body[8..16])
+                .and_then(|d| usize::try_from(d).ok())
+                .ok_or(WireError::Malformed("block dst"))?;
             Ok(Msg::Block {
                 seq,
                 dst: NodeId::new(dst),

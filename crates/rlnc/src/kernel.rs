@@ -1,5 +1,7 @@
 //! Selection between the baseline and accelerated GF(2^8) kernels.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use serde::{Deserialize, Serialize};
 
 /// Which slice kernel the codec uses for its row operations.

@@ -1,5 +1,7 @@
 //! Coded packet wire format.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use core::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -129,12 +131,15 @@ impl CodedPacket {
     /// assert_eq!(CodedPacket::from_bytes(&bytes)?, p);
     /// # Ok::<(), omnc_rlnc::RlncError>(())
     /// ```
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "both lengths fit u32 by the invariant `new()` checks"
+    )]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_len());
         out.extend_from_slice(&self.generation.0.to_le_bytes());
-        // Lengths fit u32 by the `new()` invariant checked at construction.
-        out.extend_from_slice(&(self.coefficients.len() as u32).to_le_bytes()); // lint: allow(lossy-cast)
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes()); // lint: allow(lossy-cast)
+        out.extend_from_slice(&(self.coefficients.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.coefficients);
         out.extend_from_slice(&self.payload);
         out

@@ -33,6 +33,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// LP numerics compare through tolerances, not bit equality; tests
+// assert bit-exact oracles on purpose.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod error;
 mod problem;

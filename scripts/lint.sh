@@ -1,43 +1,40 @@
 #!/usr/bin/env sh
 # The static-analysis gate (CI's "lint-gate" job runs this script):
-#   1. omnc-lint check        — determinism / panic-freedom / unsafe-audit /
-#                               float-hygiene / kernel-hygiene rules over
-#                               crates/, with hot-path obligation propagation
-#   2. omnc-lint check-scenario — model invariants of the two committed
-#                               gate scenarios, single- and multi-session
-#                               (probabilities, capacity condition)
-#   3. cargo clippy -D warnings under the workspace lint table
-# Exits nonzero on any deny-level finding. See DESIGN.md ("Determinism &
-# static analysis policy") for the rule table and escape hatches.
-#
-# --changed-only: report findings only for .rs files that differ from the
-# merge base with origin/main (analysis still covers the whole workspace so
-# blame chains stay correct). Any other arguments pass through to
-# `omnc-lint check` (e.g. --sarif, --json).
+#   1. cargo clippy -D warnings over the workspace: the lint table in
+#      Cargo.toml, the disallowed paths in crates/clippy.toml and the
+#      module-level denies (DESIGN.md §6c, "Determinism & static analysis
+#      policy", has the rule table and the escape hatch)
+#   2. the same clippy over the clippy-bites fixture, which must fail and
+#      name every adopted lint: proof that the configuration still applies
+#      (omnc-lint's rule tests check its findings item by item)
+#   3. omnc-lint check-scenario — model invariants of the two committed
+#      gate scenarios, single- and multi-session (probabilities, capacity
+#      condition)
+# Exits nonzero on any finding.
 set -eu
 cd "$(dirname "$0")/.."
 
-only_args=""
-passthrough=""
-for arg in "$@"; do
-  if [ "$arg" = "--changed-only" ]; then
-    base=$(git merge-base origin/main HEAD 2>/dev/null || git rev-parse HEAD~1)
-    changed=$(git diff --name-only "$base" -- 'crates/*.rs' 'crates/**/*.rs')
-    if [ -z "$changed" ]; then
-      echo "lint gate: no changed .rs files vs $(git rev-parse --short "$base")"
-    fi
-    for f in $changed; do
-      only_args="$only_args --only $f"
-    done
-  else
-    passthrough="$passthrough $arg"
-  fi
+cargo clippy --workspace --all-targets -- -D warnings
+
+fixture=crates/omnc-lint/tests/fixtures/clippy-bites
+if out=$(cargo clippy --manifest-path "$fixture/Cargo.toml" --all-targets \
+  --target-dir target/clippy-bites -- -D warnings 2>&1); then
+  echo "lint gate: clippy accepted $fixture; the lint configuration no longer applies" >&2
+  exit 1
+fi
+for lint in disallowed_methods disallowed_types iter_over_hash_type unwrap_used \
+  undocumented_unsafe_blocks float_cmp cast_possible_truncation; do
+  case "$out" in
+    *"#$lint"*) ;;
+    *)
+      echo "$out" >&2
+      echo "lint gate: clippy did not report $lint on $fixture" >&2
+      exit 1
+      ;;
+  esac
 done
 
-# shellcheck disable=SC2086 # word splitting of the flag lists is intended
-cargo run --release -p omnc-lint -- check $only_args $passthrough
 cargo run --release -p omnc-lint -- check-scenario \
   crates/omnc-lint/tests/fixtures/scenarios/good_diamond.json \
   crates/omnc-lint/tests/fixtures/scenarios/good_multi_diamond.json
-cargo clippy --workspace --all-targets -- -D warnings
 echo "lint gate: clean"
