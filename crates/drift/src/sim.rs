@@ -13,12 +13,10 @@
 //! the engine accounts airtime, deliveries and queueing delay per session
 //! ([`SessionStats`]) so cross-session contention is directly observable.
 
-use std::collections::BTreeMap;
-
 use net_topo::graph::{NodeId, Topology};
 use rand::Rng;
 
-use telemetry::{Counter, Histogram, Profiler, Registry, Series, TimeSeries};
+use telemetry::{Counter, Histogram, Profiler, Registry};
 
 use crate::arena::{Arena, Handle};
 use crate::core::{EventId, EventQueue, Pcg64};
@@ -54,39 +52,6 @@ impl SimTelemetry {
                 &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0],
             ),
             trace_dropped: registry.counter("trace.dropped_events"),
-        }
-    }
-}
-
-/// Windowed dynamics series, attached via [`Simulator::attach_timeline`]:
-/// per-node queue depth over simulated time plus per-link delivery/loss
-/// event rates. Series handles are pre-registered at attach time, so the
-/// per-event cost is one branch when disabled and one bounded bucket
-/// fold when enabled — never a name lookup or format.
-#[derive(Debug, Default)]
-struct SimTimeline {
-    /// Queue-depth series per node (engine index order).
-    queues: Vec<Series>,
-    /// `(delivered, lost)` series per directed topology link, keyed by
-    /// receiver index within the sender's slot.
-    links: Vec<BTreeMap<usize, (Series, Series)>>,
-}
-
-impl SimTimeline {
-    fn record_queue(&self, node: NodeId, now: SimTime, len: usize) {
-        if let Some(series) = self.queues.get(node.index()) {
-            series.record(now.as_secs(), len as f64);
-        }
-    }
-
-    fn record_link(&self, from: NodeId, to: NodeId, now: SimTime, delivered: bool) {
-        if let Some((d, l)) = self
-            .links
-            .get(from.index())
-            .and_then(|m| m.get(&to.index()))
-        {
-            let series = if delivered { d } else { l };
-            series.record(now.as_secs(), 1.0);
         }
     }
 }
@@ -244,7 +209,6 @@ struct Core<M> {
     /// Scratch for the node-id-ordered backlog list (reused, never freed).
     backlog_list: Vec<NodeId>,
     telemetry: SimTelemetry,
-    timeline: SimTimeline,
     profiler: Profiler,
     /// Tag of the packet currently being delivered to a behavior, set for
     /// the duration of its `on_receive` callback.
@@ -256,7 +220,6 @@ impl<M> Core<M> {
         let len = self.queues[node.index()].len;
         self.trackers[node.index()].observe(self.now, len);
         self.telemetry.queue_len.observe(len as f64);
-        self.timeline.record_queue(node, self.now, len);
         self.trace.record(TraceEvent::Queue {
             at: self.now,
             node,
@@ -541,7 +504,6 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
                 cached_epoch: NO_EPOCH,
                 backlog_list: Vec::with_capacity(n),
                 telemetry: SimTelemetry::default(),
-                timeline: SimTimeline::default(),
                 profiler: Profiler::disabled(),
                 incoming_tag: None,
             },
@@ -635,60 +597,6 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
         self.core
             .trace
             .set_dropped_counter(self.core.telemetry.trace_dropped.clone());
-    }
-
-    /// Wires windowed dynamics series into `timeline`: per-node queue
-    /// depth (`<prefix>/queue/n<label>`, sampled at every queue change)
-    /// and per-link delivery/loss events
-    /// (`<prefix>/link/<from>-<to>/{delivered,lost}`, one unit sample per
-    /// MAC outcome, so each bucket's `count`/`sum` is the event rate in
-    /// that window). `node_labels[i]` names engine node `i` in the series
-    /// paths — callers running on a pruned sub-topology pass the original
-    /// node ids so series line up with traces and reports. Series handles
-    /// are registered here, once; with a disabled recorder this is free
-    /// and nothing is registered.
-    ///
-    /// Recording reads only simulation state (never the RNG or the event
-    /// queue), so enabling timelines cannot perturb seeded runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node_labels` does not cover every node.
-    pub fn attach_timeline(&mut self, timeline: &TimeSeries, prefix: &str, node_labels: &[u64]) {
-        if !timeline.is_enabled() {
-            return;
-        }
-        let n = self.core.topology.len();
-        assert!(
-            node_labels.len() == n,
-            "timeline node_labels must cover all {n} nodes"
-        );
-        let name = |tail: String| {
-            if prefix.is_empty() {
-                tail
-            } else {
-                format!("{prefix}/{tail}")
-            }
-        };
-        let queues = (0..n)
-            .map(|i| timeline.series(&name(format!("queue/n{}", node_labels[i]))))
-            .collect();
-        let links = (0..n)
-            .map(|i| {
-                self.core
-                    .topology
-                    .out_links(NodeId::new(i))
-                    .iter()
-                    .map(|l| {
-                        let (a, b) = (node_labels[i], node_labels[l.to.index()]);
-                        let delivered = timeline.series(&name(format!("link/{a}-{b}/delivered")));
-                        let lost = timeline.series(&name(format!("link/{a}-{b}/lost")));
-                        (l.to.index(), (delivered, lost))
-                    })
-                    .collect()
-            })
-            .collect();
-        self.core.timeline = SimTimeline { queues, links };
     }
 
     /// Attaches a hierarchical profiler: [`Simulator::run_until`] opens a
@@ -993,9 +901,6 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
         if delivered {
             self.core.stats[to.index()].packets_received += 1;
             self.core.telemetry.delivered.inc();
-            self.core
-                .timeline
-                .record_link(from, to, self.core.now, true);
             self.core.trace.record(TraceEvent::Delivered {
                 at: self.core.now,
                 from,
@@ -1012,9 +917,6 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
         } else {
             self.core.stats[to.index()].packets_lost += 1;
             self.core.telemetry.lost.inc();
-            self.core
-                .timeline
-                .record_link(from, to, self.core.now, false);
             self.core.trace.record(TraceEvent::Lost {
                 at: self.core.now,
                 from,
@@ -1160,56 +1062,6 @@ mod tests {
             run(8),
             "different seeds should (almost surely) differ"
         );
-    }
-
-    #[test]
-    fn timeline_run_matches_plain_and_records_dynamics_series() {
-        let topo = pair(0.5);
-        let run = |timeline: Option<TimeSeries>| {
-            let mut sim: Simulator<Msg, Box<dyn Behavior<Msg>>> =
-                Simulator::new(&topo, MacModel::fair_share(1000.0), 7);
-            if let Some(ts) = &timeline {
-                sim.attach_timeline(ts, "s0", &[10, 11]);
-            }
-            sim.set_behavior(
-                NodeId::new(0),
-                Box::new(Flood {
-                    count: 100,
-                    wire_len: 10,
-                }),
-            );
-            sim.set_behavior(NodeId::new(1), Box::<Counter>::default());
-            sim.run_until(100.0);
-            (
-                sim.stats(NodeId::new(0)).packets_sent,
-                sim.stats(NodeId::new(1)).packets_received,
-                sim.stats(NodeId::new(1)).packets_lost,
-            )
-        };
-        let plain = run(None);
-        let ts = TimeSeries::enabled(0.25, 64);
-        let timed = run(Some(ts.clone()));
-        assert_eq!(plain, timed, "timelines must not change behavior");
-
-        let snap = ts.snapshot();
-        let series = |name: &str| {
-            snap.series(name)
-                .unwrap_or_else(|| panic!("missing series {name}"))
-        };
-        // Labels, not engine indices, name the series.
-        let queue = series("s0/queue/n10");
-        assert!(queue.total_count() > 0, "queue depth was sampled");
-        assert_eq!(
-            series("s0/link/10-11/delivered").total_count(),
-            plain.1,
-            "one delivery sample per delivered packet"
-        );
-        assert_eq!(series("s0/link/10-11/lost").total_count(), plain.2);
-        // Disabled recorders register nothing at attach time.
-        let off = TimeSeries::disabled();
-        let mut sim: Simulator<Msg, Flood> = Simulator::new(&topo, MacModel::fair_share(1e3), 7);
-        sim.attach_timeline(&off, "s0", &[0, 1]);
-        assert!(off.snapshot().series.is_empty());
     }
 
     #[test]

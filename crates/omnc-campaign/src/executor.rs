@@ -1,7 +1,6 @@
 //! The work-stealing cell executor — the workspace's one sanctioned
 //! thread-pool surface (`run_parallel` is exempt from clippy's
-//! `disallowed_methods`; the telemetry observer thread in
-//! `omnc-telemetry/src/export.rs` is the other sanctioned region).
+//! `disallowed_methods`; no other code starts a thread).
 //!
 //! Work items are indices into a caller-owned list. Each worker owns a
 //! deque seeded round-robin; when it drains its own it steals from the

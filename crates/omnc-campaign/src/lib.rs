@@ -12,23 +12,18 @@
 //! [`journal`] line that makes the cell durable. The [`merge`] stage
 //! re-reads the result files in sorted-key order, so the merged
 //! artifacts — `outcomes.jsonl`, `trace.jsonl`, `telemetry.json`,
-//! `timeline.json`, `report.json` — are byte-identical whatever
-//! `--jobs` was and whether the campaign ran straight through or was
-//! killed and resumed.
+//! `report.json` — are byte-identical whatever `--jobs` was and whether
+//! the campaign ran straight through or was killed and resumed.
 //!
 //! Memory figures are the one exception to that determinism contract:
 //! RSS depends on the host, the allocator, and worker scheduling, so
 //! per-cell and campaign-wide peak RSS go to a separate `memory.json`
-//! and are *never* part of the five byte-compared artifacts above.
+//! and are *never* part of the four byte-compared artifacts above.
 //!
-//! With `--serve ADDR` the campaign additionally runs the telemetry
-//! [`Observer`] thread: `/metrics` exposes campaign counters in the
-//! Prometheus text format, `/progress` the live [`ProgressBoard`]
-//! (cells done/total, ETA). Serving is strictly read-only, so every
-//! merged artifact stays byte-identical with it on. Each cell attempt
-//! also arms a panic-safe [`FlightRecorder`]: a cell that dies beyond
-//! its retry budget leaves `flight-<cell>.jsonl` — the last breadcrumbs
-//! before the panic — next to the other artifacts.
+//! Each cell attempt arms a panic-safe [`FlightRecorder`]: a cell that
+//! dies beyond its retry budget leaves `flight-<cell>.jsonl` — the last
+//! breadcrumbs before the panic — next to the other artifacts.
+//! [`campaign_status`] reads progress and an ETA off the journal.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,10 +36,7 @@ pub mod spec;
 use std::io;
 use std::path::Path;
 
-use telemetry::{
-    Counter, FlightRecorder, Logger, Observer, ObserverHandles, Profiler, ProgressBoard, Registry,
-    TimeSeries,
-};
+use telemetry::{FlightRecorder, Logger, Profiler, Registry};
 
 use omnc::multi::run_multi_cell;
 use omnc::runner::{run_cell, RunOptions, SessionOutcome};
@@ -65,9 +57,6 @@ pub struct CampaignOptions {
     pub resume: bool,
     /// Progress logger.
     pub log: Logger,
-    /// Bind address for the live observer (`/metrics`, `/progress`),
-    /// e.g. `127.0.0.1:9464`. `None` disables serving.
-    pub serve: Option<String>,
 }
 
 /// A cell that kept panicking after its retry budget.
@@ -93,7 +82,7 @@ pub struct CellMemory {
 
 /// The `memory.json` artifact: campaign-wide peak RSS plus one sample
 /// per executed cell (sorted by key). Deliberately separate from the
-/// five byte-compared merged artifacts, because RSS varies by host and
+/// four byte-compared merged artifacts, because RSS varies by host and
 /// scheduling while those must stay identical across `--jobs` values.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CampaignMemory {
@@ -127,9 +116,8 @@ pub fn flight_path(out_dir: &Path, key: &str) -> std::path::PathBuf {
 }
 
 /// Runs one cell in isolation: fresh registry, fresh virtual-clock
-/// profiler, fresh timeline recorder (series scoped by the cell key),
-/// full causal trace. Everything the merge stage needs comes back in
-/// the [`CellResult`]. The `flight` recorder (disabled outside
+/// profiler, full causal trace. Everything the merge stage needs comes
+/// back in the [`CellResult`]. The `flight` recorder (disabled outside
 /// campaigns) collects the runner's breadcrumbs so a panic hook can
 /// dump the tail; it never influences the result.
 ///
@@ -148,13 +136,10 @@ pub fn flight_path(out_dir: &Path, key: &str) -> std::path::PathBuf {
 pub fn run_one_cell(cell: &Cell, trace_capacity: usize, flight: &FlightRecorder) -> CellResult {
     let registry = Registry::new();
     let profiler = Profiler::virtual_clock();
-    let timeline = TimeSeries::enabled(0.25, 64);
     let options = RunOptions {
         trace_capacity: Some(trace_capacity),
         profiler: profiler.clone(),
         registry: registry.clone(),
-        timeline: timeline.clone(),
-        timeline_scope: cell.key.clone(),
         flight: flight.clone(),
         ..RunOptions::default()
     };
@@ -183,7 +168,6 @@ pub fn run_one_cell(cell: &Cell, trace_capacity: usize, flight: &FlightRecorder)
         trace: String::from_utf8(buf).expect("trace JSONL is UTF-8"),
         metrics: registry.snapshot(),
         profile: profiler.report(),
-        timeline: timeline.snapshot(),
     }
 }
 
@@ -215,62 +199,6 @@ fn aggregate_outcome(out: &omnc::multi::MultiSessionOutcome) -> SessionOutcome {
             out.sessions.iter().map(|s| s.packet_counts.1).sum(),
         ),
         verification_failures: 0,
-    }
-}
-
-/// A campaign's live observability plane: the `campaign.cells.*`
-/// instruments behind `/metrics` and the board behind `/progress`, served
-/// by an [`Observer`] thread for as long as this value lives. Everything
-/// here is read-only over the run — the observer snapshots, it never
-/// writes into the cells — so merged artifacts cannot depend on whether
-/// it is on. Without a bind address every handle is a free no-op.
-#[derive(Debug)]
-pub struct LivePlane {
-    /// `campaign.cells.completed`: cells persisted by this invocation.
-    pub completed: Counter,
-    /// `campaign.cells.failed`: cells that exhausted their retries.
-    pub failed: Counter,
-    /// Done/total/ETA over this invocation's pending cells.
-    pub board: ProgressBoard,
-    observer: Option<Observer>,
-}
-
-impl LivePlane {
-    /// Sets up the plane for a campaign of `total` cells of which
-    /// `pending` run now, and serves it on `serve` (port 0 picks a free
-    /// port) if given.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the address cannot be bound.
-    pub fn start(
-        serve: Option<&str>,
-        name: &str,
-        total: usize,
-        pending: usize,
-    ) -> io::Result<LivePlane> {
-        let (registry, board) = match serve {
-            Some(_) => (Registry::new(), ProgressBoard::enabled(name, pending)),
-            None => (Registry::disabled(), ProgressBoard::disabled()),
-        };
-        registry.gauge("campaign.cells.total").set(total as f64);
-        let skipped = total - pending;
-        registry.gauge("campaign.cells.skipped").set(skipped as f64);
-        let handles = ObserverHandles {
-            registry: registry.clone(),
-            progress: board.clone(),
-        };
-        Ok(LivePlane {
-            completed: registry.counter("campaign.cells.completed"),
-            failed: registry.counter("campaign.cells.failed"),
-            board,
-            observer: (serve.map(|addr| Observer::serve(addr, handles))).transpose()?,
-        })
-    }
-
-    /// Where the observer listens, when serving.
-    pub fn addr(&self) -> Option<std::net::SocketAddr> {
-        self.observer.as_ref().map(Observer::local_addr)
     }
 }
 
@@ -318,14 +246,6 @@ pub fn run_campaign(
             .info(&format!("resume: {skipped} cells already journaled"));
     }
 
-    let serve = options.serve.as_deref();
-    let live = LivePlane::start(serve, &spec.name, cells.len(), pending.len())?;
-    if let Some(addr) = live.addr() {
-        options.log.info(&format!(
-            "observer serving /metrics /progress on http://{addr}"
-        ));
-    }
-
     let trace_capacity = spec.trace_capacity();
     let mut failures: Vec<CellFailure> = Vec::new();
     let mut io_error: Option<io::Error> = None;
@@ -346,7 +266,6 @@ pub fn run_campaign(
         },
         |completion| {
             let cell = &cells[pending[completion.item]];
-            live.board.cell_finished(completion.result.is_ok());
             match completion.result {
                 Ok((cell_result, attempts)) => {
                     let persisted = write_cell(out_dir, &cell_result).and_then(|()| {
@@ -365,7 +284,6 @@ pub fn run_campaign(
                     // A retried-then-successful attempt may have left a
                     // stale black box; the cell ended well, drop it.
                     let _ = std::fs::remove_file(flight_path(out_dir, &cell.key));
-                    live.completed.inc();
                     done += 1;
                     if let Some(rss) = telemetry::sample_rss() {
                         memory_cells.push(CellMemory {
@@ -390,7 +308,6 @@ pub fn run_campaign(
                         e.message,
                         flight_path(out_dir, &cell.key).display()
                     ));
-                    live.failed.inc();
                     failures.push(CellFailure {
                         key: cell.key.clone(),
                         attempts: e.attempts,
@@ -405,7 +322,7 @@ pub fn run_campaign(
     }
     failures.sort_by(|a, b| a.key.cmp(&b.key));
 
-    // Host-dependent memory figures go to their own artifact so the five
+    // Host-dependent memory figures go to their own artifact so the four
     // byte-compared ones stay deterministic (see module docs).
     if let Some(rss) = telemetry::sample_rss() {
         memory_cells.sort_by(|a, b| a.key.cmp(&b.key));
@@ -468,10 +385,9 @@ pub struct CampaignStatus {
 /// Reports how much of `spec` is already durably complete in `out_dir`.
 ///
 /// The rate/ETA estimate replays the journal's `wall_ms` stamps and
-/// feeds their span through the same [`telemetry::throughput_eta`]
-/// estimator the live `/progress` endpoint uses — one implementation,
-/// two surfaces. A journal from before timestamps existed (or with a
-/// single entry) simply reports no estimate.
+/// feeds their span through [`throughput_eta`]. A journal from before
+/// timestamps existed (or with a single entry) simply reports no
+/// estimate.
 ///
 /// # Errors
 ///
@@ -499,7 +415,7 @@ pub fn campaign_status(spec: &CampaignSpec, out_dir: &Path) -> io::Result<Campai
     };
     // The first stamp marks a completion, not the campaign start, so
     // only the stamps after it represent measured throughput.
-    let estimate = telemetry::throughput_eta(stamps.len().saturating_sub(1), pending.len(), span_s);
+    let estimate = throughput_eta(stamps.len().saturating_sub(1), pending.len(), span_s);
     Ok(CampaignStatus {
         total: cells.len(),
         completed: cells.len() - pending.len(),
@@ -507,4 +423,33 @@ pub fn campaign_status(spec: &CampaignSpec, out_dir: &Path) -> io::Result<Campai
         cells_per_s: estimate.map(|(rate, _)| rate),
         eta_s: estimate.map(|(_, eta)| eta),
     })
+}
+
+/// Completion-rate estimate: given `completed` units finished over
+/// `elapsed_s` seconds and `remaining` still to go, returns
+/// `(units_per_s, eta_s)`. `None` until at least one unit has completed
+/// over a positive span — no estimate beats a wild one.
+#[must_use]
+pub fn throughput_eta(completed: usize, remaining: usize, elapsed_s: f64) -> Option<(f64, f64)> {
+    if completed == 0 || elapsed_s.is_nan() || elapsed_s <= 0.0 {
+        return None;
+    }
+    let rate = completed as f64 / elapsed_s;
+    Some((rate, remaining as f64 / rate))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn throughput_eta_needs_signal_before_estimating() {
+        assert_eq!(throughput_eta(0, 10, 5.0), None);
+        assert_eq!(throughput_eta(5, 10, 0.0), None);
+        let (rate, eta) = throughput_eta(5, 10, 2.5).expect("estimate");
+        assert!((rate - 2.0).abs() < 1e-12);
+        assert!((eta - 5.0).abs() < 1e-12);
+        // Nothing remaining: the ETA is simply zero.
+        assert_eq!(throughput_eta(4, 0, 2.0), Some((2.0, 0.0)));
+    }
 }

@@ -34,9 +34,9 @@ const USAGE: &str = "omnc-campaign — parallel, resumable experiment campaigns
 
 USAGE:
     omnc-campaign run    --spec <file> --out <dir> [--jobs N] [--count-allocs]
-                         [--serve ADDR] [--log-level quiet|info|debug]
+                         [--log-level quiet|info|debug]
     omnc-campaign resume --spec <file> --out <dir> [--jobs N] [--count-allocs]
-                         [--serve ADDR] [--log-level quiet|info|debug]
+                         [--log-level quiet|info|debug]
     omnc-campaign status --spec <file> --out <dir>
     omnc-campaign bench  --spec <file> --out <dir> [--jobs N]
                          [--count-allocs]
@@ -44,13 +44,11 @@ USAGE:
 Campaign specs are JSON matrices of scenario variants x protocols x
 session indices; see EXPERIMENTS.md for the schema. `resume` re-runs
 only cells the checkpoint journal does not already cover; merged
-artifacts are byte-identical for any --jobs and across resumes.
-`--serve ADDR` (e.g. 127.0.0.1:9100) starts a read-only observer
-thread serving /metrics (Prometheus text) and /progress (JSON with
-done/total and ETA) for the life of the run; serving never changes any
-artifact byte. Each cell runs under
-a flight recorder: a panicking cell dumps its last breadcrumbs to
-<out>/flight-<cell>.jsonl before the retry machinery takes over.
+artifacts are byte-identical for any --jobs and across resumes; `status`
+estimates the remaining time from the journal's timestamps. Each cell
+runs under a flight recorder: a panicking cell dumps its last
+breadcrumbs to <out>/flight-<cell>.jsonl before the retry machinery
+takes over.
 `--count-allocs` enables allocation counting, adding alloc columns to
 the merged span profiles; per-cell RSS samples and campaign peak RSS
 always land in a separate memory.json (host-dependent, so never part
@@ -74,7 +72,6 @@ struct CliArgs {
     out: PathBuf,
     jobs: usize,
     log: Logger,
-    serve: Option<String>,
 }
 
 fn parse_args(args: &[String]) -> Result<CliArgs, String> {
@@ -82,7 +79,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     let mut out: Option<PathBuf> = None;
     let mut jobs = 1usize;
     let mut level = LogLevel::default();
-    let mut serve: Option<String> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -106,7 +102,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                 level = LogLevel::parse(&v)
                     .ok_or_else(|| format!("unknown --log-level {v:?} (quiet|info|debug)"))?;
             }
-            "--serve" => serve = Some(value("--serve")?),
             "--count-allocs" => set_alloc_counting(true),
             other => return Err(format!("unknown flag {other:?}")),
         }
@@ -121,7 +116,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         out: out.ok_or("--out is required")?,
         jobs,
         log: Logger::new(level),
-        serve,
     })
 }
 
@@ -167,7 +161,6 @@ fn run_once(
         jobs,
         resume,
         log: cli.log,
-        serve: cli.serve.clone(),
     };
     run_campaign(&cli.spec, out, &options)
         .map_err(|e| format!("campaign {} failed: {e}", cli.spec.name))
@@ -213,7 +206,6 @@ fn bench(cli: &CliArgs) -> Result<i32, String> {
         "outcomes.jsonl",
         "trace.jsonl",
         "telemetry.json",
-        "timeline.json",
         "report.json",
     ] {
         let a = std::fs::read(serial_dir.join(artifact))

@@ -16,10 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use omnc::multi::MultiSessionOutcome;
 use omnc::runner::SessionOutcome;
-use telemetry::{
-    merge_metric_snapshots, merge_profiles, merge_timelines, MetricSnapshot, ProfileReport,
-    TimelineReport,
-};
+use telemetry::{merge_metric_snapshots, merge_profiles, MetricSnapshot, ProfileReport};
 
 use crate::spec::Cell;
 
@@ -44,9 +41,6 @@ pub struct CellResult {
     pub metrics: Vec<MetricSnapshot>,
     /// The cell's span profile (fresh virtual-clock profiler per cell).
     pub profile: ProfileReport,
-    /// The cell's windowed dynamics series (fresh recorder per cell,
-    /// series names prefixed with the cell key).
-    pub timeline: TimelineReport,
 }
 
 /// One line of the merged `outcomes.jsonl`.
@@ -128,8 +122,6 @@ pub fn read_cell(out_dir: &Path, key: &str) -> io::Result<CellResult> {
 /// * `trace.jsonl` — the concatenated causal traces, `omnc-report
 ///   analyze`-ready;
 /// * `telemetry.json` — merged metrics + span profile;
-/// * `timeline.json` — all cells' windowed dynamics series merged
-///   (disjoint by cell-key prefix), `omnc-report timeline`-ready;
 /// * `report.json` — the `omnc-report` analysis of the merged trace,
 ///   the artifact CI gates with `omnc-report compare`.
 ///
@@ -142,7 +134,6 @@ pub fn merge_campaign(out_dir: &Path, cells: &[Cell]) -> io::Result<()> {
     let mut trace = String::new();
     let mut metrics: Vec<Vec<MetricSnapshot>> = Vec::with_capacity(cells.len());
     let mut profiles: Vec<ProfileReport> = Vec::with_capacity(cells.len());
-    let mut timelines: Vec<TimelineReport> = Vec::with_capacity(cells.len());
     for cell in cells {
         let result = read_cell(out_dir, &cell.key)?;
         let record = CellRecord {
@@ -158,15 +149,12 @@ pub fn merge_campaign(out_dir: &Path, cells: &[Cell]) -> io::Result<()> {
         trace.push_str(&result.trace);
         metrics.push(result.metrics);
         profiles.push(result.profile);
-        timelines.push(result.timeline);
     }
     let telemetry = CampaignTelemetry {
         metrics: merge_metric_snapshots(&metrics),
         profile: merge_profiles(&profiles),
     };
     let telemetry_json = serde_json::to_string(&telemetry)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let timeline_json = serde_json::to_string(&merge_timelines(&timelines))
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     let report = omnc_report::analyze_trace_text(&trace)?;
     let report_json = serde_json::to_string(&report)
@@ -175,6 +163,5 @@ pub fn merge_campaign(out_dir: &Path, cells: &[Cell]) -> io::Result<()> {
     write_atomic(&out_dir.join("outcomes.jsonl"), outcomes.as_bytes())?;
     write_atomic(&out_dir.join("trace.jsonl"), trace.as_bytes())?;
     write_atomic(&out_dir.join("telemetry.json"), telemetry_json.as_bytes())?;
-    write_atomic(&out_dir.join("timeline.json"), timeline_json.as_bytes())?;
     write_atomic(&out_dir.join("report.json"), report_json.as_bytes())
 }

@@ -4,19 +4,16 @@
 //! retried and isolated without poisoning the rest of the matrix.
 
 use std::fs;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 
 use omnc_campaign::spec::CampaignSpec;
-use omnc_campaign::{run_campaign, CampaignOptions, LivePlane};
+use omnc_campaign::{run_campaign, CampaignOptions};
 use telemetry::{LogLevel, Logger};
 
-const ARTIFACTS: [&str; 5] = [
+const ARTIFACTS: [&str; 4] = [
     "outcomes.jsonl",
     "trace.jsonl",
     "telemetry.json",
-    "timeline.json",
     "report.json",
 ];
 
@@ -31,7 +28,6 @@ fn options(jobs: usize, resume: bool) -> CampaignOptions {
         jobs,
         resume,
         log: Logger::new(LogLevel::Quiet),
-        serve: None,
     }
 }
 
@@ -75,27 +71,12 @@ fn merged_artifacts_are_byte_identical_across_job_counts() {
     }
     assert_eq!(outcomes.lines().count(), keys.len());
 
-    // Per-cell result files (which carry each cell's timeline) byte-match
-    // too, and every cell actually recorded dynamics series scoped by its
-    // own key.
+    // Per-cell result files byte-match too.
     for key in &keys {
         let name = key.replace('/', "__") + ".json";
         let left = fs::read(serial_dir.join("cells").join(&name)).expect("serial cell file");
         let right = fs::read(parallel_dir.join("cells").join(&name)).expect("parallel cell file");
         assert_eq!(left, right, "cell {key} differs between --jobs 1 and 4");
-        let text = String::from_utf8(left).expect("utf-8");
-        assert!(
-            text.contains(&format!("\"{key}/")),
-            "cell {key} should record series scoped by its own key"
-        );
-    }
-    // The merged timeline is the disjoint union of the cells' series.
-    let merged = String::from_utf8(a[3].clone()).expect("utf-8");
-    for key in &keys {
-        assert!(
-            merged.contains(&format!("\"{key}/")),
-            "merged timeline.json should keep cell {key}'s series"
-        );
     }
 
     let _ = fs::remove_dir_all(serial_dir);
@@ -143,57 +124,6 @@ fn multi_session_campaign_is_deterministic_across_job_counts() {
 
     let _ = fs::remove_dir_all(serial_dir);
     let _ = fs::remove_dir_all(parallel_dir);
-}
-
-#[test]
-fn serving_the_observer_never_changes_an_artifact_byte() {
-    // The live plane is strictly read-only: running the same seeded
-    // campaign with and without `--serve` must merge byte-identical
-    // artifacts. Port 0 lets the OS pick a free port.
-    let spec = smoke_spec();
-    let plain_dir = temp_out("noserve");
-    let served_dir = temp_out("served");
-
-    let plain = run_campaign(&spec, &plain_dir, &options(2, false)).expect("plain run");
-    let mut serving = options(2, false);
-    serving.serve = Some("127.0.0.1:0".to_owned());
-    let served = run_campaign(&spec, &served_dir, &serving).expect("served run");
-    assert!(plain.merged && served.merged);
-    assert!(plain.failures.is_empty() && served.failures.is_empty());
-
-    let a = read_artifacts(&plain_dir);
-    let b = read_artifacts(&served_dir);
-    for ((name, left), right) in ARTIFACTS.iter().zip(&a).zip(&b) {
-        assert_eq!(left, right, "{name} differs with the observer serving");
-    }
-
-    let _ = fs::remove_dir_all(plain_dir);
-    let _ = fs::remove_dir_all(served_dir);
-}
-
-#[test]
-fn live_plane_serves_campaign_totals_over_http() {
-    // The scrape half of the observer smoke, in process: no campaign to
-    // race, the plane stays up for as long as the test holds it.
-    let live = LivePlane::start(Some("127.0.0.1:0"), "smoke", 8, 5).expect("bind a free port");
-    let addr = live.addr().expect("serving");
-    live.board.cell_finished(true);
-    live.completed.inc();
-    let get = |path: &str| {
-        let mut stream = TcpStream::connect(addr).expect("connect to the observer");
-        write!(stream, "GET {path} HTTP/1.0\r\n\r\n").expect("send request");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read response");
-        assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
-        response
-    };
-    let progress = get("/progress");
-    assert!(progress.contains("\"total\":5"), "{progress}");
-    assert!(progress.contains("\"completed\":1"), "{progress}");
-    let metrics = get("/metrics");
-    assert!(metrics.contains("campaign_cells_total 8"), "{metrics}");
-    assert!(metrics.contains("campaign_cells_skipped 3"), "{metrics}");
-    assert!(metrics.contains("campaign_cells_completed 1"), "{metrics}");
 }
 
 #[test]

@@ -86,8 +86,8 @@ fn concurrency_fires_everywhere_but_the_sanctioned_modules() {
     }
     assert_eq!(lints_in("fn socket("), ["clippy::disallowed_types"]);
     assert!(lints_in("fn worker_pool(").is_empty());
-    // Only the campaign executor and the telemetry observer, each under an
-    // `#[expect]`, use threads, channels or sockets.
+    // Only the campaign executor, under an `#[expect]`, uses threads or
+    // channels; nothing serves a socket.
     let users: BTreeSet<String> = [
         "thread::spawn",
         "thread::scope",
@@ -98,13 +98,7 @@ fn concurrency_fires_everywhere_but_the_sanctioned_modules() {
     .into_iter()
     .flat_map(files_with)
     .collect();
-    assert_eq!(
-        users,
-        paths(&[
-            "crates/omnc-campaign/src/executor.rs",
-            "crates/omnc-telemetry/src/export.rs",
-        ])
-    );
+    assert_eq!(users, paths(&["crates/omnc-campaign/src/executor.rs"]));
 }
 
 #[test]

@@ -111,35 +111,6 @@ pub struct Trace {
     pub records: Vec<IterationRecord>,
 }
 
-impl Trace {
-    /// Folds this trace's convergence dynamics into windowed timeline
-    /// series, with the iteration index as the epoch axis:
-    /// `<prefix>/opt/dual_value` (the relaxed Lagrangian, whose settling
-    /// marks dual convergence) and `<prefix>/opt/max_violation` (worst
-    /// primal infeasibility, whose decay is the rate-control settling
-    /// signal `omnc-report timeline` summarizes). A disabled recorder
-    /// costs one branch.
-    pub fn record_timeline(&self, timeline: &telemetry::TimeSeries, prefix: &str) {
-        if !timeline.is_enabled() || self.records.is_empty() {
-            return;
-        }
-        let name = |tail: &str| {
-            if prefix.is_empty() {
-                tail.to_owned()
-            } else {
-                format!("{prefix}/{tail}")
-            }
-        };
-        let dual = timeline.series(&name("opt/dual_value"));
-        let violation = timeline.series(&name("opt/max_violation"));
-        for record in &self.records {
-            let epoch = record.iter as f64;
-            dual.record(epoch, record.dual_value);
-            violation.record(epoch, record.max_violation);
-        }
-    }
-}
-
 /// One iteration's subgradient telemetry, in a flat serializable form.
 ///
 /// `dual_value` evaluates the relaxed Lagrangian at the iterate,
@@ -235,41 +206,11 @@ impl RateAllocation {
 ///
 /// Panics if `portfolio` is empty or contains invalid parameters.
 pub fn run_best(problem: &SUnicast, portfolio: &[RateControlParams]) -> RateAllocation {
-    best_of(problem, portfolio, false).0
-}
-
-/// [`run_best`] with per-iteration tracing enabled on every candidate,
-/// returning the winning allocation together with *its* trace (the one
-/// whose dynamics produced the deployed rates). Tracing only records —
-/// the iterate arithmetic is untouched — so the winner and its
-/// allocation are bit-identical to [`run_best`] on the same inputs;
-/// timeline-enabled runs therefore deploy exactly the rates plain runs
-/// do.
-///
-/// # Panics
-///
-/// Panics if `portfolio` is empty or contains invalid parameters.
-pub fn run_best_traced(
-    problem: &SUnicast,
-    portfolio: &[RateControlParams],
-) -> (RateAllocation, Trace) {
-    best_of(problem, portfolio, true)
-}
-
-fn best_of(
-    problem: &SUnicast,
-    portfolio: &[RateControlParams],
-    record_trace: bool,
-) -> (RateAllocation, Trace) {
     assert!(!portfolio.is_empty(), "portfolio must not be empty");
     portfolio
         .iter()
-        .map(|params| {
-            let mut control = RateControl::with_params(problem, *params);
-            control.record_trace = record_trace;
-            control.run_traced()
-        })
-        .max_by(|(a, _), (b, _)| {
+        .map(|params| RateControl::with_params(problem, *params).run())
+        .max_by(|a, b| {
             a.throughput()
                 .partial_cmp(&b.throughput())
                 .expect("throughputs are finite")
@@ -1401,34 +1342,6 @@ mod tests {
         // Serde round-trip through the value model.
         let round = IterationRecord::deserialize(&Serialize::serialize(last)).expect("round-trips");
         assert_eq!(&round, last);
-    }
-
-    #[test]
-    fn run_best_traced_matches_run_best_and_records_timeline() {
-        let (t, sel) = diamond();
-        let p = SUnicast::from_selection(&t, &sel, 1e5);
-        let portfolio = default_portfolio();
-        let plain = run_best(&p, &portfolio);
-        let (traced, trace) = run_best_traced(&p, &portfolio);
-        assert_eq!(plain.throughput(), traced.throughput());
-        assert_eq!(plain.iterations(), traced.iterations());
-        assert_eq!(plain.link_rates(), traced.link_rates());
-        assert_eq!(trace.records.len(), traced.iterations());
-
-        let timeline = telemetry::TimeSeries::enabled(8.0, 16);
-        trace.record_timeline(&timeline, "s0");
-        let report = timeline.snapshot();
-        let dual = report.series("s0/opt/dual_value").expect("dual series");
-        let violation = report
-            .series("s0/opt/max_violation")
-            .expect("violation series");
-        assert_eq!(dual.total_count(), trace.records.len() as u64);
-        assert_eq!(violation.total_count(), trace.records.len() as u64);
-        // A disabled recorder is a no-op (and empty prefixes drop the slash).
-        trace.record_timeline(&telemetry::TimeSeries::disabled(), "s0");
-        let bare = telemetry::TimeSeries::enabled(8.0, 16);
-        trace.record_timeline(&bare, "");
-        assert!(bare.snapshot().series("opt/dual_value").is_some());
     }
 
     #[test]

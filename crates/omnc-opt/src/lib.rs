@@ -72,8 +72,8 @@ pub mod municast;
 mod step;
 
 pub use algorithm::{
-    default_portfolio, run_best, run_best_traced, IterationRecord, RateAllocation, RateControl,
-    RateControlParams, Recovery, Trace,
+    default_portfolio, run_best, IterationRecord, RateAllocation, RateControl, RateControlParams,
+    Recovery, Trace,
 };
 pub use error::OptError;
 pub use instance::{LinkId, SUnicast};

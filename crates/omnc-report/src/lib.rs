@@ -33,10 +33,7 @@ use omnc::trace::{Absorbed, TraceRecord};
 use omnc_opt::IterationRecord;
 use serde::{Deserialize, Serialize};
 
-pub use omnc::telemetry::{
-    FlightEvent, FlightHeader, ProfileReport, ProfileSpan, ProgressSnapshot, TimelineBucket,
-    TimelineReport, TimelineSeries,
-};
+pub use omnc::telemetry::{FlightEvent, FlightHeader, ProfileReport, ProfileSpan};
 
 /// Per-link delivery accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -772,245 +769,6 @@ pub fn gate_report<'a>(
     }
 }
 
-// ---------------------------------------------------------------- timeline
-
-/// Sparkline glyphs, lowest to highest; index 0 is the gap glyph for
-/// windows with no samples.
-const SPARK: &[u8] = b" .:-=+*#%@";
-
-/// Renders `cells` (None = no samples) as one sparkline row, scaling the
-/// populated cells between the row's own min and max.
-fn spark_row(cells: &[Option<f64>]) -> String {
-    let (lo, hi) = cells
-        .iter()
-        .flatten()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-            (lo.min(v), hi.max(v))
-        });
-    cells
-        .iter()
-        .map(|cell| match cell {
-            None => ' ',
-            Some(v) => {
-                let levels = SPARK.len() - 1; // glyphs available to data
-                let idx = if hi > lo {
-                    1 + (((v - lo) / (hi - lo)) * (levels - 1) as f64).round() as usize
-                } else {
-                    1 + levels / 2
-                };
-                SPARK[idx.min(SPARK.len() - 1)] as char
-            }
-        })
-        .collect()
-}
-
-/// Folds a series' (sparse, windowed) buckets into at most `cols` chart
-/// cells, keeping each cell's largest bucket mean so peaks survive.
-fn chart_cells(series: &TimelineSeries, cols: usize) -> Vec<Option<f64>> {
-    let (Some(first), Some(last)) = (series.buckets.first(), series.buckets.last()) else {
-        return Vec::new();
-    };
-    let span = last.index - first.index + 1;
-    let cols = (span as usize).min(cols);
-    let mut cells: Vec<Option<f64>> = vec![None; cols];
-    for b in &series.buckets {
-        let col = ((b.index - first.index) * cols as u64 / span) as usize;
-        let mean = b.sum / b.count as f64;
-        let cell = &mut cells[col.min(cols - 1)];
-        *cell = Some(cell.map_or(mean, |prev: f64| prev.max(mean)));
-    }
-    cells
-}
-
-/// Does `name` pass the (substring) series filter?
-fn series_selected(name: &str, filter: Option<&str>) -> bool {
-    filter.is_none_or(|f| name.contains(f))
-}
-
-/// Renders a timeline report as one step chart per series: a header with
-/// the series' window, sample count and value range, then a sparkline
-/// over the bucket means (spaces are windows with no samples). Series
-/// that never recorded a sample are counted but not charted; `filter`
-/// keeps only series whose name contains it.
-pub fn render_timeline(report: &TimelineReport, filter: Option<&str>) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "timeline: base window {}s, {} buckets/series cap",
-        report.base_window, report.capacity
-    );
-    let mut hidden = 0usize;
-    for series in &report.series {
-        if !series_selected(&series.name, filter) {
-            continue;
-        }
-        if series.buckets.is_empty() {
-            hidden += 1;
-            continue;
-        }
-        let (lo, hi) = series
-            .buckets
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), b| {
-                (lo.min(b.min), hi.max(b.max))
-            });
-        let first = series.buckets.first().expect("non-empty");
-        let last = series.buckets.last().expect("non-empty");
-        let _ = writeln!(
-            out,
-            "\n{}  window {}s  {} samples  min {lo:.3} max {hi:.3}",
-            series.name,
-            series.window,
-            series.total_count()
-        );
-        let _ = writeln!(
-            out,
-            "{:>10.2} |{}| {:.2}",
-            first.index as f64 * series.window,
-            spark_row(&chart_cells(series, 64)),
-            (last.index + 1) as f64 * series.window
-        );
-    }
-    if hidden > 0 {
-        let _ = writeln!(out, "\n({hidden} series with no samples not shown)");
-    }
-    out
-}
-
-/// Exports a timeline report as CSV
-/// (`series,window,bucket_start,count,min,max,sum,mean`), one row per
-/// bucket, in series order.
-pub fn timeline_csv(report: &TimelineReport, filter: Option<&str>) -> String {
-    let mut out = String::from("series,window,bucket_start,count,min,max,sum,mean\n");
-    for series in &report.series {
-        if !series_selected(&series.name, filter) {
-            continue;
-        }
-        for b in &series.buckets {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{}",
-                series.name,
-                series.window,
-                b.index as f64 * series.window,
-                b.count,
-                b.min,
-                b.max,
-                b.sum,
-                b.sum / b.count as f64
-            );
-        }
-    }
-    out
-}
-
-/// One notable epoch distilled from a timeline series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SeriesMoment {
-    /// The series the moment was found in.
-    pub series: String,
-    /// Epoch on the series' own axis (seconds or iterations).
-    pub epoch: f64,
-    /// The value that made the epoch notable.
-    pub value: f64,
-}
-
-/// Convergence facts distilled from a timeline report's dynamics series.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TimelineSummary {
-    /// Per rank series (`…/rank/g<N>`): the earliest window end at which
-    /// the decoder held 90% of its final rank.
-    pub rank_90pct: Vec<SeriesMoment>,
-    /// Per queue series (`…/queue/n<id>`): the window start of the
-    /// deepest observed queue.
-    pub queue_peak: Vec<SeriesMoment>,
-    /// Per `…/opt/max_violation` series: the window end after which the
-    /// violation never again exceeds 10% of its peak — the rate-control
-    /// settling point, in iterations.
-    pub settling: Vec<SeriesMoment>,
-}
-
-/// Distills [`TimelineSummary`] convergence facts from the dynamics
-/// series an instrumented run records (rank progress, queue depth,
-/// optimizer violation). Series of other shapes are ignored.
-#[must_use]
-pub fn summarize_timeline(report: &TimelineReport) -> TimelineSummary {
-    let mut summary = TimelineSummary::default();
-    for series in &report.series {
-        if series.buckets.is_empty() {
-            continue;
-        }
-        let name = series.name.as_str();
-        let is_rank = name.contains("/rank/") || name.starts_with("rank/");
-        let is_queue = name.contains("/queue/") || name.starts_with("queue/");
-        let peak = series
-            .buckets
-            .iter()
-            .fold(f64::NEG_INFINITY, |m, b| m.max(b.max));
-        if is_rank {
-            let target = peak * 0.9;
-            if let Some(b) = series.buckets.iter().find(|b| b.max >= target) {
-                summary.rank_90pct.push(SeriesMoment {
-                    series: series.name.clone(),
-                    epoch: (b.index + 1) as f64 * series.window,
-                    value: b.max,
-                });
-            }
-        } else if is_queue {
-            let b = series
-                .buckets
-                .iter()
-                .find(|b| b.max >= peak)
-                .expect("non-empty series has a peak bucket");
-            summary.queue_peak.push(SeriesMoment {
-                series: series.name.clone(),
-                epoch: b.index as f64 * series.window,
-                value: b.max,
-            });
-        } else if name.ends_with("opt/max_violation") {
-            let threshold = peak * 0.1;
-            let settled_after = series
-                .buckets
-                .iter()
-                .rfind(|b| b.max > threshold)
-                .map_or(0.0, |b| (b.index + 1) as f64 * series.window);
-            summary.settling.push(SeriesMoment {
-                series: series.name.clone(),
-                epoch: settled_after,
-                value: threshold,
-            });
-        }
-    }
-    summary
-}
-
-/// Renders a [`TimelineSummary`] as short human-readable lines.
-pub fn render_timeline_summary(summary: &TimelineSummary) -> String {
-    let mut out = String::new();
-    for m in &summary.rank_90pct {
-        let _ = writeln!(
-            out,
-            "rank 90%: {} reached rank {:.0} by {:.2}s",
-            m.series, m.value, m.epoch
-        );
-    }
-    for m in &summary.queue_peak {
-        let _ = writeln!(
-            out,
-            "queue peak: {} hit {:.0} at {:.2}s",
-            m.series, m.value, m.epoch
-        );
-    }
-    for m in &summary.settling {
-        let _ = writeln!(
-            out,
-            "settling: {} within 10% of peak after iteration {:.0}",
-            m.series, m.epoch
-        );
-    }
-    out
-}
-
 // ----------------------------------------------------------------- profile
 
 /// Which [`ProfileSpan`] field `profile compare` gates on.
@@ -1169,41 +927,7 @@ pub fn render_profile(report: &ProfileReport, top: usize) -> String {
     out
 }
 
-// ------------------------------------------------------------ live & flight
-
-/// Renders a live [`ProgressSnapshot`] (from an observer's `/progress`
-/// endpoint) as a one-line progress bar.
-#[must_use]
-pub fn render_progress(p: &ProgressSnapshot) -> String {
-    let mut out = String::new();
-    let done = p.completed + p.failed;
-    let frac = if p.total > 0 {
-        done as f64 / p.total as f64
-    } else {
-        1.0
-    };
-    let cols = 40usize;
-    let filled = (frac * cols as f64).round() as usize;
-    let bar: String = (0..cols)
-        .map(|i| if i < filled { '#' } else { '.' })
-        .collect();
-    let _ = write!(
-        out,
-        "{} [{bar}] {done}/{} cells ({:.0}%), {} failed, {:.1}s elapsed",
-        p.name,
-        p.total,
-        frac * 100.0,
-        p.failed,
-        p.elapsed_s
-    );
-    match (p.cells_per_s, p.eta_s) {
-        (Some(rate), Some(eta)) => {
-            let _ = writeln!(out, ", {rate:.2} cells/s, eta {eta:.0}s");
-        }
-        _ => out.push('\n'),
-    }
-    out
-}
+// ------------------------------------------------------------------ flight
 
 /// Parses a flight-recorder dump (from [`omnc::telemetry::FlightRecorder`]):
 /// a [`FlightHeader`] line followed by one [`FlightEvent`] per line.
@@ -1723,101 +1447,6 @@ mod tests {
         let grown = nested_profile(20);
         let (base, cur) = (total.values(&base), total.values(&grown));
         assert!(gate_report(GateKind::Profile(total), base, cur, 0.15, false).regressed > 0);
-    }
-
-    fn dynamics_timeline() -> TimelineReport {
-        let recorder = omnc::telemetry::TimeSeries::enabled(0.25, 64);
-        // Rank climbs 1..=10 over 5s; 90% of 10 is first reached at t=4.5.
-        for i in 1..=10u64 {
-            recorder.record("omnc/s0/rank/g0", i as f64 * 0.5, i as f64);
-        }
-        // Queue ramps to a peak of 9 at t=3, then drains.
-        for (t, depth) in [(1.0, 3.0), (2.0, 6.0), (3.0, 9.0), (4.0, 4.0), (5.0, 1.0)] {
-            recorder.record("omnc/s0/queue/n1", t, depth);
-        }
-        // Optimizer violation decays below 10% of its peak after iter 2.
-        for (iter, v) in [(0.0, 1.0), (1.0, 0.4), (2.0, 0.2), (3.0, 0.05), (4.0, 0.01)] {
-            recorder.record("omnc/s0/opt/max_violation", iter, v);
-        }
-        // A registered-but-never-sampled series stays out of the charts.
-        let _ = recorder.series("omnc/s0/link/0-1/lost");
-        recorder.snapshot()
-    }
-
-    #[test]
-    fn timeline_summary_finds_convergence_moments() {
-        let summary = summarize_timeline(&dynamics_timeline());
-        assert_eq!(summary.rank_90pct.len(), 1);
-        let rank = &summary.rank_90pct[0];
-        assert_eq!(rank.series, "omnc/s0/rank/g0");
-        assert!(rank.value >= 9.0, "{rank:?}");
-        assert!((4.0..=5.0).contains(&rank.epoch), "{rank:?}");
-
-        assert_eq!(summary.queue_peak.len(), 1);
-        let queue = &summary.queue_peak[0];
-        assert_eq!(queue.value, 9.0);
-        assert!((2.75..=3.0).contains(&queue.epoch), "{queue:?}");
-
-        assert_eq!(summary.settling.len(), 1);
-        let settle = &summary.settling[0];
-        // Violation last exceeds 0.1 at iteration 2 (bucket [2, 2.25)).
-        assert!((2.0..=2.5).contains(&settle.epoch), "{settle:?}");
-
-        let text = render_timeline_summary(&summary);
-        assert!(text.contains("rank 90%"), "{text}");
-        assert!(text.contains("queue peak"), "{text}");
-        assert!(text.contains("settling"), "{text}");
-    }
-
-    #[test]
-    fn timeline_render_charts_sampled_series_and_filters() {
-        let report = dynamics_timeline();
-        let text = render_timeline(&report, None);
-        assert!(text.contains("omnc/s0/rank/g0"), "{text}");
-        assert!(text.contains("omnc/s0/queue/n1"), "{text}");
-        assert!(text.contains("1 series with no samples"), "{text}");
-        // The rank chart rises: its sparkline ends on the densest glyph.
-        let rank_row = text
-            .lines()
-            .skip_while(|l| !l.starts_with("omnc/s0/rank/g0"))
-            .nth(1)
-            .expect("rank chart row");
-        let inner = rank_row.split('|').nth(1).expect("chart between pipes");
-        assert!(inner.trim_end().ends_with('@'), "{rank_row}");
-
-        // Filtering keeps only matching series.
-        let only_queue = render_timeline(&report, Some("/queue/"));
-        assert!(only_queue.contains("queue/n1"), "{only_queue}");
-        assert!(!only_queue.contains("rank/g0"), "{only_queue}");
-
-        // CSV has one row per bucket with the documented header.
-        let csv = timeline_csv(&report, Some("rank"));
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next(),
-            Some("series,window,bucket_start,count,min,max,sum,mean")
-        );
-        assert_eq!(
-            lines.count(),
-            report.series("omnc/s0/rank/g0").unwrap().buckets.len()
-        );
-    }
-
-    #[test]
-    fn progress_renders_bar_and_eta() {
-        let snap = ProgressSnapshot {
-            name: "smoke".into(),
-            total: 8,
-            completed: 3,
-            failed: 1,
-            elapsed_s: 10.0,
-            cells_per_s: Some(0.4),
-            eta_s: Some(10.0),
-        };
-        let text = render_progress(&snap);
-        assert!(text.contains("smoke ["), "{text}");
-        assert!(text.contains("4/8 cells (50%)"), "{text}");
-        assert!(text.contains("0.40 cells/s, eta 10s"), "{text}");
     }
 
     #[test]

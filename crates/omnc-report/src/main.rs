@@ -2,18 +2,18 @@
 //! performance regressions.
 //!
 //! ```sh
-//! omnc-sim --sessions 2 --trace run.jsonl --profile run.profile.json --timeline run.timeline.json
+//! omnc-sim --sessions 2 --trace run.jsonl --profile run.profile.json
 //! omnc-report analyze --trace run.jsonl --json report.json --csv forwarders.csv
 //! omnc-report compare --baseline BENCH_baseline.json --current report.json
 //! omnc-report profile run.profile.json --top 10
 //! omnc-report profile compare --baseline PROFILE_baseline.json --current run.profile.json
-//! omnc-report timeline run.timeline.json --filter queue
+//! omnc-report flight flight-cell.jsonl
 //! ```
 //!
-//! `analyze` prints ASCII tables to stdout; `timeline` charts the
-//! windowed dynamics series a run records; `compare` and `profile
-//! compare` exit nonzero when any metric (span) regressed beyond the
-//! threshold, both emitting the same `--json` gate schema.
+//! `analyze` prints ASCII tables to stdout; `flight` renders the black
+//! box a panicked run left behind; `compare` and `profile compare` exit
+//! nonzero when any metric (span) regressed beyond the threshold, both
+//! emitting the same `--json` gate schema.
 
 #![forbid(unsafe_code)]
 
@@ -22,9 +22,8 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 
 use omnc_report::{
     analyze, gate_report, metric_values, parse_flight, parse_opt, parse_trace, render_ascii,
-    render_csv, render_flight, render_profile, render_progress, render_timeline,
-    render_timeline_summary, summarize_timeline, timeline_csv, GateKind, GateReport, ProfileMetric,
-    ProfileReport, ProgressSnapshot, Report, TimelineReport,
+    render_csv, render_flight, render_profile, GateKind, GateReport, ProfileMetric, ProfileReport,
+    Report,
 };
 
 #[expect(clippy::disallowed_methods, reason = "the binary's argv")]
@@ -34,8 +33,6 @@ fn main() {
         Some("analyze") => run_analyze(&argv[1..]),
         Some("compare") => run_compare(&argv[1..]),
         Some("profile") => run_profile(&argv[1..]),
-        Some("timeline") => run_timeline(&argv[1..]),
-        Some("live") => run_live(&argv[1..]),
         Some("flight") => run_flight(&argv[1..]),
         Some("--help" | "-h") | None => {
             print_help();
@@ -64,9 +61,6 @@ USAGE:
     omnc-report profile compare --baseline <PATH> --current <PATH>
                                 [--threshold <T>] [--metric <M>] [--strict]
                                 [--json <OUT>]
-    omnc-report timeline <PATH> [--filter <S>] [--csv <OUT>] [--json <OUT>]
-                                [--quiet]
-    omnc-report live <ADDR> [--watch] [--interval <SECS>]
     omnc-report flight <PATH>
 
 ANALYZE:
@@ -104,23 +98,6 @@ PROFILE COMPARE:
     --json <OUT>        write a machine-readable gate report (per-span
                         verdicts) to <OUT> ('-' = stdout)
 
-TIMELINE:
-    <PATH>              timeline JSON from `omnc-sim --timeline` or a
-                        campaign's merged timeline.json ('-' = stdin)
-    --filter <S>        only series whose name contains <S>
-    --csv <OUT>         export buckets as CSV
-                        (series,window,bucket_start,count,min,max,sum,mean)
-    --json <OUT>        write the convergence summary (time-to-90%-rank,
-                        queue peaks, rate-control settling) as JSON
-    --quiet             suppress the sparkline charts
-
-LIVE:
-    <ADDR>              observer address printed by a `--serve` run
-                        (e.g. 127.0.0.1:9100)
-    --watch             poll /progress until the run completes (or the
-                        observer goes away) instead of one-shot
-    --interval <SECS>   polling interval under --watch     [default: 2]
-
 FLIGHT:
     <PATH>              flight-recorder dump (flight-<cell>.jsonl from a
                         panicked campaign cell, or the --flight-recorder
@@ -128,86 +105,6 @@ FLIGHT:
 
 compare / profile compare exit 0 when nothing regressed, 1 otherwise."
     );
-}
-
-/// Minimal HTTP/1.0 GET against the observer; returns the response body.
-fn http_get(addr: &str, path: &str) -> Result<String, String> {
-    use std::net::TcpStream;
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("cannot connect to '{addr}': {e}"))?;
-    stream
-        .write_all(format!("GET {path} HTTP/1.0\r\nHost: {addr}\r\n\r\n").as_bytes())
-        .map_err(|e| format!("sending request to '{addr}': {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("reading response from '{addr}': {e}"))?;
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body)
-        .unwrap_or(&response);
-    Ok(body.to_owned())
-}
-
-fn fetch_progress(addr: &str) -> Result<Option<ProgressSnapshot>, String> {
-    let body = http_get(addr, "/progress")?;
-    if body.trim() == "{}" {
-        return Ok(None); // observer up, progress board disabled
-    }
-    serde_json::from_str(&body)
-        .map(Some)
-        .map_err(|e| format!("parsing /progress: {e}"))
-}
-
-fn run_live(args: &[String]) -> Result<i32, String> {
-    let mut addr: Option<String> = None;
-    let mut watch = false;
-    let mut interval_s = 2.0f64;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--watch" => watch = true,
-            "--interval" => {
-                let v = next_value(&mut it, "--interval")?;
-                interval_s = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|s| *s > 0.0)
-                    .ok_or_else(|| format!("could not parse --interval '{v}'"))?;
-            }
-            other if !other.starts_with("--") && addr.is_none() => addr = Some(other.to_string()),
-            other => return Err(format!("unknown flag '{other}' (try --help)")),
-        }
-    }
-    let addr = addr.ok_or("live requires the observer address (e.g. 127.0.0.1:9100)")?;
-    let mut polled_once = false;
-    loop {
-        let progress = match fetch_progress(&addr) {
-            Ok(p) => p,
-            // A vanished observer after a successful poll means the run
-            // finished and took its --serve thread with it: clean exit.
-            Err(_) if watch && polled_once => {
-                println!("observer at {addr} gone — run finished");
-                return Ok(0);
-            }
-            Err(e) => return Err(e),
-        };
-        let done = match &progress {
-            Some(p) => {
-                print!("{}", render_progress(p));
-                p.total > 0 && p.completed + p.failed >= p.total
-            }
-            None => {
-                println!("observer at {addr} is serving, but no progress board is attached");
-                true
-            }
-        };
-        polled_once = true;
-        if !watch || done {
-            return Ok(0);
-        }
-        std::thread::sleep(std::time::Duration::from_secs_f64(interval_s));
-    }
 }
 
 fn run_flight(args: &[String]) -> Result<i32, String> {
@@ -429,55 +326,6 @@ fn run_profile_compare(args: &[String]) -> Result<i32, String> {
         }
     }
     finish_gate(&gate, json_out.as_deref())
-}
-
-fn run_timeline(args: &[String]) -> Result<i32, String> {
-    let mut path: Option<String> = None;
-    let mut filter: Option<String> = None;
-    let mut csv_out: Option<String> = None;
-    let mut json_out: Option<String> = None;
-    let mut quiet = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--timeline" => path = Some(next_value(&mut it, "--timeline")?.clone()),
-            "--filter" => filter = Some(next_value(&mut it, "--filter")?.clone()),
-            "--csv" => csv_out = Some(next_value(&mut it, "--csv")?.clone()),
-            "--json" => json_out = Some(next_value(&mut it, "--json")?.clone()),
-            "--quiet" => quiet = true,
-            other if !other.starts_with("--") && path.is_none() => path = Some(other.to_string()),
-            other => return Err(format!("unknown flag '{other}' (try --help)")),
-        }
-    }
-    let path = path.ok_or("timeline requires a timeline JSON path (from `omnc-sim --timeline`)")?;
-    let report = load_timeline(&path)?;
-    if !quiet {
-        print!("{}", render_timeline(&report, filter.as_deref()));
-    }
-    let summary = summarize_timeline(&report);
-    if !quiet {
-        let text = render_timeline_summary(&summary);
-        if !text.is_empty() {
-            println!("\nconvergence:");
-            print!("{text}");
-        }
-    }
-    if let Some(out) = csv_out {
-        write_file(&out, timeline_csv(&report, filter.as_deref()).as_bytes())?;
-    }
-    if let Some(out) = json_out {
-        let json = serde_json::to_string(&summary).map_err(|e| e.to_string())?;
-        write_file(&out, json.as_bytes())?;
-    }
-    Ok(0)
-}
-
-fn load_timeline(path: &str) -> Result<TimelineReport, String> {
-    let mut text = String::new();
-    reader_for(path)?
-        .read_to_string(&mut text)
-        .map_err(|e| format!("reading '{path}': {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("parsing '{path}': {e}"))
 }
 
 fn load_profile(path: &str) -> Result<ProfileReport, String> {

@@ -15,7 +15,7 @@
 //! instruments still exist and can be passed around, but updates are
 //! dropped without synchronization beyond one relaxed atomic store.
 //!
-//! On top of those sit two observability layers added later:
+//! On top of those sit the observability layers added later:
 //!
 //! * a hierarchical span [`Profiler`] — nested RAII spans over an
 //!   explicit parent stack, attributing call counts / total / self time
@@ -28,14 +28,9 @@
 //!   install, thread-local allocation counters the [`Profiler`]
 //!   attributes to spans, and peak-RSS sampling from
 //!   `/proc/self/status`;
-//! * deterministic windowed [`TimeSeries`] — bounded-memory dynamics
-//!   metrics (queue depth, decoder rank, optimizer convergence, goodput)
-//!   with 2:1 downsampling, exported as a [`TimelineReport`] and merged
-//!   across campaign cells with [`merge_timelines`];
-//! * the live observability plane — Prometheus-style text exposition
-//!   ([`render_exposition`]), a live [`ProgressBoard`] with the shared
-//!   [`throughput_eta`] estimator, and the read-only [`Observer`]
-//!   thread serving `/metrics` and `/progress` over HTTP;
+//! * order-independent merging of per-cell metric and profile
+//!   snapshots ([`merge_metric_snapshots`], [`merge_profiles`]), which
+//!   keeps campaign output byte-identical across worker counts;
 //! * a panic-safe [`FlightRecorder`] — a fixed-capacity ring of recent
 //!   events dumped to `flight-<cell>.jsonl` by a chained panic hook
 //!   ([`FlightRecorder::arm`]), the black box for campaign cells.
@@ -46,7 +41,6 @@
 #![deny(unsafe_code)]
 
 mod alloc;
-mod export;
 mod flightrec;
 mod log;
 mod merge;
@@ -54,22 +48,17 @@ mod profiler;
 mod registry;
 mod sink;
 mod timer;
-mod timeseries;
 
 pub use alloc::{
     alloc_counting_enabled, sample_rss, set_alloc_counting, thread_alloc_stats, AllocScope,
     AllocStats, CountingAlloc, RssSample,
 };
-pub use export::{
-    render_exposition, throughput_eta, Observer, ObserverHandles, ProgressBoard, ProgressSnapshot,
-};
 pub use flightrec::{FlightEvent, FlightGuard, FlightHeader, FlightRecorder};
 pub use log::{LogLevel, Logger};
-pub use merge::{merge_metric_snapshots, merge_profiles, merge_timelines};
+pub use merge::{merge_metric_snapshots, merge_profiles};
 pub use profiler::{
     Clock, ProfileGuard, ProfileReport, ProfileSpan, Profiler, VirtualClock, WallClock,
 };
 pub use registry::{BucketCount, Counter, Gauge, Histogram, MetricKind, MetricSnapshot, Registry};
 pub use sink::{EventSink, SinkTarget};
 pub use timer::Span;
-pub use timeseries::{Series, TimeSeries, TimelineBucket, TimelineReport, TimelineSeries};

@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 
 use crate::profiler::{ProfileReport, ProfileSpan};
 use crate::registry::{MetricKind, MetricSnapshot};
-use crate::timeseries::{TimelineBucket, TimelineReport, TimelineSeries};
 
 /// Merges span profiles by summing calls and ticks per span *path*,
 /// re-deriving self times, and emitting the canonical depth-first /
@@ -149,134 +148,10 @@ pub fn merge_metric_snapshots(snapshots: &[Vec<MetricSnapshot>]) -> Vec<MetricSn
     merged.into_values().collect()
 }
 
-/// One series being folded across reports: its buckets at the coarsest
-/// window seen so far.
-struct SeriesAcc {
-    window: f64,
-    buckets: BTreeMap<u64, TimelineBucket>,
-}
-
-/// One 2:1 compaction pass over a bucket map (the merge-side twin of the
-/// live recorder's downsampling): the window doubles and index pairs
-/// fold together.
-fn coarsen(window: &mut f64, buckets: &mut BTreeMap<u64, TimelineBucket>) {
-    *window *= 2.0;
-    let mut coarse: BTreeMap<u64, TimelineBucket> = BTreeMap::new();
-    for (index, bucket) in std::mem::take(buckets) {
-        let folded = index / 2;
-        match coarse.get_mut(&folded) {
-            Some(existing) => existing.absorb(&bucket),
-            None => {
-                coarse.insert(
-                    folded,
-                    TimelineBucket {
-                        index: folded,
-                        ..bucket
-                    },
-                );
-            }
-        }
-    }
-    *buckets = coarse;
-}
-
-/// Merges timeline reports series-by-series. Peer runs may have
-/// downsampled the same series to different window widths; the finer
-/// side is folded 2:1 until the boundaries line up (windows are always
-/// `base_window * 2^k`, so they align exactly), then buckets combine
-/// index-wise (min/min, max/max, sum + sum, count + count) and the
-/// result re-downsamples if it exceeds the capacity. Every step is
-/// commutative and associative, so campaign merges are byte-identical
-/// for any `--jobs` value, and re-merging a merged report is a no-op.
-///
-/// # Panics
-///
-/// Panics if the inputs disagree on `base_window`/`capacity`, or if the
-/// same series appears with window widths that are not power-of-two
-/// multiples of each other — both mean the reports came from recorders
-/// with different configurations.
-#[must_use]
-pub fn merge_timelines(reports: &[TimelineReport]) -> TimelineReport {
-    let mut layout: Option<(f64, usize)> = None;
-    for report in reports {
-        if report.series.is_empty() {
-            continue; // disabled recorders contribute nothing, like profiles
-        }
-        match layout {
-            None => layout = Some((report.base_window, report.capacity)),
-            Some((window, capacity)) => assert!(
-                report.base_window == window && report.capacity == capacity,
-                "timelines merged across layouts ({window}x{capacity} vs {}x{})",
-                report.base_window,
-                report.capacity
-            ),
-        }
-    }
-    let (base_window, capacity) = layout
-        .or_else(|| reports.first().map(|r| (r.base_window, r.capacity)))
-        .unwrap_or((1.0, 2));
-
-    let mut by_name: BTreeMap<String, SeriesAcc> = BTreeMap::new();
-    for report in reports {
-        for series in &report.series {
-            let acc = by_name
-                .entry(series.name.clone())
-                .or_insert_with(|| SeriesAcc {
-                    window: series.window,
-                    buckets: BTreeMap::new(),
-                });
-            // Align the two grids by folding the finer one.
-            let mut window = series.window;
-            let mut incoming: BTreeMap<u64, TimelineBucket> =
-                series.buckets.iter().map(|b| (b.index, *b)).collect();
-            while window < acc.window {
-                coarsen(&mut window, &mut incoming);
-            }
-            while acc.window < window {
-                coarsen(&mut acc.window, &mut acc.buckets);
-            }
-            assert!(
-                acc.window == window,
-                "series {:?} merged across incompatible windows ({} vs {})",
-                series.name,
-                acc.window,
-                series.window
-            );
-            for (index, bucket) in incoming {
-                match acc.buckets.get_mut(&index) {
-                    Some(existing) => existing.absorb(&bucket),
-                    None => {
-                        acc.buckets.insert(index, bucket);
-                    }
-                }
-            }
-        }
-    }
-
-    let series = by_name
-        .into_iter()
-        .map(|(name, mut acc)| {
-            while acc.buckets.len() > capacity {
-                coarsen(&mut acc.window, &mut acc.buckets);
-            }
-            TimelineSeries {
-                name,
-                window: acc.window,
-                buckets: acc.buckets.into_values().collect(),
-            }
-        })
-        .collect();
-    TimelineReport {
-        base_window,
-        capacity,
-        series,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Profiler, Registry, TimeSeries};
+    use crate::{Profiler, Registry};
 
     fn sample_profile(reps: u32) -> ProfileReport {
         let p = Profiler::virtual_clock();
@@ -466,87 +341,5 @@ mod tests {
         let r2 = Registry::new();
         r2.gauge("m").set(1.0);
         let _ = merge_metric_snapshots(&[r1.snapshot(), r2.snapshot()]);
-    }
-
-    /// A recorder whose series `name` holds `samples` as (epoch, value).
-    fn timeline_with(capacity: usize, name: &str, samples: &[(f64, f64)]) -> TimelineReport {
-        let ts = TimeSeries::enabled(1.0, capacity);
-        let s = ts.series(name);
-        for &(epoch, value) in samples {
-            s.record(epoch, value);
-        }
-        ts.snapshot()
-    }
-
-    #[test]
-    fn timeline_merge_aligns_mismatched_window_boundaries() {
-        // Left stays at the base window; right spans enough epochs that
-        // its live recorder downsampled to window 4. The merge must fold
-        // the fine side onto the coarse grid, not drop or double-count.
-        let fine = timeline_with(8, "q", &[(0.5, 2.0), (1.5, 8.0), (2.5, 4.0)]);
-        let coarse_samples: Vec<(f64, f64)> = (0..32).map(|i| (i as f64, 1.0)).collect();
-        let coarse = timeline_with(8, "q", &coarse_samples);
-        assert_eq!(coarse.series("q").expect("series").window, 4.0);
-
-        let merged = merge_timelines(&[fine.clone(), coarse.clone()]);
-        let q = merged.series("q").expect("series");
-        assert_eq!(q.window, 4.0, "merged onto the coarser grid");
-        assert_eq!(q.total_count(), 3 + 32, "count conserved");
-        // Fine samples at epochs 0.5/1.5/2.5 all land in coarse bucket 0.
-        let first = &q.buckets[0];
-        assert_eq!(first.index, 0);
-        assert_eq!(first.count, 3 + 4);
-        assert_eq!(first.max, 8.0, "fine-side peak survives alignment");
-        assert_eq!(first.min, 1.0);
-    }
-
-    #[test]
-    fn timeline_merge_is_order_independent_and_remerge_idempotent() {
-        let a = timeline_with(8, "x", &[(0.0, 1.0), (9.0, 5.0)]);
-        let b = timeline_with(8, "x", &[(3.0, 2.0), (20.0, 7.0)]);
-        let c = timeline_with(8, "y", &[(1.0, 4.0)]);
-        let abc = merge_timelines(&[a.clone(), b.clone(), c.clone()]);
-        let cba = merge_timelines(&[c.clone(), b.clone(), a.clone()]);
-        assert_eq!(abc, cba);
-        // Re-merging a merged report changes nothing (idempotence), and
-        // pairwise merging associates.
-        assert_eq!(merge_timelines(std::slice::from_ref(&abc)), abc);
-        let ab_then_c = merge_timelines(&[merge_timelines(&[a.clone(), b.clone()]), c.clone()]);
-        assert_eq!(ab_then_c, abc);
-    }
-
-    #[test]
-    fn timeline_merge_enforces_capacity_on_the_union() {
-        // Each input fits its capacity alone; the union does not, so the
-        // merge itself must downsample.
-        let a = timeline_with(8, "x", &(0..8).map(|i| (i as f64, 1.0)).collect::<Vec<_>>());
-        let b = timeline_with(
-            8,
-            "x",
-            &(8..16).map(|i| (i as f64, 2.0)).collect::<Vec<_>>(),
-        );
-        let merged = merge_timelines(&[a, b]);
-        let x = merged.series("x").expect("series");
-        assert!(x.buckets.len() <= 8);
-        assert_eq!(x.window, 2.0);
-        assert_eq!(x.total_count(), 16);
-    }
-
-    #[test]
-    fn timeline_merge_skips_disabled_inputs() {
-        let disabled = TimeSeries::disabled().snapshot();
-        let live = timeline_with(8, "x", &[(0.0, 1.0)]);
-        let merged = merge_timelines(&[disabled, live.clone()]);
-        assert_eq!(merged, live);
-        assert!(merge_timelines(&[]).series.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "merged across layouts")]
-    fn timeline_merge_rejects_layout_mismatch() {
-        let a = timeline_with(8, "x", &[(0.0, 1.0)]);
-        let mut b = timeline_with(8, "x", &[(0.0, 1.0)]);
-        b.base_window = 0.5;
-        let _ = merge_timelines(&[a, b]);
     }
 }

@@ -16,8 +16,7 @@ use omnc::runner::{run_session_traced, Protocol, RunOptions};
 use omnc::scenario::{Quality, Scenario};
 use omnc::session::SessionConfig;
 use omnc::telemetry::{
-    sample_rss, set_alloc_counting, CountingAlloc, FlightRecorder, LogLevel, Logger, Observer,
-    ObserverHandles, Profiler, ProgressBoard, Registry, TimeSeries,
+    sample_rss, set_alloc_counting, CountingAlloc, FlightRecorder, LogLevel, Logger, Profiler,
 };
 
 // Counting is a no-op (one relaxed atomic load per allocation) until
@@ -47,13 +46,11 @@ struct Args {
     full_payload: bool,
     trace: Option<String>,
     trace_capacity: usize,
-    timeline: Option<String>,
     profile: Option<String>,
     profile_folded: Option<String>,
     profile_wall_clock: bool,
     count_allocs: bool,
     log_level: LogLevel,
-    serve: Option<String>,
     flight_recorder: Option<String>,
 }
 
@@ -73,13 +70,11 @@ impl Args {
             full_payload: false,
             trace: None,
             trace_capacity: 200_000,
-            timeline: None,
             profile: None,
             profile_folded: None,
             profile_wall_clock: false,
             count_allocs: false,
             log_level: LogLevel::Info,
-            serve: None,
             flight_recorder: None,
         };
         let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -119,7 +114,6 @@ impl Args {
                 "--full-payload" => args.full_payload = true,
                 "--trace" => args.trace = Some(value("--trace")?.clone()),
                 "--trace-capacity" => args.trace_capacity = parse(value("--trace-capacity")?)?,
-                "--timeline" => args.timeline = Some(value("--timeline")?.clone()),
                 "--profile" => args.profile = Some(value("--profile")?.clone()),
                 "--profile-folded" => {
                     args.profile_folded = Some(value("--profile-folded")?.clone());
@@ -132,7 +126,6 @@ impl Args {
                     }
                 }
                 "--count-allocs" => args.count_allocs = true,
-                "--serve" => args.serve = Some(value("--serve")?.clone()),
                 "--flight-recorder" => {
                     args.flight_recorder = Some(value("--flight-recorder")?.clone());
                 }
@@ -190,16 +183,9 @@ OPTIONS:
     --full-payload      code real 1 KB payloads (slower, verifies bytes)
     --trace <PATH>      write the causal packet-lifecycle trace as JSONL
                         (one stream per session/protocol; feed to omnc-report;
-                        '-' writes to stdout for piping)
+                        '-' writes it to stdout for piping, and the table
+                        or JSON rows then go to stderr)
     --trace-capacity <N> max MAC events kept per run [default: 200000]
-    --timeline <PATH>   write windowed dynamics series as JSON: per-node
-                        queue depth, per-link delivery/loss, decoder rank
-                        per generation, optimizer convergence, goodput —
-                        one series set per session/protocol, named
-                        <proto>/s<k>/… (feed to `omnc-report timeline`;
-                        '-' writes to stdout). Sampled on simulated time,
-                        so identical seeded runs write identical bytes;
-                        --trace/--profile output is unaffected
     --profile <PATH>    write the hierarchical span profile as JSON
                         (event loop, MAC arbitration, encode/recode/decode,
                         gf256 kernels; feed to `omnc-report profile`)
@@ -212,11 +198,6 @@ OPTIONS:
                         alloc columns and the log reports per-session
                         allocation deltas (stderr only — stdout, --trace,
                         and --profile stay byte-identical)
-    --serve <ADDR>      serve live observability read-only over HTTP while
-                        the run lasts: /metrics (Prometheus text from the
-                        simulator's counters), /progress (JSON with
-                        done/total and ETA). Never changes any output
-                        byte; e.g. --serve 127.0.0.1:9100
     --flight-recorder <PATH> keep a ring of run breadcrumbs and dump them
                         to PATH if the run panics (nothing is written on
                         success); read the dump with `omnc-report flight`
@@ -247,17 +228,26 @@ fn main() {
         ..SessionConfig::reduced()
     };
 
+    // With `--trace -` stdout carries the trace, so the rows go to stderr.
+    let trace_on_stdout = args.trace.as_deref() == Some("-");
+    let row = |line: std::fmt::Arguments<'_>| {
+        if trace_on_stdout {
+            eprintln!("{line}");
+        } else {
+            println!("{line}");
+        }
+    };
     if args.format == Format::Table {
         if args.multi {
-            println!(
+            row(format_args!(
                 "{:>4} {:>9} {:>10} {:>8} {:>8} {:>9} {:>7} {:>7}",
                 "k", "protocol", "B/s", "gens", "airtime", "qwait_s", "sent", "lost"
-            );
+            ));
         } else {
-            println!(
+            row(format_args!(
                 "{:>4} {:>9} {:>10} {:>8} {:>7} {:>7} {:>7} {:>6}",
                 "k", "protocol", "B/s", "gens", "queue", "nodeU", "pathU", "iters"
-            );
+            ));
         }
     }
     let mut trace_out: Option<BufWriter<Box<dyn Write>>> = args.trace.as_ref().map(|path| {
@@ -277,50 +267,6 @@ fn main() {
         (true, true) => Profiler::wall(),
         (true, false) => Profiler::virtual_clock(),
     };
-    // Defaults chosen so any session length lands in a readable chart:
-    // 64 buckets starting at 0.25 s windows, coarsening 2:1 as runs grow.
-    let timeline = if args.timeline.is_some() {
-        TimeSeries::enabled(0.25, 64)
-    } else {
-        TimeSeries::disabled()
-    };
-    // The live plane: a registry for the simulator's MAC counters, a
-    // progress board over session x protocol runs, and the observer
-    // thread serving both (plus the --timeline windows) read-only.
-    let registry = if args.serve.is_some() {
-        Registry::new()
-    } else {
-        Registry::disabled()
-    };
-    let board = if args.serve.is_some() {
-        let cells = if args.multi {
-            args.protocols.len()
-        } else {
-            args.sessions * args.protocols.len()
-        };
-        ProgressBoard::enabled("omnc-sim", cells)
-    } else {
-        ProgressBoard::disabled()
-    };
-    let _observer = args.serve.as_ref().map(|addr| {
-        let handles = ObserverHandles {
-            registry: registry.clone(),
-            progress: board.clone(),
-        };
-        match Observer::serve(addr, handles) {
-            Ok(observer) => {
-                log.info(&format!(
-                    "observer serving /metrics /progress on http://{}",
-                    observer.local_addr()
-                ));
-                observer
-            }
-            Err(e) => {
-                log.error(&format!("cannot serve on '{addr}': {e}"));
-                std::process::exit(2);
-            }
-        }
-    });
     let flight = if args.flight_recorder.is_some() {
         FlightRecorder::enabled(256)
     } else {
@@ -330,8 +276,6 @@ fn main() {
         fault: None,
         trace_capacity: args.trace.is_some().then_some(args.trace_capacity),
         profiler: profiler.clone(),
-        timeline: timeline.clone(),
-        registry,
         flight: flight.clone(),
         ..RunOptions::default()
     };
@@ -341,18 +285,13 @@ fn main() {
     ));
     if args.multi {
         for &protocol in &args.protocols {
-            let scope_key = format!("{}/multi", protocol.name().to_ascii_lowercase());
+            let key = format!("{}/multi", protocol.name().to_ascii_lowercase());
             let _black_box = args
                 .flight_recorder
                 .as_ref()
-                .map(|path| flight.arm(&scope_key, std::path::Path::new(path)));
+                .map(|path| flight.arm(&key, std::path::Path::new(path)));
             let scope = args.count_allocs.then(omnc::telemetry::AllocScope::start);
-            let run_options = RunOptions {
-                timeline_scope: scope_key,
-                ..options.clone()
-            };
-            let (out, traces) = run_multi_cell(&scenario, protocol, &run_options);
-            board.cell_finished(true);
+            let (out, traces) = run_multi_cell(&scenario, protocol, &options);
             if let Some(scope) = scope {
                 let d = scope.delta();
                 let rss = sample_rss().map_or(0, |r| r.vm_rss_bytes) / (1024 * 1024);
@@ -380,7 +319,7 @@ fn main() {
             }
             for s in &out.sessions {
                 match args.format {
-                    Format::Table => println!(
+                    Format::Table => row(format_args!(
                         "{:>4} {:>9} {:>10.0} {:>8} {:>8.3} {:>9.1} {:>7} {:>7}",
                         s.session,
                         protocol.name(),
@@ -390,8 +329,8 @@ fn main() {
                         s.queue_wait,
                         s.packets_sent,
                         s.packets_lost,
-                    ),
-                    Format::Json => println!(
+                    )),
+                    Format::Json => row(format_args!(
                         "{{\"session\":{},\"protocol\":\"{}\",\"throughput\":{:.1},\
                          \"generations\":{},\"airtime_share\":{:.4},\"queue_wait\":{:.3},\
                          \"packets_sent\":{},\"packets_lost\":{},\"completed\":{}}}",
@@ -404,11 +343,11 @@ fn main() {
                         s.packets_sent,
                         s.packets_lost,
                         s.completed(),
-                    ),
+                    )),
                 }
             }
             match args.format {
-                Format::Table => println!(
+                Format::Table => row(format_args!(
                     "{:>4} {:>9} {:>10.0} total; {}/{} sessions completed, mean queue {:.2}",
                     "sum",
                     protocol.name(),
@@ -416,8 +355,8 @@ fn main() {
                     out.sessions_completed,
                     out.sessions.len(),
                     out.mean_queue(),
-                ),
-                Format::Json => println!(
+                )),
+                Format::Json => row(format_args!(
                     "{{\"protocol\":\"{}\",\"total_throughput\":{:.1},\
                      \"sessions_completed\":{},\"sessions\":{},\"mean_queue\":{:.3},\
                      \"mac_packets\":{}}}",
@@ -427,7 +366,7 @@ fn main() {
                     out.sessions.len(),
                     out.mean_queue(),
                     out.mac_packets,
-                ),
+                )),
             }
         }
     } else {
@@ -441,15 +380,11 @@ fn main() {
                     dst.index()
                 ));
                 let scope = args.count_allocs.then(omnc::telemetry::AllocScope::start);
-                let scope_key = format!("{}/s{k}", protocol.name().to_ascii_lowercase());
+                let key = format!("{}/s{k}", protocol.name().to_ascii_lowercase());
                 let _black_box = args
                     .flight_recorder
                     .as_ref()
-                    .map(|path| flight.arm(&scope_key, std::path::Path::new(path)));
-                let run_options = RunOptions {
-                    timeline_scope: scope_key,
-                    ..options.clone()
-                };
+                    .map(|path| flight.arm(&key, std::path::Path::new(path)));
                 let (out, trace) = run_session_traced(
                     &topology,
                     src,
@@ -457,9 +392,8 @@ fn main() {
                     protocol,
                     &scenario.session,
                     seed,
-                    &run_options,
+                    &options,
                 );
-                board.cell_finished(true);
                 if let Some(scope) = scope {
                     let d = scope.delta();
                     let rss = sample_rss().map_or(0, |r| r.vm_rss_bytes) / (1024 * 1024);
@@ -484,7 +418,7 @@ fn main() {
                     }
                 }
                 match args.format {
-                    Format::Table => println!(
+                    Format::Table => row(format_args!(
                         "{:>4} {:>9} {:>10.0} {:>8} {:>7.2} {:>7.2} {:>7.2} {:>6}",
                         k,
                         protocol.name(),
@@ -496,8 +430,8 @@ fn main() {
                         out.rc_iterations
                             .map(|i| i.to_string())
                             .unwrap_or_else(|| "-".into()),
-                    ),
-                    Format::Json => println!(
+                    )),
+                    Format::Json => row(format_args!(
                         "{{\"session\":{k},\"protocol\":\"{}\",\"throughput\":{:.1},\
                      \"generations\":{},\"mean_queue\":{:.3},\"node_utility\":{:.3},\
                      \"path_utility\":{:.3},\"rc_iterations\":{}}}",
@@ -510,7 +444,7 @@ fn main() {
                         out.rc_iterations
                             .map(|i| i.to_string())
                             .unwrap_or_else(|| "null".into()),
-                    ),
+                    )),
                 }
             }
         }
@@ -519,21 +453,6 @@ fn main() {
         if let Err(e) = file.flush() {
             log.error(&format!("flushing trace: {e}"));
             std::process::exit(2);
-        }
-    }
-    if let Some(path) = &args.timeline {
-        let report = timeline.snapshot();
-        let json = serde_json::to_string(&report).expect("timeline serializes");
-        if path == "-" {
-            println!("{json}");
-        } else if let Err(e) = std::fs::write(path, json + "\n") {
-            log.error(&format!("writing timeline '{path}': {e}"));
-            std::process::exit(2);
-        } else {
-            log.info(&format!(
-                "timeline: {} series -> {path}",
-                report.series.len()
-            ));
         }
     }
     if profiling {

@@ -11,7 +11,7 @@ use drift::{Behavior, Ctx, Dest, Outgoing, PacketTag};
 use net_topo::graph::NodeId;
 use rand::{Rng, SeedableRng};
 use rlnc::{Decoder, Encoder, Generation, GenerationId, Recoder};
-use telemetry::{Profiler, Series, TimeSeries};
+use telemetry::Profiler;
 
 use crate::msg::Msg;
 use crate::session::{SessionConfig, SessionShared};
@@ -242,8 +242,6 @@ pub struct CodedDestination {
     session_seed: u64,
     decoder: Decoder,
     profiler: Profiler,
-    timeline: TimeSeries,
-    timeline_scope: String,
     /// Innovative packets received per upstream node (for Fig. 4 metrics).
     pub innovative_from: BTreeMap<NodeId, u64>,
     /// All coded packets received per upstream node.
@@ -272,8 +270,6 @@ impl CodedDestination {
             session_seed,
             decoder,
             profiler: Profiler::disabled(),
-            timeline: TimeSeries::disabled(),
-            timeline_scope: String::new(),
             innovative_from: BTreeMap::new(),
             received_from: BTreeMap::new(),
             verification_failures: 0,
@@ -289,38 +285,10 @@ impl CodedDestination {
         self.profiler = profiler;
     }
 
-    /// Attaches a timeline recorder: every absorbed packet samples the
-    /// decoder's rank into a per-generation series
-    /// `<scope>/rank/g<N>`, giving `omnc-report timeline` its
-    /// time-to-rank convergence axis. A disabled recorder keeps the
-    /// destination on the zero-cost path.
-    pub fn set_timeline(&mut self, timeline: TimeSeries, scope: &str) {
-        self.timeline = timeline;
-        self.timeline_scope = scope.to_owned();
-        let series = self.rank_series(self.decoder.generation());
-        self.decoder.set_rank_series(series);
-    }
-
-    /// The rank-progress series for `generation` (no-op when disabled).
-    fn rank_series(&self, generation: GenerationId) -> Series {
-        if !self.timeline.is_enabled() {
-            return Series::disabled();
-        }
-        let tail = format!("rank/g{}", generation.as_u64());
-        let name = if self.timeline_scope.is_empty() {
-            tail
-        } else {
-            format!("{}/{tail}", self.timeline_scope)
-        };
-        self.timeline.series(&name)
-    }
-
-    /// A decoder for `generation` inheriting the attached profiler and
-    /// timeline recorder.
+    /// A decoder for `generation` inheriting the attached profiler.
     fn fresh_decoder(&self, generation: GenerationId) -> Decoder {
         let mut decoder = Decoder::new(generation, self.cfg.generation_config());
         decoder.set_profiler(self.profiler.clone());
-        decoder.set_rank_series(self.rank_series(generation));
         decoder
     }
 
@@ -352,7 +320,6 @@ impl CodedDestination {
         };
         let innovative = result.is_innovative();
         let rank_after = self.decoder.rank();
-        self.decoder.record_rank(now);
         self.ledger.record_packet(innovative);
         if innovative {
             *self.innovative_from.entry(from).or_insert(0) += 1;
@@ -605,41 +572,6 @@ mod tests {
         assert_eq!(t0.origin, origin);
         assert_eq!((t0.seq, t1.seq), (0, 1));
         assert_eq!(t0.generation, GenerationId::new(0));
-    }
-
-    #[test]
-    fn destination_timeline_tracks_rank_progress_per_generation() {
-        let c = cfg();
-        let ledger = SessionLedger::shared();
-        let mut src = CodedSource::new(c, ledger.clone(), 9);
-        let mut dst = CodedDestination::new(c, ledger.clone(), 9);
-        let timeline = TimeSeries::enabled(0.25, 64);
-        dst.set_timeline(timeline.clone(), "s0");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let mut completions = 0;
-        let mut t = 0.0;
-        let mut absorbed = 0u64;
-        while completions < 2 {
-            t += 0.05;
-            if let Some((msg, _)) = src.next_packet(t, &mut rng, SRC) {
-                let before = ledger.packet_counts();
-                if dst.receive(t, NodeId::new(1), NodeId::new(0), &msg, None) {
-                    completions += 1;
-                }
-                if ledger.packet_counts() != before {
-                    absorbed += 1;
-                }
-            }
-        }
-        let report = timeline.snapshot();
-        let g0 = report.series("s0/rank/g0").expect("generation-0 series");
-        let g1 = report.series("s0/rank/g1").expect("generation-1 series");
-        assert_eq!(g0.total_count() + g1.total_count(), absorbed);
-        let peak = |s: &telemetry::TimelineSeries| {
-            s.buckets.iter().map(|b| b.max).fold(f64::MIN, f64::max)
-        };
-        assert_eq!(peak(g0), c.generation_blocks as f64);
-        assert_eq!(peak(g1), c.generation_blocks as f64);
     }
 
     #[test]

@@ -29,9 +29,9 @@ use net_topo::etx;
 use net_topo::graph::{Link, NodeId, Topology};
 use net_topo::select::{disjoint_path_count, select_forwarders, Selection};
 use omnc_opt::municast::MUnicast;
-use omnc_opt::{default_portfolio, run_best, run_best_traced, RateControlParams, SUnicast};
+use omnc_opt::{default_portfolio, run_best, RateControlParams, SUnicast};
 use serde::{Deserialize, Serialize};
-use telemetry::{FlightRecorder, Profiler, Registry, TimeSeries};
+use telemetry::{FlightRecorder, Profiler, Registry};
 
 use crate::msg::Msg;
 use crate::multi::{MultiSessionOutcome, SessionSummary};
@@ -170,14 +170,6 @@ impl Role {
         }
     }
 
-    /// Attaches the timeline recorder to the role's decoder, if it has one
-    /// (only destinations sample rank progress).
-    fn set_timeline(&mut self, timeline: &TimeSeries, scope: &str) {
-        if let Role::CodedDst(b) = self {
-            b.set_timeline(timeline.clone(), scope);
-        }
-    }
-
     /// The decoder-side state of a coded destination.
     fn decoded(&self) -> Option<&CodedDestination> {
         match self {
@@ -216,16 +208,6 @@ pub struct RunOptions {
     /// histogram into. Defaults to disabled (no-op handles); attach an
     /// enabled [`Registry`] and read [`Registry::snapshot`] after the run.
     pub registry: Registry,
-    /// Windowed dynamics recorder: per-node queue depth and per-link
-    /// delivery/loss over time (from the simulator), decoder rank progress
-    /// per generation, optimizer convergence (OMNC), and destination
-    /// goodput. Defaults to disabled (every sample is one branch); attach
-    /// an enabled [`TimeSeries`] and read [`TimeSeries::snapshot`] after
-    /// the run. Tracing, profiling and metrics are unaffected either way.
-    pub timeline: TimeSeries,
-    /// Prefix for every series name this run records (e.g. `omnc/s0` or a
-    /// campaign cell key), so one recorder can serve many runs.
-    pub timeline_scope: String,
     /// Flight recorder the run drops coarse breadcrumbs into (session
     /// build, optimizer, simulation start/end, metric collection), each
     /// stamped with virtual-clock time. Defaults to disabled (one branch
@@ -491,13 +473,8 @@ struct Rates {
 /// `omnc_opt::RateControl` engine — the portfolio runs it on one session
 /// per parameter set, the joint solve runs it once over all sessions with
 /// shared congestion prices, under the default parameters' stopping rule
-/// and recovery. `scope` names the optimizer's timeline series.
-fn omnc_rates(
-    job: Job<'_>,
-    selections: &[Selection],
-    scope: &str,
-    given: Option<RateSource<'_>>,
-) -> Rates {
+/// and recovery.
+fn omnc_rates(job: Job<'_>, selections: &[Selection], given: Option<RateSource<'_>>) -> Rates {
     let capacity = job.cfg.capacity;
     let [selection] = selections else {
         assert!(given.is_none(), "caller-supplied rates cover one session");
@@ -526,16 +503,7 @@ fn omnc_rates(
             rc_iterations: None,
         };
     }
-    // Tracing only records — `run_best_traced` deploys the exact rates
-    // `run_best` would — so the plain path stays untouched when the
-    // timeline is disabled.
-    let allocation = if job.options.timeline.is_enabled() {
-        let (allocation, trace) = run_best_traced(&problem, &default_portfolio());
-        trace.record_timeline(&job.options.timeline, scope);
-        allocation
-    } else {
-        run_best(&problem, &default_portfolio())
-    };
+    let allocation = run_best(&problem, &default_portfolio());
     Rates {
         b: vec![allocation.broadcast_rates().to_vec()],
         predicted: vec![allocation.throughput()],
@@ -550,14 +518,6 @@ pub(crate) fn session_id(seed: u64, k: u64) -> u64 {
     seed.wrapping_add(k.wrapping_mul(7919)) ^ 0xC0DE
 }
 
-fn series_name(scope: &str, tail: &str) -> String {
-    if scope.is_empty() {
-        tail.to_owned()
-    } else {
-        format!("{scope}/{tail}")
-    }
-}
-
 /// A finished run: the engine with every session's final protocol state.
 struct Run<'a> {
     job: Job<'a>,
@@ -568,21 +528,13 @@ struct Run<'a> {
     sim: Simulator<Msg, Role>,
     ids: Vec<u64>,
     ledgers: Vec<SessionShared>,
-    scopes: Vec<String>,
     predicted: Vec<Option<f64>>,
     rc_iterations: Option<usize>,
 }
 
 /// Plans every session on the full topology, builds the world, every
 /// role and the MAC, and runs the one simulator to `cfg.duration`.
-/// `scope_of(options.timeline_scope, k)` names session `k`'s timeline
-/// series.
-fn execute<'a>(
-    job: Job<'a>,
-    extent: Extent,
-    scope_of: fn(&str, usize) -> String,
-    rate_source: Option<RateSource<'_>>,
-) -> Run<'a> {
+fn execute<'a>(job: Job<'a>, extent: Extent, rate_source: Option<RateSource<'_>>) -> Run<'a> {
     let Job {
         topology,
         endpoints,
@@ -598,9 +550,6 @@ fn execute<'a>(
     let sessions = endpoints.len();
     let ids: Vec<u64> = (0..sessions as u64).map(|k| session_id(seed, k)).collect();
     let ledgers: Vec<SessionShared> = (0..sessions).map(|_| SessionLedger::shared()).collect();
-    let scopes: Vec<String> = (0..sessions)
-        .map(|k| scope_of(&options.timeline_scope, k))
-        .collect();
 
     // Each session is planned on the full topology: a forwarder selection
     // (Sec. 3.1) under the coded protocols, the best path under ETX.
@@ -623,8 +572,7 @@ fn execute<'a>(
         "select/done",
         &format!("protocol={} sessions={sessions} nodes={n}", protocol.name()),
     );
-    let rates =
-        (protocol == Protocol::Omnc).then(|| omnc_rates(job, &selections, &scopes[0], rate_source));
+    let rates = (protocol == Protocol::Omnc).then(|| omnc_rates(job, &selections, rate_source));
 
     // Every role is built here, once per (session, node), in world
     // coordinates. Roles are staged, and each plan is released as soon as
@@ -637,7 +585,6 @@ fn execute<'a>(
     let mut roles: Vec<(usize, NodeId, Role)> = Vec::new();
     let mut stage = |k: usize, orig: NodeId, mut role: Role| {
         role.set_profiler(&options.profiler);
-        role.set_timeline(&options.timeline, &scopes[k]);
         roles.push((k, world.at(orig), role));
     };
     let mut mac_rates = vec![0.0; n];
@@ -714,11 +661,6 @@ fn execute<'a>(
     }
     sim.attach_profiler(options.profiler.clone());
     sim.attach_telemetry(&options.registry);
-    if options.timeline.is_enabled() {
-        // Queue and link series are labelled with original node ids.
-        let labels: Vec<u64> = world.to_orig.iter().map(|v| v.index() as u64).collect();
-        sim.attach_timeline(&options.timeline, &options.timeline_scope, &labels);
-    }
     for (k, node, role) in roles {
         sim.set_session_behavior(k, node, role);
     }
@@ -747,31 +689,16 @@ fn execute<'a>(
         .flight
         .record(cfg.duration, "sim/done", protocol.name());
 
-    let run = Run {
+    Run {
         job,
         world,
         dags,
         sim,
         ids,
         ledgers,
-        scopes,
         predicted,
         rc_iterations,
-    };
-    // Goodput dynamics: one sample per innovative absorption, at its
-    // simulated arrival time, so windows show delivery rate over time.
-    if options.timeline.is_enabled() {
-        for (k, scope) in run.scopes.iter().enumerate() {
-            let Some(decoded) = run.decoded(k) else {
-                continue;
-            };
-            let goodput = options.timeline.series(&series_name(scope, "goodput"));
-            for a in decoded.absorptions.iter().filter(|a| a.innovative) {
-                goodput.record(a.at, 1.0);
-            }
-        }
     }
-    run
 }
 
 impl Run<'_> {
@@ -945,8 +872,7 @@ fn run_single(
     job: Job<'_>,
     rate_source: Option<RateSource<'_>>,
 ) -> (SessionOutcome, Option<SessionTrace>) {
-    let scope_of = |scope: &str, _| scope.to_owned();
-    let run = execute(job, Extent::Participants, scope_of, rate_source);
+    let run = execute(job, Extent::Participants, rate_source);
     let session = run.summaries().remove(0);
     let (node_utility, path_utility) = run.utilities(0);
     let outcome = SessionOutcome {
@@ -971,15 +897,10 @@ fn run_single(
     (outcome, trace)
 }
 
-/// Timeline scope of session `k` of a coupled run.
-fn session_scope(scope: &str, k: usize) -> String {
-    series_name(scope, &format!("s{k}"))
-}
-
 /// The coupled projection: per-session summaries, world-wide queue
 /// averages, and traces holding only each session's own tagged events.
 fn run_coupled(job: Job<'_>, extent: Extent) -> (MultiSessionOutcome, Option<Vec<SessionTrace>>) {
-    let run = execute(job, extent, session_scope, None);
+    let run = execute(job, extent, None);
     let Job { cfg, options, .. } = job;
     let mut sessions = run.summaries();
     for (k, s) in sessions.iter_mut().enumerate() {
@@ -987,11 +908,6 @@ fn run_coupled(job: Job<'_>, extent: Extent) -> (MultiSessionOutcome, Option<Vec
         // ETX (`SessionSummary::completed`, `SessionEnd.innovative`).
         if let Some(Role::EtxDst(d)) = run.role(k, s.dst) {
             s.packet_counts = (d.blocks_delivered, 0);
-        }
-        if options.timeline.is_enabled() {
-            let series = |tail| options.timeline.series(&series_name(&run.scopes[k], tail));
-            series("airtime_share").record(cfg.duration, s.airtime_share);
-            series("queue_wait").record(cfg.duration, s.queue_wait);
         }
     }
     let traced = options.trace_capacity.is_some();
@@ -1199,55 +1115,6 @@ mod tests {
         // Self times decompose the root total without double counting.
         let self_sum: u64 = report.spans.iter().map(|sp| sp.self_ticks).sum();
         assert!(self_sum <= report.total_root_ticks());
-    }
-
-    #[test]
-    fn timeline_runs_match_plain_and_record_all_dynamics_series() {
-        let (topo, s, d) = small_world();
-        let cfg = SessionConfig::tiny();
-        let options = RunOptions {
-            trace_capacity: Some(500_000),
-            ..RunOptions::default()
-        };
-        let (plain, plain_trace) =
-            run_session_traced(&topo, s, d, Protocol::Omnc, &cfg, 5, &options);
-        let timeline = TimeSeries::enabled(0.25, 64);
-        let timed_options = RunOptions {
-            trace_capacity: Some(500_000),
-            timeline: timeline.clone(),
-            timeline_scope: "omnc/s0".to_owned(),
-            ..RunOptions::default()
-        };
-        let (timed, timed_trace) =
-            run_session_traced(&topo, s, d, Protocol::Omnc, &cfg, 5, &timed_options);
-
-        // Recording must not perturb the run: outcome and causal trace are
-        // identical with the timeline on.
-        assert_eq!(plain.throughput, timed.throughput);
-        assert_eq!(plain.packet_counts, timed.packet_counts);
-        assert_eq!(plain.rc_iterations, timed.rc_iterations);
-        assert_eq!(
-            serde_json::to_string(&plain_trace.unwrap().records).unwrap(),
-            serde_json::to_string(&timed_trace.unwrap().records).unwrap(),
-            "timeline recording perturbed the causal trace"
-        );
-
-        let report = timeline.snapshot();
-        assert!(report.series("omnc/s0/opt/dual_value").is_some());
-        assert!(report.series("omnc/s0/opt/max_violation").is_some());
-        assert!(report.series("omnc/s0/rank/g0").is_some());
-        let src_queue = format!("omnc/s0/queue/n{}", s.index());
-        assert!(
-            report.series(&src_queue).is_some(),
-            "missing {src_queue} among {:?}",
-            report.series.iter().map(|x| &x.name).collect::<Vec<_>>()
-        );
-        assert!(report
-            .series
-            .iter()
-            .any(|x| x.name.starts_with("omnc/s0/link/") && x.name.ends_with("/delivered")));
-        let goodput = report.series("omnc/s0/goodput").expect("goodput series");
-        assert_eq!(goodput.total_count(), timed.packet_counts.0);
     }
 
     #[test]

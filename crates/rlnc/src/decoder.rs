@@ -21,7 +21,7 @@
 //! first innovative packet arrives (a decoder that never hears one never
 //! allocates), so absorbing allocates nothing after that.
 
-use telemetry::{Counter, Gauge, Histogram, Profiler, Registry, Series, Span};
+use telemetry::{Counter, Gauge, Histogram, Profiler, Registry, Span};
 
 use crate::error::RlncError;
 use crate::generation::GenerationConfig;
@@ -139,7 +139,6 @@ pub struct Decoder {
     redundant: u64,
     metrics: Option<DecoderMetrics>,
     profiler: Profiler,
-    rank_series: Series,
     first_absorb: Option<Span>,
 }
 
@@ -162,7 +161,6 @@ impl Decoder {
             redundant: 0,
             metrics: None,
             profiler: Profiler::disabled(),
-            rank_series: Series::disabled(),
             first_absorb: None,
         }
     }
@@ -191,24 +189,6 @@ impl Decoder {
     /// work to the same span tree.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
-    }
-
-    /// Attaches a windowed timeline series for this decoder's rank
-    /// progress (one series per generation, e.g.
-    /// `omnc/k0/rank/g3`). The decoder has no clock of its own, so
-    /// nothing records automatically — the owner stamps progress with
-    /// [`Decoder::record_rank`] whenever its epoch axis advances. A
-    /// disabled series (the default) keeps the decoder untouched.
-    pub fn set_rank_series(&mut self, series: Series) {
-        self.rank_series = series;
-    }
-
-    /// Samples the current rank into the attached rank series at `epoch`
-    /// (simulated seconds at a destination, packets offered in a bench —
-    /// any monotone axis the owner drives). One branch when no series is
-    /// attached.
-    pub fn record_rank(&self, epoch: f64) {
-        self.rank_series.record(epoch, self.rank() as f64);
     }
 
     /// The generation this decoder collects.
@@ -581,36 +561,6 @@ mod tests {
         let decode_us = find("rlnc.decoder.decode_us");
         assert_eq!(decode_us.count, 1);
         assert_eq!(dec.recover().unwrap(), g.to_bytes());
-    }
-
-    #[test]
-    fn rank_series_tracks_progress_per_generation() {
-        let (g, mut rng) = setup(8, 16, 6);
-        let enc = Encoder::new(&g);
-        let ts = telemetry::TimeSeries::enabled(1.0, 32);
-        let mut dec = Decoder::new(g.id(), g.config());
-        dec.set_rank_series(ts.series("rank/g0"));
-        while !dec.is_complete() {
-            dec.absorb(&enc.emit(&mut rng)).unwrap();
-            dec.record_rank(dec.packets_received() as f64);
-        }
-        let snap = ts.snapshot();
-        let series = snap.series("rank/g0").expect("rank series exists");
-        assert_eq!(series.total_count(), dec.packets_received());
-        let final_max = series
-            .buckets
-            .iter()
-            .map(|b| b.max)
-            .fold(f64::MIN, f64::max);
-        assert_eq!(final_max, 8.0, "rank reaches the generation size");
-        // Rank is monotone, so bucket maxima are non-decreasing in time.
-        let maxima: Vec<f64> = series.buckets.iter().map(|b| b.max).collect();
-        assert!(maxima.windows(2).all(|w| w[0] <= w[1]));
-        // A decoder without a series attached records nothing and absorbs
-        // identically.
-        let plain = Decoder::new(g.id(), g.config());
-        plain.record_rank(1.0);
-        assert_eq!(plain.rank(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Every deterministic gate, one script each, in CI's job order. With
 # --regen the gates that own a committed baseline rewrite it instead of
-# comparing against it (the lint and observer smokes have none).
+# comparing against it (the lint and flight-recorder smokes have none).
 set -eu
 cd "$(dirname "$0")"
 ./lint.sh

@@ -1,8 +1,6 @@
 #!/usr/bin/env sh
 # Flight-recorder smoke: prove the black box works end to end, the way
-# CI consumes it. (The live `--serve` plane is tested in process, against
-# an observer the test holds open: `live_plane_serves_campaign_totals_over_http`
-# in crates/omnc-campaign/tests/campaign.rs.)
+# CI consumes it.
 #
 # Run the committed expected-failure campaign
 # (crates/omnc-campaign/specs/flight-smoke.json, one cell whose hop

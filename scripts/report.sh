@@ -6,8 +6,8 @@
 #
 # After an *intentional* performance change, regenerate the baseline
 # with `scripts/report.sh --regen` and commit the result.
-# Artifacts left behind for upload: report.txt, report.json,
-# forwarders.csv and the timeline.* files of the last step.
+# Artifacts left behind for upload: report.txt, report.json and
+# forwarders.csv.
 set -eu
 cd "$(dirname "$0")/.."
 cargo build --release -p omnc -p omnc-report
@@ -22,9 +22,3 @@ else
   ./target/release/omnc-report compare \
     --baseline BENCH_baseline.json --current report.json --threshold 0.15
 fi
-# Not gated: the windowed dynamics timeline of a seeded smoke run, so
-# every CI run carries queue/rank/goodput trajectories as artifacts.
-./target/release/omnc-sim --nodes 20 --sessions 1 --duration 10 \
-  --protocols all --seed 2008 --timeline timeline.json --format json
-./target/release/omnc-report timeline timeline.json \
-  --csv timeline.csv --json timeline_summary.json | tee timeline.txt
