@@ -18,20 +18,10 @@ pub struct ShortestPaths {
 }
 
 impl ShortestPaths {
-    /// The source the tree was grown from.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
     /// Cost from the source to `node`, or `None` if unreachable.
     pub fn cost(&self, node: NodeId) -> Option<f64> {
         let d = self.dist[node.index()];
         d.is_finite().then_some(d)
-    }
-
-    /// The predecessor of `node` on its shortest path, if any.
-    pub fn predecessor(&self, node: NodeId) -> Option<NodeId> {
-        self.prev[node.index()]
     }
 
     /// Reconstructs the node sequence from the source to `dst`, inclusive.
@@ -180,21 +170,6 @@ where
     (dist, prev)
 }
 
-/// All-pairs shortest-path costs by repeated Dijkstra. Quadratic memory;
-/// intended for tests and small reference computations.
-pub fn all_pairs<F>(topology: &Topology, cost: F) -> Vec<Vec<Option<f64>>>
-where
-    F: Fn(&Link) -> f64 + Copy,
-{
-    topology
-        .nodes()
-        .map(|s| {
-            let sp = shortest_paths(topology, s, cost);
-            topology.nodes().map(|d| sp.cost(d)).collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,8 +231,6 @@ mod tests {
                 NodeId::new(3)
             ]
         );
-        assert_eq!(sp.predecessor(NodeId::new(3)), Some(NodeId::new(2)));
-        assert_eq!(sp.predecessor(NodeId::new(0)), None);
     }
 
     #[test]
@@ -306,12 +279,12 @@ mod tests {
                 }
             }
 
-            let ap = all_pairs(&t, etx::link_cost);
-            for i in 0..n {
-                for j in 0..n {
-                    match ap[i][j] {
-                        Some(d) => assert!((d - fw[i][j]).abs() < 1e-9, "{i}->{j}"),
-                        None => assert!(fw[i][j].is_infinite(), "{i}->{j}"),
+            for (i, row) in fw.iter().enumerate() {
+                let sp = shortest_paths(&t, NodeId::new(i), etx::link_cost);
+                for (j, &reference) in row.iter().enumerate() {
+                    match sp.cost(NodeId::new(j)) {
+                        Some(d) => assert!((d - reference).abs() < 1e-9, "{i}->{j}"),
+                        None => assert!(reference.is_infinite(), "{i}->{j}"),
                     }
                 }
             }

@@ -29,25 +29,6 @@ pub fn best_path(topology: &Topology, src: NodeId, dst: NodeId) -> Result<Vec<No
     sp.path_to(dst).ok_or(TopoError::Disconnected { src, dst })
 }
 
-/// Total ETX cost of a node path (sum of link ETX values).
-///
-/// # Errors
-///
-/// Returns [`TopoError::Disconnected`] if any consecutive pair is not linked.
-pub fn path_cost(topology: &Topology, path: &[NodeId]) -> Result<f64, TopoError> {
-    let mut cost = 0.0;
-    for w in path.windows(2) {
-        let p = topology
-            .link_prob(w[0], w[1])
-            .ok_or(TopoError::Disconnected {
-                src: w[0],
-                dst: w[1],
-            })?;
-        cost += 1.0 / p;
-    }
-    Ok(cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,7 +80,6 @@ mod tests {
         // via node 1: 1 + 2 = 3 < direct: 4.
         let path = best_path(&t, NodeId::new(0), NodeId::new(2)).unwrap();
         assert_eq!(path, vec![NodeId::new(0), NodeId::new(1), NodeId::new(2)]);
-        assert_eq!(path_cost(&t, &path).unwrap(), 3.0);
     }
 
     #[test]
@@ -197,6 +177,5 @@ mod tests {
             best_path(&t, NodeId::new(1), NodeId::new(0)),
             Err(TopoError::Disconnected { .. })
         ));
-        assert!(path_cost(&t, &[NodeId::new(1), NodeId::new(0)]).is_err());
     }
 }

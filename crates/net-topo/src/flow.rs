@@ -1,0 +1,244 @@
+//! The one max flow of the reproduction: Edmonds–Karp over f64 capacities.
+//!
+//! The paper asks two flow questions, and both are answered here:
+//!
+//! * the end-to-end rate a broadcast-rate vector `b` supports, the `S → T`
+//!   max flow under link capacities `b_i · p_ij` (constraint (5)), which
+//!   `omnc-opt`'s `flow::supported_rate` asks at every recovery step;
+//! * Fig. 4's path diversity, the node-disjoint path count of a forwarder
+//!   DAG ([`crate::select::disjoint_path_count`]): a unit-capacity flow
+//!   over the node-split graph. Unit capacities are `1.0`, every
+//!   augmentation moves exactly `1.0`, and the value is an exact integer.
+//!
+//! A [`Network`] is the arc structure of one graph, built once from its
+//! `(tail, head)` edge list; a [`Scratch`] holds the capacities, flows and
+//! BFS state of a computation and is reused across calls and graphs of any
+//! size, since every buffer is resized and overwritten before it is read.
+//!
+//! The arithmetic is fixed, so a result does not depend on the scratch it
+//! ran in:
+//!
+//! * at each vertex the BFS visits the forward arcs of the edges leaving
+//!   it, in edge order, then the backward arcs of the edges entering it,
+//!   in edge order;
+//! * each edge keeps its capacity and its flow, and a residual is computed
+//!   as `cap − flow` when it is read;
+//! * a vertex keeps the arc it was first reached by, and the bottleneck
+//!   and the augmentation walk from `t` back to `s`;
+//! * an arc counts as open when its residual exceeds `1e-12` of the
+//!   largest capacity, and all-zero capacities return at once.
+//!
+//! # Examples
+//!
+//! ```
+//! use omnc_net_topo::flow::{Network, Scratch};
+//!
+//! // A diamond 0 → {1, 2} → 3 with a thin lower branch.
+//! let net = Network::new(4, [(0, 1), (0, 2), (1, 3), (2, 3)]);
+//! let mut scratch = Scratch::default();
+//! let value = net.max_flow(0, 3, [1.0, 1.0, 1.0, 0.25], &mut scratch);
+//! assert_eq!(value, 1.25);
+//! assert_eq!(scratch.flows(), &[1.0, 0.25, 1.0, 0.25]);
+//! ```
+
+/// A `via` entry of a vertex the BFS has not reached.
+const UNREACHED: usize = usize::MAX;
+
+/// The arc structure of one flow graph: edge `e` is the forward arc `2e`
+/// (residual `cap − flow`, from its tail to its head) paired with the
+/// backward arc `2e + 1` (residual `flow`, from its head to its tail).
+#[derive(Debug, Clone)]
+pub struct Network {
+    /// The vertex arc `a` enters; it leaves `to[a ^ 1]`.
+    to: Vec<usize>,
+    /// The arcs leaving vertex `v` are `arcs[first[v]..first[v + 1]]`:
+    /// forward arcs in edge order, then backward arcs in edge order.
+    first: Vec<usize>,
+    arcs: Vec<usize>,
+}
+
+/// The buffers of one max-flow computation.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    cap: Vec<f64>,
+    flow: Vec<f64>,
+    /// The arc each vertex was first reached by, [`UNREACHED`] if none.
+    via: Vec<usize>,
+    queue: Vec<usize>,
+}
+
+impl Scratch {
+    /// The per-edge flows of the last computation, in edge order.
+    pub fn flows(&self) -> &[f64] {
+        &self.flow
+    }
+}
+
+impl Network {
+    /// The arc structure of `edges` (`(tail, head)`, in edge order) over
+    /// vertices `0..vertices`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge names a vertex `≥ vertices`.
+    pub fn new(vertices: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Self {
+        let to: Vec<usize> = (edges.into_iter())
+            .flat_map(|(tail, head)| [head, tail])
+            .collect();
+        // Every vertex an arc enters is one the paired arc leaves.
+        let mut first = vec![0usize; vertices + 1];
+        for &v in &to {
+            first[v + 1] += 1;
+        }
+        for v in 0..vertices {
+            first[v + 1] += first[v];
+        }
+        let mut fill = first.clone();
+        let mut arcs = vec![0usize; to.len()];
+        let (forward, backward) = ((0..to.len()).step_by(2), (1..to.len()).step_by(2));
+        for arc in forward.chain(backward) {
+            let from = to[arc ^ 1];
+            arcs[fill[from]] = arc;
+            fill[from] += 1;
+        }
+        Network { to, first, arcs }
+    }
+
+    fn arcs(&self, v: usize) -> &[usize] {
+        &self.arcs[self.first[v]..self.first[v + 1]]
+    }
+
+    /// The `s → t` max flow where edge `e` has capacity `cap[e]`: returns
+    /// its value, the net outflow of `s` (its out-edges' flows summed in
+    /// edge order, less its in-edges'), and leaves the per-edge flows in
+    /// [`Scratch::flows`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` does not hold one capacity per edge, if any
+    /// capacity is negative, infinite or NaN, if `s == t`, or if `s` or `t`
+    /// is not a vertex.
+    pub fn max_flow(
+        &self,
+        s: usize,
+        t: usize,
+        cap: impl IntoIterator<Item = f64>,
+        scratch: &mut Scratch,
+    ) -> f64 {
+        let Scratch {
+            cap: c,
+            flow,
+            via,
+            queue,
+        } = scratch;
+        c.clear();
+        c.extend(cap);
+        assert_eq!(2 * c.len(), self.to.len(), "one capacity per edge");
+        assert_ne!(s, t, "source and sink must differ");
+        for &x in c.iter() {
+            assert!(x.is_finite() && x >= 0.0, "capacities must be non-negative");
+        }
+        flow.clear();
+        flow.resize(c.len(), 0.0);
+        let scale = c.iter().fold(0.0f64, |a, &b| a.max(b));
+        if scale == 0.0 {
+            return 0.0;
+        }
+        let eps = scale * 1e-12;
+
+        loop {
+            via.clear();
+            via.resize(self.first.len() - 1, UNREACHED);
+            // Any value but UNREACHED: the walk back stops at `s` anyway.
+            via[s] = 0;
+            queue.clear();
+            queue.push(s);
+            let mut next = 0;
+            'bfs: while let Some(&u) = queue.get(next) {
+                next += 1;
+                for &arc in self.arcs(u) {
+                    let v = self.to[arc];
+                    if via[v] == UNREACHED && residual(arc, c, flow) > eps {
+                        via[v] = arc;
+                        if v == t {
+                            break 'bfs;
+                        }
+                        queue.push(v);
+                    }
+                }
+            }
+            if via[t] == UNREACHED {
+                break;
+            }
+            let mut bottleneck = f64::INFINITY;
+            let mut v = t;
+            while v != s {
+                bottleneck = bottleneck.min(residual(via[v], c, flow));
+                v = self.to[via[v] ^ 1];
+            }
+            let mut v = t;
+            while v != s {
+                let arc = via[v];
+                if arc.is_multiple_of(2) {
+                    flow[arc / 2] += bottleneck;
+                } else {
+                    flow[arc / 2] -= bottleneck;
+                }
+                v = self.to[arc ^ 1];
+            }
+        }
+
+        let net = |parity: usize| -> f64 {
+            (self.arcs(s).iter())
+                .filter(|&&arc| arc % 2 == parity)
+                .map(|&arc| flow[arc / 2])
+                .sum()
+        };
+        net(0) - net(1)
+    }
+}
+
+/// The residual of `arc`: `cap − flow` on a forward arc, `flow` on a
+/// backward one.
+fn residual(arc: usize, cap: &[f64], flow: &[f64]) -> f64 {
+    let e = arc / 2;
+    if arc.is_multiple_of(2) {
+        cap[e] - flow[e]
+    } else {
+        flow[e]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn arcs_list_out_edges_then_in_edges_in_edge_order() {
+        let net = Network::new(3, [(1, 0), (0, 2), (2, 0), (0, 1)]);
+        assert_eq!(net.arcs(0), &[2, 6, 1, 5]);
+        assert_eq!(net.arcs(1), &[0, 7]);
+        assert_eq!(net.arcs(2), &[4, 3]);
+    }
+
+    #[test]
+    fn a_backward_arc_cancels_a_blocking_flow() {
+        // The shortest path 0 → 1 → 3 → 6 goes first and fills 3 → 6, the
+        // only way on from 2; the second path, 0 → 2 → 3 ⇢ 1 → 4 → 5 → 6,
+        // pushes the unit on 1 → 3 back.
+        let edges = [
+            (0, 1),
+            (1, 3),
+            (3, 6),
+            (0, 2),
+            (2, 3),
+            (1, 4),
+            (4, 5),
+            (5, 6),
+        ];
+        let net = Network::new(7, edges);
+        let mut scratch = Scratch::default();
+        assert_eq!(net.max_flow(0, 6, [1.0; 8], &mut scratch), 2.0);
+        assert_eq!(scratch.flows(), &[1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
+    }
+}

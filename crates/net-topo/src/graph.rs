@@ -78,21 +78,11 @@ pub struct Topology {
 impl Topology {
     /// Builds a topology from node positions and a PHY model: every ordered
     /// pair within [`Phy::range`] becomes a directed link with probability
-    /// `phy.reception_prob(distance)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopoError::TooFewNodes`] for fewer than two points.
-    pub fn from_points(points: Vec<Point>, phy: &Phy) -> Result<Self, TopoError> {
-        Topology::from_points_seeded(points, phy, None)
-    }
-
-    /// Like [`Topology::from_points`], but applies the PHY's per-link
-    /// log-normal shadowing using draws derived deterministically from
-    /// `seed` (the same unordered pair always gets the same draw, so both
-    /// directions of a link and re-builds under a boosted PHY share it).
-    /// With `None`, or a PHY without shadowing, this is the plain
-    /// distance-deterministic construction.
+    /// `phy.reception_prob(distance)`. With `Some(seed)` and a PHY with
+    /// shadowing, each link also gets the PHY's log-normal shadowing, using
+    /// draws derived deterministically from `seed` (the same unordered pair
+    /// always gets the same draw, so both directions of a link and
+    /// re-builds under a boosted PHY share it).
     ///
     /// # Errors
     ///
@@ -439,7 +429,7 @@ mod tests {
             Point::new(r * 0.5, 0.0),
             Point::new(r * 10.0, 0.0), // isolated
         ];
-        let t = Topology::from_points(points, &phy).unwrap();
+        let t = Topology::from_points_seeded(points, &phy, None).unwrap();
         assert!(t.link_prob(NodeId(0), NodeId(1)).is_some());
         assert!(t.link_prob(NodeId(0), NodeId(2)).is_none());
         assert!(!t.is_connected());
@@ -450,8 +440,8 @@ mod tests {
     fn link_probabilities_match_phy() {
         let phy = Phy::paper_lossy();
         let d = phy.range() * 0.6;
-        let t =
-            Topology::from_points(vec![Point::new(0.0, 0.0), Point::new(d, 0.0)], &phy).unwrap();
+        let points = vec![Point::new(0.0, 0.0), Point::new(d, 0.0)];
+        let t = Topology::from_points_seeded(points, &phy, None).unwrap();
         let p = t.link_prob(NodeId(0), NodeId(1)).unwrap();
         assert!((p - phy.reception_prob(d)).abs() < 1e-12);
         // Symmetric distances give symmetric probabilities.

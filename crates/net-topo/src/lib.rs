@@ -16,6 +16,8 @@
 //! * [`select`] — the decentralized node-selection procedure that keeps only
 //!   forwarders closer (in ETX) to the destination, producing the paper's
 //!   topology graph `G(V, E)`.
+//! * [`flow`] — the one max flow: the rate a broadcast vector supports
+//!   (constraint (5)) and Fig. 4's node-disjoint path count.
 //!
 //! # Examples
 //!
@@ -35,6 +37,7 @@
 pub mod deploy;
 pub mod dijkstra;
 pub mod etx;
+pub mod flow;
 pub mod geom;
 pub mod graph;
 pub mod phy;

@@ -20,7 +20,7 @@
 //! Real measurements additionally show large variance of reception
 //! probability at a fixed distance (shadowing); the model reproduces it
 //! with a per-link log-normal factor on the effective distance
-//! ([`Phy::with_shadowing`]), so that some nearby links are surprisingly
+//! ([`Phy::reception_prob_shadowed`]), so that some nearby links are surprisingly
 //! bad and some long links surprisingly usable — the raw material of
 //! opportunistic routing.
 
@@ -150,28 +150,6 @@ impl Phy {
         self.nominal_range
     }
 
-    /// The power gain applied to this model.
-    pub fn power_gain(&self) -> f64 {
-        self.power_gain
-    }
-
-    /// Returns the same model with log-normal shadowing of the given sigma:
-    /// each link's effective distance is multiplied by `exp(sigma · z)` for
-    /// a per-link standard normal `z` (drawn by the topology builder).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative or not finite.
-    #[must_use]
-    pub fn with_shadowing(mut self, sigma: f64) -> Self {
-        assert!(
-            sigma.is_finite() && sigma >= 0.0,
-            "shadowing sigma must be non-negative"
-        );
-        self.shadowing_sigma = sigma;
-        self
-    }
-
     /// The shadowing sigma of this model.
     pub fn shadowing_sigma(&self) -> f64 {
         self.shadowing_sigma
@@ -194,11 +172,6 @@ impl Phy {
         );
         self.opportunistic_cutoff = multiple;
         self
-    }
-
-    /// The opportunistic-reception cutoff as a multiple of the range.
-    pub fn opportunistic_cutoff(&self) -> f64 {
-        self.opportunistic_cutoff
     }
 
     /// One-way reception probability of a link of length `distance`.
@@ -261,34 +234,6 @@ impl Phy {
             raw
         }
     }
-
-    /// Numerically computes the expected link reception probability over
-    /// links whose endpoints are uniformly random within range of each other
-    /// (distance density `2u du` on `[0, range]`, ignoring border effects).
-    /// Used to verify the calibration against the paper's quoted averages.
-    pub fn expected_link_quality(&self) -> f64 {
-        let steps = 2_000;
-        let z_steps = 41;
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for k in 0..steps {
-            let u = (k as f64 + 0.5) / steps as f64;
-            let w = 2.0 * u;
-            if self.shadowing_sigma == 0.0 {
-                num += w * self.reception_prob(u * self.nominal_range);
-                den += w;
-            } else {
-                // Gauss-ish quadrature over the shadowing draw.
-                for j in 0..z_steps {
-                    let z = -3.0 + 6.0 * j as f64 / (z_steps - 1) as f64;
-                    let pdf = (-0.5 * z * z).exp();
-                    num += w * pdf * self.reception_prob_shadowed(u * self.nominal_range, z);
-                    den += w * pdf;
-                }
-            }
-        }
-        num / den
-    }
 }
 
 impl Default for Phy {
@@ -300,6 +245,34 @@ impl Default for Phy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Numerically computes the expected link reception probability over
+    /// links whose endpoints are uniformly random within range of each other
+    /// (distance density `2u du` on `[0, range]`, ignoring border effects).
+    /// The calibration tests check it against the paper's quoted averages.
+    fn expected_link_quality(phy: &Phy) -> f64 {
+        let steps = 2_000;
+        let z_steps = 41;
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for k in 0..steps {
+            let u = (k as f64 + 0.5) / steps as f64;
+            let w = 2.0 * u;
+            if phy.shadowing_sigma == 0.0 {
+                num += w * phy.reception_prob(u * phy.nominal_range);
+                den += w;
+            } else {
+                // Gauss-ish quadrature over the shadowing draw.
+                for j in 0..z_steps {
+                    let z = -3.0 + 6.0 * j as f64 / (z_steps - 1) as f64;
+                    let pdf = (-0.5 * z * z).exp();
+                    num += w * pdf * phy.reception_prob_shadowed(u * phy.nominal_range, z);
+                    den += w * pdf;
+                }
+            }
+        }
+        num / den
+    }
 
     #[test]
     fn probability_is_monotone_nonincreasing_within_range() {
@@ -331,14 +304,14 @@ mod tests {
     #[test]
     fn lossy_calibration_matches_paper_average() {
         // Paper, Sec. 5: "average reception probability is 0.58".
-        let q = Phy::paper_lossy().expected_link_quality();
+        let q = expected_link_quality(&Phy::paper_lossy());
         assert!((0.54..=0.62).contains(&q), "expected ~0.58, got {q}");
     }
 
     #[test]
     fn high_quality_calibration_matches_paper_average() {
         // Paper, Sec. 5: power increased so that the average rises to 0.91.
-        let q = Phy::paper_high_quality().expected_link_quality();
+        let q = expected_link_quality(&Phy::paper_high_quality());
         assert!((0.87..=0.94).contains(&q), "expected ~0.91, got {q}");
     }
 

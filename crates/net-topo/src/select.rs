@@ -10,6 +10,7 @@
 //! the graph is a DAG.
 
 use crate::etx;
+use crate::flow;
 use crate::graph::{Link, NodeId, Topology};
 
 /// The forwarder subgraph produced by node selection for one unicast pair.
@@ -153,114 +154,41 @@ impl Selection {
 
 /// Maximum number of *node-disjoint* `src → dst` paths in a DAG — the
 /// paper's notion of path diversity (Fig. 4 normalizes by the paths
-/// "available after the node selection procedure"). Computed by unit-
-/// capacity max flow with node splitting (Ford-Fulkerson; the value is at
-/// most the source degree, so a handful of BFS augmentations suffice, each
-/// O(V + E) over per-vertex residual adjacency). Parallel links count once.
+/// "available after the node selection procedure"). Parallel links count
+/// once.
+///
+/// Computed as a unit-capacity max flow over the node-split graph, run
+/// through the shared [`flow::Network`]: node `v` becomes `v_in` and
+/// `v_out` joined by an edge of capacity `1.0`, each link a capacity-`1.0`
+/// edge `from_out → to_in`. The split edges of `src` and `dst` get the
+/// node count, more than any flow can use. Every augmentation then moves
+/// exactly `1.0`, so the value is an exact integer.
 pub fn disjoint_path_count(dag: &Topology, src: NodeId, dst: NodeId) -> usize {
-    // Node splitting: node v becomes v_in (2v) and v_out (2v+1) joined by a
-    // unit edge, except src/dst which are uncapacitated.
+    disjoint_path_count_in(dag, src, dst, &mut flow::Scratch::default())
+}
+
+/// [`disjoint_path_count`] over caller-owned flow buffers.
+pub fn disjoint_path_count_in(
+    dag: &Topology,
+    src: NodeId,
+    dst: NodeId,
+    scratch: &mut flow::Scratch,
+) -> usize {
     let n = dag.len();
     let idx_in = |v: NodeId| 2 * v.index();
     let idx_out = |v: NodeId| 2 * v.index() + 1;
-    let mut edges: Vec<(usize, usize, u32)> = Vec::with_capacity(n + dag.link_count());
+    let mut edges: Vec<(usize, usize, f64)> = Vec::with_capacity(n + dag.link_count());
     for v in dag.nodes() {
-        let c = if v == src || v == dst { u32::MAX } else { 1 };
+        let c = if v == src || v == dst { n as f64 } else { 1.0 };
         edges.push((idx_in(v), idx_out(v), c));
         let mut targets: Vec<NodeId> = dag.out_links(v).iter().map(|l| l.to).collect();
         targets.sort_unstable();
         targets.dedup();
-        edges.extend(targets.into_iter().map(|to| (idx_out(v), idx_in(to), 1)));
+        edges.extend(targets.into_iter().map(|to| (idx_out(v), idx_in(to), 1.0)));
     }
-    let mut residual = Residual::new(2 * n, &edges);
+    let net = flow::Network::new(2 * n, edges.iter().map(|&(a, b, _)| (a, b)));
     let (s, t) = (idx_out(src), idx_in(dst));
-    let mut flow = 0;
-    while residual.augment(s, t) {
-        flow += 1;
-    }
-    flow
-}
-
-/// A residual graph: edge `i` of the input is arc `2i` (its capacity left)
-/// paired with arc `2i + 1` (the reverse, holding the flow pushed through
-/// it), and each vertex lists the arcs leaving it in one CSR array.
-struct Residual {
-    head: Vec<usize>,
-    cap: Vec<u32>,
-    /// Arcs leaving vertex `v`: `out_arcs[first[v]..first[v + 1]]`.
-    first: Vec<usize>,
-    out_arcs: Vec<usize>,
-    /// BFS state, kept between augmentations: the arc each vertex was
-    /// reached by (`usize::MAX` while unreached), and the queue.
-    via: Vec<usize>,
-    queue: Vec<usize>,
-}
-
-impl Residual {
-    fn new(vertices: usize, edges: &[(usize, usize, u32)]) -> Self {
-        let mut head = Vec::with_capacity(2 * edges.len());
-        let mut cap = Vec::with_capacity(2 * edges.len());
-        let mut first = vec![0usize; vertices + 1];
-        for &(a, b, c) in edges {
-            head.extend([b, a]);
-            cap.extend([c, 0]);
-            first[a + 1] += 1;
-            first[b + 1] += 1;
-        }
-        for v in 0..vertices {
-            first[v + 1] += first[v];
-        }
-        let mut fill = first.clone();
-        let mut out_arcs = vec![0usize; head.len()];
-        for arc in 0..head.len() {
-            // The tail of an arc is the head of its pair.
-            let from = head[arc ^ 1];
-            out_arcs[fill[from]] = arc;
-            fill[from] += 1;
-        }
-        Residual {
-            head,
-            cap,
-            first,
-            out_arcs,
-            via: vec![usize::MAX; vertices],
-            queue: Vec::with_capacity(vertices),
-        }
-    }
-
-    /// Pushes one unit along a shortest `s → t` path with capacity left;
-    /// `false` when there is none (the flow is maximum).
-    fn augment(&mut self, s: usize, t: usize) -> bool {
-        self.via.fill(usize::MAX);
-        self.queue.clear();
-        self.queue.push(s);
-        self.via[s] = s;
-        let mut next = 0;
-        while let Some(&u) = self.queue.get(next) {
-            next += 1;
-            if u == t {
-                break;
-            }
-            for &arc in &self.out_arcs[self.first[u]..self.first[u + 1]] {
-                let v = self.head[arc];
-                if self.cap[arc] > 0 && self.via[v] == usize::MAX {
-                    self.via[v] = arc;
-                    self.queue.push(v);
-                }
-            }
-        }
-        if self.via[t] == usize::MAX {
-            return false;
-        }
-        let mut v = t;
-        while v != s {
-            let arc = self.via[v];
-            self.cap[arc] -= 1;
-            self.cap[arc ^ 1] += 1;
-            v = self.head[arc ^ 1];
-        }
-        true
-    }
+    net.max_flow(s, t, edges.iter().map(|e| e.2), scratch) as usize
 }
 
 /// Counts distinct `src → dst` paths in a DAG by memoized DFS, saturating.
@@ -411,8 +339,8 @@ mod tests {
         assert_eq!(sel.subgraph().link_count(), 4);
     }
 
-    /// The O(V·E)-per-BFS body `disjoint_path_count` had before its
-    /// residual adjacency: every BFS pop scans the whole capacity map. The
+    /// The O(V·E)-per-BFS body `disjoint_path_count` had before it ran on
+    /// an arc structure: every BFS pop scans the whole capacity map. The
     /// max-flow value is unique, so the two must agree exactly.
     fn disjoint_path_count_oracle(dag: &Topology, src: NodeId, dst: NodeId) -> usize {
         // Node splitting: node v becomes v_in (2v) and v_out (2v+1) joined by a

@@ -20,14 +20,17 @@
 //! diminishing step size `θ(t) = A/(B + C·t)`.
 //!
 //! This module is the *centralized* driver used by protocols and benches,
-//! for one session or for the `K` coupled sessions of [`crate::municast`];
-//! [`crate::distributed`] runs the identical single-session arithmetic
-//! through per-node message passing and is tested to produce the same
-//! iterates.
+//! for one session or for the `K` coupled sessions of [`crate::municast`].
+//! [`crate::distributed`] is a separate single-session realization through
+//! per-node agents, not a bit-twin of this engine: it seeds λ from its own
+//! Bellman-Ford ETX scaffold, recovers from two candidates rather than
+//! three, and is tested only to land within 5% (the diamond) and 10% (one
+//! 20-node instance) of this engine's throughput.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use net_topo::flow::Network;
 use serde::{Deserialize, Serialize};
 
 use crate::flow;
@@ -151,7 +154,8 @@ pub struct RateAllocation {
 
 impl RateAllocation {
     /// Assembles an allocation from raw parts (used by the distributed
-    /// realization, which performs the identical recovery steps).
+    /// realization, whose own recovery keeps the better of `b̄` and the
+    /// flow-derived vector but has no union candidate).
     pub(crate) fn from_parts(
         b: Vec<f64>,
         x: Vec<f64>,
@@ -253,6 +257,9 @@ pub struct RateControl<'a> {
     /// SUB1's view of every session's links, built once (costs change every
     /// iteration, the structure does not).
     routes: Vec<Routes>,
+    /// Primal recovery's max-flow graph of every session, built once for
+    /// the same reason.
+    networks: Vec<Network>,
     record_trace: bool,
     profiler: telemetry::Profiler,
 }
@@ -539,6 +546,7 @@ impl<'a> RateControl<'a> {
             coupling,
             params,
             routes: sessions.iter().map(Routes::new).collect(),
+            networks: sessions.iter().map(flow::network).collect(),
             record_trace: false,
             profiler: telemetry::Profiler::disabled(),
         }
@@ -897,12 +905,12 @@ impl<'a> RateControl<'a> {
         } else {
             1.0
         };
-        for (k, problem) in self.sessions.iter().enumerate() {
+        for (k, (problem, net)) in self.sessions.iter().zip(&self.networks).enumerate() {
             let b = &mut candidate.b[k];
             for v in b.iter_mut() {
                 *v = (*v * scale).clamp(0.0, 1.0);
             }
-            candidate.rates[k] = flow::supported_rate_in(problem, b, flow);
+            candidate.rates[k] = flow::supported_rate_in(problem, net, b, flow);
             candidate.x[k].copy_from_slice(flow.flows());
         }
         candidate.total = candidate.rates.iter().sum();

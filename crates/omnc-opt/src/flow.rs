@@ -1,5 +1,4 @@
-//! Max-flow helper: the end-to-end information rate a broadcast-rate vector
-//! can support.
+//! The end-to-end information rate a broadcast-rate vector can support.
 //!
 //! Given broadcast rates `b`, each link `(i, j)` can carry information at
 //! most `b_i · p_ij` (constraint (5)); the achievable unicast rate is the
@@ -7,196 +6,55 @@
 //! recovered rate vector into its realized throughput, and the protocols use
 //! it when reporting the optimizer's predicted rate.
 //!
-//! The rate-control engine asks for it once per session and recovery
-//! candidate at every stopping-rule check, so there is one Edmonds-Karp
-//! body over a caller-owned scratch: [`max_flow`] and
-//! [`supported_rate`] run it on a fresh scratch, the engine on one it keeps
-//! for the whole run. Either way the BFS visits links in the instance's
-//! `out_links`/`in_links` order and the bottleneck and augmentation
-//! arithmetic is the same, so a reused scratch returns the same flow, bit
-//! for bit, as a fresh one.
+//! The max flow itself is [`net_topo::flow`]'s, run on the instance's links
+//! in [`LinkId`](crate::LinkId) order; this module only states the
+//! capacities. The rate-control engine asks once per session and recovery
+//! candidate at every stopping-rule check, so it builds each session's
+//! [`Network`] once and keeps one [`Scratch`] for the whole run;
+//! [`supported_rate`] builds both per call. The arithmetic does not depend
+//! on the scratch, so either way the flow is the same, bit for bit.
 
-use std::collections::VecDeque;
+use net_topo::flow::Network;
+pub(crate) use net_topo::flow::Scratch;
 
 use crate::instance::SUnicast;
-use crate::LinkId;
 
-/// The residual edge a BFS reached a node through.
-#[derive(Debug, Clone, Copy)]
-enum Via {
-    Forward(usize),
-    Backward(usize),
-}
-
-/// Buffers of one max-flow computation, reusable across instances of any
-/// size: every field is resized and overwritten before it is read.
-#[derive(Debug, Default)]
-pub(crate) struct Scratch {
-    cap: Vec<f64>,
-    flow: Vec<f64>,
-    prev: Vec<Option<Via>>,
-    visited: Vec<bool>,
-    queue: VecDeque<usize>,
-}
-
-impl Scratch {
-    /// The per-link flows of the last computation.
-    pub(crate) fn flows(&self) -> &[f64] {
-        &self.flow
-    }
-}
-
-/// Computes the `S → T` max flow where link `e` has capacity `cap[e]`.
-/// Returns the flow value and the per-link flows.
-///
-/// Plain Edmonds-Karp on the instance's link set (with implicit reverse
-/// residual edges).
-///
-/// # Panics
-///
-/// Panics if `cap.len() != problem.link_count()` or any capacity is
-/// negative/NaN.
-pub fn max_flow(problem: &SUnicast, cap: &[f64]) -> (f64, Vec<f64>) {
-    assert_eq!(
-        cap.len(),
-        problem.link_count(),
-        "capacity vector length mismatch"
-    );
-    let mut scratch = Scratch {
-        cap: cap.to_vec(),
-        ..Scratch::default()
-    };
-    let value = edmonds_karp(problem, &mut scratch);
-    (value, scratch.flow)
+/// The flow network of `problem`'s links, in link order.
+pub(crate) fn network(problem: &SUnicast) -> Network {
+    Network::new(
+        problem.node_count(),
+        problem.links().map(|(_, l)| (l.from, l.to)),
+    )
 }
 
 /// The information rate supported by broadcast-rate vector `b`: max flow
-/// with link capacities `b_i · p_ij`.
+/// with link capacities `b_i · p_ij`. Returns the rate and the per-link
+/// flows.
 ///
 /// # Panics
 ///
 /// Panics if `b.len() != problem.node_count()`.
 pub fn supported_rate(problem: &SUnicast, b: &[f64]) -> (f64, Vec<f64>) {
     let mut scratch = Scratch::default();
-    let value = supported_rate_in(problem, b, &mut scratch);
-    (value, scratch.flow)
+    let value = supported_rate_in(problem, &network(problem), b, &mut scratch);
+    (value, scratch.flows().to_vec())
 }
 
-/// [`supported_rate`] over a caller-owned scratch; the link flows stay in
-/// [`Scratch::flows`].
-pub(crate) fn supported_rate_in(problem: &SUnicast, b: &[f64], scratch: &mut Scratch) -> f64 {
+/// [`supported_rate`] on `problem`'s prebuilt [`network`], over a
+/// caller-owned scratch; the link flows stay in [`Scratch::flows`].
+pub(crate) fn supported_rate_in(
+    problem: &SUnicast,
+    net: &Network,
+    b: &[f64],
+    scratch: &mut Scratch,
+) -> f64 {
     assert_eq!(
         b.len(),
         problem.node_count(),
         "broadcast vector length mismatch"
     );
-    scratch.cap.clear();
-    scratch
-        .cap
-        .extend(problem.links().map(|(_, l)| (b[l.from].max(0.0)) * l.p));
-    edmonds_karp(problem, scratch)
-}
-
-/// Max flow under `scratch.cap`, into `scratch.flow`.
-fn edmonds_karp(problem: &SUnicast, scratch: &mut Scratch) -> f64 {
-    let Scratch {
-        cap,
-        flow,
-        prev,
-        visited,
-        queue,
-    } = scratch;
-    for &c in cap.iter() {
-        assert!(c.is_finite() && c >= 0.0, "capacities must be non-negative");
-    }
-    let n = problem.node_count();
-    let s = problem.src();
-    let t = problem.dst();
-    flow.clear();
-    flow.resize(problem.link_count(), 0.0);
-    let scale: f64 = cap.iter().fold(0.0f64, |a, &b| a.max(b));
-    if scale == 0.0 {
-        return 0.0;
-    }
-    let eps = scale * 1e-12;
-
-    loop {
-        // BFS over residual edges: forward when flow < cap, backward when
-        // flow > 0.
-        prev.clear();
-        prev.resize(n, None);
-        visited.clear();
-        visited.resize(n, false);
-        visited[s] = true;
-        queue.clear();
-        queue.push_back(s);
-        'bfs: while let Some(u) = queue.pop_front() {
-            for l in problem.out_links(u) {
-                let e = l.index();
-                let link = problem.link(*l);
-                if !visited[link.to] && cap[e] - flow[e] > eps {
-                    visited[link.to] = true;
-                    prev[link.to] = Some(Via::Forward(e));
-                    if link.to == t {
-                        break 'bfs;
-                    }
-                    queue.push_back(link.to);
-                }
-            }
-            for l in problem.in_links(u) {
-                let e = l.index();
-                let link = problem.link(*l);
-                if !visited[link.from] && flow[e] > eps {
-                    visited[link.from] = true;
-                    prev[link.from] = Some(Via::Backward(e));
-                    queue.push_back(link.from);
-                }
-            }
-        }
-        if !visited[t] {
-            break;
-        }
-        // Find the bottleneck along the augmenting path.
-        let mut bottleneck = f64::INFINITY;
-        let mut v = t;
-        while v != s {
-            match prev[v].expect("path exists") {
-                Via::Forward(e) => {
-                    bottleneck = bottleneck.min(cap[e] - flow[e]);
-                    v = problem.link(LinkId(e)).from;
-                }
-                Via::Backward(e) => {
-                    bottleneck = bottleneck.min(flow[e]);
-                    v = problem.link(LinkId(e)).to;
-                }
-            }
-        }
-        // Augment.
-        let mut v = t;
-        while v != s {
-            match prev[v].expect("path exists") {
-                Via::Forward(e) => {
-                    flow[e] += bottleneck;
-                    v = problem.link(LinkId(e)).from;
-                }
-                Via::Backward(e) => {
-                    flow[e] -= bottleneck;
-                    v = problem.link(LinkId(e)).to;
-                }
-            }
-        }
-    }
-
-    problem
-        .out_links(s)
-        .iter()
-        .map(|l| flow[l.index()])
-        .sum::<f64>()
-        - problem
-            .in_links(s)
-            .iter()
-            .map(|l| flow[l.index()])
-            .sum::<f64>()
+    let cap = problem.links().map(|(_, l)| (b[l.from].max(0.0)) * l.p);
+    net.max_flow(problem.src(), problem.dst(), cap, scratch)
 }
 
 #[cfg(test)]
@@ -204,6 +62,15 @@ mod tests {
     use super::*;
     use crate::instance::tests::diamond;
     use crate::lp::solve_exact;
+
+    /// The `S → T` max flow where link `e` has capacity `cap[e]`: its value
+    /// and the per-link flows.
+    fn max_flow(problem: &SUnicast, cap: &[f64]) -> (f64, Vec<f64>) {
+        let mut scratch = Scratch::default();
+        let (s, t) = (problem.src(), problem.dst());
+        let value = network(problem).max_flow(s, t, cap.iter().copied(), &mut scratch);
+        (value, scratch.flows().to_vec())
+    }
 
     #[test]
     fn zero_capacities_zero_flow() {
@@ -254,31 +121,39 @@ mod tests {
     #[test]
     fn a_reused_scratch_returns_the_bits_of_a_fresh_one() {
         use net_topo::deploy::Deployment;
+        use net_topo::graph::Topology;
         use net_topo::phy::Phy;
-        use net_topo::select::select_forwarders;
+        use net_topo::select::{disjoint_path_count_in, select_forwarders};
         use rand::{Rng, SeedableRng};
 
         let phy = Phy::paper_lossy();
         // Instances of different sizes, visited large → small → large so a
-        // stale tail of any buffer would be read.
-        let mut problems: Vec<SUnicast> = [(60, 1), (12, 2), (35, 3)]
+        // stale tail of any buffer would be read. Each comes with its
+        // selection's forwarder DAG, whose node-split graph (twice the
+        // topology's nodes) runs through the same scratch in between.
+        let mut cases: Vec<(SUnicast, Topology)> = [(60, 1), (12, 2), (35, 3)]
             .into_iter()
             .map(|(nodes, seed)| {
                 let topo = Deployment::random(nodes, 6.0, &phy, seed).into_topology();
                 let (s, d) = topo.farthest_pair();
-                SUnicast::from_selection(&topo, &select_forwarders(&topo, s, d), 1.0)
+                let sel = select_forwarders(&topo, s, d);
+                let problem = SUnicast::from_selection(&topo, &sel, 1.0);
+                (problem, sel.subgraph().clone())
             })
             .collect();
         let (t, sel) = diamond();
-        problems.push(SUnicast::from_selection(&t, &sel, 1.0));
-        let sizes: Vec<usize> = problems.iter().map(SUnicast::link_count).collect();
+        cases.push((
+            SUnicast::from_selection(&t, &sel, 1.0),
+            sel.subgraph().clone(),
+        ));
+        let sizes: Vec<usize> = cases.iter().map(|(p, _)| p.link_count()).collect();
         assert!(sizes[0] > sizes[2] && sizes[2] > sizes[1] && sizes[1] > sizes[3]);
 
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let mut scratch = Scratch::default();
         for round in 0..6 {
-            for p in &problems {
+            for (p, dag) in &cases {
                 let b: Vec<f64> = (0..p.node_count())
                     // Round 3 starves every link: the all-zero early return.
                     .map(|_| {
@@ -289,15 +164,18 @@ mod tests {
                         }
                     })
                     .collect();
-                let reused = supported_rate_in(p, &b, &mut scratch);
+                let reused = supported_rate_in(p, &network(p), &b, &mut scratch);
                 let (fresh, flows) = supported_rate(p, &b);
                 assert_eq!(reused.to_bits(), fresh.to_bits(), "round {round}");
                 assert_eq!(bits(scratch.flows()), bits(&flows), "round {round}");
-                // And the public max flow under the same capacities.
-                let cap: Vec<f64> = p.links().map(|(_, l)| b[l.from] * l.p).collect();
-                let (value, flows) = max_flow(p, &cap);
-                assert_eq!(reused.to_bits(), value.to_bits(), "round {round}");
-                assert_eq!(bits(scratch.flows()), bits(&flows), "round {round}");
+
+                // The unit-capacity caller, on the buffers the f64 one
+                // just left behind, against a fresh scratch.
+                let (s, d) = (p.node_id(p.src()), p.node_id(p.dst()));
+                let count = disjoint_path_count_in(dag, s, d, &mut scratch);
+                let mut fresh = Scratch::default();
+                assert_eq!(count, disjoint_path_count_in(dag, s, d, &mut fresh));
+                assert_eq!(bits(scratch.flows()), bits(fresh.flows()), "round {round}");
             }
         }
     }

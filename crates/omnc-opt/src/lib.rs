@@ -29,12 +29,14 @@
 //!   [`municast::MUnicast::solve_distributed`], which is [`RateControl`]
 //!   over those sessions and rows — bit-identical to the single-session
 //!   driver when `K = 1`;
-//! * [`distributed`] — the same algorithm realized as per-node state
-//!   machines exchanging messages with neighbors only, demonstrating that
-//!   every update in Table 1 is local (the reference the engine is tested
-//!   against);
-//! * [`flow`] — a max-flow helper that converts a broadcast-rate vector
-//!   into the end-to-end information rate it can support.
+//! * [`distributed`] — a single-session realization of Table 1 as per-node
+//!   agents exchanging messages. It is not the engine's bit-twin: it
+//!   recovers from two candidates (no union), seeds λ from its own
+//!   Bellman-Ford ETX scaffold, and its Flow step writes the agents' link
+//!   rates directly. Its tests hold it within 5% of the engine's
+//!   throughput on the diamond and 10% on one 20-node instance;
+//! * [`flow`] — the end-to-end information rate a broadcast-rate vector
+//!   supports, as `net_topo::flow`'s max flow under capacities `b_i·p_ij`.
 //!
 //! # Examples
 //!

@@ -1,7 +1,7 @@
 //! Offline analysis of OMNC causal packet-lifecycle traces.
 //!
 //! The `omnc-sim --trace` JSONL stream gives every coded packet a
-//! birth-to-death story: minted at a coder ([`drift::PacketTag`]), carried
+//! birth-to-death story: minted at a coder ([`omnc::drift::PacketTag`]), carried
 //! through MAC `TxStart`/`Delivered`/`Lost` events, resolved by the
 //! destination decoder into an `Absorbed` outcome. This crate joins those
 //! streams back together and answers the paper's evaluation questions

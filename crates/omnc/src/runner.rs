@@ -9,11 +9,11 @@
 //! case of `K` coupled sessions; two pieces of data differ, each chosen in
 //! one place:
 //!
-//! * the **world** ([`crate::world`]) — single-session entries simulate only
+//! * the **world** (the private `world` module) — single-session entries simulate only
 //!   the session's participants (the paper's Fig. 2/3 methodology: sessions
 //!   are independent experiments), coupled entries the whole mesh, where
 //!   sessions contend for channel capacity and share queues (Sec. 4.3);
-//! * the OMNC **rate source** ([`omnc_rates`]) — the single-session
+//! * the OMNC **rate source** (the private `omnc_rates`) — the single-session
 //!   portfolio for one session, the joint mUnicast solver for two or more,
 //!   or the ablation bench's own vector.
 //!
@@ -26,8 +26,9 @@ use std::sync::Arc;
 
 use drift::{Behavior, Ctx, MacModel, Simulator};
 use net_topo::etx;
+use net_topo::flow;
 use net_topo::graph::{Link, NodeId, Topology};
-use net_topo::select::{disjoint_path_count, select_forwarders, Selection};
+use net_topo::select::{disjoint_path_count_in, select_forwarders, Selection};
 use omnc_opt::municast::MUnicast;
 use omnc_opt::{default_portfolio, run_best, RateControlParams, SUnicast};
 use serde::{Deserialize, Serialize};
@@ -784,13 +785,14 @@ impl Run<'_> {
         // Path utility: node-disjoint paths of the DAG all of whose links
         // were exercised (the transmitter sent and the receiver heard at
         // least one of its packets), over all its node-disjoint paths.
-        let paths = |links: Vec<Link>| {
+        let mut scratch = flow::Scratch::default();
+        let mut paths = |links: Vec<Link>| {
             if links.is_empty() {
                 return 0;
             }
             let dag =
                 Topology::from_links(self.job.topology.len(), links).expect("DAG links are valid");
-            disjoint_path_count(&dag, src, dst)
+            disjoint_path_count_in(&dag, src, dst, &mut scratch)
         };
         let heard = |l: &&Link| {
             (self.role(k, l.to).and_then(Role::heard))

@@ -10,6 +10,8 @@
 #   3. omnc-lint check-scenario — model invariants of the two committed
 #      gate scenarios, single- and multi-session (probabilities, capacity
 #      condition)
+#   4. rustdoc over the crates/ packages (not vendor/, not benchmark/) with
+#      warnings as errors, so a doc link to a deleted or private item fails
 # Exits nonzero on any finding.
 set -eu
 cd "$(dirname "$0")/.."
@@ -37,4 +39,11 @@ done
 cargo run --release -p omnc-lint -- check-scenario \
   crates/omnc-lint/tests/fixtures/scenarios/good_diamond.json \
   crates/omnc-lint/tests/fixtures/scenarios/good_multi_diamond.json
+
+packages=
+for manifest in crates/*/Cargo.toml; do
+  packages="$packages -p $(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -n 1)"
+done
+# shellcheck disable=SC2086 # one word per -p flag and package
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps $packages
 echo "lint gate: clean"
