@@ -191,6 +191,11 @@ impl CampaignSpec {
                 self.sessions.start
             ));
         }
+        for v in &self.variants {
+            self.scenario(v)
+                .validate()
+                .map_err(|e| format!("variant {:?}: {e}", v.label))?;
+        }
         Ok(())
     }
 
@@ -406,9 +411,31 @@ mod tests {
                 r#"{"name": "x", "preset": "huge", "variants": [{"label": "a", "overrides": null}], "protocols": ["Omnc"], "sessions": {"start": 0, "count": 1}}"#,
                 "preset",
             ),
+            (
+                r#"{"name": "x", "variants": [{"label": "a", "overrides": {"duration": 0}}], "protocols": ["Omnc"], "sessions": {"start": 0, "count": 1}}"#,
+                "duration",
+            ),
         ] {
             let err = CampaignSpec::from_json(json).expect_err(what);
-            assert!(!err.is_empty(), "{what}");
+            assert!(err.contains(what), "{what}: {err}");
         }
+    }
+
+    #[test]
+    fn every_committed_spec_loads() {
+        // The gates run these; a scenario check must never reject one.
+        // `flight-smoke.json`'s variant is in range on purpose and fails
+        // only when its session is drawn.
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("specs");
+        let mut loaded = 0;
+        for entry in std::fs::read_dir(&dir).expect("specs directory") {
+            let path = entry.expect("specs entry").path();
+            let text = std::fs::read_to_string(&path).expect("readable spec");
+            if let Err(e) = CampaignSpec::from_json(&text) {
+                panic!("{}: {e}", path.display());
+            }
+            loaded += 1;
+        }
+        assert!(loaded >= 4, "found {loaded} specs in {}", dir.display());
     }
 }

@@ -1,21 +1,13 @@
-//! Scenario validation for the OMNC reproduction.
+//! Tests of the workspace's source rules.
 //!
-//! [`scenario`] checks scenario/topology inputs against the paper's model
-//! before any simulation runs: reception probabilities in `[0, 1]`,
-//! connectivity, interference-clique well-formedness, feasibility of the
-//! broadcast capacity condition (paper eq. (4)) and the LP solution's
-//! flow-conservation residuals (eq. (2)). `omnc-lint check-scenario` is its
-//! command line.
-//!
-//! The source-level determinism and hygiene rules are not here: they are
-//! clippy configuration (`crates/clippy.toml`, the workspace lint table and
-//! module-level denies; DESIGN.md §6c).
+//! The determinism and hygiene rules are clippy configuration
+//! (`crates/clippy.toml`, the workspace lint table and module-level denies;
+//! DESIGN.md §6c). This crate has no code of its own: its tests run clippy
+//! with that configuration over the `clippy-bites` fixture and check, item
+//! by item, that each rule still fires where it should and stays quiet
+//! where it should not.
 
 #![forbid(unsafe_code)]
-
-pub mod scenario;
-
-pub use scenario::{check_scenario_file, check_scenario_str, Finding, Report, ScenarioSpec};
 
 #[cfg(test)]
 #[path = "../tests/support/mod.rs"]

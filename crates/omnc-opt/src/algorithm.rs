@@ -19,13 +19,8 @@
 //! coordinated by the subgradient update of `λ` (eq. (8)) under the
 //! diminishing step size `θ(t) = A/(B + C·t)`.
 //!
-//! This module is the *centralized* driver used by protocols and benches,
+//! This module is the one engine, run centrally by protocols and benches,
 //! for one session or for the `K` coupled sessions of [`crate::municast`].
-//! [`crate::distributed`] is a separate single-session realization through
-//! per-node agents, not a bit-twin of this engine: it seeds λ from its own
-//! Bellman-Ford ETX scaffold, recovers from two candidates rather than
-//! three, and is tested only to land within 5% (the diamond) and 10% (one
-//! 20-node instance) of this engine's throughput.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -153,25 +148,6 @@ pub struct RateAllocation {
 }
 
 impl RateAllocation {
-    /// Assembles an allocation from raw parts (used by the distributed
-    /// realization, whose own recovery keeps the better of `b̄` and the
-    /// flow-derived vector but has no union candidate).
-    pub(crate) fn from_parts(
-        b: Vec<f64>,
-        x: Vec<f64>,
-        throughput: f64,
-        iterations: usize,
-        converged: bool,
-    ) -> Self {
-        RateAllocation {
-            b,
-            x,
-            throughput,
-            iterations,
-            converged,
-        }
-    }
-
     /// The broadcast rate assigned to every local node (absolute units,
     /// e.g. bytes/second).
     pub fn broadcast_rates(&self) -> &[f64] {

@@ -29,12 +29,6 @@
 //!   [`municast::MUnicast::solve_distributed`], which is [`RateControl`]
 //!   over those sessions and rows — bit-identical to the single-session
 //!   driver when `K = 1`;
-//! * [`distributed`] — a single-session realization of Table 1 as per-node
-//!   agents exchanging messages. It is not the engine's bit-twin: it
-//!   recovers from two candidates (no union), seeds λ from its own
-//!   Bellman-Ford ETX scaffold, and its Flow step writes the agents' link
-//!   rates directly. Its tests hold it within 5% of the engine's
-//!   throughput on the diamond and 10% on one 20-node instance;
 //! * [`flow`] — the end-to-end information rate a broadcast-rate vector
 //!   supports, as `net_topo::flow`'s max flow under capacities `b_i·p_ij`.
 //!
@@ -65,7 +59,6 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod algorithm;
-pub mod distributed;
 mod error;
 pub mod flow;
 mod instance;

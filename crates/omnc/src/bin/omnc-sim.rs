@@ -227,6 +227,10 @@ fn main() {
         payload_block_size: if args.full_payload { 1024 } else { 1 },
         ..SessionConfig::reduced()
     };
+    if let Err(e) = scenario.validate() {
+        log.error(&e);
+        std::process::exit(2);
+    }
 
     // With `--trace -` stdout carries the trace, so the rows go to stderr.
     let trace_on_stdout = args.trace.as_deref() == Some("-");

@@ -81,6 +81,52 @@ impl Scenario {
         }
     }
 
+    /// Checks the scenario's static ranges before anything is built: at
+    /// least two nodes, a finite positive density, hop bounds
+    /// `1 ≤ min ≤ max`, at least one session, a finite positive session
+    /// duration and `1 ≤ payload_block_size ≤ wire_block_size`. Whether a
+    /// deployment can host a session within the hop bounds is not checked
+    /// here; only drawing one can tell.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first out-of-range field, named as in
+    /// this struct.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.nodes < 2 {
+            return Err(format!("nodes must be at least 2, got {}", self.nodes));
+        }
+        if !(self.density.is_finite() && self.density > 0.0) {
+            return Err(format!(
+                "density must be finite and positive, got {}",
+                self.density
+            ));
+        }
+        let (min, max) = self.hops;
+        if !(1 <= min && min <= max) {
+            return Err(format!(
+                "hops must satisfy 1 <= min <= max, got {min}..{max}"
+            ));
+        }
+        if self.sessions == 0 {
+            return Err("sessions must be at least 1, got 0".to_owned());
+        }
+        let session = &self.session;
+        if !(session.duration.is_finite() && session.duration > 0.0) {
+            return Err(format!(
+                "session.duration must be finite and positive, got {}",
+                session.duration
+            ));
+        }
+        if !(1..=session.wire_block_size).contains(&session.payload_block_size) {
+            return Err(format!(
+                "session.payload_block_size must be in 1..={} (wire_block_size), got {}",
+                session.wire_block_size, session.payload_block_size
+            ));
+        }
+        Ok(())
+    }
+
     /// The PHY model of this scenario's quality regime.
     pub fn phy(&self) -> Phy {
         match self.quality {
@@ -166,6 +212,38 @@ mod tests {
         assert_eq!(s.sessions, 300);
         assert_eq!(s.hops, (4, 10));
         assert_eq!(s.session.duration, 800.0);
+    }
+
+    #[test]
+    fn validate_accepts_the_presets_and_names_each_bad_field() {
+        for s in [
+            Scenario::paper(Quality::Lossy),
+            Scenario::reduced(Quality::High),
+            Scenario::small_test(),
+        ] {
+            assert_eq!(s.validate(), Ok(()));
+        }
+        // `tests/cli.rs` covers the flags `omnc-sim` exposes; these are
+        // the fields and values it cannot reach.
+        type Spoil = fn(&mut Scenario);
+        let cases: [(&str, Spoil); 6] = [
+            ("density", |s| s.density = f64::INFINITY),
+            ("hops", |s| s.hops = (0, 3)),
+            ("hops", |s| s.hops = (5, 4)),
+            ("session.duration", |s| s.session.duration = f64::NAN),
+            ("session.payload_block_size", |s| {
+                s.session.payload_block_size = 0;
+            }),
+            ("session.payload_block_size", |s| {
+                s.session.payload_block_size = s.session.wire_block_size + 1;
+            }),
+        ];
+        for (field, spoil) in cases {
+            let mut s = Scenario::small_test();
+            spoil(&mut s);
+            let err = s.validate().expect_err(field);
+            assert!(err.starts_with(field), "{field}: {err}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The distributed rate-control algorithm at work: per-node broadcast-rate
 //! convergence (the paper's Fig. 1 view) and validation against the exact
-//! LP optimum, both centrally and via message passing.
+//! LP optimum.
 //!
 //! ```sh
 //! cargo run --release -p omnc --example rate_control
@@ -8,8 +8,7 @@
 
 use omnc::net_topo::graph::{Link, NodeId, Topology};
 use omnc::net_topo::select::select_forwarders;
-use omnc::omnc_opt::distributed::DistributedRateControl;
-use omnc::omnc_opt::{lp, RateControl, RateControlParams, SUnicast};
+use omnc::omnc_opt::{lp, RateControl, SUnicast};
 
 fn main() {
     // A sample multi-path topology with tagged reception probabilities,
@@ -83,18 +82,6 @@ fn main() {
             b.get(3).copied().unwrap_or(0.0)
         );
     }
-
-    // The same algorithm as per-node agents exchanging messages.
-    let params = RateControlParams::default();
-    let mut agents = DistributedRateControl::new(&problem, &params);
-    agents.run(alloc.iterations());
-    let d_alloc = agents.allocation();
-    println!(
-        "\nmessage-passing agents: {:.0} B/s after {} iterations, {} messages",
-        d_alloc.throughput(),
-        agents.iterations(),
-        agents.messages_sent()
-    );
 }
 
 fn rounded(v: &[f64]) -> Vec<f64> {

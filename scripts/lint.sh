@@ -7,10 +7,7 @@
 #   2. the same clippy over the clippy-bites fixture, which must fail and
 #      name every adopted lint: proof that the configuration still applies
 #      (omnc-lint's rule tests check its findings item by item)
-#   3. omnc-lint check-scenario — model invariants of the two committed
-#      gate scenarios, single- and multi-session (probabilities, capacity
-#      condition)
-#   4. rustdoc over the crates/ packages (not vendor/, not benchmark/) with
+#   3. rustdoc over the crates/ packages (not vendor/, not benchmark/) with
 #      warnings as errors, so a doc link to a deleted or private item fails
 # Exits nonzero on any finding.
 set -eu
@@ -35,10 +32,6 @@ for lint in disallowed_methods disallowed_types iter_over_hash_type unwrap_used 
       ;;
   esac
 done
-
-cargo run --release -p omnc-lint -- check-scenario \
-  crates/omnc-lint/tests/fixtures/scenarios/good_diamond.json \
-  crates/omnc-lint/tests/fixtures/scenarios/good_multi_diamond.json
 
 packages=
 for manifest in crates/*/Cargo.toml; do

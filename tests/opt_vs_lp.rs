@@ -1,13 +1,14 @@
-//! Cross-crate validation of the optimization stack: the distributed
-//! rate-control algorithm (Table 1) against the exact simplex solution of
-//! sUnicast, on hand-built and random instances.
+//! Cross-crate validation of the optimization stack: the rate-control
+//! engine (`RateControl`, the paper's Table 1 and its one implementation)
+//! against the exact simplex solution of sUnicast, on hand-built and random
+//! instances. The engine's allocation is held to be feasible and never
+//! above the LP optimum; how close it gets is measured, not assumed.
 
 use omnc::net_topo::deploy::Deployment;
 use omnc::net_topo::graph::{Link, NodeId, Topology};
 use omnc::net_topo::phy::Phy;
 use omnc::net_topo::select::select_forwarders;
-use omnc::omnc_opt::distributed::DistributedRateControl;
-use omnc::omnc_opt::{default_portfolio, lp, run_best, RateControl, RateControlParams, SUnicast};
+use omnc::omnc_opt::{default_portfolio, lp, run_best, RateControl, SUnicast};
 
 /// In-range-only instances (opportunistic tail disabled): the regime the
 /// paper's optimality discussion covers. With tail links, the LP optimum is
@@ -73,24 +74,6 @@ fn lp_solution_satisfies_every_paper_constraint() {
             "seed {seed}: zero optimum on a connected instance"
         );
     }
-}
-
-#[test]
-fn message_passing_agents_match_the_centralized_driver() {
-    let problem = random_instance(20, 4321);
-    let params = RateControlParams::default();
-    let central = RateControl::with_params(&problem, params).run();
-    let mut agents = DistributedRateControl::new(&problem, &params);
-    agents.run(central.iterations());
-    let distributed = agents.allocation();
-    let rel =
-        (distributed.throughput() - central.throughput()).abs() / central.throughput().max(1e-9);
-    assert!(
-        rel < 0.1,
-        "distributed {} vs centralized {}",
-        distributed.throughput(),
-        central.throughput()
-    );
 }
 
 #[test]
