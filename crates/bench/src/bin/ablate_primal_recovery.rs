@@ -10,19 +10,10 @@
 use omnc::net_topo::select::select_forwarders;
 use omnc::omnc_opt::{lp, RateControl, RateControlParams, Recovery, SUnicast};
 use omnc_bench::Options;
-use serde::Serialize;
-
-/// One JSONL line per (recovery mode, session).
-#[derive(Serialize)]
-struct RecoveryRecord {
-    recovery: String,
-    session: u64,
-    optimality_ratio: f64,
-}
 
 fn main() {
     let opts = Options::from_args();
-    let sink = opts.json_sink();
+    opts.print_command(env!("CARGO_BIN_NAME"));
     let mut scenario = opts.scenario();
     scenario.sessions = scenario.sessions.min(12);
     let topology = scenario.build_topology();
@@ -51,16 +42,7 @@ fn main() {
                 ..Default::default()
             };
             let alloc = RateControl::with_params(&problem, params).run();
-            let ratio = alloc.throughput() / exact.gamma;
-            if let Some(sink) = &sink {
-                sink.emit(&RecoveryRecord {
-                    recovery: name.to_string(),
-                    session: k,
-                    optimality_ratio: ratio,
-                })
-                .expect("JSONL export failed");
-            }
-            ratios.push(ratio);
+            ratios.push(alloc.throughput() / exact.gamma);
         }
         let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
         println!("{name:<28} {mean:>11.3}");

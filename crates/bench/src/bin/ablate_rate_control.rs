@@ -4,25 +4,16 @@
 //! among selected transmitters, and (c) MORE (no rate control at all).
 //!
 //! ```sh
-//! cargo run --release -p omnc-bench --bin ablate_rate_control
+//! cargo run --release -p omnc-bench --bin ablate_rate_control -- --sessions 16
 //! ```
 
 use omnc::metrics::Cdf;
 use omnc::runner::{run_omnc_with_rates, run_session, Protocol};
 use omnc_bench::Options;
-use serde::Serialize;
-
-/// One JSONL line per (rate source, session).
-#[derive(Serialize)]
-struct RateSourceRecord {
-    rate_source: String,
-    session: u64,
-    throughput: f64,
-}
 
 fn main() {
     let opts = Options::from_args();
-    let sink = opts.json_sink();
+    opts.print_command(env!("CARGO_BIN_NAME"));
     let scenario = opts.scenario();
     let topology = scenario.build_topology();
 
@@ -55,22 +46,6 @@ fn main() {
 
         let m = run_session(&topology, src, dst, Protocol::More, &scenario.session, seed);
         no_control.push(m.throughput);
-
-        if let Some(sink) = &sink {
-            for (rate_source, throughput) in [
-                ("distributed", o.throughput),
-                ("lp_exact", l.throughput),
-                ("uniform", u.throughput),
-                ("no_control", m.throughput),
-            ] {
-                sink.emit(&RateSourceRecord {
-                    rate_source: rate_source.to_string(),
-                    session: k as u64,
-                    throughput,
-                })
-                .expect("JSONL export failed");
-            }
-        }
     }
 
     println!(

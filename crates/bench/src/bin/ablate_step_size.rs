@@ -9,20 +9,10 @@
 use omnc::net_topo::select::select_forwarders;
 use omnc::omnc_opt::{lp, RateControl, RateControlParams, SUnicast, StepSize};
 use omnc_bench::Options;
-use serde::Serialize;
-
-/// One JSONL line per (schedule, session).
-#[derive(Serialize)]
-struct StepRecord {
-    schedule: String,
-    session: u64,
-    optimality_ratio: f64,
-    iterations: usize,
-}
 
 fn main() {
     let opts = Options::from_args();
-    let sink = opts.json_sink();
+    opts.print_command(env!("CARGO_BIN_NAME"));
     let mut scenario = opts.scenario();
     scenario.sessions = scenario.sessions.min(12);
     let topology = scenario.build_topology();
@@ -77,15 +67,6 @@ fn main() {
                 ..Default::default()
             };
             let alloc = RateControl::with_params(&problem, params).run();
-            if let Some(sink) = &sink {
-                sink.emit(&StepRecord {
-                    schedule: name.to_string(),
-                    session: k,
-                    optimality_ratio: alloc.throughput() / exact.gamma,
-                    iterations: alloc.iterations(),
-                })
-                .expect("JSONL export failed");
-            }
             ratios.push(alloc.throughput() / exact.gamma);
             iters.push(alloc.iterations() as f64);
         }

@@ -11,21 +11,9 @@ use std::time::Instant;
 use omnc::rlnc::{Decoder, Encoder, Generation, GenerationConfig, GenerationId, Kernel};
 use omnc_bench::Options;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
-
-/// One JSONL line per measured (shape, kernel) cell.
-#[derive(Serialize)]
-struct KernelRecord {
-    blocks: usize,
-    block_size: usize,
-    kernel: String,
-    mb_per_s: f64,
-    speedup_vs_table: f64,
-}
 
 fn main() {
-    let opts = Options::from_args();
-    let sink = opts.json_sink();
+    Options::from_args().print_command(env!("CARGO_BIN_NAME"));
     println!("# Sec. 4 — encode+decode throughput by GF(2^8) kernel");
     println!(
         "# wide kernel body on this host: {}",
@@ -47,18 +35,6 @@ fn main() {
         let table = run_pipeline(blocks, block_size, Kernel::Table);
         let wide = run_pipeline(blocks, block_size, Kernel::Wide);
         let prod = run_pipeline(blocks, block_size, Kernel::Product);
-        if let Some(sink) = &sink {
-            for (kernel, mb_per_s) in [("table", table), ("wide", wide), ("product", prod)] {
-                sink.emit(&KernelRecord {
-                    blocks,
-                    block_size,
-                    kernel: kernel.to_string(),
-                    mb_per_s,
-                    speedup_vs_table: mb_per_s / table,
-                })
-                .expect("JSONL export failed");
-            }
-        }
         wide_speedups.push(wide / table);
         prod_speedups.push(prod / table);
         println!(

@@ -7,28 +7,17 @@
 //! to its own fault-free run.
 //!
 //! ```sh
-//! cargo run --release -p omnc-bench --bin fault_tolerance
+//! cargo run --release -p omnc-bench --bin fault_tolerance -- --nodes 300
 //! ```
 
 use omnc::metrics::Cdf;
 use omnc::net_topo::etx;
 use omnc::runner::{run_session, run_session_with_fault, Protocol};
 use omnc_bench::Options;
-use serde::Serialize;
-
-/// One JSONL line per (protocol, session) fault experiment.
-#[derive(Serialize)]
-struct FaultRecord {
-    protocol: String,
-    session: u64,
-    healthy_throughput: f64,
-    faulty_throughput: f64,
-    retention: f64,
-}
 
 fn main() {
     let opts = Options::from_args();
-    let sink = opts.json_sink();
+    opts.print_command(env!("CARGO_BIN_NAME"));
     let mut scenario = opts.scenario();
     scenario.sessions = scenario.sessions.min(20);
     let topology = scenario.build_topology();
@@ -60,16 +49,6 @@ fn main() {
                 seed,
                 Some((victim, kill_at)),
             );
-            if let Some(sink) = &sink {
-                sink.emit(&FaultRecord {
-                    protocol: protocol.name().to_string(),
-                    session: k as u64,
-                    healthy_throughput: healthy.throughput,
-                    faulty_throughput: faulty.throughput,
-                    retention: faulty.throughput / healthy.throughput,
-                })
-                .expect("JSONL export failed");
-            }
             samples.push(faulty.throughput / healthy.throughput);
         }
     }

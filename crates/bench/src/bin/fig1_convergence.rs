@@ -12,15 +12,17 @@
 //!
 //! With `--json <path>`, every iteration's subgradient telemetry (step
 //! size, dual value, max constraint violation, recovered rate) is written
-//! as one JSON object per line.
+//! as one JSON object per line, for `omnc-report analyze --opt`.
 
 use omnc::net_topo::graph::{Link, NodeId, Topology};
 use omnc::net_topo::select::select_forwarders;
 use omnc::omnc_opt::{lp, RateControl, RateControlParams, SUnicast, StepSize};
 use omnc_bench::Options;
+use telemetry::EventSink;
 
 fn main() {
-    let opts = Options::from_args();
+    let (opts, [json]) = Options::from_args_with(["--json"]);
+    opts.print_command(env!("CARGO_BIN_NAME"));
     // A sample multi-path topology with tagged reception probabilities.
     let capacity = 1e5;
     let links = vec![
@@ -69,15 +71,16 @@ fn main() {
         .run_traced();
     let exact = lp::solve_exact(&problem).expect("solvable sample");
 
-    if let Some(sink) = opts.json_sink() {
+    if let Some(path) = &json {
+        let sink =
+            EventSink::to_file(path).unwrap_or_else(|e| panic!("cannot open --json {path}: {e}"));
         for record in &trace.records {
             sink.emit(record).expect("JSONL export failed");
         }
         sink.flush().expect("JSONL flush failed");
         opts.logger().info(&format!(
-            "wrote {} iteration records to {}",
-            trace.records.len(),
-            opts.json.as_deref().unwrap_or("")
+            "wrote {} iteration records to {path}",
+            trace.records.len()
         ));
     }
 

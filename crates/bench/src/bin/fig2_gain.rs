@@ -7,18 +7,19 @@
 //! (average ≈ 91).
 //!
 //! ```sh
-//! cargo run --release -p omnc-bench --bin fig2_gain -- --quality lossy
-//! cargo run --release -p omnc-bench --bin fig2_gain -- --quality high
+//! cargo run --release -p omnc-bench --bin fig2_gain -- --nodes 300 --sessions 100
+//! cargo run --release -p omnc-bench --bin fig2_gain -- --nodes 300 --sessions 100 --quality high
 //! cargo run --release -p omnc-bench --bin fig2_gain -- --full   # paper scale
 //! ```
 
 use omnc::metrics::render_cdf;
 use omnc::runner::Protocol;
 use omnc::scenario::Quality;
-use omnc_bench::{export_rows, gain_cdf, print_reference, run_sweep_traced, Options};
+use omnc_bench::{gain_cdf, print_reference, run_sweep, Options};
 
 fn main() {
     let opts = Options::from_args();
+    opts.print_command(env!("CARGO_BIN_NAME"));
     let scenario = opts.scenario();
     let protocols = [
         Protocol::EtxRouting,
@@ -26,10 +27,7 @@ fn main() {
         Protocol::More,
         Protocol::OldMore,
     ];
-    let rows = run_sweep_traced(&scenario, &protocols, opts.trace.as_deref(), &opts.logger());
-    if let Some(sink) = opts.json_sink() {
-        export_rows(&sink, &rows);
-    }
+    let rows = run_sweep(&scenario, &protocols, &opts.logger());
 
     println!(
         "# Fig. 2 ({}) — throughput gain over ETX routing, {} sessions",

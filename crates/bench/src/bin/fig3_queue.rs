@@ -6,20 +6,18 @@
 //! while congestion-oblivious MORE averages 22.
 //!
 //! ```sh
-//! cargo run --release -p omnc-bench --bin fig3_queue
+//! cargo run --release -p omnc-bench --bin fig3_queue -- --nodes 300 --sessions 60
 //! ```
 
 use omnc::metrics::{render_cdf, Cdf};
 use omnc::runner::Protocol;
-use omnc_bench::{export_rows, print_reference, run_sweep, Options};
+use omnc_bench::{print_reference, run_sweep, Options};
 
 fn main() {
     let opts = Options::from_args();
+    opts.print_command(env!("CARGO_BIN_NAME"));
     let scenario = opts.scenario();
     let rows = run_sweep(&scenario, &[Protocol::Omnc, Protocol::More], &opts.logger());
-    if let Some(sink) = opts.json_sink() {
-        export_rows(&sink, &rows);
-    }
 
     // Per-session mean of the per-node time-averaged queue sizes.
     let omnc: Cdf = rows.iter().map(|r| r.outcomes[0].mean_queue()).collect();

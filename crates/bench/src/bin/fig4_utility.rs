@@ -6,24 +6,22 @@
 //! the newer MORE — involve nearly all selected nodes and paths.
 //!
 //! ```sh
-//! cargo run --release -p omnc-bench --bin fig4_utility
+//! cargo run --release -p omnc-bench --bin fig4_utility -- --nodes 300 --sessions 60
 //! ```
 
 use omnc::metrics::{render_cdf, Cdf};
 use omnc::runner::Protocol;
-use omnc_bench::{export_rows, run_sweep, Options};
+use omnc_bench::{run_sweep, Options};
 
 fn main() {
     let opts = Options::from_args();
+    opts.print_command(env!("CARGO_BIN_NAME"));
     let scenario = opts.scenario();
     let rows = run_sweep(
         &scenario,
         &[Protocol::Omnc, Protocol::More, Protocol::OldMore],
         &opts.logger(),
     );
-    if let Some(sink) = opts.json_sink() {
-        export_rows(&sink, &rows);
-    }
 
     println!("# Fig. 4 — utility ratios, {} sessions", rows.len());
     for (metric, pick) in [

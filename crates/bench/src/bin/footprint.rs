@@ -28,23 +28,10 @@ use rand::{Rng, SeedableRng};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-#[expect(clippy::disallowed_methods, reason = "the binary's argv")]
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = Options::from_slice(&args);
+    let (opts, [profile_path, folded_path, alloc_out]) =
+        Options::from_args_with(["--profile", "--profile-folded", "--alloc-out"]);
     let log = opts.logger();
-    let mut profile_path: Option<String> = None;
-    let mut folded_path: Option<String> = None;
-    let mut alloc_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--profile" => profile_path = it.next().cloned(),
-            "--profile-folded" => folded_path = it.next().cloned(),
-            "--alloc-out" => alloc_out = it.next().cloned(),
-            _ => {} // everything else belongs to Options
-        }
-    }
     set_alloc_counting(true);
 
     // Per-op counts on the seeded workloads, all under lower-is-better

@@ -13,22 +13,10 @@ use omnc::net_topo::select::select_forwarders;
 use omnc::omnc_opt::municast::MUnicast;
 use omnc::omnc_opt::{lp, RateControlParams, SUnicast};
 use omnc_bench::Options;
-use serde::Serialize;
-
-/// One JSONL line per mesh.
-#[derive(Serialize)]
-struct MeshRecord {
-    mesh: usize,
-    solo_a: f64,
-    solo_b: f64,
-    joint_lp: f64,
-    distributed: f64,
-    ratio: f64,
-}
 
 fn main() {
     let opts = Options::from_args();
-    let sink = opts.json_sink();
+    opts.print_command(env!("CARGO_BIN_NAME"));
     let phy = Phy::paper_lossy();
     let deployments = 6usize;
     println!(
@@ -70,17 +58,6 @@ fn main() {
         let ratio = dist.total() / joint.total();
         ratio_sum += ratio;
         count += 1;
-        if let Some(sink) = &sink {
-            sink.emit(&MeshRecord {
-                mesh,
-                solo_a: solo[0],
-                solo_b: solo[1],
-                joint_lp: joint.total(),
-                distributed: dist.total(),
-                ratio,
-            })
-            .expect("JSONL export failed");
-        }
         println!(
             "{mesh:>6} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>9.2}",
             solo[0],

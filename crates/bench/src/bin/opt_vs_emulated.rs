@@ -10,19 +10,16 @@
 use omnc::metrics::Cdf;
 use omnc::runner::Protocol;
 use omnc::scenario::Quality;
-use omnc_bench::{export_rows, run_sweep, Options};
+use omnc_bench::{run_sweep, Options};
 
 fn main() {
     let mut opts = Options::from_args();
-    let sink = opts.json_sink();
+    opts.print_command(env!("CARGO_BIN_NAME"));
     let mut ratios = Vec::new();
     for quality in [Quality::Lossy, Quality::High] {
         opts.quality = quality;
         let scenario = opts.scenario();
         let rows = run_sweep(&scenario, &[Protocol::Omnc], &opts.logger());
-        if let Some(sink) = sink.as_ref() {
-            export_rows(sink, &rows);
-        }
         let cdf: Cdf = rows
             .iter()
             .filter_map(|r| {

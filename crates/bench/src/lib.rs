@@ -2,21 +2,19 @@
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
 //! (see DESIGN.md's experiment index) and prints the paper's reference
-//! numbers next to the measured ones. The default scale is reduced so the
-//! whole suite runs in minutes; `--full` restores the paper's 300-node /
-//! 300-session / 800-second scale.
+//! numbers next to the measured ones. Its first stdout line is the command
+//! that reproduced it, so a committed `results/*.txt` names its producer;
+//! `scripts/figures.sh` reruns every such command and byte-compares. The
+//! default scale is reduced so the whole suite runs in minutes; `--full`
+//! restores the paper's 300-node / 300-session / 800-second scale.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
-
 use omnc::metrics::Cdf;
 use omnc::runner::{run_cell_on, Protocol, RunOptions, SessionOutcome};
 use omnc::scenario::{Quality, Scenario};
-use serde::{Deserialize, Serialize};
-use telemetry::{EventSink, LogLevel, Logger};
+use telemetry::{LogLevel, Logger};
 
 /// Command-line options shared by all figure binaries.
 #[derive(Debug, Clone)]
@@ -31,82 +29,88 @@ pub struct Options {
     pub quality: Quality,
     /// Master seed.
     pub seed: u64,
-    /// Destination for machine-readable JSONL results (`--json <path>`).
-    pub json: Option<String>,
-    /// Destination for the causal packet-lifecycle trace
-    /// (`--trace <path>`; feed the file to `omnc-report analyze`).
-    pub trace: Option<String>,
     /// Stderr verbosity (`--log-level {quiet,info,debug}`).
     pub log_level: LogLevel,
+    /// The arguments these options were parsed from, as given.
+    args: Vec<String>,
 }
 
 impl Options {
-    /// Parses `std::env::args` (ignores unknown flags so binaries can add
-    /// their own on top).
-    #[expect(clippy::disallowed_methods, reason = "the bench binaries' argv")]
+    /// Parses `std::env::args`; see [`Options::from_args_with`].
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Options::from_slice(&args)
+        let (opts, []) = Options::from_args_with([]);
+        opts
     }
 
-    /// Parses an explicit argument slice (testable).
-    pub fn from_slice(args: &[String]) -> Self {
+    /// Parses `std::env::args`, also accepting the binary's own value
+    /// flags `own`, whose values come back in the same order. Bad input
+    /// (see [`Options::parse`]) is logged as one line and exits 2.
+    #[expect(clippy::disallowed_methods, reason = "the bench binaries' argv")]
+    pub fn from_args_with<const N: usize>(own: [&str; N]) -> (Self, [Option<String>; N]) {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Options::parse(&args, own).unwrap_or_else(|e| {
+            Logger::default().error(&e);
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses an explicit argument slice (testable). Rejects, naming the
+    /// flag, an unknown flag, a missing or unparsable value, and options
+    /// whose [`Options::scenario`] fails [`Scenario::validate`].
+    pub fn parse<const N: usize>(
+        args: &[String],
+        own: [&str; N],
+    ) -> Result<(Self, [Option<String>; N]), String> {
         let mut opts = Options {
             full: false,
             sessions: None,
             nodes: None,
             quality: Quality::Lossy,
             seed: 2008,
-            json: None,
-            trace: None,
             log_level: LogLevel::default(),
+            args: args.to_vec(),
         };
+        let mut values = std::array::from_fn(|_| None);
         let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
+        while let Some(flag) = it.next() {
+            let mut value = || it.next().ok_or_else(|| format!("{flag} requires a value"));
+            match flag.as_str() {
                 "--full" => opts.full = true,
-                "--sessions" => {
-                    opts.sessions = it.next().and_then(|v| v.parse().ok());
-                }
-                "--nodes" => {
-                    opts.nodes = it.next().and_then(|v| v.parse().ok());
-                }
-                "--seed" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        opts.seed = v;
+                "--sessions" => opts.sessions = Some(parse(flag, value()?)?),
+                "--nodes" => opts.nodes = Some(parse(flag, value()?)?),
+                "--seed" => opts.seed = parse(flag, value()?)?,
+                "--quality" => {
+                    opts.quality = match value()?.as_str() {
+                        "lossy" => Quality::Lossy,
+                        "high" => Quality::High,
+                        other => {
+                            return Err(format!("{flag}: unknown quality '{other}' (lossy|high)"))
+                        }
                     }
                 }
-                "--json" => {
-                    opts.json = it.next().cloned();
-                }
-                "--trace" => {
-                    opts.trace = it.next().cloned();
-                }
-                "--quality" => match it.next().map(String::as_str) {
-                    Some("high") => opts.quality = Quality::High,
-                    Some("lossy") => opts.quality = Quality::Lossy,
-                    _ => {}
-                },
                 "--log-level" => {
-                    if let Some(level) = it.next().and_then(|v| LogLevel::parse(v)) {
-                        opts.log_level = level;
-                    }
+                    let v = value()?;
+                    opts.log_level = LogLevel::parse(v)
+                        .ok_or_else(|| format!("{flag}: unknown level '{v}' (quiet|info|debug)"))?;
                 }
-                _ => {}
+                other => match own.iter().position(|&f| f == other) {
+                    Some(i) => values[i] = Some(value()?.clone()),
+                    None => return Err(format!("unknown flag '{other}'")),
+                },
             }
         }
-        opts
+        opts.scenario().validate()?;
+        Ok((opts, values))
     }
 
-    /// The JSONL sink selected by `--json`, or `None` when text-only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file (or its parent directory) cannot be created.
-    pub fn json_sink(&self) -> Option<EventSink> {
-        self.json.as_ref().map(|path| {
-            EventSink::to_file(path).unwrap_or_else(|e| panic!("cannot open --json {path}: {e}"))
-        })
+    /// Prints the command that reproduces this run, as a `#` comment:
+    /// the first stdout line of every figure binary.
+    pub fn print_command(&self, bin: &str) {
+        let mut line = format!("# cargo run --release -p omnc-bench --bin {bin}");
+        if !self.args.is_empty() {
+            line = format!("{line} -- {}", self.args.join(" "));
+        }
+        println!("{line}");
     }
 
     /// The stderr logger these options select.
@@ -133,10 +137,10 @@ impl Options {
     }
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options::from_slice(&[])
-    }
+/// Parses `flag`'s value `v`.
+fn parse<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("{flag}: could not parse '{v}'"))
 }
 
 /// Result of one session across all requested protocols.
@@ -147,56 +151,10 @@ pub struct SessionRow {
     pub outcomes: Vec<SessionOutcome>,
 }
 
-/// The JSONL record the sweep binaries export: one measured outcome tagged
-/// with its session index (the protocol is inside the outcome).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SessionRecord {
-    /// Session index within the sweep.
-    pub session: u64,
-    /// Everything measured from this run.
-    pub outcome: SessionOutcome,
-}
-
-/// Exports every outcome of a sweep as one [`SessionRecord`] line.
-///
-/// # Panics
-///
-/// Panics on I/O errors — results files are the whole point of the run.
-pub fn export_rows(sink: &EventSink, rows: &[SessionRow]) {
-    for row in rows {
-        for outcome in &row.outcomes {
-            sink.emit(&SessionRecord {
-                session: row.k,
-                outcome: outcome.clone(),
-            })
-            .expect("JSONL export failed");
-        }
-    }
-    sink.flush().expect("JSONL flush failed");
-}
-
 /// Runs `protocols` over every session of the scenario, logging progress
 /// at `info`. The topology is built once; sessions differ in endpoints
 /// and seeds.
 pub fn run_sweep(scenario: &Scenario, protocols: &[Protocol], log: &Logger) -> Vec<SessionRow> {
-    run_sweep_traced(scenario, protocols, None, log)
-}
-
-/// Like [`run_sweep`], additionally appending every session's causal
-/// packet-lifecycle trace to `trace_path` as JSONL (one
-/// `SessionStart ..= SessionEnd` stream per session per protocol, ready for
-/// `omnc-report analyze`).
-///
-/// # Panics
-///
-/// Panics if the trace file cannot be created or written — results files
-/// are the whole point of the run.
-pub fn run_sweep_traced(
-    scenario: &Scenario,
-    protocols: &[Protocol],
-    trace_path: Option<&str>,
-    log: &Logger,
-) -> Vec<SessionRow> {
     let topology = scenario.build_topology();
     log.info(&format!(
         "topology: {} nodes, {} links, avg quality {:.3}; {} sessions x {:?}",
@@ -206,35 +164,17 @@ pub fn run_sweep_traced(
         scenario.sessions,
         protocols.iter().map(|p| p.name()).collect::<Vec<_>>()
     ));
-    let mut trace_out = trace_path.map(|path| {
-        BufWriter::new(
-            File::create(path).unwrap_or_else(|e| panic!("cannot create --trace {path}: {e}")),
-        )
-    });
-    let options = RunOptions {
-        fault: None,
-        trace_capacity: trace_out.is_some().then_some(200_000),
-        ..RunOptions::default()
-    };
+    let options = RunOptions::default();
     let mut rows = Vec::new();
     for k in 0..scenario.sessions as u64 {
-        let outcomes: Vec<SessionOutcome> = protocols
+        let outcomes = protocols
             .iter()
-            .map(|&p| {
-                let (out, trace) = run_cell_on(&topology, scenario, p, k, &options);
-                if let (Some(w), Some(trace)) = (trace_out.as_mut(), trace) {
-                    trace.write_jsonl(&mut *w).expect("trace export failed");
-                }
-                out
-            })
+            .map(|&p| run_cell_on(&topology, scenario, p, k, &options).0)
             .collect();
         rows.push(SessionRow { k, outcomes });
         if (k + 1) % 10 == 0 {
             log.info(&format!("{}/{} sessions done", k + 1, scenario.sessions));
         }
-    }
-    if let Some(mut w) = trace_out {
-        w.flush().expect("trace flush failed");
     }
     rows
 }
@@ -261,14 +201,19 @@ pub fn print_reference(label: &str, paper: f64, measured: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::EventSink;
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    fn parse(v: &[&str]) -> Result<Options, String> {
+        Options::parse(&strs(v), []).map(|(o, [])| o)
+    }
+
     #[test]
     fn defaults_are_reduced_lossy() {
-        let o = Options::from_slice(&[]);
+        let o = parse(&[]).unwrap();
         assert!(!o.full);
         assert_eq!(o.quality, Quality::Lossy);
         assert_eq!(o.scenario().nodes, Scenario::reduced(Quality::Lossy).nodes);
@@ -276,7 +221,7 @@ mod tests {
 
     #[test]
     fn flags_are_parsed() {
-        let o = Options::from_slice(&strs(&[
+        let o = parse(&[
             "--full",
             "--sessions",
             "7",
@@ -284,7 +229,8 @@ mod tests {
             "high",
             "--seed",
             "99",
-        ]));
+        ])
+        .unwrap();
         assert!(o.full);
         assert_eq!(o.sessions, Some(7));
         assert_eq!(o.quality, Quality::High);
@@ -295,16 +241,32 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_are_ignored() {
-        let o = Options::from_slice(&strs(&["--whatever", "--sessions", "3"]));
-        assert_eq!(o.sessions, Some(3));
+    fn bad_input_is_rejected_naming_the_flag() {
+        for (args, needle) in [
+            (&["--sesions", "100"][..], "--sesions"),
+            (&["--sessions", "1OO"], "--sessions"),
+            (&["--quality", "medium"], "--quality"),
+            (&["--seed"], "--seed"),
+            (&["--json", "out.jsonl"], "--json"),
+            (&["--trace", "sweep.jsonl"], "--trace"),
+            (&["--nodes", "1"], "nodes"),
+            (&["--sessions", "0"], "sessions"),
+        ] {
+            let err = parse(args).expect_err(needle);
+            assert!(err.contains(needle), "{args:?}: {err}");
+            assert!(!err.contains('\n'), "{args:?}: {err}");
+        }
     }
 
     #[test]
     fn json_flag_selects_a_sink() {
-        let o = Options::from_slice(&strs(&["--json", "results/out.jsonl"]));
-        assert_eq!(o.json.as_deref(), Some("results/out.jsonl"));
-        assert!(Options::from_slice(&[]).json_sink().is_none());
+        // `--json` is `fig1_convergence`'s own flag, not a shared one.
+        let args = strs(&["--seed", "3", "--json", "results/fig1.json"]);
+        let (o, [json]) = Options::parse(&args, ["--json"]).unwrap();
+        assert_eq!(o.seed, 3);
+        assert_eq!(json.as_deref(), Some("results/fig1.json"));
+        let (_, [json]) = Options::parse(&[], ["--json"]).unwrap();
+        assert!(json.is_none());
     }
 
     #[test]
@@ -318,41 +280,9 @@ mod tests {
             &Logger::new(LogLevel::Quiet),
         );
         assert_eq!(rows.len(), 2);
+        assert!(rows.iter().all(|r| r.outcomes.len() == 2));
         let gains = gain_cdf(&rows, 1, 0);
         assert!(gains.len() <= 2);
-
-        // The exported JSONL round-trips back into SessionRecords.
-        let sink = EventSink::in_memory();
-        export_rows(&sink, &rows);
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 4);
-        for line in &lines {
-            let back: SessionRecord = serde_json::from_str(line).expect("valid JSONL");
-            assert!(back.session < 2);
-            assert!(back.outcome.throughput >= 0.0);
-        }
-    }
-
-    #[test]
-    fn traced_sweep_exports_one_stream_per_run() {
-        let mut scenario = Scenario::small_test();
-        scenario.sessions = 2;
-        scenario.session.payload_block_size = 1;
-        let path = std::env::temp_dir().join("bench_traced_sweep.jsonl");
-        let path = path.to_str().unwrap().to_string();
-        let rows = run_sweep_traced(
-            &scenario,
-            &[Protocol::EtxRouting, Protocol::Omnc],
-            Some(&path),
-            &Logger::new(LogLevel::Quiet),
-        );
-        assert_eq!(rows.len(), 2);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let starts = text.lines().filter(|l| l.contains("SessionStart")).count();
-        let ends = text.lines().filter(|l| l.contains("SessionEnd")).count();
-        // One stream per session per protocol.
-        assert_eq!(starts, 4);
-        assert_eq!(ends, 4);
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub struct Trace {
     /// SUB1 flow `γ_t` injected along the iteration's shortest path.
     pub gamma_step: Vec<f64>,
     /// Scalar subgradient telemetry per iteration (serializable; exported
-    /// as JSONL by the convergence benches).
+    /// as JSONL by `fig1_convergence --json`).
     pub records: Vec<IterationRecord>,
 }
 
