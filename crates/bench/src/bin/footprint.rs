@@ -150,21 +150,25 @@ fn sim_scenario(opts: &Options) -> omnc::scenario::Scenario {
     scenario
 }
 
-/// Runs one seeded OMNC session sweep under `options`.
+/// Runs one seeded session sweep under `options`, each session once under
+/// OMNC (the rate-limited MAC) and once under MORE (the fair-share MAC's
+/// progressive fill), so both MAC paths are counted.
 fn run_sim_sweep(scenario: &omnc::scenario::Scenario, options: &RunOptions) {
     let topology = scenario.build_topology();
     for (k, seed) in scenario.session_seeds().enumerate() {
         let (_, src, dst) = scenario.build_session(k as u64);
-        let (out, _) = run_session_traced(
-            &topology,
-            src,
-            dst,
-            Protocol::Omnc,
-            &scenario.session,
-            seed,
-            options,
-        );
-        std::hint::black_box(out.packet_counts);
+        for protocol in [Protocol::Omnc, Protocol::More] {
+            let (out, _) = run_session_traced(
+                &topology,
+                src,
+                dst,
+                protocol,
+                &scenario.session,
+                seed,
+                options,
+            );
+            std::hint::black_box(out.packet_counts);
+        }
     }
 }
 

@@ -102,167 +102,415 @@ impl MacModel {
         }
     }
 
-    /// Service rates for the whole `backlogged` set at once, slot-aligned
-    /// with the input. The engine calls this once per backlog *epoch* (the
-    /// set of backlogged transmitters changed) and caches the result, so
-    /// the progressive-fill computation is amortized over every
-    /// transmission started under the same backlog set.
-    pub(crate) fn shares(&self, backlogged: &[NodeId], topology: &Topology) -> Vec<f64> {
+    /// The service rate of `node` when the protocol fixes it
+    /// ([`MacModel::RateLimited`]); `None` for the contention MACs, whose
+    /// rates come from [`Contention::fill`].
+    pub(crate) fn fixed_rate(&self, node: NodeId) -> Option<f64> {
         match self {
-            MacModel::RateLimited { rates, .. } => backlogged
-                .iter()
-                .map(|n| rates.get(n.index()).copied().unwrap_or(0.0))
-                .collect(),
-            MacModel::FairShare { capacity } => max_min_shares(backlogged, topology, *capacity),
-            MacModel::UnicastClique { capacity, next_hop } => {
-                unicast_clique_shares(backlogged, topology, *capacity, next_hop)
+            MacModel::RateLimited { rates, .. } => {
+                Some(rates.get(node.index()).copied().unwrap_or(0.0))
             }
+            MacModel::FairShare { .. } | MacModel::UnicastClique { .. } => None,
         }
     }
 }
 
-/// Max-min fair rates under the unicast sufficient condition: one
-/// constraint per backlogged link `(i, j)`, whose members are all
-/// backlogged links with an endpoint in `N(i) ∪ {i} ∪ N(j) ∪ {j}`.
-pub(crate) fn unicast_clique_shares(
-    backlogged: &[NodeId],
-    topology: &Topology,
-    capacity: f64,
-    next_hop: &[usize],
-) -> Vec<f64> {
-    let k = backlogged.len();
-    if k == 0 {
-        return Vec::new();
-    }
-    let hop = |t: NodeId| next_hop.get(t.index()).copied().unwrap_or(usize::MAX);
-    let touches = |t: NodeId, zone: &[NodeId]| -> bool {
-        let h = hop(t);
-        zone.iter().any(|&z| z == t || z.index() == h)
-    };
-    let mut constraints: Vec<Vec<usize>> = Vec::new();
-    for (center_slot, &center) in backlogged.iter().enumerate() {
-        let j = hop(center);
-        if j == usize::MAX {
-            continue;
-        }
-        // Interference zone of link (center, j).
-        let mut zone: Vec<NodeId> = vec![center, NodeId::new(j)];
-        zone.extend_from_slice(topology.neighbors(center));
-        zone.extend_from_slice(topology.neighbors(NodeId::new(j)));
-        zone.sort_unstable();
-        zone.dedup();
-        let mut members: Vec<usize> = backlogged
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| touches(t, &zone))
-            .map(|(slot, _)| slot)
-            .collect();
-        if !members.contains(&center_slot) {
-            members.push(center_slot);
-        }
-        members.sort_unstable();
-        constraints.push(members);
-    }
-    progressive_fill(k, &constraints, capacity)
-}
-
-/// Max-min fair rates for the backlogged transmitter set under per-receiver
-/// capacity constraints: for every node `r` in the topology, the backlogged
-/// transmitters within `N(r) ∪ {r}` share at most `capacity`.
+/// The contention rows of a [`MacModel`] over one topology, built once by
+/// the engine, plus the progressive filler's buffers.
 ///
-/// Classic progressive filling: repeatedly find the bottleneck constraint
-/// (least remaining capacity per unfrozen member), freeze its members at the
-/// fill level, continue until all transmitters are frozen.
-pub(crate) fn max_min_shares(
-    backlogged: &[NodeId],
-    topology: &Topology,
+/// Row `r` lists the nodes whose transmissions share one capacity `C`:
+///
+/// * [`MacModel::FairShare`]: `N(r) ∪ {r}`, the transmitters audible at
+///   receiver `r`. The row constrains while any member is backlogged.
+/// * [`MacModel::UnicastClique`]: every node `t` with `t` or `t`'s next hop
+///   in the interference zone `N(r) ∪ {r} ∪ N(j) ∪ {j}` of link `(r, j)`,
+///   `j` = `r`'s next hop. The row constrains while `r` is backlogged;
+///   a node without a next hop has an empty row.
+///
+/// Members are sorted by node id and stored flat (CSR), with the
+/// node → rows transpose beside them, so a fill only filters the rows
+/// through the backlog flags and touches no allocator.
+#[derive(Debug, Default)]
+pub(crate) struct Contention {
     capacity: f64,
-) -> Vec<f64> {
-    let k = backlogged.len();
-    if k == 0 {
-        return Vec::new();
-    }
-    // Build constraint membership: one constraint per receiver that hears at
-    // least one backlogged transmitter.
-    let mut constraints: Vec<Vec<usize>> = Vec::new();
-    for r in topology.nodes() {
-        let mut members: Vec<usize> = backlogged
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t == r || topology.neighbors(r).contains(&t))
-            .map(|(slot, _)| slot)
-            .collect();
-        if !members.is_empty() {
-            members.sort_unstable();
-            constraints.push(members);
-        }
-    }
-
-    progressive_fill(k, &constraints, capacity)
+    /// `true` for link rows (a row constrains only while its own node is
+    /// backlogged), `false` for receiver rows.
+    link_rows: bool,
+    /// Row `r`'s members: `members[row_start[r]..row_start[r + 1]]`.
+    row_start: Vec<u32>,
+    members: Vec<u32>,
+    /// The rows node `v` belongs to: `rows[rows_start[v]..rows_start[v + 1]]`.
+    rows_start: Vec<u32>,
+    rows: Vec<u32>,
+    /// Fill buffers, reused across fills: the backlogged nodes, each row's
+    /// unfrozen backlogged members and used capacity, each node's frozen
+    /// flag, and the rows that still have unfrozen members, in row order.
+    backlog: Vec<u32>,
+    unfrozen: Vec<u32>,
+    used: Vec<f64>,
+    frozen: Vec<bool>,
+    active: Vec<u32>,
 }
 
-/// Progressive filling: raise all unfrozen shares together, freeze the
-/// members of each constraint as it saturates.
-fn progressive_fill(k: usize, constraints: &[Vec<usize>], capacity: f64) -> Vec<f64> {
-    let mut share = vec![0.0f64; k];
-    let mut frozen = vec![false; k];
-    let mut used: Vec<f64> = vec![0.0; constraints.len()];
-    loop {
-        // Fill level headroom per constraint: (C - used) / #unfrozen members.
-        let mut best: Option<f64> = None;
-        for (ci, members) in constraints.iter().enumerate() {
-            let unfrozen = members.iter().filter(|&&m| !frozen[m]).count();
-            if unfrozen == 0 {
-                continue;
+impl Contention {
+    /// The rows of `mac` over `topology`; empty for
+    /// [`MacModel::RateLimited`], which never fills.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`MacModel::UnicastClique`] next hop is neither
+    /// `usize::MAX` nor a node of `topology`.
+    pub(crate) fn new(mac: &MacModel, topology: &Topology) -> Self {
+        let n = topology.len();
+        let index = |len: usize| u32::try_from(len).expect("contention rows need u32 indices");
+        assert!(
+            u32::try_from(n).is_ok(),
+            "contention rows need u32 node ids"
+        );
+        let neighborhood = |v: usize, into: &mut Vec<u32>| {
+            into.push(v as u32);
+            into.extend(
+                topology
+                    .neighbors(NodeId::new(v))
+                    .iter()
+                    .map(|u| u.index() as u32),
+            );
+        };
+        let mut row_start = vec![0u32];
+        let mut members = Vec::new();
+        let mut row = Vec::new();
+        let (capacity, link_rows) = match mac {
+            MacModel::RateLimited { .. } => return Contention::default(),
+            MacModel::FairShare { capacity } => {
+                for r in 0..n {
+                    row.clear();
+                    neighborhood(r, &mut row);
+                    row.sort_unstable();
+                    row.dedup();
+                    members.extend_from_slice(&row);
+                    row_start.push(index(members.len()));
+                }
+                (*capacity, false)
             }
-            let head = (capacity - used[ci]) / unfrozen as f64;
-            best = Some(best.map_or(head, |b: f64| b.min(head)));
+            MacModel::UnicastClique { capacity, next_hop } => {
+                let hop = |t: usize| next_hop.get(t).copied().unwrap_or(usize::MAX);
+                // Nodes by next hop, so a zone collects the links into it.
+                let mut into: Vec<Vec<u32>> = vec![Vec::new(); n];
+                for t in 0..n {
+                    let j = hop(t);
+                    if j != usize::MAX {
+                        assert!(j < n, "next hop {j} of node {t} is not a node");
+                        into[j].push(t as u32);
+                    }
+                }
+                let mut zone = Vec::new();
+                for r in 0..n {
+                    row.clear();
+                    let j = hop(r);
+                    if j != usize::MAX {
+                        zone.clear();
+                        neighborhood(r, &mut zone);
+                        neighborhood(j, &mut zone);
+                        zone.sort_unstable();
+                        zone.dedup();
+                        row.extend_from_slice(&zone);
+                        for &z in &zone {
+                            row.extend_from_slice(&into[z as usize]);
+                        }
+                        row.sort_unstable();
+                        row.dedup();
+                    }
+                    members.extend_from_slice(&row);
+                    row_start.push(index(members.len()));
+                }
+                (*capacity, true)
+            }
+        };
+        // Transpose: node -> the rows it belongs to, in row order.
+        let mut rows_start = vec![0u32; n + 1];
+        for &v in &members {
+            rows_start[v as usize + 1] += 1;
         }
-        let Some(delta) = best else { break };
-        let delta = delta.max(0.0);
-        // Raise all unfrozen shares by delta, update constraint usage.
-        for (ci, members) in constraints.iter().enumerate() {
-            let unfrozen = members.iter().filter(|&&m| !frozen[m]).count();
-            used[ci] += delta * unfrozen as f64;
+        for v in 0..n {
+            rows_start[v + 1] += rows_start[v];
         }
-        for s in 0..k {
-            if !frozen[s] {
-                share[s] += delta;
+        let mut cursor = rows_start.clone();
+        let mut rows = vec![0u32; members.len()];
+        for r in 0..n {
+            for &v in &members[row_start[r] as usize..row_start[r + 1] as usize] {
+                rows[cursor[v as usize] as usize] = r as u32;
+                cursor[v as usize] += 1;
             }
         }
-        // Freeze members of saturated constraints.
-        let mut any_frozen = false;
-        for (ci, members) in constraints.iter().enumerate() {
-            if capacity - used[ci] <= capacity * 1e-12 {
-                for &m in members {
-                    if !frozen[m] {
-                        frozen[m] = true;
+        Contention {
+            capacity,
+            link_rows,
+            row_start,
+            members,
+            rows_start,
+            rows,
+            backlog: Vec::with_capacity(n),
+            unfrozen: vec![0; n],
+            used: vec![0.0; n],
+            frozen: vec![false; n],
+            active: Vec::with_capacity(n),
+        }
+    }
+
+    /// Max-min fair rates for the nodes flagged in `backlogged`, written
+    /// into `rates` (0 for every other node).
+    ///
+    /// Classic progressive filling: raise every unfrozen rate by the
+    /// bottleneck row's headroom (least remaining capacity per unfrozen
+    /// member), freeze the members of every row that saturates, repeat
+    /// until all transmitters are frozen or no row has an unfrozen member
+    /// left; a transmitter outside every row keeps the fill level reached.
+    /// Rounds visit only rows that still have unfrozen members, in row
+    /// order. Same rows, same order, same arithmetic as the test oracle
+    /// `progressive_fill`, so the rates are equal bit for bit.
+    pub(crate) fn fill(&mut self, backlogged: &[bool], rates: &mut [f64]) {
+        let capacity = self.capacity;
+        rates.fill(0.0);
+        self.unfrozen.fill(0);
+        self.backlog.clear();
+        for (v, &flag) in backlogged.iter().enumerate() {
+            if flag {
+                self.backlog.push(v as u32);
+                self.frozen[v] = false;
+                let (lo, hi) = (self.rows_start[v], self.rows_start[v + 1]);
+                for &r in &self.rows[lo as usize..hi as usize] {
+                    self.unfrozen[r as usize] += 1;
+                }
+            }
+        }
+        self.active.clear();
+        for (r, &count) in self.unfrozen.iter().enumerate() {
+            if count > 0 && (!self.link_rows || backlogged[r]) {
+                self.active.push(r as u32);
+                self.used[r] = 0.0;
+            }
+        }
+        let mut left = self.backlog.len();
+        let mut level = 0.0f64;
+        while left > 0 && !self.active.is_empty() {
+            let mut delta = f64::INFINITY;
+            for &r in &self.active {
+                let r = r as usize;
+                delta = delta.min((capacity - self.used[r]) / self.unfrozen[r] as f64);
+            }
+            let delta = delta.max(0.0);
+            for &r in &self.active {
+                let r = r as usize;
+                self.used[r] += delta * self.unfrozen[r] as f64;
+            }
+            level += delta;
+            let mut any_frozen = false;
+            for &r in &self.active {
+                let r = r as usize;
+                if capacity - self.used[r] > capacity * 1e-12 {
+                    continue;
+                }
+                let (lo, hi) = (self.row_start[r], self.row_start[r + 1]);
+                for &v in &self.members[lo as usize..hi as usize] {
+                    let v = v as usize;
+                    if backlogged[v] && !self.frozen[v] {
+                        self.frozen[v] = true;
+                        rates[v] = level;
+                        left -= 1;
                         any_frozen = true;
+                        let (lo, hi) = (self.rows_start[v], self.rows_start[v + 1]);
+                        for &q in &self.rows[lo as usize..hi as usize] {
+                            self.unfrozen[q as usize] -= 1;
+                        }
                     }
                 }
             }
-        }
-        if !any_frozen {
-            // No constraint binds the remaining transmitters (isolated
-            // nodes): they can use the full capacity.
-            for s in 0..k {
-                if !frozen[s] {
-                    share[s] = capacity;
-                    frozen[s] = true;
+            let unfrozen = &self.unfrozen;
+            self.active.retain(|&r| unfrozen[r as usize] > 0);
+            if !any_frozen {
+                // Rounding left the bottleneck row short of saturation: the
+                // remaining transmitters take the full capacity, as the
+                // oracle does.
+                for &v in &self.backlog {
+                    if !self.frozen[v as usize] {
+                        self.frozen[v as usize] = true;
+                        rates[v as usize] = capacity;
+                    }
                 }
+                left = 0;
             }
         }
-        if frozen.iter().all(|&f| f) {
-            break;
+        // Transmitters outside every remaining row keep the fill level.
+        for &v in &self.backlog {
+            if !self.frozen[v as usize] {
+                rates[v as usize] = level;
+            }
         }
     }
-    share
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use net_topo::graph::Link;
+    use rand::{Rng, SeedableRng};
+
+    /// Max-min fair rates under the unicast sufficient condition: one
+    /// constraint per backlogged link `(i, j)`, whose members are all
+    /// backlogged links with an endpoint in `N(i) ∪ {i} ∪ N(j) ∪ {j}`.
+    /// The oracle [`Contention::fill`] must match bit for bit.
+    fn unicast_clique_shares(
+        backlogged: &[NodeId],
+        topology: &Topology,
+        capacity: f64,
+        next_hop: &[usize],
+    ) -> Vec<f64> {
+        let k = backlogged.len();
+        if k == 0 {
+            return Vec::new();
+        }
+        let hop = |t: NodeId| next_hop.get(t.index()).copied().unwrap_or(usize::MAX);
+        let touches = |t: NodeId, zone: &[NodeId]| -> bool {
+            let h = hop(t);
+            zone.iter().any(|&z| z == t || z.index() == h)
+        };
+        let mut constraints: Vec<Vec<usize>> = Vec::new();
+        for (center_slot, &center) in backlogged.iter().enumerate() {
+            let j = hop(center);
+            if j == usize::MAX {
+                continue;
+            }
+            // Interference zone of link (center, j).
+            let mut zone: Vec<NodeId> = vec![center, NodeId::new(j)];
+            zone.extend_from_slice(topology.neighbors(center));
+            zone.extend_from_slice(topology.neighbors(NodeId::new(j)));
+            zone.sort_unstable();
+            zone.dedup();
+            let mut members: Vec<usize> = backlogged
+                .iter()
+                .enumerate()
+                .filter(|(_, &t)| touches(t, &zone))
+                .map(|(slot, _)| slot)
+                .collect();
+            if !members.contains(&center_slot) {
+                members.push(center_slot);
+            }
+            members.sort_unstable();
+            constraints.push(members);
+        }
+        progressive_fill(k, &constraints, capacity)
+    }
+
+    /// Max-min fair rates for the backlogged transmitter set under
+    /// per-receiver capacity constraints: for every node `r` in the
+    /// topology, the backlogged transmitters within `N(r) ∪ {r}` share at
+    /// most `capacity`. The oracle [`Contention::fill`] must match bit for
+    /// bit.
+    fn max_min_shares(backlogged: &[NodeId], topology: &Topology, capacity: f64) -> Vec<f64> {
+        let k = backlogged.len();
+        if k == 0 {
+            return Vec::new();
+        }
+        // Build constraint membership: one constraint per receiver that
+        // hears at least one backlogged transmitter.
+        let mut constraints: Vec<Vec<usize>> = Vec::new();
+        for r in topology.nodes() {
+            let mut members: Vec<usize> = backlogged
+                .iter()
+                .enumerate()
+                .filter(|(_, &t)| t == r || topology.neighbors(r).contains(&t))
+                .map(|(slot, _)| slot)
+                .collect();
+            if !members.is_empty() {
+                members.sort_unstable();
+                constraints.push(members);
+            }
+        }
+
+        progressive_fill(k, &constraints, capacity)
+    }
+
+    /// Progressive filling: raise all unfrozen shares together, freeze the
+    /// members of each constraint as it saturates.
+    fn progressive_fill(k: usize, constraints: &[Vec<usize>], capacity: f64) -> Vec<f64> {
+        let mut share = vec![0.0f64; k];
+        let mut frozen = vec![false; k];
+        let mut used: Vec<f64> = vec![0.0; constraints.len()];
+        loop {
+            // Fill level headroom per constraint: (C - used) / #unfrozen members.
+            let mut best: Option<f64> = None;
+            for (ci, members) in constraints.iter().enumerate() {
+                let unfrozen = members.iter().filter(|&&m| !frozen[m]).count();
+                if unfrozen == 0 {
+                    continue;
+                }
+                let head = (capacity - used[ci]) / unfrozen as f64;
+                best = Some(best.map_or(head, |b: f64| b.min(head)));
+            }
+            let Some(delta) = best else { break };
+            let delta = delta.max(0.0);
+            // Raise all unfrozen shares by delta, update constraint usage.
+            for (ci, members) in constraints.iter().enumerate() {
+                let unfrozen = members.iter().filter(|&&m| !frozen[m]).count();
+                used[ci] += delta * unfrozen as f64;
+            }
+            for s in 0..k {
+                if !frozen[s] {
+                    share[s] += delta;
+                }
+            }
+            // Freeze members of saturated constraints.
+            let mut any_frozen = false;
+            for (ci, members) in constraints.iter().enumerate() {
+                if capacity - used[ci] <= capacity * 1e-12 {
+                    for &m in members {
+                        if !frozen[m] {
+                            frozen[m] = true;
+                            any_frozen = true;
+                        }
+                    }
+                }
+            }
+            if !any_frozen {
+                // No constraint binds the remaining transmitters (isolated
+                // nodes): they can use the full capacity.
+                for s in 0..k {
+                    if !frozen[s] {
+                        share[s] = capacity;
+                        frozen[s] = true;
+                    }
+                }
+            }
+            if frozen.iter().all(|&f| f) {
+                break;
+            }
+        }
+        share
+    }
+
+    /// Runs the production fill of `contention` for the node-ordered
+    /// `backlogged` list and returns its rates slot-aligned with the list,
+    /// checking that every other node got 0.
+    fn fill_slots(contention: &mut Contention, n: usize, backlogged: &[NodeId]) -> Vec<f64> {
+        let mut flags = vec![false; n];
+        for &t in backlogged {
+            flags[t.index()] = true;
+        }
+        let mut rates = vec![f64::NAN; n];
+        contention.fill(&flags, &mut rates);
+        for (v, &rate) in rates.iter().enumerate() {
+            if !flags[v] {
+                assert_eq!(rate.to_bits(), 0.0f64.to_bits(), "idle node {v} got {rate}");
+            }
+        }
+        backlogged.iter().map(|t| rates[t.index()]).collect()
+    }
+
+    /// The fair-share rates of `backlogged` (node-ordered) on `t`.
+    fn fair_shares(t: &Topology, backlogged: &[NodeId], capacity: f64) -> Vec<f64> {
+        let mut contention = Contention::new(&MacModel::fair_share(capacity), t);
+        fill_slots(&mut contention, t.len(), backlogged)
+    }
 
     fn clique(n: usize) -> Topology {
         let mut links = Vec::new();
@@ -284,7 +532,7 @@ mod tests {
     fn clique_splits_capacity_evenly() {
         let t = clique(4);
         let backlogged: Vec<NodeId> = (0..4).map(NodeId::new).collect();
-        let shares = max_min_shares(&backlogged, &t, 100.0);
+        let shares = fair_shares(&t, &backlogged, 100.0);
         for s in &shares {
             assert!((s - 25.0).abs() < 1e-9, "{shares:?}");
         }
@@ -293,7 +541,7 @@ mod tests {
     #[test]
     fn single_transmitter_gets_full_capacity() {
         let t = clique(4);
-        let shares = max_min_shares(&[NodeId::new(2)], &t, 100.0);
+        let shares = fair_shares(&t, &[NodeId::new(2)], 100.0);
         assert_eq!(shares, vec![100.0]);
     }
 
@@ -314,7 +562,7 @@ mod tests {
             },
         ];
         let t = Topology::from_links(4, links).unwrap();
-        let shares = max_min_shares(&[NodeId::new(0), NodeId::new(2)], &t, 50.0);
+        let shares = fair_shares(&t, &[NodeId::new(0), NodeId::new(2)], 50.0);
         assert_eq!(shares, vec![50.0, 50.0]);
     }
 
@@ -336,14 +584,13 @@ mod tests {
             });
         }
         let t = Topology::from_links(3, links).unwrap();
-        let shares = max_min_shares(&[NodeId::new(0), NodeId::new(2)], &t, 100.0);
+        let shares = fair_shares(&t, &[NodeId::new(0), NodeId::new(2)], 100.0);
         assert!((shares[0] - 50.0).abs() < 1e-9);
         assert!((shares[1] - 50.0).abs() < 1e-9);
     }
 
     #[test]
     fn shares_respect_every_receiver_constraint() {
-        use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(12);
         for _ in 0..20 {
             let n = 10;
@@ -367,7 +614,7 @@ mod tests {
                 .filter(|_| rng.gen_bool(0.5))
                 .map(NodeId::new)
                 .collect();
-            let shares = max_min_shares(&backlogged, &t, 1.0);
+            let shares = fair_shares(&t, &backlogged, 1.0);
             // Verify per-receiver constraints.
             for r in t.nodes() {
                 let load: f64 = backlogged
@@ -385,13 +632,117 @@ mod tests {
         }
     }
 
+    /// A random topology on `2..=24` nodes: sparse or dense links, some
+    /// nodes left isolated, occasional self-loops and duplicate links.
+    fn random_topology(rng: &mut impl Rng) -> Topology {
+        let n = rng.gen_range(2..=24);
+        let density = rng.gen_range(0.0..0.6);
+        let isolated: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.15)).collect();
+        let mut links = Vec::new();
+        for i in 0..n {
+            for j in 0..n {
+                let self_loop = i == j && rng.gen_bool(0.05);
+                if (i != j || self_loop) && !isolated[i] && !isolated[j] && rng.gen_bool(density) {
+                    for _ in 0..rng.gen_range(1..=2) {
+                        links.push(Link {
+                            from: NodeId::new(i),
+                            to: NodeId::new(j),
+                            p: rng.gen_range(0.05..=1.0),
+                        });
+                    }
+                }
+            }
+        }
+        Topology::from_links(n, links).unwrap()
+    }
+
+    /// Backlog sets for one topology: empty, each single transmitter,
+    /// everyone, and random subsets, each node-ordered.
+    fn random_backlogs(rng: &mut impl Rng, n: usize) -> Vec<Vec<NodeId>> {
+        let mut sets = vec![Vec::new(), (0..n).map(NodeId::new).collect()];
+        sets.extend((0..n).map(|v| vec![NodeId::new(v)]));
+        for _ in 0..6 {
+            let p = rng.gen_range(0.1..0.9);
+            sets.push(
+                (0..n)
+                    .filter(|_| rng.gen_bool(p))
+                    .map(NodeId::new)
+                    .collect(),
+            );
+        }
+        sets
+    }
+
+    /// A capacity between 1 and 1e6, log-uniform, with both ends exact.
+    fn random_capacity(rng: &mut impl Rng) -> f64 {
+        match rng.gen_range(0..8) {
+            0 => 1.0,
+            1 => 1e6,
+            _ => 10f64.powf(rng.gen_range(0.0..6.0)),
+        }
+    }
+
+    fn assert_bits_equal(fill: &[f64], oracle: &[f64], what: &str) {
+        assert_eq!(fill.len(), oracle.len(), "{what}");
+        for (slot, (a, b)) in fill.iter().zip(oracle).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: slot {slot}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn fair_share_fill_matches_the_oracle_bit_for_bit() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+        for case in 0..200 {
+            let t = random_topology(&mut rng);
+            let capacity = random_capacity(&mut rng);
+            // One structure per topology, reused across backlog changes
+            // as the engine does.
+            let mut contention = Contention::new(&MacModel::fair_share(capacity), &t);
+            for backlogged in random_backlogs(&mut rng, t.len()) {
+                let fill = fill_slots(&mut contention, t.len(), &backlogged);
+                let oracle = max_min_shares(&backlogged, &t, capacity);
+                assert_bits_equal(&fill, &oracle, &format!("case {case} {backlogged:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn unicast_clique_fill_matches_the_oracle_bit_for_bit() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(34);
+        for case in 0..200 {
+            let t = random_topology(&mut rng);
+            let n = t.len();
+            let capacity = random_capacity(&mut rng);
+            // Some nodes have no next hop, and the table may stop short
+            // of the last nodes (which then have none either).
+            let covered = rng.gen_range(0..=n);
+            let next_hop: Vec<usize> = (0..covered)
+                .map(|v| match rng.gen_range(0..4) {
+                    0 => usize::MAX,
+                    1 => rng.gen_range(0..n),
+                    _ => t
+                        .neighbors(NodeId::new(v))
+                        .first()
+                        .map_or(usize::MAX, |u| u.index()),
+                })
+                .collect();
+            let mac = MacModel::unicast_clique(capacity, next_hop.clone());
+            let mut contention = Contention::new(&mac, &t);
+            for backlogged in random_backlogs(&mut rng, n) {
+                let fill = fill_slots(&mut contention, n, &backlogged);
+                let oracle = unicast_clique_shares(&backlogged, &t, capacity, &next_hop);
+                assert_bits_equal(&fill, &oracle, &format!("case {case} {backlogged:?}"));
+            }
+        }
+    }
+
     #[test]
     fn rate_limited_returns_assigned_rate() {
-        let t = clique(3);
         let mac = MacModel::rate_limited(vec![10.0, 20.0, 0.0], 100.0);
-        let all = [NodeId::new(0), NodeId::new(1), NodeId::new(2)];
-        assert_eq!(mac.shares(&all, &t), vec![10.0, 20.0, 0.0]);
+        let rates: Vec<Option<f64>> = (0..4).map(|v| mac.fixed_rate(NodeId::new(v))).collect();
+        assert_eq!(rates, vec![Some(10.0), Some(20.0), Some(0.0), Some(0.0)]);
         assert_eq!(mac.capacity(), 100.0);
+        assert_eq!(MacModel::fair_share(100.0).fixed_rate(NodeId::new(0)), None);
     }
 
     #[test]

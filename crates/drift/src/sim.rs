@@ -21,7 +21,7 @@ use telemetry::{Counter, Histogram, Profiler, Registry};
 use crate::arena::{Arena, Handle};
 use crate::core::{EventId, EventQueue, Pcg64};
 use crate::event::Event;
-use crate::mac::MacModel;
+use crate::mac::{Contention, MacModel};
 use crate::stats::{NodeStats, QueueTracker, SessionStats};
 use crate::time::SimTime;
 use crate::trace::{PacketTag, Trace, TraceEvent};
@@ -173,16 +173,18 @@ const NO_EPOCH: u64 = u64::MAX;
 /// dispatch loop touches small dense arrays instead of chasing per-node
 /// objects.
 struct Core<M> {
-    topology: Topology,
     mac: MacModel,
+    /// The contention MACs' rows over the topology, built once, and the
+    /// progressive filler's buffers.
+    contention: Contention,
     events: EventQueue<Event>,
     /// All queued and in-flight packets, shared across nodes.
     packets: Arena<Packet<M>>,
     queues: Vec<Fifo>,
     inflight: Vec<Option<InFlight>>,
     /// Flattened out-links (SoA): receiver ids and link probabilities for
-    /// node `i` live at `link_span[i].0 .. link_span[i].1`. Lets the
-    /// delivery fan-out iterate by copy without borrowing the topology.
+    /// node `i` live at `link_span[i].0 .. link_span[i].1`, in topology
+    /// out-link order. The delivery fan-out iterates them by copy.
     link_to: Vec<NodeId>,
     link_p: Vec<f64>,
     link_span: Vec<(u32, u32)>,
@@ -206,8 +208,6 @@ struct Core<M> {
     backlog_epoch: u64,
     cached_rates: Vec<f64>,
     cached_epoch: u64,
-    /// Scratch for the node-id-ordered backlog list (reused, never freed).
-    backlog_list: Vec<NodeId>,
     telemetry: SimTelemetry,
     profiler: Profiler,
     /// Tag of the packet currently being delivered to a behavior, set for
@@ -282,27 +282,16 @@ impl<M> Core<M> {
     /// The MAC service rate of `node` under the current backlog set.
     ///
     /// Fixed-rate MACs answer from the rate table directly; contention
-    /// MACs answer from a share vector cached per backlog epoch, so the
-    /// progressive fill runs once per change of the backlogged set rather
+    /// MACs answer from rates the progressive fill writes once per backlog
+    /// epoch, so the fill runs once per change of the backlogged set rather
     /// than once per transmission.
     fn current_rate(&mut self, node: NodeId) -> f64 {
-        if let MacModel::RateLimited { rates, .. } = &self.mac {
-            return rates.get(node.index()).copied().unwrap_or(0.0);
+        if let Some(rate) = self.mac.fixed_rate(node) {
+            return rate;
         }
         if self.cached_epoch != self.backlog_epoch {
-            self.backlog_list.clear();
-            for (i, &flag) in self.backlogged.iter().enumerate() {
-                if flag {
-                    self.backlog_list.push(NodeId::new(i));
-                }
-            }
-            let shares = self.mac.shares(&self.backlog_list, &self.topology);
-            for rate in &mut self.cached_rates {
-                *rate = 0.0;
-            }
-            for (slot, member) in self.backlog_list.iter().enumerate() {
-                self.cached_rates[member.index()] = shares.get(slot).copied().unwrap_or(0.0);
-            }
+            self.contention
+                .fill(&self.backlogged, &mut self.cached_rates);
             self.cached_epoch = self.backlog_epoch;
         }
         self.cached_rates.get(node.index()).copied().unwrap_or(0.0)
@@ -441,11 +430,6 @@ impl<'a, M> Ctx<'a, M> {
     pub fn stop(&mut self) {
         self.core.stopped = true;
     }
-
-    /// The topology the simulation runs on.
-    pub fn topology(&self) -> &Topology {
-        &self.core.topology
-    }
 }
 
 /// A deterministic discrete-event wireless simulator.
@@ -481,7 +465,7 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
         }
         Simulator {
             core: Core {
-                topology: topology.clone(),
+                contention: Contention::new(&mac, topology),
                 mac,
                 events: EventQueue::new(),
                 packets: Arena::new(),
@@ -502,7 +486,6 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
                 backlog_epoch: 0,
                 cached_rates: vec![0.0; n],
                 cached_epoch: NO_EPOCH,
-                backlog_list: Vec::with_capacity(n),
                 telemetry: SimTelemetry::default(),
                 profiler: Profiler::disabled(),
                 incoming_tag: None,
@@ -536,7 +519,7 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
             "behaviors must be installed before the run starts"
         );
         assert!(session < u32::MAX as usize, "session index out of range");
-        let n = self.core.topology.len();
+        let n = self.core.queues.len();
         while self.behaviors.len() <= session {
             self.behaviors.push((0..n).map(|_| None).collect());
         }
@@ -684,8 +667,10 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
         assert!(end >= self.core.now, "cannot run backwards in time");
         if !self.started {
             self.started = true;
-            for node in self.core.topology.nodes() {
-                self.core.events.schedule(SimTime::ZERO, Event::Start(node));
+            for node in 0..self.core.queues.len() {
+                self.core
+                    .events
+                    .schedule(SimTime::ZERO, Event::Start(NodeId::new(node)));
             }
         }
         let _run = self.core.profiler.span("drift.run");
@@ -880,7 +865,12 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
                 }
             }
             Dest::Unicast(to) => {
-                let p = self.core.topology.link_prob(node, to).unwrap_or(0.0);
+                // The last out-link to `to`, as `Topology::link_prob` reads it.
+                let (start, end) = self.core.link_span[node.index()];
+                let p = (start as usize..end as usize)
+                    .rev()
+                    .find(|&k| self.core.link_to[k] == to)
+                    .map_or(0.0, |k| self.core.link_p[k]);
                 let delivered = !self.core.dead[to.index()]
                     && p > 0.0
                     && self.core.rngs[node.index()].gen_bool(p);
@@ -1208,6 +1198,33 @@ mod tests {
         let b = sim.behavior(NodeId::new(0)).unwrap();
         assert_eq!(b.delivered, 1, "after {} attempts", b.attempts);
         assert!(b.attempts >= 1);
+    }
+
+    #[test]
+    fn unicast_reads_the_link_probability_topology_reports() {
+        // Two links for one pair: the topology reports the last one, and a
+        // unicast must be drawn with that probability, not the first.
+        let link = |p| Link {
+            from: NodeId::new(0),
+            to: NodeId::new(1),
+            p,
+        };
+        let topo = Topology::from_links(2, vec![link(0.01), link(1.0)]).unwrap();
+        assert_eq!(topo.link_prob(NodeId::new(0), NodeId::new(1)), Some(1.0));
+        let mut sim: Simulator<Msg, StubbornUnicast> =
+            Simulator::new(&topo, MacModel::fair_share(1000.0), 11);
+        sim.set_behavior(
+            NodeId::new(0),
+            StubbornUnicast {
+                to: NodeId::new(1),
+                budget: 1,
+                delivered: 0,
+                attempts: 0,
+            },
+        );
+        sim.run_until(10.0);
+        let b = sim.behavior(NodeId::new(0)).unwrap();
+        assert_eq!((b.delivered, b.attempts), (1, 1));
     }
 
     #[test]
