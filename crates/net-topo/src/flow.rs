@@ -18,15 +18,19 @@
 //! The arithmetic is fixed, so a result does not depend on the scratch it
 //! ran in:
 //!
-//! * at each vertex the BFS visits the forward arcs of the edges leaving
-//!   it, in edge order, then the backward arcs of the edges entering it,
-//!   in edge order;
+//! * an arc counts as open when its residual exceeds `eps`, `1e-12` of the
+//!   largest capacity, and all-zero capacities return at once;
+//! * the augmenting paths run on the `s → t` *core*: the vertices that lie
+//!   on some `s → t` path of edges with capacity `> eps`, and the arcs of
+//!   such edges between them. An off-core vertex never carries flow, so no
+//!   arc into the core ever opens from it, and it is never visited;
+//! * at each core vertex the BFS visits the forward arcs of the edges
+//!   leaving it, in edge order, then the backward arcs of the edges
+//!   entering it, in edge order;
 //! * each edge keeps its capacity and its flow, and a residual is computed
 //!   as `cap − flow` when it is read;
 //! * a vertex keeps the arc it was first reached by, and the bottleneck
-//!   and the augmentation walk from `t` back to `s`;
-//! * an arc counts as open when its residual exceeds `1e-12` of the
-//!   largest capacity, and all-zero capacities return at once.
+//!   and the augmentation walk from `t` back to `s`.
 //!
 //! # Examples
 //!
@@ -65,7 +69,21 @@ pub struct Scratch {
     /// The arc each vertex was first reached by, [`UNREACHED`] if none.
     via: Vec<usize>,
     queue: Vec<usize>,
+    /// [`FROM_S`] and [`TO_T`] marks per vertex; the core is both.
+    reach: Vec<u8>,
+    /// The core arcs leaving vertex `v` are
+    /// `core_arcs[core_first[v]..core_first[v + 1]]`, in
+    /// [`Network::arcs`] order.
+    core_first: Vec<usize>,
+    core_arcs: Vec<usize>,
 }
+
+/// A [`Scratch::reach`] mark: reached from `s` over edges with capacity
+/// `> eps`.
+const FROM_S: u8 = 1;
+/// A [`Scratch::reach`] mark: reaches `t` over such edges.
+const TO_T: u8 = 2;
+const CORE: u8 = FROM_S | TO_T;
 
 impl Scratch {
     /// The per-edge flows of the last computation, in edge order.
@@ -130,6 +148,9 @@ impl Network {
             flow,
             via,
             queue,
+            reach,
+            core_first,
+            core_arcs,
         } = scratch;
         c.clear();
         c.extend(cap);
@@ -146,6 +167,10 @@ impl Network {
         }
         let eps = scale * 1e-12;
 
+        // With `t` off the core no vertex is on it: the first BFS stops at `s`.
+        self.mark_core(s, t, eps, c, reach, queue);
+        self.core_arcs(eps, c, reach, core_first, core_arcs);
+        let core = |v: usize| &core_arcs[core_first[v]..core_first[v + 1]];
         loop {
             via.clear();
             via.resize(self.first.len() - 1, UNREACHED);
@@ -156,7 +181,7 @@ impl Network {
             let mut next = 0;
             'bfs: while let Some(&u) = queue.get(next) {
                 next += 1;
-                for &arc in self.arcs(u) {
+                for &arc in core(u) {
                     let v = self.to[arc];
                     if via[v] == UNREACHED && residual(arc, c, flow) > eps {
                         via[v] = arc;
@@ -196,6 +221,68 @@ impl Network {
         };
         net(0) - net(1)
     }
+
+    /// Marks in `reach` the vertices `s` reaches over edges with capacity
+    /// `> eps` ([`FROM_S`]) and, among those, the ones that reach `t` over
+    /// such edges ([`TO_T`]).
+    fn mark_core(
+        &self,
+        s: usize,
+        t: usize,
+        eps: f64,
+        cap: &[f64],
+        reach: &mut Vec<u8>,
+        queue: &mut Vec<usize>,
+    ) {
+        reach.clear();
+        reach.resize(self.first.len() - 1, 0);
+        // Forward arcs from `s`; then backward arcs from `t`, staying among
+        // the vertices `s` reaches.
+        for (start, parity, mark, within) in [(s, 0, FROM_S, 0), (t, 1, TO_T, FROM_S)] {
+            if reach[start] & within != within {
+                return;
+            }
+            reach[start] |= mark;
+            queue.clear();
+            queue.push(start);
+            let mut next = 0;
+            while let Some(&u) = queue.get(next) {
+                next += 1;
+                for &arc in self.arcs(u) {
+                    let v = self.to[arc];
+                    if arc % 2 == parity
+                        && cap[arc / 2] > eps
+                        && reach[v] & (mark | within) == within
+                    {
+                        reach[v] |= mark;
+                        queue.push(v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Lists, per vertex, the arcs between core vertices whose edge has
+    /// capacity `> eps`, in [`Network::arcs`] order.
+    fn core_arcs(
+        &self,
+        eps: f64,
+        cap: &[f64],
+        reach: &[u8],
+        core_first: &mut Vec<usize>,
+        core_arcs: &mut Vec<usize>,
+    ) {
+        core_first.clear();
+        core_arcs.clear();
+        for (v, &mark) in reach.iter().enumerate() {
+            core_first.push(core_arcs.len());
+            if mark == CORE {
+                let open = |&&arc: &&usize| reach[self.to[arc]] == CORE && cap[arc / 2] > eps;
+                core_arcs.extend(self.arcs(v).iter().filter(open));
+            }
+        }
+        core_first.push(core_arcs.len());
+    }
 }
 
 /// The residual of `arc`: `cap − flow` on a forward arc, `flow` on a
@@ -212,6 +299,130 @@ fn residual(arc: usize, cap: &[f64], flow: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+
+    /// [`Network::max_flow`] as it was before it ran on the core: the BFS
+    /// walks every arc of every vertex it reaches. The production engine
+    /// must return its value and flows bit for bit.
+    fn oracle(net: &Network, s: usize, t: usize, cap: &[f64]) -> (f64, Vec<f64>) {
+        let mut flow = vec![0.0; cap.len()];
+        let scale = cap.iter().fold(0.0f64, |a, &b| a.max(b));
+        if scale == 0.0 {
+            return (0.0, flow);
+        }
+        let eps = scale * 1e-12;
+        let mut via = Vec::new();
+        let mut queue = Vec::new();
+        loop {
+            via.clear();
+            via.resize(net.first.len() - 1, UNREACHED);
+            via[s] = 0;
+            queue.clear();
+            queue.push(s);
+            let mut next = 0;
+            'bfs: while let Some(&u) = queue.get(next) {
+                next += 1;
+                for &arc in net.arcs(u) {
+                    let v = net.to[arc];
+                    if via[v] == UNREACHED && residual(arc, cap, &flow) > eps {
+                        via[v] = arc;
+                        if v == t {
+                            break 'bfs;
+                        }
+                        queue.push(v);
+                    }
+                }
+            }
+            if via[t] == UNREACHED {
+                break;
+            }
+            let mut bottleneck = f64::INFINITY;
+            let mut v = t;
+            while v != s {
+                bottleneck = bottleneck.min(residual(via[v], cap, &flow));
+                v = net.to[via[v] ^ 1];
+            }
+            let mut v = t;
+            while v != s {
+                let arc = via[v];
+                if arc.is_multiple_of(2) {
+                    flow[arc / 2] += bottleneck;
+                } else {
+                    flow[arc / 2] -= bottleneck;
+                }
+                v = net.to[arc ^ 1];
+            }
+        }
+        let net_flow = |parity: usize| -> f64 {
+            (net.arcs(s).iter())
+                .filter(|&&arc| arc % 2 == parity)
+                .map(|&arc| flow[arc / 2])
+                .sum()
+        };
+        let value = net_flow(0) - net_flow(1);
+        (value, flow)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A random graph on `2..=16` vertices and its capacities. Edges are
+    /// drawn between any two vertices (self-loops included), so parallel
+    /// and antiparallel edges, cycles, dead ends, in-edges at `s` and
+    /// out-edges at `t` all occur; some graphs have no edge into `t`.
+    /// Capacities are unit everywhere or drawn per edge from zero, a
+    /// sub-`eps` sliver, one just above `eps` (when the largest capacity
+    /// is above 0.75), a few exact values and a uniform draw.
+    fn random_case(rng: &mut rand::rngs::StdRng) -> (usize, Vec<(usize, usize)>, Vec<f64>) {
+        let n = rng.gen_range(2..=16);
+        let m = rng.gen_range(n..=4 * n);
+        let starve_t = rng.gen_bool(0.1);
+        let edges: Vec<(usize, usize)> = (0..m)
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+            .filter(|&(_, head)| !(starve_t && head == n - 1))
+            .collect();
+        let unit = rng.gen_bool(0.25);
+        let cap = (0..edges.len())
+            .map(|_| match rng.gen_range(0..7) {
+                _ if unit => 1.0,
+                0 => 0.0,
+                1 => 1e-15,
+                2 => 1.5e-12,
+                3 => 0.5,
+                4 => 0.25,
+                _ => rng.gen_range(0.0..1.0),
+            })
+            .collect();
+        (n, edges, cap)
+    }
+
+    #[test]
+    fn the_core_engine_returns_the_oracle_bits_on_random_graphs() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(34);
+        let mut scratch = Scratch::default();
+        // Cases with a positive flow, with `t` cut off by zero and sliver
+        // capacities only, and with no edge into `t` at all.
+        let (mut flowing, mut starved, mut unreachable) = (0, 0, 0);
+        for case in 0..1000 {
+            let (n, edges, cap) = random_case(&mut rng);
+            let net = Network::new(n, edges.iter().copied());
+            let (s, t) = (0, n - 1);
+            let (value, flows) = oracle(&net, s, t, &cap);
+            let got = net.max_flow(s, t, cap.iter().copied(), &mut scratch);
+            assert_eq!(got.to_bits(), value.to_bits(), "case {case}: value");
+            assert_eq!(bits(scratch.flows()), bits(&flows), "case {case}: flows");
+            if value > 0.0 {
+                flowing += 1;
+            } else if edges.iter().any(|&(_, head)| head == t) {
+                starved += 1;
+            } else {
+                unreachable += 1;
+            }
+        }
+        let counts = [flowing, starved, unreachable];
+        assert!(counts.iter().all(|&c| c >= 20), "{counts:?}");
+    }
 
     #[test]
     fn arcs_list_out_edges_then_in_edges_in_edge_order() {

@@ -9,9 +9,10 @@
 //!   `γ = U'⁻¹(p_min)` units of flow down the current shortest path
 //!   (eqs. (11)–(12)) and the primal is recovered by ergodic averaging
 //!   (eq. (13)). The forwarder selection is a DAG, so the shortest path is
-//!   one relaxation sweep in topological order ([`Routes::sweep`]); a heap
-//!   Dijkstra ([`Routes::dijkstra`]) arbitrates the iterations where two
-//!   equal-cost links meet on that path;
+//!   one sweep in topological order that pulls every node's cost from its
+//!   in-links ([`Routes::sweep`]); a heap Dijkstra ([`dijkstra`])
+//!   arbitrates the iterations where two equal-cost links meet on that
+//!   path;
 //! * **SUB2** — broadcast/encoding rate allocation: congestion prices `β_i`
 //!   per receiver (eq. (15)) and a proximal update of the broadcast rates
 //!   `b_i` (eq. (17)), again with primal recovery (eq. (18));
@@ -240,7 +241,7 @@ pub struct RateControl<'a> {
     profiler: telemetry::Profiler,
 }
 
-/// Internal iterate state, all in capacity-normalized units. The first six
+/// Internal iterate state, all in capacity-normalized units. The per-session
 /// fields are indexed `[session][local node or link]`, `beta` and `load`
 /// by site.
 ///
@@ -256,9 +257,18 @@ struct State {
     b: Vec<Vec<f64>>,
     b_avg: Vec<Vec<f64>>,
     x_avg: Vec<Vec<f64>>,
+    /// The links where `x_avg` is non-zero, in no particular order. Every
+    /// other entry is exactly `+0` and would stay so, `(0 − 0) / span`
+    /// adding `+0`, unless SUB1's path takes the link.
+    x_live: Vec<Vec<usize>>,
     /// SUB1's flow of the current iteration: `γ_t` on the links of the
     /// session's shortest path, zero elsewhere.
     x_step: Vec<Vec<f64>>,
+    /// The links of that path, where `x_step` is `γ_t`.
+    path: Vec<Vec<usize>>,
+    /// SUB2's `w_i = Σ_j λ_ij p_ij` over the out-links of every node,
+    /// summed in link order under the current `λ`.
+    w: Vec<Vec<f64>>,
     /// SUB1's injected flow `γ_t` per session.
     gamma_step: Vec<f64>,
     beta: Vec<f64>,
@@ -280,19 +290,20 @@ struct Candidate {
     x: Vec<Vec<f64>>,
 }
 
-/// One session's links as SUB1 walks them: a CSR out-adjacency over local
-/// indices and, the forwarder selection being a DAG (every link runs
-/// strictly downhill in ETX distance, Sec. 4), a topological order.
+/// One session's links as SUB1's sweep walks them: the forwarder selection
+/// being a DAG (every link runs strictly downhill in ETX distance, Sec. 4),
+/// a topological order with every node's in-links.
 #[derive(Debug, Clone)]
 struct Routes {
-    /// The out-links of node `u` are `hops[first[u]..first[u + 1]]`, in
-    /// [`SUnicast::out_links`] order.
-    first: Vec<usize>,
-    /// `(receiver, link index)` of every link.
-    hops: Vec<(usize, usize)>,
     /// Every node after all its predecessors (Kahn); `None` if the links
     /// close a cycle.
     order: Option<Vec<usize>>,
+    /// The in-links of `order[i]` are `ins[ins_first[i]..ins_first[i + 1]]`
+    /// as `(transmitter, link index)`, by the transmitter's position in
+    /// `order`, then in [`SUnicast::out_links`] order: the order a sweep
+    /// pushing along out-links would relax them in. Empty without an order.
+    ins_first: Vec<usize>,
+    ins: Vec<(u32, u32)>,
 }
 
 /// Shortest-path buffers shared by all sessions of a run.
@@ -306,7 +317,7 @@ struct Paths {
     heap: BinaryHeap<Settle>,
 }
 
-/// A heap entry of [`Routes::dijkstra`]: cheapest first, the smaller node
+/// A heap entry of [`dijkstra`]: cheapest first, the smaller node
 /// index on equal costs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Settle {
@@ -344,97 +355,126 @@ impl Ord for Settle {
     }
 }
 
+/// A local node or link index as [`Routes::ins`] stores it.
+fn local(index: usize) -> u32 {
+    u32::try_from(index).expect("instances index nodes and links in u32")
+}
+
 impl Routes {
     fn new(problem: &SUnicast) -> Self {
         let n = problem.node_count();
-        let mut first = Vec::with_capacity(n + 1);
-        let mut hops = Vec::with_capacity(problem.link_count());
-        let mut unsettled_in = vec![0usize; n];
-        for u in 0..n {
-            first.push(hops.len());
-            for l in problem.out_links(u) {
-                let to = problem.link(*l).to;
-                unsettled_in[to] += 1;
-                hops.push((to, l.index()));
-            }
-        }
-        first.push(hops.len());
+        let heads = |u: usize| problem.out_links(u).iter().map(|l| problem.link(*l).to);
+        let mut unsettled_in: Vec<usize> = (0..n).map(|v| problem.in_links(v).len()).collect();
         let mut order: Vec<usize> = (0..n).filter(|&v| unsettled_in[v] == 0).collect();
         let mut done = 0;
         while let Some(&u) = order.get(done) {
             done += 1;
-            for &(to, _) in &hops[first[u]..first[u + 1]] {
+            for to in heads(u) {
                 unsettled_in[to] -= 1;
                 if unsettled_in[to] == 0 {
                     order.push(to);
                 }
             }
         }
-        let order = (order.len() == n).then_some(order);
-        Routes { first, hops, order }
+        if order.len() < n {
+            return Routes {
+                order: None,
+                ins_first: Vec::new(),
+                ins: Vec::new(),
+            };
+        }
+        // Kahn left every count at zero: reuse them as each node's write
+        // cursor into its in-links.
+        let cursor = &mut unsettled_in;
+        let mut ins_first = Vec::with_capacity(n + 1);
+        let mut end = 0;
+        for &v in &order {
+            ins_first.push(end);
+            cursor[v] = end;
+            end += problem.in_links(v).len();
+        }
+        ins_first.push(end);
+        let mut ins = vec![(0, 0); end];
+        for &u in &order {
+            for (to, l) in heads(u).zip(problem.out_links(u)) {
+                ins[cursor[to]] = (local(u), local(l.index()));
+                cursor[to] += 1;
+            }
+        }
+        Routes {
+            order: Some(order),
+            ins_first,
+            ins,
+        }
     }
 
-    fn out(&self, u: usize) -> &[(usize, usize)] {
-        &self.hops[self.first[u]..self.first[u + 1]]
-    }
-
-    /// Shortest paths from `src` under link costs `lambda ≥ 0` by one
-    /// relaxation sweep in topological order (Bellman-Ford on a DAG).
-    /// Every predecessor of a node is final before the node is relaxed
-    /// from, so `dist[v] = min_u fl(dist[u] + λ_uv)` — the recurrence
-    /// Dijkstra settles, hence the same bits. Returns `false`, having done
-    /// nothing, if the links have no topological order.
+    /// Shortest paths from `src` under link costs `lambda ≥ 0` by one sweep
+    /// in topological order (Bellman-Ford on a DAG): every predecessor of
+    /// a node is final when the node pulls `dist[v] = min_u fl(dist[u] +
+    /// λ_uv)` from its in-links — the recurrence Dijkstra settles, hence
+    /// the same bits. The in-links come in the order a push along
+    /// out-links would relax them, and the first strict minimum wins, so
+    /// `prev_link` is the link a push sweep would leave. Returns `false`,
+    /// having done nothing, if the links have no topological order.
     fn sweep(&self, src: usize, lambda: &[f64], paths: &mut Paths) -> bool {
         let Some(order) = &self.order else {
             return false;
         };
-        paths.reset(self.first.len() - 1, src);
-        for &u in order {
-            let d = paths.dist[u];
-            if d.is_infinite() {
-                continue;
-            }
-            for &(to, e) in self.out(u) {
-                let next = d + lambda[e];
-                if next < paths.dist[to] {
-                    paths.dist[to] = next;
-                    paths.prev_link[to] = e;
+        // Every entry is written below.
+        paths.dist.resize(order.len(), 0.0);
+        paths.prev_link.resize(order.len(), usize::MAX);
+        for (&v, ins) in order.iter().zip(self.ins_first.windows(2)) {
+            let (mut dist, mut prev_link) = (f64::INFINITY, usize::MAX);
+            if v == src {
+                dist = 0.0;
+            } else {
+                for &(u, e) in &self.ins[ins[0]..ins[1]] {
+                    // An unreached `u` offers `∞ + λ = ∞`, never below `dist`.
+                    let next = paths.dist[u as usize] + lambda[e as usize];
+                    if next < dist {
+                        dist = next;
+                        prev_link = e as usize;
+                    }
                 }
             }
+            paths.dist[v] = dist;
+            paths.prev_link[v] = prev_link;
         }
         true
     }
+}
 
-    /// Heap Dijkstra from `src` under `cost(link index)`: any link set, and
-    /// the arbiter of equal-cost paths — a node keeps the predecessor that
-    /// settled first, nodes settle by `(cost, index)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cost` returns a negative or NaN weight.
-    fn dijkstra(&self, src: usize, cost: impl Fn(usize) -> f64, paths: &mut Paths) {
-        paths.reset(self.first.len() - 1, src);
-        paths.heap.clear();
-        paths.heap.push(Settle {
-            cost: 0.0,
-            node: src,
-        });
-        while let Some(Settle { cost: d, node: u }) = paths.heap.pop() {
-            if d > paths.dist[u] {
-                continue;
-            }
-            for &(to, e) in self.out(u) {
-                let w = cost(e);
-                assert!(w >= 0.0, "negative or NaN link cost");
-                let next = d + w;
-                if next < paths.dist[to] {
-                    paths.dist[to] = next;
-                    paths.prev_link[to] = e;
-                    paths.heap.push(Settle {
-                        cost: next,
-                        node: to,
-                    });
-                }
+/// Heap Dijkstra over `problem`'s links from `src` under `cost(link
+/// index)`: any link set, and the arbiter of equal-cost paths — a node
+/// keeps the predecessor that settled first, nodes settle by `(cost,
+/// index)`.
+///
+/// # Panics
+///
+/// Panics if `cost` returns a negative or NaN weight.
+fn dijkstra(problem: &SUnicast, src: usize, cost: impl Fn(usize) -> f64, paths: &mut Paths) {
+    paths.reset(problem.node_count(), src);
+    paths.heap.clear();
+    paths.heap.push(Settle {
+        cost: 0.0,
+        node: src,
+    });
+    while let Some(Settle { cost: d, node: u }) = paths.heap.pop() {
+        if d > paths.dist[u] {
+            continue;
+        }
+        for l in problem.out_links(u) {
+            let (to, e) = (problem.link(*l).to, l.index());
+            let w = cost(e);
+            assert!(w >= 0.0, "negative or NaN link cost");
+            let next = d + w;
+            if next < paths.dist[to] {
+                paths.dist[to] = next;
+                paths.prev_link[to] = e;
+                paths.heap.push(Settle {
+                    cost: next,
+                    node: to,
+                });
             }
         }
     }
@@ -468,19 +508,23 @@ fn tie_on_path(problem: &SUnicast, lambda: &[f64], paths: &Paths) -> bool {
 }
 
 /// What a run allocates besides its iterates, once: the shortest-path and
-/// max-flow buffers, SUB2's `w`, the site loads of a candidate being
-/// rescaled, and the two recovery candidates a stopping-rule check or the
-/// final recovery holds at a time.
+/// max-flow buffers, SUB2's per-site prices, the site loads of a candidate
+/// being rescaled, and the two recovery candidates a stopping-rule check or
+/// the final recovery holds at a time.
 #[derive(Debug)]
 struct Scratch {
     paths: Paths,
-    w: Vec<f64>,
+    /// The congestion price a transmitter at each site pays, `Σ β` over
+    /// the site and its neighborhood.
+    price: Vec<f64>,
     load: Vec<f64>,
     flow: flow::Scratch,
     /// Where [`RateControl::preview`] and [`RateControl::finish`] leave
     /// their winner.
     best: Candidate,
     challenger: Candidate,
+    /// The iteration `best` and `challenger` hold the preview of, if any.
+    previewed: Option<usize>,
 }
 
 impl<'a> RateControl<'a> {
@@ -598,11 +642,12 @@ impl<'a> RateControl<'a> {
         };
         Scratch {
             paths: Paths::default(),
-            w: Vec::new(),
+            price: vec![0.0; self.coupling.site_count()],
             load: vec![0.0; self.coupling.site_count()],
             flow: flow::Scratch::default(),
             best: candidate.clone(),
             challenger: candidate,
+            previewed: None,
         }
     }
 
@@ -617,8 +662,13 @@ impl<'a> RateControl<'a> {
         // utility weight (γ_1 ≈ capacity). Diminishing steps converge from
         // any initialization (Sec. 3.3); starting from routing-aware prices
         // spares the algorithm relearning that lossy links are expensive.
-        let mut lambda0 = |(problem, routes): (&SUnicast, &Routes)| -> Vec<f64> {
-            routes.dijkstra(problem.src(), |e| 1.0 / problem.link(LinkId(e)).p, paths);
+        let mut lambda0 = |problem: &SUnicast| -> Vec<f64> {
+            dijkstra(
+                problem,
+                problem.src(),
+                |e| 1.0 / problem.link(LinkId(e)).p,
+                paths,
+            );
             let etx_best = paths.dist[problem.dst()];
             let etx_best = if etx_best.is_finite() { etx_best } else { 1.0 }.max(1e-9);
             problem
@@ -626,23 +676,33 @@ impl<'a> RateControl<'a> {
                 .map(|(_, l)| self.params.utility_weight / (l.p * etx_best))
                 .collect()
         };
-        State {
-            lambda: self
-                .sessions
-                .iter()
-                .zip(&self.routes)
-                .map(&mut lambda0)
-                .collect(),
+        let mut st = State {
+            lambda: self.sessions.iter().map(&mut lambda0).collect(),
             // "Set elements in b, x to small positive numbers" (Table 1).
             b: self.per_session(SUnicast::node_count, 0.05),
             b_avg: self.per_session(SUnicast::node_count, 0.0),
             x_avg: self.per_session(SUnicast::link_count, 0.0),
+            x_live: vec![Vec::new(); self.sessions.len()],
             x_step: self.per_session(SUnicast::link_count, 0.0),
+            path: vec![Vec::new(); self.sessions.len()],
+            w: self.per_session(SUnicast::node_count, 0.0),
             gamma_step: vec![0.0; self.sessions.len()],
             beta: vec![0.0; self.coupling.site_count()],
             load: vec![0.0; self.coupling.site_count()],
             window_start: 1,
             t: 0,
+        };
+        self.weigh(&mut st);
+        st
+    }
+
+    /// Sets `st.w` from `st.lambda`; the multiplier update keeps it so.
+    fn weigh(&self, st: &mut State) {
+        for ((problem, lambda), w) in self.sessions.iter().zip(&st.lambda).zip(&mut st.w) {
+            w.fill(0.0);
+            for (id, link) in problem.links() {
+                w[link.from] += lambda[id.index()] * link.p;
+            }
         }
     }
 
@@ -667,10 +727,13 @@ impl<'a> RateControl<'a> {
                 let routes = &self.routes[k];
                 if !routes.sweep(src, lambda, paths) || tie_on_path(problem, lambda, paths) {
                     let _heap = self.profiler.span("heap_fallback");
-                    routes.dijkstra(src, |e| lambda[e], paths);
+                    dijkstra(problem, src, |e| lambda[e], paths);
                 }
-                let x_step = &mut st.x_step[k];
-                x_step.fill(0.0);
+                let (x_step, path) = (&mut st.x_step[k], &mut st.path[k]);
+                for &e in path.iter() {
+                    x_step[e] = 0.0;
+                }
+                path.clear();
                 let p_min = paths.dist[dst];
                 st.gamma_step[k] = if p_min.is_finite() {
                     // U(γ) = w·ln γ ⇒ γ = w / p_min, clamped to the capacity.
@@ -683,33 +746,36 @@ impl<'a> RateControl<'a> {
                     while v != src {
                         let e = paths.prev_link[v];
                         x_step[e] = gamma_t;
+                        path.push(e);
                         v = problem.link(LinkId(e)).from;
                     }
                     gamma_t
                 } else {
                     0.0
                 };
-                for (avg, inst) in st.x_avg[k].iter_mut().zip(x_step.iter()) {
-                    *avg += (inst - *avg) / span;
-                }
+                // x̄ moves only on the path and where it is non-zero.
+                let (avg, live) = (&mut st.x_avg[k], &mut st.x_live[k]);
+                live.extend(path.iter().filter(|&&e| avg[e] == 0.0));
+                live.retain(|&e| {
+                    avg[e] += (x_step[e] - avg[e]) / span;
+                    avg[e] != 0.0
+                });
             }
         }
 
         {
             // ---- Step 4, SUB2: proximal update of b, congestion prices β.
             let _sub2 = self.profiler.span("sub2.proximal");
-            let w = &mut scratch.w;
-            for (k, problem) in self.sessions.iter().enumerate() {
+            // A transmitter pays the price of every row it loads; sites
+            // without a row keep β ≡ 0.
+            for (g, price) in scratch.price.iter_mut().enumerate() {
+                *price = self.coupling.around(g, &st.beta);
+            }
+            for k in 0..self.sessions.len() {
                 // w_i = Σ_j λ_ij p_ij over outgoing links (eq. after (14)).
-                w.clear();
-                w.resize(problem.node_count(), 0.0);
-                for (id, link) in problem.links() {
-                    w[link.from] += st.lambda[k][id.index()] * link.p;
-                }
-                for ((b, &g), w) in st.b[k].iter_mut().zip(self.coupling.sites(k)).zip(&*w) {
-                    // A transmitter pays the price of every row it loads;
-                    // sites without a row keep β ≡ 0.
-                    let grad = w - self.coupling.around(g, &st.beta);
+                let w = &st.w[k];
+                for ((b, &g), w) in st.b[k].iter_mut().zip(self.coupling.sites(k)).zip(w) {
+                    let grad = w - scratch.price[g];
                     // Loose bounds 0 ≤ b_i ≤ C keep iterates bounded (Sec. 3.3).
                     *b = (*b + grad / (2.0 * self.params.proximal_c)).clamp(0.0, 1.0);
                 }
@@ -729,10 +795,14 @@ impl<'a> RateControl<'a> {
             // ---- Step 5: multiplier update (8): λ ← [λ − θ(b_i·p_ij − x_ij)]⁺.
             let _dual = self.profiler.span("dual_update");
             for (k, problem) in self.sessions.iter().enumerate() {
-                for (id, link) in problem.links() {
-                    let e = id.index();
-                    let slack = st.b[k][link.from] * link.p - st.x_step[k][e];
-                    st.lambda[k][e] = (st.lambda[k][e] - theta * slack).max(0.0);
+                let (b, w) = (&st.b[k], &mut st.w[k]);
+                w.fill(0.0);
+                let links = problem.links().zip(&mut st.lambda[k]).zip(&st.x_step[k]);
+                for (((_, link), lambda), x) in links {
+                    let slack = b[link.from] * link.p - x;
+                    *lambda = (*lambda - theta * slack).max(0.0);
+                    // The next iteration's SUB2 weight, as `weigh` sums it.
+                    w[link.from] += *lambda * link.p;
                 }
             }
         }
@@ -824,7 +894,11 @@ impl<'a> RateControl<'a> {
                 self.rescale(&mut scratch.best, &mut scratch.load, &mut scratch.flow);
             }
             Recovery::Best => {
-                self.averaged_or_flows(st, scratch);
+                // The stopping rule's last check may have run on this very
+                // state; the loop stops only at a check or the cap.
+                if scratch.previewed != Some(st.t) {
+                    self.averaged_or_flows(st, scratch);
+                }
                 // Third candidate: the elementwise union of the two
                 // recoveries — often best when b̄ funds relays the flow
                 // average missed.
@@ -898,6 +972,7 @@ impl<'a> RateControl<'a> {
     fn preview(&self, st: &State, scratch: &mut Scratch) {
         let _recovery = self.profiler.span("primal_recovery");
         self.averaged_or_flows(st, scratch);
+        scratch.previewed = Some(st.t);
     }
 
     /// Leaves in `scratch.best` the better of the two recovery candidates
@@ -1181,6 +1256,7 @@ mod tests {
         );
         if let Some(lambda) = start {
             ours.lambda = lambda;
+            control.weigh(&mut ours);
         }
         let mut theirs = ours.clone();
         let mut trace = Trace::default();
@@ -1191,6 +1267,12 @@ mod tests {
             oracle::iterate(&control, &scaffolds, &mut theirs);
             let at = format!("{what}, iteration {t}");
             assert_eq!(iterate_bits(&ours), iterate_bits(&theirs), "{at}");
+            for (k, (live, avg)) in ours.x_live.iter().zip(&ours.x_avg).enumerate() {
+                let mut live = live.clone();
+                live.sort_unstable();
+                let nonzero: Vec<usize> = (0..avg.len()).filter(|&e| avg[e] != 0.0).collect();
+                assert_eq!(live, nonzero, "{at}: session {k}'s live x̄ links");
+            }
             if t % control.params.check_window == 0 {
                 control.preview(&ours, &mut scratch);
                 assert_same_candidate(&scratch.best, &oracle::preview(&control, &theirs), &at);
@@ -1422,6 +1504,26 @@ mod tests {
         assert_tracks_the_oracle(control, None, 200, "120-node mesh, 4 sessions");
     }
 
+    #[test]
+    fn a_recovery_between_checks_recomputes_the_candidates() {
+        use net_topo::deploy::Deployment;
+        use net_topo::phy::Phy;
+        use net_topo::select::select_forwarders;
+
+        // A window of 25 and a stop at 26–40: the last preview ran at 25,
+        // so the final recovery must not reuse it.
+        let phy = Phy::paper_lossy();
+        for seed in 0..5 {
+            let topo = Deployment::random(30, 6.0, &phy, 100 + seed).into_topology();
+            let (s, d) = topo.farthest_pair();
+            let problem = SUnicast::from_selection(&topo, &select_forwarders(&topo, s, d), 1e5);
+            for stop in [26, 30, 40] {
+                let what = format!("30 nodes, seed {seed}, stop at {stop}");
+                assert_tracks_the_oracle(RateControl::new(&problem), None, stop, &what);
+            }
+        }
+    }
+
     /// Two diamonds in series, `0 → {1, 2} → 3 → {5, 4} → 6`; node 3 lists
     /// its link to 5 first, so a sweep relaxes 5 before 4 while the heap
     /// settles 4 before 5.
@@ -1449,6 +1551,98 @@ mod tests {
         let problem = SUnicast::from_selection(&topo, &selection, 1.0);
         assert_eq!((problem.node_count(), problem.link_count()), (7, 8));
         (topo, problem)
+    }
+
+    /// [`Routes::sweep`] as it was before it pulled: every reached node, in
+    /// topological order, relaxes its out-links in out-list order.
+    fn push_sweep(problem: &SUnicast, order: &[usize], lambda: &[f64], paths: &mut Paths) {
+        paths.reset(problem.node_count(), problem.src());
+        for &u in order {
+            let d = paths.dist[u];
+            if d.is_infinite() {
+                continue;
+            }
+            for l in problem.out_links(u) {
+                let (to, e) = (problem.link(*l).to, l.index());
+                let next = d + lambda[e];
+                if next < paths.dist[to] {
+                    paths.dist[to] = next;
+                    paths.prev_link[to] = e;
+                }
+            }
+        }
+    }
+
+    /// Runs both sweeps from `problem.src()` and returns the pull's paths.
+    fn assert_pull_matches_push(problem: &SUnicast, lambda: &[f64], what: &str) -> Paths {
+        let routes = Routes::new(problem);
+        let order = routes.order.as_ref().expect("a DAG");
+        let (mut pulled, mut pushed) = (Paths::default(), Paths::default());
+        assert!(routes.sweep(problem.src(), lambda, &mut pulled), "{what}");
+        push_sweep(problem, order, lambda, &mut pushed);
+        assert_eq!(bits(&pulled.dist), bits(&pushed.dist), "{what}: dist");
+        assert_eq!(pulled.prev_link, pushed.prev_link, "{what}: prev_link");
+        pulled
+    }
+
+    #[test]
+    fn the_pull_sweep_leaves_the_push_sweeps_bits() {
+        use rand::{Rng, SeedableRng};
+
+        // λ from a few values, so equal-cost in-links are everywhere.
+        let costs = [0.0, 0.25, 0.5, 1.0];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(34);
+        let (_topo, problem) = diamond_of_diamonds();
+        for case in 0..50 {
+            let lambda: Vec<f64> = (0..problem.link_count())
+                .map(|_| costs[rng.gen_range(0..costs.len())])
+                .collect();
+            let what = format!("diamond of diamonds, case {case}");
+            assert_pull_matches_push(&problem, &lambda, &what);
+        }
+
+        // Random DAGs: links run up a shuffled labelling, so the
+        // topological order is not the index order; parallel links, nodes
+        // the source does not reach and a source that is not first in the
+        // order all occur.
+        let mut tied = 0;
+        for case in 0..200 {
+            let n = rng.gen_range(2..=14);
+            let mut label: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                label.swap(i, rng.gen_range(0..=i));
+            }
+            let links: Vec<(usize, usize, f64)> = (0..rng.gen_range(n..=4 * n))
+                .filter_map(|_| {
+                    let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    (a != b).then(|| (label[a.min(b)], label[a.max(b)], 0.5))
+                })
+                .collect();
+            let (src, dst) = (label[rng.gen_range(0..n / 2 + 1)], label[n - 1]);
+            if src == dst {
+                continue;
+            }
+            let problem = raw_instance(n, src, dst, &links);
+            for round in 0..5 {
+                let lambda: Vec<f64> = (0..links.len())
+                    .map(|_| costs[rng.gen_range(0..costs.len())])
+                    .collect();
+                let what = format!("random DAG {case}, round {round}");
+                let paths = assert_pull_matches_push(&problem, &lambda, &what);
+                // Reached nodes with two in-links at their cost.
+                tied += (0..n)
+                    .filter(|&v| paths.dist[v].is_finite())
+                    .filter(|&v| {
+                        let attains = |l: &&LinkId| {
+                            let via = paths.dist[problem.link(**l).from] + lambda[l.index()];
+                            via.to_bits() == paths.dist[v].to_bits()
+                        };
+                        problem.in_links(v).iter().filter(attains).count() > 1
+                    })
+                    .count();
+            }
+        }
+        assert!(tied > 250, "only {tied} nodes met a tie");
     }
 
     /// λ over [`diamond_of_diamonds`], by `(from, to)`.
@@ -1481,7 +1675,7 @@ mod tests {
             // The sweep alone would take the other branch ...
             let (mut swept, mut settled) = (Paths::default(), Paths::default());
             assert!(routes.sweep(problem.src(), &lambda[0], &mut swept));
-            routes.dijkstra(problem.src(), |e| lambda[0][e], &mut settled);
+            dijkstra(&problem, problem.src(), |e| lambda[0][e], &mut settled);
             assert_eq!(bits(&swept.dist), bits(&settled.dist));
             assert_ne!(swept.prev_link, settled.prev_link);
             assert!(tie_on_path(&problem, &lambda[0], &swept));

@@ -2,13 +2,17 @@
 //! engine (`RateControl`, the paper's Table 1 and its one implementation)
 //! against the exact simplex solution of sUnicast, on hand-built and random
 //! instances. The engine's allocation is held to be feasible and never
-//! above the LP optimum; how close it gets is measured, not assumed.
+//! above the LP optimum; how close it gets is measured, not assumed. The
+//! joint solve of the benchmark's 100-session mesh is pinned bit for bit.
 
 use omnc::net_topo::deploy::Deployment;
 use omnc::net_topo::graph::{Link, NodeId, Topology};
 use omnc::net_topo::phy::Phy;
 use omnc::net_topo::select::select_forwarders;
-use omnc::omnc_opt::{default_portfolio, lp, run_best, RateControl, SUnicast};
+use omnc::omnc_opt::municast::{MUnicast, MUnicastSolution};
+use omnc::omnc_opt::{default_portfolio, lp, run_best, RateControl, RateControlParams, SUnicast};
+use omnc::scenario::{Quality, Scenario};
+use omnc::session::SessionConfig;
 
 /// In-range-only instances (opportunistic tail disabled): the regime the
 /// paper's optimality discussion covers. With tail links, the LP optimum is
@@ -138,4 +142,51 @@ fn fig1_sample_topology_converges_to_the_optimum_region() {
     // Tail-window averaging restarts introduce small jumps; the late
     // movement must still be a tiny fraction of the capacity.
     assert!(late_delta < 0.05 * 1e5, "late movement {late_delta}");
+}
+
+/// FNV-1a over every session's broadcast-rate bits, then its throughput
+/// bits, in session order (each `u64` as little-endian bytes).
+fn solution_digest(solution: &MUnicastSolution) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (b, gamma) in solution.b.iter().zip(&solution.gamma) {
+        for bits in b.iter().chain([gamma]).map(|v| v.to_bits()) {
+            for byte in bits.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+/// The joint solve of the benchmark's `mesh_omnc_k100` workload (1000
+/// nodes, density 6, lossy, 100 sessions of 4–10 hops, scenario seed 2008,
+/// capacity 1e5) with default parameters, pinned bit for bit: the engine's
+/// oracles stop at a few sessions on a small mesh, and this is the instance
+/// the engine's speed is measured on.
+#[test]
+fn the_mesh_workload_solve_is_pinned_bit_for_bit() {
+    let scenario = Scenario {
+        nodes: 1000,
+        density: 6.0,
+        quality: Quality::Lossy,
+        sessions: 100,
+        hops: (4, 10),
+        // Neither the topology nor the endpoints read the session config.
+        session: SessionConfig::reduced(),
+        seed: 2008,
+    };
+    let (topo, endpoints) = scenario.build_multi();
+    let selections: Vec<_> = endpoints
+        .iter()
+        .map(|&(s, d)| select_forwarders(&topo, s, d))
+        .collect();
+    let joint = MUnicast::from_selections(&topo, &selections, 1e5);
+    let solution = joint.solve_distributed(&RateControlParams::default());
+    assert_eq!(solution.iterations, 175);
+    assert!(solution.converged);
+    assert_eq!(solution.b.len(), 100);
+    assert_eq!(
+        format!("{:016x}", solution_digest(&solution)),
+        "1f53ee91cdad1157"
+    );
 }
