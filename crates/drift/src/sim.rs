@@ -442,8 +442,10 @@ impl<'a, M> Ctx<'a, M> {
 /// paper's rate control is built for.
 pub struct Simulator<M, B> {
     core: Core<M>,
-    /// `behaviors[session][node]`.
-    behaviors: Vec<Vec<Option<B>>>,
+    /// `behaviors[session][node]`, boxed: most (session, node) slots of a
+    /// coupled mesh are empty, and an empty slot costs one pointer instead
+    /// of a whole behavior.
+    behaviors: Vec<Vec<Option<Box<B>>>>,
     started: bool,
 }
 
@@ -528,7 +530,7 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
                 .session_stats
                 .resize_with(session + 1, SessionStats::default);
         }
-        self.behaviors[session][node.index()] = Some(behavior);
+        self.behaviors[session][node.index()] = Some(Box::new(behavior));
     }
 
     /// Number of sessions the engine is dispatching (at least 1).
@@ -544,7 +546,7 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
 
     /// Read access to the behavior of `session` at `node`.
     pub fn session_behavior(&self, session: usize, node: NodeId) -> Option<&B> {
-        self.behaviors.get(session)?.get(node.index())?.as_ref()
+        self.behaviors.get(session)?.get(node.index())?.as_deref()
     }
 
     /// Current simulation time.
@@ -750,25 +752,20 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
     where
         F: FnOnce(&mut B, &mut Ctx<'_, M>),
     {
-        let Some(slot) = self
+        let Some(Some(behavior)) = self
             .behaviors
             .get_mut(session)
             .and_then(|row| row.get_mut(node.index()))
         else {
             return;
         };
-        if let Some(mut behavior) = slot.take() {
-            {
-                let mut ctx = Ctx {
-                    core: &mut self.core,
-                    node,
-                    session: session as u32,
-                };
-                f(&mut behavior, &mut ctx);
-            }
-            behavior.on_queue_change(self.core.queues[node.index()].len);
-            self.behaviors[session][node.index()] = Some(behavior);
-        }
+        let mut ctx = Ctx {
+            core: &mut self.core,
+            node,
+            session: session as u32,
+        };
+        f(behavior, &mut ctx);
+        behavior.on_queue_change(self.core.queues[node.index()].len);
     }
 
     /// Starts a transmission at `node` if it is idle and backlogged and the

@@ -73,6 +73,83 @@ pub fn mul_add_assign(dst: &mut [u8], src: &[u8], c: u8) {
     }
 }
 
+/// Computes `dst += Σ cs[i] · rows[i·stride + off..][..dst.len()]`: a
+/// window of every row of a packed row arena (`cs.len()` rows of `stride`
+/// bytes each), weighted and summed into `dst`, one row at a time.
+///
+/// # Panics
+///
+/// Panics if `rows` is not `cs.len()` rows of `stride` bytes or the window
+/// `off..off + dst.len()` does not fit in a row.
+///
+/// ```
+/// # use omnc_gf256::slice;
+/// let mut acc = [0u8; 2];
+/// slice::mul_add_rows(&mut acc, &[9, 1, 2, 9, 3, 4], 3, 1, &[1, 2]);
+/// assert_eq!(acc, [1 ^ 6, 2 ^ 8]);
+/// ```
+pub fn mul_add_rows(dst: &mut [u8], rows: &[u8], stride: usize, off: usize, cs: &[u8]) {
+    check_rows(dst.len(), rows.len(), stride, off, cs.len());
+    if dst.is_empty() {
+        return;
+    }
+    let len = dst.len();
+    for (row, &c) in rows.chunks_exact(stride).zip(cs) {
+        mul_add_assign(dst, &row[off..off + len], c);
+    }
+}
+
+/// Adds `row[col] · src` to every `src.len()`-byte row of `rows`, reading
+/// each row's multiplier before the row changes. With `src[col] == 1`
+/// this clears column `col` everywhere: Gauss-Jordan back-substitution.
+///
+/// # Panics
+///
+/// Panics if `rows` is not a whole number of `src.len()`-byte rows or
+/// `col` is outside a row (unless there are no rows).
+///
+/// ```
+/// # use omnc_gf256::slice;
+/// let mut rows = [3u8, 5, 0, 7];
+/// slice::eliminate_column(&mut rows, &[1, 2], 0);
+/// assert_eq!(rows, [0, 5 ^ 6, 0, 7]);
+/// ```
+pub fn eliminate_column(rows: &mut [u8], src: &[u8], col: usize) {
+    check_column(rows.len(), src.len(), col);
+    if rows.is_empty() {
+        return;
+    }
+    for row in rows.chunks_exact_mut(src.len()) {
+        let c = row[col];
+        mul_add_assign(row, src, c);
+    }
+}
+
+/// The shape checks of [`mul_add_rows`] and its wide counterparts.
+pub(crate) fn check_rows(len: usize, arena: usize, stride: usize, off: usize, count: usize) {
+    assert!(
+        off.checked_add(len).is_some_and(|end| end <= stride),
+        "row window {off}..{off}+{len} outside a {stride}-byte row"
+    );
+    assert_eq!(
+        Some(arena),
+        count.checked_mul(stride),
+        "arena is not {count} rows of {stride} bytes"
+    );
+}
+
+/// The shape checks of [`eliminate_column`] and its wide counterparts.
+pub(crate) fn check_column(arena: usize, stride: usize, col: usize) {
+    if arena == 0 {
+        return;
+    }
+    assert!(col < stride, "column {col} outside a {stride}-byte row");
+    assert!(
+        arena.is_multiple_of(stride),
+        "arena is not whole {stride}-byte rows"
+    );
+}
+
 /// Divides every byte of `data` by the constant `c`, in place.
 ///
 /// # Panics

@@ -15,11 +15,24 @@
 //! The matrix lives in one packed row arena: row `i` is `n` coefficients
 //! followed by its `m` payload bytes (stride `n + m`), rows in the order
 //! their packets arrived, with the pivot column of each in a side vector.
-//! An innovative packet is reduced into a new row at the arena's end, and
-//! normalisation and back-substitution are one kernel call per row over
-//! the whole packed row. The arena is reserved for all `n` rows when the
-//! first innovative packet arrives (a decoder that never hears one never
-//! allocates), so absorbing allocates nothing after that.
+//! Because the matrix is reduced, the multiplier of stored row `i` in an
+//! incoming packet's reduction is the packet's own coefficient at row
+//! `i`'s pivot, known before any row is touched; so each step of an
+//! absorb is one multi-row kernel call over the arena
+//! ([`Kernel::mul_add_rows`], [`Kernel::eliminate_column`]), not one call
+//! per row:
+//!
+//! * the reduction of the coefficients, and with them a payload shorter
+//!   than [`WHOLE_ROW_PAYLOAD`] bytes (coefficient-only runs carry one),
+//!   which decides innovation;
+//! * for a longer payload and an innovative packet only, the payload's
+//!   reduction;
+//! * the new row's normalisation, then back-substitution into every
+//!   stored row.
+//!
+//! The arena is reserved for all `n` rows when the first innovative packet
+//! arrives (a decoder that never hears one never allocates), so absorbing
+//! allocates nothing after that.
 
 use telemetry::{Counter, Gauge, Histogram, Profiler, Registry, Span};
 
@@ -27,6 +40,13 @@ use crate::error::RlncError;
 use crate::generation::GenerationConfig;
 use crate::kernel::Kernel;
 use crate::packet::{CodedPacket, GenerationId};
+
+/// Payloads shorter than this ride in the coefficients' reduction pass, so a
+/// redundant packet costs them a few bytes of work; longer ones are reduced
+/// only once the packet is known to be innovative, so a redundant 1024-byte
+/// packet costs no payload work. The cut is the wide kernel's word: a
+/// shorter row has no wide body of its own.
+const WHOLE_ROW_PAYLOAD: usize = 8;
 
 /// Telemetry instruments for decoder progress, shared by every decoder the
 /// handle is attached to (counters aggregate across generations).
@@ -132,8 +152,9 @@ pub struct Decoder {
     rows: Vec<u8>,
     /// `pivots[i]` is the pivot column of row `i`; its length is the rank.
     pivots: Vec<usize>,
-    /// The coefficient vector of the packet being absorbed, reduced in
-    /// place; kept so a redundant packet costs no allocation.
+    /// The reduction's multipliers (one per stored row) followed by the
+    /// packet's row being reduced (its coefficients, and a short payload);
+    /// reserved once, so a redundant packet costs no allocation.
     scratch: Vec<u8>,
     received: u64,
     redundant: u64,
@@ -173,13 +194,13 @@ impl Decoder {
 
     /// Attaches a hierarchical profiler: each absorb opens a `decode`
     /// span with `eliminate` / `rank_update` children and per-kernel
-    /// `gf256.*` leaves. Under `eliminate` one leaf is one payload row
-    /// operation of an innovative packet (the coefficient reduction that
-    /// decides innovation is `eliminate`'s self time, so a redundant packet
-    /// opens no leaf); under `rank_update` one leaf is one operation on a
-    /// whole packed row (the normalisation, then one per back-substituted
-    /// row). A disabled profiler (the default) keeps the hot path
-    /// branch-only.
+    /// `gf256.*` leaves, one per multi-row kernel call. Under `eliminate`
+    /// the leaf is the payload reduction of an innovative packet with a
+    /// payload of 8 bytes or more (the reduction that decides innovation
+    /// is `eliminate`'s self time, so a redundant packet opens no leaf);
+    /// under `rank_update` the leaves are the normalisation and the
+    /// back-substitution into all stored rows. A disabled profiler (the
+    /// default) keeps the hot path branch-only.
     pub fn set_profiler(&mut self, profiler: Profiler) {
         self.profiler = profiler;
     }
@@ -279,10 +300,12 @@ impl Decoder {
         self.check(packet)?;
         self.received += 1;
         let n = self.config.blocks();
-        let stride = self.stride();
+        let m = self.config.block_size();
+        let stride = n + m;
 
         // Coefficients first: they alone decide whether the packet is
-        // innovative, so a redundant one never costs payload work.
+        // innovative, so a redundant one costs no payload work beyond a
+        // short payload riding in the same pass.
         let (pivot, row_start) = {
             let _eliminate = profiler.span("eliminate");
             if self.is_complete() {
@@ -290,14 +313,21 @@ impl Decoder {
                 self.redundant += 1;
                 return Ok(Absorption::Redundant);
             }
+            let whole = m < WHOLE_ROW_PAYLOAD;
+            if self.scratch.capacity() == 0 {
+                self.scratch
+                    .reserve_exact(n + if whole { stride } else { n });
+            }
             self.scratch.clear();
+            self.scratch
+                .extend(self.pivots.iter().map(|&p| packet.coefficients()[p]));
             self.scratch.extend_from_slice(packet.coefficients());
-            Self::reduce(
-                self.kernel,
-                self.rows.chunks_exact(stride).zip(&self.pivots),
-                &mut self.scratch,
-            );
-            let Some(pivot) = self.scratch.iter().position(|&c| c != 0) else {
+            if whole {
+                self.scratch.extend_from_slice(packet.payload());
+            }
+            let (cs, row) = self.scratch.split_at_mut(self.pivots.len());
+            self.kernel.mul_add_rows(row, &self.rows, stride, 0, cs);
+            let Some(pivot) = row[..n].iter().position(|&c| c != 0) else {
                 self.redundant += 1;
                 return Ok(Absorption::Redundant);
             };
@@ -305,22 +335,17 @@ impl Decoder {
                 self.rows.reserve_exact(stride.saturating_mul(n));
                 self.pivots.reserve_exact(n);
             }
-            // The new row, in place at the arena's end: the reduced
-            // coefficients, then the payload under the same row operations.
-            // Every other row is zero in a stored row's pivot column, so the
-            // reduction's multiplier for that row is the packet's own
-            // coefficient there.
+            // The new row, in place at the arena's end.
             let row_start = self.rows.len();
-            self.rows.extend_from_slice(&self.scratch);
-            self.rows.extend_from_slice(packet.payload());
-            let (stored, new_row) = self.rows.split_at_mut(row_start);
-            let payload = &mut new_row[n..];
-            for (row, &p) in stored.chunks_exact(stride).zip(&self.pivots) {
-                let c = packet.coefficients()[p];
-                if c != 0 {
+            self.rows.extend_from_slice(row);
+            if !whole {
+                self.rows.extend_from_slice(packet.payload());
+                let (stored, new_row) = self.rows.split_at_mut(row_start);
+                if !stored.is_empty() {
                     let _kernel = profiler.span(self.kernel.span_name());
-                    // payload -= c * row  (subtraction == addition in GF(2^8))
-                    self.kernel.mul_add_assign(payload, &row[n..], c);
+                    // payload -= Σ c_i · row_i  (subtraction == addition)
+                    self.kernel
+                        .mul_add_rows(&mut new_row[n..], stored, stride, n, cs);
                 }
             }
             (pivot, row_start)
@@ -337,12 +362,9 @@ impl Decoder {
         }
 
         // Back-substitute into existing rows to keep the matrix *reduced*.
-        for row in stored.chunks_exact_mut(stride) {
-            let c = row[pivot];
-            if c != 0 {
-                let _kernel = profiler.span(self.kernel.span_name());
-                self.kernel.mul_add_assign(row, new_row, c);
-            }
+        if !stored.is_empty() {
+            let _kernel = profiler.span(self.kernel.span_name());
+            self.kernel.eliminate_column(stored, new_row, pivot);
         }
 
         self.pivots.push(pivot);
@@ -356,25 +378,6 @@ impl Decoder {
         self.config.blocks() + self.config.block_size()
     }
 
-    /// Reduces the coefficient vector `coeff` against the stored `(row,
-    /// pivot)` pairs, in place: all-zero afterwards exactly when it is
-    /// linearly dependent on them. The matrix is *reduced*, so each row's
-    /// multiplier is `coeff`'s entry in that row's pivot column whatever the
-    /// order of the rows.
-    fn reduce<'a>(
-        kernel: Kernel,
-        rows: impl Iterator<Item = (&'a [u8], &'a usize)>,
-        coeff: &mut [u8],
-    ) {
-        for (row, &pivot) in rows {
-            let c = coeff[pivot];
-            if c != 0 {
-                kernel.mul_add_assign(coeff, &row[..coeff.len()], c);
-                debug_assert_eq!(coeff[pivot], 0);
-            }
-        }
-    }
-
     /// Returns `true` if `packet` would be innovative, without mutating the
     /// decoder. Costs one reduction pass over the coefficient vector only.
     pub fn would_be_innovative(&self, packet: &CodedPacket) -> bool {
@@ -383,11 +386,9 @@ impl Decoder {
             return false;
         }
         let mut coeff = packet.coefficients().to_vec();
-        Self::reduce(
-            self.kernel,
-            self.packed_rows().zip(&self.pivots),
-            &mut coeff,
-        );
+        let cs: Vec<u8> = self.pivots.iter().map(|&p| coeff[p]).collect();
+        self.kernel
+            .mul_add_rows(&mut coeff, &self.rows, self.stride(), 0, &cs);
         coeff.iter().any(|&c| c != 0)
     }
 
@@ -429,13 +430,16 @@ impl Decoder {
     /// Relays re-encode from exactly these rows.
     pub fn rows(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
         let n = self.config.blocks();
-        self.packed_rows().map(move |row| row.split_at(n))
+        self.rows
+            .chunks_exact(self.stride())
+            .map(move |row| row.split_at(n))
     }
 
-    /// The stored rows as packed `coefficients ‖ payload` slices, in the
-    /// same order as [`Decoder::rows`]: what [`crate::Recoder`] combines.
-    pub(crate) fn packed_rows(&self) -> std::slice::ChunksExact<'_, u8> {
-        self.rows.chunks_exact(self.stride())
+    /// The stored rows as one packed arena of `coefficients ‖ payload` rows
+    /// (stride `n + m`), in the same order as [`Decoder::rows`]: what
+    /// [`crate::Recoder`] combines.
+    pub(crate) fn arena(&self) -> &[u8] {
+        &self.rows
     }
 
     fn check(&self, packet: &CodedPacket) -> Result<(), RlncError> {
@@ -476,6 +480,127 @@ mod tests {
             Generation::from_bytes(GenerationId::new(0), cfg, &data).unwrap(),
             rng.clone(),
         )
+    }
+
+    /// The absorb body the decoder ran before the multi-row kernels, one
+    /// kernel call per stored row in each pass: the oracle of the one-pass
+    /// body, which must leave the same outcome, rows and pivots behind.
+    fn absorb_per_row(dec: &mut Decoder, packet: &CodedPacket) -> Result<Absorption, RlncError> {
+        dec.check(packet)?;
+        dec.received += 1;
+        let n = dec.config.blocks();
+        let stride = dec.stride();
+        if dec.is_complete() {
+            dec.redundant += 1;
+            return Ok(Absorption::Redundant);
+        }
+        let mut coeff = packet.coefficients().to_vec();
+        for (row, &pivot) in dec.rows.chunks_exact(stride).zip(&dec.pivots) {
+            let c = coeff[pivot];
+            if c != 0 {
+                dec.kernel.mul_add_assign(&mut coeff, &row[..n], c);
+            }
+        }
+        let Some(pivot) = coeff.iter().position(|&c| c != 0) else {
+            dec.redundant += 1;
+            return Ok(Absorption::Redundant);
+        };
+        let row_start = dec.rows.len();
+        dec.rows.extend_from_slice(&coeff);
+        dec.rows.extend_from_slice(packet.payload());
+        let (stored, new_row) = dec.rows.split_at_mut(row_start);
+        for (row, &p) in stored.chunks_exact(stride).zip(&dec.pivots) {
+            let c = packet.coefficients()[p];
+            if c != 0 {
+                dec.kernel.mul_add_assign(&mut new_row[n..], &row[n..], c);
+            }
+        }
+        let lead = new_row[pivot];
+        dec.kernel.div_assign(new_row, lead);
+        for row in stored.chunks_exact_mut(stride) {
+            let c = row[pivot];
+            if c != 0 {
+                dec.kernel.mul_add_assign(row, new_row, c);
+            }
+        }
+        dec.pivots.push(pivot);
+        Ok(Absorption::Innovative {
+            rank: dec.pivots.len(),
+        })
+    }
+
+    /// A seeded stream that keeps every kind of packet coming: fresh dense
+    /// ones, sparse ones confined to four columns (redundant after four
+    /// innovative ones, with zero multipliers everywhere else), exact
+    /// duplicates, unit vectors, and packets after completion.
+    fn mixed_stream(g: &Generation, len: usize, rng: &mut rand::rngs::StdRng) -> Vec<CodedPacket> {
+        use rand::Rng;
+        let enc = Encoder::new(g);
+        let n = g.config().blocks();
+        let mut out: Vec<CodedPacket> = Vec::with_capacity(len);
+        while out.len() < len {
+            let packet = match rng.gen_range(0..5u8) {
+                0 if !out.is_empty() => out[rng.gen_range(0..out.len())].clone(),
+                1 => {
+                    let mut c = vec![0u8; n];
+                    for x in c.iter_mut().take(4) {
+                        *x = rng.gen();
+                    }
+                    if c.iter().all(|&x| x == 0) {
+                        c[0] = 1;
+                    }
+                    enc.emit_with_coefficients(&c)
+                }
+                2 => {
+                    let mut c = vec![0u8; n];
+                    c[rng.gen_range(0..n)] = rng.gen_range(1..=255u8);
+                    enc.emit_with_coefficients(&c)
+                }
+                _ => enc.emit(rng),
+            };
+            out.push(packet);
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_absorb_equals_the_per_row_oracle() {
+        for m in [1, 2, 7, 8, 9, 33, 1024] {
+            for (n, seed) in [(1, 1), (6, 2), (40, 3)] {
+                let (g, mut rng) = setup(n, m, seed * 100 + m as u64);
+                let stream = mixed_stream(&g, 3 * n + 6, &mut rng);
+                let mut dec = Decoder::new(g.id(), g.config());
+                let mut oracle = Decoder::new(g.id(), g.config());
+                for (i, p) in stream.iter().enumerate() {
+                    let got = dec.absorb(p).unwrap();
+                    let want = absorb_per_row(&mut oracle, p).unwrap();
+                    assert_eq!(got, want, "{n}x{m} packet {i}");
+                    assert_eq!(dec.rows, oracle.rows, "{n}x{m} packet {i}");
+                    assert_eq!(dec.pivots, oracle.pivots, "{n}x{m} packet {i}");
+                    assert_eq!(dec.packets_redundant(), oracle.packets_redundant());
+                }
+                assert!(dec.is_complete(), "{n}x{m}: the stream completes");
+                assert_eq!(dec.recover().unwrap(), g.to_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn absorbing_allocates_once_per_buffer() {
+        let (g, mut rng) = setup(40, 1, 9);
+        let mut dec = Decoder::new(g.id(), g.config());
+        let stream = mixed_stream(&g, 200, &mut rng);
+        dec.absorb(&stream[0]).unwrap();
+        let (rows, pivots, scratch) =
+            (dec.rows.as_ptr(), dec.pivots.as_ptr(), dec.scratch.as_ptr());
+        for p in &stream {
+            dec.absorb(p).unwrap();
+        }
+        assert!(dec.is_complete());
+        // No buffer was ever regrown: reserved once, at the first absorb.
+        assert_eq!(dec.rows.as_ptr(), rows);
+        assert_eq!(dec.pivots.as_ptr(), pivots);
+        assert_eq!(dec.scratch.as_ptr(), scratch);
     }
 
     #[test]
@@ -524,6 +649,37 @@ mod tests {
         assert_eq!((dec.rows.clone(), dec.pivots.clone()), stored);
         assert_eq!(payload_ops(), payload_ops_before);
         assert_eq!(profiler.report().span("decode").map(|s| s.calls), Some(6));
+    }
+
+    /// The payload rule under the one-pass body: a payload of 8 bytes or more
+    /// is reduced in its own pass, opened only for an innovative packet
+    /// with stored rows to reduce against, so a redundant packet costs it
+    /// nothing; a shorter payload rides in the coefficients' pass and never
+    /// opens one.
+    #[test]
+    fn long_payloads_are_reduced_only_for_innovative_packets() {
+        for (m, own_pass) in [(1, false), (7, false), (8, true), (1024, true)] {
+            let (g, mut rng) = setup(6, m, 12);
+            let enc = Encoder::new(&g);
+            let mut dec = Decoder::new(g.id(), g.config());
+            let profiler = Profiler::virtual_clock();
+            dec.set_profiler(profiler.clone());
+            let payload_passes = || {
+                let report = profiler.report();
+                let leaf = report.span("decode;eliminate;gf256.wide");
+                leaf.map_or(0, |s| s.calls)
+            };
+            let packets: Vec<_> = (0..4).map(|_| enc.emit(&mut rng)).collect();
+            for p in &packets {
+                assert!(dec.absorb(p).unwrap().is_innovative());
+            }
+            let want = if own_pass { 3 } else { 0 };
+            assert_eq!(payload_passes(), want, "m = {m}: innovative");
+            for p in &packets {
+                assert_eq!(dec.absorb(p).unwrap(), Absorption::Redundant);
+            }
+            assert_eq!(payload_passes(), want, "m = {m}: redundant");
+        }
     }
 
     #[test]
@@ -632,7 +788,7 @@ mod tests {
         let blocks = dec.decoded_blocks();
         assert!(blocks[0].is_some() && blocks[2].is_some());
         assert!(blocks[1].is_none() && blocks[3].is_none());
-        assert_eq!(blocks[2].unwrap(), &g.blocks()[2][..]);
+        assert_eq!(blocks[2], g.blocks().nth(2));
         assert!(dec.recover().is_none());
     }
 

@@ -65,7 +65,9 @@ impl Default for GenerationConfig {
 pub struct Generation {
     id: GenerationId,
     config: GenerationConfig,
-    blocks: Vec<Vec<u8>>,
+    /// The blocks back to back: one packed arena of `n` rows of `m` bytes,
+    /// which [`crate::Encoder`] combines in one kernel call.
+    data: Vec<u8>,
 }
 
 impl Generation {
@@ -86,11 +88,11 @@ impl Generation {
                 actual: data.len(),
             });
         }
-        let blocks = data
-            .chunks(config.block_size())
-            .map(<[u8]>::to_vec)
-            .collect();
-        Ok(Generation { id, config, blocks })
+        Ok(Generation {
+            id,
+            config,
+            data: data.to_vec(),
+        })
     }
 
     /// Like [`Generation::from_bytes`] but zero-pads short data (the usual
@@ -126,18 +128,19 @@ impl Generation {
         self.config
     }
 
-    /// The source blocks (rows of `B`).
-    pub fn blocks(&self) -> &[Vec<u8>] {
-        &self.blocks
+    /// The source blocks (rows of `B`), in order.
+    pub fn blocks(&self) -> std::slice::ChunksExact<'_, u8> {
+        self.data.chunks_exact(self.config.block_size())
+    }
+
+    /// The blocks as one packed arena (`n` rows of `m` bytes).
+    pub(crate) fn arena(&self) -> &[u8] {
+        &self.data
     }
 
     /// Reassembles the generation's source bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.config.payload_len());
-        for b in &self.blocks {
-            out.extend_from_slice(b);
-        }
-        out
+        self.data.clone()
     }
 }
 
@@ -171,7 +174,7 @@ mod tests {
         let data: Vec<u8> = (0..32).collect();
         let g = Generation::from_bytes(GenerationId::new(1), cfg, &data).unwrap();
         assert_eq!(g.blocks().len(), 4);
-        assert_eq!(g.blocks()[1], (8..16).collect::<Vec<u8>>());
+        assert_eq!(g.blocks().nth(1), Some(&(8..16).collect::<Vec<u8>>()[..]));
         assert_eq!(g.to_bytes(), data);
     }
 

@@ -22,7 +22,7 @@ pub enum Kernel {
     /// Per-call full product table: one load per byte after a 32-multiply
     /// setup. Measured at 0.6-1.6x the table kernel, against `Wide`'s
     /// ≈ 17x where AVX2 is detected (`results/coding_speed.txt`); kept
-    /// only until the benchmark's probes stop naming it (ROADMAP 6(c)).
+    /// only until the benchmark's probes stop naming it (ROADMAP 7(b)).
     Product,
 }
 
@@ -51,6 +51,53 @@ impl Kernel {
             Kernel::Table => gf256::slice::mul_add_assign(dst, src, c),
             Kernel::Wide => gf256::wide::mul_add_assign(dst, src, c),
             Kernel::Product => gf256::product::mul_add_assign(dst, src, c),
+        }
+    }
+
+    /// `dst += Σ cs[i] · rows[i·stride + off..][..dst.len()]` over a packed
+    /// row arena of `cs.len()` rows: one call per elimination or recoding
+    /// pass. `Wide` runs it in one multi-row body ([`gf256::wide::mul_add_rows`]);
+    /// the others loop over the rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is not `cs.len()` rows of `stride` bytes or the window
+    /// `off..off + dst.len()` does not fit in a row.
+    #[inline]
+    pub fn mul_add_rows(self, dst: &mut [u8], rows: &[u8], stride: usize, off: usize, cs: &[u8]) {
+        match self {
+            Kernel::Table => gf256::slice::mul_add_rows(dst, rows, stride, off, cs),
+            Kernel::Wide => gf256::wide::mul_add_rows(dst, rows, stride, off, cs),
+            Kernel::Product => {
+                assert_eq!(rows.len(), cs.len() * stride, "arena shape mismatch");
+                let len = dst.len();
+                for (row, &c) in rows.chunks_exact(stride.max(1)).zip(cs) {
+                    gf256::product::mul_add_assign(dst, &row[off..off + len], c);
+                }
+            }
+        }
+    }
+
+    /// For every `src.len()`-byte row of `rows`, `row += row[col] · src`:
+    /// back-substitution in one call. `Wide` runs it in one multi-row body
+    /// ([`gf256::wide::eliminate_column`]); the others loop over the rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` is not a whole number of `src.len()`-byte rows or
+    /// `col` is outside a row (unless there are no rows).
+    #[inline]
+    pub fn eliminate_column(self, rows: &mut [u8], src: &[u8], col: usize) {
+        match self {
+            Kernel::Table => gf256::slice::eliminate_column(rows, src, col),
+            Kernel::Wide => gf256::wide::eliminate_column(rows, src, col),
+            Kernel::Product => {
+                assert!(rows.len().is_multiple_of(src.len()), "arena shape mismatch");
+                for row in rows.chunks_exact_mut(src.len().max(1)) {
+                    let c = row[col];
+                    gf256::product::mul_add_assign(row, src, c);
+                }
+            }
         }
     }
 
@@ -94,6 +141,34 @@ mod tests {
             let mut reference = vec![0xa5u8; 100];
             gf256::slice::mul_add_assign(&mut reference, &src, 0x1d);
             assert_eq!(dst, reference, "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_whole_arenas() {
+        let arena: Vec<u8> = (0..=255u8).cycle().step_by(7).take(41 * 6).collect();
+        let cs = [3u8, 0, 1, 0x80, 0xff, 0x1d];
+        for off in [0, 40] {
+            let mut reference = vec![0x5au8; 41 - off];
+            for (row, &c) in arena.chunks_exact(41).zip(&cs) {
+                gf256::slice::mul_add_assign(&mut reference, &row[off..], c);
+            }
+            for kernel in [Kernel::Table, Kernel::Wide, Kernel::Product] {
+                let mut dst = vec![0x5au8; 41 - off];
+                kernel.mul_add_rows(&mut dst, &arena, 41, off, &cs);
+                assert_eq!(dst, reference, "{kernel:?} off={off}");
+            }
+        }
+        let src = &arena[..41];
+        let mut reference = arena[41..].to_vec();
+        for row in reference.chunks_exact_mut(41) {
+            let c = row[5];
+            gf256::slice::mul_add_assign(row, src, c);
+        }
+        for kernel in [Kernel::Table, Kernel::Wide, Kernel::Product] {
+            let mut rows = arena[41..].to_vec();
+            kernel.eliminate_column(&mut rows, src, 5);
+            assert_eq!(rows, reference, "{kernel:?}");
         }
     }
 

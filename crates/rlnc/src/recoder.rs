@@ -16,6 +16,11 @@ use crate::generation::GenerationConfig;
 use crate::kernel::Kernel;
 use crate::packet::{CodedPacket, GenerationId};
 
+/// Weights drawn per multi-row kernel call of a recode: a stack buffer that
+/// holds a whole generation of the paper's 40 blocks, so the usual recode
+/// is one call.
+const WEIGHTS: usize = 64;
+
 /// Buffer-and-recode state of one relay for one generation.
 ///
 /// Internally a [`Decoder`]: the reduced row-echelon buffer doubles as the
@@ -111,17 +116,22 @@ impl Recoder {
         let _recode = profiler.span("recode");
         let cfg = self.buffer.config();
         let n = cfg.blocks();
+        let stride = n + cfg.block_size();
         // One packed `coefficients ‖ payload` combination, like the rows.
-        let mut packed = vec![0u8; n + cfg.block_size()];
+        let mut packed = vec![0u8; stride];
         loop {
             let _kernel = profiler.span(self.kernel.span_name());
-            for row in self.buffer.packed_rows() {
-                // Weight for this buffered row; re-drawing per emission makes
-                // packets from different relays independent w.h.p.
-                let w: u8 = rng.gen();
-                if w != 0 {
-                    self.kernel.mul_add_assign(&mut packed, row, w);
+            for rows in self.buffer.arena().chunks(WEIGHTS * stride) {
+                // One weight per buffered row, drawn in row order;
+                // re-drawing per emission makes packets from different
+                // relays independent w.h.p.
+                let mut weights = [0u8; WEIGHTS];
+                let weights = &mut weights[..rows.len() / stride];
+                for w in weights.iter_mut() {
+                    *w = rng.gen();
                 }
+                self.kernel
+                    .mul_add_rows(&mut packed, rows, stride, 0, weights);
             }
             if packed[..n].iter().any(|&c| c != 0) {
                 break;
@@ -269,6 +279,53 @@ mod tests {
             v.rank()
         );
         assert_eq!(dst.recover().unwrap(), g.to_bytes());
+    }
+
+    /// The emit body the relay ran before the multi-row kernels, one kernel
+    /// call per buffered row: the oracle of the one-call body.
+    fn emit_per_row<R: Rng + ?Sized>(relay: &Recoder, rng: &mut R) -> CodedPacket {
+        let n = relay.buffer.config().blocks();
+        let mut packed = vec![0u8; n + relay.buffer.config().block_size()];
+        loop {
+            for row in relay.buffer.arena().chunks_exact(packed.len()) {
+                let w: u8 = rng.gen();
+                if w != 0 {
+                    relay.kernel.mul_add_assign(&mut packed, row, w);
+                }
+            }
+            if packed[..n].iter().any(|&c| c != 0) {
+                break;
+            }
+        }
+        let coefficients = packed[..n].to_vec();
+        packed.drain(..n);
+        CodedPacket::new(relay.generation(), coefficients, packed).unwrap()
+    }
+
+    /// Every rank from 1 to `n`, with more buffered rows than one call's
+    /// weights (`n = 70`) and a rank-1 buffer whose all-zero draws (one in
+    /// 256) take the retry: the same packet and the same next draw.
+    #[test]
+    fn one_call_emit_equals_the_per_row_oracle() {
+        for (n, m) in [(1, 1), (40, 1), (40, 9), (70, 3), (5, 1024)] {
+            let cfg = GenerationConfig::new(n, m).unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64((n * 1000 + m) as u64);
+            let data: Vec<u8> = (0..cfg.payload_len()).map(|_| rng.gen()).collect();
+            let g = Generation::from_bytes(GenerationId::new(2), cfg, &data).unwrap();
+            let enc = Encoder::new(&g);
+            let mut relay = Recoder::new(g.id(), cfg);
+            let emits = if n == 1 { 3000 } else { 20 };
+            while !relay.is_full() {
+                relay.absorb(&enc.emit(&mut rng)).unwrap();
+                let mut oracle_rng = rng.clone();
+                for _ in 0..emits {
+                    let got = relay.emit(&mut rng).unwrap();
+                    let want = emit_per_row(&relay, &mut oracle_rng);
+                    assert_eq!(got, want, "{n}x{m} rank {}", relay.rank());
+                }
+                assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>(), "{n}x{m}");
+            }
+        }
     }
 
     /// FNV-1a, so the pinned constants below depend on the bytes alone, not
