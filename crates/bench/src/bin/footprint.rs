@@ -3,7 +3,8 @@
 //!
 //! ```sh
 //! cargo run --release -p omnc-bench --bin footprint -- \
-//!     --profile profile.json --profile-folded profile.folded --alloc-out alloc.json
+//!     --profile profile.json --profile-folded profile.folded \
+//!     --alloc-out alloc.json --alloc-baseline ALLOC_baseline.json
 //! ```
 //!
 //! Nothing here reads a wall clock (wall-clock time is measured in
@@ -11,10 +12,13 @@
 //! the virtual clock and the allocation report under the
 //! [`CountingAlloc`] global allocator, so identical seeded runs produce
 //! byte-identical `--profile` and `--alloc-out` files on any host;
-//! `scripts/footprint.sh` checks exactly that, then gates them with
-//! `omnc-report profile compare --metric calls` against
-//! `PROFILE_baseline.json` and `omnc-report compare --strict` against
-//! `ALLOC_baseline.json`.
+//! `scripts/footprint.sh` checks exactly that, then diffs the folded
+//! stacks against the committed `PROFILE_baseline.folded`. Under the
+//! virtual clock a span's self ticks are its calls plus its direct
+//! children's calls, so that file moves with every call count and with
+//! nothing else. The allocation counts may differ between toolchains,
+//! so `--alloc-baseline` checks them with headroom instead (see
+//! [`alloc_regressions`]) and exits 1 on a failure.
 
 use std::collections::BTreeMap;
 
@@ -29,13 +33,23 @@ use rand::{Rng, SeedableRng};
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn main() {
-    let (opts, [profile_path, folded_path, alloc_out]) =
-        Options::from_args_with(["--profile", "--profile-folded", "--alloc-out"]);
+    let (opts, [profile_path, folded_path, alloc_out, alloc_baseline]) = Options::from_args_with([
+        "--profile",
+        "--profile-folded",
+        "--alloc-out",
+        "--alloc-baseline",
+    ]);
     let log = opts.logger();
+    let alloc_baseline = alloc_baseline.map(|path| {
+        let baseline = read_alloc_baseline(&path).unwrap_or_else(|e| {
+            log.error(&e);
+            std::process::exit(2)
+        });
+        (path, baseline)
+    });
     set_alloc_counting(true);
 
-    // Per-op counts on the seeded workloads, all under lower-is-better
-    // gate prefixes.
+    // Per-op counts on the seeded workloads, `alloc/<family>/<per-op>`.
     let mut metrics: BTreeMap<String, f64> = BTreeMap::new();
     coding_footprint(opts.seed, &mut metrics);
 
@@ -53,11 +67,7 @@ fn main() {
     }
 
     if let Some(path) = &alloc_out {
-        // Shaped like an `omnc-report analyze --json` report so
-        // `omnc-report compare` gates it against ALLOC_baseline.json
-        // without a dedicated schema.
-        let map = serde_json::to_string(&metrics).expect("alloc metrics serialize");
-        let json = format!("{{\"sessions\":[],\"convergence\":null,\"metrics\":{map}}}");
+        let json = serde_json::to_string(&metrics).expect("alloc metrics serialize");
         std::fs::write(path, json + "\n")
             .unwrap_or_else(|e| panic!("cannot write --alloc-out {path}: {e}"));
         log.info(&format!(
@@ -81,6 +91,52 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot write --profile-folded {path}: {e}"));
         log.info(&format!("folded stacks -> {path}"));
     }
+    if let Some((path, baseline)) = &alloc_baseline {
+        let failures = alloc_regressions(baseline, &metrics);
+        for failure in &failures {
+            println!("alloc: {failure}");
+        }
+        if !failures.is_empty() {
+            std::process::exit(1);
+        }
+        println!(
+            "alloc: {} metrics within {:.0}% of {path}",
+            baseline.len(),
+            ALLOC_HEADROOM * 100.0
+        );
+    }
+}
+
+/// Reads a `--alloc-out` file: a list of `[metric, value]` pairs.
+fn read_alloc_baseline(path: &str) -> Result<BTreeMap<String, f64>, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read --alloc-baseline {path}: {e}"))?;
+    serde_json::from_str(&text).map_err(|e| format!("cannot parse --alloc-baseline {path}: {e}"))
+}
+
+/// Relative headroom of the allocation check. Allocation counts are
+/// exact for one build, but a different toolchain may allocate a little
+/// differently; a new allocation on a hot path still shows.
+const ALLOC_HEADROOM: f64 = 0.25;
+
+/// The allocation check: one line per `baseline` metric that `current`
+/// lacks or that grew beyond `baseline × 1.25 + 0.025` (the absolute
+/// slack lets a zero baseline tolerate a stray allocation). Metrics new
+/// in `current` are not judged; a fall is never a failure.
+fn alloc_regressions(
+    baseline: &BTreeMap<String, f64>,
+    current: &BTreeMap<String, f64>,
+) -> Vec<String> {
+    baseline
+        .iter()
+        .filter_map(|(name, &base)| match current.get(name) {
+            None => Some(format!("{name} missing from this run (baseline {base})")),
+            Some(&cur) if cur > base * (1.0 + ALLOC_HEADROOM) + ALLOC_HEADROOM / 10.0 => Some(
+                format!("{name} grew from {base} to {cur}, beyond the 25% headroom"),
+            ),
+            Some(_) => None,
+        })
+        .collect()
 }
 
 /// Records one workload's allocation footprint under `family`: the
@@ -313,4 +369,50 @@ fn opt_footprint(metrics: &mut BTreeMap<String, f64>) {
         iterations += trace.records.len() as u64;
     }
     record(metrics, "opt_iteration", iterations, &scope);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn map(entries: &[(&str, f64)]) -> BTreeMap<String, f64> {
+        entries.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    }
+
+    #[test]
+    fn alloc_check_allows_growth_up_to_the_headroom() {
+        let baseline = map(&[("alloc/a/allocs_per_op", 100.0)]);
+        let at = |v| alloc_regressions(&baseline, &map(&[("alloc/a/allocs_per_op", v)]));
+        assert!(at(124.0).is_empty());
+        assert!(at(50.0).is_empty(), "a fall is never a failure");
+        let failed = at(126.0);
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].contains("alloc/a/allocs_per_op"), "{failed:?}");
+    }
+
+    #[test]
+    fn alloc_check_gives_a_zero_baseline_absolute_slack() {
+        let baseline = map(&[("alloc/z/allocs_per_op", 0.0)]);
+        let at = |v| alloc_regressions(&baseline, &map(&[("alloc/z/allocs_per_op", v)]));
+        assert!(at(0.025).is_empty());
+        assert_eq!(at(0.03).len(), 1);
+    }
+
+    #[test]
+    fn alloc_check_fails_a_missing_family_and_ignores_a_new_one() {
+        let baseline = map(&[
+            ("alloc/a/allocs_per_op", 1.0),
+            ("alloc/b/allocs_per_op", 1.0),
+        ]);
+        let current = map(&[
+            ("alloc/a/allocs_per_op", 1.0),
+            ("alloc/new/allocs_per_op", 9.0),
+        ]);
+        let failed = alloc_regressions(&baseline, &current);
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(
+            failed[0].starts_with("alloc/b/allocs_per_op missing"),
+            "{failed:?}"
+        );
+    }
 }

@@ -11,14 +11,14 @@
 //! which writes one result file per cell (atomically) and appends the
 //! [`journal`] line that makes the cell durable. The [`merge`] stage
 //! re-reads the result files in sorted-key order, so the merged
-//! artifacts — `outcomes.jsonl`, `trace.jsonl`, `telemetry.json`,
-//! `report.json` — are byte-identical whatever `--jobs` was and whether
-//! the campaign ran straight through or was killed and resumed.
+//! artifacts — `outcomes.jsonl`, `trace.jsonl`, `telemetry.json` — are
+//! byte-identical whatever `--jobs` was and whether the campaign ran
+//! straight through or was killed and resumed.
 //!
 //! Memory figures are the one exception to that determinism contract:
 //! RSS depends on the host, the allocator, and worker scheduling, so
 //! per-cell and campaign-wide peak RSS go to a separate `memory.json`
-//! and are *never* part of the four byte-compared artifacts above.
+//! and are *never* part of the three byte-compared artifacts above.
 //!
 //! Each cell attempt arms a panic-safe [`FlightRecorder`]: a cell that
 //! dies beyond its retry budget leaves `flight-<cell>.jsonl` — the last
@@ -82,7 +82,7 @@ pub struct CellMemory {
 
 /// The `memory.json` artifact: campaign-wide peak RSS plus one sample
 /// per executed cell (sorted by key). Deliberately separate from the
-/// four byte-compared merged artifacts, because RSS varies by host and
+/// three byte-compared merged artifacts, because RSS varies by host and
 /// scheduling while those must stay identical across `--jobs` values.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CampaignMemory {
@@ -322,7 +322,7 @@ pub fn run_campaign(
     }
     failures.sort_by(|a, b| a.key.cmp(&b.key));
 
-    // Host-dependent memory figures go to their own artifact so the four
+    // Host-dependent memory figures go to their own artifact so the three
     // byte-compared ones stay deterministic (see module docs).
     if let Some(rss) = telemetry::sample_rss() {
         memory_cells.sort_by(|a, b| a.key.cmp(&b.key));

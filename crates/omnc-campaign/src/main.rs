@@ -202,12 +202,7 @@ fn bench(cli: &CliArgs) -> Result<i32, String> {
     if !(serial.failures.is_empty() && parallel.failures.is_empty()) {
         return Err("bench campaign had failing cells; fix the spec first".to_owned());
     }
-    for artifact in [
-        "outcomes.jsonl",
-        "trace.jsonl",
-        "telemetry.json",
-        "report.json",
-    ] {
+    for artifact in ["outcomes.jsonl", "trace.jsonl", "telemetry.json"] {
         let a = std::fs::read(serial_dir.join(artifact))
             .map_err(|e| format!("missing {artifact} after serial run: {e}"))?;
         let b = std::fs::read(parallel_dir.join(artifact))

@@ -121,9 +121,7 @@ pub fn read_cell(out_dir: &Path, key: &str) -> io::Result<CellResult> {
 /// * `outcomes.jsonl` — one [`CellRecord`] line per cell;
 /// * `trace.jsonl` — the concatenated causal traces, `omnc-report
 ///   analyze`-ready;
-/// * `telemetry.json` — merged metrics + span profile;
-/// * `report.json` — the `omnc-report` analysis of the merged trace,
-///   the artifact CI gates with `omnc-report compare`.
+/// * `telemetry.json` — merged metrics + span profile.
 ///
 /// # Errors
 ///
@@ -156,12 +154,8 @@ pub fn merge_campaign(out_dir: &Path, cells: &[Cell]) -> io::Result<()> {
     };
     let telemetry_json = serde_json::to_string(&telemetry)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let report = omnc_report::analyze_trace_text(&trace)?;
-    let report_json = serde_json::to_string(&report)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
 
     write_atomic(&out_dir.join("outcomes.jsonl"), outcomes.as_bytes())?;
     write_atomic(&out_dir.join("trace.jsonl"), trace.as_bytes())?;
-    write_atomic(&out_dir.join("telemetry.json"), telemetry_json.as_bytes())?;
-    write_atomic(&out_dir.join("report.json"), report_json.as_bytes())
+    write_atomic(&out_dir.join("telemetry.json"), telemetry_json.as_bytes())
 }

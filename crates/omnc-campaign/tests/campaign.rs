@@ -10,12 +10,7 @@ use omnc_campaign::spec::CampaignSpec;
 use omnc_campaign::{run_campaign, CampaignOptions};
 use telemetry::{LogLevel, Logger};
 
-const ARTIFACTS: [&str; 4] = [
-    "outcomes.jsonl",
-    "trace.jsonl",
-    "telemetry.json",
-    "report.json",
-];
+const ARTIFACTS: [&str; 3] = ["outcomes.jsonl", "trace.jsonl", "telemetry.json"];
 
 fn temp_out(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("omnc_campaign_it_{}_{name}", std::process::id()));

@@ -15,11 +15,12 @@
 //! * rate-control convergence summaries from optimizer `IterationRecord`
 //!   streams (Fig. 1).
 //!
-//! [`analyze`] reduces a record stream to a [`Report`]; [`gate_report`]
-//! is the one gate engine: it judges two reports' metric maps for the CI
-//! perf-regression gate, and two span profiles' costs
-//! ([`ProfileMetric::values`]) for the footprint gate. [`render_profile`]
-//! renders the hierarchical span profiles `omnc-sim --profile` exports.
+//! [`analyze`] reduces a record stream to a [`Report`], and
+//! [`render_ascii`] prints it, ending with every [`Report::metrics`]
+//! entry in full precision: the text `scripts/report.sh` and
+//! `scripts/campaign.sh` compare byte for byte against committed files.
+//! [`render_profile`] renders the hierarchical span profiles
+//! `omnc-sim --profile` exports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -200,16 +201,18 @@ pub struct CrossSessionSummary {
     /// Sessions that delivered anything end to end (decoded a generation
     /// or absorbed an innovative packet).
     pub sessions_completed: usize,
-    /// `(session id, share of all trace transmissions)`, stream order.
+    /// `(metric prefix "<protocol>/<k>", share of all trace
+    /// transmissions)`, stream order. Keyed like [`Report::metrics`]
+    /// because sessions of different protocols may share a session id.
     /// Shares sum to 1 when anything transmitted.
-    pub airtime_shares: Vec<(u64, f64)>,
+    pub airtime_shares: Vec<(String, f64)>,
     /// Jain fairness index of the airtime shares: 1 when every session
     /// gets equal airtime, `1/K` when one session monopolizes the channel.
     pub airtime_fairness: f64,
 }
 
 /// A full analysis: per-session reports, optional convergence summary, and
-/// the flat metric map the regression gate consumes.
+/// the flat metric map.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Report {
     /// One report per `SessionStart ..= SessionEnd` span, in stream order.
@@ -264,18 +267,6 @@ pub fn parse_opt<R: BufRead>(reader: R) -> io::Result<Vec<IterationRecord>> {
         records.push(record);
     }
     Ok(records)
-}
-
-/// Parses and analyzes an in-memory JSONL trace text in one step — the
-/// entry point `omnc-campaign` uses to turn a merged campaign trace into
-/// a gateable [`Report`] without touching the filesystem twice.
-///
-/// # Errors
-///
-/// Fails on any line that is not a valid [`TraceRecord`].
-pub fn analyze_trace_text(text: &str) -> io::Result<Report> {
-    let records = parse_trace(text.as_bytes())?;
-    Ok(analyze(&records, &[]))
 }
 
 /// Reduces a trace stream (plus an optional optimizer stream) to a
@@ -345,8 +336,9 @@ pub fn analyze(trace: &[TraceRecord], opt: &[IterationRecord]) -> Report {
         sessions.push(s);
     }
     let convergence = summarize_convergence(opt);
-    let cross = summarize_cross(&sessions);
-    let metrics = collect_metrics(&sessions, cross.as_ref(), convergence.as_ref());
+    let prefixes = metric_prefixes(&sessions);
+    let cross = summarize_cross(&sessions, &prefixes);
+    let metrics = collect_metrics(&sessions, &prefixes, cross.as_ref(), convergence.as_ref());
     Report {
         sessions,
         cross,
@@ -355,9 +347,24 @@ pub fn analyze(trace: &[TraceRecord], opt: &[IterationRecord]) -> Report {
     }
 }
 
+/// Each session's metric-key prefix, `"<protocol>/<k>"` with `k` the
+/// per-protocol session index.
+fn metric_prefixes(sessions: &[SessionReport]) -> Vec<String> {
+    let mut per_protocol: BTreeMap<&str, usize> = BTreeMap::new();
+    sessions
+        .iter()
+        .map(|s| {
+            let k = per_protocol.entry(s.protocol.as_str()).or_insert(0);
+            let prefix = format!("{}/{k}", s.protocol.to_ascii_lowercase());
+            *k += 1;
+            prefix
+        })
+        .collect()
+}
+
 /// Reduces multi-session traces to [`CrossSessionSummary`]; `None` for
 /// fewer than two sessions.
-fn summarize_cross(sessions: &[SessionReport]) -> Option<CrossSessionSummary> {
+fn summarize_cross(sessions: &[SessionReport], prefixes: &[String]) -> Option<CrossSessionSummary> {
     if sessions.len() < 2 {
         return None;
     }
@@ -366,12 +373,12 @@ fn summarize_cross(sessions: &[SessionReport]) -> Option<CrossSessionSummary> {
         .map(|s| s.forwarders.values().map(|f| f.transmissions).sum::<u64>() as f64)
         .collect();
     let total_tx: f64 = tx.iter().sum();
-    let airtime_shares = sessions
+    let airtime_shares = prefixes
         .iter()
         .zip(&tx)
-        .map(|(s, &t)| {
+        .map(|(prefix, &t)| {
             let share = if total_tx > 0.0 { t / total_tx } else { 0.0 };
-            (s.session, share)
+            (prefix.clone(), share)
         })
         .collect();
     let sum_sq: f64 = tx.iter().map(|x| x * x).sum();
@@ -450,15 +457,12 @@ fn summarize_convergence(opt: &[IterationRecord]) -> Option<ConvergenceSummary> 
 
 fn collect_metrics(
     sessions: &[SessionReport],
+    prefixes: &[String],
     cross: Option<&CrossSessionSummary>,
     convergence: Option<&ConvergenceSummary>,
 ) -> BTreeMap<String, f64> {
     let mut metrics = BTreeMap::new();
-    let mut per_protocol: BTreeMap<&str, usize> = BTreeMap::new();
-    for s in sessions {
-        let k = per_protocol.entry(s.protocol.as_str()).or_insert(0);
-        let prefix = format!("{}/{k}", s.protocol.to_ascii_lowercase());
-        *k += 1;
+    for (s, prefix) in sessions.iter().zip(prefixes) {
         metrics.insert(format!("{prefix}/throughput"), s.throughput);
         metrics.insert(
             format!("{prefix}/generations_decoded"),
@@ -500,7 +504,11 @@ fn collect_metrics(
 
 // ---------------------------------------------------------------- rendering
 
-/// Renders the report as human-readable ASCII tables.
+/// Renders the report as human-readable ASCII tables, followed by a
+/// `metrics:` block: one `name value` line per [`Report::metrics`] entry,
+/// in key order. Values use `f64`'s `Display`, the shortest text that
+/// parses back to the same bits, so the text carries every metric
+/// exactly and a byte compare of two renders compares every value.
 pub fn render_ascii(report: &Report) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -587,8 +595,8 @@ pub fn render_ascii(report: &Report) -> String {
             x.sessions, x.sessions_completed, x.total_throughput, x.airtime_fairness
         );
         let _ = write!(out, "airtime shares:");
-        for (session, share) in &x.airtime_shares {
-            let _ = write!(out, " s{session} {:.1}%", share * 100.0);
+        for (prefix, share) in &x.airtime_shares {
+            let _ = write!(out, " {prefix} {:.1}%", share * 100.0);
         }
         let _ = writeln!(out);
     }
@@ -598,6 +606,10 @@ pub fn render_ascii(report: &Report) -> String {
             "\nconvergence: {} iterations, final rate {:.1}, final violation {:.2e}, 90% at iter {}",
             c.iterations, c.final_rate, c.final_violation, c.iterations_to_90pct
         );
+    }
+    let _ = writeln!(out, "\nmetrics:");
+    for (name, value) in &report.metrics {
+        let _ = writeln!(out, "{name} {value}");
     }
     out
 }
@@ -626,211 +638,7 @@ pub fn render_csv(report: &Report) -> String {
     out
 }
 
-// -------------------------------------------------------------------- gate
-
-/// Whether a smaller value of the report metric `metric` is the better one.
-pub fn lower_is_better(metric: &str) -> bool {
-    [
-        "queue",
-        "redundan",
-        "lost",
-        "violation",
-        "dropped",
-        "alloc",
-        "rss",
-    ]
-    .iter()
-    .any(|needle| metric.contains(needle))
-}
-
-/// What a gate compares, which fixes how it judges each value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateKind {
-    /// A [`Report`]'s metric map (`compare`). Direction is inferred from
-    /// the metric name ([`lower_is_better`]); lower-is-better metrics get
-    /// an absolute slack of `threshold / 10` so a zero baseline (e.g.
-    /// empty queues) tolerates noise.
-    Metrics,
-    /// One [`ProfileMetric`] of every span of a profile, keyed by span
-    /// path (`profile compare`). These are costs, so lower is always
-    /// better, with one tick of absolute slack so tiny counts do not flap
-    /// on a single extra event.
-    Profile(ProfileMetric),
-}
-
-/// One metric's verdict inside a machine-readable [`GateReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricVerdict {
-    /// Metric key (or span path for profile gates).
-    pub metric: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value (`0.0` when `status` is `"missing"`).
-    pub current: f64,
-    /// `"ok"`, `"regressed"`, or `"missing"`.
-    pub status: String,
-}
-
-/// Machine-readable outcome of a `compare` / `profile compare` gate run,
-/// written by the CLI's `--json` flag so CI jobs stop scraping text.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GateReport {
-    /// `"metrics"` for report compares, `"profile"` for profile compares.
-    pub gate: String,
-    /// The gated field: `"value"` for metric maps, else the
-    /// [`ProfileMetric`] spelling.
-    pub metric: String,
-    /// Relative regression threshold the gate ran with.
-    pub threshold: f64,
-    /// Whether missing metrics were promoted to failures.
-    pub strict: bool,
-    /// Overall verdict: no regressions, and under `--strict` nothing
-    /// missing either.
-    pub passed: bool,
-    /// Number of `"regressed"` verdicts.
-    pub regressed: usize,
-    /// Number of `"missing"` verdicts.
-    pub missing: usize,
-    /// Per-metric verdicts, in the baseline's deterministic order.
-    pub verdicts: Vec<MetricVerdict>,
-}
-
-impl GateReport {
-    /// The verdicts with the given `status`, in order.
-    pub fn with_status<'a>(&'a self, status: &'a str) -> impl Iterator<Item = &'a MetricVerdict> {
-        self.verdicts.iter().filter(move |v| v.status == status)
-    }
-}
-
-/// A metric map as [`gate_report`] input.
-pub fn metric_values(metrics: &BTreeMap<String, f64>) -> impl Iterator<Item = (&str, f64)> {
-    metrics.iter().map(|(k, &v)| (k.as_str(), v))
-}
-
-/// The one gate engine: judges every `baseline` value against `current`.
-///
-/// A value regressed if it moved the wrong way by more than the relative
-/// `threshold` (e.g. `0.15` = 15%) plus the kind's absolute slack — see
-/// [`GateKind`]. Keys present in the baseline but missing from `current`
-/// are a *distinct* condition — usually a schema change or a shorter
-/// run, not a numeric slide — so they get a `"missing"` verdict, which
-/// the CLI prints as a warning and fails on only under `strict`. Keys
-/// new in `current` are ignored (the baseline only ratchets what it
-/// knows). `passed` mirrors the CLI exit code.
-#[must_use]
-pub fn gate_report<'a>(
-    kind: GateKind,
-    baseline: impl IntoIterator<Item = (&'a str, f64)>,
-    current: impl IntoIterator<Item = (&'a str, f64)>,
-    threshold: f64,
-    strict: bool,
-) -> GateReport {
-    let current: BTreeMap<&str, f64> = current.into_iter().collect();
-    let (gate, metric, slack) = match kind {
-        GateKind::Metrics => ("metrics", "value", threshold / 10.0),
-        GateKind::Profile(metric) => ("profile", metric.name(), 1.0),
-    };
-    let (mut regressed, mut missing) = (0usize, 0usize);
-    let verdicts: Vec<MetricVerdict> = baseline
-        .into_iter()
-        .map(|(key, base)| {
-            let (cur, status) = match current.get(key) {
-                None => {
-                    missing += 1;
-                    (0.0, "missing")
-                }
-                Some(&cur) => {
-                    let failed = if kind != GateKind::Metrics || lower_is_better(key) {
-                        cur > base * (1.0 + threshold) + slack
-                    } else {
-                        cur < base * (1.0 - threshold)
-                    };
-                    regressed += usize::from(failed);
-                    (cur, if failed { "regressed" } else { "ok" })
-                }
-            };
-            MetricVerdict {
-                metric: key.to_string(),
-                baseline: base,
-                current: cur,
-                status: status.to_string(),
-            }
-        })
-        .collect();
-    GateReport {
-        gate: gate.into(),
-        metric: metric.into(),
-        threshold,
-        strict,
-        passed: regressed == 0 && (!strict || missing == 0),
-        regressed,
-        missing,
-        verdicts,
-    }
-}
-
 // ----------------------------------------------------------------- profile
-
-/// Which [`ProfileSpan`] field `profile compare` gates on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProfileMetric {
-    /// Span call counts — exact across identical seeded runs under the
-    /// virtual clock, so the tightest (and default) gate.
-    Calls,
-    /// Self ticks (total minus direct children).
-    SelfTicks,
-    /// Total ticks between entry and exit.
-    TotalTicks,
-    /// Allocation events attributed to the span (self + descendants);
-    /// all-zero unless the run counted allocations.
-    Allocs,
-    /// Bytes allocated under the span (self + descendants).
-    AllocBytes,
-}
-
-impl ProfileMetric {
-    /// Parses the CLI spelling
-    /// (`calls` | `self` | `total` | `allocs` | `alloc-bytes`).
-    #[must_use]
-    pub fn parse(name: &str) -> Option<ProfileMetric> {
-        match name {
-            "calls" => Some(ProfileMetric::Calls),
-            "self" => Some(ProfileMetric::SelfTicks),
-            "total" => Some(ProfileMetric::TotalTicks),
-            "allocs" => Some(ProfileMetric::Allocs),
-            "alloc-bytes" => Some(ProfileMetric::AllocBytes),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ProfileMetric::Calls => "calls",
-            ProfileMetric::SelfTicks => "self",
-            ProfileMetric::TotalTicks => "total",
-            ProfileMetric::Allocs => "allocs",
-            ProfileMetric::AllocBytes => "alloc-bytes",
-        }
-    }
-
-    /// This metric of every span of `report`, keyed by span path, in the
-    /// report's depth-first order ([`gate_report`] input).
-    pub fn values(self, report: &ProfileReport) -> impl Iterator<Item = (&str, f64)> {
-        (report.spans.iter()).map(move |s| (s.path.as_str(), self.get(s) as f64))
-    }
-
-    fn get(self, span: &ProfileSpan) -> u64 {
-        match self {
-            ProfileMetric::Calls => span.calls,
-            ProfileMetric::SelfTicks => span.self_ticks,
-            ProfileMetric::TotalTicks => span.total_ticks,
-            ProfileMetric::Allocs => span.allocs,
-            ProfileMetric::AllocBytes => span.alloc_bytes,
-        }
-    }
-}
 
 /// Renders a profile as a top-`top` table of spans ranked by self time
 /// followed by the full span tree (indent = nesting depth).
@@ -1135,7 +943,12 @@ mod tests {
         assert_eq!(x.sessions_completed, 1);
         assert!((x.total_throughput - 256.0).abs() < 1e-12);
         // Session 7 transmitted 2 of 8 packets, session 9 the other 6.
-        assert_eq!(x.airtime_shares, vec![(7, 0.25), (9, 0.75)]);
+        // Shares are keyed like the metric map, not by session id, which
+        // the protocol runs of one `--protocols all` trace share.
+        assert_eq!(
+            x.airtime_shares,
+            vec![("omnc/0".to_string(), 0.25), ("omnc/1".to_string(), 0.75)]
+        );
         // Jain index of (2, 6): (2+6)^2 / (2 * (4+36)) = 0.8.
         assert!((x.airtime_fairness - 0.8).abs() < 1e-12, "{x:?}");
         assert_eq!(report.metrics["cross/sessions_completed"], 1.0);
@@ -1147,7 +960,10 @@ mod tests {
             text.contains("cross-session: 2 sessions, 1 completed"),
             "{text}"
         );
-        assert!(text.contains("s7 25.0%"), "{text}");
+        assert!(
+            text.contains("airtime shares: omnc/0 25.0% omnc/1 75.0%"),
+            "{text}"
+        );
         assert!(text.contains("airtime fairness 0.800"), "{text}");
     }
 
@@ -1210,6 +1026,40 @@ mod tests {
         assert!(csv.lines().count() > 2, "{csv}");
     }
 
+    /// The `metrics:` block parsed back: `name value` lines after the
+    /// `metrics:` header, up to the end of the text.
+    fn parse_metrics_block(text: &str) -> BTreeMap<String, f64> {
+        let (_, block) = text.split_once("\nmetrics:\n").expect("metrics block");
+        block
+            .lines()
+            .map(|line| {
+                let (name, value) = line.split_once(' ').expect("name value");
+                (name.to_string(), value.parse().expect("an f64"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn metrics_block_carries_the_exact_metric_map() {
+        let mut report = analyze(&synthetic_trace(), &[]);
+        // Values whose shortest round-trip text needs all 16-17 digits.
+        report
+            .metrics
+            .insert("more/0/delivery_rate".into(), 0.798_264_424_662_050_7);
+        report.metrics.insert("omnc/0/mean_queue".into(), 0.1 + 0.2);
+        report.metrics.insert("opt/final_violation".into(), 1e-300);
+        let text = render_ascii(&report);
+        assert!(
+            text.contains("\nmore/0/delivery_rate 0.7982644246620507\n"),
+            "{text}"
+        );
+        let back = parse_metrics_block(&text);
+        assert_eq!(back.len(), report.metrics.len());
+        for (name, value) in &report.metrics {
+            assert_eq!(back[name].to_bits(), value.to_bits(), "{name}");
+        }
+    }
+
     #[test]
     fn convergence_summary_reads_the_final_iterate() {
         let opt: Vec<IterationRecord> = (1..=10)
@@ -1229,61 +1079,6 @@ mod tests {
         assert_eq!(c.final_rate, 100.0);
         assert_eq!(c.iterations_to_90pct, 9);
         assert_eq!(report.metrics["opt/final_rate"], 100.0);
-    }
-
-    type Metrics = BTreeMap<String, f64>;
-
-    fn metrics_gate(base: &Metrics, cur: &Metrics, threshold: f64, strict: bool) -> GateReport {
-        let (base, cur) = (metric_values(base), metric_values(cur));
-        gate_report(GateKind::Metrics, base, cur, threshold, strict)
-    }
-
-    fn calls_gate(base: &ProfileReport, cur: &ProfileReport, strict: bool) -> GateReport {
-        let calls = ProfileMetric::Calls;
-        let (base, cur) = (calls.values(base), calls.values(cur));
-        gate_report(GateKind::Profile(calls), base, cur, 0.15, strict)
-    }
-
-    fn keys<'a>(gate: &'a GateReport, status: &'a str) -> Vec<&'a str> {
-        gate.with_status(status).map(|v| &*v.metric).collect()
-    }
-
-    #[test]
-    fn compare_flags_only_true_regressions() {
-        let report = analyze(&synthetic_trace(), &[]);
-        let regressed = |cur: &Metrics, threshold| {
-            let gate = metrics_gate(&report.metrics, cur, threshold, false);
-            keys(&gate, "regressed").join(",")
-        };
-        // Identical runs: clean.
-        assert_eq!(regressed(&report.metrics, 0.1), "");
-        // Degrade throughput by more than the threshold: flagged, with the
-        // higher-is-better direction.
-        let mut degraded = report.metrics.clone();
-        degraded.insert("omnc/0/throughput".into(), 256.0 * 0.5);
-        assert_eq!(regressed(&degraded, 0.15), "omnc/0/throughput");
-        // Improve throughput: not flagged.
-        let mut improved = report.metrics.clone();
-        improved.insert("omnc/0/throughput".into(), 512.0);
-        assert_eq!(regressed(&improved, 0.15), "");
-        // Queue growth is a regression (lower is better)...
-        let mut queued = report.metrics.clone();
-        queued.insert("omnc/0/mean_queue".into(), 50.0);
-        assert_eq!(regressed(&queued, 0.15), "omnc/0/mean_queue");
-        // ...and a queue decrease is an improvement.
-        let mut drained = report.metrics.clone();
-        drained.insert("omnc/0/mean_queue".into(), 0.0);
-        assert_eq!(regressed(&drained, 0.15), "");
-        // A metric vanishing from the current run is not a numeric
-        // regression — it is surfaced as a distinct missing verdict.
-        let mut missing = report.metrics.clone();
-        missing.remove("omnc/0/final_rank");
-        let gate = metrics_gate(&report.metrics, &missing, 0.15, false);
-        assert_eq!(gate.regressed, 0);
-        assert_eq!(keys(&gate, "missing"), ["omnc/0/final_rank"]);
-        // New metrics in the current run are neither regressed nor missing.
-        let gate = metrics_gate(&missing, &report.metrics, 0.15, true);
-        assert!(gate.passed && gate.missing == 0);
     }
 
     /// Satellite: the runner's dropped-MAC-event count must surface as an
@@ -1332,75 +1127,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_report_classifies_every_baseline_metric() {
-        let report = analyze(&synthetic_trace(), &[]);
-        let mut current = report.metrics.clone();
-        current.insert("omnc/0/throughput".into(), 256.0 * 0.5); // regressed
-        current.remove("omnc/0/final_rank"); // missing
-        let gate = metrics_gate(&report.metrics, &current, 0.15, false);
-        assert_eq!(gate.gate, "metrics");
-        assert!(!gate.passed); // a regression fails even without --strict
-        assert_eq!(gate.regressed, 1);
-        assert_eq!(gate.missing, 1);
-        assert_eq!(gate.verdicts.len(), report.metrics.len());
-        assert_eq!(keys(&gate, "regressed"), ["omnc/0/throughput"]);
-        assert_eq!(keys(&gate, "missing"), ["omnc/0/final_rank"]);
-        // Missing-only fails the gate only under --strict.
-        let mut shrunk = report.metrics.clone();
-        shrunk.remove("omnc/0/final_rank");
-        assert!(metrics_gate(&report.metrics, &shrunk, 0.15, false).passed);
-        assert!(!metrics_gate(&report.metrics, &shrunk, 0.15, true).passed);
-        // Clean compare passes strictly and round-trips through JSON.
-        let clean = metrics_gate(&report.metrics, &report.metrics, 0.15, true);
-        assert!(clean.passed);
-        let back: GateReport =
-            serde_json::from_str(&serde_json::to_string(&clean).unwrap()).unwrap();
-        assert_eq!(back, clean);
-    }
-
-    #[test]
-    fn profile_gate_report_keys_verdicts_by_span_path() {
-        let base = nested_profile(8);
-        let gate = calls_gate(&base, &nested_profile(20), true);
-        assert_eq!(gate.gate, "profile");
-        assert_eq!(gate.metric, "calls");
-        assert!(!gate.passed);
-        assert!(gate
-            .verdicts
-            .iter()
-            .any(|v| v.metric == "decode;eliminate" && v.status == "regressed"));
-        // A span the current run never entered shows up as missing and
-        // fails only under --strict.
-        let p = omnc::telemetry::Profiler::virtual_clock();
-        drop(p.span("decode"));
-        let shorter = p.report();
-        assert!(!calls_gate(&base, &shorter, true).passed);
-        assert!(calls_gate(&base, &shorter, false).passed);
-    }
-
-    #[test]
-    fn alloc_metrics_and_rss_gate_as_lower_is_better() {
-        assert!(lower_is_better("alloc/rlnc_encode/allocs_per_op"));
-        assert!(lower_is_better("alloc/sim_dispatch/bytes_per_op"));
-        assert!(lower_is_better("mem/peak_rss_mb"));
-        // Existing higher-is-better metrics keep their direction.
-        assert!(!lower_is_better("omnc/0/throughput"));
-        assert!(!lower_is_better("opt/final_rate"));
-        assert!(!lower_is_better("campaign/parallel_s"));
-    }
-
-    #[test]
-    fn profile_metric_parses_alloc_spellings() {
-        assert_eq!(ProfileMetric::parse("allocs"), Some(ProfileMetric::Allocs));
-        assert_eq!(
-            ProfileMetric::parse("alloc-bytes"),
-            Some(ProfileMetric::AllocBytes)
-        );
-        assert_eq!(ProfileMetric::Allocs.name(), "allocs");
-        assert_eq!(ProfileMetric::AllocBytes.name(), "alloc-bytes");
-    }
-
-    #[test]
     fn profile_render_adds_alloc_columns_only_when_counted() {
         let plain = nested_profile(2);
         assert!(!render_profile(&plain, 3).contains("alloc B"));
@@ -1412,41 +1138,6 @@ mod tests {
         let text = render_profile(&counted, 3);
         assert!(text.contains("alloc B"), "{text}");
         assert!(text.contains("4096"), "{text}");
-        // Alloc columns gate through profile compare too.
-        let bytes = ProfileMetric::AllocBytes;
-        let (base, cur) = (bytes.values(&plain), bytes.values(&counted));
-        let gate = gate_report(GateKind::Profile(bytes), base, cur, 0.15, false);
-        assert!(keys(&gate, "regressed").contains(&"decode"), "{gate:?}");
-    }
-
-    #[test]
-    fn profile_compare_flags_growth_not_shrinkage() {
-        let base = nested_profile(8);
-        // Identical runs are clean.
-        let same = calls_gate(&base, &nested_profile(8), true);
-        assert!(same.passed && same.regressed == 0 && same.missing == 0);
-        // More calls than the tolerance is a regression on both spans.
-        let grown = calls_gate(&base, &nested_profile(20), false);
-        assert_eq!(keys(&grown, "regressed"), ["decode", "decode;eliminate"]);
-        assert_eq!(grown.missing, 0);
-        // Fewer calls is an improvement, not a regression.
-        let shrunk = calls_gate(&base, &nested_profile(4), false);
-        assert_eq!(shrunk.regressed, 0, "{shrunk:?}");
-        // One extra call on a tiny count is inside the one-tick slack.
-        assert_eq!(
-            calls_gate(&nested_profile(1), &nested_profile(2), false).regressed,
-            0
-        );
-        // A span the current run never entered is reported missing.
-        let p = omnc::telemetry::Profiler::virtual_clock();
-        drop(p.span("decode"));
-        let cmp = calls_gate(&base, &p.report(), false);
-        assert_eq!(keys(&cmp, "missing"), ["decode;eliminate"]);
-        // The tick-based metrics gate too.
-        let total = ProfileMetric::TotalTicks;
-        let grown = nested_profile(20);
-        let (base, cur) = (total.values(&base), total.values(&grown));
-        assert!(gate_report(GateKind::Profile(total), base, cur, 0.15, false).regressed > 0);
     }
 
     #[test]

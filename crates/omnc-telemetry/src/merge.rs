@@ -95,8 +95,8 @@ pub fn merge_profiles(reports: &[ProfileReport]) -> ProfileReport {
 
 /// Merges registry snapshots: counters sum, gauges keep the maximum
 /// observed level, histograms sum counts / sums / per-bucket counts.
-/// Series are keyed by `(name, labels)` and the result is name-sorted
-/// like [`Registry::snapshot`](crate::Registry::snapshot).
+/// Series are keyed by name and the result is name-sorted like
+/// [`Registry::snapshot`](crate::Registry::snapshot).
 ///
 /// # Panics
 ///
@@ -105,13 +105,12 @@ pub fn merge_profiles(reports: &[ProfileReport]) -> ProfileReport {
 /// a mismatch means the inputs came from different instrumentation.
 #[must_use]
 pub fn merge_metric_snapshots(snapshots: &[Vec<MetricSnapshot>]) -> Vec<MetricSnapshot> {
-    let mut merged: BTreeMap<(String, Vec<(String, String)>), MetricSnapshot> = BTreeMap::new();
+    let mut merged: BTreeMap<String, MetricSnapshot> = BTreeMap::new();
     for snapshot in snapshots {
         for snap in snapshot {
-            let key = (snap.name.clone(), snap.labels.clone());
-            match merged.get_mut(&key) {
+            match merged.get_mut(&snap.name) {
                 None => {
-                    merged.insert(key, snap.clone());
+                    merged.insert(snap.name.clone(), snap.clone());
                 }
                 Some(acc) => {
                     assert_eq!(

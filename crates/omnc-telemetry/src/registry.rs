@@ -1,5 +1,5 @@
 //! The metrics registry: named counters, gauges, and fixed-bucket
-//! histograms with optional labels.
+//! histograms.
 //!
 //! Handles returned by the registry are cheap `Arc` clones over atomics;
 //! updating one is a single relaxed atomic operation (histograms add one
@@ -38,8 +38,6 @@ pub struct BucketCount {
 pub struct MetricSnapshot {
     /// Metric name, e.g. `"mac.tx.delivered"`.
     pub name: String,
-    /// Label pairs fixed at registration, e.g. `[("protocol", "omnc")]`.
-    pub labels: Vec<(String, String)>,
     /// Counter, gauge, or histogram.
     pub kind: MetricKind,
     /// Counter total or current gauge level (0 for histograms).
@@ -232,7 +230,6 @@ impl Cell {
 #[derive(Debug)]
 struct Entry {
     name: String,
-    labels: Vec<(String, String)>,
     cell: Cell,
 }
 
@@ -262,24 +259,19 @@ impl Registry {
         self.inner.is_some()
     }
 
-    /// Registers (or re-fetches) a counter with no labels.
-    pub fn counter(&self, name: &str) -> Counter {
-        self.counter_with_labels(name, &[])
-    }
-
-    /// Registers (or re-fetches) a labeled counter. Repeated registration
-    /// with the same name and labels returns a handle to the same cell.
+    /// Registers (or re-fetches) a counter. Repeated registration with
+    /// the same name returns a handle to the same cell.
     ///
     /// # Panics
     ///
-    /// Panics if the name/labels pair is already registered as a different
-    /// metric kind.
-    pub fn counter_with_labels(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+    /// Panics if the name is already registered as a different metric
+    /// kind.
+    pub fn counter(&self, name: &str) -> Counter {
         let Some(inner) = &self.inner else {
             return Counter::default();
         };
         let mut entries = inner.lock();
-        let cell = find_or_insert(&mut entries, name, labels, || {
+        let cell = find_or_insert(&mut entries, name, || {
             Cell::Counter(Arc::new(AtomicU64::new(0)))
         });
         match cell {
@@ -290,22 +282,17 @@ impl Registry {
         }
     }
 
-    /// Registers (or re-fetches) a gauge with no labels.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauge_with_labels(name, &[])
-    }
-
-    /// Registers (or re-fetches) a labeled gauge.
+    /// Registers (or re-fetches) a gauge.
     ///
     /// # Panics
     ///
     /// Panics on a kind mismatch with an existing registration.
-    pub fn gauge_with_labels(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+    pub fn gauge(&self, name: &str) -> Gauge {
         let Some(inner) = &self.inner else {
             return Gauge::default();
         };
         let mut entries = inner.lock();
-        let cell = find_or_insert(&mut entries, name, labels, || {
+        let cell = find_or_insert(&mut entries, name, || {
             Cell::Gauge(Arc::new(AtomicU64::new(0.0f64.to_bits())))
         });
         match cell {
@@ -316,25 +303,15 @@ impl Registry {
         }
     }
 
-    /// Registers (or re-fetches) a histogram with no labels.
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        self.histogram_with_labels(name, &[], bounds)
-    }
-
-    /// Registers (or re-fetches) a labeled histogram over the given
-    /// strictly increasing inclusive upper bounds; observations above the
-    /// last bound land in an implicit overflow bucket.
+    /// Registers (or re-fetches) a histogram over the given strictly
+    /// increasing inclusive upper bounds; observations above the last
+    /// bound land in an implicit overflow bucket.
     ///
     /// # Panics
     ///
     /// Panics if `bounds` is empty or not strictly increasing, or on a
     /// kind/bounds mismatch with an existing registration.
-    pub fn histogram_with_labels(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-    ) -> Histogram {
+    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
         assert!(
             !bounds.is_empty(),
             "histogram {name:?} needs at least one bound"
@@ -347,7 +324,7 @@ impl Registry {
             return Histogram::default();
         };
         let mut entries = inner.lock();
-        let cell = find_or_insert(&mut entries, name, labels, || {
+        let cell = find_or_insert(&mut entries, name, || {
             Cell::Histogram(Arc::new(HistogramCore {
                 bounds: bounds.to_vec(),
                 counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
@@ -369,8 +346,7 @@ impl Registry {
         }
     }
 
-    /// Reads every metric, ordered by name (stable: series sharing a name
-    /// keep their registration order). The deterministic ordering makes
+    /// Reads every metric, ordered by name. The deterministic ordering makes
     /// JSONL exports and report diffs comparable across runs regardless of
     /// which code path registered its metrics first.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
@@ -383,7 +359,6 @@ impl Registry {
             .map(|entry| {
                 let mut snap = MetricSnapshot {
                     name: entry.name.clone(),
-                    labels: entry.labels.clone(),
                     kind: entry.cell.kind(),
                     value: 0.0,
                     count: 0,
@@ -417,32 +392,19 @@ impl Registry {
 fn find_or_insert<'e>(
     entries: &'e mut Vec<Entry>,
     name: &str,
-    labels: &[(&str, &str)],
     make: impl FnOnce() -> Cell,
 ) -> &'e Cell {
     let pos = entries
         .iter()
-        .position(|e| e.name == name && label_eq(&e.labels, labels))
+        .position(|e| e.name == name)
         .unwrap_or_else(|| {
             entries.push(Entry {
                 name: name.to_string(),
-                labels: labels
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_string()))
-                    .collect(),
                 cell: make(),
             });
             entries.len() - 1
         });
     &entries[pos].cell
-}
-
-fn label_eq(stored: &[(String, String)], query: &[(&str, &str)]) -> bool {
-    stored.len() == query.len()
-        && stored
-            .iter()
-            .zip(query)
-            .all(|((k, v), (qk, qv))| k == qk && v == qv)
 }
 
 #[cfg(test)]
@@ -461,25 +423,6 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].value, 5.0);
         assert_eq!(snap[0].kind, MetricKind::Counter);
-    }
-
-    #[test]
-    fn labels_separate_series() {
-        let registry = Registry::new();
-        registry
-            .counter_with_labels("tx", &[("proto", "omnc")])
-            .add(2);
-        registry
-            .counter_with_labels("tx", &[("proto", "more")])
-            .add(3);
-        let snap = registry.snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(
-            snap[0].labels,
-            vec![("proto".to_string(), "omnc".to_string())]
-        );
-        assert_eq!(snap[0].value, 2.0);
-        assert_eq!(snap[1].value, 3.0);
     }
 
     #[test]
@@ -621,15 +564,6 @@ mod tests {
         registry.counter("mid").add(2);
         let names: Vec<String> = registry.snapshot().into_iter().map(|s| s.name).collect();
         assert_eq!(names, ["alpha", "mid", "zeta"]);
-        // Stable within a name: series keep registration order.
-        registry
-            .counter_with_labels("mid", &[("proto", "etx")])
-            .add(9);
-        let snap = registry.snapshot();
-        assert_eq!(snap[1].name, "mid");
-        assert!(snap[1].labels.is_empty());
-        assert_eq!(snap[2].name, "mid");
-        assert_eq!(snap[2].labels.len(), 1);
     }
 
     #[test]

@@ -378,20 +378,6 @@ impl Decoder {
         self.config.blocks() + self.config.block_size()
     }
 
-    /// Returns `true` if `packet` would be innovative, without mutating the
-    /// decoder. Costs one reduction pass over the coefficient vector only.
-    pub fn would_be_innovative(&self, packet: &CodedPacket) -> bool {
-        let _span = self.profiler.span("innovation_check");
-        if self.check(packet).is_err() {
-            return false;
-        }
-        let mut coeff = packet.coefficients().to_vec();
-        let cs: Vec<u8> = self.pivots.iter().map(|&p| coeff[p]).collect();
-        self.kernel
-            .mul_add_rows(&mut coeff, &self.rows, self.stride(), 0, &cs);
-        coeff.iter().any(|&c| c != 0)
-    }
-
     /// Blocks decoded so far, indexed by block number. Progressive decoding
     /// exposes a block as soon as its matrix row has collapsed to a unit
     /// vector — before the whole generation is complete.
@@ -759,19 +745,6 @@ mod tests {
             decode.self_ticks,
             decode.total_ticks - eliminate.total_ticks - rank.total_ticks
         );
-    }
-
-    #[test]
-    fn would_be_innovative_is_consistent_with_absorb() {
-        let (g, mut rng) = setup(5, 4, 3);
-        let enc = Encoder::new(&g);
-        let mut dec = Decoder::new(g.id(), g.config());
-        for _ in 0..20 {
-            let p = enc.emit(&mut rng);
-            let predicted = dec.would_be_innovative(&p);
-            let got = dec.absorb(&p).unwrap().is_innovative();
-            assert_eq!(predicted, got);
-        }
     }
 
     #[test]

@@ -1,16 +1,16 @@
 #!/usr/bin/env sh
 # Campaign smoke: run the committed 8-cell smoke campaign (2 variants x
 # 2 protocols x 2 sessions, see crates/omnc-campaign/specs/smoke.json)
-# with two workers, then gate the merged omnc-report analysis against
-# the committed CAMPAIGN_baseline.json. Cells run under the virtual
-# clock, so the merged report is identical on any host and for any
-# --jobs; a diff beyond the threshold means the simulation itself
+# with two workers, render its merged trace with `omnc-report analyze`
+# and diff the text against the committed CAMPAIGN_baseline.txt. Cells
+# run under the virtual clock, so the render is identical on any host
+# and for any --jobs; any difference means the simulation itself
 # changed.
 #
 # The multi-session smoke (crates/omnc-campaign/specs/multi-smoke.json,
 # 2 variants x 2 protocols, each cell running 3 coupled sessions on one
 # shared mesh) rides along under the same determinism contract: its
-# merged report gates against CAMPAIGN_MULTI_baseline.json, and the
+# render is diffed against CAMPAIGN_MULTI_baseline.txt, and the
 # bench-style --jobs 1 vs --jobs 2 byte-compare below proves coupled
 # cells schedule as deterministically as classic ones.
 #
@@ -19,7 +19,7 @@
 # are printed, not gated.
 #
 # After an intentional model or scenario change, regenerate the
-# baselines with `scripts/campaign.sh --regen` and commit the result.
+# committed files with `scripts/campaign.sh --regen` and commit them.
 # Artifacts left behind for upload: campaign-out/, campaign-multi-out/.
 set -eu
 cd "$(dirname "$0")/.."
@@ -37,15 +37,15 @@ rm -rf "$multi_out"
 rm -rf campaign-bench
 ./target/release/omnc-campaign bench \
   --spec crates/omnc-campaign/specs/bench.json --out campaign-bench --jobs 4
+./target/release/omnc-report analyze --trace "$out/trace.jsonl" >"$out/report.txt"
+./target/release/omnc-report analyze --trace "$multi_out/jobs1/trace.jsonl" \
+  >"$multi_out/jobs1/report.txt"
 if [ "${1:-}" = "--regen" ]; then
-  cp "$out/report.json" CAMPAIGN_baseline.json
-  cp "$multi_out/jobs1/report.json" CAMPAIGN_MULTI_baseline.json
-  echo "wrote CAMPAIGN_baseline.json and CAMPAIGN_MULTI_baseline.json"
+  cp "$out/report.txt" CAMPAIGN_baseline.txt
+  cp "$multi_out/jobs1/report.txt" CAMPAIGN_MULTI_baseline.txt
+  echo "wrote CAMPAIGN_baseline.txt and CAMPAIGN_MULTI_baseline.txt"
 else
-  ./target/release/omnc-report compare \
-    --baseline CAMPAIGN_baseline.json --current "$out/report.json" \
-    --threshold 0.15
-  ./target/release/omnc-report compare \
-    --baseline CAMPAIGN_MULTI_baseline.json --current "$multi_out/jobs1/report.json" \
-    --threshold 0.15
+  diff -u CAMPAIGN_baseline.txt "$out/report.txt"
+  diff -u CAMPAIGN_MULTI_baseline.txt "$multi_out/jobs1/report.txt"
+  echo "campaign: both renders byte-identical to the committed files"
 fi

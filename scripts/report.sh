@@ -1,11 +1,12 @@
 #!/usr/bin/env sh
 # Report gate: replay a seeded scenario with causal tracing, analyze the
-# stream, and fail if any simulated-time metric regressed beyond 15% of
-# the committed BENCH_baseline.json. The run is seeded and measured in
-# simulated time, so it reproduces bit-exactly on any host.
+# stream, and diff the rendered report — tables plus every metric in
+# full precision — against the committed BENCH_baseline.txt. The run is
+# seeded and measured in simulated time, so it reproduces byte for byte
+# on any host; any difference is a change in what the code computes.
 #
-# After an *intentional* performance change, regenerate the baseline
-# with `scripts/report.sh --regen` and commit the result.
+# After an intentional model change, regenerate the file with
+# `scripts/report.sh --regen` and commit the result.
 # Artifacts left behind for upload: report.txt, report.json and
 # forwarders.csv.
 set -eu
@@ -14,11 +15,11 @@ cargo build --release -p omnc -p omnc-report
 ./target/release/omnc-sim --nodes 30 --sessions 2 --duration 30 \
   --protocols all --seed 2008 --trace trace.jsonl --format json
 ./target/release/omnc-report analyze --trace trace.jsonl \
-  --json report.json --csv forwarders.csv | tee report.txt
+  --json report.json --csv forwarders.csv >report.txt
 if [ "${1:-}" = "--regen" ]; then
-  cp report.json BENCH_baseline.json
-  echo "wrote BENCH_baseline.json"
+  cp report.txt BENCH_baseline.txt
+  echo "wrote BENCH_baseline.txt"
 else
-  ./target/release/omnc-report compare \
-    --baseline BENCH_baseline.json --current report.json --threshold 0.15
+  diff -u BENCH_baseline.txt report.txt
+  echo "report: report.txt byte-identical to BENCH_baseline.txt"
 fi
