@@ -16,7 +16,7 @@
 use net_topo::graph::{NodeId, Topology};
 use rand::Rng;
 
-use telemetry::{Counter, Histogram, Profiler, Registry};
+use telemetry::{Counter, Profiler, Registry};
 
 use crate::arena::{Arena, Handle};
 use crate::core::{EventId, EventQueue, Pcg64};
@@ -35,7 +35,6 @@ struct SimTelemetry {
     bytes_sent: Counter,
     delivered: Counter,
     lost: Counter,
-    queue_len: Histogram,
     trace_dropped: Counter,
 }
 
@@ -47,10 +46,6 @@ impl SimTelemetry {
             bytes_sent: registry.counter("mac.bytes_sent"),
             delivered: registry.counter("mac.delivered"),
             lost: registry.counter("mac.lost"),
-            queue_len: registry.histogram(
-                "mac.queue.len",
-                &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0],
-            ),
             trace_dropped: registry.counter("trace.dropped_events"),
         }
     }
@@ -219,7 +214,6 @@ impl<M> Core<M> {
     fn observe_queue(&mut self, node: NodeId) {
         let len = self.queues[node.index()].len;
         self.trackers[node.index()].observe(self.now, len);
-        self.telemetry.queue_len.observe(len as f64);
         self.trace.record(TraceEvent::Queue {
             at: self.now,
             node,
@@ -572,11 +566,10 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
         &self.core.trace
     }
 
-    /// Wires MAC transmission/delivery/loss counters and queue-length
-    /// samples into `registry`, and mirrors trace overflow into the
-    /// `trace.dropped_events` counter. With a disabled registry this is
-    /// free; with an enabled one each MAC event costs one relaxed atomic
-    /// update.
+    /// Wires MAC transmission/delivery/loss counters into `registry`, and
+    /// mirrors trace overflow into the `trace.dropped_events` counter.
+    /// With a disabled registry this is free; with an enabled one each MAC
+    /// event costs one relaxed atomic update.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.core.telemetry = SimTelemetry::from_registry(registry);
         self.core
@@ -1372,24 +1365,15 @@ mod tests {
         sim.run_until(100.0);
 
         let stats = sim.stats(NodeId::new(1));
-        let lookup = |name: &str| {
-            registry
-                .snapshot()
-                .into_iter()
-                .find(|m| m.name == name)
-                .unwrap_or_else(|| panic!("metric {name} missing"))
-        };
-        assert_eq!(lookup("mac.tx.completed").value, 200.0);
-        assert_eq!(lookup("mac.bytes_sent").value, 2000.0);
-        assert_eq!(lookup("mac.delivered").value, stats.packets_received as f64);
-        assert_eq!(lookup("mac.lost").value, stats.packets_lost as f64);
-        assert!(lookup("mac.queue.len").count > 0);
+        let lookup = |name: &str| registry.counter(name).get();
+        assert_eq!(lookup("mac.tx.started"), 200);
+        assert_eq!(lookup("mac.tx.completed"), 200);
+        assert_eq!(lookup("mac.bytes_sent"), 2000);
+        assert_eq!(lookup("mac.delivered"), stats.packets_received);
+        assert_eq!(lookup("mac.lost"), stats.packets_lost);
         // The bounded trace overflowed, and the overflow is observable.
         assert_eq!(sim.trace().events().len(), 4);
-        assert_eq!(
-            lookup("trace.dropped_events").value,
-            sim.trace().dropped() as f64
-        );
+        assert_eq!(lookup("trace.dropped_events"), sim.trace().dropped());
         assert!(sim.trace().dropped() > 0);
     }
 

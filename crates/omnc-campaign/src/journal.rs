@@ -23,26 +23,6 @@ pub struct JournalEntry {
     pub key: String,
     /// Attempts the cell needed (1 unless earlier attempts panicked).
     pub attempts: u32,
-    /// Wall-clock completion time, milliseconds since the Unix epoch.
-    /// `None` on journals from before this field existed; the journal is
-    /// never byte-compared and is reset on fresh runs, so the host
-    /// timestamp cannot leak into merged artifacts. `status` derives its
-    /// cells/s and ETA from the span of these stamps.
-    pub wall_ms: Option<u64>,
-}
-
-impl JournalEntry {
-    /// The current wall clock as a `wall_ms` stamp.
-    #[must_use]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "journal stamps are never byte-compared"
-    )]
-    pub fn now_ms() -> u64 {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
-    }
 }
 
 /// Append-only writer over the journal file.
@@ -79,41 +59,30 @@ impl Journal {
 
     /// Replays the journal into the set of completed cell keys. Missing
     /// file means an empty set; a trailing partial line (torn write) is
-    /// skipped rather than treated as corruption.
+    /// skipped rather than treated as corruption. Fields a line carries
+    /// beyond [`JournalEntry`]'s are ignored.
     ///
     /// # Errors
     ///
     /// Returns the I/O error if an existing journal cannot be read.
     pub fn completed(&self) -> io::Result<BTreeSet<String>> {
-        Ok(self.entries()?.into_iter().map(|e| e.key).collect())
-    }
-
-    /// Replays the journal's full entries in append order, with the same
-    /// torn-tail tolerance as [`Journal::completed`]. Duplicate keys (a
-    /// cell re-run after a resume) keep every line, so the wall-clock
-    /// span of the returned stamps reflects real work done.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if an existing journal cannot be read.
-    pub fn entries(&self) -> io::Result<Vec<JournalEntry>> {
         let file = match File::open(&self.path) {
             Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(BTreeSet::new()),
             Err(e) => return Err(e),
         };
-        let mut entries = Vec::new();
+        let mut keys = BTreeSet::new();
         for line in BufReader::new(file).lines() {
             let line = line?;
             if line.trim().is_empty() {
                 continue;
             }
-            match serde_json::from_str::<JournalEntry>(&line) {
-                Ok(entry) => entries.push(entry),
-                Err(_) => break, // torn tail: everything after is unreliable
-            }
+            let Ok(entry) = serde_json::from_str::<JournalEntry>(&line) else {
+                break; // torn tail: everything after is unreliable
+            };
+            keys.insert(entry.key);
         }
-        Ok(entries)
+        Ok(keys)
     }
 
     /// Removes the journal file (fresh `run`). Missing is fine.
@@ -140,6 +109,15 @@ mod tests {
         Journal::at(&path)
     }
 
+    fn append(j: &Journal, bytes: &[u8]) {
+        let mut f = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&j.path)
+            .unwrap();
+        f.write_all(bytes).unwrap();
+    }
+
     #[test]
     fn records_replay_as_a_key_set() {
         let j = temp_journal("replay");
@@ -148,36 +126,30 @@ mod tests {
             j.record(&JournalEntry {
                 key: key.to_owned(),
                 attempts,
-                wall_ms: Some(JournalEntry::now_ms()),
             })
             .unwrap();
         }
         let keys = j.completed().unwrap();
         assert_eq!(keys.len(), 2);
         assert!(keys.contains("a/ETX/0000000001"));
-        let entries = j.entries().unwrap();
-        assert_eq!(entries.len(), 2);
-        assert!(entries.iter().all(|e| e.wall_ms.is_some()));
         j.reset().unwrap();
         assert!(j.completed().unwrap().is_empty());
     }
 
     #[test]
-    fn entries_without_timestamps_replay_as_none() {
-        // Journals written before wall_ms existed parse unchanged.
-        let j = temp_journal("legacy");
-        let mut f = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&j.path)
-            .unwrap();
-        f.write_all(b"{\"key\": \"old/OMNC/0000000000\", \"attempts\": 1}\n")
-            .unwrap();
-        drop(f);
-        let entries = j.entries().unwrap();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].key, "old/OMNC/0000000000");
-        assert_eq!(entries[0].wall_ms, None);
+    fn journal_lines_with_wall_clock_stamps_still_replay() {
+        // Journals written before the stamps were dropped carry a
+        // `wall_ms` field; resuming such a directory keeps its cells.
+        let j = temp_journal("stamped");
+        append(
+            &j,
+            b"{\"key\":\"old/OMNC/0000000000\",\"attempts\":1,\"wall_ms\":1760000000000}\n\
+              {\"key\":\"old/ETX/0000000000\",\"attempts\":2,\"wall_ms\":null}\n",
+        );
+        let keys = j.completed().unwrap();
+        assert_eq!(keys.len(), 2);
+        assert!(keys.contains("old/OMNC/0000000000"));
+        assert!(keys.contains("old/ETX/0000000000"));
     }
 
     #[test]
@@ -186,13 +158,10 @@ mod tests {
         j.record(&JournalEntry {
             key: "ok".to_owned(),
             attempts: 1,
-            wall_ms: Some(JournalEntry::now_ms()),
         })
         .unwrap();
         // Simulate a kill mid-append: garbage with no newline.
-        let mut f = OpenOptions::new().append(true).open(&j.path).unwrap();
-        f.write_all(b"{\"key\": \"half").unwrap();
-        drop(f);
+        append(&j, b"{\"key\": \"half");
         let keys = j.completed().unwrap();
         assert_eq!(keys.len(), 1);
         assert!(keys.contains("ok"));

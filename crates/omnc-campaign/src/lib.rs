@@ -3,27 +3,26 @@
 //!
 //! A campaign is a declarative JSON matrix (scenario variants ×
 //! protocols × session indices) expanded into independent *cells*. Each
-//! cell runs the shared [`omnc::runner::run_cell`] entry point with its
-//! own fresh telemetry registry and virtual-clock profiler, so cells are
-//! deterministic and order-free. The [`executor`] schedules cells across
-//! worker threads with work stealing, `catch_unwind` panic isolation,
-//! and bounded retry; completions stream back to the submitting thread,
-//! which writes one result file per cell (atomically) and appends the
-//! [`journal`] line that makes the cell durable. The [`merge`] stage
-//! re-reads the result files in sorted-key order, so the merged
-//! artifacts — `outcomes.jsonl`, `trace.jsonl`, `telemetry.json` — are
-//! byte-identical whatever `--jobs` was and whether the campaign ran
-//! straight through or was killed and resumed.
+//! cell runs the shared [`omnc::runner::run_cell`] entry point with a
+//! full causal trace and nothing else, so cells are deterministic and
+//! order-free. The [`executor`] schedules cells across worker threads
+//! with work stealing, `catch_unwind` panic isolation, and bounded
+//! retry; completions stream back to the submitting thread, which writes
+//! one result file per cell (atomically) and appends the [`journal`] line
+//! that makes the cell durable. The [`merge`] stage re-reads the result
+//! files in sorted-key order, so the merged artifacts — `outcomes.jsonl`
+//! and `trace.jsonl` — are byte-identical whatever `--jobs` was and
+//! whether the campaign ran straight through or was killed and resumed.
+//! The journal and the `cells/` directory are resume state, not
+//! artifacts.
 //!
-//! Memory figures are the one exception to that determinism contract:
-//! RSS depends on the host, the allocator, and worker scheduling, so
-//! per-cell and campaign-wide peak RSS go to a separate `memory.json`
-//! and are *never* part of the three byte-compared artifacts above.
+//! The campaign's peak RSS depends on the host, the allocator and worker
+//! scheduling, so it is one debug log line at the end of a run and never
+//! part of the byte-compared artifacts.
 //!
 //! Each cell attempt arms a panic-safe [`FlightRecorder`]: a cell that
 //! dies beyond its retry budget leaves `flight-<cell>.jsonl` — the last
 //! breadcrumbs before the panic — next to the other artifacts.
-//! [`campaign_status`] reads progress and an ETA off the journal.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +35,7 @@ pub mod spec;
 use std::io;
 use std::path::Path;
 
-use telemetry::{FlightRecorder, Logger, Profiler, Registry};
+use telemetry::{FlightRecorder, Logger};
 
 use omnc::multi::run_multi_cell;
 use omnc::runner::{run_cell, RunOptions, SessionOutcome};
@@ -70,28 +69,6 @@ pub struct CellFailure {
     pub message: String,
 }
 
-/// Memory figures sampled when one cell's completion reached the
-/// submitting thread (host-dependent; see [`CampaignMemory`]).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct CellMemory {
-    /// The completed cell's key.
-    pub key: String,
-    /// Process RSS (MB) observed at completion time.
-    pub rss_mb: f64,
-}
-
-/// The `memory.json` artifact: campaign-wide peak RSS plus one sample
-/// per executed cell (sorted by key). Deliberately separate from the
-/// three byte-compared merged artifacts, because RSS varies by host and
-/// scheduling while those must stay identical across `--jobs` values.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct CampaignMemory {
-    /// Peak RSS (VmHWM, MB) of the whole campaign process so far.
-    pub peak_rss_mb: f64,
-    /// Per-cell completion-time samples, sorted by cell key.
-    pub cells: Vec<CellMemory>,
-}
-
 /// What a campaign invocation did.
 #[derive(Debug)]
 pub struct CampaignSummary {
@@ -115,11 +92,11 @@ pub fn flight_path(out_dir: &Path, key: &str) -> std::path::PathBuf {
     out_dir.join(format!("flight-{}.jsonl", key.replace('/', "__")))
 }
 
-/// Runs one cell in isolation: fresh registry, fresh virtual-clock
-/// profiler, full causal trace. Everything the merge stage needs comes
-/// back in the [`CellResult`]. The `flight` recorder (disabled outside
-/// campaigns) collects the runner's breadcrumbs so a panic hook can
-/// dump the tail; it never influences the result.
+/// Runs one cell in isolation with a full causal trace. Everything the
+/// merge stage needs comes back in the [`CellResult`]. The `flight`
+/// recorder (disabled outside campaigns) collects the runner's
+/// breadcrumbs so a panic hook can dump the tail; it never influences
+/// the result.
 ///
 /// A multi-session cell (`cell.multi`) runs all of its scenario's
 /// sessions concurrently on one shared mesh via
@@ -134,12 +111,8 @@ pub fn flight_path(out_dir: &Path, key: &str) -> std::path::PathBuf {
 /// Propagates scenario/session panics (impossible endpoint constraints,
 /// degenerate configurations) — the executor catches them.
 pub fn run_one_cell(cell: &Cell, trace_capacity: usize, flight: &FlightRecorder) -> CellResult {
-    let registry = Registry::new();
-    let profiler = Profiler::virtual_clock();
     let options = RunOptions {
         trace_capacity: Some(trace_capacity),
-        profiler: profiler.clone(),
-        registry: registry.clone(),
         flight: flight.clone(),
         ..RunOptions::default()
     };
@@ -166,8 +139,6 @@ pub fn run_one_cell(cell: &Cell, trace_capacity: usize, flight: &FlightRecorder)
         outcome,
         multi,
         trace: String::from_utf8(buf).expect("trace JSONL is UTF-8"),
-        metrics: registry.snapshot(),
-        profile: profiler.report(),
     }
 }
 
@@ -250,7 +221,6 @@ pub fn run_campaign(
     let mut failures: Vec<CellFailure> = Vec::new();
     let mut io_error: Option<io::Error> = None;
     let mut done = 0usize;
-    let mut memory_cells: Vec<CellMemory> = Vec::new();
     executor::run_parallel(
         pending.len(),
         options.jobs,
@@ -272,7 +242,6 @@ pub fn run_campaign(
                         journal.record(&JournalEntry {
                             key: cell.key.clone(),
                             attempts,
-                            wall_ms: Some(JournalEntry::now_ms()),
                         })
                     });
                     if let Err(e) = persisted {
@@ -285,12 +254,6 @@ pub fn run_campaign(
                     // stale black box; the cell ended well, drop it.
                     let _ = std::fs::remove_file(flight_path(out_dir, &cell.key));
                     done += 1;
-                    if let Some(rss) = telemetry::sample_rss() {
-                        memory_cells.push(CellMemory {
-                            key: cell.key.clone(),
-                            rss_mb: rss.vm_rss_bytes as f64 / (1024.0 * 1024.0),
-                        });
-                    }
                     options
                         .log
                         .debug(&format!("cell {} done ({attempts} attempt(s))", cell.key));
@@ -322,20 +285,10 @@ pub fn run_campaign(
     }
     failures.sort_by(|a, b| a.key.cmp(&b.key));
 
-    // Host-dependent memory figures go to their own artifact so the three
-    // byte-compared ones stay deterministic (see module docs).
     if let Some(rss) = telemetry::sample_rss() {
-        memory_cells.sort_by(|a, b| a.key.cmp(&b.key));
-        let memory = CampaignMemory {
-            peak_rss_mb: rss.vm_hwm_bytes as f64 / (1024.0 * 1024.0),
-            cells: memory_cells,
-        };
-        let json = serde_json::to_string(&memory)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        std::fs::write(out_dir.join("memory.json"), json + "\n")?;
         options.log.debug(&format!(
-            "memory: campaign peak rss {:.1} MB -> memory.json",
-            memory.peak_rss_mb
+            "memory: campaign peak rss {:.1} MB",
+            rss.vm_hwm_bytes as f64 / (1024.0 * 1024.0)
         ));
     }
 
@@ -364,92 +317,4 @@ pub fn run_campaign(
         failures,
         merged,
     })
-}
-
-/// Completion state of a campaign directory without running anything.
-#[derive(Debug)]
-pub struct CampaignStatus {
-    /// Cells in the spec's matrix.
-    pub total: usize,
-    /// Journaled cells whose result files exist.
-    pub completed: usize,
-    /// Keys still to run (sorted).
-    pub pending: Vec<String>,
-    /// Completion rate over the journal's wall-clock stamps (needs at
-    /// least two stamped entries).
-    pub cells_per_s: Option<f64>,
-    /// Estimated seconds to finish `pending` at that rate.
-    pub eta_s: Option<f64>,
-}
-
-/// Reports how much of `spec` is already durably complete in `out_dir`.
-///
-/// The rate/ETA estimate replays the journal's `wall_ms` stamps and
-/// feeds their span through [`throughput_eta`]. A journal from before
-/// timestamps existed (or with a single entry) simply reports no
-/// estimate.
-///
-/// # Errors
-///
-/// Fails on an invalid spec or an unreadable journal.
-pub fn campaign_status(spec: &CampaignSpec, out_dir: &Path) -> io::Result<CampaignStatus> {
-    spec.validate()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-    let cells = spec.cells();
-    let journal = Journal::at(&out_dir.join("journal.jsonl"));
-    let entries = journal.entries()?;
-    let journaled: std::collections::BTreeSet<&str> =
-        entries.iter().map(|e| e.key.as_str()).collect();
-    let pending: Vec<String> = cells
-        .iter()
-        .filter(|c| {
-            !journaled.contains(c.key.as_str()) || !merge::cell_path(out_dir, &c.key).is_file()
-        })
-        .map(|c| c.key.clone())
-        .collect();
-
-    let stamps: Vec<u64> = entries.iter().filter_map(|e| e.wall_ms).collect();
-    let span_s = match (stamps.iter().min(), stamps.iter().max()) {
-        (Some(&first), Some(&last)) => (last.saturating_sub(first)) as f64 / 1000.0,
-        _ => 0.0,
-    };
-    // The first stamp marks a completion, not the campaign start, so
-    // only the stamps after it represent measured throughput.
-    let estimate = throughput_eta(stamps.len().saturating_sub(1), pending.len(), span_s);
-    Ok(CampaignStatus {
-        total: cells.len(),
-        completed: cells.len() - pending.len(),
-        pending,
-        cells_per_s: estimate.map(|(rate, _)| rate),
-        eta_s: estimate.map(|(_, eta)| eta),
-    })
-}
-
-/// Completion-rate estimate: given `completed` units finished over
-/// `elapsed_s` seconds and `remaining` still to go, returns
-/// `(units_per_s, eta_s)`. `None` until at least one unit has completed
-/// over a positive span — no estimate beats a wild one.
-#[must_use]
-pub fn throughput_eta(completed: usize, remaining: usize, elapsed_s: f64) -> Option<(f64, f64)> {
-    if completed == 0 || elapsed_s.is_nan() || elapsed_s <= 0.0 {
-        return None;
-    }
-    let rate = completed as f64 / elapsed_s;
-    Some((rate, remaining as f64 / rate))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn throughput_eta_needs_signal_before_estimating() {
-        assert_eq!(throughput_eta(0, 10, 5.0), None);
-        assert_eq!(throughput_eta(5, 10, 0.0), None);
-        let (rate, eta) = throughput_eta(5, 10, 2.5).expect("estimate");
-        assert!((rate - 2.0).abs() < 1e-12);
-        assert!((eta - 5.0).abs() < 1e-12);
-        // Nothing remaining: the ETA is simply zero.
-        assert_eq!(throughput_eta(4, 0, 2.0), Some((2.0, 0.0)));
-    }
 }

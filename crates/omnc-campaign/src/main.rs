@@ -1,17 +1,15 @@
-//! `omnc-campaign` — run, resume, and inspect experiment campaigns.
+//! `omnc-campaign` — run, resume, and benchmark experiment campaigns.
 //!
 //! ```sh
 //! omnc-campaign run    --spec campaign.json --out out/ --jobs 4
 //! omnc-campaign resume --spec campaign.json --out out/ --jobs 4
-//! omnc-campaign status --spec campaign.json --out out/
 //! omnc-campaign bench  --spec campaign.json --out out/ --jobs 4
 //! ```
 //!
 //! `run` executes the whole matrix from scratch; `resume` keeps the
-//! journal and re-runs only cells without a durable result; `status`
-//! reports completion without running anything; `bench` times the same
-//! campaign at `--jobs 1` and `--jobs N`, checks the merged artifacts
-//! are byte-identical, and prints the timings.
+//! journal and re-runs only cells without a durable result; `bench` times
+//! the same campaign at `--jobs 1` and `--jobs N`, checks the merged
+//! artifacts are byte-identical, and prints the timings.
 //!
 //! Exit codes: 0 success, 1 failed cells or I/O trouble, 2 usage error.
 
@@ -21,38 +19,29 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use omnc_campaign::merge::ARTIFACTS;
 use omnc_campaign::spec::CampaignSpec;
-use omnc_campaign::{campaign_status, run_campaign, CampaignOptions, CampaignSummary};
-use telemetry::{sample_rss, set_alloc_counting, CountingAlloc, LogLevel, Logger};
-
-// One relaxed atomic load per allocation until --count-allocs enables
-// the thread-local counters, so default campaigns run at full speed.
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+use omnc_campaign::{run_campaign, CampaignOptions, CampaignSummary};
+use telemetry::{sample_rss, LogLevel, Logger};
 
 const USAGE: &str = "omnc-campaign — parallel, resumable experiment campaigns
 
 USAGE:
-    omnc-campaign run    --spec <file> --out <dir> [--jobs N] [--count-allocs]
+    omnc-campaign run    --spec <file> --out <dir> [--jobs N]
                          [--log-level quiet|info|debug]
-    omnc-campaign resume --spec <file> --out <dir> [--jobs N] [--count-allocs]
+    omnc-campaign resume --spec <file> --out <dir> [--jobs N]
                          [--log-level quiet|info|debug]
-    omnc-campaign status --spec <file> --out <dir>
     omnc-campaign bench  --spec <file> --out <dir> [--jobs N]
-                         [--count-allocs]
 
 Campaign specs are JSON matrices of scenario variants x protocols x
-session indices; see EXPERIMENTS.md for the schema. `resume` re-runs
-only cells the checkpoint journal does not already cover; merged
-artifacts are byte-identical for any --jobs and across resumes; `status`
-estimates the remaining time from the journal's timestamps. Each cell
-runs under a flight recorder: a panicking cell dumps its last
-breadcrumbs to <out>/flight-<cell>.jsonl before the retry machinery
-takes over.
-`--count-allocs` enables allocation counting, adding alloc columns to
-the merged span profiles; per-cell RSS samples and campaign peak RSS
-always land in a separate memory.json (host-dependent, so never part
-of the byte-compared artifacts).";
+session indices; see EXPERIMENTS.md for the schema. A campaign writes
+two merged artifacts, <out>/outcomes.jsonl and <out>/trace.jsonl,
+byte-identical for any --jobs and across resumes; <out>/journal.jsonl
+and <out>/cells/ are the resume state. `resume` re-runs only cells the
+journal does not already cover. Each cell runs under a flight recorder:
+a panicking cell dumps its last breadcrumbs to
+<out>/flight-<cell>.jsonl before the retry machinery takes over. The
+campaign's peak RSS is a debug log line (--log-level debug).";
 
 #[expect(clippy::disallowed_methods, reason = "the binary's argv")]
 fn main() {
@@ -102,7 +91,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                 level = LogLevel::parse(&v)
                     .ok_or_else(|| format!("unknown --log-level {v:?} (quiet|info|debug)"))?;
             }
-            "--count-allocs" => set_alloc_counting(true),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -126,7 +114,6 @@ fn real_main(args: &[String]) -> Result<i32, String> {
     match command.as_str() {
         "run" => run(&parse_args(rest)?, false),
         "resume" => run(&parse_args(rest)?, true),
-        "status" => status(&parse_args(rest)?),
         "bench" => bench(&parse_args(rest)?),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
@@ -166,22 +153,6 @@ fn run_once(
         .map_err(|e| format!("campaign {} failed: {e}", cli.spec.name))
 }
 
-fn status(cli: &CliArgs) -> Result<i32, String> {
-    let status = campaign_status(&cli.spec, &cli.out)
-        .map_err(|e| format!("cannot read campaign state: {e}"))?;
-    println!(
-        "campaign {}: {}/{} cells complete",
-        cli.spec.name, status.completed, status.total
-    );
-    if let (Some(rate), Some(eta)) = (status.cells_per_s, status.eta_s) {
-        println!("rate {rate:.2} cells/s, eta {eta:.0}s");
-    }
-    for key in &status.pending {
-        println!("pending {key}");
-    }
-    Ok(i32::from(!status.pending.is_empty()))
-}
-
 /// Times the campaign serially and at `--jobs N`, asserts the merged
 /// outcomes are byte-identical, and prints the figures.
 #[expect(clippy::disallowed_methods, reason = "times whole campaigns")]
@@ -202,7 +173,7 @@ fn bench(cli: &CliArgs) -> Result<i32, String> {
     if !(serial.failures.is_empty() && parallel.failures.is_empty()) {
         return Err("bench campaign had failing cells; fix the spec first".to_owned());
     }
-    for artifact in ["outcomes.jsonl", "trace.jsonl", "telemetry.json"] {
+    for artifact in ARTIFACTS {
         let a = std::fs::read(serial_dir.join(artifact))
             .map_err(|e| format!("missing {artifact} after serial run: {e}"))?;
         let b = std::fs::read(parallel_dir.join(artifact))

@@ -4,7 +4,7 @@
 //! atomically (tmp + rename) *before* its journal line, so a journaled
 //! key always has a readable result. The merge stage never looks at
 //! in-memory results or completion order: it re-reads the cell files in
-//! sorted-key order and concatenates/folds them. Fresh runs, `--jobs N`
+//! sorted-key order and concatenates them. Fresh runs, `--jobs N`
 //! for any N, and kill-and-resume runs therefore produce byte-identical
 //! merged artifacts by construction.
 
@@ -16,9 +16,13 @@ use serde::{Deserialize, Serialize};
 
 use omnc::multi::MultiSessionOutcome;
 use omnc::runner::SessionOutcome;
-use telemetry::{merge_metric_snapshots, merge_profiles, MetricSnapshot, ProfileReport};
 
 use crate::spec::Cell;
+
+/// The merged artifacts [`merge_campaign`] writes, in the order it writes
+/// them: everything `bench`, `scripts/campaign.sh` and the determinism
+/// tests byte-compare.
+pub const ARTIFACTS: [&str; 2] = ["outcomes.jsonl", "trace.jsonl"];
 
 /// Everything a cell run produces, as stored in its result file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -37,10 +41,6 @@ pub struct CellResult {
     /// The cell's causal trace as JSONL text
     /// (`SessionStart ..= SessionEnd`), ready for concatenation.
     pub trace: String,
-    /// The cell's metric snapshot (fresh registry per cell).
-    pub metrics: Vec<MetricSnapshot>,
-    /// The cell's span profile (fresh virtual-clock profiler per cell).
-    pub profile: ProfileReport,
 }
 
 /// One line of the merged `outcomes.jsonl`.
@@ -54,15 +54,6 @@ pub struct CellRecord {
     pub outcome: SessionOutcome,
     /// The coupled multi-session outcome (`None` for classic cells).
     pub multi: Option<MultiSessionOutcome>,
-}
-
-/// The merged `telemetry.json`: campaign-wide metrics and span profile.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CampaignTelemetry {
-    /// All cells' registries folded (counters/histograms sum, gauges max).
-    pub metrics: Vec<MetricSnapshot>,
-    /// All cells' span profiles folded (per-path sums).
-    pub profile: ProfileReport,
 }
 
 /// The result-file path of `key` under `out_dir` (keys contain `/`, so
@@ -120,8 +111,7 @@ pub fn read_cell(out_dir: &Path, key: &str) -> io::Result<CellResult> {
 ///
 /// * `outcomes.jsonl` — one [`CellRecord`] line per cell;
 /// * `trace.jsonl` — the concatenated causal traces, `omnc-report
-///   analyze`-ready;
-/// * `telemetry.json` — merged metrics + span profile.
+///   analyze`-ready.
 ///
 /// # Errors
 ///
@@ -130,8 +120,6 @@ pub fn read_cell(out_dir: &Path, key: &str) -> io::Result<CellResult> {
 pub fn merge_campaign(out_dir: &Path, cells: &[Cell]) -> io::Result<()> {
     let mut outcomes = String::new();
     let mut trace = String::new();
-    let mut metrics: Vec<Vec<MetricSnapshot>> = Vec::with_capacity(cells.len());
-    let mut profiles: Vec<ProfileReport> = Vec::with_capacity(cells.len());
     for cell in cells {
         let result = read_cell(out_dir, &cell.key)?;
         let record = CellRecord {
@@ -145,17 +133,8 @@ pub fn merge_campaign(out_dir: &Path, cells: &[Cell]) -> io::Result<()> {
         outcomes.push_str(&line);
         outcomes.push('\n');
         trace.push_str(&result.trace);
-        metrics.push(result.metrics);
-        profiles.push(result.profile);
     }
-    let telemetry = CampaignTelemetry {
-        metrics: merge_metric_snapshots(&metrics),
-        profile: merge_profiles(&profiles),
-    };
-    let telemetry_json = serde_json::to_string(&telemetry)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-
-    write_atomic(&out_dir.join("outcomes.jsonl"), outcomes.as_bytes())?;
-    write_atomic(&out_dir.join("trace.jsonl"), trace.as_bytes())?;
-    write_atomic(&out_dir.join("telemetry.json"), telemetry_json.as_bytes())
+    let [outcomes_name, trace_name] = ARTIFACTS;
+    write_atomic(&out_dir.join(outcomes_name), outcomes.as_bytes())?;
+    write_atomic(&out_dir.join(trace_name), trace.as_bytes())
 }

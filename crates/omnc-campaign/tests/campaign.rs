@@ -6,11 +6,10 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use omnc_campaign::merge::ARTIFACTS;
 use omnc_campaign::spec::CampaignSpec;
 use omnc_campaign::{run_campaign, CampaignOptions};
 use telemetry::{LogLevel, Logger};
-
-const ARTIFACTS: [&str; 3] = ["outcomes.jsonl", "trace.jsonl", "telemetry.json"];
 
 fn temp_out(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("omnc_campaign_it_{}_{name}", std::process::id()));
@@ -146,6 +145,53 @@ fn resume_reruns_only_cells_the_journal_does_not_cover() {
     for ((name, left), right) in ARTIFACTS.iter().zip(&fresh).zip(&after) {
         assert_eq!(left, right, "{name} changed across kill-and-resume");
     }
+    let _ = fs::remove_dir_all(dir);
+}
+
+#[test]
+fn resume_accepts_the_stamped_journal_and_telemetry_cells_of_older_campaigns() {
+    // A campaign directory as older builds left it: the journal line
+    // carries a `wall_ms` stamp, and the cell file a registry snapshot
+    // (`metrics`) and a span profile (`profile`) next to what the merge
+    // reads. Both are resume state; the extra fields are ignored.
+    let spec = CampaignSpec::from_json(
+        r#"{"name": "tiny", "preset": "small_test",
+            "variants": [{"label": "v", "overrides": {"duration": 1.0, "payload_block_size": 1}}],
+            "protocols": ["EtxRouting"], "sessions": {"start": 0, "count": 1}}"#,
+    )
+    .expect("valid spec");
+    let outcome = r#"{"key":"v/ETX/0000000000","session":0,"outcome":{"protocol":"EtxRouting","throughput":1152.0,"queue_averages":[6.482371794871797,5.939102564102558,0.08653846153846163],"node_utility":1.0,"path_utility":1.0,"rc_iterations":null,"predicted_throughput":null,"generations_decoded":0,"packet_counts":[0,0],"verification_failures":0},"multi":null"#;
+    let trace = r#"{"SessionStart":{"session":49369,"protocol":"EtxRouting","src":2,"dst":6,"seed":7,"duration":1.0}}
+{"SessionEnd":{"session":49369,"throughput":1152.0,"generations_decoded":0,"innovative":0,"redundant":0,"final_rank":0,"dropped_mac_events":0}}
+"#;
+    let cell = outcome.to_owned()
+        + r#","trace":"{\"SessionStart\":{\"session\":49369,\"protocol\":\"EtxRouting\",\"src\":2,\"dst\":6,\"seed\":7,\"duration\":1.0}}\n{\"SessionEnd\":{\"session\":49369,\"throughput\":1152.0,\"generations_decoded\":0,\"innovative\":0,\"redundant\":0,\"final_rank\":0,\"dropped_mac_events\":0}}\n","metrics":[{"name":"mac.delivered","kind":"Counter","value":44.0,"count":0,"sum":0.0,"buckets":[]},{"name":"mac.queue.len","kind":"Histogram","value":0.0,"count":168,"sum":936.0,"buckets":[{"upper_bound":0.0,"count":21},{"upper_bound":1.0,"count":47},{"upper_bound":null,"count":168}]}],"profile":{"clock":"virtual","unit":"events","spans":[{"path":"drift.run","name":"drift.run","depth":0,"calls":1,"total_ticks":497,"self_ticks":112,"allocs":0,"alloc_bytes":0,"self_allocs":0,"self_alloc_bytes":0}]}}"#;
+    let dir = temp_out("older");
+    fs::create_dir_all(dir.join("cells")).expect("cells dir");
+    fs::write(
+        omnc_campaign::merge::cell_path(&dir, "v/ETX/0000000000"),
+        cell,
+    )
+    .expect("cell file");
+    fs::write(
+        dir.join("journal.jsonl"),
+        "{\"key\":\"v/ETX/0000000000\",\"attempts\":1,\"wall_ms\":1792390742898}\n",
+    )
+    .expect("journal");
+
+    let resumed = run_campaign(&spec, &dir, &options(1, true)).expect("resumed run");
+    assert_eq!(
+        (resumed.skipped, resumed.ran),
+        (1, 0),
+        "the old cell counts"
+    );
+    assert!(resumed.merged);
+    let outcomes = fs::read_to_string(dir.join("outcomes.jsonl")).expect("outcomes");
+    assert_eq!(outcomes, format!("{outcome}}}\n"));
+    assert_eq!(
+        fs::read_to_string(dir.join("trace.jsonl")).expect("trace"),
+        trace
+    );
     let _ = fs::remove_dir_all(dir);
 }
 

@@ -32,12 +32,11 @@ use std::io::{self, BufRead};
 use omnc::drift::TraceEvent;
 use omnc::trace::{Absorbed, TraceRecord};
 use omnc_opt::IterationRecord;
-use serde::{Deserialize, Serialize};
 
 pub use omnc::telemetry::{FlightEvent, FlightHeader, ProfileReport, ProfileSpan};
 
 /// Per-link delivery accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Packets delivered over the link.
     pub delivered: u64,
@@ -60,7 +59,7 @@ impl LinkStats {
 /// Per-forwarder accounting, joining MAC transmissions with the
 /// destination decoder's verdicts on the packets this node *coded*
 /// (grouped by `PacketTag::origin`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ForwarderStats {
     /// Broadcasts started by this node.
     pub transmissions: u64,
@@ -87,7 +86,7 @@ impl ForwarderStats {
 }
 
 /// Sampled queue-length statistics for one node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueueStats {
     /// Number of queue samples.
     pub samples: u64,
@@ -98,7 +97,7 @@ pub struct QueueStats {
 }
 
 /// One fully analyzed session (a `SessionStart ..= SessionEnd` span).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionReport {
     /// Session identifier (the tag namespace).
     pub session: u64,
@@ -175,7 +174,7 @@ impl SessionReport {
 
 /// Convergence summary distilled from an optimizer `IterationRecord`
 /// stream (the `fig1_convergence --json` export).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceSummary {
     /// Iterations recorded.
     pub iterations: u64,
@@ -192,14 +191,15 @@ pub struct ConvergenceSummary {
 /// multi-session workload or a sequential sweep — so a multi-session
 /// report always answers "who got the channel" next to the per-session
 /// tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossSessionSummary {
     /// Sessions in the trace.
     pub sessions: usize,
     /// Sum of per-session end-to-end throughputs, bytes/second.
     pub total_throughput: f64,
-    /// Sessions that delivered anything end to end (decoded a generation
-    /// or absorbed an innovative packet).
+    /// Sessions that delivered anything end to end (positive
+    /// throughput: coded sessions are credited for partial rank, uncoded
+    /// ones for delivered bytes).
     pub sessions_completed: usize,
     /// `(metric prefix "<protocol>/<k>", share of all trace
     /// transmissions)`, stream order. Keyed like [`Report::metrics`]
@@ -213,13 +213,11 @@ pub struct CrossSessionSummary {
 
 /// A full analysis: per-session reports, optional convergence summary, and
 /// the flat metric map.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// One report per `SessionStart ..= SessionEnd` span, in stream order.
     pub sessions: Vec<SessionReport>,
-    /// Cross-session aggregates (`None` for single-session traces and
-    /// reports written before this field existed — the deserializer maps
-    /// a missing field to `None`).
+    /// Cross-session aggregates (`None` for single-session traces).
     pub cross: Option<CrossSessionSummary>,
     /// Convergence summary, when an optimizer stream was supplied.
     pub convergence: Option<ConvergenceSummary>,
@@ -390,10 +388,7 @@ fn summarize_cross(sessions: &[SessionReport], prefixes: &[String]) -> Option<Cr
     Some(CrossSessionSummary {
         sessions: sessions.len(),
         total_throughput: sessions.iter().map(|s| s.throughput).sum(),
-        sessions_completed: sessions
-            .iter()
-            .filter(|s| s.generations_decoded > 0 || s.innovative > 0)
-            .count(),
+        sessions_completed: sessions.iter().filter(|s| s.throughput > 0.0).count(),
         airtime_shares,
         airtime_fairness,
     })
@@ -610,30 +605,6 @@ pub fn render_ascii(report: &Report) -> String {
     let _ = writeln!(out, "\nmetrics:");
     for (name, value) in &report.metrics {
         let _ = writeln!(out, "{name} {value}");
-    }
-    out
-}
-
-/// Renders the per-forwarder table as CSV
-/// (`session,protocol,node,transmissions,delivered,lost,absorbed,innovative`).
-pub fn render_csv(report: &Report) -> String {
-    let mut out =
-        String::from("session,protocol,node,transmissions,delivered,lost,absorbed,innovative\n");
-    for s in &report.sessions {
-        for (node, f) in &s.forwarders {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{}",
-                s.session,
-                s.protocol,
-                node,
-                f.transmissions,
-                f.delivered,
-                f.lost,
-                f.absorbed,
-                f.innovative
-            );
-        }
     }
     out
 }
@@ -968,6 +939,42 @@ mod tests {
     }
 
     #[test]
+    fn an_uncoded_session_that_delivers_counts_as_completed() {
+        // ETX routing forwards plain packets: its stream has no decoder
+        // verdicts and no decoded generation, only delivered bytes.
+        let mut trace = synthetic_trace();
+        trace.push(TraceRecord::SessionStart {
+            session: 7,
+            protocol: Protocol::EtxRouting,
+            src: NodeId::new(0),
+            dst: NodeId::new(2),
+            seed: 1,
+            duration: 10.0,
+        });
+        trace.push(TraceRecord::Mac(TraceEvent::TxStart {
+            at: SimTime::new(0.1),
+            node: NodeId::new(0),
+            wire_len: 100,
+            rate: 1000.0,
+            tag: None,
+        }));
+        trace.push(TraceRecord::SessionEnd {
+            session: 7,
+            throughput: 3037.9,
+            generations_decoded: 0,
+            innovative: 0,
+            redundant: 0,
+            final_rank: 0,
+            dropped_mac_events: 0,
+        });
+        let report = analyze(&trace, &[]);
+        let x = report.cross.as_ref().expect("two sessions -> cross");
+        assert_eq!((x.sessions, x.sessions_completed), (2, 2), "{x:?}");
+        assert_eq!(report.metrics["cross/sessions_completed"], 2.0);
+        assert!(render_ascii(&report).contains("cross-session: 2 sessions, 2 completed"));
+    }
+
+    #[test]
     fn analysis_joins_mac_and_decoder_views() {
         let report = analyze(&synthetic_trace(), &[]);
         assert_eq!(report.sessions.len(), 1);
@@ -1015,15 +1022,19 @@ mod tests {
     }
 
     #[test]
-    fn report_serializes_and_renders() {
+    fn report_renders_as_text() {
         let report = analyze(&synthetic_trace(), &[]);
-        let json = serde_json::to_string(&report).unwrap();
-        let back: Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, report);
         let ascii = render_ascii(&report);
         assert!(ascii.contains("OMNC"), "{ascii}");
-        let csv = render_csv(&report);
-        assert!(csv.lines().count() > 2, "{csv}");
+        // One row per forwarder under the session's header.
+        assert!(
+            ascii.contains("\n== OMNC session 7 (0 -> 2) ==\n"),
+            "{ascii}"
+        );
+        assert!(
+            ascii.contains("\nmetrics:\nomnc/0/contributing_forwarders 2\n"),
+            "{ascii}"
+        );
     }
 
     /// The `metrics:` block parsed back: `name value` lines after the

@@ -3,14 +3,14 @@
 //!
 //! ```sh
 //! omnc-sim --sessions 2 --trace run.jsonl --profile run.profile.json
-//! omnc-report analyze --trace run.jsonl --json report.json --csv forwarders.csv
+//! omnc-report analyze --trace run.jsonl
 //! omnc-report profile run.profile.json --top 10
 //! omnc-report flight flight-cell.jsonl
 //! ```
 //!
-//! `analyze` prints ASCII tables and the full metric map to stdout (the
-//! text the report and campaign gates `diff -u` against committed
-//! files); `profile` renders a span profile; `flight` renders the black
+//! `analyze` prints one text, ASCII tables and the full metric map, to
+//! stdout (what the report and campaign gates `diff -u` against
+//! committed files); `profile` renders a span profile; `flight` renders the black
 //! box a panicked run left behind.
 
 #![forbid(unsafe_code)]
@@ -19,8 +19,8 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, Read, Write};
 
 use omnc_report::{
-    analyze, parse_flight, parse_opt, parse_trace, render_ascii, render_csv, render_flight,
-    render_profile, ProfileReport,
+    analyze, parse_flight, parse_opt, parse_trace, render_ascii, render_flight, render_profile,
+    ProfileReport,
 };
 
 #[expect(clippy::disallowed_methods, reason = "the binary's argv")]
@@ -47,16 +47,14 @@ fn print_help() {
         "omnc-report — analyze omnc-sim packet-lifecycle traces
 
 USAGE:
-    omnc-report analyze --trace <PATH> [--opt <PATH>] [--json <OUT>] [--csv <OUT>] [--quiet]
+    omnc-report analyze --trace <PATH> [--opt <PATH>] [--quiet]
     omnc-report profile <PATH> [--top <N>] [--folded <OUT>]
     omnc-report flight <PATH>
 
 ANALYZE:
     --trace <PATH>      JSONL trace from `omnc-sim --trace` ('-' = stdin)
     --opt <PATH>        optimizer IterationRecord JSONL (fig1_convergence --json)
-    --json <OUT>        write the full report (incl. the metric map) as JSON
-    --csv <OUT>         write the per-forwarder table as CSV
-    --quiet             suppress the ASCII tables and the metric block
+    --quiet             print nothing; only check that the streams parse
 
 PROFILE:
     <PATH>              span profile JSON from `omnc-sim --profile`
@@ -104,16 +102,12 @@ fn next_value<'a>(it: &mut std::slice::Iter<'a, String>, name: &str) -> Result<&
 fn run_analyze(args: &[String]) -> Result<(), String> {
     let mut trace_path: Option<String> = None;
     let mut opt_path: Option<String> = None;
-    let mut json_out: Option<String> = None;
-    let mut csv_out: Option<String> = None;
     let mut quiet = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--trace" => trace_path = Some(next_value(&mut it, "--trace")?.clone()),
             "--opt" => opt_path = Some(next_value(&mut it, "--opt")?.clone()),
-            "--json" => json_out = Some(next_value(&mut it, "--json")?.clone()),
-            "--csv" => csv_out = Some(next_value(&mut it, "--csv")?.clone()),
             "--quiet" => quiet = true,
             other => return Err(format!("unknown flag '{other}' (try --help)")),
         }
@@ -127,13 +121,6 @@ fn run_analyze(args: &[String]) -> Result<(), String> {
     let report = analyze(&trace, &opt);
     if !quiet {
         print!("{}", render_ascii(&report));
-    }
-    if let Some(path) = json_out {
-        let json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
-        write_file(&path, json.as_bytes())?;
-    }
-    if let Some(path) = csv_out {
-        write_file(&path, render_csv(&report).as_bytes())?;
     }
     Ok(())
 }

@@ -14,8 +14,8 @@
 //!   of the calling thread's counters, which is also how the span
 //!   [`Profiler`](crate::Profiler) attributes allocations to spans.
 //! * [`sample_rss`] — `VmRSS` / `VmHWM` from `/proc/self/status`
-//!   (Linux; `None` elsewhere), for session- and campaign-cell-boundary
-//!   peak-RSS records.
+//!   (Linux; `None` elsewhere), for the per-session and per-campaign RSS
+//!   log lines.
 //!
 //! Costs: with counting **off** (the default) every allocator call pays
 //! one relaxed atomic load on top of `System` (the repo benchmark in
@@ -25,8 +25,8 @@
 //! Determinism: the counters are plain event counts, so a seeded
 //! single-threaded workload produces identical numbers on every run and
 //! host — they gate like span call counts. RSS is host-dependent and
-//! must never flow into byte-compared artifacts (see `omnc-campaign`'s
-//! separate `memory.json`).
+//! must never flow into byte-compared artifacts (`omnc-campaign` only
+//! logs its peak).
 //!
 //! The thread-local counters are `const`-initialized `Cell`s with no
 //! destructor, so the allocator hooks are free of lazy TLS

@@ -1,19 +1,17 @@
 //! Unified telemetry for the OMNC workspace.
 //!
-//! Three pieces, all optional at runtime and free when disabled:
+//! Two pieces, both optional at runtime and free when disabled:
 //!
-//! * a [`Registry`] of named [`Counter`]s, [`Gauge`]s, and fixed-bucket
-//!   [`Histogram`]s — handles are `Arc`-backed atomics, so the hot path is
-//!   a single relaxed atomic op and never allocates;
-//! * [`Span`], the bare wall-clock reference point instrumented sim code
-//!   holds so its own source stays free of `Instant::now()`;
+//! * a [`Registry`] of named event [`Counter`]s — handles are
+//!   `Arc`-backed atomics, so the hot path is a single relaxed atomic op
+//!   and never allocates;
 //! * an [`EventSink`] that serializes typed events ([`serde::Serialize`])
 //!   as one JSON object per line (JSONL), either to a file or an
 //!   in-memory buffer.
 //!
-//! A registry created with [`Registry::disabled`] hands out no-op handles:
-//! instruments still exist and can be passed around, but updates are
-//! dropped without synchronization beyond one relaxed atomic store.
+//! A registry created with [`Registry::disabled`] hands out no-op
+//! counters: they still exist and can be passed around, but updates are
+//! dropped.
 //!
 //! On top of those sit the observability layers added later:
 //!
@@ -28,9 +26,6 @@
 //!   install, thread-local allocation counters the [`Profiler`]
 //!   attributes to spans, and peak-RSS sampling from
 //!   `/proc/self/status`;
-//! * order-independent merging of per-cell metric and profile
-//!   snapshots ([`merge_metric_snapshots`], [`merge_profiles`]), which
-//!   keeps campaign output byte-identical across worker counts;
 //! * a panic-safe [`FlightRecorder`] — a fixed-capacity ring of recent
 //!   events dumped to `flight-<cell>.jsonl` by a chained panic hook
 //!   ([`FlightRecorder::arm`]), the black box for campaign cells.
@@ -43,11 +38,9 @@
 mod alloc;
 mod flightrec;
 mod log;
-mod merge;
 mod profiler;
 mod registry;
 mod sink;
-mod timer;
 
 pub use alloc::{
     alloc_counting_enabled, sample_rss, set_alloc_counting, thread_alloc_stats, AllocScope,
@@ -55,10 +48,8 @@ pub use alloc::{
 };
 pub use flightrec::{FlightEvent, FlightGuard, FlightHeader, FlightRecorder};
 pub use log::{LogLevel, Logger};
-pub use merge::{merge_metric_snapshots, merge_profiles};
 pub use profiler::{
     Clock, ProfileGuard, ProfileReport, ProfileSpan, Profiler, VirtualClock, WallClock,
 };
-pub use registry::{BucketCount, Counter, Gauge, Histogram, MetricKind, MetricSnapshot, Registry};
+pub use registry::{Counter, Registry};
 pub use sink::{EventSink, SinkTarget};
-pub use timer::Span;

@@ -1,17 +1,6 @@
-//! Evaluation metrics and summary statistics (throughput gain, CDFs).
+//! Evaluation summary statistics (CDFs).
 
 use serde::{Deserialize, Serialize};
-
-/// Throughput gain of a protocol over the ETX-routing baseline on the same
-/// session — the comparison metric of Fig. 2.
-///
-/// # Panics
-///
-/// Panics if `etx_throughput` is not positive.
-pub fn throughput_gain(protocol_throughput: f64, etx_throughput: f64) -> f64 {
-    assert!(etx_throughput > 0.0, "baseline throughput must be positive");
-    protocol_throughput / etx_throughput
-}
 
 /// An empirical CDF over session-level samples, as plotted throughout the
 /// paper's evaluation.
@@ -123,17 +112,6 @@ pub fn render_cdf(name: &str, cdf: &Cdf, points: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gain_is_a_ratio() {
-        assert_eq!(throughput_gain(245.0, 100.0), 2.45);
-    }
-
-    #[test]
-    #[should_panic(expected = "baseline throughput must be positive")]
-    fn zero_baseline_panics() {
-        let _ = throughput_gain(1.0, 0.0);
-    }
 
     #[test]
     fn cdf_basics() {

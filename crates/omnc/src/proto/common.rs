@@ -340,7 +340,7 @@ impl CodedDestination {
             if recovered != source_data(&self.cfg, self.session_seed, active) {
                 self.verification_failures += 1;
             }
-            self.ledger.complete_generation(active, now);
+            self.ledger.complete_generation(active);
             let next = self.ledger.active_generation();
             self.decoder = self.fresh_decoder(next);
             return true;
@@ -494,7 +494,7 @@ mod tests {
         // Generation 0 is available at t=0.
         assert!(src.next_packet(0.0, &mut rng, SRC).is_some());
         // Jump to generation 1 before the app produced it: silent.
-        ledger.complete_generation(GenerationId::new(0), 0.0);
+        ledger.complete_generation(GenerationId::new(0));
         assert!(src.next_packet(0.0, &mut rng, SRC).is_none());
         let t1 = src.active_available_at();
         assert!(src.next_packet(t1, &mut rng, SRC).is_some());
@@ -553,7 +553,7 @@ mod tests {
         let mut dst = CodedDestination::new(c, ledger.clone(), 9);
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let (stale, _) = src.next_packet(0.0, &mut rng, SRC).unwrap();
-        ledger.complete_generation(GenerationId::new(0), 0.0); // gen 0 expires
+        ledger.complete_generation(GenerationId::new(0)); // gen 0 expires
         assert!(!dst.receive(1.0, NodeId::new(1), NodeId::new(0), &stale, None));
         assert_eq!(ledger.packet_counts(), (0, 0));
         assert!(dst.absorptions.is_empty(), "stale packets are not absorbed");

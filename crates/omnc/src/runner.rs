@@ -205,9 +205,9 @@ pub struct RunOptions {
     /// destination decoder). Defaults to disabled (zero overhead); attach
     /// an enabled handle and read [`Profiler::report`] after the run.
     pub profiler: Profiler,
-    /// Metrics registry the simulator records its MAC counters and queue
-    /// histogram into. Defaults to disabled (no-op handles); attach an
-    /// enabled [`Registry`] and read [`Registry::snapshot`] after the run.
+    /// Registry the simulator records its MAC counters into. Defaults to
+    /// disabled (no-op handles); attach an enabled [`Registry`] and read
+    /// its counters ([`Registry::counter`]) after the run.
     pub registry: Registry,
     /// Flight recorder the run drops coarse breadcrumbs into (session
     /// build, optimizer, simulation start/end, metric collection), each

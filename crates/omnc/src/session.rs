@@ -242,10 +242,9 @@ pub struct SessionLedger {
 
 #[derive(Debug, Default)]
 struct LedgerInner {
-    /// Lowest generation not yet decoded by the destination.
+    /// Lowest generation not yet decoded by the destination; generations
+    /// decode in order, so its index is also how many have.
     active: GenerationId,
-    /// Completion times (seconds) of decoded generations, in order.
-    completions: Vec<f64>,
     /// Innovative packets the destination absorbed in total.
     innovative: u64,
     /// Redundant packets the destination discarded.
@@ -266,13 +265,12 @@ impl SessionLedger {
         self.inner.lock().active
     }
 
-    /// Destination: mark `generation` decoded at time `now`. Idempotent for
-    /// stale generations.
-    pub fn complete_generation(&self, generation: GenerationId, now: f64) {
+    /// Destination: mark `generation` decoded. Idempotent for stale
+    /// generations.
+    pub fn complete_generation(&self, generation: GenerationId) {
         let mut inner = self.inner.lock();
         if generation == inner.active {
             inner.active = generation.next();
-            inner.completions.push(now);
         }
     }
 
@@ -288,12 +286,7 @@ impl SessionLedger {
 
     /// Number of fully decoded generations.
     pub fn generations_decoded(&self) -> u64 {
-        self.inner.lock().completions.len() as u64
-    }
-
-    /// Completion times of decoded generations.
-    pub fn completion_times(&self) -> Vec<f64> {
-        self.inner.lock().completions.clone()
+        self.inner.lock().active.as_u64()
     }
 
     /// (innovative, redundant) packet counts at the destination.
@@ -340,20 +333,19 @@ mod tests {
     fn ledger_advances_only_on_active_generation() {
         let ledger = SessionLedger::shared();
         assert_eq!(ledger.active_generation(), GenerationId::new(0));
-        ledger.complete_generation(GenerationId::new(1), 5.0); // stale/future: ignored
+        ledger.complete_generation(GenerationId::new(1)); // stale/future: ignored
         assert_eq!(ledger.generations_decoded(), 0);
-        ledger.complete_generation(GenerationId::new(0), 6.0);
+        ledger.complete_generation(GenerationId::new(0));
         assert_eq!(ledger.active_generation(), GenerationId::new(1));
-        ledger.complete_generation(GenerationId::new(0), 7.0); // stale: ignored
+        ledger.complete_generation(GenerationId::new(0)); // stale: ignored
         assert_eq!(ledger.generations_decoded(), 1);
-        assert_eq!(ledger.completion_times(), vec![6.0]);
     }
 
     #[test]
     fn throughput_is_decoded_bytes_over_duration() {
         let ledger = SessionLedger::shared();
-        ledger.complete_generation(GenerationId::new(0), 1.0);
-        ledger.complete_generation(GenerationId::new(1), 2.0);
+        ledger.complete_generation(GenerationId::new(0));
+        ledger.complete_generation(GenerationId::new(1));
         assert_eq!(ledger.throughput(1000.0, 10.0), 200.0);
     }
 

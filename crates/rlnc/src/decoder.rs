@@ -34,7 +34,7 @@
 //! arrives (a decoder that never hears one never allocates), so absorbing
 //! allocates nothing after that.
 
-use telemetry::{Counter, Gauge, Histogram, Profiler, Registry, Span};
+use telemetry::Profiler;
 
 use crate::error::RlncError;
 use crate::generation::GenerationConfig;
@@ -47,46 +47,6 @@ use crate::packet::{CodedPacket, GenerationId};
 /// packet costs no payload work. The cut is the wide kernel's word: a
 /// shorter row has no wide body of its own.
 const WHOLE_ROW_PAYLOAD: usize = 8;
-
-/// Telemetry instruments for decoder progress, shared by every decoder the
-/// handle is attached to (counters aggregate across generations).
-///
-/// Build once per session with [`DecoderMetrics::from_registry`] and attach
-/// with [`Decoder::set_metrics`]. When no metrics are attached the decoder's
-/// hot path is untouched — not even a clock read.
-#[derive(Debug, Clone)]
-pub struct DecoderMetrics {
-    innovative: Counter,
-    redundant: Counter,
-    rank: Gauge,
-    absorb_us: Histogram,
-    decode_us: Histogram,
-}
-
-impl DecoderMetrics {
-    /// Registers the decoder instruments on `registry`:
-    /// `rlnc.decoder.innovative` / `rlnc.decoder.redundant` (packet
-    /// counters), `rlnc.decoder.rank` (rank of the most recent absorb),
-    /// `rlnc.decoder.absorb_us` (per-packet Gauss-Jordan latency) and
-    /// `rlnc.decoder.decode_us` (first-packet-to-completion latency).
-    pub fn from_registry(registry: &Registry) -> Self {
-        DecoderMetrics {
-            innovative: registry.counter("rlnc.decoder.innovative"),
-            redundant: registry.counter("rlnc.decoder.redundant"),
-            rank: registry.gauge("rlnc.decoder.rank"),
-            absorb_us: registry.histogram(
-                "rlnc.decoder.absorb_us",
-                &[
-                    1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0, 1000.0, 5000.0,
-                ],
-            ),
-            decode_us: registry.histogram(
-                "rlnc.decoder.decode_us",
-                &[10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7],
-            ),
-        }
-    }
-}
 
 /// Outcome of feeding one packet to a [`Decoder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -158,9 +118,7 @@ pub struct Decoder {
     scratch: Vec<u8>,
     received: u64,
     redundant: u64,
-    metrics: Option<DecoderMetrics>,
     profiler: Profiler,
-    first_absorb: Option<Span>,
 }
 
 impl Decoder {
@@ -180,16 +138,8 @@ impl Decoder {
             scratch: Vec::new(),
             received: 0,
             redundant: 0,
-            metrics: None,
             profiler: Profiler::disabled(),
-            first_absorb: None,
         }
-    }
-
-    /// Attaches telemetry instruments; every subsequent absorb updates the
-    /// innovative/redundant counters and latency histograms.
-    pub fn set_metrics(&mut self, metrics: DecoderMetrics) {
-        self.metrics = Some(metrics);
     }
 
     /// Attaches a hierarchical profiler: each absorb opens a `decode`
@@ -256,40 +206,14 @@ impl Decoder {
     /// [`RlncError::BlockSizeMismatch`] when the packet does not fit this
     /// decoder; such packets leave the decoder untouched.
     pub fn absorb(&mut self, packet: &CodedPacket) -> Result<Absorption, RlncError> {
-        // Telemetry-free fast path: no clock reads, no counter updates.
-        if self.metrics.is_none() && !self.profiler.is_enabled() {
+        // Profiler-free fast path: no span bookkeeping at all.
+        if !self.profiler.is_enabled() {
             let disabled = Profiler::disabled();
             return self.absorb_inner(packet, &disabled);
         }
         let profiler = self.profiler.clone();
         let _decode = profiler.span("decode");
-        // Wall-clock metrics only run when DecoderMetrics are attached, so
-        // profiler-only (virtual clock) runs never read the wall clock.
-        let started = self.metrics.as_ref().map(|_| Span::begin());
-        if self.first_absorb.is_none() {
-            self.first_absorb = started;
-        }
-        let result = self.absorb_inner(packet, &profiler);
-        let complete = self.is_complete();
-        let first = self.first_absorb;
-        if let Some(metrics) = self.metrics.as_ref() {
-            if let (Ok(outcome), Some(started)) = (&result, started) {
-                metrics.absorb_us.observe(started.elapsed_us());
-                match outcome {
-                    Absorption::Innovative { rank } => {
-                        metrics.innovative.inc();
-                        metrics.rank.set(*rank as f64);
-                        if complete {
-                            if let Some(first) = first {
-                                metrics.decode_us.observe(first.elapsed_us());
-                            }
-                        }
-                    }
-                    Absorption::Redundant => metrics.redundant.inc(),
-                }
-            }
-        }
-        result
+        self.absorb_inner(packet, &profiler)
     }
 
     fn absorb_inner(
@@ -666,58 +590,6 @@ mod tests {
             }
             assert_eq!(payload_passes(), want, "m = {m}: redundant");
         }
-    }
-
-    #[test]
-    fn metrics_track_innovative_and_redundant_counts() {
-        let (g, mut rng) = setup(8, 16, 4);
-        let enc = Encoder::new(&g);
-        let registry = Registry::new();
-        let mut dec = Decoder::new(g.id(), g.config());
-        dec.set_metrics(DecoderMetrics::from_registry(&registry));
-        // Absorb two packets twice each (replays are redundant), then fresh
-        // packets until the generation decodes.
-        let replayed: Vec<_> = (0..2).map(|_| enc.emit(&mut rng)).collect();
-        for p in replayed.iter().chain(replayed.iter()) {
-            dec.absorb(p).unwrap();
-        }
-        while !dec.is_complete() {
-            dec.absorb(&enc.emit(&mut rng)).unwrap();
-        }
-        let snapshot = registry.snapshot();
-        let find = |name: &str| {
-            snapshot
-                .iter()
-                .find(|m| m.name == name)
-                .unwrap_or_else(|| panic!("metric {name} not registered"))
-        };
-        assert_eq!(find("rlnc.decoder.innovative").value, 8.0);
-        assert_eq!(
-            find("rlnc.decoder.redundant").value,
-            dec.packets_redundant() as f64
-        );
-        assert!(find("rlnc.decoder.redundant").value >= 2.0);
-        assert_eq!(find("rlnc.decoder.rank").value, 8.0);
-        let absorb_us = find("rlnc.decoder.absorb_us");
-        assert_eq!(absorb_us.count, dec.packets_received());
-        let decode_us = find("rlnc.decoder.decode_us");
-        assert_eq!(decode_us.count, 1);
-        assert_eq!(dec.recover().unwrap(), g.to_bytes());
-    }
-
-    #[test]
-    fn detached_decoder_behaves_identically() {
-        let (g, mut rng) = setup(6, 8, 5);
-        let enc = Encoder::new(&g);
-        let registry = Registry::new();
-        let mut plain = Decoder::new(g.id(), g.config());
-        let mut instrumented = Decoder::new(g.id(), g.config());
-        instrumented.set_metrics(DecoderMetrics::from_registry(&registry));
-        for _ in 0..12 {
-            let p = enc.emit(&mut rng);
-            assert_eq!(plain.absorb(&p).unwrap(), instrumented.absorb(&p).unwrap());
-        }
-        assert_eq!(plain.recover().unwrap(), instrumented.recover().unwrap());
     }
 
     #[test]

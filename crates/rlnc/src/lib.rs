@@ -42,7 +42,7 @@ mod packet;
 mod recoder;
 
 pub use batch::BatchDecoder;
-pub use decoder::{Absorption, Decoder, DecoderMetrics};
+pub use decoder::{Absorption, Decoder};
 pub use encoder::Encoder;
 pub use error::RlncError;
 pub use generation::{Generation, GenerationConfig};

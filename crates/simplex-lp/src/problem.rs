@@ -70,11 +70,6 @@ impl LpProblem {
         self.variables
     }
 
-    /// Number of constraints added so far.
-    pub fn constraint_count(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// The optimization sense.
     pub fn sense(&self) -> Sense {
         self.sense
@@ -187,7 +182,7 @@ mod tests {
         lp.push_constraint(&[(0, 1.0), (0, 2.0)], Relation::Le, 5.0); // merged
         lp.push_upper_bound(2, 9.0);
         assert_eq!(lp.variables(), 3);
-        assert_eq!(lp.constraint_count(), 2);
+        assert_eq!(lp.constraints.len(), 2);
         assert_eq!(lp.constraints[0].coeffs, vec![(0, 3.0)]);
         assert_eq!(lp.sense(), Sense::Maximize);
         assert_eq!(lp.objective(), &[1.0, 2.0, 3.0]);

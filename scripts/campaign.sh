@@ -3,9 +3,9 @@
 # 2 protocols x 2 sessions, see crates/omnc-campaign/specs/smoke.json)
 # with two workers, render its merged trace with `omnc-report analyze`
 # and diff the text against the committed CAMPAIGN_baseline.txt. Cells
-# run under the virtual clock, so the render is identical on any host
-# and for any --jobs; any difference means the simulation itself
-# changed.
+# are seeded and run in simulated time, so the render is identical on
+# any host and for any --jobs; any difference means the simulation
+# itself changed.
 #
 # The multi-session smoke (crates/omnc-campaign/specs/multi-smoke.json,
 # 2 variants x 2 protocols, each cell running 3 coupled sessions on one
@@ -20,7 +20,9 @@
 #
 # After an intentional model or scenario change, regenerate the
 # committed files with `scripts/campaign.sh --regen` and commit them.
-# Artifacts left behind for upload: campaign-out/, campaign-multi-out/.
+# Artifacts left behind for upload: campaign-out/ and campaign-multi-out/,
+# each with its merged outcomes.jsonl and trace.jsonl and the report.txt
+# rendered from the trace (journal.jsonl and cells/ are resume state).
 set -eu
 cd "$(dirname "$0")/.."
 cargo build --release -p omnc-campaign -p omnc-report
@@ -31,7 +33,8 @@ rm -rf "$out"
 multi_out="campaign-multi-out"
 rm -rf "$multi_out"
 # `bench` runs the campaign at --jobs 1 and --jobs 2 and fails hard if
-# any merged artifact differs by a byte: the multi-cell determinism gate.
+# either merged artifact (outcomes.jsonl, trace.jsonl) differs by a byte:
+# the multi-cell determinism gate.
 ./target/release/omnc-campaign bench \
   --spec crates/omnc-campaign/specs/multi-smoke.json --out "$multi_out" --jobs 2
 rm -rf campaign-bench

@@ -7,15 +7,14 @@
 #
 # After an intentional model change, regenerate the file with
 # `scripts/report.sh --regen` and commit the result.
-# Artifacts left behind for upload: report.txt, report.json and
-# forwarders.csv.
+# Artifacts left behind: trace.jsonl and report.txt (CI uploads
+# report.txt).
 set -eu
 cd "$(dirname "$0")/.."
 cargo build --release -p omnc -p omnc-report
 ./target/release/omnc-sim --nodes 30 --sessions 2 --duration 30 \
   --protocols all --seed 2008 --trace trace.jsonl --format json
-./target/release/omnc-report analyze --trace trace.jsonl \
-  --json report.json --csv forwarders.csv >report.txt
+./target/release/omnc-report analyze --trace trace.jsonl >report.txt
 if [ "${1:-}" = "--regen" ]; then
   cp report.txt BENCH_baseline.txt
   echo "wrote BENCH_baseline.txt"
