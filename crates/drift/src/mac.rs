@@ -13,6 +13,7 @@
 //!   per-receiver capacity constraints — what a protocol *without* rate
 //!   control (MORE, ETX routing) experiences.
 
+use net_topo::contention;
 use net_topo::graph::{NodeId, Topology};
 
 /// The MAC scheduling policy of a [`crate::Simulator`].
@@ -104,7 +105,7 @@ impl MacModel {
 
     /// The service rate of `node` when the protocol fixes it
     /// ([`MacModel::RateLimited`]); `None` for the contention MACs, whose
-    /// rates come from [`Contention::fill`].
+    /// rates the fill over [`MacModel::contention_rows`] writes.
     pub(crate) fn fixed_rate(&self, node: NodeId) -> Option<f64> {
         match self {
             MacModel::RateLimited { rates, .. } => {
@@ -113,239 +114,46 @@ impl MacModel {
             MacModel::FairShare { .. } | MacModel::UnicastClique { .. } => None,
         }
     }
-}
 
-/// The contention rows of a [`MacModel`] over one topology, built once by
-/// the engine, plus the progressive filler's buffers.
-///
-/// Row `r` lists the nodes whose transmissions share one capacity `C`:
-///
-/// * [`MacModel::FairShare`]: `N(r) ∪ {r}`, the transmitters audible at
-///   receiver `r`. The row constrains while any member is backlogged.
-/// * [`MacModel::UnicastClique`]: every node `t` with `t` or `t`'s next hop
-///   in the interference zone `N(r) ∪ {r} ∪ N(j) ∪ {j}` of link `(r, j)`,
-///   `j` = `r`'s next hop. The row constrains while `r` is backlogged;
-///   a node without a next hop has an empty row.
-///
-/// Members are sorted by node id and stored flat (CSR), with the
-/// node → rows transpose beside them, so a fill only filters the rows
-/// through the backlog flags and touches no allocator.
-#[derive(Debug, Default)]
-pub(crate) struct Contention {
-    capacity: f64,
-    /// `true` for link rows (a row constrains only while its own node is
-    /// backlogged), `false` for receiver rows.
-    link_rows: bool,
-    /// Row `r`'s members: `members[row_start[r]..row_start[r + 1]]`.
-    row_start: Vec<u32>,
-    members: Vec<u32>,
-    /// The rows node `v` belongs to: `rows[rows_start[v]..rows_start[v + 1]]`.
-    rows_start: Vec<u32>,
-    rows: Vec<u32>,
-    /// Fill buffers, reused across fills: the backlogged nodes, each row's
-    /// unfrozen backlogged members and used capacity, each node's frozen
-    /// flag, and the rows that still have unfrozen members, in row order.
-    backlog: Vec<u32>,
-    unfrozen: Vec<u32>,
-    used: Vec<f64>,
-    frozen: Vec<bool>,
-    active: Vec<u32>,
-}
-
-impl Contention {
-    /// The rows of `mac` over `topology`; empty for
-    /// [`MacModel::RateLimited`], which never fills.
+    /// The contention rows of this MAC over `topology`, built once by the
+    /// engine; empty for [`MacModel::RateLimited`], which never fills.
     ///
-    /// # Panics
-    ///
-    /// Panics if a [`MacModel::UnicastClique`] next hop is neither
-    /// `usize::MAX` nor a node of `topology`.
-    pub(crate) fn new(mac: &MacModel, topology: &Topology) -> Self {
+    /// * [`MacModel::FairShare`]: the neighbourhood rows `[r, N(r)…]`, the
+    ///   transmitters audible at receiver `r`.
+    /// * [`MacModel::UnicastClique`]: link row `r` lists, sorted, every node
+    ///   `t` with `t` or `t`'s next hop in the interference zone
+    ///   `N(r) ∪ {r} ∪ N(j) ∪ {j}` of link `(r, j)`, `j` = `r`'s next hop;
+    ///   a node without a next hop has an empty row. Panics if a next hop
+    ///   is neither `usize::MAX` nor a node of `topology`.
+    pub(crate) fn contention_rows(&self, topology: &Topology) -> contention::Rows {
+        let next_hop = match self {
+            MacModel::RateLimited { .. } => return contention::Rows::default(),
+            MacModel::FairShare { .. } => return contention::Rows::of_topology(topology),
+            MacModel::UnicastClique { next_hop, .. } => next_hop,
+        };
         let n = topology.len();
-        let index = |len: usize| u32::try_from(len).expect("contention rows need u32 indices");
-        assert!(
-            u32::try_from(n).is_ok(),
-            "contention rows need u32 node ids"
-        );
-        let neighborhood = |v: usize, into: &mut Vec<u32>| {
-            into.push(v as u32);
-            into.extend(
-                topology
-                    .neighbors(NodeId::new(v))
-                    .iter()
-                    .map(|u| u.index() as u32),
-            );
-        };
-        let mut row_start = vec![0u32];
-        let mut members = Vec::new();
+        // Row `t` holds `t`'s next hop, so its transpose lists the senders
+        // into each node.
+        let hops = contention::Rows::links(n, |t, into| {
+            if let Some(&j) = next_hop.get(t).filter(|&&j| j != usize::MAX) {
+                assert!(j < n, "next hop {j} of node {t} is not a node");
+                into.push(j as u32);
+            }
+        });
+        let zones = contention::Rows::of_topology(topology);
         let mut row = Vec::new();
-        let (capacity, link_rows) = match mac {
-            MacModel::RateLimited { .. } => return Contention::default(),
-            MacModel::FairShare { capacity } => {
-                for r in 0..n {
-                    row.clear();
-                    neighborhood(r, &mut row);
-                    row.sort_unstable();
-                    row.dedup();
-                    members.extend_from_slice(&row);
-                    row_start.push(index(members.len()));
+        contention::Rows::links(n, |r, members| {
+            if let Some(&j) = hops.row(r).first() {
+                row.clear();
+                for &z in zones.row(r).iter().chain(zones.row(j as usize)) {
+                    row.push(z);
+                    row.extend_from_slice(hops.rows_of(z as usize));
                 }
-                (*capacity, false)
+                row.sort_unstable();
+                row.dedup();
+                members.extend_from_slice(&row);
             }
-            MacModel::UnicastClique { capacity, next_hop } => {
-                let hop = |t: usize| next_hop.get(t).copied().unwrap_or(usize::MAX);
-                // Nodes by next hop, so a zone collects the links into it.
-                let mut into: Vec<Vec<u32>> = vec![Vec::new(); n];
-                for t in 0..n {
-                    let j = hop(t);
-                    if j != usize::MAX {
-                        assert!(j < n, "next hop {j} of node {t} is not a node");
-                        into[j].push(t as u32);
-                    }
-                }
-                let mut zone = Vec::new();
-                for r in 0..n {
-                    row.clear();
-                    let j = hop(r);
-                    if j != usize::MAX {
-                        zone.clear();
-                        neighborhood(r, &mut zone);
-                        neighborhood(j, &mut zone);
-                        zone.sort_unstable();
-                        zone.dedup();
-                        row.extend_from_slice(&zone);
-                        for &z in &zone {
-                            row.extend_from_slice(&into[z as usize]);
-                        }
-                        row.sort_unstable();
-                        row.dedup();
-                    }
-                    members.extend_from_slice(&row);
-                    row_start.push(index(members.len()));
-                }
-                (*capacity, true)
-            }
-        };
-        // Transpose: node -> the rows it belongs to, in row order.
-        let mut rows_start = vec![0u32; n + 1];
-        for &v in &members {
-            rows_start[v as usize + 1] += 1;
-        }
-        for v in 0..n {
-            rows_start[v + 1] += rows_start[v];
-        }
-        let mut cursor = rows_start.clone();
-        let mut rows = vec![0u32; members.len()];
-        for r in 0..n {
-            for &v in &members[row_start[r] as usize..row_start[r + 1] as usize] {
-                rows[cursor[v as usize] as usize] = r as u32;
-                cursor[v as usize] += 1;
-            }
-        }
-        Contention {
-            capacity,
-            link_rows,
-            row_start,
-            members,
-            rows_start,
-            rows,
-            backlog: Vec::with_capacity(n),
-            unfrozen: vec![0; n],
-            used: vec![0.0; n],
-            frozen: vec![false; n],
-            active: Vec::with_capacity(n),
-        }
-    }
-
-    /// Max-min fair rates for the nodes flagged in `backlogged`, written
-    /// into `rates` (0 for every other node).
-    ///
-    /// Classic progressive filling: raise every unfrozen rate by the
-    /// bottleneck row's headroom (least remaining capacity per unfrozen
-    /// member), freeze the members of every row that saturates, repeat
-    /// until all transmitters are frozen or no row has an unfrozen member
-    /// left; a transmitter outside every row keeps the fill level reached.
-    /// Rounds visit only rows that still have unfrozen members, in row
-    /// order. Same rows, same order, same arithmetic as the test oracle
-    /// `progressive_fill`, so the rates are equal bit for bit.
-    pub(crate) fn fill(&mut self, backlogged: &[bool], rates: &mut [f64]) {
-        let capacity = self.capacity;
-        rates.fill(0.0);
-        self.unfrozen.fill(0);
-        self.backlog.clear();
-        for (v, &flag) in backlogged.iter().enumerate() {
-            if flag {
-                self.backlog.push(v as u32);
-                self.frozen[v] = false;
-                let (lo, hi) = (self.rows_start[v], self.rows_start[v + 1]);
-                for &r in &self.rows[lo as usize..hi as usize] {
-                    self.unfrozen[r as usize] += 1;
-                }
-            }
-        }
-        self.active.clear();
-        for (r, &count) in self.unfrozen.iter().enumerate() {
-            if count > 0 && (!self.link_rows || backlogged[r]) {
-                self.active.push(r as u32);
-                self.used[r] = 0.0;
-            }
-        }
-        let mut left = self.backlog.len();
-        let mut level = 0.0f64;
-        while left > 0 && !self.active.is_empty() {
-            let mut delta = f64::INFINITY;
-            for &r in &self.active {
-                let r = r as usize;
-                delta = delta.min((capacity - self.used[r]) / self.unfrozen[r] as f64);
-            }
-            let delta = delta.max(0.0);
-            for &r in &self.active {
-                let r = r as usize;
-                self.used[r] += delta * self.unfrozen[r] as f64;
-            }
-            level += delta;
-            let mut any_frozen = false;
-            for &r in &self.active {
-                let r = r as usize;
-                if capacity - self.used[r] > capacity * 1e-12 {
-                    continue;
-                }
-                let (lo, hi) = (self.row_start[r], self.row_start[r + 1]);
-                for &v in &self.members[lo as usize..hi as usize] {
-                    let v = v as usize;
-                    if backlogged[v] && !self.frozen[v] {
-                        self.frozen[v] = true;
-                        rates[v] = level;
-                        left -= 1;
-                        any_frozen = true;
-                        let (lo, hi) = (self.rows_start[v], self.rows_start[v + 1]);
-                        for &q in &self.rows[lo as usize..hi as usize] {
-                            self.unfrozen[q as usize] -= 1;
-                        }
-                    }
-                }
-            }
-            let unfrozen = &self.unfrozen;
-            self.active.retain(|&r| unfrozen[r as usize] > 0);
-            if !any_frozen {
-                // Rounding left the bottleneck row short of saturation: the
-                // remaining transmitters take the full capacity, as the
-                // oracle does.
-                for &v in &self.backlog {
-                    if !self.frozen[v as usize] {
-                        self.frozen[v as usize] = true;
-                        rates[v as usize] = capacity;
-                    }
-                }
-                left = 0;
-            }
-        }
-        // Transmitters outside every remaining row keep the fill level.
-        for &v in &self.backlog {
-            if !self.frozen[v as usize] {
-                rates[v as usize] = level;
-            }
-        }
+        })
     }
 }
 
@@ -358,7 +166,7 @@ mod tests {
     /// Max-min fair rates under the unicast sufficient condition: one
     /// constraint per backlogged link `(i, j)`, whose members are all
     /// backlogged links with an endpoint in `N(i) ∪ {i} ∪ N(j) ∪ {j}`.
-    /// The oracle [`Contention::fill`] must match bit for bit.
+    /// The production fill must match it bit for bit.
     fn unicast_clique_shares(
         backlogged: &[NodeId],
         topology: &Topology,
@@ -404,8 +212,7 @@ mod tests {
     /// Max-min fair rates for the backlogged transmitter set under
     /// per-receiver capacity constraints: for every node `r` in the
     /// topology, the backlogged transmitters within `N(r) ∪ {r}` share at
-    /// most `capacity`. The oracle [`Contention::fill`] must match bit for
-    /// bit.
+    /// most `capacity`. The production fill must match it bit for bit.
     fn max_min_shares(backlogged: &[NodeId], topology: &Topology, capacity: f64) -> Vec<f64> {
         let k = backlogged.len();
         if k == 0 {
@@ -488,16 +295,21 @@ mod tests {
         share
     }
 
-    /// Runs the production fill of `contention` for the node-ordered
-    /// `backlogged` list and returns its rates slot-aligned with the list,
-    /// checking that every other node got 0.
-    fn fill_slots(contention: &mut Contention, n: usize, backlogged: &[NodeId]) -> Vec<f64> {
-        let mut flags = vec![false; n];
+    /// Runs the production fill of `mac` over its `rows` for the
+    /// node-ordered `backlogged` list and returns its rates slot-aligned
+    /// with the list, checking that every other node got 0.
+    fn fill_slots(
+        mac: &MacModel,
+        rows: &contention::Rows,
+        scratch: &mut contention::Scratch,
+        backlogged: &[NodeId],
+    ) -> Vec<f64> {
+        let mut flags = vec![false; rows.node_count()];
         for &t in backlogged {
             flags[t.index()] = true;
         }
-        let mut rates = vec![f64::NAN; n];
-        contention.fill(&flags, &mut rates);
+        let mut rates = vec![f64::NAN; rows.node_count()];
+        rows.fill(mac.capacity(), &flags, &mut rates, scratch);
         for (v, &rate) in rates.iter().enumerate() {
             if !flags[v] {
                 assert_eq!(rate.to_bits(), 0.0f64.to_bits(), "idle node {v} got {rate}");
@@ -508,8 +320,9 @@ mod tests {
 
     /// The fair-share rates of `backlogged` (node-ordered) on `t`.
     fn fair_shares(t: &Topology, backlogged: &[NodeId], capacity: f64) -> Vec<f64> {
-        let mut contention = Contention::new(&MacModel::fair_share(capacity), t);
-        fill_slots(&mut contention, t.len(), backlogged)
+        let mac = MacModel::fair_share(capacity);
+        let rows = mac.contention_rows(t);
+        fill_slots(&mac, &rows, &mut contention::Scratch::default(), backlogged)
     }
 
     fn clique(n: usize) -> Topology {
@@ -695,11 +508,12 @@ mod tests {
         for case in 0..200 {
             let t = random_topology(&mut rng);
             let capacity = random_capacity(&mut rng);
-            // One structure per topology, reused across backlog changes
-            // as the engine does.
-            let mut contention = Contention::new(&MacModel::fair_share(capacity), &t);
+            // One set of rows and buffers per topology, reused across
+            // backlog changes as the engine does.
+            let mac = MacModel::fair_share(capacity);
+            let (rows, mut scratch) = (mac.contention_rows(&t), contention::Scratch::default());
             for backlogged in random_backlogs(&mut rng, t.len()) {
-                let fill = fill_slots(&mut contention, t.len(), &backlogged);
+                let fill = fill_slots(&mac, &rows, &mut scratch, &backlogged);
                 let oracle = max_min_shares(&backlogged, &t, capacity);
                 assert_bits_equal(&fill, &oracle, &format!("case {case} {backlogged:?}"));
             }
@@ -727,9 +541,9 @@ mod tests {
                 })
                 .collect();
             let mac = MacModel::unicast_clique(capacity, next_hop.clone());
-            let mut contention = Contention::new(&mac, &t);
+            let (rows, mut scratch) = (mac.contention_rows(&t), contention::Scratch::default());
             for backlogged in random_backlogs(&mut rng, n) {
-                let fill = fill_slots(&mut contention, n, &backlogged);
+                let fill = fill_slots(&mac, &rows, &mut scratch, &backlogged);
                 let oracle = unicast_clique_shares(&backlogged, &t, capacity, &next_hop);
                 assert_bits_equal(&fill, &oracle, &format!("case {case} {backlogged:?}"));
             }

@@ -13,6 +13,7 @@
 //! the engine accounts airtime, deliveries and queueing delay per session
 //! ([`SessionStats`]) so cross-session contention is directly observable.
 
+use net_topo::contention;
 use net_topo::graph::{NodeId, Topology};
 use rand::Rng;
 
@@ -21,7 +22,7 @@ use telemetry::{Counter, Profiler, Registry};
 use crate::arena::{Arena, Handle};
 use crate::core::{EventId, EventQueue, Pcg64};
 use crate::event::Event;
-use crate::mac::{Contention, MacModel};
+use crate::mac::MacModel;
 use crate::stats::{NodeStats, QueueTracker, SessionStats};
 use crate::time::SimTime;
 use crate::trace::{PacketTag, Trace, TraceEvent};
@@ -170,8 +171,9 @@ const NO_EPOCH: u64 = u64::MAX;
 struct Core<M> {
     mac: MacModel,
     /// The contention MACs' rows over the topology, built once, and the
-    /// progressive filler's buffers.
-    contention: Contention,
+    /// progressive fill's buffers.
+    contention: contention::Rows,
+    fill: contention::Scratch,
     events: EventQueue<Event>,
     /// All queued and in-flight packets, shared across nodes.
     packets: Arena<Packet<M>>,
@@ -284,8 +286,12 @@ impl<M> Core<M> {
             return rate;
         }
         if self.cached_epoch != self.backlog_epoch {
-            self.contention
-                .fill(&self.backlogged, &mut self.cached_rates);
+            self.contention.fill(
+                self.mac.capacity(),
+                &self.backlogged,
+                &mut self.cached_rates,
+                &mut self.fill,
+            );
             self.cached_epoch = self.backlog_epoch;
         }
         self.cached_rates.get(node.index()).copied().unwrap_or(0.0)
@@ -461,7 +467,8 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
         }
         Simulator {
             core: Core {
-                contention: Contention::new(&mac, topology),
+                contention: mac.contention_rows(topology),
+                fill: contention::Scratch::default(),
                 mac,
                 events: EventQueue::new(),
                 packets: Arena::new(),

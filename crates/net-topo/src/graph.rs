@@ -174,10 +174,8 @@ impl Topology {
             prob.insert((link.from.0, link.to.0), link.p);
             out[link.from.0].push(link);
             inn[link.to.0].push(link);
-            if !neighbors[link.from.0].contains(&link.to) {
+            if link.from != link.to && !neighbors[link.from.0].contains(&link.to) {
                 neighbors[link.from.0].push(link.to);
-            }
-            if !neighbors[link.to.0].contains(&link.from) {
                 neighbors[link.to.0].push(link.from);
             }
         }
@@ -244,7 +242,9 @@ impl Topology {
         &self.inn[i.0]
     }
 
-    /// Interference neighborhood `N(i)`: nodes within range of `i`.
+    /// Interference neighborhood `N(i)`: nodes within range of `i`, sorted,
+    /// never `i` itself (a self-loop link is no neighbour). Symmetric:
+    /// `j ∈ N(i)` exactly when `i ∈ N(j)`.
     ///
     /// # Panics
     ///
@@ -418,6 +418,20 @@ mod tests {
         let t = diamond();
         assert_eq!(t.neighbors(NodeId(0)), &[NodeId(1), NodeId(2), NodeId(3)]);
         assert_eq!(t.neighbors(NodeId(1)), &[NodeId(0), NodeId(3)]);
+    }
+
+    #[test]
+    fn a_self_loop_is_no_neighbour() {
+        // 0 - 1 - 2 plus a (1, 1) link: eq. (4)'s row at 1 counts b_1 once.
+        let mut links: Vec<Link> = crate::topologies::line(3, 0.8).links().collect();
+        links.push(Link {
+            from: NodeId(1),
+            to: NodeId(1),
+            p: 0.8,
+        });
+        let t = Topology::from_links(3, links).unwrap();
+        assert_eq!(t.neighbors(NodeId(1)), &[NodeId(0), NodeId(2)]);
+        assert_eq!(crate::contention::Rows::of_topology(&t).row(1), &[1, 0, 2]);
     }
 
     #[test]

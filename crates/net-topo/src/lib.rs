@@ -9,6 +9,7 @@
 //!   the paper's Drift testbed; see DESIGN.md for the calibration).
 //! * [`graph`] — the lossy connectivity graph with per-link reception
 //!   probabilities and interference neighborhoods.
+//! * [`contention`] — eq. (4)'s MAC rows and the max-min fill over them.
 //! * [`deploy`] — random deployments with controlled density (the paper's
 //!   300-node, density-6 networks).
 //! * [`etx`] / [`dijkstra`] — the expected-transmission-count metric of
@@ -34,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod contention;
 pub mod deploy;
 pub mod dijkstra;
 pub mod etx;

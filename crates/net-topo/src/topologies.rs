@@ -24,16 +24,7 @@ pub fn line(n: usize, p: f64) -> Topology {
     assert!(n >= 2, "a line needs at least 2 nodes");
     let mut links = Vec::with_capacity(2 * (n - 1));
     for i in 0..n - 1 {
-        links.push(Link {
-            from: NodeId::new(i),
-            to: NodeId::new(i + 1),
-            p,
-        });
-        links.push(Link {
-            from: NodeId::new(i + 1),
-            to: NodeId::new(i),
-            p,
-        });
+        links.extend(both(NodeId::new(i), NodeId::new(i + 1), p));
     }
     Topology::from_links(n, links).expect("line parameters validated")
 }
@@ -47,17 +38,7 @@ pub fn ring(n: usize, p: f64) -> Topology {
     assert!(n >= 3, "a ring needs at least 3 nodes");
     let mut links = Vec::with_capacity(2 * n);
     for i in 0..n {
-        let j = (i + 1) % n;
-        links.push(Link {
-            from: NodeId::new(i),
-            to: NodeId::new(j),
-            p,
-        });
-        links.push(Link {
-            from: NodeId::new(j),
-            to: NodeId::new(i),
-            p,
-        });
+        links.extend(both(NodeId::new(i), NodeId::new((i + 1) % n), p));
     }
     Topology::from_links(n, links).expect("ring parameters validated")
 }
@@ -75,28 +56,10 @@ pub fn grid(rows: usize, cols: usize, p: f64) -> Topology {
     for r in 0..rows {
         for c in 0..cols {
             if c + 1 < cols {
-                links.push(Link {
-                    from: id(r, c),
-                    to: id(r, c + 1),
-                    p,
-                });
-                links.push(Link {
-                    from: id(r, c + 1),
-                    to: id(r, c),
-                    p,
-                });
+                links.extend(both(id(r, c), id(r, c + 1), p));
             }
             if r + 1 < rows {
-                links.push(Link {
-                    from: id(r, c),
-                    to: id(r + 1, c),
-                    p,
-                });
-                links.push(Link {
-                    from: id(r + 1, c),
-                    to: id(r, c),
-                    p,
-                });
+                links.extend(both(id(r, c), id(r + 1, c), p));
             }
         }
     }
@@ -176,19 +139,20 @@ pub fn parallel_chains(k: usize, hops: usize, p: f64) -> Topology {
     let n = 2 + k * relays_per;
     let (src, dst) = (NodeId::new(0), NodeId::new(1));
     let mut links = Vec::new();
-    let mut both = |a: NodeId, b: NodeId| {
-        links.push(Link { from: a, to: b, p });
-        links.push(Link { from: b, to: a, p });
-    };
     for c in 0..k {
         let base = 2 + c * relays_per;
-        both(src, NodeId::new(base));
+        links.extend(both(src, NodeId::new(base), p));
         for r in 0..relays_per - 1 {
-            both(NodeId::new(base + r), NodeId::new(base + r + 1));
+            links.extend(both(NodeId::new(base + r), NodeId::new(base + r + 1), p));
         }
-        both(NodeId::new(base + relays_per - 1), dst);
+        links.extend(both(NodeId::new(base + relays_per - 1), dst, p));
     }
     Topology::from_links(n, links).expect("chain parameters validated")
+}
+
+/// The links `a → b` and `b → a`, both with probability `p`.
+fn both(a: NodeId, b: NodeId, p: f64) -> [Link; 2] {
+    [Link { from: a, to: b, p }, Link { from: b, to: a, p }]
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 
+use net_topo::contention;
 use net_topo::graph::{NodeId, Topology};
 use net_topo::select::Selection;
 
@@ -33,13 +34,14 @@ pub struct InstanceLink {
 ///
 /// Nodes are named by *site*: the physical node a session-local node sits
 /// on (the local index itself for one session, the topology id on a shared
-/// mesh). Row `g` reads
+/// mesh). Row `g` is the neighbourhood row of [`contention::Rows`], the one
+/// structure of eq. (4)'s rows, and reads
 ///
 /// ```text
 ///   Σ_k b_g^k  +  Σ_{j ∈ N(g)}  Σ_k b_j^k   ≤   C
 /// ```
 ///
-/// and exists for every site that is a non-source node of at least one
+/// It constrains every site that is a non-source node of at least one
 /// session: eq. (4) constrains receivers, so a site that only ever
 /// originates traffic has none, and neither has a site no session selected.
 /// The rate-control engine, both exact LPs and the feasibility check read
@@ -48,49 +50,36 @@ pub struct InstanceLink {
 pub(crate) struct Coupling {
     /// `site[k][i]`: the site of local node `i` of session `k`.
     site: Vec<Vec<usize>>,
-    /// In-range sites of every site. The order is the summation order of
-    /// every row and price, so it is part of the arithmetic.
-    neighbors: Vec<Vec<usize>>,
+    /// Site `g`'s row `[g, N(g)…]`. Its member order is the summation
+    /// order of every row and price, so it is part of the arithmetic.
+    pub(crate) mac: contention::Rows,
     /// Sites that own a row, ascending.
     rows: Vec<usize>,
 }
 
 impl Coupling {
     /// Couples sessions whose local nodes sit on `site[k][i]` and whose
-    /// sources are the local indices `sources[k]`, over the interference
-    /// neighborhoods `neighbors` (indexed by site).
-    pub(crate) fn new(
-        site: Vec<Vec<usize>>,
-        sources: &[usize],
-        neighbors: Vec<Vec<usize>>,
-    ) -> Self {
-        let mut receives = vec![false; neighbors.len()];
+    /// sources are the local indices `sources[k]`, over the neighbourhood
+    /// rows `mac` (indexed by site).
+    pub(crate) fn new(site: Vec<Vec<usize>>, sources: &[usize], mac: contention::Rows) -> Self {
+        let mut receives = vec![false; mac.node_count()];
         for (sites, &src) in site.iter().zip(sources) {
             for (i, &g) in sites.iter().enumerate() {
                 receives[g] |= i != src;
             }
         }
-        let rows = (0..neighbors.len()).filter(|&g| receives[g]).collect();
-        Coupling {
-            site,
-            neighbors,
-            rows,
-        }
+        let rows = (0..mac.node_count()).filter(|&g| receives[g]).collect();
+        Coupling { site, mac, rows }
     }
 
     /// Number of sites (the length of every per-site vector).
     pub(crate) fn site_count(&self) -> usize {
-        self.neighbors.len()
+        self.mac.node_count()
     }
 
     /// The sites of session `k`'s local nodes.
     pub(crate) fn sites(&self, k: usize) -> &[usize] {
         &self.site[k]
-    }
-
-    /// In-range sites of site `g`, excluding `g`.
-    pub(crate) fn neighbors(&self, g: usize) -> &[usize] {
-        &self.neighbors[g]
     }
 
     /// The receivers that own a row, ascending.
@@ -101,8 +90,9 @@ impl Coupling {
     /// Sums the per-site quantity `v` over `g` and its neighborhood: a
     /// row's load when `v` holds site loads, the price a transmitter at
     /// `g` pays when `v` holds β.
+    #[inline]
     pub(crate) fn around(&self, g: usize, v: &[f64]) -> f64 {
-        v[g] + self.neighbors[g].iter().map(|&j| v[j]).sum::<f64>()
+        self.mac.around(g, v)
     }
 
     /// The summed rate of all sessions at every site, into `load`.
@@ -169,18 +159,12 @@ impl SUnicast {
         }
         assert!(!links.is_empty(), "selection has no links");
 
-        let neighbors = nodes
-            .iter()
-            .map(|&v| {
-                topology
-                    .neighbors(v)
-                    .iter()
-                    .filter_map(|w| local.get(w).copied())
-                    .collect()
-            })
-            .collect();
+        let mac = contention::Rows::neighborhoods(nodes.len(), |i, into| {
+            let in_range = topology.neighbors(nodes[i]).iter();
+            into.extend(in_range.filter_map(|w| local.get(w)).map(|&l| l as u32));
+        });
         let src = local[&selection.src()];
-        let coupling = Coupling::new(vec![(0..nodes.len()).collect()], &[src], neighbors);
+        let coupling = Coupling::new(vec![(0..nodes.len()).collect()], &[src], mac);
 
         SUnicast {
             capacity,
@@ -260,8 +244,8 @@ impl SUnicast {
 
     /// Interference neighborhood of local node `i` (selected nodes within
     /// range, excluding `i`).
-    pub fn neighbors(&self, i: usize) -> &[usize] {
-        self.coupling.neighbors(i)
+    pub fn neighbors(&self, i: usize) -> &[u32] {
+        &self.coupling.mac.row(i)[1..]
     }
 
     /// The MAC coupling of this session alone on the channel.
@@ -408,7 +392,13 @@ pub(crate) mod tests {
                 .collect(),
             out,
             inn,
-            coupling: Coupling::new(vec![(0..n).collect()], &[src], neighbors),
+            coupling: Coupling::new(
+                vec![(0..n).collect()],
+                &[src],
+                contention::Rows::neighborhoods(n, |g, into| {
+                    into.extend(neighbors[g].iter().map(|&j| j as u32));
+                }),
+            ),
         }
     }
 
@@ -481,7 +471,10 @@ pub(crate) mod tests {
         let p = SUnicast::from_selection(&t, &sel, 1e5);
         let l1 = p.local_index(NodeId::new(1)).unwrap();
         let l2 = p.local_index(NodeId::new(2)).unwrap();
-        assert!(p.neighbors(l1).contains(&l2), "1 must interfere with 2");
+        assert!(
+            p.neighbors(l1).contains(&(l2 as u32)),
+            "1 must interfere with 2"
+        );
         // ... but no *flow* link exists between them (equal distance).
         assert!(p
             .links()

@@ -56,10 +56,8 @@ pub fn build_lp(problem: &SUnicast) -> LpProblem {
 
     // (4) broadcast MAC: b_i + Σ_{j∈N(i)} b_j ≤ C for every i ≠ S.
     for &i in problem.coupling().rows() {
-        let mut coeffs = vec![(var_b(problem, i), 1.0)];
-        for &j in problem.neighbors(i) {
-            coeffs.push((var_b(problem, j), 1.0));
-        }
+        let row = problem.coupling().mac.row(i).iter();
+        let coeffs: Vec<_> = row.map(|&j| (var_b(problem, j as usize), 1.0)).collect();
         lp.push_constraint(&coeffs, Relation::Le, problem.capacity());
     }
 

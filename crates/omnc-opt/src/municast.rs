@@ -16,11 +16,14 @@
 //! conservation (2) and the loss coupling (5) hold per session. The
 //! objective maximizes the sum of session throughputs.
 //!
-//! There is no second solver here: [`MUnicast::solve_distributed`] hands
-//! its sessions and those rows to [`RateControl`], which shares the
-//! congestion prices β per receiver, and [`MUnicast::solve_exact`] writes
-//! the same rows into the LP oracle.
+//! The rows are `net-topo`'s [`contention::Rows`] over the topology, the
+//! same structure the single-session instance and the MAC read. There is
+//! no second solver here: [`MUnicast::solve_distributed`] hands its
+//! sessions and those rows to [`RateControl`], which shares the congestion
+//! prices β per receiver, and [`MUnicast::solve_exact`] writes the same
+//! rows into the LP oracle.
 
+use net_topo::contention;
 use net_topo::graph::{NodeId, Topology};
 use net_topo::select::Selection;
 use simplex_lp::{LpProblem, Relation};
@@ -76,14 +79,10 @@ impl MUnicast {
             .map(|s| (0..s.node_count()).map(|i| s.node_id(i).index()).collect())
             .collect();
         let sources: Vec<usize> = sessions.iter().map(SUnicast::src).collect();
-        let neighbors = topology
-            .nodes()
-            .map(|v| topology.neighbors(v).iter().map(|w| w.index()).collect())
-            .collect();
         MUnicast {
             capacity,
             sessions,
-            coupling: Coupling::new(site, &sources, neighbors),
+            coupling: Coupling::new(site, &sources, contention::Rows::of_topology(topology)),
         }
     }
 
@@ -101,9 +100,9 @@ impl MUnicast {
     /// topology ids: the summed rates of all sessions at the receiver and
     /// at the nodes in range of it must fit in the capacity. A node owns a
     /// row when it is a non-source node of at least one session.
-    pub fn mac_rows(&self) -> impl Iterator<Item = (usize, &[usize])> + '_ {
+    pub fn mac_rows(&self) -> impl Iterator<Item = (usize, &[u32])> + '_ {
         let rows = self.coupling.rows().iter();
-        rows.map(|&g| (g, self.coupling.neighbors(g)))
+        rows.map(|&g| (g, &self.coupling.mac.row(g)[1..]))
     }
 
     /// Solves the coupled LP exactly: `max Σ_k γ_k` under per-session flow
@@ -159,11 +158,11 @@ impl MUnicast {
 
         // Shared MAC rows: the summed session rates at the receiver and in
         // range of it fit in C.
-        for (g, in_range) in self.mac_rows() {
+        for &g in self.coupling.rows() {
             let mut coeffs: Vec<(usize, f64)> = Vec::new();
             for (k, s) in self.sessions.iter().enumerate() {
-                for &node in std::iter::once(&g).chain(in_range) {
-                    if let Some(local) = s.local_index(NodeId::new(node)) {
+                for &node in self.coupling.mac.row(g) {
+                    if let Some(local) = s.local_index(NodeId::new(node as usize)) {
                         coeffs.push((var_b(k, local), 1.0));
                     }
                 }
@@ -335,7 +334,7 @@ pub(crate) mod tests {
         }
         assert!(mu.mac_rows().count() > 0);
         for (g, in_range) in mu.mac_rows() {
-            let total: f64 = load[g] + in_range.iter().map(|&j| load[j]).sum::<f64>();
+            let total: f64 = load[g] + in_range.iter().map(|&j| load[j as usize]).sum::<f64>();
             assert!(total <= mu.capacity() + 1e-6, "node {g}: load {total}");
         }
     }
@@ -355,10 +354,10 @@ pub(crate) mod tests {
         let rows: Vec<usize> = mu.mac_rows().map(|(g, _)| g).collect();
         assert_eq!(rows, expect);
         for (g, in_range) in mu.mac_rows() {
-            let want: Vec<usize> = topo
+            let want: Vec<u32> = topo
                 .neighbors(NodeId::new(g))
                 .iter()
-                .map(|w| w.index())
+                .map(|w| w.index() as u32)
                 .collect();
             assert_eq!(in_range, want);
         }
