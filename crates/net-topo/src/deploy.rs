@@ -8,14 +8,15 @@
 
 use rand::{Rng, SeedableRng};
 
-use crate::dijkstra;
+use crate::dijkstra::Search;
 use crate::etx;
 use crate::geom::Point;
 use crate::graph::{NodeId, Topology};
 use crate::phy::Phy;
 
 /// A random node placement together with the PHY model that defines its
-/// connectivity.
+/// connectivity, and the topology that PHY gives it (built once, to check
+/// that it is connected).
 ///
 /// # Examples
 ///
@@ -30,7 +31,7 @@ use crate::phy::Phy;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Deployment {
-    points: Vec<Point>,
+    topology: Topology,
     phy: Phy,
     side: f64,
     seed: u64,
@@ -60,11 +61,11 @@ impl Deployment {
             let points: Vec<Point> = (0..n)
                 .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
                 .collect();
-            let topo = Topology::from_points_seeded(points.clone(), phy, Some(seed))
-                .expect("n >= 2 points always form a topology");
-            if topo.is_connected() {
+            let topology = Topology::from_points_seeded(points, phy, Some(seed))
+                .expect("n >= 2 finite points always form a topology");
+            if topology.is_connected() {
                 return Deployment {
-                    points,
+                    topology,
                     phy: phy.clone(),
                     side,
                     seed,
@@ -77,7 +78,9 @@ impl Deployment {
 
     /// The node positions.
     pub fn points(&self) -> &[Point] {
-        &self.points
+        self.topology
+            .points()
+            .expect("a deployment's topology is built from its points")
     }
 
     /// Side length of the deployment square.
@@ -100,17 +103,21 @@ impl Deployment {
         self.attempts
     }
 
-    /// Builds the lossy topology graph for this deployment.
+    /// The lossy topology graph for this deployment, as validated at
+    /// construction.
     pub fn into_topology(self) -> Topology {
-        Topology::from_points_seeded(self.points, &self.phy, Some(self.seed))
-            .expect("validated at construction")
+        self.topology
     }
 
-    /// Builds the topology for the *same placement* under a different PHY —
-    /// the paper's high-power experiment re-evaluates link qualities on the
-    /// identical topology (Fig. 2 right).
+    /// The topology of the *same placement* under `phy` — the paper's
+    /// high-power experiment re-evaluates link qualities on the identical
+    /// topology (Fig. 2 right). Links are rebuilt only when `phy` differs
+    /// from the deployment's own.
     pub fn topology_with_phy(&self, phy: &Phy) -> Topology {
-        Topology::from_points_seeded(self.points.clone(), phy, Some(self.seed))
+        if *phy == self.phy {
+            return self.topology.clone();
+        }
+        Topology::from_points_seeded(self.points().to_vec(), phy, Some(self.seed))
             .expect("validated at construction")
     }
 }
@@ -124,6 +131,18 @@ pub fn random_session<R: Rng + ?Sized>(
     hops: (usize, usize),
     max_tries: usize,
 ) -> Option<(NodeId, NodeId)> {
+    draw_session(topology, rng, hops, max_tries, &mut Search::default())
+}
+
+/// [`random_session`] over caller-owned search buffers. Each try's search
+/// stops once the drawn destination is settled.
+fn draw_session<R: Rng + ?Sized>(
+    topology: &Topology,
+    rng: &mut R,
+    hops: (usize, usize),
+    max_tries: usize,
+    search: &mut Search,
+) -> Option<(NodeId, NodeId)> {
     let n = topology.len();
     for _ in 0..max_tries {
         let s = NodeId::new(rng.gen_range(0..n));
@@ -131,8 +150,7 @@ pub fn random_session<R: Rng + ?Sized>(
         if s == t {
             continue;
         }
-        let sp = dijkstra::shortest_paths(topology, s, etx::link_cost);
-        if let Some(h) = sp.hops_to(t) {
+        if let Some(h) = search.hops(topology, s, t, etx::link_cost) {
             if h >= hops.0 && h <= hops.1 {
                 return Some((s, t));
             }
@@ -154,10 +172,11 @@ pub fn random_sessions(
     max_tries: usize,
     mut seed_for: impl FnMut(u64) -> u64,
 ) -> Option<Vec<(NodeId, NodeId)>> {
+    let mut search = Search::default();
     (0..count as u64)
         .map(|k| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed_for(k));
-            random_session(topology, &mut rng, hops, max_tries)
+            draw_session(topology, &mut rng, hops, max_tries, &mut search)
         })
         .collect()
 }
@@ -199,6 +218,17 @@ mod tests {
     }
 
     #[test]
+    fn the_kept_topology_equals_a_fresh_build() {
+        for phy in [Phy::paper_lossy(), Phy::paper_high_quality()] {
+            let dep = Deployment::random(150, 6.0, &phy, 9);
+            let fresh = Topology::from_points_seeded(dep.points().to_vec(), &phy, Some(dep.seed()))
+                .unwrap();
+            assert_eq!(dep.topology_with_phy(&phy), fresh);
+            assert_eq!(dep.into_topology(), fresh);
+        }
+    }
+
+    #[test]
     fn high_power_topology_shares_placement() {
         let phy = Phy::paper_lossy();
         let dep = Deployment::random(40, 6.0, &phy, 11);
@@ -235,7 +265,7 @@ mod tests {
         let mut found = 0;
         for _ in 0..10 {
             if let Some((s, d)) = random_session(&t, &mut rng, (4, 10), 500) {
-                let sp = dijkstra::shortest_paths(&t, s, etx::link_cost);
+                let sp = crate::dijkstra::shortest_paths(&t, s, etx::link_cost);
                 let h = sp.hops_to(d).unwrap();
                 assert!((4..=10).contains(&h), "hops {h}");
                 found += 1;

@@ -43,11 +43,22 @@ impl ShortestPaths {
 
     /// Number of hops (links) on the shortest path to `dst`.
     pub fn hops_to(&self, dst: NodeId) -> Option<usize> {
-        self.path_to(dst).map(|p| p.len() - 1)
+        chain_hops(&self.prev, self.source, dst)
     }
 }
 
-#[derive(PartialEq)]
+/// Links on the `prev` chain from `dst` back to `source`, if it gets there
+/// (an unreachable node has no `prev` and is not the source).
+fn chain_hops(prev: &[Option<NodeId>], source: NodeId, dst: NodeId) -> Option<usize> {
+    let (mut cur, mut hops) = (dst, 0);
+    while let Some(p) = prev[cur.index()] {
+        cur = p;
+        hops += 1;
+    }
+    (cur == source).then_some(hops)
+}
+
+#[derive(Debug, PartialEq)]
 struct HeapEntry {
     cost: f64,
     node: NodeId,
@@ -99,10 +110,15 @@ pub fn shortest_paths<F>(topology: &Topology, source: NodeId, cost: F) -> Shorte
 where
     F: Fn(&Link) -> f64,
 {
-    let (dist, prev) = grow(topology.len(), source, cost, |u| {
+    let mut search = Search::default();
+    search.grow(topology.len(), source, None, cost, |u| {
         topology.out_links(u).iter().map(|l| (l, l.to))
     });
-    ShortestPaths { source, dist, prev }
+    ShortestPaths {
+        source,
+        dist: search.dist,
+        prev: search.prev,
+    }
 }
 
 /// Cost from every node *to* `dst` (`None` where `dst` is unreachable):
@@ -119,55 +135,103 @@ pub fn costs_to<F>(topology: &Topology, dst: NodeId, cost: F) -> Vec<Option<f64>
 where
     F: Fn(&Link) -> f64,
 {
-    let (dist, _) = grow(topology.len(), dst, cost, |u| {
+    let mut search = Search::default();
+    search.grow(topology.len(), dst, None, cost, |u| {
         topology.in_links(u).iter().map(|l| (l, l.from))
     });
-    dist.into_iter()
+    search
+        .dist
+        .into_iter()
         .map(|d| d.is_finite().then_some(d))
         .collect()
 }
 
-/// The search itself, from `root` over `links_at(u)`: every link to relax
-/// at `u`, each with the node at its far end.
-fn grow<'t, F, L, I>(
-    n: usize,
-    root: NodeId,
-    cost: F,
-    links_at: L,
-) -> (Vec<f64>, Vec<Option<NodeId>>)
-where
-    F: Fn(&Link) -> f64,
-    L: Fn(NodeId) -> I,
-    I: Iterator<Item = (&'t Link, NodeId)>,
-{
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[root.index()] = 0.0;
-    heap.push(HeapEntry {
-        cost: 0.0,
-        node: root,
-    });
+/// Dijkstra's buffers, kept across searches so that many point-to-point
+/// queries on one topology (the endpoint draws of a mesh) allocate once.
+#[derive(Debug, Default)]
+pub(crate) struct Search {
+    dist: Vec<f64>,
+    prev: Vec<Option<NodeId>>,
+    heap: BinaryHeap<HeapEntry>,
+}
 
-    while let Some(HeapEntry { cost: d, node: u }) = heap.pop() {
-        if d > dist[u.index()] {
-            continue;
-        }
-        for (link, far) in links_at(u) {
-            let w = cost(link);
-            assert!(w >= 0.0, "negative or NaN link cost");
-            let next = d + w;
-            if next < dist[far.index()] {
-                dist[far.index()] = next;
-                prev[far.index()] = Some(u);
-                heap.push(HeapEntry {
-                    cost: next,
-                    node: far,
-                });
+impl Search {
+    /// Hop count of the shortest path from `source` to `target` under
+    /// `cost`, or `None` if `target` is unreachable: what
+    /// [`shortest_paths`]`(..).hops_to(target)` returns, bit for bit.
+    ///
+    /// The search stops once `target` is settled. Relaxation is strict and
+    /// costs are non-negative, so every node still to be settled is at
+    /// least as far as `target` and can improve no `prev` on its chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cost` returns a negative or NaN weight.
+    pub(crate) fn hops<F>(
+        &mut self,
+        topology: &Topology,
+        source: NodeId,
+        target: NodeId,
+        cost: F,
+    ) -> Option<usize>
+    where
+        F: Fn(&Link) -> f64,
+    {
+        self.grow(topology.len(), source, Some(target), cost, |u| {
+            topology.out_links(u).iter().map(|l| (l, l.to))
+        });
+        chain_hops(&self.prev, source, target)
+    }
+
+    /// The search itself, from `root` over `links_at(u)` (every link to
+    /// relax at `u`, each with the node at its far end), until the heap
+    /// empties or `target` is settled.
+    fn grow<'t, F, L, I>(
+        &mut self,
+        n: usize,
+        root: NodeId,
+        target: Option<NodeId>,
+        cost: F,
+        links_at: L,
+    ) where
+        F: Fn(&Link) -> f64,
+        L: Fn(NodeId) -> I,
+        I: Iterator<Item = (&'t Link, NodeId)>,
+    {
+        let Search { dist, prev, heap } = self;
+        dist.clear();
+        dist.resize(n, f64::INFINITY);
+        prev.clear();
+        prev.resize(n, None);
+        heap.clear();
+        dist[root.index()] = 0.0;
+        heap.push(HeapEntry {
+            cost: 0.0,
+            node: root,
+        });
+
+        while let Some(HeapEntry { cost: d, node: u }) = heap.pop() {
+            if d > dist[u.index()] {
+                continue;
+            }
+            if Some(u) == target {
+                return;
+            }
+            for (link, far) in links_at(u) {
+                let w = cost(link);
+                assert!(w >= 0.0, "negative or NaN link cost");
+                let next = d + w;
+                if next < dist[far.index()] {
+                    dist[far.index()] = next;
+                    prev[far.index()] = Some(u);
+                    heap.push(HeapEntry {
+                        cost: next,
+                        node: far,
+                    });
+                }
             }
         }
     }
-    (dist, prev)
 }
 
 #[cfg(test)]
@@ -286,6 +350,48 @@ mod tests {
                         Some(d) => assert!((d - reference).abs() < 1e-9, "{i}->{j}"),
                         None => assert!(reference.is_infinite(), "{i}->{j}"),
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn target_settled_hops_equal_the_full_search() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut search = Search::default();
+        for round in 0..24 {
+            let n = rng.gen_range(2..40);
+            // Every fourth graph has all links at p = 0.5, so equal-cost
+            // paths of different hop counts tie; sparse graphs leave nodes
+            // unreachable.
+            let density = rng.gen_range(0.02..0.4);
+            let mut links = Vec::new();
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j && rng.gen_bool(density) {
+                        let p = if round % 4 == 0 {
+                            0.5
+                        } else {
+                            rng.gen_range(0.05..=1.0)
+                        };
+                        links.push(Link {
+                            from: NodeId::new(i),
+                            to: NodeId::new(j),
+                            p,
+                        });
+                    }
+                }
+            }
+            let t = Topology::from_links(n, links).unwrap();
+            for s in t.nodes() {
+                let full = shortest_paths(&t, s, etx::link_cost);
+                for d in t.nodes() {
+                    assert_eq!(
+                        search.hops(&t, s, d, etx::link_cost),
+                        full.path_to(d).map(|path| path.len() - 1),
+                        "round {round}: {s} -> {d}"
+                    );
                 }
             }
         }

@@ -7,6 +7,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::geom::Point;
+use crate::grid::Grid;
 use crate::phy::Phy;
 use crate::TopoError;
 
@@ -77,16 +78,20 @@ pub struct Topology {
 
 impl Topology {
     /// Builds a topology from node positions and a PHY model: every ordered
-    /// pair within [`Phy::range`] becomes a directed link with probability
-    /// `phy.reception_prob(distance)`. With `Some(seed)` and a PHY with
-    /// shadowing, each link also gets the PHY's log-normal shadowing, using
-    /// draws derived deterministically from `seed` (the same unordered pair
-    /// always gets the same draw, so both directions of a link and
-    /// re-builds under a boosted PHY share it).
+    /// pair within [`Phy::reach`] becomes a directed link with probability
+    /// `phy.reception_prob(distance)` when that is positive. With
+    /// `Some(seed)` and a PHY with shadowing, each link also gets the PHY's
+    /// log-normal shadowing, using draws derived deterministically from
+    /// `seed` (the same unordered pair always gets the same draw, so both
+    /// directions of a link and re-builds under a boosted PHY share it).
+    ///
+    /// Only pairs in neighbouring cells of a grid as wide as the reach are
+    /// looked at, so the build costs O(n + links), not O(n²).
     ///
     /// # Errors
     ///
-    /// Returns [`TopoError::TooFewNodes`] for fewer than two points.
+    /// Returns [`TopoError::TooFewNodes`] for fewer than two points and
+    /// [`TopoError::InvalidParameter`] for a NaN or infinite coordinate.
     pub fn from_points_seeded(
         points: Vec<Point>,
         phy: &Phy,
@@ -97,19 +102,42 @@ impl Topology {
                 requested: points.len(),
             });
         }
+        if let Some(value) = points
+            .iter()
+            .flat_map(|p| [p.x, p.y])
+            .find(|v| !v.is_finite())
+        {
+            return Err(TopoError::InvalidParameter {
+                name: "point coordinate",
+                value,
+            });
+        }
         let n = points.len();
+        let (range, reach) = (phy.range(), phy.reach());
+        let shadow_seed = seed.filter(|_| phy.shadowing_sigma() > 0.0);
+        let grid = Grid::new(&points, reach);
         let mut links = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                if i == j {
+        // Interference neighborhoods are *geometric*: nodes within the
+        // transmission/interference range R. Links may reach farther (the
+        // opportunistic tail up to the reach) without creating interference
+        // coupling — matching the paper's "range = where p crosses the
+        // threshold" definition.
+        let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut near = Vec::new();
+        for (i, &here) in points.iter().enumerate() {
+            grid.around(here, &mut near);
+            for &j in &near {
+                let d = here.distance(points[j]);
+                // Beyond the reach the PHY gives 0 whatever the draw.
+                if j == i || d > reach {
                     continue;
                 }
-                let d = points[i].distance(points[j]);
-                let p = match seed {
-                    Some(s) if phy.shadowing_sigma() > 0.0 => {
-                        phy.reception_prob_shadowed(d, pair_normal(s, i.min(j), i.max(j)))
-                    }
-                    _ => phy.reception_prob(d),
+                if d <= range {
+                    neighbors[i].push(NodeId(j));
+                }
+                let p = match shadow_seed {
+                    Some(s) => phy.reception_prob_shadowed(d, pair_normal(s, i.min(j), i.max(j))),
+                    None => phy.reception_prob(d),
                 };
                 if p > 0.0 {
                     links.push(Link {
@@ -120,23 +148,9 @@ impl Topology {
                 }
             }
         }
-        let mut topo = Topology::assemble(n, links)?;
-        // Interference neighborhoods are *geometric*: nodes within the
-        // transmission/interference range R. Links may reach farther (the
-        // opportunistic tail up to 2R) without creating interference
-        // coupling — matching the paper's \"range = where p crosses the
-        // threshold\" definition.
-        let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j && points[i].distance(points[j]) <= phy.range() {
-                    neighbors[i].push(NodeId(j));
-                }
-            }
-        }
-        topo.neighbors = neighbors;
+        let mut topo = Topology::assemble(n, links, Some(neighbors))?;
         topo.points = Some(points);
-        topo.range = Some(phy.range());
+        topo.range = Some(range);
         Ok(topo)
     }
 
@@ -153,13 +167,20 @@ impl Topology {
         if n < 2 {
             return Err(TopoError::TooFewNodes { requested: n });
         }
-        Topology::assemble(n, links)
+        Topology::assemble(n, links, None)
     }
 
-    fn assemble(n: usize, links: Vec<Link>) -> Result<Self, TopoError> {
+    /// Indexes `links`; `neighbors` defaults to the nodes each node shares
+    /// a link with.
+    fn assemble(
+        n: usize,
+        links: Vec<Link>,
+        neighbors: Option<Vec<Vec<NodeId>>>,
+    ) -> Result<Self, TopoError> {
         let mut out = vec![Vec::new(); n];
         let mut inn = vec![Vec::new(); n];
-        let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let derive = neighbors.is_none();
+        let mut neighbors = neighbors.unwrap_or_else(|| vec![Vec::new(); n]);
         let mut prob = HashMap::with_capacity(links.len());
         for link in links {
             if link.from.0 >= n {
@@ -174,13 +195,15 @@ impl Topology {
             prob.insert((link.from.0, link.to.0), link.p);
             out[link.from.0].push(link);
             inn[link.to.0].push(link);
-            if link.from != link.to && !neighbors[link.from.0].contains(&link.to) {
+            if derive && link.from != link.to && !neighbors[link.from.0].contains(&link.to) {
                 neighbors[link.from.0].push(link.to);
                 neighbors[link.to.0].push(link.from);
             }
         }
-        for list in &mut neighbors {
-            list.sort_unstable();
+        if derive {
+            for list in &mut neighbors {
+                list.sort_unstable();
+            }
         }
         Ok(Topology {
             points: None,
@@ -448,6 +471,150 @@ mod tests {
         assert!(t.link_prob(NodeId(0), NodeId(2)).is_none());
         assert!(!t.is_connected());
         assert_eq!(t.range(), Some(r));
+    }
+
+    /// The O(n²) build the grid replaced, kept as the grid's reference:
+    /// every ordered pair in index order, neighbours overwritten after.
+    fn quadratic_build(points: Vec<Point>, phy: &Phy, seed: Option<u64>) -> Topology {
+        let n = points.len();
+        let mut links = Vec::new();
+        for i in 0..n {
+            for j in 0..n {
+                if i == j {
+                    continue;
+                }
+                let d = points[i].distance(points[j]);
+                let p = match seed {
+                    Some(s) if phy.shadowing_sigma() > 0.0 => {
+                        phy.reception_prob_shadowed(d, pair_normal(s, i.min(j), i.max(j)))
+                    }
+                    _ => phy.reception_prob(d),
+                };
+                if p > 0.0 {
+                    links.push(Link {
+                        from: NodeId(i),
+                        to: NodeId(j),
+                        p,
+                    });
+                }
+            }
+        }
+        let mut topo = Topology::assemble(n, links, None).unwrap();
+        let mut neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for i in 0..n {
+            for j in 0..n {
+                if i != j && points[i].distance(points[j]) <= phy.range() {
+                    neighbors[i].push(NodeId(j));
+                }
+            }
+        }
+        topo.neighbors = neighbors;
+        topo.points = Some(points);
+        topo.range = Some(phy.range());
+        topo
+    }
+
+    #[test]
+    fn the_grid_build_equals_the_quadratic_build() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+        let r = Phy::paper_lossy().range();
+        let mut placements: Vec<Vec<Point>> = Vec::new();
+        for n in [2, 3, 4, 7, 12, 25, 50, 100, 200, 300] {
+            for _ in 0..2 {
+                // From one cell to a sparse spread, half of them shifted
+                // into negative coordinates.
+                let side = r * rng.gen_range(0.3..30.0);
+                let shift = if rng.gen_bool(0.5) {
+                    -side * rng.gen_range(0.0..2.0)
+                } else {
+                    0.0
+                };
+                placements.push(
+                    (0..n)
+                        .map(|_| {
+                            Point::new(
+                                rng.gen_range(0.0..side) + shift,
+                                rng.gen_range(0.0..side) + shift,
+                            )
+                        })
+                        .collect(),
+                );
+            }
+        }
+        // All in one cell, with coincident points.
+        let mut clump: Vec<Point> = (0..40)
+            .map(|_| Point::new(rng.gen_range(0.0..r * 0.4), rng.gen_range(0.0..r * 0.4)))
+            .collect();
+        clump.extend_from_within(..5);
+        placements.push(clump);
+        // Lattices at multiples of the reach (2R, and R under cutoff 1):
+        // every point on a cell boundary, every lattice pair exactly a
+        // reach apart.
+        for step in [r, 2.0 * r] {
+            placements.push(
+                (-4..5)
+                    .flat_map(|a| {
+                        (-3..4).map(move |b| Point::new(a as f64 * step, b as f64 * step))
+                    })
+                    .collect(),
+            );
+        }
+        let phys = [
+            Phy::paper_lossy(),
+            Phy::paper_high_quality(),
+            Phy::paper_lossy().with_opportunistic_cutoff(1.0),
+        ];
+        for points in &placements {
+            for phy in &phys {
+                for seed in [None, Some(2008)] {
+                    let grid = Topology::from_points_seeded(points.clone(), phy, seed).unwrap();
+                    let reference = quadratic_build(points.clone(), phy, seed);
+                    let bits = |t: &Topology| -> Vec<(NodeId, NodeId, u64)> {
+                        t.links().map(|l| (l.from, l.to, l.p.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&grid), bits(&reference), "{} points", points.len());
+                    assert_eq!(grid, reference, "{} points", points.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_coordinate_is_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for points in [
+                vec![Point::new(0.0, 0.0), Point::new(bad, 1.0)],
+                vec![Point::new(0.0, bad), Point::new(1.0, 1.0)],
+            ] {
+                let err = Topology::from_points_seeded(points, &Phy::paper_lossy(), Some(1));
+                assert!(
+                    matches!(err, Err(TopoError::InvalidParameter { name: "point coordinate", value }) if value.is_nan() == bad.is_nan()),
+                    "{err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn huge_finite_coordinates_build_without_overflow() {
+        let phy = Phy::paper_lossy();
+        // A bounding box as wide as f64 allows, and one wider than it
+        // (whose far pairs are an infinite distance apart).
+        for far in [
+            vec![Point::new(f64::MAX, f64::MAX)],
+            vec![Point::new(-f64::MAX, 0.0), Point::new(f64::MAX, 0.0)],
+        ] {
+            let mut points = vec![Point::new(0.0, 0.0), Point::new(50.0, 0.0)];
+            points.extend(far);
+            let t = Topology::from_points_seeded(points, &phy, Some(3)).unwrap();
+            assert!(t.link_prob(NodeId(0), NodeId(1)).is_some());
+            assert_eq!(t.neighbors(NodeId(0)), &[NodeId(1)]);
+            for i in (2..t.len()).map(NodeId) {
+                assert!(t.out_links(i).is_empty() && t.in_links(i).is_empty());
+                assert!(t.neighbors(i).is_empty());
+            }
+        }
     }
 
     #[test]

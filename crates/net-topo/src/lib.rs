@@ -42,6 +42,7 @@ pub mod etx;
 pub mod flow;
 pub mod geom;
 pub mod graph;
+mod grid;
 pub mod phy;
 pub mod select;
 pub mod topologies;

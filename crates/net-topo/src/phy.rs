@@ -150,6 +150,14 @@ impl Phy {
         self.nominal_range
     }
 
+    /// The farthest distance at which any link can form: the
+    /// opportunistic cutoff times the nominal range. Beyond it
+    /// [`Phy::reception_prob_shadowed`] is zero whatever the shadowing
+    /// draw, so a link build need not look at pairs farther apart.
+    pub fn reach(&self) -> f64 {
+        self.opportunistic_cutoff * self.nominal_range
+    }
+
     /// The shadowing sigma of this model.
     pub fn shadowing_sigma(&self) -> f64 {
         self.shadowing_sigma
@@ -201,14 +209,14 @@ impl Phy {
             "distance must be non-negative"
         );
         assert!(z.is_finite(), "shadowing draw must be finite");
-        if distance > self.opportunistic_cutoff * self.nominal_range {
+        if distance > self.reach() {
             return 0.0; // beyond even opportunistic reception
         }
         let shadowed = distance * (self.shadowing_sigma * z).exp();
         let effective = shadowed / self.power_gain;
         let p_max = 1.0 - (1.0 - self.p_max) / self.power_gain;
         let plateau_end = self.plateau_frac * self.nominal_range;
-        let raw = if effective > self.opportunistic_cutoff * self.nominal_range {
+        let raw = if effective > self.reach() {
             0.0 // shadowed into the noise floor
         } else if effective > self.nominal_range {
             // Opportunistic tail: the threshold probability decays to zero

@@ -140,7 +140,10 @@ impl Scenario {
         // The *placement* is fixed by the lossy-regime PHY so that the
         // high-power experiment reuses the identical topology (Sec. 5).
         let dep = Deployment::random(self.nodes, self.density, &Phy::paper_lossy(), self.seed);
-        dep.topology_with_phy(&self.phy())
+        match self.quality {
+            Quality::Lossy => dep.into_topology(),
+            Quality::High => dep.topology_with_phy(&self.phy()),
+        }
     }
 
     /// Draws the endpoints of the `k`-th session on `topology` (the result
@@ -293,6 +296,40 @@ mod tests {
             assert_eq!((src, dst), (ss, sd), "session {k}");
             assert_eq!((src, dst), s.session_endpoints(&topo, k as u64));
         }
+    }
+
+    #[test]
+    fn mesh_endpoints_equal_a_full_search_draw() {
+        // The benchmark mesh: 1000 nodes, 100 sessions, seed 2008. Each
+        // reference draw runs the whole Dijkstra and reads one hop count.
+        use rand::Rng;
+        let s = Scenario {
+            nodes: 1000,
+            sessions: 100,
+            ..Scenario::paper(Quality::Lossy)
+        };
+        let (topo, endpoints) = s.build_multi();
+        let full: Vec<(NodeId, NodeId)> = (0..s.sessions as u64)
+            .map(|k| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(s.seed ^ (k.wrapping_mul(0x51ab)));
+                loop {
+                    let src = NodeId::new(rng.gen_range(0..topo.len()));
+                    let dst = NodeId::new(rng.gen_range(0..topo.len()));
+                    if src == dst {
+                        continue;
+                    }
+                    let sp =
+                        net_topo::dijkstra::shortest_paths(&topo, src, net_topo::etx::link_cost);
+                    if sp
+                        .hops_to(dst)
+                        .is_some_and(|h| (s.hops.0..=s.hops.1).contains(&h))
+                    {
+                        break (src, dst);
+                    }
+                }
+            })
+            .collect();
+        assert_eq!(endpoints, full);
     }
 
     #[test]
