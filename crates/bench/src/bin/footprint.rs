@@ -23,6 +23,7 @@
 use std::collections::BTreeMap;
 
 use omnc::multi::run_multi_session;
+use omnc::net_topo::select::select_forwarders;
 use omnc::rlnc::{Decoder, Encoder, Generation, GenerationConfig, GenerationId};
 use omnc::runner::{run_session_traced, Protocol, RunOptions};
 use omnc::telemetry::{set_alloc_counting, AllocScope, CountingAlloc, Profiler};
@@ -316,12 +317,20 @@ fn multi_footprint(log: &telemetry::Logger, metrics: &mut BTreeMap<String, f64>)
         out.sessions_completed,
         endpoints.len()
     ));
+
+    // The same mesh's forwarder selections on their own; an op is one
+    // selection. A selection sized by the mesh instead of by its own
+    // forwarders shows here as a multiple of the bytes.
+    let scope = AllocScope::start();
+    let selections: Vec<_> = (endpoints.iter())
+        .map(|&(src, dst)| select_forwarders(&topology, src, dst))
+        .collect();
+    record(metrics, "select", selections.len() as u64, &scope);
 }
 
 /// Rate control on the Fig. 1 sample problem; an op is one iteration.
 fn opt_footprint(metrics: &mut BTreeMap<String, f64>) {
     use omnc::net_topo::graph::{Link, NodeId, Topology};
-    use omnc::net_topo::select::select_forwarders;
     use omnc::omnc_opt::{RateControl, RateControlParams};
 
     let scope = AllocScope::start();

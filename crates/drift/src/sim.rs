@@ -442,10 +442,10 @@ impl<'a, M> Ctx<'a, M> {
 /// paper's rate control is built for.
 pub struct Simulator<M, B> {
     core: Core<M>,
-    /// `behaviors[session][node]`, boxed: most (session, node) slots of a
-    /// coupled mesh are empty, and an empty slot costs one pointer instead
-    /// of a whole behavior.
-    behaviors: Vec<Vec<Option<Box<B>>>>,
+    /// `behaviors[node]`: the node's `(session, behavior)` pairs in
+    /// ascending session order, so storage follows the installed behaviors,
+    /// not sessions × nodes.
+    behaviors: Vec<Vec<(u32, Box<B>)>>,
     started: bool,
 }
 
@@ -493,7 +493,7 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
                 profiler: Profiler::disabled(),
                 incoming_tag: None,
             },
-            behaviors: vec![(0..n).map(|_| None).collect()],
+            behaviors: (0..n).map(|_| Vec::new()).collect(),
             started: false,
         }
     }
@@ -522,21 +522,22 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
             "behaviors must be installed before the run starts"
         );
         assert!(session < u32::MAX as usize, "session index out of range");
-        let n = self.core.queues.len();
-        while self.behaviors.len() <= session {
-            self.behaviors.push((0..n).map(|_| None).collect());
-        }
         if self.core.session_stats.len() <= session {
             self.core
                 .session_stats
                 .resize_with(session + 1, SessionStats::default);
         }
-        self.behaviors[session][node.index()] = Some(Box::new(behavior));
+        let installed = &mut self.behaviors[node.index()];
+        let session = session as u32;
+        match installed.binary_search_by_key(&session, |&(k, _)| k) {
+            Ok(at) => *installed[at].1 = behavior,
+            Err(at) => installed.insert(at, (session, Box::new(behavior))),
+        }
     }
 
     /// Number of sessions the engine is dispatching (at least 1).
     pub fn sessions(&self) -> usize {
-        self.behaviors.len()
+        self.core.session_stats.len()
     }
 
     /// Read access to a node's behavior (e.g. to extract final protocol
@@ -547,7 +548,11 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
 
     /// Read access to the behavior of `session` at `node`.
     pub fn session_behavior(&self, session: usize, node: NodeId) -> Option<&B> {
-        self.behaviors.get(session)?.get(node.index())?.as_deref()
+        let installed = self.behaviors.get(node.index())?;
+        let at = installed
+            .binary_search_by_key(&session, |&(k, _)| k as usize)
+            .ok()?;
+        Some(&installed[at].1)
     }
 
     /// Current simulation time.
@@ -712,8 +717,8 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
     fn dispatch(&mut self, event: Event) {
         match event {
             Event::Start(node) => {
-                for session in 0..self.behaviors.len() {
-                    self.with_behavior(session, node, |b, ctx| b.on_start(ctx));
+                for at in 0..self.behaviors[node.index()].len() {
+                    self.with_installed(at, node, |b, ctx| b.on_start(ctx));
                 }
                 self.try_start_tx(node);
             }
@@ -752,17 +757,25 @@ impl<M: Clone + 'static, B: Behavior<M>> Simulator<M, B> {
     where
         F: FnOnce(&mut B, &mut Ctx<'_, M>),
     {
-        let Some(Some(behavior)) = self
+        let installed = self
             .behaviors
-            .get_mut(session)
-            .and_then(|row| row.get_mut(node.index()))
-        else {
-            return;
-        };
+            .get(node.index())
+            .map_or(&[][..], Vec::as_slice);
+        if let Ok(at) = installed.binary_search_by_key(&session, |&(k, _)| k as usize) {
+            self.with_installed(at, node, f);
+        }
+    }
+
+    /// Invokes a callback of the `at`-th behavior installed at `node`.
+    fn with_installed<F>(&mut self, at: usize, node: NodeId, f: F)
+    where
+        F: FnOnce(&mut B, &mut Ctx<'_, M>),
+    {
+        let (session, behavior) = &mut self.behaviors[node.index()][at];
         let mut ctx = Ctx {
             core: &mut self.core,
             node,
-            session: session as u32,
+            session: *session,
         };
         f(behavior, &mut ctx);
         behavior.on_queue_change(self.core.queues[node.index()].len);

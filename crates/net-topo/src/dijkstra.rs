@@ -183,10 +183,17 @@ impl Search {
         chain_hops(&self.prev, source, target)
     }
 
+    /// The cost of every node after the last [`Search::grow`]: final for
+    /// every node it settled, tentative (never below the final cost) for
+    /// the rest, infinite where no link reached.
+    pub(crate) fn dist(&self) -> &[f64] {
+        &self.dist
+    }
+
     /// The search itself, from `root` over `links_at(u)` (every link to
     /// relax at `u`, each with the node at its far end), until the heap
     /// empties or `target` is settled.
-    fn grow<'t, F, L, I>(
+    pub(crate) fn grow<'t, F, L, I>(
         &mut self,
         n: usize,
         root: NodeId,

@@ -46,19 +46,20 @@
 //! ```
 
 /// A `via` entry of a vertex the BFS has not reached.
-const UNREACHED: usize = usize::MAX;
+const UNREACHED: u32 = u32::MAX;
 
 /// The arc structure of one flow graph: edge `e` is the forward arc `2e`
 /// (residual `cap − flow`, from its tail to its head) paired with the
 /// backward arc `2e + 1` (residual `flow`, from its head to its tail).
+/// Vertex and arc indices are `u32`, half the memory traffic of `usize`.
 #[derive(Debug, Clone)]
 pub struct Network {
     /// The vertex arc `a` enters; it leaves `to[a ^ 1]`.
-    to: Vec<usize>,
+    to: Vec<u32>,
     /// The arcs leaving vertex `v` are `arcs[first[v]..first[v + 1]]`:
     /// forward arcs in edge order, then backward arcs in edge order.
-    first: Vec<usize>,
-    arcs: Vec<usize>,
+    first: Vec<u32>,
+    arcs: Vec<u32>,
 }
 
 /// The buffers of one max-flow computation.
@@ -67,15 +68,15 @@ pub struct Scratch {
     cap: Vec<f64>,
     flow: Vec<f64>,
     /// The arc each vertex was first reached by, [`UNREACHED`] if none.
-    via: Vec<usize>,
-    queue: Vec<usize>,
+    via: Vec<u32>,
+    queue: Vec<u32>,
     /// [`FROM_S`] and [`TO_T`] marks per vertex; the core is both.
     reach: Vec<u8>,
     /// The core arcs leaving vertex `v` are
     /// `core_arcs[core_first[v]..core_first[v + 1]]`, in
     /// [`Network::arcs`] order.
-    core_first: Vec<usize>,
-    core_arcs: Vec<usize>,
+    core_first: Vec<u32>,
+    core_arcs: Vec<u32>,
 }
 
 /// A [`Scratch::reach`] mark: reached from `s` over edges with capacity
@@ -98,32 +99,50 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if an edge names a vertex `≥ vertices`.
+    /// Panics if an edge names a vertex `≥ vertices`, or if the vertices
+    /// or the arcs do not fit `u32` indices.
     pub fn new(vertices: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Self {
-        let to: Vec<usize> = (edges.into_iter())
+        let index = |v: usize| u32::try_from(v).ok().filter(|&v| v < UNREACHED);
+        assert!(index(vertices).is_some(), "too many vertices");
+        let to: Vec<u32> = (edges.into_iter())
             .flat_map(|(tail, head)| [head, tail])
+            .map(|v| {
+                assert!(v < vertices, "edge names vertex {v} of {vertices}");
+                v as u32
+            })
             .collect();
+        assert!(index(to.len()).is_some(), "too many arcs");
         // Every vertex an arc enters is one the paired arc leaves.
-        let mut first = vec![0usize; vertices + 1];
+        let mut first = vec![0u32; vertices + 1];
         for &v in &to {
-            first[v + 1] += 1;
+            first[v as usize + 1] += 1;
         }
         for v in 0..vertices {
             first[v + 1] += first[v];
         }
         let mut fill = first.clone();
-        let mut arcs = vec![0usize; to.len()];
+        let mut arcs = vec![0u32; to.len()];
         let (forward, backward) = ((0..to.len()).step_by(2), (1..to.len()).step_by(2));
         for arc in forward.chain(backward) {
-            let from = to[arc ^ 1];
-            arcs[fill[from]] = arc;
+            let from = to[arc ^ 1] as usize;
+            arcs[fill[from] as usize] = arc as u32;
             fill[from] += 1;
         }
         Network { to, first, arcs }
     }
 
-    fn arcs(&self, v: usize) -> &[usize] {
-        &self.arcs[self.first[v]..self.first[v + 1]]
+    fn arcs(&self, v: usize) -> &[u32] {
+        &self.arcs[self.first[v] as usize..self.first[v + 1] as usize]
+    }
+
+    /// The vertex `arc` enters.
+    fn head(&self, arc: u32) -> usize {
+        self.to[arc as usize] as usize
+    }
+
+    /// The vertex `arc` leaves.
+    fn tail(&self, arc: u32) -> usize {
+        self.to[(arc ^ 1) as usize] as usize
     }
 
     /// The `s → t` max flow where edge `e` has capacity `cap[e]`: returns
@@ -170,25 +189,25 @@ impl Network {
         // With `t` off the core no vertex is on it: the first BFS stops at `s`.
         self.mark_core(s, t, eps, c, reach, queue);
         self.core_arcs(eps, c, reach, core_first, core_arcs);
-        let core = |v: usize| &core_arcs[core_first[v]..core_first[v + 1]];
+        let core = |v: usize| &core_arcs[core_first[v] as usize..core_first[v + 1] as usize];
         loop {
             via.clear();
             via.resize(self.first.len() - 1, UNREACHED);
             // Any value but UNREACHED: the walk back stops at `s` anyway.
             via[s] = 0;
             queue.clear();
-            queue.push(s);
+            queue.push(s as u32);
             let mut next = 0;
             'bfs: while let Some(&u) = queue.get(next) {
                 next += 1;
-                for &arc in core(u) {
-                    let v = self.to[arc];
+                for &arc in core(u as usize) {
+                    let v = self.head(arc);
                     if via[v] == UNREACHED && residual(arc, c, flow) > eps {
                         via[v] = arc;
                         if v == t {
                             break 'bfs;
                         }
-                        queue.push(v);
+                        queue.push(v as u32);
                     }
                 }
             }
@@ -199,24 +218,25 @@ impl Network {
             let mut v = t;
             while v != s {
                 bottleneck = bottleneck.min(residual(via[v], c, flow));
-                v = self.to[via[v] ^ 1];
+                v = self.tail(via[v]);
             }
             let mut v = t;
             while v != s {
                 let arc = via[v];
+                let e = (arc / 2) as usize;
                 if arc.is_multiple_of(2) {
-                    flow[arc / 2] += bottleneck;
+                    flow[e] += bottleneck;
                 } else {
-                    flow[arc / 2] -= bottleneck;
+                    flow[e] -= bottleneck;
                 }
-                v = self.to[arc ^ 1];
+                v = self.tail(arc);
             }
         }
 
-        let net = |parity: usize| -> f64 {
+        let net = |parity: u32| -> f64 {
             (self.arcs(s).iter())
                 .filter(|&&arc| arc % 2 == parity)
-                .map(|&arc| flow[arc / 2])
+                .map(|&arc| flow[(arc / 2) as usize])
                 .sum()
         };
         net(0) - net(1)
@@ -232,7 +252,7 @@ impl Network {
         eps: f64,
         cap: &[f64],
         reach: &mut Vec<u8>,
-        queue: &mut Vec<usize>,
+        queue: &mut Vec<u32>,
     ) {
         reach.clear();
         reach.resize(self.first.len() - 1, 0);
@@ -244,18 +264,18 @@ impl Network {
             }
             reach[start] |= mark;
             queue.clear();
-            queue.push(start);
+            queue.push(start as u32);
             let mut next = 0;
             while let Some(&u) = queue.get(next) {
                 next += 1;
-                for &arc in self.arcs(u) {
-                    let v = self.to[arc];
+                for &arc in self.arcs(u as usize) {
+                    let v = self.head(arc);
                     if arc % 2 == parity
-                        && cap[arc / 2] > eps
+                        && cap[(arc / 2) as usize] > eps
                         && reach[v] & (mark | within) == within
                     {
                         reach[v] |= mark;
-                        queue.push(v);
+                        queue.push(v as u32);
                     }
                 }
             }
@@ -269,26 +289,27 @@ impl Network {
         eps: f64,
         cap: &[f64],
         reach: &[u8],
-        core_first: &mut Vec<usize>,
-        core_arcs: &mut Vec<usize>,
+        core_first: &mut Vec<u32>,
+        core_arcs: &mut Vec<u32>,
     ) {
         core_first.clear();
         core_arcs.clear();
         for (v, &mark) in reach.iter().enumerate() {
-            core_first.push(core_arcs.len());
+            core_first.push(core_arcs.len() as u32);
             if mark == CORE {
-                let open = |&&arc: &&usize| reach[self.to[arc]] == CORE && cap[arc / 2] > eps;
+                let open =
+                    |&&arc: &&u32| reach[self.head(arc)] == CORE && cap[(arc / 2) as usize] > eps;
                 core_arcs.extend(self.arcs(v).iter().filter(open));
             }
         }
-        core_first.push(core_arcs.len());
+        core_first.push(core_arcs.len() as u32);
     }
 }
 
 /// The residual of `arc`: `cap − flow` on a forward arc, `flow` on a
 /// backward one.
-fn residual(arc: usize, cap: &[f64], flow: &[f64]) -> f64 {
-    let e = arc / 2;
+fn residual(arc: u32, cap: &[f64], flow: &[f64]) -> f64 {
+    let e = (arc / 2) as usize;
     if arc.is_multiple_of(2) {
         cap[e] - flow[e]
     } else {
@@ -323,7 +344,7 @@ mod tests {
             'bfs: while let Some(&u) = queue.get(next) {
                 next += 1;
                 for &arc in net.arcs(u) {
-                    let v = net.to[arc];
+                    let v = net.head(arc);
                     if via[v] == UNREACHED && residual(arc, cap, &flow) > eps {
                         via[v] = arc;
                         if v == t {
@@ -340,23 +361,24 @@ mod tests {
             let mut v = t;
             while v != s {
                 bottleneck = bottleneck.min(residual(via[v], cap, &flow));
-                v = net.to[via[v] ^ 1];
+                v = net.tail(via[v]);
             }
             let mut v = t;
             while v != s {
                 let arc = via[v];
+                let e = (arc / 2) as usize;
                 if arc.is_multiple_of(2) {
-                    flow[arc / 2] += bottleneck;
+                    flow[e] += bottleneck;
                 } else {
-                    flow[arc / 2] -= bottleneck;
+                    flow[e] -= bottleneck;
                 }
-                v = net.to[arc ^ 1];
+                v = net.tail(arc);
             }
         }
-        let net_flow = |parity: usize| -> f64 {
+        let net_flow = |parity: u32| -> f64 {
             (net.arcs(s).iter())
                 .filter(|&&arc| arc % 2 == parity)
-                .map(|&arc| flow[arc / 2])
+                .map(|&arc| flow[(arc / 2) as usize])
                 .sum()
         };
         let value = net_flow(0) - net_flow(1);

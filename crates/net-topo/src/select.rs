@@ -9,22 +9,41 @@
 //! predecessor. Because the distance strictly decreases along every edge,
 //! the graph is a DAG.
 
+use crate::dijkstra::Search;
 use crate::etx;
 use crate::flow;
 use crate::graph::{Link, NodeId, Topology};
 
-/// The forwarder subgraph produced by node selection for one unicast pair.
+/// The forwarder subgraph produced by node selection for one unicast pair,
+/// held by *local index*: local node `i` is `nodes()[i]`. It stores the
+/// selected nodes, their distances and their downhill links, nothing
+/// sized by the topology.
 #[derive(Debug, Clone)]
 pub struct Selection {
     src: NodeId,
     dst: NodeId,
-    selected: Vec<NodeId>,
-    is_selected: Vec<bool>,
-    dist_to_dst: Vec<Option<f64>>,
-    subgraph: Topology,
+    /// The selected nodes, ascending.
+    nodes: Vec<NodeId>,
+    /// ETX distance to `dst` of every selected node, by local index.
+    dist: Vec<f64>,
+    /// The downhill links leaving local node `i` are
+    /// `first[i]..first[i + 1]` of `head` (local receivers) and `p`, in
+    /// the topology's link order.
+    first: Vec<u32>,
+    head: Vec<u32>,
+    p: Vec<f64>,
 }
 
 /// Runs node selection for the unicast `src → dst` on `topology`.
+///
+/// The ETX distances come from a Dijkstra grown backwards from `dst` that
+/// stops once `src` is settled. Every forwarder is strictly closer to `dst`
+/// than `src` is, so it is settled by then with its final distance; a node
+/// left unsettled is at least as far as `src`, and so is its tentative
+/// cost, so the flood's `closer than the sender` test rejects it exactly as
+/// it would its final distance. The search settles only the nodes within
+/// `src`'s distance of `dst`, and the flood and the link scan visit only
+/// the selected nodes.
 ///
 /// # Panics
 ///
@@ -53,63 +72,71 @@ pub fn select_forwarders(topology: &Topology, src: NodeId, dst: NodeId) -> Selec
     assert!(src.index() < topology.len(), "unknown source {src}");
     assert!(dst.index() < topology.len(), "unknown destination {dst}");
 
-    let dist = etx::distances_to(topology, dst);
+    let mut search = Search::default();
+    search.grow(topology.len(), dst, Some(src), etx::link_cost, |u| {
+        topology.in_links(u).iter().map(|l| (l, l.from))
+    });
+    let dist = search.dist();
     assert!(
-        dist[src.index()].is_some(),
+        dist[src.index()].is_finite(),
         "destination {dst} unreachable from source {src}"
     );
 
-    // Flood from the source along strictly distance-decreasing links.
-    let n = topology.len();
-    let mut is_selected = vec![false; n];
-    is_selected[src.index()] = true;
+    // Flood from the source along strictly distance-decreasing links;
+    // `local` marks the flooded nodes, then holds their local indices.
+    const OFF: u32 = u32::MAX;
+    let mut local = vec![OFF; topology.len()];
+    local[src.index()] = 0;
+    let mut nodes = vec![src];
     let mut queue = vec![src];
     while let Some(u) = queue.pop() {
-        let du = dist[u.index()].expect("selected nodes have finite distance");
+        let du = dist[u.index()];
         for link in topology.out_links(u) {
             let v = link.to;
-            if is_selected[v.index()] {
-                continue;
-            }
-            if let Some(dv) = dist[v.index()] {
-                if dv < du {
-                    is_selected[v.index()] = true;
-                    queue.push(v);
-                }
+            if local[v.index()] == OFF && dist[v.index()] < du {
+                local[v.index()] = 0;
+                nodes.push(v);
+                queue.push(v);
             }
         }
     }
     debug_assert!(
-        is_selected[dst.index()],
+        local[dst.index()] != OFF,
         "dst lies downhill of src by construction"
     );
+    nodes.sort_unstable();
+    for (i, v) in nodes.iter().enumerate() {
+        local[v.index()] = i as u32;
+    }
 
-    let selected: Vec<NodeId> = topology
-        .nodes()
-        .filter(|v| is_selected[v.index()])
-        .collect();
-
-    // Keep only downhill links between selected nodes.
-    let links: Vec<Link> = topology
-        .links()
-        .filter(|l| {
-            is_selected[l.from.index()]
-                && is_selected[l.to.index()]
-                && match (dist[l.from.index()], dist[l.to.index()]) {
-                    (Some(df), Some(dt)) => dt < df,
-                    _ => false,
-                }
-        })
-        .collect();
-    let subgraph = Topology::from_links(n, links).expect("filtered links remain valid");
+    // Keep the downhill links between selected nodes, transmitters in
+    // ascending id: the order `Topology::links` lists them in.
+    let mut first = Vec::with_capacity(nodes.len() + 1);
+    let (mut head, mut p) = (Vec::new(), Vec::new());
+    first.push(0);
+    for &u in &nodes {
+        for l in topology.out_links(u) {
+            let to = local[l.to.index()];
+            if to != OFF && dist[l.to.index()] < dist[u.index()] {
+                head.push(to);
+                p.push(l.p);
+            }
+        }
+        first.push(head.len() as u32);
+    }
+    // A selection outlives its search: keep no growth slack.
+    nodes.shrink_to_fit();
+    head.shrink_to_fit();
+    p.shrink_to_fit();
 
     Selection {
         src,
         dst,
-        selected,
-        is_selected,
-        dist_to_dst: dist,
-        subgraph,
+        dist: nodes.iter().map(|v| dist[v.index()]).collect(),
+        nodes,
+        first,
+        head,
+        p,
     }
 }
 
@@ -124,38 +151,84 @@ impl Selection {
         self.dst
     }
 
-    /// All selected nodes (source and destination included).
+    /// All selected nodes (source and destination included), ascending:
+    /// local node `i` is `nodes()[i]`.
     pub fn nodes(&self) -> &[NodeId] {
-        &self.selected
+        &self.nodes
+    }
+
+    /// The local index of `v`, if selected.
+    pub fn index_of(&self, v: NodeId) -> Option<usize> {
+        self.nodes.binary_search(&v).ok()
     }
 
     /// `true` if `v` participates in the unicast.
     pub fn contains(&self, v: NodeId) -> bool {
-        v.index() < self.is_selected.len() && self.is_selected[v.index()]
+        self.index_of(v).is_some()
     }
 
-    /// ETX distance of `v` to the destination, if reachable.
+    /// ETX distance of `v` to the destination, if `v` is selected.
     pub fn dist_to_dst(&self, v: NodeId) -> Option<f64> {
-        self.dist_to_dst.get(v.index()).copied().flatten()
+        self.index_of(v).map(|i| self.dist[i])
     }
 
-    /// The forwarder DAG: selected nodes with their downhill links. Node ids
-    /// are shared with the original topology; unselected nodes are isolated.
-    pub fn subgraph(&self) -> &Topology {
-        &self.subgraph
+    /// ETX distance to the destination of every selected node, by local
+    /// index.
+    pub fn distances(&self) -> &[f64] {
+        &self.dist
+    }
+
+    /// The downhill links leaving local node `i`, as `(local receiver, p)`
+    /// in the topology's link order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a local index.
+    pub fn out(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let span = self.first[i] as usize..self.first[i + 1] as usize;
+        (self.head[span.clone()].iter().zip(&self.p[span])).map(|(&j, &p)| (j as usize, p))
+    }
+
+    /// Every downhill link as `(local transmitter, local receiver)`, in
+    /// [`Selection::links`] order.
+    pub fn local_links(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.nodes.len()).flat_map(move |i| self.out(i).map(move |(j, _)| (i, j)))
+    }
+
+    /// The forwarder DAG's links in topology ids: the downhill links
+    /// between selected nodes, in the order [`Topology::links`] lists them.
+    pub fn links(&self) -> impl Iterator<Item = Link> + '_ {
+        (0..self.nodes.len()).flat_map(move |i| {
+            self.out(i).map(move |(j, p)| Link {
+                from: self.nodes[i],
+                to: self.nodes[j],
+                p,
+            })
+        })
+    }
+
+    /// Number of downhill links.
+    pub fn link_count(&self) -> usize {
+        self.head.len()
     }
 
     /// Number of distinct source→destination paths in the forwarder DAG.
     /// Saturates at `u128::MAX`.
     pub fn path_count(&self) -> u128 {
-        count_paths(&self.subgraph, self.src, self.dst)
+        let local = |v| self.index_of(v).expect("endpoints are selected");
+        count_paths(
+            self.nodes.len(),
+            self.local_links(),
+            local(self.src),
+            local(self.dst),
+        )
     }
 }
 
-/// Maximum number of *node-disjoint* `src → dst` paths in a DAG — the
-/// paper's notion of path diversity (Fig. 4 normalizes by the paths
-/// "available after the node selection procedure"). Parallel links count
-/// once.
+/// Maximum number of *node-disjoint* `src → dst` paths in the DAG of
+/// `links` (`(from, to)` over nodes `0..n`) — the paper's notion of path
+/// diversity (Fig. 4 normalizes by the paths "available after the node
+/// selection procedure"). Parallel links count once.
 ///
 /// Computed as a unit-capacity max flow over the node-split graph, run
 /// through the shared [`flow::Network`]: node `v` becomes `v_in` and
@@ -163,63 +236,92 @@ impl Selection {
 /// edge `from_out → to_in`. The split edges of `src` and `dst` get the
 /// node count, more than any flow can use. Every augmentation then moves
 /// exactly `1.0`, so the value is an exact integer.
-pub fn disjoint_path_count(dag: &Topology, src: NodeId, dst: NodeId) -> usize {
-    disjoint_path_count_in(dag, src, dst, &mut flow::Scratch::default())
+///
+/// # Panics
+///
+/// Panics if a link or endpoint names a node `≥ n`.
+pub fn disjoint_path_count(
+    n: usize,
+    links: impl IntoIterator<Item = (usize, usize)>,
+    src: usize,
+    dst: usize,
+) -> usize {
+    disjoint_path_count_in(n, links, src, dst, &mut flow::Scratch::default())
 }
 
 /// [`disjoint_path_count`] over caller-owned flow buffers.
+///
+/// # Panics
+///
+/// Panics if a link or endpoint names a node `≥ n`.
 pub fn disjoint_path_count_in(
-    dag: &Topology,
-    src: NodeId,
-    dst: NodeId,
+    n: usize,
+    links: impl IntoIterator<Item = (usize, usize)>,
+    src: usize,
+    dst: usize,
     scratch: &mut flow::Scratch,
 ) -> usize {
-    let n = dag.len();
-    let idx_in = |v: NodeId| 2 * v.index();
-    let idx_out = |v: NodeId| 2 * v.index() + 1;
-    let mut edges: Vec<(usize, usize, f64)> = Vec::with_capacity(n + dag.link_count());
-    for v in dag.nodes() {
+    let mut links: Vec<(usize, usize)> = links.into_iter().collect();
+    links.sort_unstable();
+    links.dedup();
+    let idx_in = |v: usize| 2 * v;
+    let idx_out = |v: usize| 2 * v + 1;
+    let mut edges: Vec<(usize, usize, f64)> = Vec::with_capacity(n + links.len());
+    let mut next = links.iter().peekable();
+    for v in 0..n {
         let c = if v == src || v == dst { n as f64 } else { 1.0 };
         edges.push((idx_in(v), idx_out(v), c));
-        let mut targets: Vec<NodeId> = dag.out_links(v).iter().map(|l| l.to).collect();
-        targets.sort_unstable();
-        targets.dedup();
-        edges.extend(targets.into_iter().map(|to| (idx_out(v), idx_in(to), 1.0)));
+        while let Some(&(_, to)) = next.next_if(|l| l.0 == v) {
+            edges.push((idx_out(v), idx_in(to), 1.0));
+        }
     }
+    assert!(next.next().is_none(), "links name nodes below {n}");
     let net = flow::Network::new(2 * n, edges.iter().map(|&(a, b, _)| (a, b)));
     let (s, t) = (idx_out(src), idx_in(dst));
     net.max_flow(s, t, edges.iter().map(|e| e.2), scratch) as usize
 }
 
-/// Counts distinct `src → dst` paths in a DAG by memoized DFS, saturating.
+/// Counts distinct `src → dst` paths in the DAG of `links` (`(from, to)`
+/// over nodes `0..n`) by memoized DFS, saturating.
 ///
 /// # Panics
 ///
-/// May overflow the stack or loop forever if the graph has cycles reachable
-/// from `src`; selections are DAGs by construction.
-pub fn count_paths(dag: &Topology, src: NodeId, dst: NodeId) -> u128 {
-    fn rec(dag: &Topology, u: NodeId, dst: NodeId, memo: &mut [Option<u128>]) -> u128 {
+/// Panics if a link or endpoint names a node `≥ n`. May overflow the stack
+/// or loop forever if the graph has cycles reachable from `src`;
+/// selections are DAGs by construction.
+pub fn count_paths(
+    n: usize,
+    links: impl IntoIterator<Item = (usize, usize)>,
+    src: usize,
+    dst: usize,
+) -> u128 {
+    fn rec(out: &[Vec<usize>], u: usize, dst: usize, memo: &mut [Option<u128>]) -> u128 {
         if u == dst {
             return 1;
         }
-        if let Some(c) = memo[u.index()] {
+        if let Some(c) = memo[u] {
             return c;
         }
         let mut total: u128 = 0;
-        for l in dag.out_links(u) {
-            total = total.saturating_add(rec(dag, l.to, dst, memo));
+        for &v in &out[u] {
+            total = total.saturating_add(rec(out, v, dst, memo));
         }
-        memo[u.index()] = Some(total);
+        memo[u] = Some(total);
         total
     }
-    let mut memo = vec![None; dag.len()];
-    rec(dag, src, dst, &mut memo)
+    let mut out = vec![Vec::new(); n];
+    for (from, to) in links {
+        out[from].push(to);
+    }
+    let mut memo = vec![None; n];
+    rec(&out, src, dst, &mut memo)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deploy::Deployment;
+    use crate::etx;
     use crate::phy::Phy;
 
     fn grid() -> Topology {
@@ -266,7 +368,7 @@ mod tests {
     fn subgraph_links_point_downhill() {
         let t = grid();
         let sel = select_forwarders(&t, NodeId::new(0), NodeId::new(3));
-        for l in sel.subgraph().links() {
+        for l in sel.links() {
             let df = sel.dist_to_dst(l.from).unwrap();
             let dt = sel.dist_to_dst(l.to).unwrap();
             assert!(dt < df, "{} -> {} not downhill", l.from, l.to);
@@ -279,24 +381,24 @@ mod tests {
         let t = Deployment::random(80, 6.0, &phy, 21).into_topology();
         let (s, d) = t.farthest_pair();
         let sel = select_forwarders(&t, s, d);
-        // Kahn's algorithm terminates consuming all linked nodes iff acyclic.
-        let g = sel.subgraph();
-        let mut indeg = vec![0usize; g.len()];
-        for l in g.links() {
-            indeg[l.to.index()] += 1;
+        // Kahn's algorithm terminates consuming all nodes iff acyclic.
+        let n = sel.nodes().len();
+        let mut indeg = vec![0usize; n];
+        for (_, to) in sel.local_links() {
+            indeg[to] += 1;
         }
-        let mut queue: Vec<NodeId> = g.nodes().filter(|v| indeg[v.index()] == 0).collect();
+        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
         let mut seen = 0;
         while let Some(u) = queue.pop() {
             seen += 1;
-            for l in g.out_links(u) {
-                indeg[l.to.index()] -= 1;
-                if indeg[l.to.index()] == 0 {
-                    queue.push(l.to);
+            for (to, _) in sel.out(u) {
+                indeg[to] -= 1;
+                if indeg[to] == 0 {
+                    queue.push(to);
                 }
             }
         }
-        assert_eq!(seen, g.len(), "cycle detected in forwarder subgraph");
+        assert_eq!(seen, n, "cycle detected in forwarder subgraph");
     }
 
     #[test]
@@ -305,12 +407,14 @@ mod tests {
         let t = Deployment::random(60, 6.0, &phy, 33).into_topology();
         let (s, d) = t.farthest_pair();
         let sel = select_forwarders(&t, s, d);
-        for &v in sel.nodes() {
+        let n = sel.nodes().len();
+        let dst = sel.index_of(d).unwrap();
+        for (i, &v) in sel.nodes().iter().enumerate() {
             if v == d {
                 continue;
             }
             assert!(
-                count_paths(sel.subgraph(), v, d) > 0,
+                count_paths(n, sel.local_links(), i, dst) > 0,
                 "{v} selected but cannot reach {d}"
             );
         }
@@ -336,7 +440,7 @@ mod tests {
         assert_eq!(sel.nodes().len(), 5);
         assert_eq!(sel.path_count(), 1);
         // Only forward links survive.
-        assert_eq!(sel.subgraph().link_count(), 4);
+        assert_eq!(sel.link_count(), 4);
     }
 
     /// The O(V·E)-per-BFS body `disjoint_path_count` had before it ran on
@@ -424,8 +528,9 @@ mod tests {
             let dag = Topology::from_links(n, links).unwrap();
             let src = NodeId::new(rng.gen_range(0..n - 1));
             let dst = NodeId::new(rng.gen_range(src.index() + 1..n));
+            let pairs = dag.links().map(|l| (l.from.index(), l.to.index()));
             assert_eq!(
-                disjoint_path_count(&dag, src, dst),
+                disjoint_path_count(n, pairs, src.index(), dst.index()),
                 disjoint_path_count_oracle(&dag, src, dst),
                 "case {case}: {n} nodes, {src} -> {dst}"
             );
@@ -449,16 +554,169 @@ mod tests {
         let mut total = 0;
         for (s, d) in sessions {
             let sel = select_forwarders(&t, s, d);
-            let all = sel.subgraph();
-            let half: Vec<Link> = all.links().filter(|_| rng.gen_bool(0.5)).collect();
-            let used = Topology::from_links(t.len(), half).unwrap();
-            for dag in [all, &used] {
-                let count = disjoint_path_count(dag, s, d);
-                assert_eq!(count, disjoint_path_count_oracle(dag, s, d), "{s} -> {d}");
+            let all: Vec<(usize, usize)> = sel.local_links().collect();
+            let half: Vec<(usize, usize)> =
+                all.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+            let (src, dst) = (sel.index_of(s).unwrap(), sel.index_of(d).unwrap());
+            for dag in [all, half] {
+                let count = disjoint_path_count(sel.nodes().len(), dag.iter().copied(), src, dst);
+                let global = (dag.iter())
+                    .map(|&(i, j)| Link {
+                        from: sel.nodes()[i],
+                        to: sel.nodes()[j],
+                        p: 0.5,
+                    })
+                    .collect();
+                let oracle = Topology::from_links(t.len(), global).unwrap();
+                assert_eq!(
+                    count,
+                    disjoint_path_count_oracle(&oracle, s, d),
+                    "{s} -> {d}"
+                );
                 total += count;
             }
         }
         assert!(total > 12, "the sweep has multipath sessions");
+    }
+
+    /// `select_forwarders` as it was before its search stopped at the
+    /// source: a full reverse Dijkstra, the flood, and every topology link
+    /// filtered. Returns the selected nodes, their downhill links and every
+    /// node's distance.
+    fn select_forwarders_oracle(
+        topology: &Topology,
+        src: NodeId,
+        dst: NodeId,
+    ) -> (Vec<NodeId>, Vec<Link>, Vec<Option<f64>>) {
+        let dist = etx::distances_to(topology, dst);
+        let mut is_selected = vec![false; topology.len()];
+        is_selected[src.index()] = true;
+        let mut queue = vec![src];
+        while let Some(u) = queue.pop() {
+            let du = dist[u.index()].unwrap();
+            for link in topology.out_links(u) {
+                let v = link.to;
+                if is_selected[v.index()] {
+                    continue;
+                }
+                if let Some(dv) = dist[v.index()] {
+                    if dv < du {
+                        is_selected[v.index()] = true;
+                        queue.push(v);
+                    }
+                }
+            }
+        }
+        let selected = topology.nodes().filter(|v| is_selected[v.index()]);
+        let links = topology.links().filter(|l| {
+            is_selected[l.from.index()]
+                && is_selected[l.to.index()]
+                && match (dist[l.from.index()], dist[l.to.index()]) {
+                    (Some(df), Some(dt)) => dt < df,
+                    _ => false,
+                }
+        });
+        (selected.collect(), links.collect(), dist)
+    }
+
+    /// Every reachable ordered pair in `pairs` selects, bit for bit, what
+    /// the full-search oracle selects; returns how many pairs ran.
+    fn assert_matches_oracle(
+        t: &Topology,
+        pairs: impl IntoIterator<Item = (usize, usize)>,
+    ) -> usize {
+        let bits = |l: Link| (l.from, l.to, l.p.to_bits());
+        let mut checked = 0;
+        for (s, d) in pairs
+            .into_iter()
+            .map(|(s, d)| (NodeId::new(s), NodeId::new(d)))
+        {
+            if s == d || etx::distances_to(t, d)[s.index()].is_none() {
+                continue;
+            }
+            let sel = select_forwarders(t, s, d);
+            let (nodes, links, dist) = select_forwarders_oracle(t, s, d);
+            assert_eq!(sel.nodes(), nodes, "{s} -> {d}");
+            assert_eq!(
+                sel.links().map(bits).collect::<Vec<_>>(),
+                links.into_iter().map(bits).collect::<Vec<_>>(),
+                "{s} -> {d}"
+            );
+            assert_eq!(sel.link_count(), sel.links().count());
+            for (&v, &dv) in sel.nodes().iter().zip(sel.distances()) {
+                assert_eq!(Some(dv.to_bits()), dist[v.index()].map(f64::to_bits), "{v}");
+                assert_eq!(sel.dist_to_dst(v).map(f64::to_bits), Some(dv.to_bits()));
+            }
+            for v in t.nodes().filter(|&v| !sel.contains(v)) {
+                assert_eq!(sel.dist_to_dst(v), None, "{v} is off the selection");
+            }
+            checked += 1;
+        }
+        checked
+    }
+
+    /// Seeded deployments of 30, 120 and 1000 nodes under the lossy and the
+    /// high-power PHY (the two `Quality` regimes), every ordered pair on
+    /// the smallest and seeded random pairs on the others.
+    #[test]
+    fn bounded_selection_equals_the_full_search_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5e1);
+        for (n, pairs, seed) in [(30, 0, 3u64), (120, 80, 2008), (1000, 12, 2008)] {
+            let deployment = Deployment::random(n, 6.0, &Phy::paper_lossy(), seed);
+            let high = deployment.topology_with_phy(&Phy::paper_high_quality());
+            for t in [deployment.into_topology(), high] {
+                let (checked, tried) = if pairs == 0 {
+                    let all = (0..n).flat_map(|s| (0..n).map(move |d| (s, d)));
+                    (assert_matches_oracle(&t, all), n * (n - 1))
+                } else {
+                    let drawn: Vec<(usize, usize)> = (0..pairs)
+                        .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+                        .collect();
+                    let (far_s, far_d) = t.farthest_pair();
+                    let far = (far_s.index(), far_d.index());
+                    let checked = assert_matches_oracle(&t, drawn.into_iter().chain([far]));
+                    (checked, pairs + 1)
+                };
+                assert!(checked * 2 > tried, "{n} nodes: {checked} of {tried} pairs");
+            }
+        }
+    }
+
+    /// A uniform lattice ties everywhere: many nodes sit at exactly the
+    /// source's distance, some settled before it and some not, and every
+    /// relay hears several equally close neighbours.
+    #[test]
+    fn bounded_selection_equals_the_oracle_on_ties() {
+        let side = 6;
+        let mut links = Vec::new();
+        for v in 0..side * side {
+            let (r, c) = (v / side, v % side);
+            let mut add = |w: usize| {
+                for (from, to) in [(v, w), (w, v)] {
+                    links.push(Link {
+                        from: NodeId::new(from),
+                        to: NodeId::new(to),
+                        p: 0.5,
+                    });
+                }
+            };
+            if c + 1 < side {
+                add(v + 1);
+            }
+            if r + 1 < side {
+                add(v + side);
+            }
+            // One diagonal per cell, so two-hop and diagonal routes tie
+            // at different costs.
+            if c + 1 < side && r + 1 < side && (r + c) % 2 == 0 {
+                add(v + side + 1);
+            }
+        }
+        let t = Topology::from_links(side * side, links).unwrap();
+        let n = side * side;
+        let checked = assert_matches_oracle(&t, (0..n).flat_map(|s| (0..n).map(move |d| (s, d))));
+        assert_eq!(checked, n * (n - 1));
     }
 
     #[test]

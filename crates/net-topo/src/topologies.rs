@@ -216,8 +216,10 @@ mod tests {
         assert_eq!(sp.hops_to(NodeId::new(1)), Some(4));
         use crate::select::{disjoint_path_count, select_forwarders};
         let sel = select_forwarders(&t, NodeId::new(0), NodeId::new(1));
+        let local = |v| sel.index_of(NodeId::new(v)).unwrap();
+        let n = sel.nodes().len();
         assert_eq!(
-            disjoint_path_count(sel.subgraph(), NodeId::new(0), NodeId::new(1)),
+            disjoint_path_count(n, sel.local_links(), local(0), local(1)),
             3
         );
     }

@@ -23,6 +23,7 @@
 //! This module is the one engine, run centrally by protocols and benches,
 //! for one session or for the `K` coupled sessions of [`crate::municast`].
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -89,6 +90,17 @@ impl Default for RateControlParams {
             check_window: 25,
             recovery: Recovery::Best,
         }
+    }
+}
+
+impl RateControlParams {
+    /// Panics naming the first non-positive parameter.
+    fn check(&self) {
+        assert!(self.proximal_c > 0.0, "proximal_c must be positive");
+        assert!(self.utility_weight > 0.0, "utility_weight must be positive");
+        assert!(self.max_iterations > 0, "max_iterations must be positive");
+        assert!(self.tolerance > 0.0, "tolerance must be positive");
+        assert!(self.check_window > 0, "check_window must be positive");
     }
 }
 
@@ -229,7 +241,8 @@ pub fn default_portfolio() -> Vec<RateControlParams> {
 #[derive(Debug, Clone)]
 pub struct RateControl<'a> {
     sessions: &'a [SUnicast],
-    coupling: &'a Coupling,
+    /// Borrowed from a coupled mesh, owned by a single-session run.
+    coupling: Cow<'a, Coupling>,
     params: RateControlParams,
     /// SUB1's view of every session's links, built once (costs change every
     /// iteration, the structure does not).
@@ -537,9 +550,13 @@ impl<'a> RateControl<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is non-positive.
+    /// Panics if any parameter is non-positive, or if `problem` is a
+    /// session of a [`crate::municast::MUnicast`] (run those through
+    /// [`crate::municast::MUnicast::solve_distributed`]).
     pub fn with_params(problem: &'a SUnicast, params: RateControlParams) -> Self {
-        RateControl::coupled(std::slice::from_ref(problem), problem.coupling(), params)
+        params.check();
+        let coupling = Cow::Owned(problem.coupling());
+        RateControl::coupled(std::slice::from_ref(problem), coupling, params)
     }
 
     /// Prepares a joint run of `sessions` (all of one capacity) under
@@ -550,17 +567,10 @@ impl<'a> RateControl<'a> {
     /// Panics if any parameter is non-positive.
     pub(crate) fn coupled(
         sessions: &'a [SUnicast],
-        coupling: &'a Coupling,
+        coupling: Cow<'a, Coupling>,
         params: RateControlParams,
     ) -> Self {
-        assert!(params.proximal_c > 0.0, "proximal_c must be positive");
-        assert!(
-            params.utility_weight > 0.0,
-            "utility_weight must be positive"
-        );
-        assert!(params.max_iterations > 0, "max_iterations must be positive");
-        assert!(params.tolerance > 0.0, "tolerance must be positive");
-        assert!(params.check_window > 0, "check_window must be positive");
+        params.check();
         RateControl {
             sessions,
             coupling,

@@ -121,31 +121,26 @@ mod tests {
     #[test]
     fn a_reused_scratch_returns_the_bits_of_a_fresh_one() {
         use net_topo::deploy::Deployment;
-        use net_topo::graph::Topology;
         use net_topo::phy::Phy;
-        use net_topo::select::{disjoint_path_count_in, select_forwarders};
+        use net_topo::select::{disjoint_path_count_in, select_forwarders, Selection};
         use rand::{Rng, SeedableRng};
 
         let phy = Phy::paper_lossy();
         // Instances of different sizes, visited large → small → large so a
         // stale tail of any buffer would be read. Each comes with its
         // selection's forwarder DAG, whose node-split graph (twice the
-        // topology's nodes) runs through the same scratch in between.
-        let mut cases: Vec<(SUnicast, Topology)> = [(60, 1), (12, 2), (35, 3)]
+        // selection's nodes) runs through the same scratch in between.
+        let mut cases: Vec<(SUnicast, Selection)> = [(60, 1), (12, 2), (35, 3)]
             .into_iter()
             .map(|(nodes, seed)| {
                 let topo = Deployment::random(nodes, 6.0, &phy, seed).into_topology();
                 let (s, d) = topo.farthest_pair();
                 let sel = select_forwarders(&topo, s, d);
-                let problem = SUnicast::from_selection(&topo, &sel, 1.0);
-                (problem, sel.subgraph().clone())
+                (SUnicast::from_selection(&topo, &sel, 1.0), sel)
             })
             .collect();
         let (t, sel) = diamond();
-        cases.push((
-            SUnicast::from_selection(&t, &sel, 1.0),
-            sel.subgraph().clone(),
-        ));
+        cases.push((SUnicast::from_selection(&t, &sel, 1.0), sel));
         let sizes: Vec<usize> = cases.iter().map(|(p, _)| p.link_count()).collect();
         assert!(sizes[0] > sizes[2] && sizes[2] > sizes[1] && sizes[1] > sizes[3]);
 
@@ -153,7 +148,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let mut scratch = Scratch::default();
         for round in 0..6 {
-            for (p, dag) in &cases {
+            for (p, sel) in &cases {
                 let b: Vec<f64> = (0..p.node_count())
                     // Round 3 starves every link: the all-zero early return.
                     .map(|_| {
@@ -171,10 +166,11 @@ mod tests {
 
                 // The unit-capacity caller, on the buffers the f64 one
                 // just left behind, against a fresh scratch.
-                let (s, d) = (p.node_id(p.src()), p.node_id(p.dst()));
-                let count = disjoint_path_count_in(dag, s, d, &mut scratch);
+                let (n, s, d) = (p.node_count(), p.src(), p.dst());
+                let count = disjoint_path_count_in(n, sel.local_links(), s, d, &mut scratch);
                 let mut fresh = Scratch::default();
-                assert_eq!(count, disjoint_path_count_in(dag, s, d, &mut fresh));
+                let again = disjoint_path_count_in(n, sel.local_links(), s, d, &mut fresh);
+                assert_eq!(count, again);
                 assert_eq!(bits(scratch.flows()), bits(fresh.flows()), "round {round}");
             }
         }

@@ -1,7 +1,5 @@
 //! The sUnicast problem instance (paper eqs. (1)–(5)).
 
-use std::collections::BTreeMap;
-
 use net_topo::contention;
 use net_topo::graph::{NodeId, Topology};
 use net_topo::select::Selection;
@@ -118,16 +116,20 @@ pub struct SUnicast {
     capacity: f64,
     src: usize,
     dst: usize,
+    /// Topology ids by local index, ascending (a selection's order).
     nodes: Vec<NodeId>,
-    local: BTreeMap<NodeId, usize>,
     links: Vec<InstanceLink>,
     out: Vec<Vec<LinkId>>,
     inn: Vec<Vec<LinkId>>,
-    /// This session alone on the channel: sites are the local indices, the
-    /// neighborhoods are the selected nodes in range, every node but the
-    /// source owns a row.
-    coupling: Coupling,
+    /// This session alone on the channel: row `i` is `[i, selected nodes
+    /// in range of i…]` by local index. `None` on a session of a
+    /// [`crate::municast::MUnicast`], which is coupled through the mesh's rows.
+    mac: Option<contention::Rows>,
 }
+
+/// What the single-session paths say when handed a session of a coupled
+/// mesh.
+const MESH_SESSION: &str = "a session of an MUnicast has no MAC rows of its own";
 
 impl SUnicast {
     /// Builds the instance for a forwarder selection on `topology` with MAC
@@ -139,43 +141,54 @@ impl SUnicast {
     /// has no links (cannot happen for selections produced by
     /// [`net_topo::select::select_forwarders`] on connected topologies).
     pub fn from_selection(topology: &Topology, selection: &Selection, capacity: f64) -> Self {
+        let mut problem = SUnicast::session(selection, capacity);
+        let nodes = selection.nodes();
+        problem.mac = Some(contention::Rows::neighborhoods(nodes.len(), |i, into| {
+            let in_range = topology.neighbors(nodes[i]).iter();
+            into.extend(
+                in_range
+                    .filter_map(|&w| selection.index_of(w))
+                    .map(|l| l as u32),
+            );
+        }));
+        problem
+    }
+
+    /// The instance of one session of a coupled mesh: the selection's
+    /// nodes and links, no MAC rows of its own.
+    ///
+    /// # Panics
+    ///
+    /// As [`SUnicast::from_selection`].
+    pub(crate) fn session(selection: &Selection, capacity: f64) -> Self {
         assert!(
             capacity.is_finite() && capacity > 0.0,
             "capacity must be positive"
         );
         let nodes: Vec<NodeId> = selection.nodes().to_vec();
-        let local: BTreeMap<NodeId, usize> =
-            nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-        let mut links = Vec::new();
+        let mut links = Vec::with_capacity(selection.link_count());
         let mut out = vec![Vec::new(); nodes.len()];
         let mut inn = vec![Vec::new(); nodes.len()];
-        for l in selection.subgraph().links() {
-            let from = local[&l.from];
-            let to = local[&l.to];
-            let id = LinkId(links.len());
-            links.push(InstanceLink { from, to, p: l.p });
-            out[from].push(id);
-            inn[to].push(id);
+        for (from, out) in out.iter_mut().enumerate() {
+            for (to, p) in selection.out(from) {
+                let id = LinkId(links.len());
+                links.push(InstanceLink { from, to, p });
+                out.push(id);
+                inn[to].push(id);
+            }
         }
         assert!(!links.is_empty(), "selection has no links");
-
-        let mac = contention::Rows::neighborhoods(nodes.len(), |i, into| {
-            let in_range = topology.neighbors(nodes[i]).iter();
-            into.extend(in_range.filter_map(|w| local.get(w)).map(|&l| l as u32));
-        });
-        let src = local[&selection.src()];
-        let coupling = Coupling::new(vec![(0..nodes.len()).collect()], &[src], mac);
+        let local = |v| selection.index_of(v).expect("endpoints are selected");
 
         SUnicast {
             capacity,
-            src,
-            dst: local[&selection.dst()],
+            src: local(selection.src()),
+            dst: local(selection.dst()),
             nodes,
-            local,
             links,
             out,
             inn,
-            coupling,
+            mac: None,
         }
     }
 
@@ -215,7 +228,7 @@ impl SUnicast {
 
     /// The local index of a topology-level node id, if selected.
     pub fn local_index(&self, v: NodeId) -> Option<usize> {
-        self.local.get(&v).copied()
+        self.nodes.binary_search(&v).ok()
     }
 
     /// The link with index `id`.
@@ -244,13 +257,25 @@ impl SUnicast {
 
     /// Interference neighborhood of local node `i` (selected nodes within
     /// range, excluding `i`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a session of a [`crate::municast::MUnicast`], whose neighborhoods
+    /// are the mesh's.
     pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.coupling.mac.row(i)[1..]
+        &self.mac.as_ref().expect(MESH_SESSION).row(i)[1..]
     }
 
-    /// The MAC coupling of this session alone on the channel.
-    pub(crate) fn coupling(&self) -> &Coupling {
-        &self.coupling
+    /// The MAC coupling of this session alone on the channel: sites are
+    /// the local indices, every node but the source owns a row. Built on
+    /// each call, by the single-session paths only.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a session of a [`crate::municast::MUnicast`].
+    pub(crate) fn coupling(&self) -> Coupling {
+        let mac = self.mac.clone().expect(MESH_SESSION);
+        Coupling::new(vec![(0..self.nodes.len()).collect()], &[self.src], mac)
     }
 
     /// The flow-conservation supply `σ(i)` of eq. (2) for a unit throughput:
@@ -268,6 +293,11 @@ impl SUnicast {
     /// Checks whether `(b, x, gamma)` (in absolute units) satisfies all
     /// constraints (2)–(5) within tolerance `tol * capacity`. Returns the
     /// first violated constraint description, or `None` if feasible.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a session of a [`crate::municast::MUnicast`], whose MAC
+    /// rows are the mesh's.
     pub fn feasibility_violation(
         &self,
         b: &[f64],
@@ -301,8 +331,9 @@ impl SUnicast {
             }
         }
         // (4) broadcast MAC.
-        for &i in self.coupling.rows() {
-            let load = self.coupling.around(i, b);
+        let coupling = self.coupling();
+        for &i in coupling.rows() {
+            let load = coupling.around(i, b);
             if load > self.capacity + eps {
                 return Some(format!("MAC constraint at node {i}: load {load}"));
             }
@@ -385,20 +416,15 @@ pub(crate) mod tests {
             capacity: 1.0,
             src,
             dst,
-            local: nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect(),
             nodes,
             links: (links.iter())
                 .map(|&(from, to, p)| InstanceLink { from, to, p })
                 .collect(),
             out,
             inn,
-            coupling: Coupling::new(
-                vec![(0..n).collect()],
-                &[src],
-                contention::Rows::neighborhoods(n, |g, into| {
-                    into.extend(neighbors[g].iter().map(|&j| j as u32));
-                }),
-            ),
+            mac: Some(contention::Rows::neighborhoods(n, |g, into| {
+                into.extend(neighbors[g].iter().map(|&j| j as u32));
+            })),
         }
     }
 

@@ -35,6 +35,11 @@ fn var_b(problem: &SUnicast, i: usize) -> usize {
 
 /// Builds the LP for an instance (public so tests and benches can inspect
 /// its size).
+///
+/// # Panics
+///
+/// Panics if `problem` is a session of a [`crate::municast::MUnicast`], which has no
+/// MAC rows of its own.
 pub fn build_lp(problem: &SUnicast) -> LpProblem {
     let n = problem.node_count();
     let m = problem.link_count();
@@ -55,8 +60,9 @@ pub fn build_lp(problem: &SUnicast) -> LpProblem {
     }
 
     // (4) broadcast MAC: b_i + Σ_{j∈N(i)} b_j ≤ C for every i ≠ S.
-    for &i in problem.coupling().rows() {
-        let row = problem.coupling().mac.row(i).iter();
+    let coupling = problem.coupling();
+    for &i in coupling.rows() {
+        let row = coupling.mac.row(i).iter();
         let coeffs: Vec<_> = row.map(|&j| (var_b(problem, j as usize), 1.0)).collect();
         lp.push_constraint(&coeffs, Relation::Le, problem.capacity());
     }

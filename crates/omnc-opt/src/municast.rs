@@ -23,6 +23,8 @@
 //! prices β per receiver, and [`MUnicast::solve_exact`] writes the same
 //! rows into the LP oracle.
 
+use std::borrow::Cow;
+
 use net_topo::contention;
 use net_topo::graph::{NodeId, Topology};
 use net_topo::select::Selection;
@@ -72,7 +74,7 @@ impl MUnicast {
         );
         let sessions: Vec<SUnicast> = selections
             .iter()
-            .map(|sel| SUnicast::from_selection(topology, sel, capacity))
+            .map(|sel| SUnicast::session(sel, capacity))
             .collect();
         let site = sessions
             .iter()
@@ -232,7 +234,7 @@ impl MUnicast {
     }
 
     pub(crate) fn rate_control(&self, params: &RateControlParams) -> RateControl<'_> {
-        RateControl::coupled(&self.sessions, &self.coupling, *params)
+        RateControl::coupled(&self.sessions, Cow::Borrowed(&self.coupling), *params)
     }
 }
 

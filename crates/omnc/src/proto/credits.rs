@@ -15,24 +15,54 @@
 //! pruning most forwarders — the poor path diversity visible in the paper's
 //! Fig. 4.
 
-use net_topo::graph::NodeId;
 use net_topo::select::Selection;
 
-/// Per-node forwarding parameters derived at session setup.
+/// Per-node forwarding parameters derived at session setup, indexed like
+/// [`Selection::nodes`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CreditPlan {
-    /// Expected transmissions per source packet, by topology node id.
+    /// Expected transmissions per source packet, by local index.
     pub z: Vec<f64>,
-    /// Credit increment per upstream reception, by topology node id.
+    /// Credit increment per upstream reception, by local index.
     pub tx_credit: Vec<f64>,
 }
 
 impl CreditPlan {
-    /// `true` if `node` participates in forwarding at all (z > ε). Nodes
-    /// pruned by oldMORE's min-cost solution fail this.
-    pub fn is_active(&self, node: NodeId, epsilon: f64) -> bool {
-        self.z.get(node.index()).is_some_and(|&z| z > epsilon)
+    /// `true` if local node `i` participates in forwarding at all
+    /// (z > ε). Nodes pruned by oldMORE's min-cost solution fail this.
+    pub fn is_active(&self, i: usize, epsilon: f64) -> bool {
+        self.z.get(i).is_some_and(|&z| z > epsilon)
     }
+}
+
+/// The local indices of the selection's source and destination.
+fn endpoints(selection: &Selection) -> (usize, usize) {
+    let local = |v| selection.index_of(v).expect("endpoints are selected");
+    (local(selection.src()), local(selection.dst()))
+}
+
+/// The selection's local nodes farthest-first by ETX distance to the
+/// destination, ties by id: a topological order of its DAG, since every
+/// link leads strictly closer.
+fn farthest_first(selection: &Selection) -> Vec<usize> {
+    let dist = selection.distances();
+    let mut order: Vec<usize> = (0..dist.len()).collect();
+    order.sort_by(|&a, &b| {
+        dist[b]
+            .partial_cmp(&dist[a])
+            .expect("finite distances")
+            .then(a.cmp(&b))
+    });
+    order
+}
+
+/// The reception probability of the link `from → to` (local indices), the
+/// last one listed if parallel links join them.
+fn link_prob(selection: &Selection, from: usize, to: usize) -> Option<f64> {
+    (selection.out(from))
+        .filter(|&(head, _)| head == to)
+        .last()
+        .map(|(_, p)| p)
 }
 
 /// Computes the MORE credit plan for a forwarder selection.
@@ -47,58 +77,49 @@ impl CreditPlan {
 /// Panics if the selection is degenerate (no path from source to
 /// destination), which `select_forwarders` rules out.
 pub fn more_credits(selection: &Selection) -> CreditPlan {
-    let g = selection.subgraph();
-    let n = g.len();
+    let dist = selection.distances();
+    let (src, dst) = endpoints(selection);
     // Forwarder list ordered farthest-first, destination last.
-    let mut order: Vec<NodeId> = selection.nodes().to_vec();
-    order.sort_by(|a, b| {
-        let da = selection.dist_to_dst(*a).unwrap_or(f64::INFINITY);
-        let db = selection.dist_to_dst(*b).unwrap_or(f64::INFINITY);
-        db.partial_cmp(&da)
-            .expect("finite distances")
-            .then(a.index().cmp(&b.index()))
-    });
-
-    let dist = |v: NodeId| selection.dist_to_dst(v).unwrap_or(f64::INFINITY);
-    let mut z = vec![0.0; n];
+    let order = farthest_first(selection);
+    let mut z = vec![0.0; dist.len()];
 
     // Probability that at least one strictly-closer forwarder receives a
     // transmission from `v`.
-    let p_progress = |v: NodeId| -> f64 {
+    let p_progress = |v: usize| -> f64 {
         let mut miss = 1.0;
-        for l in g.out_links(v) {
-            if dist(l.to) < dist(v) {
-                miss *= 1.0 - l.p;
+        for (to, p) in selection.out(v) {
+            if dist[to] < dist[v] {
+                miss *= 1.0 - p;
             }
         }
         1.0 - miss
     };
 
     for (idx, &i) in order.iter().enumerate() {
-        if i == selection.dst() {
+        if i == dst {
             continue;
         }
-        let li = if i == selection.src() {
+        let li = if i == src {
             1.0 // the source must deliver every packet once
         } else {
             // Packets from farther nodes j that i hears and no closer node hears.
             let mut li = 0.0;
             for &j in &order[..idx] {
-                let Some(p_ji) = g.link_prob(j, i) else {
+                let Some(p_ji) = link_prob(selection, j, i) else {
                     continue;
                 };
                 let mut none_closer = 1.0;
-                for l in g.out_links(j) {
-                    if dist(l.to) < dist(i) {
-                        none_closer *= 1.0 - l.p;
+                for (to, p) in selection.out(j) {
+                    if dist[to] < dist[i] {
+                        none_closer *= 1.0 - p;
                     }
                 }
-                li += z[j.index()] * p_ji * none_closer;
+                li += z[j] * p_ji * none_closer;
             }
             li
         };
         let progress = p_progress(i);
-        z[i.index()] = if progress > 1e-12 { li / progress } else { 0.0 };
+        z[i] = if progress > 1e-12 { li / progress } else { 0.0 };
     }
 
     CreditPlan {
@@ -123,25 +144,50 @@ pub fn more_credits(selection: &Selection) -> CreditPlan {
 ///
 /// Panics if the selection does not connect the source to the destination,
 /// which `select_forwarders` rules out.
+#[expect(
+    clippy::float_cmp,
+    reason = "equal path costs are ties with identical bits, broken as Dijkstra breaks them"
+)]
 pub fn oldmore_credits(selection: &Selection) -> CreditPlan {
-    let g = selection.subgraph();
-    let n = g.len();
+    let n = selection.nodes().len();
+    let (src, dst) = endpoints(selection);
     // The per-link min-cost program — minimize Σ_e z_e subject to unit flow
     // and x_e ≤ z_e·p_e — charges every unit of flow on link e exactly
     // 1/p_e transmissions, so its optimum is the ETX-shortest path (the LP
     // only splits flow on exact cost ties, which have measure zero on
     // probed topologies). Solving it as a shortest-path problem is
-    // equivalent and runs in O(E log V) instead of a dense simplex.
-    let sp = net_topo::dijkstra::shortest_paths(g, selection.src(), net_topo::etx::link_cost);
-    let path = sp
-        .path_to(selection.dst())
-        .expect("selections connect the source to the destination");
+    // equivalent: one relaxation sweep over the DAG in topological order.
+    // Among equally short ways into a node it keeps the one through the
+    // predecessor a Dijkstra from the source settles first (lower cost,
+    // then lower id), so the path is the one that search returns.
+    let mut cost = vec![f64::INFINITY; n];
+    let mut prev = vec![usize::MAX; n];
+    cost[src] = 0.0;
+    for u in farthest_first(selection) {
+        if cost[u].is_infinite() {
+            continue;
+        }
+        for (v, p) in selection.out(u) {
+            let next = cost[u] + 1.0 / p;
+            let settles_first =
+                || cost[u] < cost[prev[v]] || (cost[u] == cost[prev[v]] && u < prev[v]);
+            if next < cost[v] || (next == cost[v] && settles_first()) {
+                cost[v] = next;
+                prev[v] = u;
+            }
+        }
+    }
+    assert!(
+        cost[dst].is_finite(),
+        "selections connect the source to the destination"
+    );
     let mut z = vec![0.0; n];
-    for w in path.windows(2) {
-        let p = g
-            .link_prob(w[0], w[1])
-            .expect("path follows selection links");
-        z[w[0].index()] += 1.0 / p;
+    let mut v = dst;
+    while v != src {
+        let u = prev[v];
+        let p = link_prob(selection, u, v).expect("path follows selection links");
+        z[u] += 1.0 / p;
+        v = u;
     }
     CreditPlan {
         tx_credit: tx_credits(selection, &z),
@@ -150,34 +196,34 @@ pub fn oldmore_credits(selection: &Selection) -> CreditPlan {
 }
 
 /// Runtime credit increments: `z_i` divided by the expected packets node
-/// `i` hears from farther (active) forwarders per source packet.
+/// `i` hears from farther (active) forwarders per source packet, each
+/// node's in-links summed in link order.
 fn tx_credits(selection: &Selection, z: &[f64]) -> Vec<f64> {
-    let g = selection.subgraph();
-    let dist = |v: NodeId| selection.dist_to_dst(v).unwrap_or(f64::INFINITY);
-    let mut credit = vec![0.0; g.len()];
-    for &i in selection.nodes() {
-        if i == selection.src() || z[i.index()] <= 1e-12 {
-            continue;
-        }
-        let mut expected_rx = 0.0;
-        for l in g.in_links(i) {
-            if dist(l.from) > dist(i) {
-                expected_rx += z[l.from.index()] * l.p;
+    let dist = selection.distances();
+    let (src, _) = endpoints(selection);
+    let mut expected_rx = vec![0.0; dist.len()];
+    for from in 0..dist.len() {
+        for (to, p) in selection.out(from) {
+            if dist[from] > dist[to] {
+                expected_rx[to] += z[from] * p;
             }
         }
-        credit[i.index()] = if expected_rx > 1e-12 {
-            z[i.index()] / expected_rx
-        } else {
-            0.0
-        };
     }
-    credit
+    (0..dist.len())
+        .map(|i| {
+            if i == src || z[i] <= 1e-12 || expected_rx[i] <= 1e-12 {
+                0.0
+            } else {
+                z[i] / expected_rx[i]
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use net_topo::graph::{Link, Topology};
+    use net_topo::graph::{Link, NodeId, Topology};
     use net_topo::select::select_forwarders;
 
     fn line(probs: &[f64]) -> (Topology, Selection) {
@@ -256,8 +302,8 @@ mod tests {
         let (_, sel) = diamond(0.5);
         let plan = more_credits(&sel);
         assert!(plan.z[1] > 0.1 && plan.z[2] > 0.1, "{:?}", plan.z);
-        assert!(plan.is_active(NodeId::new(1), 1e-6));
-        assert!(plan.is_active(NodeId::new(2), 1e-6));
+        assert!(plan.is_active(1, 1e-6));
+        assert!(plan.is_active(2, 1e-6));
     }
 
     #[test]
@@ -293,18 +339,10 @@ mod tests {
         .unwrap();
         let sel = select_forwarders(&t, NodeId::new(0), NodeId::new(3));
         let plan = oldmore_credits(&sel);
-        assert!(
-            plan.is_active(NodeId::new(1), 1e-6),
-            "good relay active: {:?}",
-            plan.z
-        );
-        assert!(
-            !plan.is_active(NodeId::new(2), 1e-6),
-            "bad relay pruned: {:?}",
-            plan.z
-        );
+        assert!(plan.is_active(1, 1e-6), "good relay active: {:?}", plan.z);
+        assert!(!plan.is_active(2, 1e-6), "bad relay pruned: {:?}", plan.z);
         let more = more_credits(&sel);
-        assert!(more.is_active(NodeId::new(1), 1e-6) && more.is_active(NodeId::new(2), 1e-6));
+        assert!(more.is_active(1, 1e-6) && more.is_active(2, 1e-6));
     }
 
     #[test]
@@ -326,9 +364,132 @@ mod tests {
         let active = |plan: &CreditPlan| {
             sel.nodes()
                 .iter()
-                .filter(|&&v| v != sel.dst() && plan.is_active(v, 1e-6))
+                .enumerate()
+                .filter(|&(i, &v)| v != sel.dst() && plan.is_active(i, 1e-6))
                 .count()
         };
         assert!(active(&more) >= active(&old));
+    }
+
+    /// Both plans as they were computed over a topology-sized copy of the
+    /// forwarder DAG (oldMORE by a Dijkstra from the source), read back by
+    /// local index.
+    fn plans_over_a_dag_copy(topology: &Topology, sel: &Selection) -> [CreditPlan; 2] {
+        let g = Topology::from_links(topology.len(), sel.links().collect()).unwrap();
+        let dist = |v: NodeId| sel.dist_to_dst(v).unwrap_or(f64::INFINITY);
+        let tx_credits = |z: &[f64]| -> Vec<f64> {
+            let mut credit = vec![0.0; g.len()];
+            for &i in sel.nodes() {
+                if i == sel.src() || z[i.index()] <= 1e-12 {
+                    continue;
+                }
+                let mut expected_rx = 0.0;
+                for l in g.in_links(i) {
+                    if dist(l.from) > dist(i) {
+                        expected_rx += z[l.from.index()] * l.p;
+                    }
+                }
+                if expected_rx > 1e-12 {
+                    credit[i.index()] = z[i.index()] / expected_rx;
+                }
+            }
+            credit
+        };
+        let mut order = sel.nodes().to_vec();
+        order.sort_by(|a, b| dist(*b).partial_cmp(&dist(*a)).unwrap().then(a.cmp(b)));
+        let mut more = vec![0.0; g.len()];
+        for (idx, &i) in order.iter().enumerate() {
+            if i == sel.dst() {
+                continue;
+            }
+            let li = if i == sel.src() {
+                1.0
+            } else {
+                let mut li = 0.0;
+                for &j in &order[..idx] {
+                    let Some(p_ji) = g.link_prob(j, i) else {
+                        continue;
+                    };
+                    let mut none_closer = 1.0;
+                    for l in g.out_links(j) {
+                        if dist(l.to) < dist(i) {
+                            none_closer *= 1.0 - l.p;
+                        }
+                    }
+                    li += more[j.index()] * p_ji * none_closer;
+                }
+                li
+            };
+            let mut miss = 1.0;
+            for l in g.out_links(i) {
+                if dist(l.to) < dist(i) {
+                    miss *= 1.0 - l.p;
+                }
+            }
+            let progress = 1.0 - miss;
+            more[i.index()] = if progress > 1e-12 { li / progress } else { 0.0 };
+        }
+        let sp = net_topo::dijkstra::shortest_paths(&g, sel.src(), net_topo::etx::link_cost);
+        let mut old = vec![0.0; g.len()];
+        for w in sp.path_to(sel.dst()).unwrap().windows(2) {
+            old[w[0].index()] += 1.0 / g.link_prob(w[0], w[1]).unwrap();
+        }
+        [more, old].map(|z| {
+            let local = |v: Vec<f64>| sel.nodes().iter().map(|u| v[u.index()]).collect();
+            CreditPlan {
+                tx_credit: local(tx_credits(&z)),
+                z: local(z),
+            }
+        })
+    }
+
+    fn assert_plans_match(topology: &Topology, sel: &Selection) {
+        let bits = |plan: &CreditPlan| -> Vec<(u64, u64)> {
+            (plan.z.iter().zip(&plan.tx_credit))
+                .map(|(z, c)| (z.to_bits(), c.to_bits()))
+                .collect()
+        };
+        let [more, old] = plans_over_a_dag_copy(topology, sel);
+        let (s, d) = (sel.src(), sel.dst());
+        assert_eq!(bits(&more_credits(sel)), bits(&more), "MORE {s} -> {d}");
+        assert_eq!(
+            bits(&oldmore_credits(sel)),
+            bits(&old),
+            "oldMORE {s} -> {d}"
+        );
+    }
+
+    /// The selection-local plans equal, bit for bit, the plans computed
+    /// over a topology-sized DAG copy: on seeded deployments, and on a
+    /// uniform lattice where equally short oldMORE paths tie everywhere.
+    #[test]
+    fn plans_equal_the_plans_over_a_dag_copy() {
+        use net_topo::deploy::Deployment;
+        use net_topo::phy::Phy;
+        for seed in 0..6 {
+            let t = Deployment::random(60, 6.0, &Phy::paper_lossy(), seed).into_topology();
+            let (s, d) = t.farthest_pair();
+            assert_plans_match(&t, &select_forwarders(&t, s, d));
+            assert_plans_match(&t, &select_forwarders(&t, d, s));
+        }
+        let side = 5;
+        let mut links = Vec::new();
+        for v in 0..side * side {
+            let right = (v % side + 1 < side).then_some(v + 1);
+            let down = (v + side < side * side).then_some(v + side);
+            for w in [right, down].into_iter().flatten() {
+                for (from, to) in [(v, w), (w, v)] {
+                    links.push(Link {
+                        from: NodeId::new(from),
+                        to: NodeId::new(to),
+                        p: 0.5,
+                    });
+                }
+            }
+        }
+        let t = Topology::from_links(side * side, links).unwrap();
+        for (s, d) in [(0, 24), (24, 0), (4, 20), (2, 22), (0, 12)] {
+            assert_plans_match(&t, &select_forwarders(&t, NodeId::new(s), NodeId::new(d)));
+        }
     }
 }

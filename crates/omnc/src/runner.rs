@@ -27,7 +27,7 @@ use std::sync::Arc;
 use drift::{Behavior, Ctx, MacModel, Simulator};
 use net_topo::etx;
 use net_topo::flow;
-use net_topo::graph::{Link, NodeId, Topology};
+use net_topo::graph::{NodeId, Topology};
 use net_topo::select::{disjoint_path_count_in, select_forwarders, Selection};
 use omnc_opt::municast::MUnicast;
 use omnc_opt::{default_portfolio, run_best, RateControlParams, SUnicast};
@@ -523,9 +523,9 @@ pub(crate) fn session_id(seed: u64, k: u64) -> u64 {
 struct Run<'a> {
     job: Job<'a>,
     world: World<'a>,
-    /// Each coded session's forwarder DAG `(nodes, links)` in original
-    /// coordinates: what of its plan the Fig. 4 utilities need.
-    dags: Vec<(Vec<NodeId>, Vec<Link>)>,
+    /// Each coded session's forwarder selection, in original coordinates:
+    /// what of its plan the Fig. 4 utilities need.
+    selections: Vec<Selection>,
     sim: Simulator<Msg, Role>,
     ids: Vec<u64>,
     ledgers: Vec<SessionShared>,
@@ -576,13 +576,13 @@ fn execute<'a>(job: Job<'a>, extent: Extent, rate_source: Option<RateSource<'_>>
     let rates = (protocol == Protocol::Omnc).then(|| omnc_rates(job, &selections, rate_source));
 
     // Every role is built here, once per (session, node), in world
-    // coordinates. Roles are staged, and each plan is released as soon as
-    // its roles exist, so the mesh-sized `Selection`s are gone before the
-    // engine allocates its per-session tables. The MAC's inputs accumulate
-    // alongside: OMNC's summed per-node rates (each role paces at its own
-    // session's share) and ETX's next hops (the first session wins at a
-    // shared forwarder, which only coarsens the interference model: routing
-    // follows each role's own unicast destinations).
+    // coordinates, and staged until the engine exists. Each selection is
+    // sized by its own forwarders and is kept for the Fig. 4 utilities.
+    // The MAC's inputs accumulate alongside: OMNC's summed per-node rates
+    // (each role paces at its own session's share) and ETX's next hops
+    // (the first session wins at a shared forwarder, which only coarsens
+    // the interference model: routing follows each role's own unicast
+    // destinations).
     let mut roles: Vec<(usize, NodeId, Role)> = Vec::new();
     let mut stage = |k: usize, orig: NodeId, mut role: Role| {
         role.set_profiler(&options.profiler);
@@ -590,18 +590,19 @@ fn execute<'a>(job: Job<'a>, extent: Extent, rate_source: Option<RateSource<'_>>
     };
     let mut mac_rates = vec![0.0; n];
     let mut next_hop = vec![usize::MAX; n];
-    let dag = |s: &Selection| (s.nodes().to_vec(), s.subgraph().links().collect());
-    let dags = selections.iter().map(dag).collect();
-    for (k, selection) in selections.into_iter().enumerate() {
+    for (k, selection) in selections.iter().enumerate() {
         let (src, dst) = endpoints[k];
         let more = rates.is_none().then(|| {
-            let dist: Arc<[f64]> = (world.to_orig.iter())
-                .map(|&v| selection.dist_to_dst(v).unwrap_or(f64::INFINITY))
-                .collect();
+            // Only the session's own forwarders send its packets.
+            let mut dist = vec![f64::INFINITY; world.to_orig.len()];
+            for (&v, &d) in selection.nodes().iter().zip(selection.distances()) {
+                dist[world.at(v).index()] = d;
+            }
+            let dist: Arc<[f64]> = dist.into();
             if protocol == Protocol::More {
-                (more_credits(&selection), dist)
+                (more_credits(selection), dist)
             } else {
-                (oldmore_credits(&selection), dist)
+                (oldmore_credits(selection), dist)
             }
         });
         for (i, &orig) in selection.nodes().iter().enumerate() {
@@ -620,7 +621,7 @@ fn execute<'a>(job: Job<'a>, extent: Extent, rate_source: Option<RateSource<'_>>
                 Some(_) if orig == src => Role::MoreSrc(MoreSource::new(*cfg, ledger(), ids[k])),
                 Some((plan, dist)) => Role::MoreRelay(MoreRelay::new(
                     *cfg,
-                    plan.tx_credit[orig.index()],
+                    plan.tx_credit[i],
                     dist[world.at(orig).index()],
                     Arc::clone(dist),
                 )),
@@ -693,7 +694,7 @@ fn execute<'a>(job: Job<'a>, extent: Extent, rate_source: Option<RateSource<'_>>
     Run {
         job,
         world,
-        dags,
+        selections,
         sim,
         ids,
         ledgers,
@@ -764,9 +765,10 @@ impl Run<'_> {
 
     /// Session `k`'s Fig. 4 node and path utility ratios.
     fn utilities(&self, k: usize) -> (f64, f64) {
-        let Some((nodes, links)) = self.dags.get(k) else {
+        let Some(selection) = self.selections.get(k) else {
             return (1.0, 1.0); // ETX: the single path uses every node it selected
         };
+        let nodes = selection.nodes();
         let (src, dst) = self.job.endpoints[k];
         let ratio = |used: usize, all: usize| {
             if all > 0 {
@@ -786,21 +788,21 @@ impl Run<'_> {
         // were exercised (the transmitter sent and the receiver heard at
         // least one of its packets), over all its node-disjoint paths.
         let mut scratch = flow::Scratch::default();
-        let mut paths = |links: Vec<Link>| {
+        let local = |v| selection.index_of(v).expect("endpoints are selected");
+        let mut paths = |links: Vec<(usize, usize)>| {
             if links.is_empty() {
                 return 0;
             }
-            let dag =
-                Topology::from_links(self.job.topology.len(), links).expect("DAG links are valid");
-            disjoint_path_count_in(&dag, src, dst, &mut scratch)
+            disjoint_path_count_in(nodes.len(), links, local(src), local(dst), &mut scratch)
         };
-        let heard = |l: &&Link| {
-            (self.role(k, l.to).and_then(Role::heard))
-                .and_then(|heard| heard.get(&self.world.at(l.from)))
+        let heard = |&(from, to): &(usize, usize)| {
+            (self.role(k, nodes[to]).and_then(Role::heard))
+                .and_then(|heard| heard.get(&self.world.at(nodes[from])))
                 .is_some_and(|&packets| packets > 0)
         };
-        let used = links.iter().filter(heard).copied().collect();
-        (node_utility, ratio(paths(used), paths(links.clone())))
+        let links: Vec<(usize, usize)> = selection.local_links().collect();
+        let used = links.iter().copied().filter(heard).collect();
+        (node_utility, ratio(paths(used), paths(links)))
     }
 
     /// One [`SessionTrace`] per session: the engine's MAC trace split by

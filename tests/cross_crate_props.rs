@@ -249,7 +249,8 @@ fn path_count_matches_exhaustive_enumeration() {
     });
     let topo = Topology::from_links(6, links).expect("valid");
     // Paths s→t: s{a|b}m then (mt | mct) = 2 × 2 = 4.
-    assert_eq!(count_paths(&topo, s, t), 4);
+    let pairs = topo.links().map(|l| (l.from.index(), l.to.index()));
+    assert_eq!(count_paths(topo.len(), pairs, s.index(), t.index()), 4);
     let sel = select_forwarders(&topo, s, t);
     assert_eq!(sel.path_count(), 4);
 }
